@@ -1,11 +1,11 @@
 """Simulator performance benchmarks (not paper artifacts).
 
 Measured so regressions in the hot paths show up: event-kernel
-dispatch, packet-level DCF throughput, fluid-round throughput (setup
-excluded, so the number tracks the round machinery itself), the
-water-filling solver, and clique enumeration on a dense random
-network.  ``benchmarks/bench_json.py`` runs these and writes the
-machine-readable ``BENCH_<n>.json`` tracked across PRs (see
+dispatch (shallow and deep heap), packet-level DCF throughput,
+fluid-round throughput (setup excluded, so the number tracks the round
+machinery itself), the water-filling solver, and clique enumeration on
+a dense random network.  ``benchmarks/bench_json.py`` runs these and
+writes the machine-readable ``BENCH_<n>.json`` tracked across PRs (see
 docs/PERFORMANCE.md).
 """
 
@@ -37,6 +37,32 @@ def test_event_kernel_dispatch_rate(benchmark):
 
     events = benchmark(run)
     assert events == 50_000
+
+
+def test_event_kernel_dispatch_deep_heap(benchmark):
+    """The same 50 k-event ticker over 256 parked events that stay
+    eligible throughout (no ``until``), as pre-armed arrivals and fault
+    events do in a churn run.  The single-pending-event benchmark above
+    cannot see a per-dispatch cost that grows with heap depth."""
+
+    def run():
+        sim = Simulator()
+        for index in range(256):
+            sim.call_at(1e6 + index, lambda: None)
+        count = [0]
+
+        def tick():
+            count[0] += 1
+            if count[0] < 50_000:
+                sim.call_later(1e-6, tick)
+            else:
+                sim.stop()
+
+        sim.call_later(0.0, tick)
+        sim.run()
+        return count[0], sim.pending_events
+
+    assert benchmark(run) == (50_000, 256)
 
 
 def test_dcf_simulated_second(benchmark):

@@ -111,6 +111,8 @@ class GmpProtocol:
         stacks: dict[int, NodeStack],
         *,
         config: GmpConfig | None = None,
+        graph: ContentionGraph | None = None,
+        cliques: list[Clique] | None = None,
     ) -> None:
         self.sim = sim
         self.topology = topology
@@ -119,9 +121,11 @@ class GmpProtocol:
         self.stacks = stacks
         self.config = config or GmpConfig()
         self.gvn = GrandVirtualNetwork(routes, flows)
-        self.graph = ContentionGraph(topology)
+        # The scenario runner passes the contention graph and cliques it
+        # already built for the MAC; standalone use derives them here.
+        self.graph = graph if graph is not None else ContentionGraph(topology)
         self.scope = DisseminationScope(topology, self.graph)
-        self.cliques = maximal_cliques(self.graph)
+        self.cliques = cliques if cliques is not None else maximal_cliques(self.graph)
         self._link_cliques: dict[Link, list[Clique]] = {}
         for clique in self.cliques:
             for member in clique.links:

@@ -273,10 +273,15 @@ class FluidMac(MacLayer):
         # Pre-warm the per-link clique memberships for every directed
         # topology link so the per-round clamp test is a plain dict hit
         # (links a buffer reports outside the topology still fall back
-        # to the lazy path in the solver).
-        for node_id in self.topology.node_ids:
-            for neighbor in self.topology.neighbors(node_id):
-                self._memberships_for((node_id, neighbor))
+        # to the lazy path in the solver).  One pass over the clique
+        # members, canonicalizing as Clique's membership test does, so
+        # the tuples equal the per-clique scan's.
+        positions = clique_index_positions(self._cliques)
+        for i in self.topology.node_ids:
+            for j in self.topology.neighbors(i):
+                self._memberships[(i, j)] = positions.get(
+                    (i, j) if i <= j else (j, i), ()
+                )
         self.sim.every(self.round_interval, self._round, tag="fluid.round")
 
     def notify_backlog(self, node_id: int) -> None:

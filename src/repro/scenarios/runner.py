@@ -527,15 +527,19 @@ def run_scenario(
         packet_bytes = max(flow.packet_bytes for flow in flows)
         capacity_pps = phy.saturation_rate(packet_bytes, contenders=3)
 
-    # The maximal-clique enumeration is shared by every consumer of the
-    # clique-capacity model (fluid MAC, 2PP, maxmin reference) and is
-    # computed lazily at most once per run.
-    cliques_cache: list = []
+    # The contention graph and its maximal-clique enumeration are shared
+    # by every consumer of the clique-capacity model (fluid MAC, GMP,
+    # 2PP, maxmin reference) and computed lazily at most once per run.
+    contention_cache: list = []
+
+    def topology_contention():
+        if not contention_cache:
+            graph = ContentionGraph(topology)
+            contention_cache.append((graph, maximal_cliques(graph)))
+        return contention_cache[0]
 
     def topology_cliques():
-        if not cliques_cache:
-            cliques_cache.append(maximal_cliques(ContentionGraph(topology)))
-        return cliques_cache[0]
+        return topology_contention()[1]
 
     if substrate == "dcf":
         mac = DcfMac(sim, topology, phy=phy, config=dcf_config or DcfConfig())
@@ -594,8 +598,10 @@ def run_scenario(
 
     gmp: GmpProtocol | None = None
     if protocol == "gmp":
+        graph, cliques = topology_contention()
         gmp = GmpProtocol(
-            sim, topology, routes, flows, mac, stacks, config=gmp_config
+            sim, topology, routes, flows, mac, stacks,
+            config=gmp_config, graph=graph, cliques=cliques,
         )
         for stack in stacks.values():
             stack.observer = gmp.observer()

@@ -132,7 +132,8 @@ class EventQueue:
     def reinject(self, events: "list[Event]") -> None:
         """Return already-popped events to the heap *unchanged* (same
         sequence numbers), preserving their original dispatch order.
-        Used by the kernel to park the unprocessed tail of a batch."""
+        The kernel no longer calls this or :meth:`pop_batch`; both stay
+        because ``benchmarks/e2e/child.py`` patches them by name."""
         for event in events:
             event._in_heap = True
             if event.cancelled:
@@ -158,12 +159,31 @@ class EventQueue:
         Raises:
             SimulationError: if the queue holds no active events.
         """
-        self._discard_cancelled()
-        if not self._heap:
+        event = self.pop_next()
+        if event is None:
             raise SimulationError("pop on an empty event queue")
-        event = heapq.heappop(self._heap)[3]
-        event._in_heap = False
         return event
+
+    def pop_next(self, until: float | None = None) -> Event | None:
+        """Remove and return the earliest active event, or ``None`` when
+        there is none (queue drained, or — with ``until`` given — every
+        remaining event lies beyond it).  Tombstones met on the way are
+        discarded."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            event = entry[3]
+            if event.cancelled:
+                heapq.heappop(heap)
+                event._in_heap = False
+                self._tombstones -= 1
+                continue
+            if until is not None and entry[0] > until:
+                return None
+            heapq.heappop(heap)
+            event._in_heap = False
+            return event
+        return None
 
     def pop_batch(self, limit: int, until: float | None = None) -> "list[Event]":
         """Remove and return up to ``limit`` earliest active events, all
@@ -192,25 +212,6 @@ class EventQueue:
             append(event)
             count += 1
         return batch
-
-    def first_precedes(self, event: Event) -> bool:
-        """True when the earliest pending active event orders strictly
-        before ``event`` — i.e. dispatching ``event`` next would violate
-        ``(time, priority, seq)`` order."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3].cancelled:
-                heapq.heappop(heap)
-                entry[3]._in_heap = False
-                self._tombstones -= 1
-                continue
-            return (entry[0], entry[1], entry[2]) < (
-                event.time,
-                event.priority,
-                event.seq,
-            )
-        return False
 
     def clear(self) -> None:
         """Drop every pending event."""

@@ -56,12 +56,6 @@ _THROUGHPUT_WINDOW = 4096
 #: the estimate error is bounded by one doubling.
 WALL_TIME_BOUNDS: tuple[float, ...] = tuple(1e-7 * (2**i) for i in range(26))
 
-#: Upper bound on events popped from the heap per dispatch batch.
-#: Batching amortises heap maintenance; correctness does not depend on
-#: the value because the loop re-checks order before every dispatch and
-#: parks the unprocessed tail back in the queue when overtaken.
-_BATCH_LIMIT = 128
-
 
 class RunMonitor(Protocol):
     """Passive observer paced by the simulated clock.
@@ -364,13 +358,13 @@ class Simulator:
                 the simulated clock advancing.  A model stuck in a
                 zero-delay rescheduling loop trips this; the error
                 names the tags of the stalled events.
-            wall_deadline: real-time budget in seconds; checked
-                periodically, so overshoot is bounded by one batch of
-                events, not one event.
+            wall_deadline: real-time budget in seconds; checked every
+                512 events, so overshoot is bounded by that many
+                handlers, not one.
             pace: ceiling on simulated seconds advanced per wall-clock
                 second (``pace=20`` runs at most 20x real time; ``None``
-                is free-running).  Pacing only ever *sleeps* before a
-                batch — it never feeds wall time into the model — so the
+                is free-running).  Pacing only ever *sleeps* before an
+                event — it never feeds wall time into the model — so the
                 dispatched event sequence, and hence the replay digest,
                 are identical at every pace.
 
@@ -416,184 +410,107 @@ class Simulator:
             else None
         )
         queue = self._queue
-        batches = 0
-        batched_events = 0
-        # Fast path: with every watchdog and observer off, the per-event
-        # work reduces to clock advance + dispatch.
-        fast = (
-            max_events is None
-            and stall_limit is None
-            and wall_deadline is None
-            and pace is None
-            and sanitizer is None
-            and not collect
-            and not self._monitors
-        )
+        pop = queue.pop_next
         monitor_due = (
             min(self._monitor_due) if self._monitors else float("inf")
         )
         pace_origin = self._now
         pace_start = _time.monotonic() if pace is not None else 0.0
         try:
-            if fast:
-                processed = 0
-                try:
-                    while not self._stopped:
-                        batch = queue.pop_batch(_BATCH_LIMIT, until)
-                        if not batch:
-                            break
-                        n = len(batch)
-                        if n == 1:
-                            # Overwhelmingly common shape (a model that
-                            # schedules one event at a time): dispatch
-                            # without the batch bookkeeping.
-                            event = batch[0]
-                            if not event.cancelled:
-                                processed += 1
-                                self._now = event.time
-                                event.callback()
-                            continue
-                        index = 0
-                        try:
-                            while index < n:
-                                event = batch[index]
-                                if event.cancelled:
-                                    index += 1
-                                    continue
-                                if index and queue.first_precedes(event):
-                                    break
-                                index += 1
-                                processed += 1
-                                self._now = event.time
-                                event.callback()
-                                if self._stopped:
-                                    break
-                        finally:
-                            if index < n:
-                                queue.reinject(batch[index:])
-                finally:
-                    self._events_processed += processed
-                if until is not None and not self._stopped and self._now < until:
-                    self._now = until
-                return self._now
             while not self._stopped:
-                batch = queue.pop_batch(_BATCH_LIMIT, until)
-                if not batch:
-                    break
                 if pace is not None:
-                    # Throttle before the batch: the head event must not
+                    # Throttle before the pop: the head event must not
                     # run before its wall due time.  Sleeps are chunked
-                    # so an external stop() is honored promptly, and
-                    # overshoot is bounded by one batch of events.
-                    target = (batch[0].time - pace_origin) / pace
+                    # so an external stop() is honored promptly and
+                    # leaves the head queued.
+                    if not queue:
+                        break
+                    head = queue.peek_time()
+                    if until is not None and head > until:
+                        break
+                    target = (head - pace_origin) / pace
                     while not self._stopped:
                         lag = target - (_time.monotonic() - pace_start)
                         if lag <= 0:
                             break
                         _time.sleep(min(lag, 0.2))
                     if self._stopped:
-                        queue.reinject(batch)
                         break
-                batches += 1
-                batched_events += len(batch)
-                index = 0
-                try:
-                    while index < len(batch):
-                        event = batch[index]
-                        if event.cancelled:
-                            # Cancelled by an earlier callback in this
-                            # batch; skip without counting, exactly as
-                            # the heap's lazy discard would have.
-                            index += 1
-                            continue
-                        if index and queue.first_precedes(event):
-                            # A callback scheduled something that orders
-                            # before the rest of this batch: park the
-                            # tail (via the finally) and re-pop.
-                            break
-                        index += 1
-                        if event.time > self._now:
-                            events_at_now = 0
-                            stalled_tags.clear()
-                        self._now = event.time
-                        self._events_processed += 1
-                        events_at_now += 1
-                        if stall_limit is not None:
-                            stalled_tags[event.tag or "<untagged>"] += 1
-                            if events_at_now > stall_limit:
-                                offenders = ", ".join(
-                                    f"{tag} x{count}"
-                                    for tag, count in stalled_tags.most_common(5)
-                                )
-                                raise self._watchdog_abort(
-                                    f"simulated clock stalled at t={self._now:.9f}: "
-                                    f"{events_at_now} events without advancing; "
-                                    f"offending tags: {offenders}"
-                                )
-                        if (
-                            max_events is not None
-                            and self._events_processed > max_events
-                        ):
-                            raise self._watchdog_abort(
-                                f"exceeded max_events={max_events}; runaway model?"
+                event = pop(until)
+                if event is None:
+                    break
+                advanced = event.time > self._now
+                self._now = event.time
+                self._events_processed += 1
+                if stall_limit is not None:
+                    if advanced:
+                        events_at_now = 0
+                        stalled_tags.clear()
+                    events_at_now += 1
+                    stalled_tags[event.tag or "<untagged>"] += 1
+                    if events_at_now > stall_limit:
+                        offenders = ", ".join(
+                            f"{tag} x{count}"
+                            for tag, count in stalled_tags.most_common(5)
+                        )
+                        raise self._watchdog_abort(
+                            f"simulated clock stalled at t={self._now:.9f}: "
+                            f"{events_at_now} events without advancing; "
+                            f"offending tags: {offenders}"
+                        )
+                if (
+                    max_events is not None
+                    and self._events_processed > max_events
+                ):
+                    raise self._watchdog_abort(
+                        f"exceeded max_events={max_events}; runaway model?"
+                    )
+                if (
+                    wall_deadline is not None
+                    and self._events_processed % 512 == 0
+                    and _time.monotonic() - wall_start > wall_deadline
+                ):
+                    raise self._watchdog_abort(
+                        f"wall-clock deadline of {wall_deadline:g}s "
+                        f"exceeded at t={self._now:.6f} after "
+                        f"{self._events_processed} events"
+                    )
+                if sanitizer is not None:
+                    sanitizer.observe(
+                        event.time, event.priority, event.tag, event.callback
+                    )
+                if not collect:
+                    event.callback()
+                else:
+                    tag = event.tag or "<untagged>"
+                    tag_counts[tag] = tag_counts.get(tag, 0) + 1
+                    run_events += 1
+                    if profile:
+                        handler_start = _time.perf_counter()
+                        event.callback()
+                        duration = _time.perf_counter() - handler_start
+                        tag_wall[tag] = tag_wall.get(tag, 0.0) + duration
+                        buckets = tag_wall_buckets.get(tag)
+                        if buckets is None:
+                            buckets = [0] * bucket_width
+                            tag_wall_buckets[tag] = buckets
+                        buckets[bisect_left(wall_bounds, duration)] += 1
+                    else:
+                        event.callback()
+                    if run_events % _THROUGHPUT_WINDOW == 0:
+                        wall_now = _time.monotonic()
+                        window = wall_now - window_start
+                        if window > 0 and throughput is not None:
+                            throughput.record(
+                                self._now, _THROUGHPUT_WINDOW / window
                             )
-                        if (
-                            wall_deadline is not None
-                            and self._events_processed % 512 == 0
-                            and _time.monotonic() - wall_start > wall_deadline
-                        ):
-                            raise self._watchdog_abort(
-                                f"wall-clock deadline of {wall_deadline:g}s "
-                                f"exceeded at t={self._now:.6f} after "
-                                f"{self._events_processed} events"
-                            )
-                        if sanitizer is not None:
-                            sanitizer.observe(
-                                event.time, event.priority, event.tag, event.callback
-                            )
-                        if not collect:
-                            event.callback()
-                        else:
-                            tag = event.tag or "<untagged>"
-                            tag_counts[tag] = tag_counts.get(tag, 0) + 1
-                            run_events += 1
-                            if profile:
-                                handler_start = _time.perf_counter()
-                                event.callback()
-                                duration = (
-                                    _time.perf_counter() - handler_start
-                                )
-                                tag_wall[tag] = (
-                                    tag_wall.get(tag, 0.0) + duration
-                                )
-                                buckets = tag_wall_buckets.get(tag)
-                                if buckets is None:
-                                    buckets = [0] * bucket_width
-                                    tag_wall_buckets[tag] = buckets
-                                buckets[
-                                    bisect_left(wall_bounds, duration)
-                                ] += 1
-                            else:
-                                event.callback()
-                            if run_events % _THROUGHPUT_WINDOW == 0:
-                                wall_now = _time.monotonic()
-                                window = wall_now - window_start
-                                if window > 0 and throughput is not None:
-                                    throughput.record(
-                                        self._now, _THROUGHPUT_WINDOW / window
-                                    )
-                                window_start = wall_now
-                        if self._now >= monitor_due:
-                            # Paced by the simulated clock but invoked
-                            # between callbacks: monitors observe, never
-                            # schedule, so the event sequence — and the
-                            # replay digest — are untouched.
-                            monitor_due = self._tick_monitors()
-                        if self._stopped:
-                            break
-                finally:
-                    if index < len(batch):
-                        queue.reinject(batch[index:])
+                        window_start = wall_now
+                if self._now >= monitor_due:
+                    # Paced by the simulated clock but invoked between
+                    # callbacks: monitors observe, never schedule, so
+                    # the event sequence — and the replay digest — are
+                    # untouched.
+                    monitor_due = self._tick_monitors()
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
             return self._now
@@ -614,9 +531,6 @@ class Simulator:
                             wall_bounds,
                             tag=tag,
                         ).merge_counts(buckets, wall)
-                if batches:
-                    registry.counter("kernel.event_batches").inc(batches)
-                    registry.counter("kernel.batched_events").inc(batched_events)
                 elapsed = _time.monotonic() - run_start
                 if run_events and elapsed > 0:
                     registry.gauge("kernel.events_per_sec").set(

@@ -168,3 +168,30 @@ def test_gmp_respects_weights_on_shared_bottleneck():
     result = run_fluid(scenario, duration=40.0)
     ratio = result.flow_rates[2] / max(result.flow_rates[1], 1e-9)
     assert 1.8 < ratio < 4.5, f"weighted ratio {ratio} should approach 3"
+
+
+@pytest.mark.parametrize("substrate", ["fluid", "dcf"])
+def test_run_scenario_builds_contention_and_cliques_once(monkeypatch, substrate):
+    """The runner's contention graph and clique list are shared by the
+    MAC, GMP and the maxmin reference instead of rebuilt per consumer."""
+    from repro.core import protocol as protocol_module
+    from repro.scenarios import runner as runner_module
+
+    calls = {"graph": 0, "cliques": 0}
+
+    class CountingGraph(ContentionGraph):
+        def __init__(self, *args, **kwargs):
+            calls["graph"] += 1
+            super().__init__(*args, **kwargs)
+
+    def counting_cliques(graph):
+        calls["cliques"] += 1
+        return maximal_cliques(graph)
+
+    for module in (protocol_module, runner_module):
+        monkeypatch.setattr(module, "ContentionGraph", CountingGraph)
+        monkeypatch.setattr(module, "maximal_cliques", counting_cliques)
+    run_scenario(
+        figure3(), protocol="gmp", substrate=substrate, duration=1.0, gmp_config=FAST
+    )
+    assert calls == {"graph": 1, "cliques": 1}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError, MacError
 from repro.flows.packet import Packet
 from repro.mac.fluid import FluidMac, waterfill_links
+from repro.scenarios.figures import figure3
 from repro.sim.kernel import Simulator
 from repro.topology.builders import chain_topology, random_topology
 from repro.topology.cliques import maximal_cliques
@@ -254,3 +255,33 @@ def test_fluid_double_start_rejected():
     sim, mac, sender, sink = build_fluid_pair()
     with pytest.raises(MacError):
         mac.start()
+
+
+@pytest.mark.parametrize(
+    "make_topology",
+    [
+        lambda: figure3().topology,
+        lambda: random_topology(25, width=1200.0, height=1200.0, seed=7),
+    ],
+    ids=["figure3", "random25"],
+)
+def test_prewarmed_memberships_equal_per_clique_scan(make_topology):
+    """start() fills the membership map from one pass over the clique
+    members; the tuples must equal the ``a_link in clique`` scan the
+    lazy fallback performs, for every directed topology link."""
+    topology = make_topology()
+    mac = FluidMac(Simulator(), topology)
+    mac.start()
+    directed = [
+        (i, j) for i in topology.node_ids for j in topology.neighbors(i)
+    ]
+    assert directed and set(mac._memberships) == set(directed)
+    for a_link in directed:
+        scan = tuple(
+            index
+            for index, clique in enumerate(mac._cliques)
+            if a_link in clique
+        )
+        assert mac._memberships[a_link] == scan
+    # A link outside the topology still resolves through the lazy path.
+    assert mac._memberships_for((10_000, 10_001)) == ()
