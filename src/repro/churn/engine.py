@@ -240,9 +240,6 @@ class ChurnEngine:
             arrivals=self._arrivals,
             departures=self._departures,
             skipped_at_cap=self.trace.skipped_at_cap if self.trace else 0,
-            lifetimes={
-                flow_id: (start, end)
-                for flow_id, (start, end) in sorted(self._lifetimes.items())
-            },
+            lifetimes=self.live_lifetimes(),
             residues={k: list(v) for k, v in sorted(self._residues.items())},
         )

@@ -117,10 +117,6 @@ class Channel:
         else:
             self._down.discard(node_id)
 
-    def is_down(self, node_id: int) -> bool:
-        """True while the node's radio is marked crashed."""
-        return node_id in self._down
-
     def abort_transmissions(self, node_id: int) -> None:
         """Cancel the in-flight transmissions of a crashed sender.
 

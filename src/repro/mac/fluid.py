@@ -381,9 +381,12 @@ class FluidMac(MacLayer):
             self._memberships[a_link] = clique_ids
         return clique_ids
 
-    def _allocate(self, demands: dict[Link, float]) -> dict[Link, float]:
-        """Water-fill ``demands``, memoizing on the quantized demand
-        vector and the effective caps.
+    def _allocate_quantized(
+        self, quantized: list[tuple[Link, float]]
+    ) -> dict[Link, float]:
+        """Solve (or recall) the allocation for an already-clamped
+        ``(link, demand)`` vector — the round loop builds the vector
+        inline while polling eligibility, so it lands here directly.
 
         Demands of clique-member links are clamped at ``capacity_pps``
         before keying/solving: any demand at or above the clique
@@ -393,30 +396,6 @@ class FluidMac(MacLayer):
         Links outside every clique are never clamped — their limit is
         the only thing bounding them.
         """
-        caps = self._effective_caps()
-        capacity = self.capacity_pps
-        # Memberships are pre-warmed for all topology links at start();
-        # a link absent from the map is simply left unclamped, which
-        # yields the same allocation (clamping is a pure cache-key
-        # normalization) at worst costing one extra cache entry.
-        memberships_map = self._memberships
-        quantized = [
-            (
-                a_link,
-                capacity
-                if demand > capacity and memberships_map.get(a_link)
-                else demand,
-            )
-            for a_link, demand in demands.items()
-        ]
-        return self._allocate_quantized(quantized)
-
-    def _allocate_quantized(
-        self, quantized: list[tuple[Link, float]]
-    ) -> dict[Link, float]:
-        """Solve (or recall) the allocation for an already-clamped
-        ``(link, demand)`` vector — the round loop builds the vector
-        inline while polling eligibility, so it lands here directly."""
         caps = self._effective_caps()
         capacity = self.capacity_pps
         if not self._alloc_cache_enabled:
@@ -460,6 +439,10 @@ class FluidMac(MacLayer):
         interval = self.round_interval
         down = self._down
         capacity = self.capacity_pps
+        # Memberships are pre-warmed for all topology links at start();
+        # a link absent from the map is simply left unclamped, which
+        # yields the same allocation (clamping is a pure cache-key
+        # normalization) at worst costing one extra cache entry.
         memberships_map = self._memberships
         # One fused pass: poll each node's eligibility and emit the
         # clamped (link, demand) vector the allocator keys on.  Nodes

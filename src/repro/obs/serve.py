@@ -18,8 +18,8 @@ state: a control request only enqueues a command on the
 the command's sequence number.  The controller is a kernel
 :class:`~repro.sim.kernel.RunMonitor`; at each monitor tick — a
 deterministic function of the simulated clock — it drains the queue on
-the *simulation* thread, applies each command through the
-:class:`~repro.scenarios.runner.LiveRunHandle` (flow graft/retire via
+the *simulation* thread, applies each command through the run's
+:class:`~repro.scenarios.runner.Session` (flow graft/retire via
 the churn engine, faults via the injector, graceful stop), and
 journals the applied command with its tick time to ``commands.jsonl``.
 Because tick times and application order are recorded, ``python -m
@@ -181,7 +181,7 @@ class ServeController:
     Live mode (``script=None``): commands arrive via :meth:`submit`
     from any thread; each tick drains the queue, applies the commands
     in submission order through the bound
-    :class:`~repro.scenarios.runner.LiveRunHandle`, and appends one
+    :class:`~repro.scenarios.runner.Session`, and appends one
     journal line per command.  A command that fails (unknown flow,
     invalid fault, ...) journals its error string instead of raising —
     a bad request must not kill the session.
@@ -224,7 +224,7 @@ class ServeController:
         return self._interval
 
     def bind(self, sim: Any, handle: Any) -> None:
-        """Called by the runner once the stack is assembled."""
+        """Called by the runner with its ``Session`` as ``handle``."""
         self.sim = sim
         self.handle = handle
         self._wall_last = time.monotonic()

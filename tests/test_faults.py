@@ -4,7 +4,13 @@ per-layer hooks, and the invariant audit)."""
 import pytest
 
 from repro.core.config import GmpConfig
-from repro.errors import FaultError, InvariantError, MacError, ProtocolError
+from repro.errors import (
+    ConfigError,
+    FaultError,
+    InvariantError,
+    MacError,
+    ProtocolError,
+)
 from repro.faults import (
     ControlLoss,
     FaultSchedule,
@@ -333,6 +339,21 @@ def test_interval_rates_cover_whole_run():
     assert result.rate_interval == 1.0
     for series in result.interval_rates.values():
         assert len(series) == 6
+
+
+def test_sub_second_fault_run_defaults_rate_interval_to_its_duration():
+    """The implicit 1 s sampling window shrinks to a shorter run instead
+    of failing a range check on a value the caller never set."""
+    result = run_scenario(
+        figure3(), substrate="fluid", duration=0.5, faults=FaultSchedule()
+    )
+    assert result.rate_interval == 0.5
+    assert result.interval_bounds == [0.5]
+    with pytest.raises(ConfigError, match="rate_interval 1.0 must lie within"):
+        run_scenario(
+            figure3(), substrate="fluid", duration=0.5, faults=FaultSchedule(),
+            rate_interval=1.0,
+        )
 
 
 def test_stack_crash_twice_raises():

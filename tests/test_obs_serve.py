@@ -10,6 +10,7 @@ import urllib.request
 
 import pytest
 
+from repro.churn.spec import ChurnSpec
 from repro.errors import ConfigError
 from repro.faults.schedule import (
     ControlLoss,
@@ -191,6 +192,77 @@ def test_idle_controller_runs_are_deterministic():
         first.extras["events_processed"]
         == second.extras["events_processed"]
     )
+
+
+# ---------------------------------------------------------------- session parity
+
+
+class _TickRecorder:
+    """A health-monitor stand-in: keeps the snapshot callable the runner
+    binds and, at every monitor tick, takes one snapshot through it and
+    one through the control plane's view of the same session."""
+
+    interval = 1.0
+
+    def __init__(self, controller):
+        self.controller = controller
+        self.ticks = []
+
+    def bind(self, sim, snapshot):
+        self.snapshot = snapshot
+        sim.attach_monitor(self)
+
+    def on_tick(self, now):
+        session = self.controller.handle
+        live = tuple(sorted(flow.flow_id for flow in session.flows))
+        self.ticks.append((now, live, self.snapshot(), session.partial_result()))
+
+    def finalize(self, now):
+        return None
+
+
+def test_session_snapshot_matches_result_and_shares_one_reference():
+    """The health tick, the HTTP plane and the end-of-run collection
+    read one measurement and one cached maxmin reference."""
+    controller = ServeController(interval=1.0)
+    recorder = _TickRecorder(controller)
+    duration = 12.0
+    result = run_scenario(
+        SCENARIO_FACTORIES["figure3"](),
+        protocol="gmp",
+        substrate="fluid",
+        duration=duration,
+        seed=1,
+        churn=ChurnSpec(rate=0.5, mean_hold=3.0, traffic="cbr"),
+        rate_interval=1.0,
+        health=recorder,
+        control=controller,
+    )
+    assert result.extras["churn"].arrivals > 0
+
+    # The snapshot of the monitors' final tick, at t = duration, is the
+    # returned result as far as anything is measured mid-run.
+    now, _live, health_snap, _plane_snap = recorder.ticks[-1]
+    assert now == duration
+    assert health_snap.flow_rates == result.flow_rates
+    assert health_snap.interval_rates == result.interval_rates
+    assert health_snap.interval_bounds == result.interval_bounds
+    assert health_snap.flow_lifetimes == result.flow_lifetimes
+
+    # One cached reference object, whoever asks, for as long as the
+    # live flow set stays what it was.
+    previous = None
+    resolved = 0
+    for _now, live, health_snap, plane_snap in recorder.ticks:
+        solution = health_snap.extras["maxmin_solution"]
+        assert plane_snap.extras["maxmin_solution"] is solution
+        assert health_snap.extras["maxmin_reference"] == solution.rates
+        if previous is not None and previous[0] == live:
+            assert solution is previous[1]
+        else:
+            resolved += 1
+        previous = (live, solution)
+    assert 1 < resolved < len(recorder.ticks)  # churn changed the set, not every tick
 
 
 # ---------------------------------------------------------------- journal round-trip

@@ -70,6 +70,28 @@ def test_gmp_at_least_as_fair_as_plain(seed):
     assert gmp.i_eq >= plain.i_eq - 0.1
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known GMP starvation deadlock (ROADMAP item 1): flow 4 (0->7) "
+    "delivers 0.0 pkt/s forever while plain 802.11 gives it 43.6; the fix "
+    "must remove this mark",
+)
+def test_gmp_keeps_every_flow_alive_on_random_scenario_375():
+    """8 nodes, flows 7->0, 2->5, 5->2 and 0->7: opposing flows over
+    shared relays.  Pinned so the bug is visible on every run instead of
+    red on the draws that happen to pick seed 375."""
+    gmp = run_scenario(
+        random_scenario(375),
+        protocol="gmp",
+        substrate="fluid",
+        duration=25.0,
+        seed=375,
+        gmp_config=FAST,
+        capacity_pps=500.0,
+    )
+    assert gmp.flow_rates[4] > 0
+
+
 def test_random_network_run_is_deterministic():
     scenario = random_scenario(7)
     kwargs = dict(
