@@ -161,6 +161,36 @@ def test_fluid_simulated_second(benchmark):
     assert delivered > 100
 
 
+def test_fluid_round_scale300(benchmark, monkeypatch):
+    """One steady-state round interval of a warmed 300-node GMP/fluid
+    run: the ``_round`` (demand poll, solve over the reduced clique
+    system, transfers) plus the ~115 traffic/GMP events that feed it.
+    Solving over every clique the active links touch (1,876 instead of
+    37) makes this ~3x slower — through the 2x compare_bench gate."""
+    from repro.scenarios.runner import run_scenario
+    from repro.scenarios.scale import scale300
+
+    macs = []
+    start = FluidMac.start
+
+    def recording_start(self):
+        macs.append(self)
+        start(self)
+
+    monkeypatch.setattr(FluidMac, "start", recording_start)
+    run_scenario(scale300(), protocol="gmp", substrate="fluid", duration=5.0, seed=1)
+    (mac,) = macs
+    sim = mac.sim
+    solves_before = mac.alloc_cache_misses
+
+    def run():
+        sim.run(until=sim.now + mac.round_interval)
+
+    benchmark.pedantic(run, rounds=200, warmup_rounds=10)
+    # The memo almost never hits at this scale: the rounds really solved.
+    assert mac.alloc_cache_misses - solves_before >= 200
+
+
 def test_waterfill_solver(benchmark):
     """One uncached water-filling solve over the dense network's cliques
     with every directed link demanding (the per-round inner solver)."""

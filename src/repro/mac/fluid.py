@@ -175,7 +175,7 @@ class FluidMac(MacLayer):
             ``topology`` (skips the enumeration when the caller — e.g.
             the scenario runner — already has them).
         alloc_cache: memoize demand→allocation solutions (bit-identical
-            results; disable only to exercise the uncached path).
+            results; disabling skips only the memo lookup and store).
     """
 
     def __init__(
@@ -232,6 +232,9 @@ class FluidMac(MacLayer):
         # immediately (see docs/PERFORMANCE.md for the exactness
         # argument).
         self._memberships: dict[Link, tuple[int, ...]] = {}
+        # The clique system the solver sees: ever-active link -> ids of
+        # the cliques that can bind among them (see _grow_universe).
+        self._reduced: dict[Link, tuple[int, ...]] = {}
         self._alloc_cache_enabled = alloc_cache
         self._alloc_cache: dict[object, dict[Link, float]] = {}
         self.alloc_cache_hits = 0
@@ -397,35 +400,81 @@ class FluidMac(MacLayer):
         the only thing bounding them.
         """
         caps = self._effective_caps()
-        capacity = self.capacity_pps
-        if not self._alloc_cache_enabled:
-            return waterfill_links(
-                dict(quantized), self._cliques, capacity, rate_caps=caps
-            )
-        caps_key = tuple(sorted(caps.items())) if caps else ()
-        key = (tuple(quantized), caps_key)
-        cached = self._alloc_cache.get(key)
-        if cached is not None:
-            self.alloc_cache_hits += 1
-            if self._hit_counter is not None:
-                self._hit_counter.inc()
-            return cached
+        key = None
+        if self._alloc_cache_enabled:
+            caps_key = tuple(sorted(caps.items())) if caps else ()
+            key = (tuple(quantized), caps_key)
+            cached = self._alloc_cache.get(key)
+            if cached is not None:
+                self.alloc_cache_hits += 1
+                if self._hit_counter is not None:
+                    self._hit_counter.inc()
+                return cached
+            self.alloc_cache_misses += 1
+            if self._miss_counter is not None:
+                self._miss_counter.inc()
         active: list[Link] = []
         limits: list[float] = []
-        memberships: list[tuple[int, ...]] = []
         for a_link, demand in quantized:
             if demand > _EPSILON:
                 active.append(a_link)
                 limits.append(min(demand, caps.get(a_link, math.inf)))
-                memberships.append(self._memberships_for(a_link))
-        alloc = dict(zip(active, _waterfill_core(limits, memberships, capacity)))
-        self.alloc_cache_misses += 1
-        if self._miss_counter is not None:
-            self._miss_counter.inc()
-        if len(self._alloc_cache) >= _ALLOC_CACHE_LIMIT:
-            self._alloc_cache.clear()
-        self._alloc_cache[key] = alloc
+        new_links = [a_link for a_link in active if a_link not in self._reduced]
+        if new_links:
+            self._grow_universe(new_links)
+        reduced = self._reduced
+        memberships = [reduced[a_link] for a_link in active]
+        alloc = dict(
+            zip(active, _waterfill_core(limits, memberships, self.capacity_pps))
+        )
+        if key is not None:
+            if len(self._alloc_cache) >= _ALLOC_CACHE_LIMIT:
+                self._alloc_cache.clear()
+            self._alloc_cache[key] = alloc
         return alloc
+
+    def _grow_universe(self, new_links: list[Link]) -> None:
+        """Admit first-time-active links to the solver's universe and
+        rebuild the reduced clique system over it.
+
+        Each clique is projected onto the universe; one is kept per
+        distinct projection, and none whose projection is a subset of
+        another's — on any active set such a clique has no more members
+        and no less remaining capacity than the one containing it, so
+        it never sets the step nor freezes a link first.  Allocations
+        are bit-identical to solving over every clique (argument in
+        docs/PERFORMANCE.md).  The universe only grows, so links
+        toggling in and out of backlog never come back here.
+        """
+        universe = [*self._reduced, *new_links]
+        masks: dict[int, int] = defaultdict(int)
+        for bit, a_link in enumerate(universe):
+            for clique_id in self._memberships_for(a_link):
+                masks[clique_id] |= 1 << bit
+        # Largest projection first: a superset of `mask` is then already
+        # kept when `mask` is tested, and it contains mask's lowest
+        # link, so only the kept projections through that link are
+        # searched.
+        kept: list[int] = []
+        ids_through: list[list[int]] = [[] for _ in universe]
+        for mask in sorted(
+            dict.fromkeys(masks.values()), key=int.bit_count, reverse=True
+        ):
+            lowest = (mask & -mask).bit_length() - 1
+            if any(mask & kept[c] == mask for c in ids_through[lowest]):
+                continue
+            bits = mask
+            while bits:
+                ids_through[(bits & -bits).bit_length() - 1].append(len(kept))
+                bits &= bits - 1
+            kept.append(mask)
+        self._reduced = {
+            a_link: tuple(ids) for a_link, ids in zip(universe, ids_through)
+        }
+        if self._tm is not None:
+            registry = self._tm.registry
+            registry.gauge("mac.solver_links").set(len(universe))
+            registry.gauge("mac.solver_cliques").set(len(kept))
 
     def _round(self) -> None:
         if self._idle and not self._dirty:

@@ -3,8 +3,10 @@
 The cache memoizes the water-filling solve on the quantized demand
 vector; the dirty/idle pair lets fully quiescent rounds return without
 polling any node.  Both are pure optimizations — these tests pin that
-runs with and without them are identical, that the counters move, and
-that the substrate wakes correctly when demand reappears.
+runs with and without them are identical (``alloc_cache=False`` skips
+the memo and nothing else, so the comparison isolates it), that the
+counters move, and that the substrate wakes correctly when demand
+reappears.
 """
 
 from repro.flows.packet import Packet
@@ -147,3 +149,8 @@ def test_cache_counters_reach_telemetry():
     names = {metric.name for metric in sim.telemetry.registry.instruments()}
     assert "mac.alloc_cache_hits" in names
     assert "mac.rounds_skipped" in names
+    # The one backlogged link forced the one rebuild of the solver's
+    # clique system, which published its size.
+    registry = sim.telemetry.registry
+    assert registry.gauge("mac.solver_links").value == 1
+    assert registry.gauge("mac.solver_cliques").value == 1

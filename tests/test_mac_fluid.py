@@ -285,3 +285,199 @@ def test_prewarmed_memberships_equal_per_clique_scan(make_topology):
         assert mac._memberships[a_link] == scan
     # A link outside the topology still resolves through the lazy path.
     assert mac._memberships_for((10_000, 10_001)) == ()
+
+
+# --- reduced clique system: FluidMac's solve == waterfill_links, bit for bit ---
+
+OFF_TOPOLOGY_LINK = (10_000, 10_001)
+
+
+def projected_maximal_member_sets(mac):
+    """Brute force: every clique restricted to the universe, one per
+    distinct non-empty member set, none that is a subset of another."""
+    projections = {
+        frozenset(a_link for a_link in mac._reduced if a_link in clique)
+        for clique in mac._cliques
+    }
+    projections.discard(frozenset())
+    return {
+        members
+        for members in projections
+        if not any(members < other for other in projections)
+    }
+
+
+def reduced_member_sets(mac):
+    """The reduced system inverted to member sets (a list: the solver
+    must not carry the same member set twice)."""
+    members = {}
+    for a_link, clique_ids in mac._reduced.items():
+        for clique_id in clique_ids:
+            members.setdefault(clique_id, set()).add(a_link)
+    return [frozenset(links) for links in members.values()]
+
+
+def assert_reduced_system_is_exact(mac):
+    reduced = reduced_member_sets(mac)
+    assert len(reduced) == len(set(reduced))
+    assert set(reduced) == projected_maximal_member_sets(mac)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_reduced_solve_equals_full_solve_bit_for_bit(data):
+    """A random sequence of demand vectors over random link subsets —
+    the universe grows in a different order each time and links leave
+    and re-enter the active set — under random rate caps and fault
+    caps: every allocation equals the unreduced solver's, as floats."""
+    num_nodes = data.draw(st.integers(min_value=8, max_value=40), label="nodes")
+    side = 260.0 * num_nodes**0.5
+    topology = random_topology(
+        num_nodes,
+        width=side,
+        height=side,
+        seed=data.draw(st.integers(min_value=0, max_value=5000), label="seed"),
+    )
+    cliques = cliques_for(topology)
+    capacity = 500.0
+    links = [(i, j) for i in topology.node_ids for j in sorted(topology.neighbors(i))]
+    links.append(OFF_TOPOLOGY_LINK)
+    link_subsets = st.lists(st.sampled_from(links), unique=True, max_size=len(links))
+    rates = st.floats(min_value=1.0, max_value=3 * capacity)
+
+    rate_caps = {
+        a_link: data.draw(rates)
+        for a_link in data.draw(link_subsets, label="capped")
+    }
+    mac = FluidMac(
+        Simulator(),
+        topology,
+        capacity_pps=capacity,
+        rate_caps=rate_caps,
+        cliques=cliques,
+        alloc_cache=data.draw(st.booleans(), label="alloc_cache"),
+    )
+    mac.start()
+
+    caps = dict(rate_caps)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8), label="vectors")):
+        if data.draw(st.booleans(), label="inject fault cap"):
+            sender, receiver = a_link = data.draw(st.sampled_from(links))
+            fault_cap = data.draw(rates)
+            mac.set_link_capacity(sender, receiver, fault_cap)
+            caps[a_link] = min(fault_cap, rate_caps.get(a_link, float("inf")))
+        demands = {
+            a_link: data.draw(st.one_of(st.just(0.0), rates))
+            for a_link in data.draw(link_subsets, label="backlogged")
+        }
+        alloc = mac._allocate_quantized(list(demands.items()))
+        assert alloc == waterfill_links(demands, cliques, capacity, rate_caps=caps)
+    assert_reduced_system_is_exact(mac)
+
+
+def test_dominated_clique_is_dropped_and_returns_when_the_universe_grows():
+    # chain(6) has cliques A = {01, 12, 23, 34} and B = {12, 23, 34, 45}.
+    chain = chain_topology(6)
+    cliques = cliques_for(chain)
+    assert len(cliques) == 2
+    mac = FluidMac(Simulator(), chain, capacity_pps=300.0, cliques=cliques)
+    mac.start()
+
+    # On {(1,2), (4,5)} A projects to {(1,2)}, a strict subset of B's
+    # {(1,2), (4,5)}: one clique is left, and the allocation is still
+    # the full solver's whether or not (4,5) is backlogged.
+    for demands in (
+        {(1, 2): 1000.0, (4, 5): 1000.0},
+        {(1, 2): 1000.0},
+        {(4, 5): 40.0, (1, 2): 1000.0},
+    ):
+        assert mac._allocate_quantized(list(demands.items())) == waterfill_links(
+            demands, cliques, 300.0
+        )
+    assert mac._reduced == {(1, 2): (0,), (4, 5): (0,)}
+
+    # (0,1) is in A only, so A's projection is no longer inside B's.
+    demands = {(0, 1): 1000.0, (1, 2): 1000.0, (4, 5): 1000.0}
+    assert mac._allocate_quantized(list(demands.items())) == waterfill_links(
+        demands, cliques, 300.0
+    )
+    assert sorted(map(sorted, reduced_member_sets(mac))) == [
+        [(0, 1), (1, 2)],
+        [(1, 2), (4, 5)],
+    ]
+    assert_reduced_system_is_exact(mac)
+
+
+def test_link_in_no_clique_joins_the_universe_unconstrained():
+    chain = chain_topology(4)
+    cliques = cliques_for(chain)
+    mac = FluidMac(Simulator(), chain, capacity_pps=300.0, cliques=cliques)
+    mac.start()
+    demands = {(0, 1): 1000.0, OFF_TOPOLOGY_LINK: 900.0, (2, 3): 1000.0}
+    alloc = mac._allocate_quantized(list(demands.items()))
+    assert alloc == waterfill_links(demands, cliques, 300.0)
+    # No clique bounds it, so only its own demand does (3x capacity).
+    assert alloc[OFF_TOPOLOGY_LINK] == 900.0
+    assert mac._reduced[OFF_TOPOLOGY_LINK] == ()
+
+
+def test_scale300_run_solves_every_round_exactly_on_a_tenth_of_the_cliques(
+    monkeypatch,
+):
+    """Whole-run differential: every allocation of a 300-node GMP/fluid
+    run (memo hit or solve) equals ``waterfill_links`` over all 2,219
+    cliques, while the solver itself only ever sees the cliques that
+    can bind among the links that carried traffic."""
+    from repro.churn.spec import ChurnSpec
+    from repro.scenarios.runner import run_scenario
+    from repro.scenarios.scale import scale300
+
+    macs = []
+    solve = FluidMac._allocate_quantized
+
+    def checked(self, quantized):
+        if not macs:
+            macs.append(self)
+        alloc = solve(self, quantized)
+        assert alloc == waterfill_links(
+            dict(quantized),
+            self._cliques,
+            self.capacity_pps,
+            rate_caps=self._effective_caps(),
+        )
+        return alloc
+
+    monkeypatch.setattr(FluidMac, "_allocate_quantized", checked)
+    result = run_scenario(
+        scale300(),
+        protocol="gmp",
+        substrate="fluid",
+        duration=2.0,
+        seed=1,
+        churn=ChurnSpec(rate=2.0, mean_hold=8.0, start=1.0),
+    )
+    (mac,) = macs
+    assert mac.alloc_cache_misses == 99
+
+    reduced = reduced_member_sets(mac)
+    assert (len(mac._reduced), len(reduced), len(mac._cliques)) == (73, 56, 2219)
+    assert len(reduced) <= 0.1 * len(mac._cliques)
+
+    # Flows grafted after t = 1 s light up links no static flow uses;
+    # they joined the universe mid-run.
+    paths = result.extras["flow_paths"]
+    grafted = set(result.flow_lifetimes)
+    static_links = {
+        a_link
+        for flow_id, path in paths.items()
+        if flow_id not in grafted
+        for a_link in path
+    }
+    first_seen_mid_run = {paths[flow_id][0] for flow_id in grafted} - static_links
+    assert first_seen_mid_run and first_seen_mid_run <= set(mac._reduced)
+
+    # A link outside the topology resolves through the lazy membership
+    # scan and joins too; the whole system is still the exact reduction.
+    checked(mac, [(OFF_TOPOLOGY_LINK, 5.0)])
+    assert mac._reduced[OFF_TOPOLOGY_LINK] == ()
+    assert_reduced_system_is_exact(mac)
