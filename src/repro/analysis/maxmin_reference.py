@@ -20,15 +20,9 @@ from dataclasses import dataclass
 from repro.errors import AnalysisError
 from repro.flows.flow import FlowSet
 from repro.routing.table import RouteSet
-from repro.topology.cliques import Clique, link_clique_index
-from repro.topology.network import Link
+from repro.topology.cliques import Clique, clique_traversals
 
 _EPSILON = 1e-9
-
-
-def _canonical(a_link: Link) -> Link:
-    i, j = a_link
-    return (i, j) if i <= j else (j, i)
 
 
 @dataclass(frozen=True)
@@ -71,28 +65,17 @@ def weighted_maxmin_rates(
     """
     if len(flows) == 0:
         raise AnalysisError("maxmin of an empty flow set")
-    capacities = {
-        clique.clique_id: (clique_capacities or {}).get(clique.clique_id, capacity)
-        for clique in cliques
-    }
-    if any(value <= 0 for value in capacities.values()):
-        raise AnalysisError("clique capacities must be positive")
-
     # Traversal counts: how many units of clique C one packet of flow f
-    # consumes (= number of f's path links inside C).  Counted through
-    # the link→clique index instead of scanning every clique per flow.
-    link_index = link_clique_index(cliques)
-    traversals: dict[int, dict[tuple[int, int], int]] = {}
-    for flow in flows:
-        path = [
-            _canonical(a_link)
-            for a_link in routes.path_links(flow.source, flow.destination)
-        ]
-        counts: dict[tuple[int, int], int] = {}
-        for a_link in path:
-            for clique_id in link_index.get(a_link, ()):
-                counts[clique_id] = counts.get(clique_id, 0) + 1
-        traversals[flow.flow_id] = counts
+    # consumes (= number of f's path links inside C).
+    capacities, traversals = clique_traversals(
+        cliques,
+        {
+            flow.flow_id: routes.path_links(flow.source, flow.destination)
+            for flow in flows
+        },
+        capacity,
+        clique_capacities,
+    )
 
     level = {flow.flow_id: 0.0 for flow in flows}  # normalized rates
     frozen: dict[int, tuple[int, int] | None] = {}

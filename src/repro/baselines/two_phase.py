@@ -30,13 +30,8 @@ from repro.baselines.lp import maximize_total_extra
 from repro.errors import AnalysisError
 from repro.flows.flow import FlowSet
 from repro.routing.table import RouteSet
-from repro.topology.cliques import Clique, link_clique_index
-from repro.topology.network import Link
-
-
-def _canonical(a_link: Link) -> Link:
-    i, j = a_link
-    return (i, j) if i <= j else (j, i)
+from repro.topology.cliques import Clique, clique_traversals
+from repro.topology.network import Link, canonical
 
 
 @dataclass(frozen=True)
@@ -70,26 +65,16 @@ def two_phase_rates(
     """
     if len(flows) == 0:
         raise AnalysisError("2PP allocation of an empty flow set")
-    capacities = {
-        clique.clique_id: (clique_capacities or {}).get(clique.clique_id, capacity)
-        for clique in cliques
-    }
-    if any(value <= 0 for value in capacities.values()):
-        raise AnalysisError("clique capacities must be positive")
-
     flow_ids = [flow.flow_id for flow in flows]
-    link_index = link_clique_index(cliques)
-    traversals: dict[int, dict[tuple[int, int], int]] = {}
-    for flow in flows:
-        path = [
-            _canonical(a_link)
-            for a_link in routes.path_links(flow.source, flow.destination)
-        ]
-        counts: dict[tuple[int, int], int] = {}
-        for a_link in path:
-            for clique_id in link_index.get(a_link, ()):
-                counts[clique_id] = counts.get(clique_id, 0) + 1
-        traversals[flow.flow_id] = counts
+    capacities, traversals = clique_traversals(
+        cliques,
+        {
+            flow.flow_id: routes.path_links(flow.source, flow.destination)
+            for flow in flows
+        },
+        capacity,
+        clique_capacities,
+    )
 
     # Phase 1 (Li's basic fair share): every clique divides its
     # capacity equally among its member links regardless of load, each
@@ -101,7 +86,7 @@ def two_phase_rates(
     for flow in flows:
         for a_link in sorted(
             {
-                _canonical(a_link)
+                canonical(a_link)
                 for a_link in routes.path_links(flow.source, flow.destination)
             }
         ):
@@ -115,7 +100,7 @@ def two_phase_rates(
     basic: dict[int, float] = {}
     for flow in flows:
         path = {
-            _canonical(a_link)
+            canonical(a_link)
             for a_link in routes.path_links(flow.source, flow.destination)
         }
         shares = [

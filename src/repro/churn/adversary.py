@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ChurnError
 from repro.flows.flow import Flow, FlowSet
 from repro.routing.table import RouteSet
+from repro.topology.network import canonical
 
 if TYPE_CHECKING:
     from repro.churn.spec import ChurnSpec, ChurnTrace
@@ -30,11 +31,6 @@ if TYPE_CHECKING:
 ARRIVAL_PHASE = 0.25
 #: Fraction of a period before a boundary at which a burst departs.
 DEPARTURE_PHASE = 0.5
-
-
-def _undirected(link: tuple[int, int]) -> tuple[int, int]:
-    i, j = link
-    return (i, j) if i <= j else (j, i)
 
 
 def rank_contending_pairs(
@@ -51,14 +47,14 @@ def rank_contending_pairs(
     static_links: set[tuple[int, int]] = set()
     for flow in flows:
         for link in routes.path_links(flow.source, flow.destination):
-            static_links.add(_undirected(link))
+            static_links.add(canonical(link))
     candidates = routable_pairs(routes, flows)
     if not candidates:
         raise ChurnError("no routable (source, dest) pair for churn arrivals")
 
     def score(pair: tuple[int, int]) -> int:
         return sum(
-            _undirected(link) in static_links
+            canonical(link) in static_links
             for link in routes.path_links(pair[0], pair[1])
         )
 

@@ -15,12 +15,7 @@ from repro.errors import TopologyError
 from repro.topology.contention import ContentionGraph
 from repro.topology.dominating import dominating_sets
 from repro.topology.neighbors import within_two_hops
-from repro.topology.network import Link, Topology
-
-
-def _canonical(a_link: Link) -> Link:
-    i, j = a_link
-    return (i, j) if i <= j else (j, i)
+from repro.topology.network import Link, Topology, canonical
 
 
 class DisseminationScope:
@@ -54,7 +49,7 @@ class DisseminationScope:
     def _contending_nodes(self, a_link: Link) -> frozenset[int]:
         if self.contention is None:
             return frozenset()
-        canon = _canonical(a_link)
+        canon = canonical(a_link)
         try:
             contenders = self.contention.contenders(canon)
         except TopologyError:  # link not part of the contention graph
@@ -65,7 +60,7 @@ class DisseminationScope:
         """Nodes entitled to the state of wireless link ``a_link``:
         everyone within two hops of either endpoint, plus the
         endpoints of every contending link."""
-        i, j = _canonical(a_link)
+        i, j = canonical(a_link)
         return self._within2[i] | self._within2[j] | self._contending_nodes(a_link)
 
     def audience_of_node(self, node: int) -> frozenset[int]:
@@ -81,7 +76,7 @@ class DisseminationScope:
         """Account the broadcasts the in-band scheme would send: both
         endpoints broadcast, and their dominating-set members
         rebroadcast."""
-        i, j = _canonical(a_link)
+        i, j = canonical(a_link)
         self.link_state_broadcasts += 2
         self.link_state_broadcasts += len(self.dominating[i]) + len(
             self.dominating[j]

@@ -51,12 +51,7 @@ from repro.sim.kernel import Simulator
 from repro.stack import NodeStack
 from repro.topology.cliques import Clique, maximal_cliques
 from repro.topology.contention import ContentionGraph
-from repro.topology.network import Link, Topology
-
-
-def _canonical(a_link: Link) -> Link:
-    i, j = a_link
-    return (i, j) if i <= j else (j, i)
+from repro.topology.network import Link, Topology, canonical
 
 
 @dataclass
@@ -554,7 +549,7 @@ class GmpProtocol:
         halves: dict[Link, float] = {}
         for node in self.stacks:
             for a_link, airtime in self.mac.occupancy_snapshot(node).items():
-                canon = _canonical(a_link)
+                canon = canonical(a_link)
                 halves[canon] = halves.get(canon, 0.0) + airtime
             self.mac.reset_occupancy(node)
         return {
@@ -656,7 +651,7 @@ class GmpProtocol:
         """Largest virtual-link μ per canonical wireless link."""
         result: dict[Link, float] = {}
         for (a_link, _dest), mu in mu_by_vlink.items():
-            canon = _canonical(a_link)
+            canon = canonical(a_link)
             if mu > result.get(canon, float("-inf")):
                 result[canon] = mu
         return result
@@ -747,7 +742,7 @@ class GmpProtocol:
 
         violations: list[BandwidthViolation] = []
         for a_link in sorted(bw_by_link):
-            canon = _canonical(a_link)
+            canon = canonical(a_link)
             cliques = self._link_cliques.get(canon, [])
             clique_occ = {
                 clique.clique_id: sum(
@@ -817,7 +812,7 @@ class GmpProtocol:
                 continue
             a_link = (node, next_hop)
             vlink = (a_link, dest)
-            canon = _canonical(a_link)
+            canon = canonical(a_link)
             clique_ids = frozenset(
                 clique.clique_id for clique in self._link_cliques.get(canon, [])
             )

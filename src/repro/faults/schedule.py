@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import FaultError
-from repro.topology.network import Link
+from repro.topology.network import Link, canonical
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,7 @@ class FaultSchedule:
             if isinstance(event, ControlLoss):
                 control.append(event)
             elif isinstance(event, PacketLossBurst):
-                i, j = event.link
-                key = (i, j) if i <= j else (j, i)
-                bursts.setdefault(key, []).append(event)
+                bursts.setdefault(canonical(event.link), []).append(event)
 
         def check(windows: list, target: str) -> None:
             for first, second in zip(windows, windows[1:]):

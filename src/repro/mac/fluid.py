@@ -24,9 +24,9 @@ from repro.errors import ConfigError, MacError
 from repro.mac.base import MacLayer, NodeServices
 from repro.mac.phy import DEFAULT_PHY, PhyProfile
 from repro.sim.kernel import Simulator
-from repro.topology.cliques import Clique, clique_index_positions, maximal_cliques
+from repro.topology.cliques import Clique, clique_index_positions, link_clique_indices
 from repro.topology.contention import ContentionGraph
-from repro.topology.network import Link, Topology
+from repro.topology.network import Link, Topology, canonical
 
 _EPSILON = 1e-9
 
@@ -160,20 +160,19 @@ def waterfill_links(
 class FluidMac(MacLayer):
     """The fluid substrate.
 
+    Clique constraints are enumerated among the links that have carried
+    traffic so far (the contention graph induced on them), never over
+    the whole topology.
+
     Args:
         sim: simulation kernel.
         topology: the wireless network.
         round_interval: seconds between allocation/transfer rounds.
         capacity_pps: packet exchanges per second a clique serializes;
-            defaults to the PHY saturation rate for ``packet_bytes``
-            payloads with three contenders (matching the paper's
-            observed clique throughput).
+            defaults to ``phy.clique_capacity(packet_bytes)``.
         phy: PHY profile used for the capacity default.
         packet_bytes: payload size for the capacity default.
         rate_caps: optional per-directed-link rate ceilings.
-        cliques: precomputed maximal contention cliques for
-            ``topology`` (skips the enumeration when the caller — e.g.
-            the scenario runner — already has them).
         alloc_cache: memoize demand→allocation solutions (bit-identical
             results; disabling skips only the memo lookup and store).
     """
@@ -188,7 +187,6 @@ class FluidMac(MacLayer):
         phy: PhyProfile = DEFAULT_PHY,
         packet_bytes: int = 1024,
         rate_caps: dict[Link, float] | None = None,
-        cliques: list[Clique] | None = None,
         alloc_cache: bool = True,
     ) -> None:
         if round_interval <= 0:
@@ -197,16 +195,11 @@ class FluidMac(MacLayer):
         self.topology = topology
         self.round_interval = round_interval
         if capacity_pps is None:
-            capacity_pps = phy.saturation_rate(packet_bytes, contenders=3)
+            capacity_pps = phy.clique_capacity(packet_bytes)
         if capacity_pps <= 0:
             raise ConfigError(f"capacity must be positive: {capacity_pps}")
         self.capacity_pps = capacity_pps
         self.rate_caps = dict(rate_caps or {})
-        if cliques is None:
-            self._graph = ContentionGraph(topology)
-            self._cliques = maximal_cliques(self._graph)
-        else:
-            self._cliques = list(cliques)
         self._services: dict[int, NodeServices] = {}
         self._sorted_nodes: list[int] = []
         self._credit: dict[Link, float] = {}
@@ -226,14 +219,12 @@ class FluidMac(MacLayer):
         self._tm = sim.telemetry if sim.telemetry.enabled else None
         self._rate_series: dict[Link, object] = {}
         self._active_links: set[Link] = set()
-        # Incremental allocation machinery: per-link clique membership
-        # (computed lazily per directed link), a demand→allocation memo,
-        # and a dirty/idle pair that lets fully quiescent rounds return
+        # Incremental allocation machinery: the clique system the solver
+        # sees (ever-active link -> ids of the cliques that can bind
+        # among them, see _grow_universe), a demand→allocation memo, and
+        # a dirty/idle pair that lets fully quiescent rounds return
         # immediately (see docs/PERFORMANCE.md for the exactness
         # argument).
-        self._memberships: dict[Link, tuple[int, ...]] = {}
-        # The clique system the solver sees: ever-active link -> ids of
-        # the cliques that can bind among them (see _grow_universe).
         self._reduced: dict[Link, tuple[int, ...]] = {}
         self._alloc_cache_enabled = alloc_cache
         self._alloc_cache: dict[object, dict[Link, float]] = {}
@@ -273,18 +264,6 @@ class FluidMac(MacLayer):
         if self._started:
             raise MacError("FluidMac already started")
         self._started = True
-        # Pre-warm the per-link clique memberships for every directed
-        # topology link so the per-round clamp test is a plain dict hit
-        # (links a buffer reports outside the topology still fall back
-        # to the lazy path in the solver).  One pass over the clique
-        # members, canonicalizing as Clique's membership test does, so
-        # the tuples equal the per-clique scan's.
-        positions = clique_index_positions(self._cliques)
-        for i in self.topology.node_ids:
-            for j in self.topology.neighbors(i):
-                self._memberships[(i, j)] = positions.get(
-                    (i, j) if i <= j else (j, i), ()
-                )
         self.sim.every(self.round_interval, self._round, tag="fluid.round")
 
     def notify_backlog(self, node_id: int) -> None:
@@ -371,19 +350,6 @@ class FluidMac(MacLayer):
 
     # --- round machinery ------------------------------------------------------------
 
-    def _memberships_for(self, a_link: Link) -> tuple[int, ...]:
-        """Indices of the cliques containing ``a_link`` (lazily cached;
-        the topology — hence the clique set — is fixed for a run)."""
-        clique_ids = self._memberships.get(a_link)
-        if clique_ids is None:
-            clique_ids = tuple(
-                index
-                for index, clique in enumerate(self._cliques)
-                if a_link in clique
-            )
-            self._memberships[a_link] = clique_ids
-        return clique_ids
-
     def _allocate_quantized(
         self, quantized: list[tuple[Link, float]]
     ) -> dict[Link, float]:
@@ -435,46 +401,33 @@ class FluidMac(MacLayer):
 
     def _grow_universe(self, new_links: list[Link]) -> None:
         """Admit first-time-active links to the solver's universe and
-        rebuild the reduced clique system over it.
+        rebuild the clique system over it: the maximal cliques of the
+        contention graph induced on the universe's topology links.
 
-        Each clique is projected onto the universe; one is kept per
-        distinct projection, and none whose projection is a subset of
-        another's — on any active set such a clique has no more members
-        and no less remaining capacity than the one containing it, so
-        it never sets the step nor freezes a link first.  Allocations
-        are bit-identical to solving over every clique (argument in
-        docs/PERFORMANCE.md).  The universe only grows, so links
-        toggling in and out of backlog never come back here.
+        Every clique among the universe's links extends to a maximal
+        clique of the whole contention graph, so these are exactly the
+        constraints the full clique list puts on any active set inside
+        the universe, and allocations are bit-identical to solving over
+        every clique (argument in docs/PERFORMANCE.md).  A link outside
+        the topology contends with nothing and stays unconstrained.
+        The universe only grows, so links toggling in and out of
+        backlog never come back here.
         """
         universe = [*self._reduced, *new_links]
-        masks: dict[int, int] = defaultdict(int)
-        for bit, a_link in enumerate(universe):
-            for clique_id in self._memberships_for(a_link):
-                masks[clique_id] |= 1 << bit
-        # Largest projection first: a superset of `mask` is then already
-        # kept when `mask` is tested, and it contains mask's lowest
-        # link, so only the kept projections through that link are
-        # searched.
-        kept: list[int] = []
-        ids_through: list[list[int]] = [[] for _ in universe]
-        for mask in sorted(
-            dict.fromkeys(masks.values()), key=int.bit_count, reverse=True
-        ):
-            lowest = (mask & -mask).bit_length() - 1
-            if any(mask & kept[c] == mask for c in ids_through[lowest]):
-                continue
-            bits = mask
-            while bits:
-                ids_through[(bits & -bits).bit_length() - 1].append(len(kept))
-                bits &= bits - 1
-            kept.append(mask)
+        topology = self.topology
+        on_topology = [
+            (i, j) for i, j in universe if i in topology and topology.has_link(i, j)
+        ]
+        memberships = link_clique_indices(ContentionGraph(topology, on_topology))
         self._reduced = {
-            a_link: tuple(ids) for a_link, ids in zip(universe, ids_through)
+            a_link: memberships.get(canonical(a_link), ()) for a_link in universe
         }
         if self._tm is not None:
             registry = self._tm.registry
             registry.gauge("mac.solver_links").set(len(universe))
-            registry.gauge("mac.solver_cliques").set(len(kept))
+            registry.gauge("mac.solver_cliques").set(
+                len({c for clique_ids in memberships.values() for c in clique_ids})
+            )
 
     def _round(self) -> None:
         if self._idle and not self._dirty:
@@ -488,11 +441,11 @@ class FluidMac(MacLayer):
         interval = self.round_interval
         down = self._down
         capacity = self.capacity_pps
-        # Memberships are pre-warmed for all topology links at start();
-        # a link absent from the map is simply left unclamped, which
-        # yields the same allocation (clamping is a pure cache-key
+        # The clamp reads the map the solver reads; a link not yet in
+        # the universe is simply left unclamped for its first round,
+        # which yields the same allocation (clamping is a pure cache-key
         # normalization) at worst costing one extra cache entry.
-        memberships_map = self._memberships
+        memberships_map = self._reduced
         # One fused pass: poll each node's eligibility and emit the
         # clamped (link, demand) vector the allocator keys on.  Nodes
         # report disjoint link sets (their own outgoing links), so the

@@ -131,6 +131,12 @@ class PhyProfile:
         )
         return 1.0 / per_packet
 
+    def clique_capacity(self, payload_bytes: int) -> float:
+        """Default packets/second a contention clique serializes: the
+        saturation rate with three contenders, matching the paper's
+        observed clique throughput."""
+        return self.saturation_rate(payload_bytes, contenders=3)
+
     def cw_after_retries(self, retries: int) -> int:
         """Contention window after ``retries`` failed attempts."""
         window = (self.cw_min + 1) * (2**max(retries, 0)) - 1

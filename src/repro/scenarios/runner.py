@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any
 
-from repro.analysis.maxmin_reference import weighted_maxmin_rates
+from repro.analysis.maxmin_reference import MaxminSolution, weighted_maxmin_rates
 from repro.analysis.resilience import per_arrival_convergence
 from repro.analysis.throughput import effective_network_throughput
 from repro.baselines.dcf_plain import plain_dcf_buffer
@@ -216,8 +216,12 @@ class Session:
             sanitizer=self.sanitizer,
         )
         if self.capacity_pps is None:
-            packet_bytes = max(flow.packet_bytes for flow in flows)
-            self.capacity_pps = self.phy.saturation_rate(packet_bytes, contenders=3)
+            # A dynamic run may start with no flows: Flow's own default
+            # packet size (the dataclass default) stands in.
+            packet_bytes = max(
+                (flow.packet_bytes for flow in flows), default=Flow.packet_bytes
+            )
+            self.capacity_pps = self.phy.clique_capacity(packet_bytes)
         self._contention: tuple[Any, Any] | None = None
         self._reference: tuple[tuple[int, ...], Any] | None = None
 
@@ -232,7 +236,6 @@ class Session:
                 round_interval=self.fluid_round,
                 capacity_pps=self.capacity_pps,
                 rate_caps=scenario.rate_caps,
-                cliques=self.cliques(),
             )
         self.mac = mac
 
@@ -321,9 +324,10 @@ class Session:
             sources[flow_id].start(offset=offset)
 
     def contention(self) -> tuple[Any, Any]:
-        """The contention graph and its maximal cliques, shared by every
-        consumer of the clique-capacity model (fluid MAC, GMP, 2PP,
-        maxmin reference) and computed lazily at most once per run."""
+        """The contention graph and its maximal cliques, shared by the
+        consumers of the global clique list (GMP, 2PP, the maxmin
+        reference) and computed lazily at most once per run; the fluid
+        MAC enumerates only among the links that carry traffic."""
         if self._contention is None:
             graph = ContentionGraph(self.scenario.topology)
             self._contention = (graph, maximal_cliques(graph))
@@ -536,9 +540,14 @@ class Session:
         key = tuple(sorted(flow.flow_id for flow in self.flows))
         cached = self._reference
         if cached is None or cached[0] != key:
-            solution = weighted_maxmin_rates(
-                self.flows, self.routes, self.cliques(), self.capacity_pps
-            )
+            if key:
+                solution = weighted_maxmin_rates(
+                    self.flows, self.routes, self.cliques(), self.capacity_pps
+                )
+            else:
+                # Churn or DELETE can empty the live set; the public
+                # solver rejects that, the reference of no flows is empty.
+                solution = MaxminSolution({}, {}, {}, {})
             cached = self._reference = (key, solution)
         solution = cached[1]
         return {

@@ -17,7 +17,7 @@ from repro.topology.cliques import Clique, maximal_cliques
 from repro.topology.contention import ContentionGraph, links_contend
 from repro.topology.dominating import dominating_set
 from repro.topology.neighbors import one_hop_neighbors, two_hop_neighbors
-from repro.topology.network import Link, Topology, link, reverse
+from repro.topology.network import Link, Topology, canonical, link, reverse
 from repro.topology.node import Node
 from repro.topology.spatial import SpatialIndex
 
@@ -28,6 +28,7 @@ __all__ = [
     "SpatialIndex",
     "link",
     "reverse",
+    "canonical",
     "chain_topology",
     "clustered_topology",
     "grid_topology",

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import AnalysisError
 from repro.topology.contention import ContentionGraph
-from repro.topology.network import Link
+from repro.topology.network import Link, canonical
 
 
 @dataclass(frozen=True)
@@ -160,36 +161,43 @@ def _bit_positions(mask: int, num_bytes: int) -> tuple[int, ...]:
     )
 
 
+def _maximal_clique_masks(adjacency: list[int]) -> list[int]:
+    """Every maximal clique of the graph as a vertex bitmask, in
+    enumeration order.  Bron–Kerbosch runs per connected component; a
+    clique can never span components, so the union of per-component
+    enumerations is exactly the global enumeration."""
+    raw_masks: list[int] = []
+    for component in _components(adjacency):
+        _bron_kerbosch(adjacency, 0, component, 0, raw_masks)
+    return raw_masks
+
+
 def maximal_cliques(graph: ContentionGraph) -> list[Clique]:
     """All proper (maximal) contention cliques of ``graph``.
 
     Isolated links (no contenders) form singleton cliques, matching
     the definition: a lone link still shares the channel with itself.
 
-    Bron–Kerbosch runs per connected component of the contention
-    graph, over bitmask vertex sets (links mapped to bit positions in
-    sorted-link order — see :func:`_bron_kerbosch`); a clique can
-    never span components, so the union of per-component enumerations
-    is exactly the global enumeration.  The enumerated set of maximal
-    cliques is a graph invariant, and the global sort below fixes the
-    numbering, so ids are bit-identical to the historical
-    all-at-once set-based run.
+    Enumeration is over bitmask vertex sets (links mapped to bit
+    positions in sorted-link order — see :func:`_bron_kerbosch`).  The
+    enumerated set of maximal cliques is a graph invariant, and the
+    global sort below fixes the numbering, so ids are bit-identical to
+    the historical all-at-once set-based run.
 
     Results are deterministic: cliques are sorted by their link sets
     and numbered in that order.
     """
     links = graph.links
-    adjacency = graph.contender_masks()
-    raw_masks: list[int] = []
-    for component in _components(adjacency):
-        _bron_kerbosch(adjacency, 0, component, 0, raw_masks)
     # Bit positions follow sorted-link order, so ascending-bit
     # extraction yields each clique's links already sorted, and
     # sorting the position tuples equals sorting by link sets.  The
     # owner (smallest node id) is the first endpoint of the first
     # link: links are canonical (i < j) and sorted by (i, j).
     num_bytes = (len(links) + 7) // 8
-    raw = sorted(_bit_positions(members, num_bytes) for members in raw_masks)
+    raw = sorted(
+        _bit_positions(members, num_bytes)
+        for members in _maximal_clique_masks(graph.contender_masks())
+    )
 
     sequence_by_owner: dict[int, int] = {}
     cliques: list[Clique] = []
@@ -202,25 +210,20 @@ def maximal_cliques(graph: ContentionGraph) -> list[Clique]:
     return cliques
 
 
-def cliques_of_link(cliques: list[Clique], a_link: Link) -> list[Clique]:
-    """The subset of ``cliques`` containing ``a_link``."""
-    return [clique for clique in cliques if a_link in clique]
-
-
-def link_clique_index(
-    cliques: list[Clique],
-) -> dict[Link, tuple[tuple[int, int], ...]]:
-    """Map each canonical link to the ids of the cliques containing it.
-
-    Solvers that repeatedly ask "which cliques does this link cross?"
-    (water-filling, traversal counting) build this once instead of
-    scanning every clique per link; ids are in clique order.
+def link_clique_indices(graph: ContentionGraph) -> dict[Link, tuple[int, ...]]:
+    """Map each link of ``graph`` to the indices of the maximal cliques
+    containing it — the cliques unlabeled: no ids, no sort, indices in
+    enumeration order.  What a solver that only groups links by clique
+    (the fluid MAC's water-filling) needs of :func:`maximal_cliques`,
+    for the price of the enumeration alone.
     """
-    lists: dict[Link, list[tuple[int, int]]] = defaultdict(list)
-    for clique in cliques:
-        for a_link in clique.sorted_links():
-            lists[a_link].append(clique.clique_id)
-    return {a_link: tuple(ids) for a_link, ids in lists.items()}
+    links = graph.links
+    num_bytes = (len(links) + 7) // 8
+    memberships: list[list[int]] = [[] for _ in links]
+    for index, members in enumerate(_maximal_clique_masks(graph.contender_masks())):
+        for position in _bit_positions(members, num_bytes):
+            memberships[position].append(index)
+    return {a_link: tuple(ids) for a_link, ids in zip(links, memberships)}
 
 
 def clique_index_positions(cliques: list[Clique]) -> dict[Link, tuple[int, ...]]:
@@ -237,3 +240,41 @@ def clique_index_positions(cliques: list[Clique]) -> dict[Link, tuple[int, ...]]
         for member in clique.sorted_links():
             positions[member].append(index)
     return {a_link: tuple(ids) for a_link, ids in positions.items()}
+
+
+def clique_traversals(
+    cliques: list[Clique],
+    paths: dict[int, list[Link]],
+    capacity: float,
+    clique_capacities: dict[tuple[int, int], float] | None = None,
+) -> tuple[dict[tuple[int, int], float], dict[int, dict[tuple[int, int], int]]]:
+    """The shared preamble of the clique-capacity flow solvers (the
+    maxmin reference and 2PP): capacity per clique id (``capacity``
+    unless overridden in ``clique_capacities``) and, per path key, how
+    many units of each clique one packet on that path consumes (= the
+    number of its links inside the clique).
+
+    Traversals are counted through a link → clique-ids index (ids in
+    clique order) instead of scanning every clique per path.
+
+    Raises:
+        AnalysisError: on a non-positive capacity.
+    """
+    capacities = {
+        clique.clique_id: (clique_capacities or {}).get(clique.clique_id, capacity)
+        for clique in cliques
+    }
+    if any(value <= 0 for value in capacities.values()):
+        raise AnalysisError("clique capacities must be positive")
+    link_index: dict[Link, list[tuple[int, int]]] = defaultdict(list)
+    for clique in cliques:
+        for a_link in clique.sorted_links():
+            link_index[a_link].append(clique.clique_id)
+    traversals: dict[int, dict[tuple[int, int], int]] = {}
+    for key, path in paths.items():
+        counts: dict[tuple[int, int], int] = {}
+        for a_link in path:
+            for clique_id in link_index.get(canonical(a_link), ()):
+                counts[clique_id] = counts.get(clique_id, 0) + 1
+        traversals[key] = counts
+    return capacities, traversals

@@ -19,12 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.topology.network import Link, Topology
-
-
-def _canonical(a_link: Link) -> Link:
-    i, j = a_link
-    return (i, j) if i <= j else (j, i)
+from repro.topology.network import Link, Topology, canonical
 
 
 def links_contend(topology: Topology, first: Link, second: Link) -> bool:
@@ -32,8 +27,8 @@ def links_contend(topology: Topology, first: Link, second: Link) -> bool:
 
     A link never contends with itself (or its own reverse).
     """
-    a = _canonical(first)
-    b = _canonical(second)
+    a = canonical(first)
+    b = canonical(second)
     if a == b:
         return False
     if set(a) & set(b):
@@ -121,7 +116,7 @@ class ContentionGraph:
         if links is None:
             vertices = list(topology.undirected_links())
         else:
-            vertices = sorted({_canonical(a_link) for a_link in links})
+            vertices = sorted({canonical(a_link) for a_link in links})
             for a_link in vertices:
                 topology.validate_link(a_link)
         self._vertices: list[Link] = vertices
@@ -138,7 +133,7 @@ class ContentionGraph:
         Raises:
             TopologyError: if the link is not part of this graph.
         """
-        canon = _canonical(a_link)
+        canon = canonical(a_link)
         if canon not in self._adjacency:
             raise TopologyError(f"link {a_link} not in contention graph")
         return canon

@@ -41,6 +41,13 @@ def reverse(a_link: Link) -> Link:
     return (a_link[1], a_link[0])
 
 
+def canonical(a_link: Link) -> Link:
+    """The ``(min, max)`` representative of a link: contention is
+    direction-insensitive, so both directions share it."""
+    i, j = a_link
+    return (i, j) if i <= j else (j, i)
+
+
 class Topology:
     """A static multihop wireless network.
 

@@ -107,3 +107,13 @@ def idle_services(node_id: int) -> NodeServices:
     """Services of a node that never transmits (pure sink/relay-less)."""
     sink = SaturatedSender(node_id, {})
     return sink.services(), sink
+
+
+def clique_member_sets(memberships) -> list[frozenset]:
+    """A link -> clique-index map inverted to one member set per index
+    (a list: a map that carries the same member set twice shows it)."""
+    members: dict[int, set] = {}
+    for a_link, indices in memberships.items():
+        for index in indices:
+            members.setdefault(index, set()).add(a_link)
+    return [frozenset(links) for links in members.values()]

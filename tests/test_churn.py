@@ -4,6 +4,8 @@ building, the adversary's phase lock, GMP's dynamic flow lifecycle
 acceptance scenarios (conservation + replay on figure3, resilience
 under back-to-back crashes combined with churn)."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.resilience import min_rate_dip, per_arrival_convergence
@@ -375,6 +377,47 @@ def test_adversary_churn_runs_clean_end_to_end():
     assert report.arrivals > 0
     assert report.clean
     assert result.extras["invariants"].violations() == []
+
+
+# --- a live flow set that is (or becomes) empty -----------------------------------
+
+EMPTY_START_CHURN = ChurnSpec(rate=0.2, mean_hold=1.0, max_flows=2)
+
+
+def figure3_without_flows():
+    return dataclasses.replace(figure3(), flows=FlowSet([]))
+
+
+def test_dynamic_run_may_start_with_no_flows():
+    """With no flow to size the default clique capacity from, the
+    runner falls back to Flow's default packet size."""
+    result = run_scenario(
+        figure3_without_flows(),
+        substrate="fluid",
+        duration=5.0,
+        churn=EMPTY_START_CHURN,
+    )
+    assert result.extras["churn"].arrivals > 0
+    assert any(rate > 0 for rate in result.flow_rates.values())
+
+
+def test_reference_of_an_emptied_live_flow_set_is_empty():
+    """Every churned flow has departed when the run ends: the reference
+    the health tick, /flows/<id> and the end-of-run extras share is
+    empty instead of an AnalysisError that loses the finished run."""
+    from repro.telemetry import Telemetry
+
+    result = run_scenario(
+        figure3_without_flows(),
+        substrate="fluid",
+        duration=28.0,
+        capacity_pps=600.0,
+        churn=EMPTY_START_CHURN,
+        telemetry=Telemetry(enabled=True),
+    )
+    assert result.extras["churn"].arrivals == result.extras["churn"].departures > 0
+    assert result.extras["maxmin_reference"] == {}
+    assert result.extras["maxmin_solution"].bottlenecks == {}
 
 
 # --- resilience under churn + back-to-back faults --------------------------------

@@ -172,8 +172,8 @@ def test_gmp_respects_weights_on_shared_bottleneck():
 
 @pytest.mark.parametrize("substrate", ["fluid", "dcf"])
 def test_run_scenario_builds_contention_and_cliques_once(monkeypatch, substrate):
-    """The runner's contention graph and clique list are shared by the
-    MAC, GMP and the maxmin reference instead of rebuilt per consumer."""
+    """The runner's contention graph and clique list are shared by GMP
+    and the maxmin reference instead of rebuilt per consumer."""
     from repro.core import protocol as protocol_module
     from repro.scenarios import runner as runner_module
 
@@ -195,3 +195,23 @@ def test_run_scenario_builds_contention_and_cliques_once(monkeypatch, substrate)
         figure3(), protocol="gmp", substrate=substrate, duration=1.0, gmp_config=FAST
     )
     assert calls == {"graph": 1, "cliques": 1}
+
+
+def test_non_gmp_fluid_run_never_enumerates_the_global_cliques(monkeypatch):
+    """The fluid MAC enumerates cliques only among the links that carry
+    traffic, so without GMP, 2PP or the reference nothing asks the
+    runner for the global list."""
+    from repro.scenarios import runner as runner_module
+
+    calls = []
+
+    def counting_cliques(graph):
+        calls.append(graph)
+        return maximal_cliques(graph)
+
+    monkeypatch.setattr(runner_module, "maximal_cliques", counting_cliques)
+    result = run_scenario(
+        figure3(), protocol="802.11", substrate="fluid", duration=1.0, warmup=0.0
+    )
+    assert calls == []
+    assert result.effective_throughput > 0

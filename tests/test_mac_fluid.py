@@ -14,7 +14,7 @@ from repro.topology.cliques import maximal_cliques
 from repro.topology.contention import ContentionGraph
 from repro.topology.network import Topology
 
-from helpers import QueueNode
+from helpers import QueueNode, clique_member_sets
 
 
 def cliques_for(topology):
@@ -257,47 +257,20 @@ def test_fluid_double_start_rejected():
         mac.start()
 
 
-@pytest.mark.parametrize(
-    "make_topology",
-    [
-        lambda: figure3().topology,
-        lambda: random_topology(25, width=1200.0, height=1200.0, seed=7),
-    ],
-    ids=["figure3", "random25"],
-)
-def test_prewarmed_memberships_equal_per_clique_scan(make_topology):
-    """start() fills the membership map from one pass over the clique
-    members; the tuples must equal the ``a_link in clique`` scan the
-    lazy fallback performs, for every directed topology link."""
-    topology = make_topology()
-    mac = FluidMac(Simulator(), topology)
-    mac.start()
-    directed = [
-        (i, j) for i in topology.node_ids for j in topology.neighbors(i)
-    ]
-    assert directed and set(mac._memberships) == set(directed)
-    for a_link in directed:
-        scan = tuple(
-            index
-            for index, clique in enumerate(mac._cliques)
-            if a_link in clique
-        )
-        assert mac._memberships[a_link] == scan
-    # A link outside the topology still resolves through the lazy path.
-    assert mac._memberships_for((10_000, 10_001)) == ()
-
-
-# --- reduced clique system: FluidMac's solve == waterfill_links, bit for bit ---
+# --- FluidMac solves on the maximal cliques of the contention graph induced on
+# --- the ever-active links: its solve == waterfill_links over every clique, bit
+# --- for bit
 
 OFF_TOPOLOGY_LINK = (10_000, 10_001)
 
 
-def projected_maximal_member_sets(mac):
-    """Brute force: every clique restricted to the universe, one per
-    distinct non-empty member set, none that is a subset of another."""
+def projected_maximal_member_sets(mac, cliques):
+    """Brute force, independent of the induced enumeration: every clique
+    of the whole graph restricted to the universe, one per distinct
+    non-empty member set, none that is a subset of another."""
     projections = {
         frozenset(a_link for a_link in mac._reduced if a_link in clique)
-        for clique in mac._cliques
+        for clique in cliques
     }
     projections.discard(frozenset())
     return {
@@ -308,19 +281,14 @@ def projected_maximal_member_sets(mac):
 
 
 def reduced_member_sets(mac):
-    """The reduced system inverted to member sets (a list: the solver
-    must not carry the same member set twice)."""
-    members = {}
-    for a_link, clique_ids in mac._reduced.items():
-        for clique_id in clique_ids:
-            members.setdefault(clique_id, set()).add(a_link)
-    return [frozenset(links) for links in members.values()]
+    return clique_member_sets(mac._reduced)
 
 
-def assert_reduced_system_is_exact(mac):
+def assert_reduced_system_is_exact(mac, cliques):
+    """Induced-maximal == projected-maximal."""
     reduced = reduced_member_sets(mac)
     assert len(reduced) == len(set(reduced))
-    assert set(reduced) == projected_maximal_member_sets(mac)
+    assert set(reduced) == projected_maximal_member_sets(mac, cliques)
 
 
 @settings(max_examples=40, deadline=None)
@@ -354,7 +322,6 @@ def test_reduced_solve_equals_full_solve_bit_for_bit(data):
         topology,
         capacity_pps=capacity,
         rate_caps=rate_caps,
-        cliques=cliques,
         alloc_cache=data.draw(st.booleans(), label="alloc_cache"),
     )
     mac.start()
@@ -372,7 +339,7 @@ def test_reduced_solve_equals_full_solve_bit_for_bit(data):
         }
         alloc = mac._allocate_quantized(list(demands.items()))
         assert alloc == waterfill_links(demands, cliques, capacity, rate_caps=caps)
-    assert_reduced_system_is_exact(mac)
+    assert_reduced_system_is_exact(mac, cliques)
 
 
 def test_dominated_clique_is_dropped_and_returns_when_the_universe_grows():
@@ -380,12 +347,13 @@ def test_dominated_clique_is_dropped_and_returns_when_the_universe_grows():
     chain = chain_topology(6)
     cliques = cliques_for(chain)
     assert len(cliques) == 2
-    mac = FluidMac(Simulator(), chain, capacity_pps=300.0, cliques=cliques)
+    mac = FluidMac(Simulator(), chain, capacity_pps=300.0)
     mac.start()
 
     # On {(1,2), (4,5)} A projects to {(1,2)}, a strict subset of B's
-    # {(1,2), (4,5)}: one clique is left, and the allocation is still
-    # the full solver's whether or not (4,5) is backlogged.
+    # {(1,2), (4,5)}: the induced graph has the one clique, and the
+    # allocation is still the full solver's whether or not (4,5) is
+    # backlogged.
     for demands in (
         {(1, 2): 1000.0, (4, 5): 1000.0},
         {(1, 2): 1000.0},
@@ -405,13 +373,13 @@ def test_dominated_clique_is_dropped_and_returns_when_the_universe_grows():
         [(0, 1), (1, 2)],
         [(1, 2), (4, 5)],
     ]
-    assert_reduced_system_is_exact(mac)
+    assert_reduced_system_is_exact(mac, cliques)
 
 
 def test_link_in_no_clique_joins_the_universe_unconstrained():
     chain = chain_topology(4)
     cliques = cliques_for(chain)
-    mac = FluidMac(Simulator(), chain, capacity_pps=300.0, cliques=cliques)
+    mac = FluidMac(Simulator(), chain, capacity_pps=300.0)
     mac.start()
     demands = {(0, 1): 1000.0, OFF_TOPOLOGY_LINK: 900.0, (2, 3): 1000.0}
     alloc = mac._allocate_quantized(list(demands.items()))
@@ -432,6 +400,8 @@ def test_scale300_run_solves_every_round_exactly_on_a_tenth_of_the_cliques(
     from repro.scenarios.runner import run_scenario
     from repro.scenarios.scale import scale300
 
+    scenario = scale300()
+    cliques = cliques_for(scenario.topology)
     macs = []
     solve = FluidMac._allocate_quantized
 
@@ -441,7 +411,7 @@ def test_scale300_run_solves_every_round_exactly_on_a_tenth_of_the_cliques(
         alloc = solve(self, quantized)
         assert alloc == waterfill_links(
             dict(quantized),
-            self._cliques,
+            cliques,
             self.capacity_pps,
             rate_caps=self._effective_caps(),
         )
@@ -449,7 +419,7 @@ def test_scale300_run_solves_every_round_exactly_on_a_tenth_of_the_cliques(
 
     monkeypatch.setattr(FluidMac, "_allocate_quantized", checked)
     result = run_scenario(
-        scale300(),
+        scenario,
         protocol="gmp",
         substrate="fluid",
         duration=2.0,
@@ -460,8 +430,8 @@ def test_scale300_run_solves_every_round_exactly_on_a_tenth_of_the_cliques(
     assert mac.alloc_cache_misses == 99
 
     reduced = reduced_member_sets(mac)
-    assert (len(mac._reduced), len(reduced), len(mac._cliques)) == (73, 56, 2219)
-    assert len(reduced) <= 0.1 * len(mac._cliques)
+    assert (len(mac._reduced), len(reduced), len(cliques)) == (73, 56, 2219)
+    assert len(reduced) <= 0.1 * len(cliques)
 
     # Flows grafted after t = 1 s light up links no static flow uses;
     # they joined the universe mid-run.
@@ -476,8 +446,8 @@ def test_scale300_run_solves_every_round_exactly_on_a_tenth_of_the_cliques(
     first_seen_mid_run = {paths[flow_id][0] for flow_id in grafted} - static_links
     assert first_seen_mid_run and first_seen_mid_run <= set(mac._reduced)
 
-    # A link outside the topology resolves through the lazy membership
-    # scan and joins too; the whole system is still the exact reduction.
+    # A link outside the topology joins too, unconstrained; the whole
+    # system is still the exact reduction.
     checked(mac, [(OFF_TOPOLOGY_LINK, 5.0)])
     assert mac._reduced[OFF_TOPOLOGY_LINK] == ()
-    assert_reduced_system_is_exact(mac)
+    assert_reduced_system_is_exact(mac, cliques)
