@@ -9,6 +9,8 @@ writes the machine-readable ``BENCH_<n>.json`` tracked across PRs (see
 docs/PERFORMANCE.md).
 """
 
+import pytest
+
 from repro.flows.packet import Packet
 from repro.mac.dcf import DcfMac
 from repro.mac.fluid import FluidMac, waterfill_links
@@ -189,6 +191,35 @@ def test_fluid_round_scale300(benchmark, monkeypatch):
     benchmark.pedantic(run, rounds=200, warmup_rounds=10)
     # The memo almost never hits at this scale: the rounds really solved.
     assert mac.alloc_cache_misses - solves_before >= 200
+
+
+def test_scale300_setup(benchmark, monkeypatch):
+    """Set-up of a 300-node GMP/fluid run: scenario factory through
+    assembly, up to the entry of ``Simulator.run``.  Routes resolve per
+    destination on demand (8 Dijkstras for the 8 flow destinations,
+    pinned by count in tests/test_routing.py); this is where set-up
+    work sized by the network instead of the traffic shows — an
+    all-links pre-warm (+1.7 s) through the 2x compare_bench gate, an
+    all-destinations route build (+0.17 s) in the number."""
+    from repro.scenarios.runner import run_scenario
+    from repro.scenarios.scale import scale300
+    from repro.sim.kernel import Simulator
+
+    class AtRunEntry(Exception):
+        pass
+
+    def stop_at_entry(self, *args, **kwargs):
+        raise AtRunEntry
+
+    monkeypatch.setattr(Simulator, "run", stop_at_entry)
+
+    def setup():
+        with pytest.raises(AtRunEntry):
+            run_scenario(
+                scale300(), protocol="gmp", substrate="fluid", duration=20.0, seed=1
+            )
+
+    benchmark.pedantic(setup, rounds=3, warmup_rounds=1)
 
 
 def test_waterfill_solver(benchmark):

@@ -10,6 +10,7 @@ eligibility via the backpressure gate.
 from __future__ import annotations
 
 import abc
+from bisect import bisect_right, insort
 from collections import deque
 from typing import Callable, Iterable
 
@@ -20,18 +21,32 @@ from repro.flows.packet import Packet
 from repro.topology.network import Link
 
 
+class _NextHops(dict):
+    """destination → next hop, asked of the routing callable once."""
+
+    def __init__(self, resolve: Callable[[int], int]) -> None:
+        super().__init__()
+        self._resolve = resolve
+
+    def __missing__(self, dest: int) -> int:
+        hop = self[dest] = self._resolve(dest)
+        return hop
+
+
 class BufferPolicy(abc.ABC):
     """Common surface of the three queueing policies.
 
     Args:
         node_id: owning node.
         next_hop: callable mapping a destination to this node's next
-            hop toward it.
+            hop toward it.  The answer is fixed for the life of the
+            policy (routes never change under a run), so each
+            destination is asked about once.
     """
 
     def __init__(self, node_id: int, next_hop: Callable[[int], int]) -> None:
         self.node_id = node_id
-        self.next_hop = next_hop
+        self.next_hop = _NextHops(next_hop).__getitem__
         self.drops = 0  # packets lost to admission (incl. overwrites)
         self.drops_by_flow: dict[int, int] = {}  # same, keyed by flow
         self.overshoot = 0  # forwarded admissions beyond nominal capacity
@@ -65,7 +80,8 @@ class BufferPolicy(abc.ABC):
 
     @abc.abstractmethod
     def eligible_links(self, now: float) -> dict[Link, int]:
-        """Eligible backlog per outgoing directed link (fluid MAC)."""
+        """Eligible backlog per outgoing directed link (fluid MAC); a
+        listed link may have a zero count.  Read-only for the caller."""
 
     @abc.abstractmethod
     def backlog(self) -> int:
@@ -362,6 +378,14 @@ class PerDestinationBuffer(BufferPolicy):
     * a queue's head may be sent only when the gate believes the
       downstream queue for that destination has free space.
 
+    Queues are indexed by next hop (a queue's next hop is fixed when
+    it is created): serving a link walks only the destinations routed
+    over it, and the per-link and total backlog counts are maintained
+    on every admission and departure instead of recounted.  The
+    round-robin pointer stays one per *node* — ``dequeue_for`` serves
+    its link's destinations in the order the node-wide rotation would
+    reach them.
+
     Each queue owns a :class:`FullnessMeter`; GMP reads Ω from it.
 
     When a :class:`~repro.telemetry.Telemetry` instance is supplied,
@@ -389,6 +413,11 @@ class PerDestinationBuffer(BufferPolicy):
         self._queues: dict[int, deque[Packet]] = {}
         self._meters: dict[int, FullnessMeter] = {}
         self._last_dest: int | None = None
+        self._dests: list[int] = []  # every queue's destination, sorted
+        self._link_of: dict[int, Link] = {}  # dest -> (node, next hop)
+        self._dests_via: dict[int, list[int]] = {}  # next hop -> sorted dests
+        self._link_backlog: dict[Link, int] = {}  # queued packets per link
+        self._backlog = 0
         self._start_time = start_time
         self._tm = telemetry if telemetry is not None and telemetry.enabled else None
         self._len_series: dict[int, object] = {}
@@ -397,10 +426,22 @@ class PerDestinationBuffer(BufferPolicy):
     # --- queue bookkeeping -------------------------------------------------------
 
     def _queue_for(self, dest: int) -> deque[Packet]:
-        if dest not in self._queues:
-            self._queues[dest] = deque()
+        queue = self._queues.get(dest)
+        if queue is None:
+            hop = self.next_hop(dest)
+            a_link = self._link_of[dest] = (self.node_id, hop)
+            self._link_backlog.setdefault(a_link, 0)
+            insort(self._dests, dest)
+            insort(self._dests_via.setdefault(hop, []), dest)
+            queue = self._queues[dest] = deque()
             self._meters[dest] = FullnessMeter(start_time=self._start_time)
-        return self._queues[dest]
+        return queue
+
+    def _enqueue(self, queue: deque[Packet], packet: Packet, now: float) -> None:
+        queue.append(packet)
+        self._link_backlog[self._link_of[packet.destination]] += 1
+        self._backlog += 1
+        self._update_meter(packet.destination, now)
 
     def _update_meter(self, dest: int, now: float) -> None:
         length = len(self._queues[dest])
@@ -454,8 +495,7 @@ class PerDestinationBuffer(BufferPolicy):
         if len(queue) >= self.per_dest_capacity:
             self._update_meter(packet.destination, now)
             return False
-        queue.append(packet)
-        self._update_meter(packet.destination, now)
+        self._enqueue(queue, packet, now)
         return True
 
     def admit_forwarded_at(self, packet: Packet, now: float) -> bool:
@@ -463,8 +503,7 @@ class PerDestinationBuffer(BufferPolicy):
         queue = self._queue_for(packet.destination)
         if len(queue) >= self.per_dest_capacity:
             self.overshoot += 1
-        queue.append(packet)
-        self._update_meter(packet.destination, now)
+        self._enqueue(queue, packet, now)
         return True
 
     def admit_local(self, packet: Packet) -> bool:
@@ -481,44 +520,48 @@ class PerDestinationBuffer(BufferPolicy):
 
     # --- service -------------------------------------------------------------------
 
-    def _eligible(self, dest: int, now: float) -> bool:
-        queue = self._queues.get(dest)
-        if not queue:
-            return False
-        return self.gate.allows(self.next_hop(dest), dest, now)
-
-    def dequeue(self, now: float) -> tuple[Packet, int] | None:
-        for dest in _rr_order(self._queues, self._last_dest):
-            if self._eligible(dest, now):
+    def _serve(self, dests: list[int], now: float) -> Packet | None:
+        """Pop the head of the first eligible queue among ``dests``
+        (sorted), visiting them round-robin after the node-wide
+        pointer: destinations above ``_last_dest`` first, then wrap."""
+        last = self._last_dest
+        pivot = bisect_right(dests, last) if last is not None else 0
+        queues, link_of, allows = self._queues, self._link_of, self.gate.allows
+        for dest in (dests[pivot:] + dests[:pivot]) if pivot else dests:
+            queue = queues[dest]
+            if queue and allows(link_of[dest][1], dest, now):
                 self._last_dest = dest
-                packet = self._queues[dest].popleft()
-                self._update_meter(dest, now)
-                return packet, self.next_hop(dest)
-        return None
-
-    def dequeue_for(self, next_hop: int, now: float) -> Packet | None:
-        for dest in _rr_order(self._queues, self._last_dest):
-            if self.next_hop(dest) == next_hop and self._eligible(dest, now):
-                self._last_dest = dest
-                packet = self._queues[dest].popleft()
+                packet = queue.popleft()
+                self._link_backlog[link_of[dest]] -= 1
+                self._backlog -= 1
                 self._update_meter(dest, now)
                 return packet
         return None
+
+    def dequeue(self, now: float) -> tuple[Packet, int] | None:
+        if not self._backlog:
+            return None
+        packet = self._serve(self._dests, now)
+        if packet is None:
+            return None
+        return packet, self._link_of[packet.destination][1]
+
+    def dequeue_for(self, next_hop: int, now: float) -> Packet | None:
+        if not self._link_backlog.get((self.node_id, next_hop)):
+            return None
+        return self._serve(self._dests_via[next_hop], now)
 
     def eligible_links(self, now: float) -> dict[Link, int]:
         # Raw backlog per link: the gate is applied per packet at
         # dequeue time, so a currently blocked queue still registers
         # demand (it may unblock when the downstream queue drains
-        # within the same fluid round).
-        counts: dict[Link, int] = {}
-        for dest, queue in self._queues.items():
-            if queue:
-                a_link = (self.node_id, self.next_hop(dest))
-                counts[a_link] = counts.get(a_link, 0) + len(queue)
-        return counts
+        # within the same fluid round).  This is the live count map —
+        # read-only for callers; a link whose queues drained stays
+        # listed with a zero.
+        return self._link_backlog
 
     def backlog(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())
+        return self._backlog
 
     def queued_packets(self) -> list[Packet]:
         return [
@@ -532,6 +575,9 @@ class PerDestinationBuffer(BufferPolicy):
         for dest, queue in self._queues.items():
             queue.clear()
             self._update_meter(dest, now)
+        for a_link in self._link_backlog:
+            self._link_backlog[a_link] = 0
+        self._backlog = 0
         return lost
 
     def piggyback_states(self) -> dict[int, bool]:

@@ -141,7 +141,6 @@ class GmpProtocol:
         self._pending_adjustments: list[dict[int, list[RateRequest]]] = []
         self._last_link_state: dict[Link, tuple[float, float]] = {}
         self._started = False
-        self.last_busy_fractions: dict[int, float] = {}
 
         # Fault tolerance: per-node liveness and control-plane loss.
         self._last_heard: dict[int, float] = {}
@@ -423,7 +422,6 @@ class GmpProtocol:
                 del self._violation_streak[a_link]
         vlink_rates = self._measure_vlink_rates(period)
         occupancy = self._measure_occupancy(period)
-        self.last_busy_fractions = self._measure_busy_fractions(period)
         mu_by_vlink, primaries_by_vlink = self._summarize_mus()
         types_by_vlink = self._classify_vlinks(saturated, vlink_rates, mu_by_vlink)
         wlink_mu = self._wireless_link_mus(mu_by_vlink)
@@ -576,15 +574,6 @@ class GmpProtocol:
             if changed:
                 self.scope.record_link_state_change(a_link)
                 self._last_link_state[a_link] = state
-
-    def _measure_busy_fractions(self, period: float) -> dict[int, float]:
-        """Fraction of the period each node perceived the channel busy."""
-        fractions: dict[int, float] = {}
-        for node in self.stacks:
-            seconds = self.mac.busy_snapshot(node)
-            self.mac.reset_busy(node)
-            fractions[node] = min(1.0, seconds / period) if period > 0 else 0.0
-        return fractions
 
     def _summarize_mus(
         self,

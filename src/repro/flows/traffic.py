@@ -53,6 +53,7 @@ class TrafficSource:
         self.flow = flow
         self._admit = admit
         self._on_generate = on_generate
+        self._tag = f"traffic.f{flow.flow_id}"  # kernel tag of every tick
         self._bucket: TokenBucket | None = None
         self._started = False
         self._paused = False
@@ -89,9 +90,7 @@ class TrafficSource:
         if self._started:
             raise FlowError(f"flow {self.flow.flow_id}: source already started")
         self._started = True
-        self._pending = self.sim.call_later(
-            offset, self._tick, tag=f"traffic.f{self.flow.flow_id}"
-        )
+        self._pending = self.sim.call_later(offset, self._tick, tag=self._tag)
 
     def pause(self) -> None:
         """Stop offering packets (source node crashed).  Idempotent."""
@@ -111,7 +110,7 @@ class TrafficSource:
         self._paused = False
         if self._started:
             self._pending = self.sim.call_later(
-                self._next_interval(), self._tick, tag=f"traffic.f{self.flow.flow_id}"
+                self._next_interval(), self._tick, tag=self._tag
             )
 
     def stop(self) -> None:
@@ -172,9 +171,7 @@ class TrafficSource:
                 # offer is suppressed by the limit.
                 self.limited += 1
                 delay = wait
-        self._pending = self.sim.call_later(
-            delay, self._tick, tag=f"traffic.f{self.flow.flow_id}"
-        )
+        self._pending = self.sim.call_later(delay, self._tick, tag=self._tag)
 
     def _passes_rate_limit(self) -> bool:
         if self._bucket is None:

@@ -97,10 +97,10 @@ class MacLayer(abc.ABC):
         """Seconds during which ``node_id`` perceived the channel busy
         (sensed energy or transmitted itself) since the last reset.
 
-        This is the local signal GMP uses to decide whether a clique
-        is *saturated*: around a saturated clique the channel is busy
-        nearly all the time, regardless of how much of that time is
-        productive frame airtime."""
+        A diagnostic: GMP deliberately does *not* decide saturation
+        from it (DESIGN.md — clique occupancy is summed member-link
+        frame airtime, §6.2; a clique held below capacity by rate
+        limits has an idle channel yet must stay eligible)."""
 
     @abc.abstractmethod
     def reset_busy(self, node_id: int) -> None:

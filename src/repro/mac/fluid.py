@@ -201,11 +201,17 @@ class FluidMac(MacLayer):
         self.capacity_pps = capacity_pps
         self.rate_caps = dict(rate_caps or {})
         self._services: dict[int, NodeServices] = {}
-        self._sorted_nodes: list[int] = []
+        # Nodes that may hold a packet: the only ones a round polls.  A
+        # node enters on notify_backlog (every admission path calls it)
+        # and leaves when a round proves its buffer empty.
+        self._backlogged: set[int] = set()
+        self._poll_order: list[int] | None = None  # sorted; None = stale
         self._credit: dict[Link, float] = {}
         self._occupancy: dict[int, dict[Link, float]] = {}
-        self._busy: dict[int, float] = {}
-        self._sensing_cache: dict[int, frozenset[int]] = {}
+        # Busy time is kept per *sender* (seconds of airtime it sent);
+        # busy_snapshot folds the senders a node senses at read time.
+        self._airtime_sent: dict[int, float] = {}
+        self._busy_baseline: dict[int, float] = {}
         self._started = False
         self.packets_transferred = 0
         # Fault-injection state.
@@ -255,10 +261,10 @@ class FluidMac(MacLayer):
             )
         self.topology.node(node_id)
         self._services[node_id] = services
-        self._sorted_nodes = sorted(self._services)
         self._occupancy[node_id] = {}
-        self._busy[node_id] = 0.0
-        self._dirty = True
+        self._busy_baseline[node_id] = 0.0
+        # Its buffer state is unknown until a round has looked.
+        self.notify_backlog(node_id)
 
     def start(self) -> None:
         if self._started:
@@ -267,9 +273,12 @@ class FluidMac(MacLayer):
         self.sim.every(self.round_interval, self._round, tag="fluid.round")
 
     def notify_backlog(self, node_id: int) -> None:
-        # Rounds poll eligibility; just note that buffer state may have
-        # changed so an idle-skipping round machinery wakes up.
+        # Rounds poll the backlogged nodes; note that this one may now
+        # hold a packet, which also wakes an idle-skipping round.
         self._dirty = True
+        if node_id not in self._backlogged:
+            self._backlogged.add(node_id)
+            self._poll_order = None
 
     def occupancy_snapshot(self, node_id: int) -> dict[Link, float]:
         try:
@@ -283,17 +292,22 @@ class FluidMac(MacLayer):
         except KeyError:
             raise MacError(f"node {node_id} not attached") from None
 
+    def _airtime_sensed(self, node_id: int) -> float:
+        """Airtime of every exchange sent by ``node_id`` or by a node
+        it senses, since the MAC started.  (Carrier sense is by
+        distance, so the nodes that sense a sender are the nodes the
+        sender senses.)"""
+        if node_id not in self._services:
+            raise MacError(f"node {node_id} not attached")
+        sent = self._airtime_sent
+        senders = self.topology.sensing_nodes(node_id) | {node_id}
+        return sum(sent[sender] for sender in senders if sender in sent)
+
     def busy_snapshot(self, node_id: int) -> float:
-        try:
-            return self._busy[node_id]
-        except KeyError:
-            raise MacError(f"node {node_id} not attached") from None
+        return self._airtime_sensed(node_id) - self._busy_baseline[node_id]
 
     def reset_busy(self, node_id: int) -> None:
-        try:
-            self._busy[node_id] = 0.0
-        except KeyError:
-            raise MacError(f"node {node_id} not attached") from None
+        self._busy_baseline[node_id] = self._airtime_sensed(node_id)
 
     # --- fault injection hooks ----------------------------------------------------
 
@@ -446,44 +460,42 @@ class FluidMac(MacLayer):
         # which yields the same allocation (clamping is a pure cache-key
         # normalization) at worst costing one extra cache entry.
         memberships_map = self._reduced
-        # One fused pass: poll each node's eligibility and emit the
-        # clamped (link, demand) vector the allocator keys on.  Nodes
-        # report disjoint link sets (their own outgoing links), so the
-        # list is duplicate-free in deterministic node order.
+        # One fused pass over the nodes that may hold a packet: poll
+        # each one's eligibility and emit the clamped (link, demand)
+        # vector the allocator keys on.  Nodes report disjoint link sets
+        # (their own outgoing links), so the list is duplicate-free in
+        # deterministic node order.  Down nodes and links into them
+        # carry nothing.
+        backlogged = self._backlogged
+        order = self._poll_order
+        if order is None:
+            order = self._poll_order = sorted(backlogged)
         quantized: list[tuple[Link, float]] = []
         append = quantized.append
-        if down:
-            for node_id in self._sorted_nodes:
-                if node_id in down:
-                    continue
-                eligible = self._services[node_id].eligible_links()
-                for a_link, count in eligible.items():
+        for node_id in order:
+            services = self._services[node_id]
+            emitted = len(quantized)
+            if node_id not in down:
+                for a_link, count in services.eligible_links().items():
                     if count > 0 and a_link[1] not in down:
                         demand = count / interval
                         if demand > capacity and memberships_map.get(a_link):
                             demand = capacity
                         append((a_link, demand))
-        else:
-            for node_id in self._sorted_nodes:
-                eligible = self._services[node_id].eligible_links()
-                for a_link, count in eligible.items():
-                    if count > 0:
-                        demand = count / interval
-                        if demand > capacity and memberships_map.get(a_link):
-                            demand = capacity
-                        append((a_link, demand))
+            if len(quantized) == emitted:
+                # Offered nothing: drop it once its buffer is proven
+                # empty (eligible or not — gates and backpressure cannot
+                # conjure demand out of an empty buffer, and every way a
+                # packet enters one calls notify_backlog).  A node
+                # without the probe is polled forever.
+                has_pending = services.has_pending
+                if has_pending is not None and not has_pending():
+                    backlogged.discard(node_id)
+                    self._poll_order = None
 
-        if quantized:
-            self._idle = False
-        else:
-            # Safe to skip future rounds only when *no* buffer holds any
-            # packet (eligible or not) — gates and backpressure cannot
-            # conjure demand out of an empty network, and every way a
-            # packet enters a buffer calls notify_backlog.
-            self._idle = all(
-                services.has_pending is not None and not services.has_pending()
-                for services in self._services.values()
-            )
+        # Future rounds are skipped only while *no* buffer holds any
+        # packet.
+        self._idle = not backlogged
 
         alloc = self._allocate_quantized(quantized)
 
@@ -555,16 +567,10 @@ class FluidMac(MacLayer):
                 # the full exchange airtime); create the key so
                 # snapshots list the link.
                 self._occupancy[receiver].setdefault(a_link, 0.0)
-            # Busy-time attribution: every node sensing the sender (or
-            # the sender itself) perceives the channel busy for the
-            # exchange's airtime.
-            sensing = self._sensing_cache.get(sender)
-            if sensing is None:
-                sensing = self.topology.sensing_nodes(sender) | {sender}
-                self._sensing_cache[sender] = sensing
-            for node_id in sensing:
-                if node_id in self._busy:
-                    self._busy[node_id] += airtime
+            # Every node sensing the sender (or the sender itself)
+            # perceives the channel busy for the exchange's airtime;
+            # busy_snapshot attributes it.
+            self._airtime_sent[sender] = self._airtime_sent.get(sender, 0.0) + airtime
 
         if self._tm is not None:
             self._record_round(alloc, sent_per_link)

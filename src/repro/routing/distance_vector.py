@@ -9,7 +9,7 @@ implementation so the two substrates are interchangeable.
 from __future__ import annotations
 
 from repro.errors import RoutingError
-from repro.routing.table import RouteSet, RoutingTable
+from repro.routing.table import RouteSet
 from repro.topology.network import Topology
 
 _INF = float("inf")
@@ -63,11 +63,10 @@ def distance_vector_routes(
     else:  # pragma: no cover - defensive; static graphs always converge
         raise RoutingError(f"distance-vector did not converge in {max_rounds} rounds")
 
-    tables = {}
-    for i in ids:
-        table = RoutingTable(node_id=i)
-        for t in ids:
-            if t != i and distance[i][t] < _INF:
-                table.next_hops[t] = via[i][t]
-        tables[i] = table
-    return RouteSet(tables)
+    return RouteSet(
+        ids,
+        {
+            t: {i: via[i][t] for i in ids if i != t and distance[i][t] < _INF}
+            for t in ids
+        },
+    )

@@ -19,7 +19,7 @@ strictly decreases at every hop.
 
 from __future__ import annotations
 
-from repro.routing.table import RouteSet, RoutingTable
+from repro.routing.table import RouteSet
 from repro.topology.network import Topology
 
 
@@ -32,7 +32,7 @@ def greedy_geographic_routes(topology: Topology) -> RouteSet:
     the greedy walk until the destination is reached.
     """
     ids = topology.node_ids
-    tables = {node_id: RoutingTable(node_id=node_id) for node_id in ids}
+    trees: dict[int, dict[int, int]] = {}
 
     for destination in ids:
         # First pass: the locally greedy next hop for every node.
@@ -70,8 +70,10 @@ def greedy_geographic_routes(topology: Topology) -> RouteSet:
                 reaches[visited] = result
             return result
 
-        for node_id in ids:
-            if node_id != destination and walk(node_id):
-                tables[node_id].next_hops[destination] = greedy_hop[node_id]
+        trees[destination] = {
+            node_id: greedy_hop[node_id]
+            for node_id in ids
+            if node_id != destination and walk(node_id)
+        }
 
-    return RouteSet(tables)
+    return RouteSet(ids, trees)

@@ -9,8 +9,9 @@ computes consistent, loop-free next hops.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 
-from repro.routing.table import RouteSet, RoutingTable
+from repro.routing.table import RouteSet
 from repro.topology.network import Topology
 
 
@@ -41,17 +42,12 @@ def _dijkstra_parents(
 
 
 def link_state_routes(topology: Topology) -> RouteSet:
-    """Shortest-path (hop count) routing tables for every node.
+    """Shortest-path (hop count) routes; each destination's tree is
+    one Dijkstra, run when the destination is first asked about.
 
-    Unreachable destinations are simply absent from the tables;
-    :class:`~repro.routing.table.RoutingTable.next_hop` raises for
-    them.
+    Unreachable destinations are simply absent from the trees;
+    :meth:`~repro.routing.table.RouteSet.next_hop` raises for them.
     """
-    tables = {
-        node_id: RoutingTable(node_id=node_id) for node_id in topology.node_ids
-    }
-    for destination in topology.node_ids:
-        parent = _dijkstra_parents(topology, destination)
-        for node_id, next_hop in parent.items():
-            tables[node_id].next_hops[destination] = next_hop
-    return RouteSet(tables)
+    return RouteSet(
+        topology.node_ids, resolve=partial(_dijkstra_parents, topology)
+    )

@@ -19,11 +19,10 @@ def routing_is_acyclic(routes: RouteSet, destination: int) -> bool:
     for every node with a route; acyclicity means every forwarding
     walk terminates at the destination.
     """
+    tree = routes.tree(destination)
     state: dict[int, int] = {}  # 0 = visiting, 1 = done
 
-    for start in routes.node_ids():
-        if not routes.table(start).has_route(destination):
-            continue
+    for start in tree:
         walk: list[int] = []
         current = start
         while True:
@@ -34,9 +33,10 @@ def routing_is_acyclic(routes: RouteSet, destination: int) -> bool:
                 return False  # reached a node already on this walk
             state[current] = 0
             walk.append(current)
-            if not routes.table(current).has_route(destination):
+            next_hop = tree.get(current)
+            if next_hop is None:
                 break
-            current = routes.next_hop(current, destination)
+            current = next_hop
         for visited in walk:
             state[visited] = 1
     return True

@@ -202,10 +202,14 @@ class Session:
             flows = FlowSet(list(scenario.flows))
         self.flows = flows
         self.routes = routes = ROUTING_PROTOCOLS[self.routing](topology)
-        assert_acyclic(routes, flows.destinations())
-        if self.dynamic:
-            # Any routable node can become a dynamic flow's destination.
-            assert_acyclic(routes, sorted(topology.node_ids))
+        # Routes resolve per destination on first use, so validating is
+        # also what computes them: the flow destinations of a static
+        # run; every node of a dynamic one, where any routable node can
+        # become a flow's destination.
+        assert_acyclic(
+            routes,
+            sorted(topology.node_ids) if self.dynamic else flows.destinations(),
+        )
         # Every flow that ever existed this run, static or churned; the
         # measurement/sampling paths read it because departed flows leave
         # the live set.

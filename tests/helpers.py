@@ -117,3 +117,63 @@ def clique_member_sets(memberships) -> list[frozenset]:
         for index in indices:
             members.setdefault(index, set()).add(a_link)
     return [frozenset(links) for links in members.values()]
+
+
+# --- PerDestinationBuffer before it was indexed by next hop ---------------------
+#
+# The service order, per-link demand and pending probe exactly as the
+# buffer computed them by scanning every queue, kept as the oracle for
+# the indexed implementation.  They read a buffer's state without
+# changing it: `scan_*` say what a call *would* do.
+
+
+def _rr_scan(buffer) -> list[int]:
+    """Every served destination, sorted, rotated to start after the
+    node-wide round-robin pointer."""
+    ordered = buffer.served_destinations()
+    last = buffer._last_dest
+    if last is None or last not in ordered:
+        return ordered
+    pivot = ordered.index(last) + 1
+    return ordered[pivot:] + ordered[:pivot]
+
+
+def _scan_eligible(buffer, dest: int, now: float) -> bool:
+    return buffer.queue_length(dest) > 0 and buffer.gate.allows(
+        buffer.next_hop(dest), dest, now
+    )
+
+
+def _head(buffer, dest: int) -> Packet:
+    return next(p for p in buffer.queued_packets() if p.destination == dest)
+
+
+def scan_dequeue(buffer, now: float):
+    """The ``(packet, next_hop)`` a full-scan ``dequeue`` serves."""
+    for dest in _rr_scan(buffer):
+        if _scan_eligible(buffer, dest, now):
+            return _head(buffer, dest), buffer.next_hop(dest)
+    return None
+
+
+def scan_dequeue_for(buffer, next_hop: int, now: float):
+    """The packet a full-scan ``dequeue_for(next_hop)`` serves."""
+    for dest in _rr_scan(buffer):
+        if buffer.next_hop(dest) == next_hop and _scan_eligible(buffer, dest, now):
+            return _head(buffer, dest)
+    return None
+
+
+def scan_eligible_links(buffer) -> dict:
+    """Raw backlog per outgoing link, recounted from the queues."""
+    counts: dict = {}
+    for dest in buffer.served_destinations():
+        length = buffer.queue_length(dest)
+        if length:
+            a_link = (buffer.node_id, buffer.next_hop(dest))
+            counts[a_link] = counts.get(a_link, 0) + length
+    return counts
+
+
+def scan_has_pending(buffer) -> bool:
+    return any(buffer.queue_length(dest) for dest in buffer.served_destinations())

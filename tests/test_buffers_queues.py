@@ -142,6 +142,42 @@ class TestPerDestination:
         served = [buf.dequeue(0.0)[0].destination for _ in range(4)]
         assert served == [1, 2, 1, 2]
 
+    def test_one_round_robin_pointer_per_node_not_per_next_hop(self):
+        # Serving one link moves the pointer the other link's service
+        # order starts from (ROADMAP item 1 would change exactly this).
+        hops = {1: 10, 2: 11, 3: 10}
+        buf = PerDestinationBuffer(
+            0, hops.__getitem__, OracleGate(lambda neighbor, dest: True)
+        )
+        for dest in (1, 2, 3):
+            buf.admit_local_at(make_packet(dest=dest), 0.0)
+        assert buf.dequeue_for(11, 0.0).destination == 2
+        # After 2 comes 3, then the wrap to 1; a pointer per next hop
+        # would have started link (0, 10) at destination 1.
+        assert buf.dequeue_for(10, 0.0).destination == 3
+        assert buf.dequeue_for(10, 0.0).destination == 1
+        assert buf.dequeue_for(10, 0.0) is None
+        assert buf.eligible_links(0.0) == {(0, 10): 0, (0, 11): 0}
+        assert not buf.has_pending()
+
+    def test_next_hop_is_asked_once_per_destination(self):
+        asked = []
+
+        def next_hop(dest):
+            asked.append(dest)
+            return dest + 100
+
+        buf = PerDestinationBuffer(
+            0, next_hop, OracleGate(lambda neighbor, dest: True)
+        )
+        for _ in range(3):
+            for dest in (1, 2):
+                buf.admit_forwarded_at(make_packet(dest=dest), 0.0)
+        while buf.has_pending():
+            buf.eligible_links(0.0)
+            assert buf.dequeue_for(101, 0.0) or buf.dequeue(0.0)
+        assert sorted(asked) == [1, 2]
+
     def test_eligible_links_reports_raw_backlog(self):
         buf = self.make(allow=False)
         buf.admit_local_at(make_packet(dest=1), 0.0)

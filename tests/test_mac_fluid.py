@@ -227,6 +227,56 @@ def test_fluid_occupancy_attributed_to_sender():
     assert mac.occupancy_snapshot(0) == {}
 
 
+def test_fluid_busy_time_is_the_airtime_of_the_senders_a_node_senses():
+    chain = chain_topology(6, spacing=200.0)
+    capacity = 400.0
+    sim = Simulator(seed=1)
+    mac = FluidMac(sim, chain, capacity_pps=capacity)
+    nodes = {node_id: QueueNode(node_id) for node_id in range(6)}
+    for node_id, node in nodes.items():
+        mac.attach_node(node_id, node.services())
+    mac.start()
+    fill(nodes[0], 10_000, next_hop=1)
+    fill(nodes[2], 40, next_hop=3, flow_id=2)
+    fill(nodes[5], 10_000, next_hop=4, flow_id=3)
+
+    def airtime_sent():
+        return {
+            0: len(nodes[1].received) / capacity,
+            2: len(nodes[3].received) / capacity,
+            5: len(nodes[4].received) / capacity,
+        }
+
+    def sensed(node_id, airtime):
+        return sum(
+            seconds
+            for sender, seconds in airtime.items()
+            if sender == node_id or chain.senses(node_id, sender)
+        )
+
+    sim.run(until=1.0)
+    first = airtime_sent()
+    assert all(first.values())
+    # The two ends are out of each other's carrier-sense range.
+    assert not chain.senses(0, 5)
+    for node_id in nodes:
+        assert mac.busy_snapshot(node_id) == pytest.approx(sensed(node_id, first))
+    # Node 3 hears node 2's and node 5's exchanges, node 5 only its own.
+    assert mac.busy_snapshot(3) > mac.busy_snapshot(5) > 0.0
+
+    # Resetting one node's meter leaves every other node's alone.
+    mac.reset_busy(1)
+    assert mac.busy_snapshot(1) == 0.0
+    for node_id in (0, 2, 3, 4, 5):
+        assert mac.busy_snapshot(node_id) == pytest.approx(sensed(node_id, first))
+    sim.run(until=1.5)
+    since = {s: seconds - first[s] for s, seconds in airtime_sent().items()}
+    assert mac.busy_snapshot(1) == pytest.approx(sensed(1, since))
+    assert mac.busy_snapshot(4) == pytest.approx(sensed(4, airtime_sent()))
+    with pytest.raises(MacError):
+        mac.busy_snapshot(42)
+
+
 def test_fluid_requires_batch_accessors():
     topology = chain_topology(2)
     sim = Simulator()

@@ -6,14 +6,18 @@ from hypothesis import strategies as st
 
 from repro.errors import RoutingError
 from repro.routing.distance_vector import distance_vector_routes
-from repro.routing.link_state import link_state_routes
+from repro.routing.geographic import greedy_geographic_routes
+from repro.routing.link_state import _dijkstra_parents, link_state_routes
 from repro.routing.table import RouteSet, RoutingTable
 from repro.routing.validate import assert_acyclic, routing_is_acyclic
+from repro.scenarios.figures import figure2, figure3, figure4
+from repro.scenarios.scale import scale300
 from repro.topology.builders import chain_topology, grid_topology, random_topology
 
 
 def test_routing_table_next_hop_and_self():
-    table = RoutingTable(node_id=1, next_hops={3: 2})
+    table = RouteSet([1, 2, 3], {3: {1: 2, 2: 3}}).table(1)
+    assert table == RoutingTable(node_id=1, routes=table.routes)
     assert table.next_hop(3) == 2
     assert table.next_hop(1) == 1
     assert table.has_route(3)
@@ -77,23 +81,13 @@ def test_route_set_unknown_node_raises():
 
 
 def test_path_detects_loops():
-    tables = {
-        0: RoutingTable(0, {9: 1}),
-        1: RoutingTable(1, {9: 0}),
-        9: RoutingTable(9, {}),
-    }
-    routes = RouteSet(tables)
+    routes = RouteSet([0, 1, 9], {9: {0: 1, 1: 0}})
     with pytest.raises(RoutingError):
         routes.path(0, 9)
 
 
 def test_routing_is_acyclic_detects_cycle():
-    tables = {
-        0: RoutingTable(0, {9: 1}),
-        1: RoutingTable(1, {9: 0}),
-        9: RoutingTable(9, {}),
-    }
-    routes = RouteSet(tables)
+    routes = RouteSet([0, 1, 9], {9: {0: 1, 1: 0}})
     assert not routing_is_acyclic(routes, 9)
     with pytest.raises(RoutingError):
         assert_acyclic(routes, [9])
@@ -135,3 +129,74 @@ def test_distance_vector_agrees_with_link_state_on_random(seed):
     for src in topology.node_ids:
         for dst in topology.node_ids:
             assert ls.hop_count(src, dst) == dv.hop_count(src, dst)
+
+
+# --- routes are stored per destination and resolved on first use ----------------
+
+TOPOLOGIES = {
+    "figure2": lambda: figure2().topology,
+    "figure3": lambda: figure3().topology,
+    "figure4": lambda: figure4().topology,
+    "random25": lambda: random_topology(25, width=1200.0, height=1200.0, seed=7),
+    "scale300": lambda: scale300().topology,
+}
+BUILDERS = [link_state_routes, distance_vector_routes, greedy_geographic_routes]
+
+
+@pytest.mark.parametrize("build", BUILDERS, ids=lambda build: build.__name__)
+@pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+def test_lazy_per_node_views_equal_the_eager_trees_on_all_pairs(name, build):
+    topology = TOPOLOGIES[name]()
+    ids = topology.node_ids
+    eager = build(topology)
+    assert_acyclic(eager, ids)  # resolves every destination up front
+    trees = {dest: dict(eager.tree(dest)) for dest in ids}
+    if build is link_state_routes:
+        assert trees == {dest: _dijkstra_parents(topology, dest) for dest in ids}
+
+    # A fresh set asked row by row: every node's view of every
+    # destination, so trees resolve interleaved with the look-ups.
+    lazy = build(topology)
+    for node in ids:
+        table = lazy.table(node)
+        assert table.next_hop(node) == node and table.has_route(node)
+        reachable = []
+        for dest in ids:
+            if dest == node:
+                continue
+            if node in trees[dest]:
+                reachable.append(dest)
+                assert table.has_route(dest)
+                assert lazy.next_hop(node, dest) == trees[dest][node]
+                assert table.next_hop(dest) == trees[dest][node]
+            else:
+                assert not table.has_route(dest)
+                with pytest.raises(RoutingError):
+                    lazy.next_hop(node, dest)
+        assert table.destinations() == reachable
+    assert not lazy.table(ids[0]).has_route(-1)  # not a node: no route, no error
+
+
+def test_run_resolves_the_flow_destinations_and_nothing_else(monkeypatch):
+    from repro.churn.spec import ChurnSpec
+    from repro.routing import link_state
+    from repro.scenarios.runner import run_scenario
+
+    resolved = []
+
+    def counting(topology, destination):
+        resolved.append(destination)
+        return _dijkstra_parents(topology, destination)
+
+    monkeypatch.setattr(link_state, "_dijkstra_parents", counting)
+    scenario = scale300()
+    wanted = sorted({flow.destination for flow in scenario.flows})
+    run = dict(protocol="gmp", substrate="fluid", duration=0.5, seed=1)
+    run_scenario(scenario, **run)
+    assert sorted(resolved) == wanted and len(wanted) == 8
+
+    # A dynamic run may graft a flow toward any node: all of them are
+    # resolved (and checked acyclic) up front, each exactly once.
+    resolved.clear()
+    run_scenario(scenario, churn=ChurnSpec(rate=2.0, mean_hold=8.0), **run)
+    assert sorted(resolved) == sorted(scenario.topology.node_ids)
