@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.analysis.maxmin_reference import weighted_maxmin_rates
 from repro.errors import AnalysisError
 from repro.flows.flow import Flow, FlowSet
 from repro.routing.link_state import link_state_routes
-from repro.topology.cliques import maximal_cliques
-from repro.topology.contention import ContentionGraph
+from repro.topology.cliques import CliqueSystem
 from repro.topology.network import Topology
 
 
@@ -391,7 +391,8 @@ def surviving_maxmin_reference(
     if not alive:
         return reference
 
-    cliques = maximal_cliques(ContentionGraph(survivor))
+    paths = (routes.path_links(flow.source, flow.destination) for flow in alive)
+    cliques = CliqueSystem(survivor, chain.from_iterable(paths)).cliques
     solution = weighted_maxmin_rates(
         FlowSet(alive), routes, cliques, capacity
     )

@@ -11,15 +11,29 @@ cost that the in-band scheme would incur is accounted for.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.errors import TopologyError
 from repro.topology.contention import ContentionGraph
-from repro.topology.dominating import dominating_sets
+from repro.topology.dominating import dominating_set
 from repro.topology.neighbors import within_two_hops
 from repro.topology.network import Link, Topology, canonical
 
 
+class _PerNode(dict):  # type: ignore[type-arg]
+    """``node -> resolve(node)``, computed on first lookup."""
+
+    def __init__(self, resolve: Callable[[int], frozenset[int]]) -> None:
+        super().__init__()
+        self._resolve = resolve
+
+    def __missing__(self, node: int) -> frozenset[int]:
+        value = self[node] = self._resolve(node)
+        return value
+
+
 class DisseminationScope:
-    """Precomputed dissemination visibility over a static topology.
+    """Dissemination visibility over a static topology.
 
     The paper's requirement is that a link's state reach "all nodes
     that have a link contending with (i, j)".  Its realization —
@@ -37,11 +51,12 @@ class DisseminationScope:
     ) -> None:
         self.topology = topology
         self.contention = contention
-        self._within2: dict[int, frozenset[int]] = {
-            node: within_two_hops(topology, node) | {node}
-            for node in topology.node_ids
-        }
-        self.dominating = dominating_sets(topology)
+        # Resolved per node on first use: only the audiences of violating
+        # links and the broadcast accounting ever read them.
+        self._within2 = _PerNode(
+            lambda node: within_two_hops(topology, node) | {node}
+        )
+        self.dominating = _PerNode(lambda node: dominating_set(topology, node))
         # Overhead accounting for the in-band scheme this models.
         self.link_state_broadcasts = 0
         self.notice_broadcasts = 0

@@ -49,7 +49,7 @@ from repro.mac.base import MacLayer
 from repro.routing.table import RouteSet
 from repro.sim.kernel import Simulator
 from repro.stack import NodeStack
-from repro.topology.cliques import Clique, maximal_cliques
+from repro.topology.cliques import CliqueSystem
 from repro.topology.contention import ContentionGraph
 from repro.topology.network import Link, Topology, canonical
 
@@ -106,8 +106,7 @@ class GmpProtocol:
         stacks: dict[int, NodeStack],
         *,
         config: GmpConfig | None = None,
-        graph: ContentionGraph | None = None,
-        cliques: list[Clique] | None = None,
+        system: CliqueSystem | None = None,
     ) -> None:
         self.sim = sim
         self.topology = topology
@@ -116,15 +115,19 @@ class GmpProtocol:
         self.stacks = stacks
         self.config = config or GmpConfig()
         self.gvn = GrandVirtualNetwork(routes, flows)
-        # The scenario runner passes the contention graph and cliques it
-        # already built for the MAC; standalone use derives them here.
-        self.graph = graph if graph is not None else ContentionGraph(topology)
-        self.scope = DisseminationScope(topology, self.graph)
-        self.cliques = cliques if cliques is not None else maximal_cliques(self.graph)
-        self._link_cliques: dict[Link, list[Clique]] = {}
-        for clique in self.cliques:
-            for member in clique.links:
-                self._link_cliques.setdefault(member, []).append(clique)
+        # A violation is disseminated to the endpoints of every link
+        # contending with it, routed or not: the scope reads the whole
+        # contention graph (whose rows are formed on demand).
+        self.scope = DisseminationScope(topology, ContentionGraph(topology))
+        # The bandwidth-saturated condition reads the cliques among the
+        # routed links.  The scenario runner passes the run's system
+        # (shared with the MAC and the reference); standalone use starts
+        # one over the flows' paths.
+        if system is None:
+            system = CliqueSystem(
+                topology, (a_link for a_link, _dest in self.gvn.all_virtual_links())
+            )
+        self.system = system
 
         self._trackers: dict[int, MuTracker] = {
             node: MuTracker() for node in stacks
@@ -175,6 +178,9 @@ class GmpProtocol:
         state.admitted_snapshot = traffic.admitted
         state.admitted_snapshot_mid = traffic.admitted
         self._sources[flow_id] = state
+        # A flow routed over links the clique system has not seen grows
+        # it (a membership test per link otherwise).
+        self.system.add_links(self.gvn.flow_links(flow_id))
 
     # --- dynamic workloads (flow churn) ------------------------------------------
 
@@ -718,6 +724,8 @@ class GmpProtocol:
         """
         beta = self.config.beta
         requests: list[RateRequest] = []
+        system = self.system
+        generation = system.generation
 
         # Group bandwidth-saturated virtual links by directed wireless link.
         bw_by_link: dict[Link, dict[int, float]] = {}
@@ -731,8 +739,7 @@ class GmpProtocol:
 
         violations: list[BandwidthViolation] = []
         for a_link in sorted(bw_by_link):
-            canon = canonical(a_link)
-            cliques = self._link_cliques.get(canon, [])
+            cliques = system.cliques_of(a_link)
             clique_occ = {
                 clique.clique_id: sum(
                     occupancy.get(member, 0.0) for member in clique.links
@@ -784,6 +791,9 @@ class GmpProtocol:
                         node, violation, adjacent, beta=beta
                     )
                 )
+        # Clique ids label one generation of the system; every id above
+        # was read and compared within this one evaluation.
+        assert system.generation == generation
         return requests
 
     def _adjacent_vlink_views(
@@ -801,9 +811,8 @@ class GmpProtocol:
                 continue
             a_link = (node, next_hop)
             vlink = (a_link, dest)
-            canon = canonical(a_link)
             clique_ids = frozenset(
-                clique.clique_id for clique in self._link_cliques.get(canon, [])
+                clique.clique_id for clique in self.system.cliques_of(a_link)
             )
             views.append(
                 AdjacentVirtualLinkView(

@@ -24,9 +24,8 @@ from repro.errors import ConfigError, MacError
 from repro.mac.base import MacLayer, NodeServices
 from repro.mac.phy import DEFAULT_PHY, PhyProfile
 from repro.sim.kernel import Simulator
-from repro.topology.cliques import Clique, clique_index_positions, link_clique_indices
-from repro.topology.contention import ContentionGraph
-from repro.topology.network import Link, Topology, canonical
+from repro.topology.cliques import Clique, CliqueSystem, clique_index_positions
+from repro.topology.network import Link, Topology
 
 _EPSILON = 1e-9
 
@@ -160,9 +159,11 @@ def waterfill_links(
 class FluidMac(MacLayer):
     """The fluid substrate.
 
-    Clique constraints are enumerated among the links that have carried
-    traffic so far (the contention graph induced on them), never over
-    the whole topology.
+    Clique constraints come from the run's
+    :class:`~repro.topology.cliques.CliqueSystem`: the cliques among
+    the links routed to carry traffic (the contention graph induced on
+    them), never those of the whole topology.  A backlogged link the
+    system has not seen is admitted to it before the solve.
 
     Args:
         sim: simulation kernel.
@@ -175,6 +176,8 @@ class FluidMac(MacLayer):
         rate_caps: optional per-directed-link rate ceilings.
         alloc_cache: memoize demand→allocation solutions (bit-identical
             results; disabling skips only the memo lookup and store).
+        system: the run's clique system, shared with its other readers;
+            a standalone MAC starts an empty one of its own.
     """
 
     def __init__(
@@ -188,6 +191,7 @@ class FluidMac(MacLayer):
         packet_bytes: int = 1024,
         rate_caps: dict[Link, float] | None = None,
         alloc_cache: bool = True,
+        system: CliqueSystem | None = None,
     ) -> None:
         if round_interval <= 0:
             raise ConfigError(f"round interval must be positive: {round_interval}")
@@ -226,12 +230,11 @@ class FluidMac(MacLayer):
         self._rate_series: dict[Link, object] = {}
         self._active_links: set[Link] = set()
         # Incremental allocation machinery: the clique system the solver
-        # sees (ever-active link -> ids of the cliques that can bind
-        # among them, see _grow_universe), a demand→allocation memo, and
-        # a dirty/idle pair that lets fully quiescent rounds return
-        # immediately (see docs/PERFORMANCE.md for the exactness
-        # argument).
-        self._reduced: dict[Link, tuple[int, ...]] = {}
+        # sees, a demand→allocation memo, and a dirty/idle pair that lets
+        # fully quiescent rounds return immediately (see
+        # docs/PERFORMANCE.md for the exactness argument).
+        self.system = system if system is not None else CliqueSystem(topology)
+        self._published_generation = -1
         self._alloc_cache_enabled = alloc_cache
         self._alloc_cache: dict[object, dict[Link, float]] = {}
         self.alloc_cache_hits = 0
@@ -399,11 +402,14 @@ class FluidMac(MacLayer):
             if demand > _EPSILON:
                 active.append(a_link)
                 limits.append(min(demand, caps.get(a_link, math.inf)))
-        new_links = [a_link for a_link in active if a_link not in self._reduced]
-        if new_links:
-            self._grow_universe(new_links)
-        reduced = self._reduced
-        memberships = [reduced[a_link] for a_link in active]
+        # The system's cliques are exactly the constraints the full
+        # clique list puts on any active set inside it, so allocations
+        # are bit-identical to solving over every clique (argument in
+        # docs/PERFORMANCE.md).  It only grows: links toggling in and
+        # out of backlog never re-enumerate.
+        self.system.add_links(active)
+        link_cliques = self.system.memberships
+        memberships = [link_cliques[a_link] for a_link in active]
         alloc = dict(
             zip(active, _waterfill_core(limits, memberships, self.capacity_pps))
         )
@@ -412,36 +418,6 @@ class FluidMac(MacLayer):
                 self._alloc_cache.clear()
             self._alloc_cache[key] = alloc
         return alloc
-
-    def _grow_universe(self, new_links: list[Link]) -> None:
-        """Admit first-time-active links to the solver's universe and
-        rebuild the clique system over it: the maximal cliques of the
-        contention graph induced on the universe's topology links.
-
-        Every clique among the universe's links extends to a maximal
-        clique of the whole contention graph, so these are exactly the
-        constraints the full clique list puts on any active set inside
-        the universe, and allocations are bit-identical to solving over
-        every clique (argument in docs/PERFORMANCE.md).  A link outside
-        the topology contends with nothing and stays unconstrained.
-        The universe only grows, so links toggling in and out of
-        backlog never come back here.
-        """
-        universe = [*self._reduced, *new_links]
-        topology = self.topology
-        on_topology = [
-            (i, j) for i, j in universe if i in topology and topology.has_link(i, j)
-        ]
-        memberships = link_clique_indices(ContentionGraph(topology, on_topology))
-        self._reduced = {
-            a_link: memberships.get(canonical(a_link), ()) for a_link in universe
-        }
-        if self._tm is not None:
-            registry = self._tm.registry
-            registry.gauge("mac.solver_links").set(len(universe))
-            registry.gauge("mac.solver_cliques").set(
-                len({c for clique_ids in memberships.values() for c in clique_ids})
-            )
 
     def _round(self) -> None:
         if self._idle and not self._dirty:
@@ -455,11 +431,10 @@ class FluidMac(MacLayer):
         interval = self.round_interval
         down = self._down
         capacity = self.capacity_pps
-        # The clamp reads the map the solver reads; a link not yet in
-        # the universe is simply left unclamped for its first round,
-        # which yields the same allocation (clamping is a pure cache-key
-        # normalization) at worst costing one extra cache entry.
-        memberships_map = self._reduced
+        # The clamp reads the map the solver reads (clamping is a pure
+        # cache-key normalization, so a link the system has yet to see
+        # may go unclamped: same allocation).
+        memberships_map = self.system.memberships
         # One fused pass over the nodes that may hold a packet: poll
         # each one's eligibility and emit the clamped (link, demand)
         # vector the allocator keys on.  Nodes report disjoint link sets
@@ -582,6 +557,11 @@ class FluidMac(MacLayer):
         assert self._tm is not None
         now = self.sim.now
         registry = self._tm.registry
+        system = self.system
+        if self._published_generation != system.generation:
+            self._published_generation = system.generation
+            registry.gauge("mac.solver_links").set(len(system.links))
+            registry.gauge("mac.solver_cliques").set(len(system.cliques))
 
         def series_for(a_link: Link):
             series = self._rate_series.get(a_link)

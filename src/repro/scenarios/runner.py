@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Any
 
 from repro.analysis.maxmin_reference import MaxminSolution, weighted_maxmin_rates
@@ -67,7 +68,7 @@ from repro.sim.replay import ReplayReport, ReplaySanitizer, diff_sanitizers
 from repro.sim.trace import TraceCollector
 from repro.stack import NodeStack
 from repro.telemetry import Telemetry
-from repro.topology.cliques import maximal_cliques
+from repro.topology.cliques import CliqueSystem, maximal_cliques
 from repro.topology.contention import ContentionGraph
 
 TRAFFIC_MODELS = {
@@ -226,8 +227,12 @@ class Session:
                 (flow.packet_bytes for flow in flows), default=Flow.packet_bytes
             )
             self.capacity_pps = self.phy.clique_capacity(packet_bytes)
-        self._contention: tuple[Any, Any] | None = None
-        self._reference: tuple[tuple[int, ...], Any] | None = None
+        # The run's one clique system, over the routed links: read by the
+        # fluid MAC, GMP and the maxmin reference; grown by flows grafted
+        # over links it has not seen.
+        paths = (routes.path_links(flow.source, flow.destination) for flow in flows)
+        self.system = CliqueSystem(topology, chain.from_iterable(paths))
+        self._reference: tuple[tuple[int, ...], Any, Any] | None = None
 
         if self.substrate == "dcf":
             mac = DcfMac(
@@ -240,6 +245,7 @@ class Session:
                 round_interval=self.fluid_round,
                 capacity_pps=self.capacity_pps,
                 rate_caps=scenario.rate_caps,
+                system=self.system,
             )
         self.mac = mac
 
@@ -258,10 +264,9 @@ class Session:
 
         self.gmp: GmpProtocol | None = None
         if self.protocol == "gmp":
-            graph, cliques = self.contention()
             self.gmp = GmpProtocol(
                 sim, topology, routes, flows, mac, stacks,
-                config=gmp_config, graph=graph, cliques=cliques,
+                config=gmp_config, system=self.system,
             )
             for stack in stacks.values():
                 stack.observer = self.gmp.observer()
@@ -277,7 +282,10 @@ class Session:
 
         self.extras: dict[str, Any] = {}
         if self.protocol == "2pp":
-            allocation = two_phase_rates(flows, routes, self.cliques(), self.capacity_pps)
+            # Phase 1 divides by each clique's full membership, routed
+            # or not: 2PP alone needs the cliques of the whole topology.
+            cliques = maximal_cliques(ContentionGraph(topology))
+            allocation = two_phase_rates(flows, routes, cliques, self.capacity_pps)
             for flow_id, rate in allocation.rates.items():
                 sources[flow_id].set_rate_limit(max(rate, 1.0))
             self.extras["two_phase"] = allocation
@@ -326,19 +334,6 @@ class Session:
             flow = flows.get(flow_id)
             offset = float(jitter.uniform(0.0, 1.0 / flow.desired_rate))
             sources[flow_id].start(offset=offset)
-
-    def contention(self) -> tuple[Any, Any]:
-        """The contention graph and its maximal cliques, shared by the
-        consumers of the global clique list (GMP, 2PP, the maxmin
-        reference) and computed lazily at most once per run; the fluid
-        MAC enumerates only among the links that carry traffic."""
-        if self._contention is None:
-            graph = ContentionGraph(self.scenario.topology)
-            self._contention = (graph, maximal_cliques(graph))
-        return self._contention
-
-    def cliques(self) -> Any:
-        return self.contention()[1]
 
     def make_source(self, flow: Flow, model: str) -> TrafficSource:
         """An unstarted source for ``flow`` with the run's admit /
@@ -544,21 +539,24 @@ class Session:
         key = tuple(sorted(flow.flow_id for flow in self.flows))
         cached = self._reference
         if cached is None or cached[0] != key:
+            # Clique ids label one generation of the system: the list
+            # solved over is kept with the solution that names them.
+            cliques = self.system.cliques
             if key:
                 solution = weighted_maxmin_rates(
-                    self.flows, self.routes, self.cliques(), self.capacity_pps
+                    self.flows, self.routes, cliques, self.capacity_pps
                 )
             else:
                 # Churn or DELETE can empty the live set; the public
                 # solver rejects that, the reference of no flows is empty.
                 solution = MaxminSolution({}, {}, {}, {})
-            cached = self._reference = (key, solution)
-        solution = cached[1]
+            cached = self._reference = (key, solution, cliques)
+        _key, solution, cliques = cached
         return {
             "maxmin_reference": dict(solution.rates),
             # The full solution: bottleneck clique per flow, clique usage.
             "maxmin_solution": solution,
-            "cliques": self.cliques(),
+            "cliques": cliques,
             "capacity_pps": self.capacity_pps,
         }
 

@@ -13,7 +13,7 @@ from repro.topology.builders import (
     parallel_chains_topology,
     random_topology,
 )
-from repro.topology.cliques import Clique, maximal_cliques
+from repro.topology.cliques import Clique, CliqueSystem, maximal_cliques
 from repro.topology.contention import ContentionGraph, links_contend
 from repro.topology.dominating import dominating_set
 from repro.topology.neighbors import one_hop_neighbors, two_hop_neighbors
@@ -40,5 +40,6 @@ __all__ = [
     "ContentionGraph",
     "links_contend",
     "Clique",
+    "CliqueSystem",
     "maximal_cliques",
 ]

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from repro.errors import AnalysisError
 from repro.topology.contention import ContentionGraph
-from repro.topology.network import Link, canonical
+from repro.topology.network import Link, Topology, canonical, reverse
 
 
 @dataclass(frozen=True)
@@ -161,17 +162,6 @@ def _bit_positions(mask: int, num_bytes: int) -> tuple[int, ...]:
     )
 
 
-def _maximal_clique_masks(adjacency: list[int]) -> list[int]:
-    """Every maximal clique of the graph as a vertex bitmask, in
-    enumeration order.  Bron–Kerbosch runs per connected component; a
-    clique can never span components, so the union of per-component
-    enumerations is exactly the global enumeration."""
-    raw_masks: list[int] = []
-    for component in _components(adjacency):
-        _bron_kerbosch(adjacency, 0, component, 0, raw_masks)
-    return raw_masks
-
-
 def maximal_cliques(graph: ContentionGraph) -> list[Clique]:
     """All proper (maximal) contention cliques of ``graph``.
 
@@ -179,10 +169,12 @@ def maximal_cliques(graph: ContentionGraph) -> list[Clique]:
     the definition: a lone link still shares the channel with itself.
 
     Enumeration is over bitmask vertex sets (links mapped to bit
-    positions in sorted-link order — see :func:`_bron_kerbosch`).  The
-    enumerated set of maximal cliques is a graph invariant, and the
-    global sort below fixes the numbering, so ids are bit-identical to
-    the historical all-at-once set-based run.
+    positions in sorted-link order — see :func:`_bron_kerbosch`), one
+    Bron–Kerbosch run per connected component: a clique can never span
+    components, so the union of the per-component enumerations is
+    exactly the global one.  The enumerated set of maximal cliques is a
+    graph invariant, and the global sort below fixes the numbering, so
+    ids are bit-identical to the historical all-at-once set-based run.
 
     Results are deterministic: cliques are sorted by their link sets
     and numbered in that order.
@@ -193,11 +185,12 @@ def maximal_cliques(graph: ContentionGraph) -> list[Clique]:
     # sorting the position tuples equals sorting by link sets.  The
     # owner (smallest node id) is the first endpoint of the first
     # link: links are canonical (i < j) and sorted by (i, j).
+    adjacency = graph.contender_masks()
+    raw_masks: list[int] = []
+    for component in _components(adjacency):
+        _bron_kerbosch(adjacency, 0, component, 0, raw_masks)
     num_bytes = (len(links) + 7) // 8
-    raw = sorted(
-        _bit_positions(members, num_bytes)
-        for members in _maximal_clique_masks(graph.contender_masks())
-    )
+    raw = sorted(_bit_positions(members, num_bytes) for members in raw_masks)
 
     sequence_by_owner: dict[int, int] = {}
     cliques: list[Clique] = []
@@ -210,20 +203,74 @@ def maximal_cliques(graph: ContentionGraph) -> list[Clique]:
     return cliques
 
 
-def link_clique_indices(graph: ContentionGraph) -> dict[Link, tuple[int, ...]]:
-    """Map each link of ``graph`` to the indices of the maximal cliques
-    containing it — the cliques unlabeled: no ids, no sort, indices in
-    enumeration order.  What a solver that only groups links by clique
-    (the fluid MAC's water-filling) needs of :func:`maximal_cliques`,
-    for the price of the enumeration alone.
+class CliqueSystem:
+    """The clique system of one run, sized by its traffic: the maximal
+    cliques of the contention graph *induced on the links that are
+    routed to carry (or have carried) packets* — the universe ``U``.
+
+    Every clique among links of ``U`` extends to a maximal clique of
+    the whole contention graph, so the maximal projections of the
+    global cliques onto ``U`` are exactly these; what the induced
+    system leaves out are the *dominated* projections, which are
+    redundant as capacity constraints (docs/PERFORMANCE.md) and which
+    the GMP differential in ``tests/test_clique_system.py`` measures
+    for the bandwidth-saturated condition (docs/PROTOCOL.md).  It is
+    what the fluid MAC's solver, GMP's bandwidth-saturated condition
+    and the maxmin reference all read.
+
+    ``U`` only grows (:meth:`add_links`), and each growth re-enumerates
+    from scratch.  Clique ids (and positions in :attr:`cliques`) label
+    one :attr:`generation`: nothing may hold one across a growth.
+
+    Args:
+        topology: the wireless network.
+        links: the initial universe, either direction of each link.
     """
-    links = graph.links
-    num_bytes = (len(links) + 7) // 8
-    memberships: list[list[int]] = [[] for _ in links]
-    for index, members in enumerate(_maximal_clique_masks(graph.contender_masks())):
-        for position in _bit_positions(members, num_bytes):
-            memberships[position].append(index)
-    return {a_link: tuple(ids) for a_link, ids in zip(links, memberships)}
+
+    def __init__(self, topology: Topology, links: Iterable[Link] = ()) -> None:
+        self.topology = topology
+        #: Enumerations so far; a reader comparing two reads of it
+        #: knows whether the clique labels it holds are still current.
+        self.generation = 0
+        self.cliques: list[Clique] = []
+        #: Link of ``U``, under either direction -> ascending positions
+        #: in :attr:`cliques` of the cliques containing it.  A link
+        #: outside the topology contends with nothing: ``()``.
+        self.memberships: dict[Link, tuple[int, ...]] = {}
+        self.add_links(links)
+
+    @property
+    def links(self) -> list[Link]:
+        """The universe ``U`` (canonical links), sorted."""
+        return sorted({canonical(a_link) for a_link in self.memberships})
+
+    def add_links(self, links: Iterable[Link]) -> bool:
+        """Admit links to ``U``; True if that grew it (the cliques were
+        re-enumerated and a new generation began).  Links already in
+        ``U`` cost a membership test each."""
+        memberships = self.memberships
+        fresh = [a_link for a_link in links if a_link not in memberships]
+        if not fresh:
+            return False
+        topology = self.topology
+        universe = {canonical(a_link) for a_link in (*memberships, *fresh)}
+        graph = ContentionGraph(
+            topology,
+            ((i, j) for i, j in universe if i in topology and topology.has_link(i, j)),
+        )
+        self.cliques = maximal_cliques(graph)
+        positions = clique_index_positions(self.cliques)
+        grown: dict[Link, tuple[int, ...]] = {}
+        for a_link in universe:
+            grown[a_link] = grown[reverse(a_link)] = positions.get(a_link, ())
+        self.memberships = grown
+        self.generation += 1
+        return True
+
+    def cliques_of(self, a_link: Link) -> list[Clique]:
+        """The cliques containing ``a_link``, in :attr:`cliques` order
+        (none for a link outside ``U``)."""
+        return [self.cliques[k] for k in self.memberships.get(a_link, ())]
 
 
 def clique_index_positions(cliques: list[Clique]) -> dict[Link, tuple[int, ...]]:

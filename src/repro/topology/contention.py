@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from repro.errors import TopologyError
 from repro.topology.network import Link, Topology, canonical
 
@@ -36,96 +34,67 @@ def links_contend(topology: Topology, first: Link, second: Link) -> bool:
     return any(topology.interferes(x, y) for x in a for y in b)
 
 
-def _contention_adjacency(
-    topology: Topology, vertices: list[Link]
-) -> tuple[dict[Link, frozenset[Link]], list[int]]:
-    """Adjacency of the contention graph over ``vertices``, built
-    locally instead of via O(L²) :func:`links_contend` probes.
-
-    Two distinct canonical links contend iff they share a node or some
-    endpoint of one lies within interference range of some endpoint of
-    the other — equivalently, writing ``close(x)`` for the vertices
-    with an endpoint in ``{x} ∪ ball(x, cs_range)``, the contenders of
-    ``(i, j)`` are exactly ``close(i) ∪ close(j)`` minus the link
-    itself.  ``ball`` comes from the topology's per-sender sensing
-    sets (spatial index), so construction touches only spatially
-    nearby link pairs: near-linear in the link count at fixed density.
-    The equivalence with pairwise ``links_contend`` probes is pinned
-    by ``tests/test_topology_spatial.py``.
-
-    Returns the adjacency both as link frozensets (the graph API) and
-    as per-vertex bitmasks over vertex positions (bit ``k`` ⇔
-    ``vertices[k]``), which the clique enumerator consumes directly.
-    """
-    incident: dict[int, list[int]] = {}
-    for position, (i, j) in enumerate(vertices):
-        incident.setdefault(i, []).append(position)
-        incident.setdefault(j, []).append(position)
-    incident_arrays = {
-        node_id: np.asarray(positions, dtype=np.int64)
-        for node_id, positions in incident.items()
-    }
-
-    def close_links(node_id: int) -> np.ndarray:
-        blocks = [incident_arrays[node_id]]
-        for other in sorted(topology.sensing_nodes(node_id)):
-            block = incident_arrays.get(other)
-            if block is not None:
-                blocks.append(block)
-        return np.unique(np.concatenate(blocks))
-
-    close_cache: dict[int, np.ndarray] = {}
-    adjacency: dict[Link, frozenset[Link]] = {}
-    masks: list[int] = []
-    row = np.zeros(len(vertices), dtype=bool)
-    for position, a_link in enumerate(vertices):
-        i, j = a_link
-        near_i = close_cache.get(i)
-        if near_i is None:
-            near_i = close_cache[i] = close_links(i)
-        near_j = close_cache.get(j)
-        if near_j is None:
-            near_j = close_cache[j] = close_links(j)
-        contenders = np.union1d(near_i, near_j)
-        adjacency[a_link] = frozenset(
-            vertices[k] for k in contenders.tolist() if k != position
-        )
-        row[contenders] = True
-        row[position] = False
-        masks.append(
-            int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        )
-        row[contenders] = False
-    return adjacency, masks
-
-
 class ContentionGraph:
     """Adjacency structure over undirected wireless links.
 
     Vertices are canonical ``(min, max)`` link pairs; an edge joins two
-    links that contend.  Built once per scenario and shared by the
-    clique enumeration, the fluid MAC, and GMP's bandwidth-saturated
-    condition.  Construction is localized through the topology's
-    spatial index (see :func:`_contention_adjacency`) — only links
-    whose endpoints fall within ``cs_range + 2·tx_range`` of each
-    other can contend, so no all-pairs probing is needed.
+    links that contend.  ``links=None`` spans the whole topology;
+    otherwise the graph is the one *induced* on the given links.
+
+    Nothing is computed per link at construction.  Two distinct
+    canonical links contend iff they share a node or some endpoint of
+    one lies within interference range of some endpoint of the other —
+    equivalently, writing ``close(x)`` for the vertices with an endpoint
+    in ``{x} ∪ ball(x, cs_range)``, the contenders of ``(i, j)`` are
+    exactly ``close(i) ∪ close(j)`` minus the link itself.  ``ball``
+    comes from the topology's per-sender sensing sets (spatial index),
+    so a row touches only spatially nearby links, and it is formed when
+    first asked for: :meth:`contenders` / :meth:`are_adjacent` cost the
+    rows they read, :meth:`contender_masks` the rows of this graph's own
+    vertex set.  The equivalence with pairwise :func:`links_contend`
+    probes is pinned by ``tests/test_topology_spatial.py``.
     """
 
     def __init__(self, topology: Topology, links: Iterable[Link] | None = None) -> None:
         self.topology = topology
-        if links is None:
-            vertices = list(topology.undirected_links())
-        else:
-            vertices = sorted({canonical(a_link) for a_link in links})
-            for a_link in vertices:
+        # None while spanning the whole topology: vertices are listed,
+        # and incident links grouped, only by the calls that need them.
+        self._vertices: list[Link] | None = None
+        self._incident: dict[int, list[Link]] | None = None
+        if links is not None:
+            self._vertices = sorted({canonical(a_link) for a_link in links})
+            self._incident = {}
+            for a_link in self._vertices:
                 topology.validate_link(a_link)
-        self._vertices: list[Link] = vertices
-        self._adjacency, self._masks = _contention_adjacency(topology, vertices)
+                for node_id in a_link:
+                    self._incident.setdefault(node_id, []).append(a_link)
+        self._close: dict[int, frozenset[Link]] = {}
+        self._rows: dict[Link, frozenset[Link]] = {}
 
     @property
     def links(self) -> list[Link]:
         """All vertices (canonical undirected links), sorted."""
+        if self._vertices is None:
+            self._vertices = self.topology.undirected_links()
         return list(self._vertices)
+
+    def _incident_links(self, node_id: int) -> Iterable[Link]:
+        if self._incident is not None:
+            return self._incident.get(node_id, ())
+        return [
+            canonical((node_id, peer)) for peer in self.topology.neighbors(node_id)
+        ]
+
+    def _close_links(self, node_id: int) -> frozenset[Link]:
+        """Vertices with an endpoint at, or within carrier-sense range
+        of, ``node_id``."""
+        close = self._close.get(node_id)
+        if close is None:
+            members = set(self._incident_links(node_id))
+            for other in self.topology.sensing_nodes(node_id):
+                members.update(self._incident_links(other))
+            close = self._close[node_id] = frozenset(members)
+        return close
 
     def canonical(self, a_link: Link) -> Link:
         """Canonical representative of ``a_link``.
@@ -133,21 +102,47 @@ class ContentionGraph:
         Raises:
             TopologyError: if the link is not part of this graph.
         """
-        canon = canonical(a_link)
-        if canon not in self._adjacency:
+        canon = i, j = canonical(a_link)
+        if self._incident is not None:
+            present = canon in self._incident.get(i, ())
+        else:
+            present = i in self.topology and self.topology.has_link(i, j)
+        if not present:
             raise TopologyError(f"link {a_link} not in contention graph")
         return canon
 
     def contenders(self, a_link: Link) -> frozenset[Link]:
         """Links that contend with ``a_link`` (canonical forms)."""
-        return self._adjacency[self.canonical(a_link)]
+        canon = self.canonical(a_link)
+        row = self._rows.get(canon)
+        if row is None:
+            i, j = canon
+            row = self._rows[canon] = (
+                self._close_links(i) | self._close_links(j)
+            ) - {canon}
+        return row
 
     def contender_masks(self) -> list[int]:
         """Per-vertex contention adjacency as bitmasks: entry ``k``
         has bit ``m`` set iff ``links[k]`` contends with ``links[m]``
         (positions into :attr:`links`).  This is the representation
         the clique enumerator works in."""
-        return list(self._masks)
+        vertices = self.links
+        bit = {a_link: 1 << position for position, a_link in enumerate(vertices)}
+        close_masks: dict[int, int] = {}
+
+        def close_mask(node_id: int) -> int:
+            mask = close_masks.get(node_id)
+            if mask is None:
+                mask = 0
+                for a_link in self._close_links(node_id):
+                    mask |= bit[a_link]
+                close_masks[node_id] = mask
+            return mask
+
+        return [
+            (close_mask(i) | close_mask(j)) & ~bit[(i, j)] for i, j in vertices
+        ]
 
     def degree(self, a_link: Link) -> int:
         """Number of links contending with ``a_link``."""

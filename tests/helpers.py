@@ -5,8 +5,11 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+from repro.flows.flow import Flow, FlowSet
 from repro.flows.packet import Packet
 from repro.mac.base import NodeServices
+from repro.scenarios.figures import Scenario
+from repro.topology.builders import random_topology
 
 
 class SaturatedSender:
@@ -109,14 +112,43 @@ def idle_services(node_id: int) -> NodeServices:
     return sink.services(), sink
 
 
-def clique_member_sets(memberships) -> list[frozenset]:
-    """A link -> clique-index map inverted to one member set per index
-    (a list: a map that carries the same member set twice shows it)."""
-    members: dict[int, set] = {}
-    for a_link, indices in memberships.items():
-        for index in indices:
-            members.setdefault(index, set()).add(a_link)
-    return [frozenset(links) for links in members.values()]
+def random_scenario(seed, num_nodes=8, num_flows=4):
+    topology = random_topology(num_nodes, width=700.0, height=700.0, seed=seed)
+    rng_ids = topology.node_ids
+    flows = []
+    flow_id = 1
+    # Deterministic pseudo-random flow endpoints from the seed.
+    for k in range(num_flows):
+        source = rng_ids[(seed + 3 * k) % len(rng_ids)]
+        dest = rng_ids[(seed + 5 * k + 1) % len(rng_ids)]
+        if source == dest:
+            dest = rng_ids[(rng_ids.index(dest) + 1) % len(rng_ids)]
+        flows.append(
+            Flow(flow_id=flow_id, source=source, destination=dest, desired_rate=400.0)
+        )
+        flow_id += 1
+    return Scenario(
+        name=f"random-{seed}", topology=topology, flows=FlowSet(flows)
+    )
+
+
+def count_enumerations(monkeypatch) -> list[int]:
+    """Record the vertex count of every graph handed to
+    ``maximal_cliques`` from now on — by the clique system (which looks
+    the name up in its own module) and by the runner's 2PP site."""
+    from repro.scenarios import runner as runner_module
+    from repro.topology import cliques as cliques_module
+    from repro.topology.cliques import maximal_cliques
+
+    sizes: list[int] = []
+
+    def counting_cliques(graph):
+        sizes.append(len(graph.links))
+        return maximal_cliques(graph)
+
+    for module in (cliques_module, runner_module):
+        monkeypatch.setattr(module, "maximal_cliques", counting_cliques)
+    return sizes
 
 
 # --- PerDestinationBuffer before it was indexed by next hop ---------------------

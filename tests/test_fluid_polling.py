@@ -28,7 +28,7 @@ def poll_every_node(mac: FluidMac):
         for a_link, count in mac._services[node_id].eligible_links().items():
             if count > 0 and a_link[1] not in down:
                 demand = count / interval
-                if demand > capacity and mac._reduced.get(a_link):
+                if demand > capacity and mac.system.memberships.get(a_link):
                     demand = capacity
                 quantized.append((a_link, demand))
     idle = not quantized and all(

@@ -13,11 +13,13 @@ from repro.core.protocol import GmpProtocol
 from repro.errors import ConfigError, ProtocolError
 from repro.flows.flow import Flow, FlowSet
 from repro.routing.link_state import link_state_routes
-from repro.scenarios.figures import Scenario, figure2, figure3
+from repro.scenarios.figures import Scenario, figure1, figure2, figure3
 from repro.scenarios.runner import run_scenario
 from repro.topology.builders import chain_topology
 from repro.topology.cliques import maximal_cliques
 from repro.topology.contention import ContentionGraph
+
+from helpers import count_enumerations
 
 FAST = GmpConfig(period=0.5, additive_increase=4.0)
 
@@ -172,46 +174,47 @@ def test_gmp_respects_weights_on_shared_bottleneck():
 
 @pytest.mark.parametrize("substrate", ["fluid", "dcf"])
 def test_run_scenario_builds_contention_and_cliques_once(monkeypatch, substrate):
-    """The runner's contention graph and clique list are shared by GMP
-    and the maxmin reference instead of rebuilt per consumer."""
-    from repro.core import protocol as protocol_module
-    from repro.scenarios import runner as runner_module
+    """One clique system per run, enumerated once, over the routed
+    links: the MAC, GMP and the maxmin reference all read it instead of
+    building a clique list each.  (Until ISSUE 24 this pinned one
+    *global* graph + clique list shared through the runner's cache.)"""
+    from repro.telemetry import Telemetry
+    from repro.topology.cliques import CliqueSystem
 
-    calls = {"graph": 0, "cliques": 0}
+    sizes = count_enumerations(monkeypatch)
+    systems = []
+    init = CliqueSystem.__init__
 
-    class CountingGraph(ContentionGraph):
-        def __init__(self, *args, **kwargs):
-            calls["graph"] += 1
-            super().__init__(*args, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        systems.append(self)
+        init(self, *args, **kwargs)
 
-    def counting_cliques(graph):
-        calls["cliques"] += 1
-        return maximal_cliques(graph)
-
-    for module in (protocol_module, runner_module):
-        monkeypatch.setattr(module, "ContentionGraph", CountingGraph)
-        monkeypatch.setattr(module, "maximal_cliques", counting_cliques)
-    run_scenario(
-        figure3(), protocol="gmp", substrate=substrate, duration=1.0, gmp_config=FAST
+    monkeypatch.setattr(CliqueSystem, "__init__", counting_init)
+    scenario = figure1()
+    result = run_scenario(
+        scenario,
+        protocol="gmp",
+        substrate=substrate,
+        duration=1.0,
+        gmp_config=FAST,
+        telemetry=Telemetry(enabled=True),  # the reference is solved too
     )
-    assert calls == {"graph": 1, "cliques": 1}
+    (system,) = systems
+    assert system.generation == 1
+    # figure1 routes its two flows over 6 of its 8 links.
+    assert sizes == [6] and len(scenario.topology.undirected_links()) == 8
+    assert result.extras["cliques"] is system.cliques
 
 
 def test_non_gmp_fluid_run_never_enumerates_the_global_cliques(monkeypatch):
-    """The fluid MAC enumerates cliques only among the links that carry
-    traffic, so without GMP, 2PP or the reference nothing asks the
-    runner for the global list."""
-    from repro.scenarios import runner as runner_module
-
-    calls = []
-
-    def counting_cliques(graph):
-        calls.append(graph)
-        return maximal_cliques(graph)
-
-    monkeypatch.setattr(runner_module, "maximal_cliques", counting_cliques)
-    result = run_scenario(
-        figure3(), protocol="802.11", substrate="fluid", duration=1.0, warmup=0.0
-    )
-    assert calls == []
-    assert result.effective_throughput > 0
+    """Nothing but 2PP — whose phase 1 divides by each clique's full
+    membership — ever hands Bron–Kerbosch more than the routed links:
+    not the fluid MAC, not GMP, not the reference."""
+    scenario = figure1()
+    for protocol in ("802.11", "gmp", "2pp"):
+        sizes = count_enumerations(monkeypatch)
+        result = run_scenario(
+            scenario, protocol=protocol, substrate="fluid", duration=1.0, warmup=0.0
+        )
+        assert sizes == ([6, 8] if protocol == "2pp" else [6]), protocol
+        assert result.effective_throughput > 0

@@ -12,9 +12,9 @@ from repro.sim.kernel import Simulator
 from repro.topology.builders import chain_topology, random_topology
 from repro.topology.cliques import maximal_cliques
 from repro.topology.contention import ContentionGraph
-from repro.topology.network import Topology
+from repro.topology.network import Topology, canonical
 
-from helpers import QueueNode, clique_member_sets
+from helpers import QueueNode
 
 
 def cliques_for(topology):
@@ -307,21 +307,18 @@ def test_fluid_double_start_rejected():
         mac.start()
 
 
-# --- FluidMac solves on the maximal cliques of the contention graph induced on
-# --- the ever-active links: its solve == waterfill_links over every clique, bit
-# --- for bit
+# --- FluidMac solves on its clique system — the maximal cliques of the
+# --- contention graph induced on the links it has seen: its solve ==
+# --- waterfill_links over every clique, bit for bit
 
 OFF_TOPOLOGY_LINK = (10_000, 10_001)
 
 
-def projected_maximal_member_sets(mac, cliques):
+def projected_maximal_member_sets(system, cliques):
     """Brute force, independent of the induced enumeration: every clique
     of the whole graph restricted to the universe, one per distinct
     non-empty member set, none that is a subset of another."""
-    projections = {
-        frozenset(a_link for a_link in mac._reduced if a_link in clique)
-        for clique in cliques
-    }
+    projections = {clique.links & frozenset(system.links) for clique in cliques}
     projections.discard(frozenset())
     return {
         members
@@ -330,15 +327,11 @@ def projected_maximal_member_sets(mac, cliques):
     }
 
 
-def reduced_member_sets(mac):
-    return clique_member_sets(mac._reduced)
-
-
-def assert_reduced_system_is_exact(mac, cliques):
+def assert_reduced_system_is_exact(system, cliques):
     """Induced-maximal == projected-maximal."""
-    reduced = reduced_member_sets(mac)
+    reduced = [clique.links for clique in system.cliques]
     assert len(reduced) == len(set(reduced))
-    assert set(reduced) == projected_maximal_member_sets(mac, cliques)
+    assert set(reduced) == projected_maximal_member_sets(system, cliques)
 
 
 @settings(max_examples=40, deadline=None)
@@ -389,7 +382,7 @@ def test_reduced_solve_equals_full_solve_bit_for_bit(data):
         }
         alloc = mac._allocate_quantized(list(demands.items()))
         assert alloc == waterfill_links(demands, cliques, capacity, rate_caps=caps)
-    assert_reduced_system_is_exact(mac, cliques)
+    assert_reduced_system_is_exact(mac.system, cliques)
 
 
 def test_dominated_clique_is_dropped_and_returns_when_the_universe_grows():
@@ -412,18 +405,20 @@ def test_dominated_clique_is_dropped_and_returns_when_the_universe_grows():
         assert mac._allocate_quantized(list(demands.items())) == waterfill_links(
             demands, cliques, 300.0
         )
-    assert mac._reduced == {(1, 2): (0,), (4, 5): (0,)}
+    assert [clique.sorted_links() for clique in mac.system.cliques] == [
+        [(1, 2), (4, 5)]
+    ]
 
     # (0,1) is in A only, so A's projection is no longer inside B's.
     demands = {(0, 1): 1000.0, (1, 2): 1000.0, (4, 5): 1000.0}
     assert mac._allocate_quantized(list(demands.items())) == waterfill_links(
         demands, cliques, 300.0
     )
-    assert sorted(map(sorted, reduced_member_sets(mac))) == [
+    assert [clique.sorted_links() for clique in mac.system.cliques] == [
         [(0, 1), (1, 2)],
         [(1, 2), (4, 5)],
     ]
-    assert_reduced_system_is_exact(mac, cliques)
+    assert_reduced_system_is_exact(mac.system, cliques)
 
 
 def test_link_in_no_clique_joins_the_universe_unconstrained():
@@ -436,7 +431,8 @@ def test_link_in_no_clique_joins_the_universe_unconstrained():
     assert alloc == waterfill_links(demands, cliques, 300.0)
     # No clique bounds it, so only its own demand does (3x capacity).
     assert alloc[OFF_TOPOLOGY_LINK] == 900.0
-    assert mac._reduced[OFF_TOPOLOGY_LINK] == ()
+    assert mac.system.memberships[OFF_TOPOLOGY_LINK] == ()
+    assert OFF_TOPOLOGY_LINK in mac.system.links
 
 
 def test_scale300_run_solves_every_round_exactly_on_a_tenth_of_the_cliques(
@@ -479,25 +475,30 @@ def test_scale300_run_solves_every_round_exactly_on_a_tenth_of_the_cliques(
     (mac,) = macs
     assert mac.alloc_cache_misses == 99
 
-    reduced = reduced_member_sets(mac)
-    assert (len(mac._reduced), len(reduced), len(cliques)) == (73, 56, 2219)
-    assert len(reduced) <= 0.1 * len(cliques)
+    system = mac.system
+    assert (len(system.links), len(system.cliques), len(cliques)) == (62, 56, 2219)
+    assert len(system.cliques) <= 0.1 * len(cliques)
 
-    # Flows grafted after t = 1 s light up links no static flow uses;
-    # they joined the universe mid-run.
+    # Flows grafted after t = 1 s are routed over links no static flow
+    # uses; registering them grew the run's system (twice: the third
+    # graft's path was already known), so the MAC itself never met a
+    # link it had not seen.
     paths = result.extras["flow_paths"]
     grafted = set(result.flow_lifetimes)
+    assert len(grafted) == 3 and system.generation == 3
+    routed = {
+        canonical(a_link) for flow_id in paths for a_link in paths[flow_id]
+    }
     static_links = {
-        a_link
+        canonical(a_link)
         for flow_id, path in paths.items()
         if flow_id not in grafted
         for a_link in path
     }
-    first_seen_mid_run = {paths[flow_id][0] for flow_id in grafted} - static_links
-    assert first_seen_mid_run and first_seen_mid_run <= set(mac._reduced)
+    assert routed - static_links and set(system.links) == routed
 
     # A link outside the topology joins too, unconstrained; the whole
     # system is still the exact reduction.
     checked(mac, [(OFF_TOPOLOGY_LINK, 5.0)])
-    assert mac._reduced[OFF_TOPOLOGY_LINK] == ()
-    assert_reduced_system_is_exact(mac, cliques)
+    assert system.memberships[OFF_TOPOLOGY_LINK] == () and system.generation == 4
+    assert_reduced_system_is_exact(system, cliques)

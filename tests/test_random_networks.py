@@ -11,32 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import GmpConfig
-from repro.flows.flow import Flow, FlowSet
-from repro.scenarios.figures import Scenario
 from repro.scenarios.runner import run_scenario
-from repro.topology.builders import random_topology
+
+from helpers import random_scenario
 
 FAST = GmpConfig(period=0.5, additive_increase=4.0)
-
-
-def random_scenario(seed, num_nodes=8, num_flows=4):
-    topology = random_topology(num_nodes, width=700.0, height=700.0, seed=seed)
-    rng_ids = topology.node_ids
-    flows = []
-    flow_id = 1
-    # Deterministic pseudo-random flow endpoints from the seed.
-    for k in range(num_flows):
-        source = rng_ids[(seed + 3 * k) % len(rng_ids)]
-        dest = rng_ids[(seed + 5 * k + 1) % len(rng_ids)]
-        if source == dest:
-            dest = rng_ids[(rng_ids.index(dest) + 1) % len(rng_ids)]
-        flows.append(
-            Flow(flow_id=flow_id, source=source, destination=dest, desired_rate=400.0)
-        )
-        flow_id += 1
-    return Scenario(
-        name=f"random-{seed}", topology=topology, flows=FlowSet(flows)
-    )
 
 
 @settings(max_examples=8, deadline=None)

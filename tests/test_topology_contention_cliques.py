@@ -7,16 +7,9 @@ from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.topology.builders import chain_topology, random_topology
-from repro.scenarios.figures import figure3
-from repro.topology.cliques import (
-    clique_index_positions,
-    link_clique_indices,
-    maximal_cliques,
-)
+from repro.topology.cliques import maximal_cliques
 from repro.topology.contention import ContentionGraph, links_contend
 from repro.topology.network import Topology
-
-from helpers import clique_member_sets
 
 
 def test_links_sharing_a_node_contend():
@@ -107,29 +100,6 @@ def test_clique_membership_ignores_direction():
     (clique,) = maximal_cliques(ContentionGraph(chain))
     assert (1, 0) in clique
     assert (0, 1) in clique
-
-
-@pytest.mark.parametrize(
-    "make_graph",
-    [
-        lambda: ContentionGraph(figure3().topology),
-        lambda: ContentionGraph(
-            random_topology(25, width=1200.0, height=1200.0, seed=7)
-        ),
-        lambda: ContentionGraph(
-            chain_topology(10, spacing=200.0), links=[(1, 0), (1, 2), (5, 6), (8, 9)]
-        ),
-    ],
-    ids=["figure3", "random25", "induced"],
-)
-def test_unlabeled_enumeration_is_the_labelled_one_up_to_clique_indices(make_graph):
-    graph = make_graph()
-    unlabeled = link_clique_indices(graph)
-    assert list(unlabeled) == graph.links
-    labelled = clique_index_positions(maximal_cliques(graph))
-    assert sorted(map(sorted, clique_member_sets(unlabeled))) == sorted(
-        map(sorted, clique_member_sets(labelled))
-    )
 
 
 def test_long_chain_cliques_are_windows():

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.errors import TopologyError
 from repro.scenarios.sweep import SCENARIO_FACTORIES
 from repro.topology.builders import random_topology
 from repro.topology.cliques import maximal_cliques
@@ -149,6 +150,54 @@ def test_contender_masks_mirror_adjacency():
             links[k] for k in range(len(links)) if mask >> k & 1
         }
         assert members == graph.contenders(links[index])
+
+
+@pytest.mark.parametrize(
+    "make_topology",
+    [
+        lambda: random_topology(25, width=1200.0, height=1200.0, seed=7),
+        lambda: SCENARIO_FACTORIES["scale300"]().topology,
+    ],
+    ids=["random25", "scale300"],
+)
+def test_rows_on_demand_equal_bulk_masks_equal_pairwise_probes(make_topology):
+    """A contention row is formed when first asked for.  Asked one at a
+    time, in scrambled order, on a fresh graph, every row equals the
+    row the bulk masks carry and the set pairwise ``links_contend``
+    probes give (all 1,258 links of scale300: 790,653 pairs) — on the
+    whole graph and on one induced on a third of its links."""
+    topology = make_topology()
+    links = topology.undirected_links()
+    position = {a_link: k for k, a_link in enumerate(links)}
+    expected = {a_link: set() for a_link in links}
+    for k, a_link in enumerate(links):
+        for other in links[k + 1 :]:
+            if links_contend(topology, a_link, other):
+                expected[a_link].add(other)
+                expected[other].add(a_link)
+
+    scrambled = sorted(links, key=lambda a_link: (a_link[0] * 7919 + a_link[1]) % 1009)
+    lazy = ContentionGraph(topology)
+    # Construction lists no vertex and forms no row.
+    assert lazy._vertices is None and not lazy._rows and not lazy._close
+    for asked, a_link in enumerate(scrambled[:10], start=1):
+        assert lazy.contenders(a_link) == expected[a_link]
+        assert len(lazy._rows) == asked
+    for a_link in scrambled[10:]:
+        assert lazy.contenders(a_link[::-1]) == expected[a_link]
+
+    bulk = ContentionGraph(topology)
+    masks = bulk.contender_masks()
+    assert not bulk._rows  # the enumerator's masks need no link sets
+    for a_link, mask in zip(links, masks):
+        assert mask == sum(1 << position[other] for other in expected[a_link])
+
+    subset = scrambled[::3]
+    induced = ContentionGraph(topology, subset)
+    for a_link in subset:
+        assert induced.contenders(a_link) == expected[a_link] & set(subset)
+    with pytest.raises(TopologyError):
+        induced.contenders(scrambled[1])
 
 
 # --- exact boundary behavior -------------------------------------------------
