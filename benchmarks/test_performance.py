@@ -3,10 +3,10 @@
 Measured so regressions in the hot paths show up: event-kernel
 dispatch (shallow and deep heap), packet-level DCF throughput,
 fluid-round throughput (setup excluded, so the number tracks the round
-machinery itself), the water-filling solver, and clique enumeration on
-a dense random network.  ``benchmarks/bench_json.py`` runs these and
-writes the machine-readable ``BENCH_<n>.json`` tracked across PRs (see
-docs/PERFORMANCE.md).
+machinery itself), the water-filling solver, the maxmin reference
+solve, and clique enumeration on a dense random network.
+``benchmarks/bench_json.py`` runs these and writes the machine-readable
+``BENCH_<n>.json`` tracked across PRs (see docs/PERFORMANCE.md).
 """
 
 import pytest
@@ -241,6 +241,33 @@ def test_waterfill_solver(benchmark):
 
     alloc = benchmark(run)
     assert alloc and all(rate >= 0.0 for rate in alloc.values())
+
+
+def test_maxmin_reference_scale300(benchmark):
+    """The centralized weighted-maxmin solve the repo benchmark times
+    (``workloads.reference_rates``): scale300's flows over all 2,219
+    cliques of the topology, routes and cliques built untimed.  It runs
+    the fluid round's filling loop, so a loop that scans the cliques it
+    is handed instead of the ones the flows cross shows here: ~20 ms,
+    against ~55 ms for the re-summing dict loop the reference had
+    before — through the 2x compare_bench gate."""
+    from repro.analysis.maxmin_reference import weighted_maxmin_rates
+    from repro.mac.phy import DEFAULT_PHY
+    from repro.routing.link_state import link_state_routes
+    from repro.scenarios.scale import scale300
+
+    scenario = scale300()
+    routes = link_state_routes(scenario.topology)
+    cliques = maximal_cliques(ContentionGraph(scenario.topology))
+    capacity = DEFAULT_PHY.saturation_rate(
+        max(flow.packet_bytes for flow in scenario.flows), contenders=3
+    )
+
+    def run():
+        return weighted_maxmin_rates(scenario.flows, routes, cliques, capacity)
+
+    solution = benchmark.pedantic(run, rounds=20, warmup_rounds=1)
+    assert len(cliques) == 2219 and min(solution.rates.values()) > 0
 
 
 def test_clique_enumeration_dense(benchmark):

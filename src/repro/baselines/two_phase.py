@@ -92,8 +92,8 @@ def two_phase_rates(
         ):
             flows_per_link[a_link] = flows_per_link.get(a_link, 0) + 1
     link_share: dict[Link, float] = {}
-    for clique in cliques:
-        share = capacities[clique.clique_id] / len(clique.links)
+    for clique, clique_capacity in zip(cliques, capacities):
+        share = clique_capacity / len(clique.links)
         for a_link in clique.links:
             current = link_share.get(a_link)
             link_share[a_link] = share if current is None else min(current, share)
@@ -112,16 +112,12 @@ def two_phase_rates(
         basic[flow.flow_id] = min(share, flow.desired_rate)
 
     # Phase 2: LP over the remaining capacity.
-    clique_ids = [clique.clique_id for clique in cliques]
-    consumption = np.array(
-        [
-            [traversals[flow_id].get(clique_id, 0) for flow_id in flow_ids]
-            for clique_id in clique_ids
-        ],
-        dtype=float,
-    )
+    consumption = np.zeros((len(cliques), len(flow_ids)))
+    for column, flow_id in enumerate(flow_ids):
+        for position in traversals[flow_id]:
+            consumption[position, column] += 1.0
     used = consumption @ np.array([basic[flow_id] for flow_id in flow_ids])
-    slack = np.array([capacities[cid] for cid in clique_ids]) - used
+    slack = np.array(capacities) - used
     upper = np.array(
         [flows.get(flow_id).desired_rate - basic[flow_id] for flow_id in flow_ids]
     )

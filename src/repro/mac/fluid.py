@@ -18,13 +18,17 @@ omits collisions, hidden-terminal asymmetry, and EIFS effects — use
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 
 from repro.errors import ConfigError, MacError
 from repro.mac.base import MacLayer, NodeServices
 from repro.mac.phy import DEFAULT_PHY, PhyProfile
 from repro.sim.kernel import Simulator
-from repro.topology.cliques import Clique, CliqueSystem, clique_index_positions
+from repro.topology.cliques import (
+    Clique,
+    CliqueSystem,
+    clique_index_positions,
+    progressive_fill,
+)
 from repro.topology.network import Link, Topology
 
 _EPSILON = 1e-9
@@ -32,89 +36,6 @@ _EPSILON = 1e-9
 #: Cached demand→allocation entries kept per FluidMac before the cache
 #: is dropped wholesale (guards against adversarial demand churn).
 _ALLOC_CACHE_LIMIT = 4096
-
-
-def _waterfill_core(
-    limits: list[float],
-    memberships: list[tuple[int, ...]],
-    capacity: float,
-) -> list[float]:
-    """Index-array water-filling over active links 0..m-1.
-
-    ``limits[i]`` is the rate ceiling of link *i* (demand already folded
-    with any per-link cap) and ``memberships[i]`` names the cliques
-    containing it (ids are opaque; only grouping matters).  Returns the
-    allocation per link.
-
-    The freeze loop performs, per link and per clique, the exact same
-    float operations in the exact same order as the historical dict/set
-    implementation (min of identical value sets, identical ``+=`` /
-    ``-=`` step sequences), so allocations are bit-identical — the
-    arrays only remove the per-iteration membership rescans.
-    """
-    m = len(limits)
-    alloc = [0.0] * m
-    # Compact the cliques that actually have active members; member
-    # lists are in link-index order, matching the old active-list scan.
-    clique_members: dict[int, list[int]] = defaultdict(list)
-    for i, clique_ids in enumerate(memberships):
-        for clique_id in clique_ids:
-            clique_members[clique_id].append(i)
-    member_lists = list(clique_members.values())
-    n_cliques = len(member_lists)
-    remaining = [capacity] * n_cliques
-    counts = [len(members) for members in member_lists]
-    link_cliques: list[list[int]] = [[] for _ in range(m)]
-    for c, members in enumerate(member_lists):
-        for i in members:
-            link_cliques[i].append(c)
-
-    frozen = [False] * m
-    # Ascending index list of still-unfrozen links; scanning it instead
-    # of range(m) keeps every min/update/check over the identical value
-    # set (and in the same index order), just without revisiting frozen
-    # slots.
-    unfrozen = list(range(m))
-    while unfrozen:
-        # Distance to the next event: a link reaching its limit or a
-        # clique exhausting its remaining capacity.
-        step = min(limits[i] - alloc[i] for i in unfrozen)
-        for c in range(n_cliques):
-            count = counts[c]
-            if count:
-                share = remaining[c] / count
-                if share < step:
-                    step = share
-        if step < 0:
-            step = 0.0
-
-        for i in unfrozen:
-            alloc[i] += step
-        newly: list[int] = []
-        for c in range(n_cliques):
-            count = counts[c]
-            if count == 0:
-                continue
-            remaining[c] -= step * count
-            if remaining[c] <= _EPSILON:
-                members = member_lists[c]
-                for i in members:
-                    if not frozen[i]:
-                        newly.append(i)
-        for i in unfrozen:
-            if alloc[i] >= limits[i] - _EPSILON:
-                newly.append(i)
-        if not newly:
-            # Nothing froze: every unfrozen link is unconstrained, which
-            # can only happen if step was 0 for numerical reasons.
-            break
-        for i in newly:
-            if not frozen[i]:
-                frozen[i] = True
-                for c in link_cliques[i]:
-                    counts[c] -= 1
-        unfrozen = [i for i in unfrozen if not frozen[i]]
-    return alloc
 
 
 def waterfill_links(
@@ -152,7 +73,9 @@ def waterfill_links(
         positions.get((i, j) if i <= j else (j, i), ())
         for i, j in active
     ]
-    rates = _waterfill_core(limits, memberships, capacity)
+    rates, _, _ = progressive_fill(
+        limits, [1.0] * len(active), memberships, [capacity] * len(cliques)
+    )
     return dict(zip(active, rates))
 
 
@@ -174,8 +97,6 @@ class FluidMac(MacLayer):
         phy: PHY profile used for the capacity default.
         packet_bytes: payload size for the capacity default.
         rate_caps: optional per-directed-link rate ceilings.
-        alloc_cache: memoize demand→allocation solutions (bit-identical
-            results; disabling skips only the memo lookup and store).
         system: the run's clique system, shared with its other readers;
             a standalone MAC starts an empty one of its own.
     """
@@ -190,7 +111,6 @@ class FluidMac(MacLayer):
         phy: PhyProfile = DEFAULT_PHY,
         packet_bytes: int = 1024,
         rate_caps: dict[Link, float] | None = None,
-        alloc_cache: bool = True,
         system: CliqueSystem | None = None,
     ) -> None:
         if round_interval <= 0:
@@ -235,7 +155,10 @@ class FluidMac(MacLayer):
         # docs/PERFORMANCE.md for the exactness argument).
         self.system = system if system is not None else CliqueSystem(topology)
         self._published_generation = -1
-        self._alloc_cache_enabled = alloc_cache
+        # The capacity of each of the system's cliques, by position: one
+        # generation's worth.
+        self._capacities: list[float] = []
+        self._capacities_generation = -1
         self._alloc_cache: dict[object, dict[Link, float]] = {}
         self.alloc_cache_hits = 0
         self.alloc_cache_misses = 0
@@ -383,19 +306,17 @@ class FluidMac(MacLayer):
         the only thing bounding them.
         """
         caps = self._effective_caps()
-        key = None
-        if self._alloc_cache_enabled:
-            caps_key = tuple(sorted(caps.items())) if caps else ()
-            key = (tuple(quantized), caps_key)
-            cached = self._alloc_cache.get(key)
-            if cached is not None:
-                self.alloc_cache_hits += 1
-                if self._hit_counter is not None:
-                    self._hit_counter.inc()
-                return cached
-            self.alloc_cache_misses += 1
-            if self._miss_counter is not None:
-                self._miss_counter.inc()
+        caps_key = tuple(sorted(caps.items())) if caps else ()
+        key = (tuple(quantized), caps_key)
+        cached = self._alloc_cache.get(key)
+        if cached is not None:
+            self.alloc_cache_hits += 1
+            if self._hit_counter is not None:
+                self._hit_counter.inc()
+            return cached
+        self.alloc_cache_misses += 1
+        if self._miss_counter is not None:
+            self._miss_counter.inc()
         active: list[Link] = []
         limits: list[float] = []
         for a_link, demand in quantized:
@@ -407,16 +328,22 @@ class FluidMac(MacLayer):
         # are bit-identical to solving over every clique (argument in
         # docs/PERFORMANCE.md).  It only grows: links toggling in and
         # out of backlog never re-enumerate.
-        self.system.add_links(active)
-        link_cliques = self.system.memberships
-        memberships = [link_cliques[a_link] for a_link in active]
-        alloc = dict(
-            zip(active, _waterfill_core(limits, memberships, self.capacity_pps))
+        system = self.system
+        system.add_links(active)
+        if self._capacities_generation != system.generation:
+            self._capacities_generation = system.generation
+            self._capacities = [self.capacity_pps] * len(system.cliques)
+        link_cliques = system.memberships
+        rates, _, _ = progressive_fill(
+            limits,
+            [1.0] * len(active),
+            [link_cliques[a_link] for a_link in active],
+            self._capacities,
         )
-        if key is not None:
-            if len(self._alloc_cache) >= _ALLOC_CACHE_LIMIT:
-                self._alloc_cache.clear()
-            self._alloc_cache[key] = alloc
+        alloc = dict(zip(active, rates))
+        if len(self._alloc_cache) >= _ALLOC_CACHE_LIMIT:
+            self._alloc_cache.clear()
+        self._alloc_cache[key] = alloc
         return alloc
 
     def _round(self) -> None:

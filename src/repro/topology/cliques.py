@@ -15,6 +15,7 @@ node id appearing in the clique plus a sequence number (paper §6.3).
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
@@ -24,6 +25,8 @@ import numpy as np
 from repro.errors import AnalysisError
 from repro.topology.contention import ContentionGraph
 from repro.topology.network import Link, Topology, canonical, reverse
+
+_EPSILON = 1e-9
 
 
 @dataclass(frozen=True)
@@ -284,7 +287,9 @@ def clique_index_positions(cliques: list[Clique]) -> dict[Link, tuple[int, ...]]
     """
     positions: dict[Link, list[int]] = defaultdict(list)
     for index, clique in enumerate(cliques):
-        for member in clique.sorted_links():
+        # Positions ascend by construction; the order members are
+        # visited in only orders the keys, which nothing reads.
+        for member in clique.links:
             positions[member].append(index)
     return {a_link: tuple(ids) for a_link, ids in positions.items()}
 
@@ -294,34 +299,123 @@ def clique_traversals(
     paths: dict[int, list[Link]],
     capacity: float,
     clique_capacities: dict[tuple[int, int], float] | None = None,
-) -> tuple[dict[tuple[int, int], float], dict[int, dict[tuple[int, int], int]]]:
+) -> tuple[list[float], dict[int, tuple[int, ...]]]:
     """The shared preamble of the clique-capacity flow solvers (the
-    maxmin reference and 2PP): capacity per clique id (``capacity``
-    unless overridden in ``clique_capacities``) and, per path key, how
-    many units of each clique one packet on that path consumes (= the
-    number of its links inside the clique).
-
-    Traversals are counted through a link → clique-ids index (ids in
-    clique order) instead of scanning every clique per path.
+    maxmin reference and 2PP): the capacity of each clique, by position
+    in ``cliques`` (``capacity`` unless its id is overridden in
+    ``clique_capacities``), and per path key the positions of the
+    cliques one packet on that path consumes, ascending, a position
+    once per path link inside that clique — the ``members`` of
+    :func:`progressive_fill`.
 
     Raises:
         AnalysisError: on a non-positive capacity.
     """
-    capacities = {
-        clique.clique_id: (clique_capacities or {}).get(clique.clique_id, capacity)
-        for clique in cliques
-    }
-    if any(value <= 0 for value in capacities.values()):
+    overrides = clique_capacities or {}
+    capacities = [overrides.get(clique.clique_id, capacity) for clique in cliques]
+    if any(value <= 0 for value in capacities):
         raise AnalysisError("clique capacities must be positive")
-    link_index: dict[Link, list[tuple[int, int]]] = defaultdict(list)
-    for clique in cliques:
-        for a_link in clique.sorted_links():
-            link_index[a_link].append(clique.clique_id)
-    traversals: dict[int, dict[tuple[int, int], int]] = {}
-    for key, path in paths.items():
-        counts: dict[tuple[int, int], int] = {}
-        for a_link in path:
-            for clique_id in link_index.get(canonical(a_link), ()):
-                counts[clique_id] = counts.get(clique_id, 0) + 1
-        traversals[key] = counts
+    link_index = clique_index_positions(cliques)
+    traversals = {
+        key: tuple(
+            sorted(
+                position
+                for a_link in path
+                for position in link_index.get(canonical(a_link), ())
+            )
+        )
+        for key, path in paths.items()
+    }
     return capacities, traversals
+
+
+def progressive_fill(
+    limits: list[float],
+    weights: list[float],
+    members: list[tuple[int, ...]],
+    capacities: list[float],
+) -> tuple[list[float], list[int | None], list[float]]:
+    """Weighted progressive filling under clique capacities: the one
+    loop behind the fluid MAC's per-round solve (items are links, of
+    unit weight) and the centralized maxmin reference (items are flows).
+
+    Every item's normalized *level* rises at one pace from 0 until it
+    reaches ``limits[i]`` or a clique it belongs to saturates.
+    ``members[i]`` lists, ascending, the positions in ``capacities`` of
+    the cliques item *i* consumes, a position once per unit: a clique
+    drains ``weights[i]`` per listed unit per unit of level.
+
+    Returns ``(levels, stopped, remaining)``: the level of each item;
+    the position of the clique that stopped it (the first saturated one
+    it lists), or ``None`` when its limit did — the limit takes
+    precedence — or nothing did; and the capacity left per position.
+
+    Each step is the historical float sequence of both loops it
+    replaces: ``step`` is the min over unfrozen ``limit - level`` and
+    over cliques of ``remaining / drain``; a clique is charged ``step *
+    drain`` and saturates at ``remaining <= eps``.  A clique's drain is
+    decremented as its members freeze rather than re-summed, which is
+    exact whenever the weights are integers (unit weights: the drain
+    is the count of unfrozen members).
+    """
+    n = len(limits)
+    level = [0.0] * n
+    stopped: list[int | None] = [None] * n
+    remaining = list(capacities)
+    drain = [0.0] * len(capacities)
+    clique_items: dict[int, list[int]] = defaultdict(list)
+    for i, positions in enumerate(members):
+        weight = weights[i]
+        for c in positions:
+            drain[c] += weight
+            clique_items[c].append(i)
+
+    frozen = [False] * n
+    # Ascending unfrozen items, and the cliques with an unfrozen
+    # member (in order of first appearance: no step reads clique
+    # order): each step scans exactly these.
+    unfrozen = list(range(n))
+    live = [c for c in clique_items if drain[c] > _EPSILON]
+    while unfrozen:
+        # Distance to the next event: an item reaching its limit or a
+        # clique exhausting its capacity.
+        step = min(limits[i] - level[i] for i in unfrozen)
+        for c in live:
+            share = remaining[c] / drain[c]
+            if share < step:
+                step = share
+        if not math.isfinite(step):
+            break
+        if step < 0:
+            step = 0.0
+
+        for i in unfrozen:
+            level[i] += step
+        newly: list[int] = []
+        for c in live:
+            remaining[c] -= step * drain[c]
+            if remaining[c] <= _EPSILON:
+                newly.extend(clique_items[c])
+        for i in unfrozen:
+            if level[i] >= limits[i] - _EPSILON:
+                newly.append(i)
+        progress = False
+        for i in newly:
+            if frozen[i]:
+                continue
+            frozen[i] = progress = True
+            weight = weights[i]
+            for c in members[i]:
+                drain[c] -= weight
+            if level[i] < limits[i] - _EPSILON:
+                for c in members[i]:
+                    if remaining[c] <= _EPSILON:
+                        stopped[i] = c
+                        break
+        if not progress:
+            # Every unfrozen item is unconstrained: step was 0 for
+            # numerical reasons.
+            break
+        unfrozen = [i for i in unfrozen if not frozen[i]]
+        live = [c for c in live if drain[c] > _EPSILON]
+    return level, stopped, remaining

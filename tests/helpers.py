@@ -112,6 +112,14 @@ def idle_services(node_id: int) -> NodeServices:
     return sink.services(), sink
 
 
+class NeverStores(dict):
+    """A stand-in for ``FluidMac``'s allocation memo that forgets every
+    store, so each lookup misses and every round solves."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def random_scenario(seed, num_nodes=8, num_flows=4):
     topology = random_topology(num_nodes, width=700.0, height=700.0, seed=seed)
     rng_ids = topology.node_ids

@@ -16,8 +16,9 @@ from repro.analysis.report import format_table
 from repro.analysis.throughput import effective_network_throughput
 from repro.errors import AnalysisError
 from repro.flows.flow import Flow, FlowSet
+from repro.mac.fluid import waterfill_links
 from repro.routing.link_state import link_state_routes
-from repro.topology.builders import chain_topology
+from repro.topology.builders import chain_topology, random_topology
 from repro.topology.cliques import maximal_cliques
 from repro.topology.contention import ContentionGraph
 
@@ -86,6 +87,52 @@ class TestFairnessIndices:
         assert result == {1: 50.0, 2: 200.0}
 
 
+def units_per_clique(path, cliques):
+    """Clique index -> how many of ``path``'s links lie in that clique
+    (scanned, no index shared with the solvers)."""
+    units = {
+        index: sum(a_link in clique for a_link in path)
+        for index, clique in enumerate(cliques)
+    }
+    return {index: count for index, count in units.items() if count}
+
+
+def assert_maxmin_certificate(
+    rates, demands, weights, consumption, capacities, bottlenecks=None
+):
+    """The weighted-maxmin certificate, read off an allocation with no
+    filling code: the load ``sum(rate * units)`` of every clique is
+    within its capacity, no item exceeds its demand, and every item
+    below its demand sits in a saturated clique where its normalized
+    rate ``rate / weight`` is at least that of every other item there
+    (the bandwidth-saturated condition, paper §3.3) — the clique index
+    ``bottlenecks`` names for it, when given.  Returns the load per
+    clique."""
+    usage = [0.0] * len(capacities)
+    for key, units in consumption.items():
+        for index, count in units.items():
+            usage[index] += rates[key] * count
+    for used, capacity in zip(usage, capacities):
+        assert used <= capacity * (1 + 1e-6)
+    normalized = {key: rate / weights[key] for key, rate in rates.items()}
+    for key, rate in rates.items():
+        assert 0.0 <= rate <= demands[key] * (1 + 1e-6)
+        if rate >= demands[key] * (1 - 1e-6):
+            continue
+        witnesses = consumption[key] if bottlenecks is None else [bottlenecks[key]]
+        assert any(
+            index in consumption[key]
+            and usage[index] >= capacities[index] * (1 - 1e-6)
+            and all(
+                normalized[key] >= normalized[other] * (1 - 1e-6)
+                for other, units in consumption.items()
+                if index in units
+            )
+            for index in witnesses
+        ), f"{key} is below its demand with no saturated clique it tops"
+    return usage
+
+
 def chain_setup(num_nodes=4):
     topology = chain_topology(num_nodes, spacing=200.0)
     routes = link_state_routes(topology)
@@ -147,41 +194,86 @@ class TestMaxminReference:
             weighted_maxmin_rates(FlowSet(), routes, cliques, capacity=10.0)
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        weights=st.lists(
-            st.floats(min_value=0.5, max_value=5.0), min_size=2, max_size=4
-        ),
-        capacity=st.floats(min_value=50.0, max_value=2000.0),
-    )
-    def test_maxmin_feasibility_and_optimality(self, weights, capacity):
-        """Allocations are always feasible, demand-capped, and maxmin:
-        every flow is blocked by demand or by a tight clique."""
-        topology = chain_topology(len(weights) + 1, spacing=200.0)
+    @given(data=st.data())
+    def test_maxmin_feasibility_and_optimality(self, data):
+        """Random multi-hop flows (a path may cross a clique several
+        times) with non-integer weights, per-clique capacities and
+        desired rates on both sides of capacity: the reference's rates
+        and the fluid solver's link rates both carry the weighted-maxmin
+        certificate, checked from the allocation alone."""
+        num_nodes = data.draw(st.integers(min_value=5, max_value=18), label="nodes")
+        side = 260.0 * num_nodes**0.5
+        topology = random_topology(
+            num_nodes,
+            width=side,
+            height=side,
+            seed=data.draw(st.integers(min_value=0, max_value=5000), label="seed"),
+        )
         routes = link_state_routes(topology)
         cliques = maximal_cliques(ContentionGraph(topology))
-        flows = FlowSet(
-            [
+        capacity = data.draw(st.floats(min_value=50.0, max_value=2000.0))
+        rates_around = st.floats(min_value=0.05 * capacity, max_value=3.0 * capacity)
+        clique_capacities = {
+            clique.clique_id: data.draw(rates_around)
+            for clique in data.draw(st.lists(st.sampled_from(cliques), unique=True))
+        }
+        capacities = [
+            clique_capacities.get(clique.clique_id, capacity) for clique in cliques
+        ]
+        nodes = topology.node_ids
+        flows = []
+        for flow_id in range(1, data.draw(st.integers(1, 6), label="flows") + 1):
+            source = data.draw(st.sampled_from(nodes))
+            flows.append(
                 Flow(
-                    flow_id=index + 1,
-                    source=index,
-                    destination=index + 1,
-                    weight=weight,
+                    flow_id=flow_id,
+                    source=source,
+                    destination=data.draw(
+                        st.sampled_from([node for node in nodes if node != source])
+                    ),
+                    weight=data.draw(st.floats(min_value=0.2, max_value=6.0)),
+                    desired_rate=data.draw(rates_around),
                 )
-                for index, weight in enumerate(weights)
-            ]
+            )
+        flows = FlowSet(flows)
+
+        solution = weighted_maxmin_rates(
+            flows, routes, cliques, capacity, clique_capacities=clique_capacities
         )
-        solution = weighted_maxmin_rates(flows, routes, cliques, capacity=capacity)
-        for clique in cliques:
-            assert solution.clique_usage[clique.clique_id] <= capacity * (1 + 1e-6)
-        for flow in flows:
-            rate = solution.rates[flow.flow_id]
-            assert rate <= flow.desired_rate + 1e-6
-            if rate < flow.desired_rate - 1e-6:
-                clique_id = solution.bottlenecks[flow.flow_id]
-                assert clique_id is not None
-                assert solution.clique_usage[clique_id] == pytest.approx(
-                    capacity, rel=1e-6
-                )
+        paths = {
+            flow.flow_id: routes.path_links(flow.source, flow.destination)
+            for flow in flows
+        }
+        position = {clique.clique_id: index for index, clique in enumerate(cliques)}
+        usage = assert_maxmin_certificate(
+            solution.rates,
+            {flow.flow_id: flow.desired_rate for flow in flows},
+            {flow.flow_id: flow.weight for flow in flows},
+            {flow_id: units_per_clique(path, cliques) for flow_id, path in paths.items()},
+            capacities,
+            bottlenecks={
+                flow_id: position.get(clique_id)
+                for flow_id, clique_id in solution.bottlenecks.items()
+            },
+        )
+        for clique, used in zip(cliques, usage):
+            assert solution.clique_usage[clique.clique_id] == pytest.approx(
+                used, rel=1e-9, abs=1e-9
+            )
+
+        # The fluid solver on the links those flows use: unit weights,
+        # one scalar capacity.
+        demands = {
+            a_link: data.draw(rates_around)
+            for a_link in sorted({a_link for path in paths.values() for a_link in path})
+        }
+        assert_maxmin_certificate(
+            waterfill_links(demands, cliques, capacity),
+            demands,
+            dict.fromkeys(demands, 1.0),
+            {a_link: units_per_clique([a_link], cliques) for a_link in demands},
+            [capacity] * len(cliques),
+        )
 
 
 class TestThroughputAndConvergence:

@@ -14,7 +14,7 @@ from repro.topology.cliques import maximal_cliques
 from repro.topology.contention import ContentionGraph
 from repro.topology.network import Topology, canonical
 
-from helpers import QueueNode
+from helpers import NeverStores, QueueNode
 
 
 def cliques_for(topology):
@@ -360,13 +360,9 @@ def test_reduced_solve_equals_full_solve_bit_for_bit(data):
         a_link: data.draw(rates)
         for a_link in data.draw(link_subsets, label="capped")
     }
-    mac = FluidMac(
-        Simulator(),
-        topology,
-        capacity_pps=capacity,
-        rate_caps=rate_caps,
-        alloc_cache=data.draw(st.booleans(), label="alloc_cache"),
-    )
+    mac = FluidMac(Simulator(), topology, capacity_pps=capacity, rate_caps=rate_caps)
+    if not data.draw(st.booleans(), label="alloc_cache"):
+        mac._alloc_cache = NeverStores()
     mac.start()
 
     caps = dict(rate_caps)
