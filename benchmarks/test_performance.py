@@ -270,6 +270,39 @@ def test_maxmin_reference_scale300(benchmark):
     assert len(cliques) == 2219 and min(solution.rates.values()) > 0
 
 
+def test_health_live_scan(benchmark):
+    """One live health pass — the stall probe plus the three live
+    anomaly detectors scanned to ``now`` — over a recorded 240 sim-s
+    figure3 GMP/fluid run with ``rate_interval=1`` (the run itself is
+    untimed).  The monitor repeats this pass every tick, so its cost
+    per pass must stay linear in the series it reads: re-walking every
+    queue sample from t=0 for each 5 s window makes it several times
+    slower — through the 2x compare_bench gate.  The whole-run cost
+    still grows faster than the run: each pass rescans from warm-up."""
+    from types import SimpleNamespace
+
+    from repro.obs import HealthMonitor
+    from repro.scenarios.figures import figure3
+    from repro.scenarios.runner import run_scenario
+    from repro.telemetry import Telemetry
+
+    result = run_scenario(
+        figure3(),
+        protocol="gmp",
+        substrate="fluid",
+        duration=240.0,
+        seed=1,
+        rate_interval=1.0,
+        telemetry=Telemetry(),
+    )
+    health = HealthMonitor(deliveries=[])
+    sim = SimpleNamespace(attach_monitor=lambda monitor: None, events_processed=0)
+    health.bind(sim, lambda: result)
+
+    benchmark.pedantic(lambda: health.on_tick(result.duration), rounds=20)
+    assert health.ticks >= 1 and health.alerts() == []
+
+
 def test_clique_enumeration_dense(benchmark):
     def run():
         topology = random_topology(20, width=900.0, height=900.0, seed=9)

@@ -260,9 +260,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--health",
         action="store_true",
-        help="arm the in-run health monitor: liveness probes plus the "
-        "anomaly detectors over sliding windows, alerts printed as "
-        "they fire (implies telemetry)",
+        help="arm the in-run health monitor: an event-rate stall probe "
+        "plus the anomaly detectors scanned up to the current time, "
+        "alerts printed as they fire (implies telemetry)",
     )
     parser.add_argument(
         "--health-interval",
@@ -328,20 +328,12 @@ def main(argv: list[str] | None = None) -> int:
             telemetry, sinks, interval=args.stream_interval
         )
     if args.health:
-        from repro.obs import (
-            HealthConfig,
-            HealthMonitor,
-            console_delivery,
-            jsonl_delivery,
-        )
+        from repro.obs import HealthMonitor, console_delivery, jsonl_delivery
 
         deliveries = [console_delivery()]
         if args.alerts_out:
             deliveries.append(jsonl_delivery(args.alerts_out))
-        health = HealthMonitor(
-            HealthConfig(interval=args.health_interval),
-            deliveries=deliveries,
-        )
+        health = HealthMonitor(args.health_interval, deliveries=deliveries)
 
     replay_report = None
     try:

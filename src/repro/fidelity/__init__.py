@@ -21,7 +21,6 @@ Command line::
 """
 
 from repro.fidelity.anomaly import (
-    AnomalyConfig,
     AnomalyReport,
     Finding,
     detect_anomalies,
@@ -50,7 +49,6 @@ from repro.fidelity.paper import (
 )
 
 __all__ = [
-    "AnomalyConfig",
     "AnomalyReport",
     "Finding",
     "detect_anomalies",

@@ -30,7 +30,7 @@ from repro.churn.spec import parse_churn_spec
 from repro.errors import ReproError, SimulationError
 from repro.faults.schedule import FaultSchedule, NodeCrash, NodeRecover
 from repro.faults.spec import parse_fault_spec
-from repro.fidelity.anomaly import AnomalyConfig, detect_starved_flows
+from repro.fidelity.anomaly import detect_starved_flows
 from repro.fuzz.grammar import FuzzScenario, build_scenario
 from repro.scenarios.results import RunResult
 from repro.scenarios.runner import replay_check
@@ -222,7 +222,7 @@ def evaluate(spec: FuzzScenario) -> FuzzOutcome:
     else:
         outcome.oracles.append(OracleResult("gmp_residue", "pass"))
 
-    findings = detect_starved_flows(result, AnomalyConfig(starve_window=8.0))
+    findings = detect_starved_flows(result, starve_window=8.0)
     crash_windows = _crash_windows(faults)
     paths = result.extras.get("flow_paths", {})
     real = []

@@ -13,10 +13,10 @@ and watches runs from the outside:
   tail) when a watchdog aborts the run — so a killed or wedged run
   still leaves analyzable telemetry behind;
 * :mod:`repro.obs.health` — the in-run :class:`HealthMonitor`:
-  liveness probes plus the :mod:`repro.fidelity.anomaly` detectors
-  evaluated over sliding windows mid-run, emitting deduplicated,
-  cooldown-gated :class:`Alert` records through pluggable delivery
-  hooks;
+  an event-rate stall probe plus the :mod:`repro.fidelity.anomaly`
+  detectors scanned up to the current time each tick, emitting
+  deduplicated, cooldown-gated :class:`Alert` records through
+  pluggable delivery hooks;
 * :mod:`repro.obs.perftrend` — the fleet-style trend reporter that
   ingests every ``BENCH_*.json`` artifact plus the fidelity baseline
   and renders per-metric, per-PR trajectories;
@@ -38,7 +38,6 @@ from __future__ import annotations
 from repro.obs.health import (
     Alert,
     AlertLog,
-    HealthConfig,
     HealthMonitor,
     console_delivery,
     jsonl_delivery,
@@ -59,7 +58,6 @@ from repro.obs.stream import StreamPublisher, reconstruct_jsonl
 __all__ = [
     "Alert",
     "AlertLog",
-    "HealthConfig",
     "HealthMonitor",
     "JsonlSink",
     "RingSink",

@@ -3,18 +3,16 @@
 The :class:`HealthMonitor` is a kernel
 :class:`~repro.sim.kernel.RunMonitor`: the simulator ticks it between
 event dispatches on a simulated-clock cadence, and on each tick it
-evaluates two families of checks over sliding windows of the live run:
+runs two kinds of check:
 
-* **liveness probes** computed directly from kernel counters and
-  telemetry tails — event-rate stall (the run went quiet relative to
-  its own history), queue growth (an occupancy climbing monotonically
-  through the window), and GMP condition flap (a virtual link toggling
-  saturation conditions rapidly *right now*);
-* the **end-of-run anomaly detectors** of :mod:`repro.fidelity.anomaly`
-  (starved flows, rate oscillation, condition flapping, queue
-  divergence), run mid-flight over a *partial*
-  :class:`~repro.scenarios.results.RunResult` snapshot supplied by the
-  scenario runner.
+* one **liveness probe**, ``event_rate_stall``, over the kernel's own
+  event counter: the run went quiet relative to its own history;
+* the :mod:`repro.fidelity.anomaly` detectors (starved flows,
+  condition flapping, queue divergence) scanned up to ``now`` over a
+  *partial* :class:`~repro.scenarios.results.RunResult` snapshot
+  supplied by the scenario runner — the live schedule of the same
+  detectors :func:`~repro.fidelity.anomaly.detect_anomalies` runs at
+  the end.
 
 Findings become :class:`Alert` records in an :class:`AlertLog`, which
 deduplicates by (probe, labels), tracks first/last-seen times and a
@@ -32,60 +30,38 @@ replay digest as an unmonitored one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import ConfigError
 from repro.fidelity.anomaly import (
-    DEFAULT_CONFIG,
-    AnomalyConfig,
+    WARMUP_FRACTION,
+    WINDOW,
     detect_condition_flapping,
     detect_queue_divergence,
-    detect_rate_oscillation,
     detect_starved_flows,
 )
 from repro.scenarios.results import RunResult
 
-#: The anomaly detectors the monitor can run mid-flight, by name.
-ANOMALY_DETECTORS = {
-    "starved_flow": detect_starved_flows,
-    "rate_oscillation": detect_rate_oscillation,
-    "condition_flapping": detect_condition_flapping,
-    "queue_divergence": detect_queue_divergence,
-}
+# Monitor constants (simulated seconds).
 
-#: Detectors evaluated by default.  ``rate_oscillation`` is opt-in:
-#: scanned mid-run it sees convergence transients (and churn-induced
-#: reallocations) that the end-of-run scan legitimately excludes.
-DEFAULT_DETECTORS = ("starved_flow", "condition_flapping", "queue_divergence")
+#: No checks before this time: start-up is legitimately weird.
+GRACE = 10.0
+#: Minimum gap before a persisting alert is re-delivered.
+COOLDOWN = 10.0
+#: A window event rate below this fraction of the pre-window mean rate
+#: counts as a stall (the window is the detectors' ``WINDOW``).
+STALL_FRACTION = 0.25
 
-
-@dataclass(frozen=True)
-class HealthConfig:
-    """Monitor cadence, probe thresholds, and alert gating
-    (times in simulated seconds)."""
-
-    #: Evaluation cadence.
-    interval: float = 1.0
-    #: Sliding-window width for the liveness probes.
-    window: float = 5.0
-    #: No checks before this time: start-up is legitimately weird.
-    grace: float = 10.0
-    #: Minimum gap before a persisting alert is re-delivered.
-    cooldown: float = 10.0
-    #: Window event rate below this fraction of the pre-window mean
-    #: rate counts as a stall.
-    stall_fraction: float = 0.25
-    #: Net in-window queue growth (packets, never dipping below the
-    #: window's opening value) that counts as runaway growth.
-    queue_growth: float = 25.0
-    #: Condition changes of one virtual link within the window that
-    #: count as live flapping.
-    flap_window_count: int = 8
-    #: Which :data:`ANOMALY_DETECTORS` to run mid-flight.
-    detectors: tuple[str, ...] = DEFAULT_DETECTORS
-    #: Thresholds for those detectors.
-    anomaly: AnomalyConfig = DEFAULT_CONFIG
+#: The detectors scanned each tick.  ``rate_oscillation`` runs at the
+#: end of the run only: scanned mid-run it sees convergence transients
+#: (and churn-induced reallocations) that the end-of-run scan
+#: legitimately excludes.
+LIVE_DETECTORS = (
+    detect_starved_flows,
+    detect_condition_flapping,
+    detect_queue_divergence,
+)
 
 
 @dataclass
@@ -131,18 +107,14 @@ class AlertLog:
 
     The first occurrence of a (probe, labels) condition is delivered
     immediately; while it persists, the stored alert's ``last_seen``
-    and ``count`` advance but delivery repeats only every ``cooldown``
+    and ``count`` advance but delivery repeats only every ``COOLDOWN``
     simulated seconds — a flapping probe cannot flood the hooks.
     """
 
     def __init__(
-        self,
-        *,
-        deliveries: tuple[Delivery, ...] | list[Delivery] = (),
-        cooldown: float = 10.0,
+        self, *, deliveries: tuple[Delivery, ...] | list[Delivery] = ()
     ) -> None:
         self.deliveries = list(deliveries)
-        self.cooldown = cooldown
         self._alerts: dict[AlertKey, Alert] = {}
         self._last_delivered: dict[AlertKey, float] = {}
 
@@ -177,7 +149,7 @@ class AlertLog:
         alert.message = message
         if severity == "critical":
             alert.severity = "critical"
-        if now - self._last_delivered.get(key, float("-inf")) >= self.cooldown:
+        if now - self._last_delivered.get(key, float("-inf")) >= COOLDOWN:
             self._deliver(key, alert, now)
         return alert
 
@@ -333,44 +305,27 @@ class HealthMonitor:
     """Periodic in-run health evaluator (a kernel run monitor).
 
     Args:
-        config: cadence, thresholds, detector selection.
+        interval: simulated seconds between evaluations.
         deliveries: alert delivery hooks.
         log: an existing :class:`AlertLog` to share (default: fresh).
     """
 
     def __init__(
         self,
-        config: HealthConfig | None = None,
+        interval: float = 1.0,
         *,
         deliveries: tuple[Delivery, ...] | list[Delivery] = (),
         log: AlertLog | None = None,
     ) -> None:
-        self.config = config or HealthConfig()
-        if self.config.interval <= 0:
-            raise ConfigError(
-                f"health interval must be positive: {self.config.interval}"
-            )
-        unknown = set(self.config.detectors) - set(ANOMALY_DETECTORS)
-        if unknown:
-            raise ConfigError(
-                f"unknown health detectors {sorted(unknown)}; "
-                f"pick from {sorted(ANOMALY_DETECTORS)}"
-            )
-        self.log = log or AlertLog(
-            deliveries=deliveries, cooldown=self.config.cooldown
-        )
+        if interval <= 0:
+            raise ConfigError(f"health interval must be positive: {interval}")
+        self.interval = interval
+        self.log = log or AlertLog(deliveries=deliveries)
         self._sim: Any = None
         self._snapshot: Callable[[], RunResult] | None = None
         # (sim time, kernel events processed) history for the stall probe.
         self._event_history: list[tuple[float, int]] = []
-        # Cursor into telemetry.events for the live flap probe.
-        self._event_cursor = 0
-        self._condition_times: dict[tuple[str, str], list[float]] = {}
         self.ticks = 0
-
-    @property
-    def interval(self) -> float:
-        return self.config.interval
 
     def bind(self, sim: Any, snapshot: Callable[[], RunResult]) -> None:
         """Attach to a simulator; ``snapshot`` builds the partial
@@ -388,11 +343,9 @@ class HealthMonitor:
         self.ticks += 1
         if self._sim is not None:
             self._event_history.append((now, self._sim.events_processed))
-        if now < self.config.grace:
+        if now < GRACE:
             return
         self._probe_event_rate(now)
-        self._probe_queue_growth(now)
-        self._probe_condition_flap(now)
         self._run_detectors(now)
 
     def on_abort(self, now: float, error: BaseException) -> None:
@@ -407,18 +360,17 @@ class HealthMonitor:
         self.on_tick(now)
         return self.log
 
-    # --- liveness probes ---------------------------------------------------
+    # --- checks ------------------------------------------------------------
 
     def _probe_event_rate(self, now: float) -> None:
         """The run went quiet: window event rate far below the mean
         rate of everything before the window."""
-        window = self.config.window
         history = self._event_history
-        if not history or now - history[0][0] < window:
+        if not history or now - history[0][0] < WINDOW:
             return
         anchor = history[0]
         for sample in history:
-            if sample[0] <= now - window:
+            if sample[0] <= now - WINDOW:
                 anchor = sample
             else:
                 break
@@ -433,7 +385,7 @@ class HealthMonitor:
         if span <= 0:
             return
         window_rate = (current - anchor_events) / span
-        if window_rate < self.config.stall_fraction * baseline:
+        if window_rate < STALL_FRACTION * baseline:
             self.log.raise_alert(
                 now,
                 "event_rate_stall",
@@ -445,107 +397,18 @@ class HealthMonitor:
                 ),
             )
 
-    def _telemetry(self) -> Any:
-        return getattr(self._sim, "telemetry", None)
-
-    def _probe_queue_growth(self, now: float) -> None:
-        """A queue occupancy climbing through the whole window."""
-        telemetry = self._telemetry()
-        if telemetry is None or not telemetry.enabled:
-            return
-        window_start = now - self.config.window
-        for instrument in telemetry.registry.instruments("buffer.queue_len"):
-            times = getattr(instrument, "times", None)
-            values = getattr(instrument, "values", None)
-            if not times:
-                continue
-            # Walk the tail backwards: series are time-ordered.
-            tail: list[float] = []
-            for index in range(len(times) - 1, -1, -1):
-                if times[index] < window_start:
-                    break
-                tail.append(values[index])
-            if len(tail) < 3:
-                continue
-            tail.reverse()
-            first = tail[0]
-            if min(tail) < first or tail[-1] - first < self.config.queue_growth:
-                continue
-            node = str(instrument.labels.get("node"))
-            dest = str(instrument.labels.get("dest"))
-            self.log.raise_alert(
-                now,
-                "queue_growth",
-                "warning",
-                {"node": node, "dest": dest},
-                (
-                    f"queue at node {node} (dest {dest}) grew from "
-                    f"{first:.0f} to {tail[-1]:.0f} packets within "
-                    f"{self.config.window:g}s without receding"
-                ),
-            )
-
-    def _probe_condition_flap(self, now: float) -> None:
-        """A virtual link toggling saturation conditions rapidly in
-        the current window (the live sibling of the end-of-run
-        ``condition_flapping`` detector)."""
-        telemetry = self._telemetry()
-        if telemetry is None or not telemetry.enabled:
-            return
-        events = telemetry.events
-        for index in range(self._event_cursor, len(events)):
-            event = events[index]
-            if event.category == "gmp.condition_change":
-                key = (
-                    str(event.fields.get("link")),
-                    str(event.fields.get("dest")),
-                )
-                self._condition_times.setdefault(key, []).append(event.time)
-        self._event_cursor = len(events)
-        window_start = now - self.config.window
-        for (link, dest), times in sorted(self._condition_times.items()):
-            while times and times[0] < window_start:
-                times.pop(0)
-            if len(times) >= self.config.flap_window_count:
-                self.log.raise_alert(
-                    now,
-                    "condition_flap",
-                    "warning",
-                    {"link": link, "dest": dest},
-                    (
-                        f"virtual link {link} (dest {dest}) changed "
-                        f"condition {len(times)} times in the last "
-                        f"{self.config.window:g}s"
-                    ),
-                )
-
-    # --- mid-run anomaly detectors -----------------------------------------
-
     def _run_detectors(self, now: float) -> None:
-        if self._snapshot is None or not self.config.detectors:
+        """Scan the run so far.  The detectors anchor their warm-up
+        cut-off and window grid to the planned duration, so each scan
+        sees the windows the end-of-run scan will, cut at ``now``; none
+        runs before one full window past warm-up has elapsed."""
+        if self._snapshot is None:
             return
         result = self._snapshot()
-        config = self.config.anomaly
-        planned = result.duration
-        if now < planned - 1e-9:
-            # Mid-run: scan only what has actually happened.  The
-            # absolute warmup cutoff and tail start stay where the
-            # end-of-run scan will put them (planned duration), but the
-            # scan end is clamped to ``now`` — otherwise the windowed
-            # detectors read half-filled windows whose provisional
-            # means flag jumps that evaporate once the window fills.
-            warmup_end = planned * config.warmup_fraction
-            if now <= warmup_end + config.window:
-                return
-            tail_start = planned * (1.0 - config.tail_fraction)
-            config = replace(
-                config,
-                warmup_fraction=min(warmup_end / now, 1.0),
-                tail_fraction=max(0.0, min(1.0, 1.0 - tail_start / now)),
-            )
-            result = replace(result, duration=now)
-        for name in self.config.detectors:
-            for finding in ANOMALY_DETECTORS[name](result, config):
+        if now <= result.duration * WARMUP_FRACTION + WINDOW:
+            return
+        for detector in LIVE_DETECTORS:
+            for finding in detector(result, now):
                 self.log.raise_alert(
                     now,
                     finding.detector,

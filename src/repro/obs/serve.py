@@ -52,7 +52,7 @@ from repro.faults.schedule import (
     NodeRecover,
     PacketLossBurst,
 )
-from repro.obs.health import HealthConfig, HealthMonitor, jsonl_delivery
+from repro.obs.health import HealthMonitor, jsonl_delivery
 from repro.obs.sinks import SqliteSink
 from repro.obs.stream import StreamPublisher
 from repro.sim.replay import ReplaySanitizer
@@ -479,8 +479,7 @@ def serve_session(
     health = None
     if config.health:
         health = HealthMonitor(
-            HealthConfig(interval=config.health_interval),
-            deliveries=[jsonl_delivery(alerts_path)],
+            config.health_interval, deliveries=[jsonl_delivery(alerts_path)]
         )
 
     server, server_thread = make_server(controller, config.host, config.port)

@@ -837,9 +837,9 @@ def run_scenario(
             wedged runs leave their telemetry in the stream's sinks.
         health: optional in-run health monitor (duck-typed —
             :class:`repro.obs.health.HealthMonitor` in practice).
-            Ticked by the kernel on its own cadence, it evaluates
-            liveness probes and the anomaly detectors over a partial
-            result snapshot mid-run; the final
+            Ticked by the kernel on its own cadence, it runs an
+            event-rate stall probe and the anomaly detectors up to the
+            current time over a partial result snapshot; the final
             :class:`~repro.obs.health.AlertLog` lands in
             ``extras["health"]``.  Neither hook schedules events or
             draws randomness: the dispatched event sequence (and the

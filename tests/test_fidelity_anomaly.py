@@ -1,11 +1,13 @@
 """Anomaly detectors: synthetic unit coverage per detector plus the
 clean-vs-fault integration pins from the issue's acceptance criteria."""
 
+import random
+
 import pytest
 
 from repro.faults import FaultSchedule, NodeCrash, NodeRecover
 from repro.fidelity.anomaly import (
-    AnomalyConfig,
+    _window_means,
     detect_anomalies,
     detect_condition_flapping,
     detect_queue_divergence,
@@ -208,10 +210,83 @@ def test_queue_divergence_flags_occupancy_jumps():
     assert findings[0].start >= 10.0  # post-warmup windows only
 
 
+def _window_means_reference(times, values, start, end, width):
+    """The per-window full scan ``_window_means`` must match bit for bit."""
+    if not times or end - start < width:
+        return []
+    means = []
+    window_start = start
+    while window_start + width <= end + 1e-9:
+        window_end = window_start + width
+        integral = 0.0
+        previous_time = window_start
+        current = None
+        for when, value in zip(times, values):
+            if when <= window_start:
+                current = value
+                continue
+            if when >= window_end:
+                break
+            if current is not None:
+                integral += current * (when - previous_time)
+            previous_time = when
+            current = value
+        if current is not None:
+            integral += current * (window_end - previous_time)
+            means.append((window_start, window_end, integral / width))
+        window_start = window_end
+    return means
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_window_means_matches_the_full_scan(seed):
+    rng = random.Random(seed)
+    # Ascending times with repeats, some exactly on window edges.
+    times = sorted(
+        rng.choice([rng.uniform(0.0, 40.0), float(rng.randrange(0, 41, 5))])
+        for _ in range(rng.randrange(0, 60))
+    )
+    values = [float(rng.randrange(0, 15)) for _ in times]
+    start = rng.choice([0.0, 7.5, 10.0, rng.uniform(0.0, 20.0)])
+    end = rng.uniform(start, 45.0)
+    expected = _window_means_reference(times, values, start, end, 5.0)
+    assert _window_means(times, values, start, end, 5.0) == expected
+
+
 def test_queue_divergence_stays_quiet_on_steady_queues():
     telemetry = queue_telemetry([(0.0, 4.0), (20.0, 4.5), (30.0, 4.0)])
     result = synthetic_result(extras={"telemetry": telemetry})
     assert detect_queue_divergence(result) == []
+
+
+# --- scan end (the live schedule) -----------------------------------------------
+
+
+def test_until_truncates_starved_flow_scan():
+    rates = [40.0] * 12 + [0.0] * 15 + [40.0] * 13
+    result = synthetic_result(
+        interval_rates={1: rates},
+        extras={"maxmin_reference": {1: 40.0}},
+    )
+    # 4 s of silence by t=16 is not yet a finding; by t=20 it is, and
+    # the stretch ends where the scan does.
+    assert detect_starved_flows(result, until=16.0) == []
+    (finding,) = detect_starved_flows(result, until=20.0)
+    assert (finding.start, finding.end) == (12.0, 20.0)
+
+
+def test_until_truncates_queue_divergence_on_the_planned_grid():
+    # Steady at 1 packet, then a wedge to 12 at t=25.  The window grid
+    # is anchored at the planned warmup (t=10): [20, 25) and [25, 30).
+    telemetry = queue_telemetry([(0.0, 1.0), (25.0, 12.0)])
+    result = synthetic_result(extras={"telemetry": telemetry})
+    # By t=28 the [25, 30) window is incomplete, so nothing fires — a
+    # grid re-anchored to a 28 s run would close [22, 27) and fire.
+    assert detect_queue_divergence(result, until=28.0) == []
+    (live,) = detect_queue_divergence(result, until=30.0)
+    (full,) = detect_queue_divergence(result)
+    assert live == full
+    assert (live.start, live.end) == (20.0, 30.0)
 
 
 # --- report plumbing -------------------------------------------------------------
@@ -241,8 +316,7 @@ def test_custom_config_thresholds_apply():
         interval_rates={1: rates},
         extras={"maxmin_reference": {1: 40.0}},
     )
-    tolerant = AnomalyConfig(starve_window=20.0)
-    assert detect_starved_flows(result, tolerant) == []
+    assert detect_starved_flows(result, starve_window=20.0) == []
 
 
 # --- integration pins (acceptance criteria) --------------------------------------

@@ -7,10 +7,10 @@ import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.faults import FaultSchedule, NodeCrash, NodeRecover
+from repro.fidelity.anomaly import detect_anomalies
 from repro.flows.flow import Flow, FlowSet
 from repro.obs import (
     AlertLog,
-    HealthConfig,
     HealthMonitor,
     console_delivery,
     jsonl_delivery,
@@ -21,13 +21,15 @@ from repro.scenarios.runner import run_scenario
 from repro.telemetry import Telemetry
 from repro.topology.builders import chain_topology
 
+from helpers import random_scenario
+
 
 # ---------------------------------------------------------------- alert log
 
 
 def test_alert_log_dedups_and_gates_redelivery_on_cooldown():
     delivered = []
-    log = AlertLog(deliveries=[delivered.append], cooldown=10.0)
+    log = AlertLog(deliveries=[delivered.append])
 
     log.raise_alert(10.0, "starved_flow", "warning", {"flow": "1"}, "m1")
     log.raise_alert(12.0, "starved_flow", "warning", {"flow": "1"}, "m2")
@@ -89,9 +91,11 @@ def test_webhook_delivery_stub_collects_posts():
     posted = []
     hook = webhook_delivery("http://ops/alerts", post=lambda url, p: posted.append(url))
     log = AlertLog(deliveries=[hook])
-    log.raise_alert(5.0, "condition_flap", "warning", {"link": "0->1"}, "flapping")
+    log.raise_alert(
+        5.0, "condition_flapping", "warning", {"link": "0->1"}, "flapping"
+    )
     assert hook.sent[0][0] == "http://ops/alerts"
-    assert hook.sent[0][1]["probe"] == "condition_flap"
+    assert hook.sent[0][1]["probe"] == "condition_flapping"
     assert posted == ["http://ops/alerts"]
 
 
@@ -99,10 +103,10 @@ def test_webhook_delivery_stub_collects_posts():
 
 
 def test_health_monitor_validates_config():
-    with pytest.raises(ConfigError):
-        HealthMonitor(HealthConfig(interval=0.0))
-    with pytest.raises(ConfigError):
-        HealthMonitor(HealthConfig(detectors=("no_such_detector",)))
+    for interval in (0.0, -1.0):
+        with pytest.raises(ConfigError):
+            HealthMonitor(interval)
+    assert HealthMonitor(0.5).interval == 0.5
 
 
 # ---------------------------------------------------------------- clean run
@@ -174,6 +178,62 @@ def test_crash_run_alerts_mid_run_with_dedup():
     assert raised_total > len(alerts), "persisting conditions should dedup"
     # Deliveries were cooldown-gated, not one per raise.
     assert 0 < len(hook.sent) < raised_total
+
+
+def test_live_alerts_are_a_prefix_of_the_end_of_run_scan():
+    """The live schedule scans the end-of-run windows cut at ``now``,
+    so every (detector, labels) it raised is also an end-of-run
+    finding."""
+    health = HealthMonitor(deliveries=[])
+    result = run_scenario(
+        _crash_scenario(),
+        protocol="gmp",
+        substrate="fluid",
+        duration=40.0,
+        seed=7,
+        capacity_pps=400.0,
+        rate_interval=1.0,
+        telemetry=Telemetry(),
+        health=health,
+        faults=FaultSchedule(
+            [NodeCrash(at=12.0, node=1), NodeRecover(at=27.0, node=1)]
+        ),
+    )
+    live = {
+        (alert.probe, tuple(sorted(alert.labels.items())))
+        for alert in health.alerts()
+    }
+    final = {
+        (finding.detector, tuple(sorted(finding.labels.items())))
+        for finding in detect_anomalies(result).findings
+    }
+    assert {probe for probe, _ in live} >= {"starved_flow", "queue_divergence"}
+    assert live <= final
+
+
+# ---------------------------------------------------------------- stall
+
+
+@pytest.mark.parametrize("seed", [20, 27])
+def test_event_rate_stall_fires_when_the_run_goes_quiet(seed):
+    # On these random networks the queues drain 20-25 s in, and the
+    # event rate over the last 5 s falls below a quarter of the run's
+    # mean rate before that window.
+    health = HealthMonitor(deliveries=[])
+    run_scenario(
+        random_scenario(seed),
+        protocol="gmp",
+        substrate="fluid",
+        duration=30.0,
+        seed=1,
+        telemetry=Telemetry(),
+        health=health,
+    )
+    stalls = [a for a in health.alerts() if a.probe == "event_rate_stall"]
+    assert len(stalls) == 1
+    assert stalls[0].severity == "critical"
+    assert stalls[0].labels == {}
+    assert "event rate fell to" in stalls[0].message
 
 
 # ---------------------------------------------------------------- abort
