@@ -1,20 +1,27 @@
-"""Compare a fresh benchmark run against the committed baseline.
+"""Gate the hot-path micro-benchmarks against the committed baseline.
 
-CI runs the pytest-benchmark suite, reduces it with
-:func:`benchmarks.bench_json.parse_benchmark_json`, and fails the perf
-job when any benchmark's mean regresses beyond ``--threshold`` times
-its ``benchmarks/bench-baseline.json`` entry.  The default threshold
-is deliberately loose (2x) because shared CI runners are noisy; the
-job catches order-of-magnitude regressions (an accidentally disabled
+The CI ``perf`` job runs the pytest-benchmark suite and compares its
+raw JSON output with ``benchmarks/bench-baseline.json``::
+
+    python -m pytest benchmarks/test_performance.py \
+        --benchmark-min-rounds=5 --benchmark-json=bench.json
+    python benchmarks/compare_bench.py bench.json --threshold 2.0
+
+The check fails when a benchmark's mean exceeds ``--threshold`` times
+its baseline mean, when a baseline entry is missing from the run, and
+when the run holds a benchmark with no baseline entry (so a new
+benchmark cannot go ungated unnoticed).  The default threshold is
+deliberately loose (2x) because shared CI runners are noisy; the job
+catches order-of-magnitude regressions (an accidentally disabled
 cache, a quadratic scan reintroduced), not percent-level drift.
 
-Usage::
+After an intentional performance change, or to gate a new benchmark,
+re-record the baseline from a fresh run::
 
-    python benchmarks/compare_bench.py fresh.json \
-        --baseline benchmarks/bench-baseline.json --threshold 2.0
+    python benchmarks/compare_bench.py bench.json --record
 
-``fresh.json`` may be a raw pytest-benchmark JSON or a bench_json.py
-artifact (anything with a ``benchmarks`` mapping).
+The baseline holds :func:`parse_benchmark_json`'s reduction of that
+run, so both sides of the comparison come from the same reducer.
 """
 
 from __future__ import annotations
@@ -25,49 +32,62 @@ import pathlib
 import sys
 
 
-def load_benchmarks(path: pathlib.Path) -> dict[str, dict[str, float]]:
+def parse_benchmark_json(path: pathlib.Path) -> dict[str, dict[str, float]]:
+    """Reduce a pytest-benchmark JSON to {test name: {mean_s, min_s, rounds}}."""
     with path.open(encoding="utf-8") as handle:
         payload = json.load(handle)
-    if "benchmarks" in payload and isinstance(payload["benchmarks"], dict):
-        return payload["benchmarks"]
-    # Raw pytest-benchmark layout: a list of result objects.
-    results: dict[str, dict[str, float]] = {}
-    for bench in payload.get("benchmarks", []):
-        results[bench["name"]] = {"mean_s": bench["stats"]["mean"]}
-    return results
+    return {
+        bench["name"]: {
+            "mean_s": bench["stats"]["mean"],
+            "min_s": bench["stats"]["min"],
+            "rounds": bench["stats"]["rounds"],
+        }
+        for bench in payload["benchmarks"]
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("fresh", help="benchmark JSON from this run")
+    parser.add_argument("fresh", help="pytest-benchmark JSON from this run")
     parser.add_argument(
         "--baseline",
         default=str(pathlib.Path(__file__).with_name("bench-baseline.json")),
     )
     parser.add_argument("--threshold", type=float, default=2.0)
+    parser.add_argument(
+        "--record",
+        action="store_true",
+        help="write the fresh run to --baseline instead of comparing",
+    )
     args = parser.parse_args(argv)
 
-    fresh = load_benchmarks(pathlib.Path(args.fresh))
-    baseline = load_benchmarks(pathlib.Path(args.baseline))
+    fresh = parse_benchmark_json(pathlib.Path(args.fresh))
+    baseline_path = pathlib.Path(args.baseline)
+    if args.record:
+        baseline_path.write_text(
+            json.dumps({"benchmarks": fresh}, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        print(f"recorded {len(fresh)} benchmarks -> {baseline_path}")
+        return 0
+    with baseline_path.open(encoding="utf-8") as handle:
+        baseline = json.load(handle)["benchmarks"]
 
     failures: list[str] = []
-    for name, stats in sorted(baseline.items()):
+    for name in sorted(baseline.keys() | fresh.keys()):
         if name not in fresh:
             failures.append(f"{name}: missing from fresh run")
             continue
-        # Artifacts from other schema versions may lack mean_s (or carry
-        # extra fields like p95_s); skip what cannot be compared instead
-        # of crashing on a vocabulary difference.
-        baseline_mean = stats.get("mean_s")
-        measured = fresh[name].get("mean_s")
-        if baseline_mean is None or measured is None:
-            print(f"{name}: no mean_s on both sides, skipped")
+        if name not in baseline:
+            failures.append(f"{name}: no baseline entry (re-record with --record)")
             continue
-        allowed = baseline_mean * args.threshold
+        measured = fresh[name]["mean_s"]
+        reference = baseline[name]["mean_s"]
+        allowed = reference * args.threshold
         verdict = "ok" if measured <= allowed else "REGRESSED"
         print(
             f"{name}: {measured * 1e3:.2f} ms "
-            f"(baseline {baseline_mean * 1e3:.2f} ms, "
+            f"(baseline {reference * 1e3:.2f} ms, "
             f"allowed {allowed * 1e3:.2f} ms) {verdict}"
         )
         if measured > allowed:
@@ -75,10 +95,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"{name}: {measured * 1e3:.2f} ms exceeds "
                 f"{args.threshold:g}x baseline ({allowed * 1e3:.2f} ms)"
             )
-    for name in sorted(set(fresh) - set(baseline)):
-        extra_mean = fresh[name].get("mean_s")
-        if extra_mean is not None:
-            print(f"{name}: {extra_mean * 1e3:.2f} ms (no baseline)")
 
     if failures:
         print("\nperf regression check FAILED:", file=sys.stderr)

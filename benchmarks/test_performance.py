@@ -4,9 +4,9 @@ Measured so regressions in the hot paths show up: event-kernel
 dispatch (shallow and deep heap), packet-level DCF throughput,
 fluid-round throughput (setup excluded, so the number tracks the round
 machinery itself), the water-filling solver, the maxmin reference
-solve, and clique enumeration on a dense random network.
-``benchmarks/bench_json.py`` runs these and writes the machine-readable
-``BENCH_<n>.json`` tracked across PRs (see docs/PERFORMANCE.md).
+solve, and clique enumeration on a dense random network.  CI gates
+each mean at 2x its ``benchmarks/bench-baseline.json`` entry through
+``benchmarks/compare_bench.py`` (see docs/PERFORMANCE.md).
 """
 
 import pytest

@@ -27,7 +27,6 @@ Examples::
     python -m repro figure3 --substrate fluid --duration 60 \
         --churn "poisson:rate=0.3,mean_hold=6" \
         --health --alerts-out alerts.jsonl
-    python -m repro perftrend BENCH_4.json BENCH_7.json --out trend.md
     python -m repro serve scale100 --substrate fluid --pace 20 \
         --port 8787 --session-dir serve-session
     python -m repro serve --replay serve-session/commands.jsonl
@@ -47,10 +46,9 @@ active local condition, and centralized-reference gap.
 the run (:mod:`repro.obs`), so a killed or watchdog-aborted run keeps
 its metrics; ``--health`` arms the in-run health monitor whose alerts
 print as they fire (``--alerts-out`` also appends them as JSON lines);
-``perftrend`` renders the accumulated ``BENCH_*.json`` history as a
-per-PR trend report; ``serve`` hosts a paced run behind a live HTTP
-observability and control plane (:mod:`repro.obs.serve`) and replays a
-served session's command journal.
+``serve`` hosts a paced run behind a live HTTP observability and
+control plane (:mod:`repro.obs.serve`) and replays a served session's
+command journal.
 """
 
 from __future__ import annotations
@@ -64,13 +62,14 @@ from repro.churn.spec import parse_churn_spec
 from repro.core.config import GmpConfig
 from repro.errors import ReproError
 from repro.faults.spec import parse_fault_spec
-from repro.scenarios.figures import figure1, figure2, figure3, figure4
+from repro.scenarios.figures import figure2
 from repro.scenarios.runner import (
     PROTOCOLS,
     SUBSTRATES,
     replay_check,
     run_scenario,
 )
+from repro.scenarios.sweep import SCENARIO_FACTORIES, scenario_factory
 from repro.sim.trace import TraceCollector
 from repro.telemetry import Telemetry
 from repro.telemetry.exporters import (
@@ -81,19 +80,10 @@ from repro.telemetry.exporters import (
 
 
 def _build_scenario(args: argparse.Namespace):
-    if args.scenario == "figure1":
-        return figure1()
     if args.scenario == "figure2":
         weights = tuple(float(part) for part in args.weights.split(","))
         return figure2(weights=weights)  # type: ignore[arg-type]
-    if args.scenario == "figure3":
-        return figure3()
-    if args.scenario == "figure4":
-        return figure4()
-    # City-scale family (repro.scenarios.scale), e.g. scale300/scale300c.
-    from repro.scenarios.sweep import SCENARIO_FACTORIES
-
-    return SCENARIO_FACTORIES[args.scenario]()
+    return scenario_factory(args.scenario)()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -117,10 +107,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.fuzz.cli import fuzz_main
 
         return fuzz_main(argv[1:])
-    if argv and argv[0] == "perftrend":
-        from repro.obs.perftrend import perftrend_main
-
-        return perftrend_main(argv[1:])
     if argv and argv[0] == "check":
         from repro.check import check_main
 
@@ -130,19 +116,7 @@ def main(argv: list[str] | None = None) -> int:
 
         return serve_main(argv[1:])
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
-    parser.add_argument(
-        "scenario",
-        choices=(
-            "figure1",
-            "figure2",
-            "figure3",
-            "figure4",
-            "scale100",
-            "scale300",
-            "scale300c",
-            "scale1000",
-        ),
-    )
+    parser.add_argument("scenario", choices=tuple(SCENARIO_FACTORIES))
     parser.add_argument("--protocol", choices=PROTOCOLS, default="gmp")
     parser.add_argument("--substrate", choices=SUBSTRATES, default="fluid")
     parser.add_argument("--duration", type=float, default=120.0)
@@ -225,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="CATS",
         help="enable the structured trace collector for these comma-"
-        'separated categories (suffix * for prefixes, e.g. "mac.*,gmp.adjust")',
+        'separated categories (suffix * for prefixes, e.g. "channel.*")',
     )
     parser.add_argument(
         "--sanitize",

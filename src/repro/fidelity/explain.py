@@ -29,7 +29,7 @@ from typing import Any
 from repro.errors import AnalysisError, ConfigError
 from repro.scenarios.results import RunResult
 from repro.scenarios.runner import run_scenario
-from repro.scenarios.sweep import SCENARIO_FACTORIES
+from repro.scenarios.sweep import scenario_factory
 from repro.telemetry import Telemetry
 
 #: Condition states a virtual link can dwell in (lowercased
@@ -306,15 +306,9 @@ def run_and_explain(
         ConfigError: on an unknown scenario name.
         AnalysisError: on an unknown flow id.
     """
-    factory = SCENARIO_FACTORIES.get(scenario_name)
-    if factory is None:
-        raise ConfigError(
-            f"unknown scenario {scenario_name!r}; pick from "
-            f"{tuple(SCENARIO_FACTORIES)}"
-        )
     telemetry = Telemetry(enabled=True)
     result = run_scenario(
-        factory(),
+        scenario_factory(scenario_name)(),
         protocol="gmp",
         substrate=substrate,
         duration=duration,

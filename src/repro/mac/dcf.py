@@ -172,10 +172,6 @@ class _DcfNode:
         if self._busy_since is not None:
             self._busy_since = self.sim.now
 
-    def _trace(self, category: str, **fields) -> None:
-        if self.sim.trace.wants(category):
-            self.sim.trace.emit(self.sim.now, category, node=self.node_id, **fields)
-
     # --- channel access -------------------------------------------------------------
 
     def attempt_access(self) -> None:
@@ -503,7 +499,6 @@ class _DcfNode:
                 flow=packet.flow_id,
                 next_hop=next_hop,
             )
-        self._trace("mac.drop", flow=packet.flow_id, next_hop=next_hop)
         self.services.on_packet_dropped(packet, next_hop)
         self._complete_exchange()
 

@@ -1,4 +1,4 @@
-"""Live observability plane: streaming sinks, in-run health, trends.
+"""Live observability plane: streaming sinks, in-run health, serving.
 
 ``repro.obs`` sits *above* the simulation stack (scenarios, fidelity)
 and watches runs from the outside:
@@ -17,9 +17,6 @@ and watches runs from the outside:
   detectors scanned up to the current time each tick, emitting
   deduplicated, cooldown-gated :class:`Alert` records through
   pluggable delivery hooks;
-* :mod:`repro.obs.perftrend` — the fleet-style trend reporter that
-  ingests every ``BENCH_*.json`` artifact plus the fidelity baseline
-  and renders per-metric, per-PR trajectories;
 * :mod:`repro.obs.serve` / :mod:`repro.obs.httpapi` — service mode:
   a stdlib HTTP daemon around a live (optionally wall-clock-paced)
   run.  HTTP threads only *enqueue* commands; the
@@ -44,7 +41,6 @@ from repro.obs.health import (
     webhook_delivery,
 )
 from repro.obs.httpapi import ServeApi, make_server
-from repro.obs.perftrend import TrendReport, load_trend, render_trend
 from repro.obs.serve import (
     ServeConfig,
     ServeController,
@@ -67,14 +63,11 @@ __all__ = [
     "SqliteSink",
     "StreamPublisher",
     "TelemetrySink",
-    "TrendReport",
     "console_delivery",
     "jsonl_delivery",
     "load_journal",
-    "load_trend",
     "make_server",
     "reconstruct_jsonl",
-    "render_trend",
     "replay_session",
     "serve_session",
     "webhook_delivery",

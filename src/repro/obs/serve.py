@@ -426,17 +426,6 @@ class ServeConfig:
         }
 
 
-def _build_scenario(name: str):
-    from repro.scenarios.sweep import SCENARIO_FACTORIES
-
-    if name not in SCENARIO_FACTORIES:
-        raise ConfigError(
-            f"unknown scenario {name!r}; pick from "
-            f"{tuple(SCENARIO_FACTORIES)}"
-        )
-    return SCENARIO_FACTORIES[name]()
-
-
 def serve_session(
     config: ServeConfig,
     *,
@@ -457,8 +446,9 @@ def serve_session(
 
     from repro.obs.httpapi import make_server
     from repro.scenarios.runner import run_scenario
+    from repro.scenarios.sweep import scenario_factory
 
-    scenario = _build_scenario(config.scenario)
+    scenario = scenario_factory(config.scenario)()
     os.makedirs(config.session_dir, exist_ok=True)
     journal_path = os.path.join(config.session_dir, "commands.jsonl")
     alerts_path = os.path.join(config.session_dir, "alerts.jsonl")
@@ -569,6 +559,7 @@ def replay_session(
     (None when the original session never closed cleanly).
     """
     from repro.scenarios.runner import run_scenario
+    from repro.scenarios.sweep import scenario_factory
 
     header, commands, close = load_journal(journal_path)
     config = ServeConfig(
@@ -580,7 +571,7 @@ def replay_session(
         traffic=str(header.get("traffic", "cbr")),
         command_interval=float(header.get("command_interval", 0.25)),
     )
-    scenario = _build_scenario(config.scenario)
+    scenario = scenario_factory(config.scenario)()
     controller = ServeController(
         interval=config.command_interval, script=commands
     )

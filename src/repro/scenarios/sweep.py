@@ -67,6 +67,20 @@ SCENARIO_FACTORIES = {
     "scale1000": scale1000,
 }
 
+
+def scenario_factory(name: str):
+    """The factory registered under ``name``.
+
+    Raises:
+        ConfigError: on an unknown name, listing the registered ones.
+    """
+    factory = SCENARIO_FACTORIES.get(name)
+    if factory is None:
+        raise ConfigError(
+            f"unknown scenario {name!r}; pick from {tuple(SCENARIO_FACTORIES)}"
+        )
+    return factory
+
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".sweep-cache"
 
@@ -105,11 +119,7 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         for name in self.scenarios:
-            if name not in SCENARIO_FACTORIES:
-                raise ConfigError(
-                    f"unknown scenario {name!r}; pick from "
-                    f"{tuple(SCENARIO_FACTORIES)}"
-                )
+            scenario_factory(name)
         for name in self.protocols:
             if name not in PROTOCOLS:
                 raise ConfigError(

@@ -56,6 +56,13 @@ def test_cli_rejects_unknown_scenario():
         main(["figure9"])
 
 
+def test_cli_runs_every_registered_scenario_name(capsys):
+    # The CLI reads the sweep registry, so figure2w (Table 2's weights)
+    # is addressable here as it is from sweep, serve and explain.
+    assert main(["figure2w", "--duration", "2"]) == 0
+    assert "figure2" in capsys.readouterr().out
+
+
 def test_cli_telemetry_flags_write_outputs(capsys, tmp_path):
     metrics = tmp_path / "m.jsonl"
     trace = tmp_path / "t.json"
