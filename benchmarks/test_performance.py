@@ -193,6 +193,23 @@ def test_fluid_round_scale300(benchmark, monkeypatch):
     assert mac.alloc_cache_misses - solves_before >= 200
 
 
+def test_gmp_packet_path_figure3(benchmark):
+    """Sixty simulated seconds of figure3 GMP/fluid through
+    ``run_scenario``, set-up included (~2 ms): the per-packet path the
+    ``QueueNode`` tests above bypass — ``TrafficSource`` ticks, about
+    two in three refused by a full source queue, ``NodeStack``,
+    ``PerDestinationBuffer`` and the GMP observer: ~75 k events, nearly
+    all of them source ticks."""
+    from repro.scenarios.figures import figure3
+    from repro.scenarios.runner import run_scenario
+
+    def run():
+        return run_scenario(figure3(), protocol="gmp", substrate="fluid", duration=60.0, seed=1)
+
+    result = benchmark.pedantic(run, rounds=5, warmup_rounds=1)
+    assert min(result.flow_rates.values()) > 0
+
+
 def test_scale300_setup(benchmark, monkeypatch):
     """Set-up of a 300-node GMP/fluid run: scenario factory through
     assembly, up to the entry of ``Simulator.run`` — 20-40 ms (min and
@@ -259,8 +276,8 @@ def test_maxmin_reference_scale300(benchmark):
     scenario = scale300()
     routes = link_state_routes(scenario.topology)
     cliques = maximal_cliques(ContentionGraph(scenario.topology))
-    capacity = DEFAULT_PHY.saturation_rate(
-        max(flow.packet_bytes for flow in scenario.flows), contenders=3
+    capacity = DEFAULT_PHY.clique_capacity(
+        max(flow.packet_bytes for flow in scenario.flows)
     )
 
     def run():

@@ -68,6 +68,11 @@ class BufferPolicy(abc.ABC):
     def admit_forwarded(self, packet: Packet) -> bool:
         """Offer a packet received from upstream for forwarding."""
 
+    @abc.abstractmethod
+    def local_room(self, flow_id: int, dest: int) -> bool:
+        """False exactly when a local packet of ``flow_id`` for ``dest``
+        would be refused (asked before the packet is built)."""
+
     # --- service ------------------------------------------------------------
 
     @abc.abstractmethod
@@ -145,6 +150,9 @@ class SharedFifoBuffer(BufferPolicy):
         self._queue.append(packet)
         return True
 
+    def local_room(self, flow_id: int, dest: int) -> bool:
+        return len(self._queue) < self.capacity
+
     def admit_forwarded(self, packet: Packet) -> bool:
         # In-flight arrivals cannot be refused; when full they
         # overwrite the packet at the tail of the queue (§7.2).
@@ -219,6 +227,10 @@ class PerFlowBuffer(BufferPolicy):
 
     def admit_forwarded(self, packet: Packet) -> bool:
         return self._admit(packet, count_drop=True)
+
+    def local_room(self, flow_id: int, dest: int) -> bool:
+        queue = self._queues.get(flow_id)
+        return queue is None or len(queue) < self.per_flow_capacity
 
     def dequeue(self, now: float) -> tuple[Packet, int] | None:
         for flow_id in _rr_order(self._queues, self._last_flow):
@@ -307,6 +319,9 @@ class SharedBackpressureBuffer(BufferPolicy):
             return False
         self._queue.append(packet)
         return True
+
+    def local_room(self, flow_id: int, dest: int) -> bool:
+        return self.has_free(SHARED_QUEUE_KEY)
 
     def admit_forwarded(self, packet: Packet) -> bool:
         if len(self._queue) >= self.capacity:
@@ -439,9 +454,15 @@ class PerDestinationBuffer(BufferPolicy):
 
     def _enqueue(self, queue: deque[Packet], packet: Packet, now: float) -> None:
         queue.append(packet)
-        self._link_backlog[self._link_of[packet.destination]] += 1
+        dest = packet.destination
+        self._link_backlog[self._link_of[dest]] += 1
         self._backlog += 1
-        self._update_meter(packet.destination, now)
+        # The meter reads full exactly while len >= capacity, so only
+        # the append that reaches capacity can move it.
+        if self._tm is not None:
+            self._update_meter(dest, now)
+        elif len(queue) == self.per_dest_capacity:
+            self._meters[dest].set_full(now, True)
 
     def _update_meter(self, dest: int, now: float) -> None:
         length = len(self._queues[dest])
@@ -471,7 +492,8 @@ class PerDestinationBuffer(BufferPolicy):
 
     def has_free(self, dest: int) -> bool:
         """True if the queue for ``dest`` has a free nominal slot."""
-        return self.queue_length(dest) < self.per_dest_capacity
+        queue = self._queues.get(dest)
+        return queue is None or len(queue) < self.per_dest_capacity
 
     def fullness(self, dest: int, now: float) -> float:
         """Ω of the queue for ``dest`` over the current window."""
@@ -493,10 +515,14 @@ class PerDestinationBuffer(BufferPolicy):
         """Admission for local packets with explicit time (preferred)."""
         queue = self._queue_for(packet.destination)
         if len(queue) >= self.per_dest_capacity:
-            self._update_meter(packet.destination, now)
             return False
         self._enqueue(queue, packet, now)
         return True
+
+    def local_room(self, flow_id: int, dest: int) -> bool:
+        # has_free(dest), inlined: asked on every offer a source makes.
+        queue = self._queues.get(dest)
+        return queue is None or len(queue) < self.per_dest_capacity
 
     def admit_forwarded_at(self, packet: Packet, now: float) -> bool:
         """Admission for forwarded packets with explicit time."""
@@ -534,7 +560,10 @@ class PerDestinationBuffer(BufferPolicy):
                 packet = queue.popleft()
                 self._link_backlog[link_of[dest]] -= 1
                 self._backlog -= 1
-                self._update_meter(dest, now)
+                if self._tm is not None:
+                    self._update_meter(dest, now)
+                elif len(queue) == self.per_dest_capacity - 1:
+                    self._meters[dest].set_full(now, False)
                 return packet
         return None
 

@@ -74,17 +74,20 @@ class _Observer:
         self._protocol = protocol
 
     def on_forward(self, node_id: int, packet: Packet, next_hop: int) -> None:
-        self._protocol._trackers[node_id].observe(
-            (node_id, next_hop), packet.destination, packet
-        )
-        self._protocol._note_activity(node_id)
+        protocol = self._protocol
+        if packet.carried_mu is not None:
+            protocol._trackers[node_id].observe((node_id, next_hop), packet.destination, packet)
+        if node_id not in protocol._known_down:
+            protocol._last_heard[node_id] = protocol.sim.now
 
     def on_receive(self, node_id: int, packet: Packet, from_node: int) -> None:
-        self._protocol._trackers[node_id].observe(
-            (from_node, node_id), packet.destination, packet
-        )
+        protocol = self._protocol
+        if packet.carried_mu is not None:
+            protocol._trackers[node_id].observe((from_node, node_id), packet.destination, packet)
         # Receiving proves both endpoints of the hop are alive.
-        self._protocol._note_activity(node_id, from_node)
+        for node in (node_id, from_node):
+            if node not in protocol._known_down:
+                protocol._last_heard[node] = protocol.sim.now
 
 
 class GmpProtocol:
@@ -315,12 +318,6 @@ class GmpProtocol:
         )
 
     # --- fault tolerance ----------------------------------------------------------
-
-    def _note_activity(self, *nodes: int) -> None:
-        now = self.sim.now
-        for node in nodes:
-            if node not in self._known_down:
-                self._last_heard[node] = now
 
     def on_node_down(self, node: int) -> None:
         """Explicit crash notification (fault injector): immediately

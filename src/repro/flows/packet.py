@@ -10,10 +10,7 @@ metadata they carry the two piggyback fields GMP relies on:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-
-_packet_counter = itertools.count()
+from dataclasses import dataclass
 
 
 @dataclass
@@ -26,7 +23,8 @@ class Packet:
         destination: final destination node id.
         size_bytes: payload size (MAC overhead is added by the PHY model).
         created_at: simulation time of generation at the source.
-        seq: per-run unique sequence number.
+        seq: number within its flow, counted from 0 by the run's source
+            (``(flow_id, seq)`` is unique per run).
         carried_mu: normalized rate piggybacked by the source, or None.
         delivered_at: set by the sink on arrival (None in flight).
     """
@@ -36,7 +34,7 @@ class Packet:
     destination: int
     size_bytes: int
     created_at: float
-    seq: int = field(default_factory=lambda: next(_packet_counter))
+    seq: int = 0
     carried_mu: float | None = None
     delivered_at: float | None = None
 

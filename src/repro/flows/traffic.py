@@ -9,15 +9,16 @@ stack through an ``admit`` callback.  Offers are shaped twice:
   :class:`~repro.flows.rate_limiter.TokenBucket` (GMP adjusts this
   limit; the baselines leave it unset).
 
-If ``admit`` returns False (source queue full — buffer-based
-backpressure has reached the source), the packet is simply not
-generated, modeling the paper's "the flow source will generate new
-packets at a smaller rate if the network cannot deliver its desirable
-rate".
+If the source queue is full (buffer-based backpressure has reached
+the source: the ``room`` probe or ``admit`` says no), the packet is
+simply not generated, modeling the paper's "the flow source will
+generate new packets at a smaller rate if the network cannot deliver
+its desirable rate".
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 from repro.errors import FlowError
@@ -39,6 +40,8 @@ class TrafficSource:
             True if the node stack accepted it.
         on_generate: optional hook invoked on every *accepted* packet
             (GMP uses it to piggyback normalized rates).
+        room: optional ``room(flow_id, destination)`` probe, False exactly
+            when ``admit`` would refuse; such an offer builds no packet.
     """
 
     def __init__(
@@ -48,17 +51,20 @@ class TrafficSource:
         admit: Callable[[Packet], bool],
         *,
         on_generate: Callable[[Packet], None] | None = None,
+        room: Callable[[int, int], bool] | None = None,
     ) -> None:
         self.sim = sim
         self.flow = flow
         self._admit = admit
         self._on_generate = on_generate
+        self._room = room
+        self._seq = itertools.count()  # numbers this flow's packets
         self._tag = f"traffic.f{flow.flow_id}"  # kernel tag of every tick
         self._bucket: TokenBucket | None = None
         self._started = False
         self._paused = False
         self._stopped = False
-        self._pending = None  # the scheduled next-tick Event, if any
+        self._pending = None  # the tick Event, re-armed; None when paused or stopped
         self.generated = 0  # offers that passed the rate limit
         self.admitted = 0  # accepted by the node stack
         self.rejected = 0  # refused by the node stack (backpressure)
@@ -137,24 +143,28 @@ class TrafficSource:
         return self._stopped
 
     def _tick(self) -> None:
-        self._pending = None
-        if self._paused or self._stopped:
-            return
-        if self._passes_rate_limit():
+        now = self.sim.now
+        if self._bucket is None or self._bucket.try_consume(now):
             self.generated += 1
-            packet = Packet(
-                flow_id=self.flow.flow_id,
-                source=self.flow.source,
-                destination=self.flow.destination,
-                size_bytes=self.flow.packet_bytes,
-                created_at=self.sim.now,
-            )
-            if self._admit(packet):
-                self.admitted += 1
-                if self._on_generate is not None:
-                    self._on_generate(packet)
-            else:
+            flow = self.flow
+            room = self._room
+            if room is not None and not room(flow.flow_id, flow.destination):
                 self.rejected += 1
+            else:
+                packet = Packet(
+                    flow.flow_id,
+                    flow.source,
+                    flow.destination,
+                    flow.packet_bytes,
+                    now,
+                    next(self._seq),
+                )
+                if self._admit(packet):
+                    self.admitted += 1
+                    if self._on_generate is not None:
+                        self._on_generate(packet)
+                else:
+                    self.rejected += 1
         else:
             self.limited += 1
         delay = self._next_interval()
@@ -165,18 +175,14 @@ class TrafficSource:
             # only d/2 — far enough below the limit that GMP's
             # rate-limit condition reads the flow as "not achieving"
             # and stops probing upward, wedging it there.
-            wait = self._bucket.next_available(self.sim.now) - self.sim.now
+            wait = self._bucket.next_available(now) - now
             if wait > delay:
                 # The arrival process would have offered sooner; that
                 # offer is suppressed by the limit.
                 self.limited += 1
                 delay = wait
-        self._pending = self.sim.call_later(delay, self._tick, tag=self._tag)
-
-    def _passes_rate_limit(self) -> bool:
-        if self._bucket is None:
-            return True
-        return self._bucket.try_consume(self.sim.now)
+        if self._pending is not None:  # None: paused or stopped mid-tick
+            self.sim.rearm(self._pending, delay)
 
     def _next_interval(self) -> float:
         raise NotImplementedError
@@ -215,11 +221,12 @@ class OnOffSource(TrafficSource):
         admit: Callable[[Packet], bool],
         *,
         on_generate: Callable[[Packet], None] | None = None,
+        room: Callable[[int, int], bool] | None = None,
         mean_on: float = 1.0,
         mean_off: float = 1.0,
         peak_factor: float = 2.0,
     ) -> None:
-        super().__init__(sim, flow, admit, on_generate=on_generate)
+        super().__init__(sim, flow, admit, on_generate=on_generate, room=room)
         if mean_on <= 0 or mean_off <= 0 or peak_factor <= 0:
             raise FlowError(
                 f"flow {flow.flow_id}: on/off parameters must be positive"
@@ -279,12 +286,13 @@ class ParetoOnOffSource(TrafficSource):
         admit: Callable[[Packet], bool],
         *,
         on_generate: Callable[[Packet], None] | None = None,
+        room: Callable[[int, int], bool] | None = None,
         mean_on: float = 1.0,
         mean_off: float = 1.0,
         alpha: float = 1.5,
         peak_factor: float = 2.0,
     ) -> None:
-        super().__init__(sim, flow, admit, on_generate=on_generate)
+        super().__init__(sim, flow, admit, on_generate=on_generate, room=room)
         if mean_on <= 0 or mean_off <= 0 or peak_factor <= 0:
             raise FlowError(
                 f"flow {flow.flow_id}: on/off parameters must be positive"

@@ -337,12 +337,15 @@ class Session:
 
     def make_source(self, flow: Flow, model: str) -> TrafficSource:
         """An unstarted source for ``flow`` with the run's admit /
-        on-generate wiring — initial, churned and grafted flows alike."""
+        on-generate / room-probe wiring — initial, churned and grafted
+        flows alike."""
+        stack = self.stacks[flow.source]
         return TRAFFIC_MODELS[model](
             self.sim,
             flow,
-            self.stacks[flow.source].admit_local,
+            stack.admit_local,
             on_generate=self.gmp.stamp if self.gmp is not None else None,
+            room=stack.buffer.local_room,
         )
 
     def _oracle_lookup(self, neighbor: int, dest: int) -> bool:

@@ -227,6 +227,20 @@ class Simulator:
             self._now + delay, callback, priority=priority, tag=tag
         )
 
+    def rearm(self, event: Event, delay: float) -> Event:
+        """Schedule the fired ``event`` again ``delay`` seconds from now
+        (the slot pattern: no Event is allocated, and the fresh sequence
+        number is drawn where ``call_later`` would draw it, so dispatch
+        order is unchanged).
+
+        Raises:
+            SimulationError: on a negative delay, or if ``event`` is still
+                queued — a cancelled one too: schedule a new event then.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        return self._queue.repush(event, self._now + delay)
+
     def timer(
         self,
         callback: Callable[[], None],
@@ -262,12 +276,8 @@ class Simulator:
             if stopped:
                 return
             callback()
-            # Re-arm the same Event object (slot pattern): repush draws a
-            # fresh sequence number at exactly the point the old
-            # per-firing call_later did, so dispatch order — and the
-            # replay digest — are unchanged.
             if not stopped and slot is not None:
-                self._queue.repush(slot, self._now + interval)
+                self.rearm(slot, interval)
 
         first = self._now + interval if start_at is None else start_at
         slot = self.call_at(first, fire, tag=tag)
@@ -391,7 +401,7 @@ class Simulator:
         self._stopped = False
         wall_start = _time.monotonic() if wall_deadline is not None else 0.0
         events_at_now = 0
-        stalled_tags: Counter[str] = Counter()
+        stalled_tags: dict[str, int] = {}  # a dict: Counter misses cost a call
         telemetry = self.telemetry
         sanitizer = self.sanitizer
         collect = telemetry.enabled
@@ -447,11 +457,12 @@ class Simulator:
                         events_at_now = 0
                         stalled_tags.clear()
                     events_at_now += 1
-                    stalled_tags[event.tag or "<untagged>"] += 1
+                    tag = event.tag or "<untagged>"
+                    stalled_tags[tag] = stalled_tags.get(tag, 0) + 1
                     if events_at_now > stall_limit:
                         offenders = ", ".join(
                             f"{tag} x{count}"
-                            for tag, count in stalled_tags.most_common(5)
+                            for tag, count in Counter(stalled_tags).most_common(5)
                         )
                         raise self._watchdog_abort(
                             f"simulated clock stalled at t={self._now:.9f}: "

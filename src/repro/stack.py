@@ -64,6 +64,15 @@ class NodeStack:
         self.buffer = buffer_policy
         self.mac = mac
         self.observer = observer
+        # Admission, bound once: the per-destination policy takes the
+        # clock with each packet, the others do not.
+        if isinstance(buffer_policy, PerDestinationBuffer):
+            self._admit_local_at = buffer_policy.admit_local_at
+            self._admit_forwarded_at = buffer_policy.admit_forwarded_at
+        else:
+            local, forwarded = buffer_policy.admit_local, buffer_policy.admit_forwarded
+            self._admit_local_at = lambda packet, _now: local(packet)
+            self._admit_forwarded_at = lambda packet, _now: forwarded(packet)
         self._retry_timer = sim.timer(
             self._on_retry, tag=f"stack.retry.{node_id}"
         )
@@ -113,10 +122,7 @@ class NodeStack:
             # Sources are paused across a crash, but refuse defensively
             # so a racing tick cannot enqueue into a dead node.
             return False
-        if isinstance(self.buffer, PerDestinationBuffer):
-            accepted = self.buffer.admit_local_at(packet, self.sim.now)
-        else:
-            accepted = self.buffer.admit_local(packet)
+        accepted = self._admit_local_at(packet, self.sim.now)
         if accepted:
             self.mac.notify_backlog(self.node_id)
         return accepted
@@ -178,10 +184,7 @@ class NodeStack:
                     self._delivered_counters[packet.flow_id] = counter
                 counter.inc()
             return
-        if isinstance(self.buffer, PerDestinationBuffer):
-            self.buffer.admit_forwarded_at(packet, self.sim.now)
-        else:
-            self.buffer.admit_forwarded(packet)
+        self._admit_forwarded_at(packet, self.sim.now)
         self.mac.notify_backlog(self.node_id)
 
     def _on_overhear(self, sender: int, states: dict[int, bool]) -> None:

@@ -8,6 +8,8 @@ from repro.errors import FlowError
 from repro.flows.flow import Flow, FlowSet
 from repro.flows.packet import Packet
 from repro.flows.rate_limiter import TokenBucket
+from repro.flows.traffic import CbrSource
+from repro.sim.kernel import Simulator
 
 
 def make_flow(**overrides):
@@ -73,11 +75,25 @@ def test_flowset_queries():
 
 
 def test_packet_sequence_numbers_are_unique():
-    packets = [
-        Packet(flow_id=1, source=0, destination=1, size_bytes=1024, created_at=0.0)
-        for _ in range(10)
-    ]
-    assert len({packet.seq for packet in packets}) == 10
+    # The source numbers its flow's packets; an offer its room probe
+    # refuses builds no packet and takes no number.
+    sim = Simulator()
+    packets = []
+    offers = [0]
+
+    def room(flow_id, dest):
+        offers[0] += 1
+        return offers[0] % 3 != 0
+
+    CbrSource(
+        sim,
+        make_flow(flow_id=1, desired_rate=100.0),
+        lambda packet: packets.append(packet) or True,
+        room=room,
+    ).start()
+    sim.run(until=0.1)
+    assert [packet.seq for packet in packets] == list(range(len(packets)))
+    assert len(packets) == offers[0] - offers[0] // 3 > 5
 
 
 def test_packet_delay():

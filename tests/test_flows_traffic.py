@@ -136,3 +136,72 @@ def test_packets_carry_flow_metadata():
     assert packet.source == 0
     assert packet.destination == 1
     assert packet.size_bytes == 1024
+
+
+def test_refused_offer_builds_no_packet_and_skips_admit():
+    def admit(packet):
+        raise AssertionError("the probe refused: admit must not be called")
+
+    source, _ = run_source(CbrSource, duration=1.0, admit=admit, room=lambda f, d: False)
+    assert source.admitted == 0
+    assert source.generated == source.rejected == pytest.approx(100, abs=2)
+
+
+def test_probe_is_asked_with_the_flow_and_its_destination():
+    asked = []
+    source, accepted = run_source(
+        CbrSource, duration=0.05, room=lambda f, d: asked.append((f, d)) or True
+    )
+    assert asked == [(1, 1)] * len(accepted) and source.admitted == len(accepted) > 0
+
+
+def test_source_slot_survives_pause_resume_stop():
+    # pending_events excludes tombstones: it counts the armed tick slots.
+    sim = Simulator(seed=1)
+    source = CbrSource(sim, make_flow(rate=100.0), lambda packet: True)
+    source.start()
+    sim.run(until=0.5)
+    assert sim.pending_events == 1
+    source.pause()
+    source.pause()
+    offered = source.generated
+    sim.run(until=1.0)
+    assert source.generated == offered and sim.pending_events == 0
+    source.resume()
+    source.resume()
+    assert sim.pending_events == 1
+    sim.run(until=1.5)
+    # One armed slot: 50 offers in 0.5 s, not 100.
+    assert source.generated - offered == pytest.approx(50, abs=1)
+    source.stop()
+    offered = source.generated
+    sim.run(until=2.0)
+    assert source.generated == offered and sim.pending_events == 0
+
+
+def test_resume_while_the_cancelled_slot_is_still_queued():
+    sim = Simulator(seed=1)
+    source = CbrSource(sim, make_flow(rate=100.0), lambda packet: True)
+    source.start()
+    sim.run(until=0.105)
+    # The cancelled slot stays in the heap as a tombstone: resume at the
+    # same instant must arm a fresh event, not re-arm the tombstone.
+    source.pause()
+    source.resume()
+    assert sim.pending_events == 1
+    offered = source.generated
+    sim.run(until=0.5)
+    assert source.generated - offered == pytest.approx(40, abs=1)
+
+
+def test_departure_during_a_crash_stays_departed():
+    sim = Simulator(seed=1)
+    source = CbrSource(sim, make_flow(rate=100.0), lambda packet: True)
+    source.start()
+    sim.run(until=0.5)
+    source.pause()  # the source node crashes
+    source.stop()  # the flow departs while it is down
+    source.resume()  # the node recovers
+    offered = source.generated
+    sim.run(until=1.0)
+    assert source.stopped and source.generated == offered and sim.pending_events == 0

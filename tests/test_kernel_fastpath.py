@@ -267,3 +267,65 @@ def test_batched_run_counts_every_dispatch():
         sim.call_at(1.0 + index * 1e-6, lambda: None)
     sim.run()
     assert sim.events_processed == 257
+
+
+def _dispatch_log(rearm: bool) -> list[tuple]:
+    """Three tickers on binary-fraction periods (so their times tie
+    exactly) plus one-shots at a lower priority and one scheduled from
+    inside a tick before it re-schedules itself: ties are broken by the
+    sequence numbers, so the log shows where each one was drawn."""
+    sim = Simulator()
+    log: list[tuple] = []
+
+    def ticker(tag: str, interval: float, count: int) -> None:
+        state = {"event": None, "left": count}
+
+        def fire() -> None:
+            event = state["event"]
+            log.append((event.time, event.priority, event.seq, event.tag))
+            state["left"] -= 1
+            if tag == "b":
+                sim.call_later(interval, lambda: log.append((sim.now, "inner")), tag="inner")
+            if state["left"]:
+                if rearm:
+                    sim.rearm(event, interval)
+                else:
+                    state["event"] = sim.call_later(interval, fire, tag=tag)
+
+        state["event"] = sim.call_later(0.0, fire, tag=tag)
+
+    ticker("a", 0.25, 12)
+    ticker("b", 0.5, 6)
+    ticker("c", 0.125, 20)
+    for index in range(6):
+        sim.call_at(index * 0.5, lambda: log.append((sim.now, "one")), priority=-1, tag="one")
+    sim.run()
+    return log
+
+
+def test_rearm_dispatches_the_call_later_sequence():
+    rearmed = _dispatch_log(rearm=True)
+    assert rearmed == _dispatch_log(rearm=False)
+    ticks = [entry for entry in rearmed if len(entry) == 4]
+    assert len(ticks) == 12 + 6 + 20
+    # The schedule really ties: several ticks share one instant.
+    assert len({entry[0] for entry in ticks}) < len(ticks)
+
+
+def test_rearm_rejects_an_event_still_in_the_heap():
+    sim = Simulator()
+    live = sim.call_later(1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.rearm(live, 2.0)
+    tombstone = sim.call_later(1.0, lambda: None)
+    tombstone.cancel()
+    with pytest.raises(SimulationError):
+        sim.rearm(tombstone, 2.0)
+
+
+def test_rearm_rejects_a_negative_delay():
+    sim = Simulator()
+    fired = sim.call_later(0.0, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.rearm(fired, -1.0)

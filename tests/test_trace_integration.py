@@ -72,3 +72,18 @@ def test_each_dcf_drop_is_one_chrome_trace_instant(tmp_path):
     ]
     assert drops > 0
     assert len(instants) == drops
+
+
+def test_same_seed_runs_in_one_process_label_frames_alike():
+    # Packets are numbered per run, so a second identical run in the same
+    # process traces the same data-frame labels (f<flow>#<seq>).
+    def frame_labels():
+        trace = TraceCollector(categories=["channel.tx"])
+        run_scenario(
+            figure3(), protocol="gmp", substrate="dcf", duration=1.0, seed=1, trace=trace
+        )
+        return [record.fields["frame"] for record in trace.records("channel.tx")]
+
+    first = frame_labels()
+    assert any("#" in label for label in first)
+    assert frame_labels() == first
