@@ -1,7 +1,8 @@
 """Simulator performance benchmarks (not paper artifacts).
 
 Measured so regressions in the hot paths show up: event-kernel
-dispatch (shallow and deep heap), packet-level DCF throughput,
+dispatch (shallow and deep heap), packet-level DCF throughput (a bare
+saturated link, and figure3 GMP through the whole node stack),
 fluid-round throughput (setup excluded, so the number tracks the round
 machinery itself), the water-filling solver, the maxmin reference
 solve, and clique enumeration on a dense random network.  CI gates
@@ -205,6 +206,24 @@ def test_gmp_packet_path_figure3(benchmark):
 
     def run():
         return run_scenario(figure3(), protocol="gmp", substrate="fluid", duration=60.0, seed=1)
+
+    result = benchmark.pedantic(run, rounds=5, warmup_rounds=1)
+    assert min(result.flow_rates.values()) > 0
+
+
+def test_gmp_dcf_exchange_figure3(benchmark):
+    """Ten simulated seconds of figure3 GMP/DCF through ``run_scenario``,
+    set-up included: the RTS/CTS/DATA/ACK exchange with the node stack,
+    the overhearing gate fed by every decoded frame's piggyback and the
+    GMP observer — the path ``test_dcf_simulated_second``'s
+    ``SaturatedSender`` bypasses.  ~86 k events, ~24 k frames; every
+    frame restarts timers (re-keyed in place, not re-allocated) and
+    replays its sender's delivery plan."""
+    from repro.scenarios.figures import figure3
+    from repro.scenarios.runner import run_scenario
+
+    def run():
+        return run_scenario(figure3(), protocol="gmp", substrate="dcf", duration=10.0, seed=1)
 
     result = benchmark.pedantic(run, rounds=5, warmup_rounds=1)
     assert min(result.flow_rates.values()) > 0

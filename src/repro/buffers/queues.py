@@ -592,6 +592,9 @@ class PerDestinationBuffer(BufferPolicy):
     def backlog(self) -> int:
         return self._backlog
 
+    def has_pending(self) -> bool:
+        return self._backlog > 0
+
     def queued_packets(self) -> list[Packet]:
         return [
             packet

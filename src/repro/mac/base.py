@@ -32,7 +32,9 @@ class NodeServices:
         on_overhear: any frame from ``sender`` was decoded (including
             frames addressed elsewhere); carries the sender's
             piggybacked buffer-state map.  Used by congestion
-            avoidance to cache downstream buffer states.
+            avoidance to cache downstream buffer states.  The map is
+            the frame's own, passed without a copy: every receiver of
+            the frame gets the same object, so it is read-only.
         make_piggyback: produce the buffer-state map to attach to an
             outgoing frame.
         on_packet_dropped: the MAC exhausted retries and discarded the

@@ -19,6 +19,12 @@ Collisions are tracked incrementally: when a transmission starts it
 corruption-marks every overlapping transmission (and is marked by
 them), so no airtime scanning is needed at frame end.
 
+The geometry never changes during a run, so each sender's fan-out is
+resolved once into a *delivery plan* — its sensing radios in
+registration order, each with its decode verdict — and every frame
+replays it.  What can change per frame (downed nodes, injected link
+loss, collisions) is still checked per frame.
+
 Fault injection (:mod:`repro.faults`) hooks in at this layer:
 
 * per-directed-link loss rates (:meth:`Channel.set_link_loss`) turn a
@@ -64,7 +70,7 @@ class Radio(Protocol):
         """This node's own transmission finished."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _Transmission:
     frame: Frame
     sender: int
@@ -72,6 +78,11 @@ class _Transmission:
     end: float
     corrupted_at: set[int] = field(default_factory=set)
     aborted: bool = False
+
+
+#: One sender's fan-out: ``(node id, radio, decodes)`` per sensing
+#: radio, in registration order.
+_Plan = list[tuple[int, Radio, bool]]
 
 
 class Channel:
@@ -82,6 +93,7 @@ class Channel:
         self.topology = topology
         self._radios: dict[int, Radio] = {}
         self._sensers: dict[int, list[int]] = {}
+        self._plans: dict[int, _Plan] = {}
         self._active: list[_Transmission] = []
         self._transmitting: set[int] = set()
         self._down: set[int] = set()
@@ -142,6 +154,7 @@ class Channel:
         self.topology.node(node_id)
         self._radios[node_id] = radio
         self._sensers.clear()
+        self._plans.clear()
 
     def is_transmitting(self, node_id: int) -> bool:
         """True while ``node_id`` has a frame on the air."""
@@ -160,6 +173,20 @@ class Channel:
             cached = [node_id for node_id in self._radios if node_id in members]
             self._sensers[sender] = cached
         return cached
+
+    def _plan(self, sender: int) -> _Plan:
+        """``sender``'s delivery plan: :meth:`_sensing_radios` with each
+        radio and its decode verdict resolved (cleared on
+        :meth:`register`)."""
+        plan = self._plans.get(sender)
+        if plan is None:
+            decoders = self.topology.neighbors(sender)
+            plan = [
+                (node_id, self._radios[node_id], node_id in decoders)
+                for node_id in self._sensing_radios(sender)
+            ]
+            self._plans[sender] = plan
+        return plan
 
     def transmit(self, sender: int, frame: Frame) -> None:
         """Put ``frame`` on the air from ``sender``.
@@ -201,18 +228,19 @@ class Channel:
         # pairs must stay balanced even when the node crashes or
         # recovers mid-frame, so gating on `down` happens at decode
         # time, not here.
-        sensing = self._sensing_radios(sender)
-        for node_id in sensing:
-            self._radios[node_id].on_busy_start()
+        plan = self._plan(sender)
+        for _, radio, _ in plan:
+            radio.on_busy_start()
         self.sim.call_at(
             transmission.end,
-            lambda: self._finish(transmission, sensing),
+            lambda: self._finish(transmission, plan),
             tag="channel.end",
         )
 
-    def _finish(self, transmission: _Transmission, sensing: list[int]) -> None:
+    def _finish(self, transmission: _Transmission, plan: _Plan) -> None:
         self._active.remove(transmission)
-        if not transmission.aborted:
+        aborted = transmission.aborted
+        if not aborted:
             # An aborted sender was already cleared — and may have
             # recovered and started a *new* transmission meanwhile,
             # whose flag must not be clobbered by the ghost's end.
@@ -220,22 +248,19 @@ class Channel:
         sender = transmission.sender
         frame = transmission.frame
 
-        for node_id in sensing:
-            self._radios[node_id].on_busy_end()
+        for _, radio, _ in plan:
+            radio.on_busy_end()
 
-        for node_id in sensing:
-            if node_id in self._down:
+        down = self._down
+        corrupted_at = transmission.corrupted_at
+        for node_id, radio, decodable in plan:
+            if node_id in down:
                 continue  # a crashed radio decodes nothing
-            radio = self._radios[node_id]
-            decodable = self.topology.decodes(sender, node_id)
-            clean = (
-                node_id not in transmission.corrupted_at
-                and not transmission.aborted
-            )
-            if decodable and clean and self._lost(sender, node_id):
+            clean = decodable and not aborted and node_id not in corrupted_at
+            if clean and self._link_loss and self._lost(sender, node_id):
                 self.frames_lost += 1
                 clean = False
-            if decodable and clean:
+            if clean:
                 self.frames_delivered += 1
                 radio.on_frame_received(frame)
             else:

@@ -116,6 +116,19 @@ class _DcfNode:
         )
         self._last_busy_start = -1.0
 
+        # PHY timings, resolved once: the expressions the handlers used
+        # to evaluate per frame, so the same floats.
+        self._difs = phy.difs
+        self._eifs = phy.eifs
+        self._cts_duration = phy.cts_duration
+        self._ack_duration = phy.ack_duration
+        slack = config.timeout_slack_slots * phy.slot_time
+        self._cts_timeout = phy.sifs + phy.cts_duration + slack
+        self._ack_timeout = phy.sifs + phy.ack_duration + slack
+        self._nav_reset_window = (
+            2 * phy.sifs + phy.cts_duration + 2 * phy.slot_time
+        )
+
         # Telemetry: resolved once at construction so the hot paths pay
         # a single None check when the subsystem is disabled.
         self._tm = sim.telemetry if sim.telemetry.enabled else None
@@ -152,7 +165,12 @@ class _DcfNode:
 
     def _update_busy_meter(self) -> None:
         """Track time with perceivable channel activity (sensed energy
-        or own transmission)."""
+        or own transmission).
+
+        Called where that activity can stop: the sensed count falling
+        to 0, an own transmission ending, a crash or recovery.  Where it
+        can only start (a busy start, :meth:`_send`) the meter is opened
+        in place; while ``_busy`` stays positive it already reads busy."""
         busy_now = self._busy > 0 or self.channel.is_transmitting(self.node_id)
         if busy_now and self._busy_since is None:
             self._busy_since = self.sim.now
@@ -186,7 +204,7 @@ class _DcfNode:
             return
         if not self._medium_idle():
             return
-        ifs = self.phy.eifs if (self._use_eifs and self.config.use_eifs) else self.phy.difs
+        ifs = self._eifs if (self._use_eifs and self.config.use_eifs) else self._difs
         self._state = _State.DEFER
         self._defer_timer.start(ifs)
 
@@ -238,17 +256,16 @@ class _DcfNode:
                 piggyback=self.services.make_piggyback(),
             )
             self._state = _State.TX_BCAST
-            self.channel.transmit(self.node_id, frame)
-            self._update_busy_meter()
+            self._send(frame)
             return
 
         assert self._current is not None
         packet, next_hop = self._current
         data_duration = self.phy.data_duration(packet.size_bytes)
         nav = (
-            self.phy.cts_duration
+            self._cts_duration
             + data_duration
-            + self.phy.ack_duration
+            + self._ack_duration
             + 3 * self.phy.sifs
         )
         frame = Frame(
@@ -261,23 +278,30 @@ class _DcfNode:
         )
         self._state = _State.TX_RTS
         self.rts_attempts += 1
+        self._send(frame)
+
+    def _send(self, frame: Frame) -> None:
+        """Put ``frame`` on the air; transmitting reads busy."""
         self.channel.transmit(self.node_id, frame)
-        self._update_busy_meter()
+        if self._busy_since is None:
+            self._busy_since = self.sim.now
 
     # --- channel callbacks (Radio protocol) ------------------------------------------
 
     def on_busy_start(self) -> None:
         self._busy += 1
-        self._last_busy_start = self.sim.now
-        self._update_busy_meter()
-        self._interrupt_contention()
+        now = self._last_busy_start = self.sim.now
+        if self._busy_since is None:
+            self._busy_since = now
+        if self._state is _State.DEFER or self._state is _State.BACKOFF:
+            self._interrupt_contention()
 
     def on_busy_end(self) -> None:
         if self._busy <= 0:
             raise MacError(f"node {self.node_id}: unbalanced busy_end")
         self._busy -= 1
-        self._update_busy_meter()
         if self._busy == 0:
+            self._update_busy_meter()
             self.attempt_access()
 
     def on_frame_corrupted(self) -> None:
@@ -293,12 +317,12 @@ class _DcfNode:
         if self.down:
             return
         self._use_eifs = False
-        self.services.on_overhear(frame.sender, dict(frame.piggyback))
+        self.services.on_overhear(frame.sender, frame.piggyback)
 
-        if frame.is_broadcast:
+        if frame.receiver is None:
             self.services.on_broadcast_received(frame.payload, frame.sender)
             return
-        if not frame.addressed_to(self.node_id):
+        if frame.receiver != self.node_id:
             if frame.nav > 0:
                 self._set_nav(self.sim.now + frame.nav)
                 if frame.kind is FrameKind.RTS:
@@ -306,11 +330,7 @@ class _DcfNode:
                     # past the point where the answering CTS should
                     # have appeared, the overheard RTS failed and its
                     # reservation is cancelled.
-                    self._nav_reset_timer.start(
-                        2 * self.phy.sifs
-                        + self.phy.cts_duration
-                        + 2 * self.phy.slot_time
-                    )
+                    self._nav_reset_timer.start(self._nav_reset_window)
             return
 
         if frame.kind is FrameKind.RTS:
@@ -329,21 +349,11 @@ class _DcfNode:
         if frame.kind is FrameKind.RTS:
             self._add_occupancy((self.node_id, frame.receiver), frame.duration)
             self._state = _State.WAIT_CTS
-            timeout = (
-                self.phy.sifs
-                + self.phy.cts_duration
-                + self.config.timeout_slack_slots * self.phy.slot_time
-            )
-            self._cts_timer.start(timeout)
+            self._cts_timer.start(self._cts_timeout)
         elif frame.kind is FrameKind.DATA:
             self._add_occupancy((self.node_id, frame.receiver), frame.duration)
             self._state = _State.WAIT_ACK
-            timeout = (
-                self.phy.sifs
-                + self.phy.ack_duration
-                + self.config.timeout_slack_slots * self.phy.slot_time
-            )
-            self._ack_timer.start(timeout)
+            self._ack_timer.start(self._ack_timeout)
         elif frame.kind is FrameKind.CTS:
             assert self._response_peer is not None
             self._add_occupancy((self._response_peer, self.node_id), frame.duration)
@@ -368,12 +378,12 @@ class _DcfNode:
         if self.sim.now < self._nav_until:
             return  # virtual carrier sense forbids responding
         self._interrupt_contention()
-        cts_nav = max(0.0, frame.nav - self.phy.sifs - self.phy.cts_duration)
+        cts_nav = max(0.0, frame.nav - self.phy.sifs - self._cts_duration)
         cts = Frame(
             kind=FrameKind.CTS,
             sender=self.node_id,
             receiver=frame.sender,
-            duration=self.phy.cts_duration,
+            duration=self._cts_duration,
             nav=cts_nav,
             piggyback=self.services.make_piggyback(),
         )
@@ -393,7 +403,7 @@ class _DcfNode:
             sender=self.node_id,
             receiver=next_hop,
             duration=data_duration,
-            nav=self.phy.sifs + self.phy.ack_duration,
+            nav=self.phy.sifs + self._ack_duration,
             packet=packet,
             piggyback=self.services.make_piggyback(),
         )
@@ -416,7 +426,7 @@ class _DcfNode:
             kind=FrameKind.ACK,
             sender=self.node_id,
             receiver=frame.sender,
-            duration=self.phy.ack_duration,
+            duration=self._ack_duration,
             piggyback=self.services.make_piggyback(),
         )
         self._response_peer = frame.sender
@@ -449,8 +459,7 @@ class _DcfNode:
         self._pending_frame = None
         self._pending_state = None
         self._state = next_state
-        self.channel.transmit(self.node_id, frame)
-        self._update_busy_meter()
+        self._send(frame)
 
     # --- timeouts and completion ------------------------------------------------------
 
@@ -522,10 +531,9 @@ class _DcfNode:
         self.attempt_access()
 
     def _on_nav_reset_check(self) -> None:
-        window = (
-            2 * self.phy.sifs + self.phy.cts_duration + 2 * self.phy.slot_time
+        heard_since = (
+            self._last_busy_start >= self.sim.now - self._nav_reset_window
         )
-        heard_since = self._last_busy_start >= self.sim.now - window
         if not heard_since and self._busy == 0 and self._nav_until > self.sim.now:
             self._nav_until = self.sim.now
             self._nav_timer.cancel()
@@ -625,7 +633,9 @@ class DcfMac(MacLayer):
             node.attempt_access()
 
     def notify_backlog(self, node_id: int) -> None:
-        self._node(node_id).attempt_access()
+        # Hot (every admission and overheard frame): one look-up; only a
+        # miss goes through ``_node``, which raises.
+        (self._nodes.get(node_id) or self._node(node_id)).attempt_access()
 
     def occupancy_snapshot(self, node_id: int) -> dict[Link, float]:
         return dict(self._node(node_id).occupancy)

@@ -25,7 +25,7 @@ class FrameKind(enum.Enum):
     BROADCAST = "broadcast"
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """One frame on the air.
 

@@ -11,6 +11,16 @@ Cancellation is lazy: a cancelled event stays in the heap as a
 reaches the top, or in bulk when tombstones outnumber live events
 (:meth:`EventQueue._compact`); a tombstone count keeps ``len`` and
 truthiness O(1) instead of scanning the heap.
+
+Re-keying moves a queued event *later* without touching the heap
+(:meth:`EventQueue.rekey`): the event takes the new time and a fresh
+sequence number, and its heap entry goes stale — the entry's ``seq``
+no longer matches the event's.  A stale entry is re-sifted under the
+event's current key when it reaches the top.  This is exact: the new
+key ``(t' >= t, p, s' > s)`` never sorts before the stale one, so the
+event still surfaces no earlier than its key says, and everything that
+sorts before that key is dispatched first, exactly as if the event had
+been cancelled and pushed anew.
 """
 
 from __future__ import annotations
@@ -53,7 +63,8 @@ class Event:
     _queue: "EventQueue | None" = field(
         default=None, init=False, compare=False, repr=False
     )
-    #: True while the event sits in its owner's heap.
+    #: True while the event has an entry in its owner's heap (stale
+    #: after a re-key: see :meth:`EventQueue.rekey`).
     _in_heap: bool = field(default=False, init=False, compare=False, repr=False)
 
     def cancel(self) -> None:
@@ -129,6 +140,28 @@ class EventQueue:
         heapq.heappush(self._heap, (time, event.priority, event.seq, event))
         return event
 
+    def rekey(self, event: Event, time: float) -> Event:
+        """Move a queued event to ``time`` (no earlier than its current
+        time) with a fresh sequence number, leaving its heap entry in
+        place; a cancelled one is revived.  The entry is re-sifted under
+        the new key when it surfaces, so the event is dispatched exactly
+        where cancelling it and pushing a new event would put it.
+
+        Raises:
+            SimulationError: if the event is not in the heap, or
+                ``time`` is earlier than its current time.
+        """
+        if not event._in_heap:
+            raise SimulationError("rekey of an event not in the heap")
+        if time < event.time:
+            raise SimulationError("rekey may only move an event later")
+        if event.cancelled:
+            event.cancelled = False
+            self._tombstones -= 1
+        event.time = time
+        event.seq = next(self._counter)
+        return event
+
     def reinject(self, events: "list[Event]") -> None:
         """Return already-popped events to the heap *unchanged* (same
         sequence numbers), preserving their original dispatch order.
@@ -148,7 +181,7 @@ class EventQueue:
         Raises:
             SimulationError: if the queue holds no active events.
         """
-        self._discard_cancelled()
+        self._settle_head()
         if not self._heap:
             raise SimulationError("peek on an empty event queue")
         return self._heap[0][0]
@@ -168,7 +201,7 @@ class EventQueue:
         """Remove and return the earliest active event, or ``None`` when
         there is none (queue drained, or — with ``until`` given — every
         remaining event lies beyond it).  Tombstones met on the way are
-        discarded."""
+        discarded and stale entries re-sifted."""
         heap = self._heap
         while heap:
             entry = heap[0]
@@ -177,6 +210,11 @@ class EventQueue:
                 heapq.heappop(heap)
                 event._in_heap = False
                 self._tombstones -= 1
+                continue
+            if entry[2] != event.seq:
+                heapq.heapreplace(
+                    heap, (event.time, event.priority, event.seq, event)
+                )
                 continue
             if until is not None and entry[0] > until:
                 return None
@@ -205,6 +243,11 @@ class EventQueue:
                 event._in_heap = False
                 self._tombstones -= 1
                 continue
+            if entry[2] != event.seq:
+                heapq.heapreplace(
+                    heap, (event.time, event.priority, event.seq, event)
+                )
+                continue
             if until is not None and entry[0] > until:
                 break
             pop(heap)
@@ -231,20 +274,33 @@ class EventQueue:
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the heap without tombstones (amortized O(n))."""
+        """Rebuild the heap without tombstones, every entry under its
+        event's current key (amortized O(n))."""
         kept: list[tuple[float, int, int, Event]] = []
         for entry in self._heap:
-            if entry[3].cancelled:
-                entry[3]._in_heap = False
+            event = entry[3]
+            if event.cancelled:
+                event._in_heap = False
             else:
-                kept.append(entry)
+                kept.append((event.time, event.priority, event.seq, event))
         heapq.heapify(kept)
         self._heap = kept
         self._tombstones = 0
 
-    def _discard_cancelled(self) -> None:
+    def _settle_head(self) -> None:
+        """Discard tombstones and re-sift stale entries at the top, so
+        ``heap[0]`` is the earliest active event under its current key."""
         heap = self._heap
-        while heap and heap[0][3].cancelled:
-            event = heapq.heappop(heap)[3]
-            event._in_heap = False
-            self._tombstones -= 1
+        while heap:
+            entry = heap[0]
+            event = entry[3]
+            if event.cancelled:
+                heapq.heappop(heap)
+                event._in_heap = False
+                self._tombstones -= 1
+            elif entry[2] != event.seq:
+                heapq.heapreplace(
+                    heap, (event.time, event.priority, event.seq, event)
+                )
+            else:
+                return

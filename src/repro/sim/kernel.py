@@ -92,6 +92,15 @@ class Timer:
 
     A timer wraps a pending event and supports the cancel/restart
     pattern MAC state machines need (e.g. CTS timeout, defer timers).
+
+    It owns one event slot for its life.  A restart that lands no
+    earlier than the queued expiry re-keys that event in place
+    (:meth:`EventQueue.rekey`); a timer that fired, or whose tombstone
+    has left the heap, re-pushes its slot (:meth:`EventQueue.repush`).
+    Both draw the fresh sequence number where ``call_later`` would, so
+    the dispatch order is the cancel-and-push one.  Only a restart
+    *earlier* than a queued expiry leaves a tombstone and takes a new
+    slot.
     """
 
     def __init__(
@@ -103,40 +112,52 @@ class Timer:
         priority: int = DEFAULT_PRIORITY,
     ) -> None:
         self._sim = sim
+        self._queue = sim._queue
         self._callback = callback
         self._tag = tag
         self._priority = priority
-        self._event: Event | None = None
+        self._slot: Event | None = None
 
     @property
     def pending(self) -> bool:
         """True if the timer is armed and has not yet fired."""
-        return self._event is not None and self._event.active
+        slot = self._slot
+        return slot is not None and slot._in_heap and not slot.cancelled
 
     @property
     def expires_at(self) -> float | None:
         """Absolute expiry time, or None when not armed."""
         if self.pending:
-            assert self._event is not None
-            return self._event.time
+            assert self._slot is not None
+            return self._slot.time
         return None
 
     def start(self, delay: float) -> None:
         """Arm the timer ``delay`` seconds from now, replacing any
         previously armed expiry."""
-        self.cancel()
-        self._event = self._sim.call_later(
-            delay, self._fire, priority=self._priority, tag=self._tag
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        time = self._sim._now + delay
+        slot = self._slot
+        if slot is not None:
+            if not slot._in_heap:
+                self._queue.repush(slot, time)
+                return
+            if time >= slot.time:
+                self._queue.rekey(slot, time)
+                return
+            slot.cancel()
+        self._slot = self._queue.push(
+            time, self._fire, priority=self._priority, tag=self._tag
         )
 
     def cancel(self) -> None:
         """Disarm the timer.  Safe to call when not armed."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        slot = self._slot
+        if slot is not None and not slot.cancelled:
+            slot.cancel()
 
     def _fire(self) -> None:
-        self._event = None
         self._callback()
 
 

@@ -73,6 +73,10 @@ class NodeStack:
             local, forwarded = buffer_policy.admit_local, buffer_policy.admit_forwarded
             self._admit_local_at = lambda packet, _now: local(packet)
             self._admit_forwarded_at = lambda packet, _now: forwarded(packet)
+        # The MAC's pull and the overhearing gate, bound once too.
+        self._pull = buffer_policy.dequeue
+        self._has_pending = buffer_policy.has_pending
+        self._gate = getattr(buffer_policy, "gate", None)
         self._retry_timer = sim.timer(
             self._on_retry, tag=f"stack.retry.{node_id}"
         )
@@ -130,10 +134,13 @@ class NodeStack:
     # --- MAC-facing callbacks ------------------------------------------------------
 
     def _dequeue(self) -> tuple[Packet, int] | None:
-        item = self.buffer.dequeue(self.sim.now)
+        # Most pulls find the buffer empty; ask that first (an empty
+        # policy's dequeue changes nothing).
+        if not self._has_pending():
+            return None
+        item = self._pull(self.sim.now)
         if item is None:
-            if self.buffer.has_pending():
-                self._retry_timer.start(self._stale_retry)
+            self._retry_timer.start(self._stale_retry)
             return None
         packet, next_hop = item
         self.forwards[(next_hop, packet.destination)] = (
@@ -188,7 +195,7 @@ class NodeStack:
         self.mac.notify_backlog(self.node_id)
 
     def _on_overhear(self, sender: int, states: dict[int, bool]) -> None:
-        gate = getattr(self.buffer, "gate", None)
+        gate = self._gate
         if gate is not None and states:
             gate.update(sender, states, self.sim.now)
             # An overheard release may have unblocked a queue head.

@@ -9,6 +9,7 @@ from repro.flows.flow import Flow, FlowSet
 from repro.flows.packet import Packet
 from repro.mac.base import NodeServices
 from repro.scenarios.figures import Scenario
+from repro.sim.event import DEFAULT_PRIORITY, Event
 from repro.topology.builders import random_topology
 
 
@@ -217,3 +218,52 @@ def scan_eligible_links(buffer) -> dict:
 
 def scan_has_pending(buffer) -> bool:
     return any(buffer.queue_length(dest) for dest in buffer.served_destinations())
+
+
+# --- Timer before it re-keyed its event in place ------------------------------
+#
+# The kernel's cancel-and-push timer as it was: every restart cancels the
+# queued event, leaving a tombstone, and schedules a new one.  It keeps the
+# name ``Timer`` so its events carry the handler name ``Timer._fire`` in a
+# dispatch log, as the kernel's do; it is the oracle of the re-keying
+# differential in tests/test_timer_rekey.py.
+
+
+class Timer:
+    """A restartable one-shot timer bound to a ``Simulator``."""
+
+    def __init__(self, sim, callback, *, tag="timer", priority=DEFAULT_PRIORITY):
+        self._sim = sim
+        self._callback = callback
+        self._tag = tag
+        self._priority = priority
+        self._event: Event | None = None
+
+    @property
+    def pending(self) -> bool:
+        return self._event is not None and self._event.active
+
+    @property
+    def expires_at(self) -> float | None:
+        if self.pending:
+            assert self._event is not None
+            return self._event.time
+        return None
+
+    def start(self, delay: float) -> None:
+        self.cancel()
+        self._event = self._sim.call_later(
+            delay, self._fire, priority=self._priority, tag=self._tag
+        )
+
+    def cancel(self) -> None:
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+
+    def _fire(self) -> None:
+        self._event = None
+        self._callback()
+
+
+CancelAndPushTimer = Timer

@@ -1,5 +1,7 @@
 """Unit and property tests for backpressure gates and fullness meter."""
 
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,15 @@ class TestOverhearingGate:
         gate = OverhearingGate()
         gate.update(3, {7: True}, now=0.0)
         assert gate.allows(3, 7, now=0.0)
+
+    def test_update_reads_the_overheard_map_without_writing_it(self):
+        # The map is the frame's own, shared by every receiver: through a
+        # read-only view any write would raise.
+        states = {7: False, 8: True}
+        gate = OverhearingGate()
+        gate.update(3, MappingProxyType(states), now=0.0)
+        assert states == {7: False, 8: True}
+        assert gate.known_state(3, 7) is False and gate.known_state(3, 8) is True
 
     def test_stale_full_state_stops_blocking(self):
         gate = OverhearingGate(stale_timeout=0.1)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.buffers.backpressure import OverhearingGate
 from repro.errors import MacError
 from repro.mac.dcf import DcfConfig, DcfMac
 from repro.mac.phy import PHY_80211B_SHORT
@@ -210,6 +211,50 @@ def test_overhear_carries_piggyback():
     # The bystander decodes frames from both 0 and 1.
     senders_heard = {sender_id for sender_id, _ in bystander.overheard}
     assert senders_heard == {0, 1}
+
+
+def test_every_receiver_overhears_the_frames_own_map_unchanged():
+    # The piggyback map is the frame's own: one object, shared by every
+    # receiver and read-only, so the MAC hands it over without a copy.
+    topology = Topology()
+    topology.add_nodes([(0.0, 0.0), (200.0, 0.0), (100.0, 170.0)])
+    sim = Simulator(seed=2)
+    mac = DcfMac(sim, topology)
+    gate = OverhearingGate()
+    sent = []
+
+    def piggyback():
+        sent.append({7: True, 9: False})
+        return sent[-1]
+
+    def gated(actor):
+        def on_overhear(sender_id, states):
+            actor.overheard.append((sender_id, states))
+            gate.update(sender_id, states, sim.now)
+
+        return on_overhear
+
+    actors = [SaturatedSender(0, {1: 1}), SaturatedSender(1, {}), SaturatedSender(2, {})]
+    for actor in actors:
+        services = actor.services()
+        if actor.node_id == 0:
+            services.make_piggyback = piggyback
+        else:
+            services.on_overhear = gated(actor)
+        mac.attach_node(actor.node_id, services)
+    mac.start()
+    sim.run(until=0.2)
+
+    heard = [
+        {id(states) for sender_id, states in actor.overheard if sender_id == 0}
+        for actor in actors[1:]
+    ]
+    assert heard[0] and heard[1]
+    assert heard[0] | heard[1] <= {id(states) for states in sent}
+    # The sink and the bystander decoded the same frames: same objects.
+    assert heard[0] & heard[1]
+    assert all(states == {7: True, 9: False} for states in sent)
+    assert gate.known_state(0, 9) is False
 
 
 def test_duplicate_attach_rejected():

@@ -8,46 +8,86 @@ substrates, plus scale300: dispatched events, buffer and MAC drops and
 a digest of the per-flow rates.  They were recorded before the
 per-packet path stopped building packets for refused offers, so any
 change to what a run simulates shows here.
+
+The DCF rows also pin the L0 replay digest (every dispatched event's
+time, priority, tag and handler name), recorded before DCF timers
+re-keyed their events in place and the channel replayed per-sender
+delivery plans.  The disrupted row adds Poisson flow churn, link loss
+and a crash / recover: the paths that cancel all seven DCF timers and
+abort frames in flight.
 """
 
 import hashlib
 
 import pytest
 
+from repro.churn.spec import ChurnSpec
+from repro.faults.spec import parse_fault_spec
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.sweep import SCENARIO_FACTORIES
+from repro.sim.replay import ReplaySanitizer
+
+DISRUPTIONS = {
+    "churn": ChurnSpec(rate=1.0, mean_hold=2.0, max_flows=4),
+    "faults": parse_fault_spec(
+        "degrade:2-3@1:loss=0.3;restore:2-3@2;crash:1@3;recover:1@4"
+    ),
+}
 
 FINGERPRINTS = [
-    # scenario, protocol, substrate, seconds, events, buffer drops,
-    # MAC drops, sha256 prefix of the per-flow rates
-    ("figure3", "gmp", "fluid", 20.0, 31940, 0, 0, "d78be9a8849085b9"),
-    ("figure3", "gmp", "dcf", 2.0, 18573, 0, 0, "3574e2ccb874d3bb"),
-    ("figure3", "802.11", "fluid", 20.0, 49001, 1964, 0, "9c6a62dfbb98eee5"),
-    ("figure3", "802.11", "dcf", 2.0, 21393, 782, 0, "8d63b8d96626eb14"),
-    ("figure3", "2pp", "fluid", 20.0, 9748, 0, 0, "04e97b12c62acc3a"),
-    ("figure3", "2pp", "dcf", 2.0, 15211, 0, 0, "4021af641b14ab28"),
-    ("figure3", "backpressure-shared", "fluid", 20.0, 49001, 0, 0, "9c6a62dfbb98eee5"),
-    ("figure3", "backpressure-shared", "dcf", 2.0, 18572, 0, 0, "3574e2ccb874d3bb"),
-    ("scale300", "gmp", "fluid", 2.0, 14501, 0, 0, "2ee406f3e701d778"),
+    # scenario, protocol, substrate, seconds, disrupted, events, buffer
+    # drops, MAC drops, sha256 prefix of the per-flow rates, replay
+    # digest prefix (DCF rows)
+    ("figure3", "gmp", "fluid", 20.0, False, 31940, 0, 0, "d78be9a8849085b9", None),
+    ("figure3", "gmp", "dcf", 2.0, False, 18573, 0, 0, "3574e2ccb874d3bb", "ca997a36321778d0"),
+    ("figure3", "gmp", "dcf", 5.0, True, 43593, 0, 40, "a1af3bb1fef80f0c", "4c13e66f71bfe871"),
+    ("figure3", "802.11", "fluid", 20.0, False, 49001, 1964, 0, "9c6a62dfbb98eee5", None),
+    ("figure3", "802.11", "dcf", 2.0, False, 21393, 782, 0, "8d63b8d96626eb14", "6b449e11c7e1d677"),
+    ("figure3", "2pp", "fluid", 20.0, False, 9748, 0, 0, "04e97b12c62acc3a", None),
+    ("figure3", "2pp", "dcf", 2.0, False, 15211, 0, 0, "4021af641b14ab28", "3b5df51c6697488b"),
+    ("figure3", "backpressure-shared", "fluid", 20.0, False, 49001, 0, 0, "9c6a62dfbb98eee5", None),
+    ("figure3", "backpressure-shared", "dcf", 2.0, False, 18572, 0, 0, "3574e2ccb874d3bb", "dd7b3dbc578cdcbf"),
+    ("scale300", "gmp", "fluid", 2.0, False, 14501, 0, 0, "2ee406f3e701d778", None),
 ]
 
 
 @pytest.mark.parametrize(
-    "scenario, protocol, substrate, seconds, events, buffer_drops, mac_drops, rates",
+    "scenario, protocol, substrate, seconds, disrupted, events, buffer_drops, "
+    "mac_drops, rates, replay",
     FINGERPRINTS,
-    ids=[f"{row[0]}-{row[1]}-{row[2]}" for row in FINGERPRINTS],
+    ids=[
+        f"{row[0]}-{row[1]}-{row[2]}" + ("-churn-faults" if row[4] else "")
+        for row in FINGERPRINTS
+    ],
 )
 def test_run_matches_its_fingerprint(
-    scenario, protocol, substrate, seconds, events, buffer_drops, mac_drops, rates
+    scenario,
+    protocol,
+    substrate,
+    seconds,
+    disrupted,
+    events,
+    buffer_drops,
+    mac_drops,
+    rates,
+    replay,
 ):
+    sanitizer = ReplaySanitizer(journal_limit=0)
     result = run_scenario(
         SCENARIO_FACTORIES[scenario](),
         protocol=protocol,
         substrate=substrate,
         duration=seconds,
         seed=1,
+        sanitizer=sanitizer,
+        **(DISRUPTIONS if disrupted else {}),
     )
     flow_rates = "|".join(f"{flow}:{rate!r}" for flow, rate in sorted(result.flow_rates.items()))
     assert result.extras["events_processed"] == events
     assert (result.buffer_drops, result.mac_drops) == (buffer_drops, mac_drops)
     assert hashlib.sha256(flow_rates.encode()).hexdigest()[:16] == rates
+    if replay is not None:
+        assert sanitizer.hexdigest()[:16] == replay
+    if disrupted:
+        assert result.extras["churn"].arrivals > 0
+        assert len(result.extras["faults"]) == 4
