@@ -1,8 +1,9 @@
 """Simulator performance benchmarks (not paper artifacts).
 
 Measured so regressions in the hot paths show up: event-kernel
-dispatch (shallow and deep heap), packet-level DCF throughput (a bare
-saturated link, and figure3 GMP through the whole node stack),
+dispatch (shallow and deep heap), figure3 GMP/fluid source ticks
+(CBR, and Poisson under flow churn), packet-level DCF throughput (a
+bare saturated link, and figure3 GMP through the whole node stack),
 fluid-round throughput (setup excluded, so the number tracks the round
 machinery itself), the water-filling solver, the maxmin reference
 solve, and clique enumeration on a dense random network.  CI gates
@@ -209,6 +210,33 @@ def test_gmp_packet_path_figure3(benchmark):
 
     result = benchmark.pedantic(run, rounds=5, warmup_rounds=1)
     assert min(result.flow_rates.values()) > 0
+
+
+def test_gmp_churn_path_figure3(benchmark):
+    """Thirty simulated seconds of figure3 GMP/fluid under the flow churn
+    of the repo benchmark's dynamic workload (Poisson arrivals of flows
+    that send Poisson traffic), through ``run_scenario``: the source tick
+    path ``test_gmp_packet_path_figure3``'s CBR flows skip — a gap from
+    the source's drawn block, one token-bucket refill under GMP's limits
+    — plus churned sources starting and stopping.  ~97 k events, 18
+    churned flows, nearly all events source ticks."""
+    from repro.churn.spec import ChurnSpec
+    from repro.scenarios.figures import figure3
+    from repro.scenarios.runner import run_scenario
+
+    def run():
+        return run_scenario(
+            figure3(),
+            protocol="gmp",
+            substrate="fluid",
+            duration=30.0,
+            seed=1,
+            churn=ChurnSpec(rate=0.5, mean_hold=8.0, max_flows=8),
+        )
+
+    result = benchmark.pedantic(run, rounds=5, warmup_rounds=1)
+    assert result.extras["churn"].arrivals > 0
+    assert min(result.flow_rates[flow.flow_id] for flow in figure3().flows) > 0
 
 
 def test_gmp_dcf_exchange_figure3(benchmark):

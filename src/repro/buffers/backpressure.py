@@ -15,12 +15,14 @@ Two implementations:
 * :class:`OracleGate` — reads the downstream queue directly.  Used
   with the fluid MAC, which has no frames to overhear; semantically it
   is the zero-loss, zero-latency limit of the overhearing gate.
+  :class:`BufferOracleGate` is the oracle a scenario run builds: it
+  asks each neighbour's own buffer.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable
+from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigError
 
@@ -90,3 +92,20 @@ class OracleGate(BackpressureGate):
 
     def allows(self, neighbor: int, dest: int, now: float) -> bool:
         return self._lookup(neighbor, dest)
+
+
+class BufferOracleGate(BackpressureGate):
+    """The oracle over the neighbours' own buffers: a check is the
+    neighbour buffer's ``has_free(dest)``, one call into the downstream
+    queue.
+
+    Args:
+        buffers: node id -> that node's buffer policy, read at each
+            check (so it may be filled after the gate is built).
+    """
+
+    def __init__(self, buffers: Mapping[int, Any]) -> None:
+        self._buffers = buffers
+
+    def allows(self, neighbor: int, dest: int, now: float) -> bool:
+        return self._buffers[neighbor].has_free(dest)

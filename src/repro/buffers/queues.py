@@ -424,6 +424,7 @@ class PerDestinationBuffer(BufferPolicy):
         if per_dest_capacity < 1:
             raise BufferError_(f"per-dest capacity must be >= 1: {per_dest_capacity}")
         self.gate = gate
+        self._allows = gate.allows  # asked for every packet served
         self.per_dest_capacity = per_dest_capacity
         self._queues: dict[int, deque[Packet]] = {}
         self._meters: dict[int, FullnessMeter] = {}
@@ -552,7 +553,7 @@ class PerDestinationBuffer(BufferPolicy):
         pointer: destinations above ``_last_dest`` first, then wrap."""
         last = self._last_dest
         pivot = bisect_right(dests, last) if last is not None else 0
-        queues, link_of, allows = self._queues, self._link_of, self.gate.allows
+        queues, link_of, allows = self._queues, self._link_of, self._allows
         for dest in (dests[pivot:] + dests[:pivot]) if pivot else dests:
             queue = queues[dest]
             if queue and allows(link_of[dest][1], dest, now):

@@ -85,9 +85,12 @@ class _Observer:
         if packet.carried_mu is not None:
             protocol._trackers[node_id].observe((from_node, node_id), packet.destination, packet)
         # Receiving proves both endpoints of the hop are alive.
-        for node in (node_id, from_node):
-            if node not in protocol._known_down:
-                protocol._last_heard[node] = protocol.sim.now
+        known_down, last_heard = protocol._known_down, protocol._last_heard
+        now = protocol.sim.now
+        if node_id not in known_down:
+            last_heard[node_id] = now
+        if from_node not in known_down:
+            last_heard[from_node] = now
 
 
 class GmpProtocol:

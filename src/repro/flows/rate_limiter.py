@@ -63,6 +63,22 @@ class TokenBucket:
             return True
         return False
 
+    def take(self, now: float) -> tuple[bool, float]:
+        """Consume one token if available, and say when the next one is.
+
+        Returns ``(taken, ready_at)``: exactly ``try_consume(now)``
+        followed by ``next_available(now)``, with one refill.  The
+        second call's refill at the same ``now`` adds ``0.0`` to a
+        balance already at most ``burst``, so it changes nothing.
+        """
+        self._refill(now)
+        tokens = self._tokens
+        taken = tokens + 1e-12 >= 1.0
+        if taken:
+            tokens = self._tokens = tokens - 1.0
+        deficit = 1.0 - tokens
+        return taken, (now + deficit / self._rate if deficit > 0 else now)
+
     def next_available(self, now: float, amount: float = 1.0) -> float:
         """Earliest time at which ``amount`` tokens will be available.
 

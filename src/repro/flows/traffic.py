@@ -19,7 +19,7 @@ its desirable rate".
 from __future__ import annotations
 
 import itertools
-from typing import Callable
+from typing import Any, Callable, Iterator
 
 from repro.errors import FlowError
 from repro.flows.flow import Flow
@@ -28,10 +28,19 @@ from repro.flows.rate_limiter import TokenBucket
 from repro.sim.kernel import Simulator
 
 
+#: Poisson gaps drawn per numpy call.  A sized draw fills its array
+#: element by element with the scalar sampler, so the gaps are the
+#: floats one scalar draw each would give, whatever the block size.
+GAP_BLOCK = 256
+
+
 class TrafficSource:
     """Base class: offer scheduling, rate limiting, and counters.
 
-    Subclasses define the arrival process via :meth:`_next_interval`.
+    Subclasses define the arrival process via :meth:`_intervals`, the
+    gaps between offers as an iterator; it is made at :meth:`start` and
+    first advanced at the first tick, so a stream it draws from is
+    created when the first gap is drawn.
 
     Args:
         sim: simulation kernel.
@@ -65,6 +74,8 @@ class TrafficSource:
         self._paused = False
         self._stopped = False
         self._pending = None  # the tick Event, re-armed; None when paused or stopped
+        self._rearm = sim.rearm
+        self._gaps: Iterator[float] = iter(())  # the arrival process, from start()
         self.generated = 0  # offers that passed the rate limit
         self.admitted = 0  # accepted by the node stack
         self.rejected = 0  # refused by the node stack (backpressure)
@@ -96,6 +107,7 @@ class TrafficSource:
         if self._started:
             raise FlowError(f"flow {self.flow.flow_id}: source already started")
         self._started = True
+        self._gaps = self._intervals()
         self._pending = self.sim.call_later(offset, self._tick, tag=self._tag)
 
     def pause(self) -> None:
@@ -116,7 +128,7 @@ class TrafficSource:
         self._paused = False
         if self._started:
             self._pending = self.sim.call_later(
-                self._next_interval(), self._tick, tag=self._tag
+                next(self._gaps), self._tick, tag=self._tag
             )
 
     def stop(self) -> None:
@@ -144,7 +156,15 @@ class TrafficSource:
 
     def _tick(self) -> None:
         now = self.sim.now
-        if self._bucket is None or self._bucket.try_consume(now):
+        bucket = self._bucket
+        if bucket is None:
+            taken = True
+            ready_at = now  # no limit, no wait
+        else:
+            # The offer's token and the next token's time, from one
+            # refill (the admit path below never touches the limit).
+            taken, ready_at = bucket.take(now)
+        if taken:
             self.generated += 1
             flow = self.flow
             room = self._room
@@ -167,24 +187,23 @@ class TrafficSource:
                     self.rejected += 1
         else:
             self.limited += 1
-        delay = self._next_interval()
-        if self._bucket is not None:
-            # Don't wake before a token can exist: offering on the raw
-            # arrival cadence quantizes the achieved rate to
-            # d / ceil(d / limit), which for limits in (d/2, d) admits
-            # only d/2 — far enough below the limit that GMP's
-            # rate-limit condition reads the flow as "not achieving"
-            # and stops probing upward, wedging it there.
-            wait = self._bucket.next_available(now) - now
-            if wait > delay:
-                # The arrival process would have offered sooner; that
-                # offer is suppressed by the limit.
-                self.limited += 1
-                delay = wait
+        delay = next(self._gaps)
+        # Don't wake before a token can exist: offering on the raw
+        # arrival cadence quantizes the achieved rate to
+        # d / ceil(d / limit), which for limits in (d/2, d) admits only
+        # d/2 — far enough below the limit that GMP's rate-limit
+        # condition reads the flow as "not achieving" and stops probing
+        # upward, wedging it there.
+        wait = ready_at - now
+        if wait > delay:
+            # The arrival process would have offered sooner; that offer
+            # is suppressed by the limit.
+            self.limited += 1
+            delay = wait
         if self._pending is not None:  # None: paused or stopped mid-tick
-            self.sim.rearm(self._pending, delay)
+            self._rearm(self._pending, delay)
 
-    def _next_interval(self) -> float:
+    def _intervals(self) -> Iterator[float]:
         raise NotImplementedError
 
 
@@ -195,16 +214,22 @@ class CbrSource(TrafficSource):
     packets/second.
     """
 
-    def _next_interval(self) -> float:
-        return 1.0 / self.flow.desired_rate
+    def _intervals(self) -> Iterator[float]:
+        return itertools.repeat(1.0 / self.flow.desired_rate)
 
 
 class PoissonSource(TrafficSource):
-    """Poisson arrivals with mean rate ``d(f)``."""
+    """Poisson arrivals with mean rate ``d(f)``, drawn :data:`GAP_BLOCK`
+    gaps at a time."""
 
-    def _next_interval(self) -> float:
+    def _intervals(self) -> Iterator[float]:
+        return itertools.chain.from_iterable(self._gap_blocks())
+
+    def _gap_blocks(self) -> Iterator[list[float]]:
         rng = self.sim.rng.stream(f"traffic.poisson.f{self.flow.flow_id}")
-        return float(rng.exponential(1.0 / self.flow.desired_rate))
+        mean_gap = 1.0 / self.flow.desired_rate
+        while True:
+            yield rng.exponential(mean_gap, size=GAP_BLOCK).tolist()
 
 
 class OnOffSource(TrafficSource):
@@ -213,6 +238,8 @@ class OnOffSource(TrafficSource):
     With the default mean on/off durations of 1 s each and
     ``peak_factor=2`` the long-run offered rate equals ``d(f)``.
     """
+
+    _stream = "traffic.onoff"  # + ".f<flow id>": the phase draws' stream
 
     def __init__(
         self,
@@ -234,19 +261,26 @@ class OnOffSource(TrafficSource):
         self._mean_on = mean_on
         self._mean_off = mean_off
         self._peak_rate = peak_factor * flow.desired_rate
-        self._on_until = 0.0
 
-    def _next_interval(self) -> float:
-        rng = self.sim.rng.stream(f"traffic.onoff.f{self.flow.flow_id}")
+    def _phases(self, rng: Any) -> tuple[float, float]:
+        """An off period, then the next on period."""
+        return float(rng.exponential(self._mean_off)), float(rng.exponential(self._mean_on))
+
+    def _intervals(self) -> Iterator[float]:
+        # The spacing while a burst lasts; once it has ended, an off
+        # period and then a fresh on period.
+        sim = self.sim
+        rng = sim.rng.stream(f"{self._stream}.f{self.flow.flow_id}")
         spacing = 1.0 / self._peak_rate
-        now = self.sim.now
-        if now < self._on_until:
-            return spacing
-        # Burst ended: draw an off period, then a fresh on period.
-        off = float(rng.exponential(self._mean_off))
-        on = float(rng.exponential(self._mean_on))
-        self._on_until = now + off + on
-        return off + spacing
+        on_until = 0.0
+        while True:
+            now = sim.now
+            if now < on_until:
+                yield spacing
+            else:
+                off, on = self._phases(rng)
+                on_until = now + off + on
+                yield off + spacing
 
 
 def pareto_draw(rng, mean: float, alpha: float) -> float:
@@ -268,7 +302,7 @@ def pareto_draw(rng, mean: float, alpha: float) -> float:
     return scale * (1.0 + float(rng.pareto(alpha)))
 
 
-class ParetoOnOffSource(TrafficSource):
+class ParetoOnOffSource(OnOffSource):
     """Heavy-tailed phase switching: Pareto on/off durations.
 
     Bursts send CBR at ``peak_factor * d(f)``; both phase lengths are
@@ -279,41 +313,27 @@ class ParetoOnOffSource(TrafficSource):
     equals ``d(f)``.
     """
 
+    _stream = "traffic.pareto"
+
     def __init__(
         self,
         sim: Simulator,
         flow: Flow,
         admit: Callable[[Packet], bool],
         *,
-        on_generate: Callable[[Packet], None] | None = None,
-        room: Callable[[int, int], bool] | None = None,
-        mean_on: float = 1.0,
-        mean_off: float = 1.0,
         alpha: float = 1.5,
-        peak_factor: float = 2.0,
+        **options: Any,
     ) -> None:
-        super().__init__(sim, flow, admit, on_generate=on_generate, room=room)
-        if mean_on <= 0 or mean_off <= 0 or peak_factor <= 0:
-            raise FlowError(
-                f"flow {flow.flow_id}: on/off parameters must be positive"
-            )
+        """``options`` are :class:`OnOffSource`'s keyword arguments."""
+        super().__init__(sim, flow, admit, **options)
         if alpha <= 1.0:
             raise FlowError(
                 f"flow {flow.flow_id}: pareto shape must exceed 1, got {alpha}"
             )
-        self._mean_on = mean_on
-        self._mean_off = mean_off
         self._alpha = alpha
-        self._peak_rate = peak_factor * flow.desired_rate
-        self._on_until = 0.0
 
-    def _next_interval(self) -> float:
-        rng = self.sim.rng.stream(f"traffic.pareto.f{self.flow.flow_id}")
-        spacing = 1.0 / self._peak_rate
-        now = self.sim.now
-        if now < self._on_until:
-            return spacing
-        off = pareto_draw(rng, self._mean_off, self._alpha)
-        on = pareto_draw(rng, self._mean_on, self._alpha)
-        self._on_until = now + off + on
-        return off + spacing
+    def _phases(self, rng: Any) -> tuple[float, float]:
+        return (
+            pareto_draw(rng, self._mean_off, self._alpha),
+            pareto_draw(rng, self._mean_on, self._alpha),
+        )

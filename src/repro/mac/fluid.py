@@ -418,41 +418,56 @@ class FluidMac(MacLayer):
         # Links with a zero budget can never send this round, so only
         # the positive-budget links enter the passes (and the sent map);
         # a link drops out once its budget is exhausted.  Pass order
-        # over the survivors is the same sorted order as before.
+        # over the survivors is the same sorted order as before.  Each
+        # link's pull, delivery and loss rate are resolved once per
+        # round: no transfer attaches a node or changes a loss rate.
         services = self._services
         link_loss = self._link_loss
-        pending = sorted(a_link for a_link, b in budgets.items() if b > 0)
-        sent_per_link: dict[Link, int] = {a_link: 0 for a_link in pending}
+        lanes = []
+        for a_link in sorted(a_link for a_link, b in budgets.items() if b > 0):
+            sender, receiver = a_link
+            source = services[sender]
+            sink = services.get(receiver)
+            assert source.dequeue_for is not None
+            lanes.append(
+                (
+                    a_link,
+                    sender,
+                    receiver,
+                    source.dequeue_for,
+                    sink.on_data_received if sink is not None else None,
+                    source.on_packet_dropped,
+                    link_loss.get(a_link),
+                    budgets[a_link],
+                )
+            )
+        sent_per_link: dict[Link, int] = {lane[0]: 0 for lane in lanes}
         progress = True
-        while progress and pending:
+        while progress and lanes:
             progress = False
-            survivors: list[Link] = []
-            for a_link in pending:
-                sender, receiver = a_link
-                source = services[sender]
-                sink = services.get(receiver)
-                assert source.dequeue_for is not None
-                packet = source.dequeue_for(receiver)
+            survivors = []
+            for lane in lanes:
+                a_link, sender, receiver, pull, deliver, drop, loss, budget = lane
+                packet = pull(receiver)
                 if packet is None:
                     # Blocked (gated or empty) — may unblock in a later
                     # pass when a downstream queue drains.
-                    survivors.append(a_link)
+                    survivors.append(lane)
                     continue
-                loss = link_loss.get(a_link)
                 if loss is not None and float(self._loss_rng.random()) < loss:
                     # The exchange consumed airtime but the packet is
                     # destroyed; report it as a MAC drop so packet
                     # conservation still balances.
                     self.packets_lost += 1
-                    source.on_packet_dropped(packet, receiver)
-                elif sink is not None:
-                    sink.on_data_received(packet, sender)
+                    drop(packet, receiver)
+                elif deliver is not None:
+                    deliver(packet, sender)
                 sent = sent_per_link[a_link] + 1
                 sent_per_link[a_link] = sent
                 progress = True
-                if sent < budgets[a_link]:
-                    survivors.append(a_link)
-            pending = survivors
+                if sent < budget:
+                    survivors.append(lane)
+            lanes = survivors
 
         for a_link, sent in sent_per_link.items():
             if not sent:

@@ -31,7 +31,7 @@ from repro.analysis.resilience import per_arrival_convergence
 from repro.analysis.throughput import effective_network_throughput
 from repro.baselines.dcf_plain import plain_dcf_buffer
 from repro.baselines.two_phase import two_phase_rates
-from repro.buffers.backpressure import OracleGate, OverhearingGate
+from repro.buffers.backpressure import BufferOracleGate, OverhearingGate
 from repro.buffers.queues import (
     BufferPolicy,
     PerDestinationBuffer,
@@ -251,11 +251,14 @@ class Session:
 
         self.stacks: dict[int, NodeStack] = {}
         stacks = self.stacks
+        # Filled as the stacks are built; the fluid gate reads it.
+        self.buffers: dict[int, BufferPolicy] = {}
         for node_id in topology.node_ids:
+            buffer = self.buffers[node_id] = self._make_buffer(node_id)
             stack = NodeStack(
                 sim,
                 node_id,
-                self._make_buffer(node_id),
+                buffer,
                 mac,
                 stale_retry=gmp_config.stale_timeout,
             )
@@ -348,13 +351,9 @@ class Session:
             room=stack.buffer.local_room,
         )
 
-    def _oracle_lookup(self, neighbor: int, dest: int) -> bool:
-        buffer = self.stacks[neighbor].buffer
-        return buffer.has_free(dest)  # type: ignore[attr-defined]
-
     def _make_gate(self) -> Any:
         if self.substrate == "fluid":
-            return OracleGate(self._oracle_lookup)
+            return BufferOracleGate(self.buffers)
         return OverhearingGate(stale_timeout=self.gmp_config.stale_timeout)
 
     def _make_buffer(self, node_id: int) -> BufferPolicy:

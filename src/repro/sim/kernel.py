@@ -38,6 +38,7 @@ from __future__ import annotations
 import time as _time
 from bisect import bisect_left
 from collections import Counter
+from heapq import heappush
 from typing import Callable, Protocol
 
 from repro.errors import SimulationError
@@ -137,7 +138,7 @@ class Timer:
         previously armed expiry."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        time = self._sim._now + delay
+        time = self._sim.now + delay
         slot = self._slot
         if slot is not None:
             if not slot._in_heap:
@@ -178,7 +179,9 @@ class Simulator:
         telemetry: Telemetry | None = None,
         sanitizer: ReplaySanitizer | None = None,
     ) -> None:
-        self._now = 0.0
+        #: Current simulation time in seconds.  A plain attribute, read
+        #: by every handler; only the kernel writes it.
+        self.now = 0.0
         self._queue = EventQueue()
         self._running = False
         self._stopped = False
@@ -193,11 +196,6 @@ class Simulator:
         self._monitor_due: list[float] = []
 
     # --- clock ------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -224,9 +222,9 @@ class Simulator:
         Raises:
             SimulationError: if ``time`` is in the past.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time:.9f} before now={self._now:.9f}"
+                f"cannot schedule at t={time:.9f} before now={self.now:.9f}"
             )
         return self._queue.push(time, callback, priority=priority, tag=tag)
 
@@ -245,7 +243,7 @@ class Simulator:
         # not-in-the-past invariant, and this is the hottest scheduling
         # entry point.
         return self._queue.push(
-            self._now + delay, callback, priority=priority, tag=tag
+            self.now + delay, callback, priority=priority, tag=tag
         )
 
     def rearm(self, event: Event, delay: float) -> Event:
@@ -260,7 +258,17 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self._queue.repush(event, self._now + delay)
+        if event._in_heap:
+            raise SimulationError("repush of an event still in the heap")
+        # EventQueue.repush, inlined: every source tick ends here.
+        queue = self._queue
+        time = event.time = self.now + delay
+        seq = event.seq = next(queue._counter)
+        event.cancelled = False
+        event._queue = queue
+        event._in_heap = True
+        heappush(queue._heap, (time, event.priority, seq, event))
+        return event
 
     def timer(
         self,
@@ -300,7 +308,7 @@ class Simulator:
             if not stopped and slot is not None:
                 self.rearm(slot, interval)
 
-        first = self._now + interval if start_at is None else start_at
+        first = self.now + interval if start_at is None else start_at
         slot = self.call_at(first, fire, tag=tag)
 
         def stop() -> None:
@@ -330,11 +338,11 @@ class Simulator:
                 f"monitor interval must be positive: {interval}"
             )
         self._monitors.append(monitor)
-        self._monitor_due.append(self._now + interval)
+        self._monitor_due.append(self.now + interval)
 
     def _tick_monitors(self) -> float:
         """Fire every due monitor once; return the next overall due."""
-        now = self._now
+        now = self.now
         for index, monitor in enumerate(self._monitors):
             due = self._monitor_due[index]
             if due > now:
@@ -357,7 +365,7 @@ class Simulator:
             if hook is None:
                 continue
             try:
-                hook(self._now, error)
+                hook(self.now, error)
             except Exception:  # noqa: BLE001 - a failing flush must
                 pass  # never mask the watchdog diagnosis itself
         return error
@@ -421,8 +429,12 @@ class Simulator:
         self._running = True
         self._stopped = False
         wall_start = _time.monotonic() if wall_deadline is not None else 0.0
+        # The stall watchdog: events dispatched at the current instant,
+        # the first of them, and a tag tally begun only once a second
+        # event lands on the same instant (most instants hold one).
         events_at_now = 0
-        stalled_tags: dict[str, int] = {}  # a dict: Counter misses cost a call
+        first_at_now: Event | None = None
+        stalled_tags: dict[str, int] = {}
         telemetry = self.telemetry
         sanitizer = self.sanitizer
         collect = telemetry.enabled
@@ -445,7 +457,7 @@ class Simulator:
         monitor_due = (
             min(self._monitor_due) if self._monitors else float("inf")
         )
-        pace_origin = self._now
+        pace_origin = self.now
         pace_start = _time.monotonic() if pace is not None else 0.0
         try:
             while not self._stopped:
@@ -470,41 +482,43 @@ class Simulator:
                 event = pop(until)
                 if event is None:
                     break
-                advanced = event.time > self._now
-                self._now = event.time
-                self._events_processed += 1
+                at = event.time
+                advanced = at > self.now
+                self.now = at
+                processed = self._events_processed = self._events_processed + 1
                 if stall_limit is not None:
-                    if advanced:
-                        events_at_now = 0
-                        stalled_tags.clear()
-                    events_at_now += 1
-                    tag = event.tag or "<untagged>"
-                    stalled_tags[tag] = stalled_tags.get(tag, 0) + 1
-                    if events_at_now > stall_limit:
-                        offenders = ", ".join(
-                            f"{tag} x{count}"
-                            for tag, count in Counter(stalled_tags).most_common(5)
-                        )
-                        raise self._watchdog_abort(
-                            f"simulated clock stalled at t={self._now:.9f}: "
-                            f"{events_at_now} events without advancing; "
-                            f"offending tags: {offenders}"
-                        )
-                if (
-                    max_events is not None
-                    and self._events_processed > max_events
-                ):
+                    if advanced or not events_at_now:
+                        events_at_now = 1
+                        first_at_now = event
+                    else:
+                        events_at_now += 1
+                        if events_at_now == 2:
+                            assert first_at_now is not None
+                            stalled_tags = {first_at_now.tag or "<untagged>": 1}
+                        tag = event.tag or "<untagged>"
+                        stalled_tags[tag] = stalled_tags.get(tag, 0) + 1
+                        if events_at_now > stall_limit:
+                            offenders = ", ".join(
+                                f"{tag} x{count}"
+                                for tag, count in Counter(stalled_tags).most_common(5)
+                            )
+                            raise self._watchdog_abort(
+                                f"simulated clock stalled at t={self.now:.9f}: "
+                                f"{events_at_now} events without advancing; "
+                                f"offending tags: {offenders}"
+                            )
+                if max_events is not None and processed > max_events:
                     raise self._watchdog_abort(
                         f"exceeded max_events={max_events}; runaway model?"
                     )
                 if (
                     wall_deadline is not None
-                    and self._events_processed % 512 == 0
+                    and processed % 512 == 0
                     and _time.monotonic() - wall_start > wall_deadline
                 ):
                     raise self._watchdog_abort(
                         f"wall-clock deadline of {wall_deadline:g}s "
-                        f"exceeded at t={self._now:.6f} after "
+                        f"exceeded at t={self.now:.6f} after "
                         f"{self._events_processed} events"
                     )
                 if sanitizer is not None:
@@ -534,18 +548,18 @@ class Simulator:
                         window = wall_now - window_start
                         if window > 0 and throughput is not None:
                             throughput.record(
-                                self._now, _THROUGHPUT_WINDOW / window
+                                self.now, _THROUGHPUT_WINDOW / window
                             )
                         window_start = wall_now
-                if self._now >= monitor_due:
+                if at >= monitor_due:
                     # Paced by the simulated clock but invoked between
                     # callbacks: monitors observe, never schedule, so
                     # the event sequence — and the replay digest — are
                     # untouched.
                     monitor_due = self._tick_monitors()
-            if until is not None and not self._stopped and self._now < until:
-                self._now = until
-            return self._now
+            if until is not None and not self._stopped and self.now < until:
+                self.now = until
+            return self.now
         finally:
             self._running = False
             if collect:

@@ -73,8 +73,9 @@ class NodeStack:
             local, forwarded = buffer_policy.admit_local, buffer_policy.admit_forwarded
             self._admit_local_at = lambda packet, _now: local(packet)
             self._admit_forwarded_at = lambda packet, _now: forwarded(packet)
-        # The MAC's pull and the overhearing gate, bound once too.
+        # The MACs' pulls and the overhearing gate, bound once too.
         self._pull = buffer_policy.dequeue
+        self._pull_for = buffer_policy.dequeue_for
         self._has_pending = buffer_policy.has_pending
         self._gate = getattr(buffer_policy, "gate", None)
         self._retry_timer = sim.timer(
@@ -151,7 +152,7 @@ class NodeStack:
         return item
 
     def _dequeue_for(self, next_hop: int) -> Packet | None:
-        packet = self.buffer.dequeue_for(next_hop, self.sim.now)
+        packet = self._pull_for(next_hop, self.sim.now)
         if packet is None:
             return None
         self.forwards[(next_hop, packet.destination)] = (

@@ -7,6 +7,7 @@ from collections import deque
 
 from repro.flows.flow import Flow, FlowSet
 from repro.flows.packet import Packet
+from repro.flows.traffic import TrafficSource
 from repro.mac.base import NodeServices
 from repro.scenarios.figures import Scenario
 from repro.sim.event import DEFAULT_PRIORITY, Event
@@ -267,3 +268,22 @@ class Timer:
 
 
 CancelAndPushTimer = Timer
+
+
+# --- PoissonSource before it drew its gaps in blocks ---------------------------
+#
+# One scalar draw per gap, the stream looked up by name for each one (and so
+# created at the first gap): the oracle of the block-drawing source in
+# tests/test_traffic_draws.py.
+
+
+class PoissonSource(TrafficSource):
+    """Poisson arrivals, one ``rng.exponential`` call per gap."""
+
+    def _intervals(self):
+        while True:
+            rng = self.sim.rng.stream(f"traffic.poisson.f{self.flow.flow_id}")
+            yield float(rng.exponential(1.0 / self.flow.desired_rate))
+
+
+ScalarPoissonSource = PoissonSource

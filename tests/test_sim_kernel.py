@@ -1,7 +1,11 @@
 """Unit tests for the simulation kernel and timers."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
 
@@ -178,6 +182,59 @@ def test_stall_counter_resets_when_clock_advances():
         for _ in range(30):
             sim.call_later(float(step), lambda: None)
     assert sim.run(until=10.0, stall_limit=40) == 10.0
+
+
+@pytest.mark.parametrize("instant", [1.0, 0.0], ids=["after-advance", "at-start"])
+def test_stall_message_tallies_every_event_at_the_instant(instant):
+    # The tally starts with the instant's second event and counts the
+    # first one too, whether the clock advanced to the instant or the
+    # run began there.
+    sim = Simulator()
+    sim.call_later(0.5, lambda: None, tag="before")
+    for tag in ["a", "b", "a", "", "c", "b", "a", "d", "e", "f"]:
+        sim.call_later(instant, lambda: None, tag=tag)
+    with pytest.raises(SimulationError) as excinfo:
+        sim.run(until=2.0, stall_limit=8)
+    assert str(excinfo.value) == (
+        f"simulated clock stalled at t={instant:.9f}: 9 events without "
+        "advancing; offending tags: a x3, b x2, <untagged> x1, c x1, d x1"
+    )
+    assert sim.now == instant and sim.events_processed == (10 if instant else 9)
+
+
+def test_only_the_kernel_writes_the_simulator_clock():
+    """``Simulator.now`` is a plain attribute (a property call per read
+    cost every handler), so nothing but the kernel may assign it."""
+    root = Path(repro.__file__).parent
+    writes = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assign):
+                targets = list(node.targets)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "setattr"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "now"
+            ):
+                writes.append(f"{path.relative_to(root)}:{node.lineno}")
+                continue
+            else:
+                continue
+            while targets:
+                target = targets.pop()
+                if isinstance(target, (ast.Tuple, ast.List)):
+                    targets.extend(target.elts)
+                elif isinstance(target, ast.Starred):
+                    targets.append(target.value)
+                elif isinstance(target, ast.Attribute) and target.attr == "now":
+                    writes.append(f"{path.relative_to(root)}:{node.lineno}")
+    outside = [w for w in writes if not w.startswith("sim/kernel.py:")]
+    assert outside == [] and writes
 
 
 def test_wall_deadline_trips_on_event_storm():
