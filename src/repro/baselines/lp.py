@@ -10,7 +10,6 @@ flows), which is exactly the bias the paper criticizes in Table 4.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.errors import AnalysisError
 
@@ -40,6 +39,10 @@ def maximize_total_extra(
     num_flows = consumption.shape[1] if consumption.size else len(upper_bounds)
     if num_flows == 0:
         return np.zeros(0)
+    # Only 2PP solves an LP, so scipy loads here, at its first solve,
+    # not when the package is imported.
+    from scipy.optimize import linprog
+
     slack = np.maximum(slack, 0.0)
     upper_bounds = np.maximum(upper_bounds, 0.0)
     result = linprog(

@@ -34,8 +34,10 @@ from repro.topology.network import Link, Topology
 _EPSILON = 1e-9
 
 #: Cached demand→allocation entries kept per FluidMac before the cache
-#: is dropped wholesale (guards against adversarial demand churn).
-_ALLOC_CACHE_LIMIT = 4096
+#: is dropped wholesale.  A run's working set is small (figure3 at 600 s
+#: revisits 21 demand vectors); a run whose demands rarely repeat (the
+#: city-scale scenarios) would otherwise keep every miss it ever solved.
+_ALLOC_CACHE_LIMIT = 64
 
 
 def waterfill_links(

@@ -5,12 +5,17 @@ vector; the dirty/idle pair lets fully quiescent rounds return without
 polling any node.  Both are pure optimizations — these tests pin that
 runs with and without them are identical (a memo that never stores
 makes every round solve and changes nothing else, so the comparison
-isolates it), that the counters move, and that the substrate wakes
-correctly when demand reappears.
+isolates it), that the counters move, that the memo keeps a run's
+working set but no more, and that the substrate wakes correctly when
+demand reappears.
 """
 
+import random
+
+from repro import run_scenario
 from repro.flows.packet import Packet
-from repro.mac.fluid import FluidMac, waterfill_links
+from repro.mac.fluid import _ALLOC_CACHE_LIMIT, FluidMac, waterfill_links
+from repro.scenarios import figure3
 from repro.sim.kernel import Simulator
 from repro.topology.builders import random_topology
 from repro.topology.cliques import maximal_cliques
@@ -36,12 +41,26 @@ def _packet(flow_id: int, source: int, destination: int) -> Packet:
     )
 
 
-def _run_dense(alloc_cache: bool, backlog: int = 40):
+class SizeWatch(dict):
+    """An allocation memo that remembers the most entries it ever held."""
+
+    most = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.most = max(self.most, len(self))
+
+
+def _run_dense(memo=None, backlog: int = 40, trickle: bool = False, until: float = 1.0):
+    """Backlog every directed link of a 12-node mesh and run the fluid
+    substrate; ``memo`` replaces the allocation memo when given.  With
+    ``trickle`` every node also adds a few packets to one of its links
+    every 30 ms, so the demand vector keeps changing."""
     topology = random_topology(12, width=900.0, height=900.0, seed=4)
     sim = Simulator(seed=1)
     mac = FluidMac(sim, topology, capacity_pps=500.0)
-    if not alloc_cache:
-        mac._alloc_cache = NeverStores()
+    if memo is not None:
+        mac._alloc_cache = memo
     nodes = {}
     for node_id in topology.node_ids:
         nodes[node_id] = QueueNode(node_id)
@@ -53,7 +72,18 @@ def _run_dense(alloc_cache: bool, backlog: int = 40):
             flow_id += 1
             for _ in range(backlog):
                 nodes[node_id].push(_packet(flow_id, node_id, neighbor), neighbor)
-    sim.run(until=1.0)
+    if trickle:
+        rng = random.Random(7)
+
+        def add_packets():
+            for node_id in topology.node_ids:
+                neighbor = rng.choice(sorted(topology.neighbors(node_id)))
+                for _ in range(rng.randrange(4)):
+                    nodes[node_id].push(_packet(0, node_id, neighbor), neighbor)
+                mac.notify_backlog(node_id)
+
+        sim.every(0.03, add_packets)
+    sim.run(until=until)
     received = {
         node_id: [packet.flow_id for packet in node.received]
         for node_id, node in nodes.items()
@@ -65,8 +95,8 @@ def _run_dense(alloc_cache: bool, backlog: int = 40):
 
 
 def test_alloc_cache_is_transparent():
-    cached_rx, cached_occ, cached_mac = _run_dense(alloc_cache=True)
-    plain_rx, plain_occ, plain_mac = _run_dense(alloc_cache=False)
+    cached_rx, cached_occ, cached_mac = _run_dense()
+    plain_rx, plain_occ, plain_mac = _run_dense(NeverStores())
     assert cached_rx == plain_rx
     assert cached_occ == plain_occ
     assert cached_mac.packets_transferred == plain_mac.packets_transferred
@@ -76,6 +106,41 @@ def test_alloc_cache_is_transparent():
     assert plain_mac.alloc_cache_misses == (
         cached_mac.alloc_cache_hits + cached_mac.alloc_cache_misses
     )
+
+
+def test_alloc_cache_stays_within_its_limit_and_transparent():
+    # More distinct demand vectors than the memo may keep: it is dropped
+    # when full, never grows past the limit, and answers as before.
+    watch = SizeWatch()
+    cached_rx, cached_occ, cached_mac = _run_dense(watch, backlog=3, trickle=True, until=4.0)
+    plain_rx, plain_occ, plain_mac = _run_dense(
+        NeverStores(), backlog=3, trickle=True, until=4.0
+    )
+    assert cached_mac.alloc_cache_misses > 2 * _ALLOC_CACHE_LIMIT
+    assert watch.most == _ALLOC_CACHE_LIMIT
+    assert cached_rx == plain_rx
+    assert cached_occ == plain_occ
+    assert cached_mac.packets_transferred == plain_mac.packets_transferred
+    assert plain_mac.alloc_cache_misses == (
+        cached_mac.alloc_cache_hits + cached_mac.alloc_cache_misses
+    )
+
+
+def test_alloc_cache_limit_keeps_the_figure3_working_set(monkeypatch):
+    # figure3's GMP run revisits a handful of demand vectors; the bound
+    # must keep all of them, so nearly every round is a memo hit.
+    macs = []
+    start = FluidMac.start
+
+    def capture(mac):
+        macs.append(mac)
+        return start(mac)
+
+    monkeypatch.setattr(FluidMac, "start", capture)
+    run_scenario(figure3(), protocol="gmp", substrate="fluid", duration=60.0, seed=1)
+    (mac,) = macs
+    assert mac.alloc_cache_hits + mac.alloc_cache_misses == 2_999
+    assert mac.alloc_cache_hits == 2_981
 
 
 def test_idle_rounds_are_skipped_and_backlog_wakes():

@@ -1,6 +1,10 @@
 """Public API surface tests: the documented entry points exist and the
 README quickstart runs as written (on the fluid substrate for speed)."""
 
+import subprocess
+import sys
+import textwrap
+
 import repro
 
 
@@ -73,3 +77,40 @@ def test_churn_and_fuzz_exports():
     for module in (repro.churn, repro.fuzz):
         for name in module.__all__:
             assert hasattr(module, name), name
+
+
+def test_gmp_runs_without_scipy_and_2pp_loads_it():
+    # Only 2PP's phase-2 LP needs scipy; importing the package and
+    # running GMP must not load it.  A fresh interpreter, because this
+    # test process may have loaded scipy already.
+    script = textwrap.dedent(
+        """
+        import sys
+
+        import repro
+        import repro.obs
+        import repro.scenarios.sweep
+        import repro.telemetry
+        from repro import GmpConfig, run_scenario
+        from repro.scenarios import figure3
+
+        result = run_scenario(
+            figure3(),
+            protocol="gmp",
+            substrate="fluid",
+            duration=5.0,
+            seed=1,
+            gmp_config=GmpConfig(period=0.5),
+        )
+        assert 0 <= result.i_mm <= 1
+        assert "scipy" not in sys.modules, "scipy loaded without a 2PP run"
+
+        result = run_scenario(figure3(), protocol="2pp", substrate="fluid", duration=2.0, seed=1)
+        assert result.effective_throughput > 0
+        assert "scipy.optimize" in sys.modules
+        """
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
