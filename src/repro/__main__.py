@@ -12,13 +12,12 @@ Examples::
         --faults "crash:1@20;recover:1@40" --rate-interval 1
     python -m repro figure3 --substrate fluid --profile \
         --metrics-out m.jsonl --trace-out t.json
-    python -m repro figure3 --substrate fluid --profile \
-        --inspect-out narrative.txt
+    python -m repro figure3 --substrate fluid --explain-out explain.txt
+    python -m repro figure3 --substrate fluid --explain-out explain.json
     python -m repro sweep --scenarios figure3,figure4 --seeds 1,2,3 \
         --workers 4 --json sweep.json
     python -m repro fidelity --tables 1,2,3,4 --seeds 1,2,3 \
         --json FIDELITY.json --markdown FIDELITY.md
-    python -m repro explain figure3 --flow 2
     python -m repro figure3 --substrate fluid \
         --churn "poisson:rate=0.3,mean_hold=6,hold=pareto" --duration 60
     python -m repro fuzz --budget 60 --seed 1
@@ -35,12 +34,15 @@ Fault specs (``--faults``) are semicolon-separated events; see
 :mod:`repro.faults.spec` for the grammar.  ``--metrics-out`` /
 ``--trace-out`` / ``--profile`` turn on the telemetry subsystem
 (:mod:`repro.telemetry`); the trace JSON loads in Perfetto or
-``about:tracing``, and GMP runs additionally print the convergence
-narrative from :mod:`repro.analysis.inspector` (``--inspect-out``
-persists it).  ``fidelity`` regenerates the paper's Tables 1-4 and
-checks every EXPERIMENTS.md shape assertion (:mod:`repro.fidelity`);
-``explain`` attributes each flow's rate to its bottleneck clique,
-active local condition, and centralized-reference gap.
+``about:tracing``.  GMP runs with telemetry on also print, per flow,
+why it runs at its rate (:mod:`repro.fidelity.explain`): its
+bottleneck clique, dominant local condition, gap to the centralized
+maxmin reference, when it entered a ±5% band around that reference,
+and each rate adjustment with the condition change that triggered it.
+``--explain-out PATH`` saves that narrative, or the per-flow records
+as JSON when PATH ends in ``.json``.  ``fidelity`` regenerates the
+paper's Tables 1-4 and checks every EXPERIMENTS.md shape assertion
+(:mod:`repro.fidelity`).
 
 ``--stream-out`` / ``--stream-db`` stream telemetry to disk *during*
 the run (:mod:`repro.obs`), so a killed or watchdog-aborted run keeps
@@ -54,10 +56,10 @@ command journal.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-from repro.analysis.inspector import inspect_run
 from repro.churn.spec import parse_churn_spec
 from repro.core.config import GmpConfig
 from repro.errors import ReproError
@@ -99,10 +101,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.fidelity.harness import fidelity_main
 
         return fidelity_main(argv[1:])
-    if argv and argv[0] == "explain":
-        from repro.fidelity.explain import explain_main
-
-        return explain_main(argv[1:])
     if argv and argv[0] == "fuzz":
         from repro.fuzz.cli import fuzz_main
 
@@ -188,11 +186,12 @@ def main(argv: list[str] | None = None) -> int:
         "print the telemetry summary",
     )
     parser.add_argument(
-        "--inspect-out",
+        "--explain-out",
         default=None,
         metavar="PATH",
-        help="persist the convergence-inspector narrative to PATH "
-        "(GMP runs; implies telemetry)",
+        help="persist the per-flow rate narrative to PATH, or the "
+        "per-flow records as JSON when PATH ends in .json (GMP runs; "
+        "implies telemetry)",
     )
     parser.add_argument(
         "--trace-categories",
@@ -261,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         args.metrics_out
         or args.trace_out
         or args.profile
-        or args.inspect_out
+        or args.explain_out
         or streaming
         or args.health
     )
@@ -390,17 +389,28 @@ def main(argv: list[str] | None = None) -> int:
             print()
             print(format_summary(telemetry))
         if "maxmin_reference" in result.extras:
-            narrative = inspect_run(result).narrative()
+            from repro.fidelity.explain import explain_all
+
+            explanations = explain_all(result)
+            narrative = "\n\n".join(
+                ["per-flow rate narrative"]
+                + [explanation.narrative() for explanation in explanations]
+            )
             print()
             print(narrative)
-            if args.inspect_out:
-                Path(args.inspect_out).write_text(
-                    narrative + "\n", encoding="utf-8"
-                )
-                print(f"inspector narrative -> {args.inspect_out}")
-        elif args.inspect_out:
+            if args.explain_out:
+                text = narrative
+                if args.explain_out.endswith(".json"):
+                    text = json.dumps(
+                        [explanation.to_json() for explanation in explanations],
+                        indent=2,
+                        sort_keys=True,
+                    )
+                Path(args.explain_out).write_text(text + "\n", encoding="utf-8")
+                print(f"explanations -> {args.explain_out}")
+        elif args.explain_out:
             print(
-                "warning: --inspect-out needs a GMP run (no maxmin "
+                "warning: --explain-out needs a GMP run (no maxmin "
                 "reference recorded); nothing written",
                 file=sys.stderr,
             )

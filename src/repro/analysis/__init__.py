@@ -9,13 +9,6 @@ from repro.analysis.fairness import (
     maxmin_fairness_index,
     normalized_rates,
 )
-from repro.analysis.inspector import (
-    AdjustmentAttribution,
-    ConvergenceReport,
-    FlowConvergence,
-    inspect_convergence,
-    inspect_run,
-)
 from repro.analysis.maxmin_reference import MaxminSolution, weighted_maxmin_rates
 from repro.analysis.report import format_table
 from repro.analysis.resilience import (
@@ -38,11 +31,6 @@ __all__ = [
     "effective_network_throughput",
     "convergence_time",
     "oscillation_amplitude",
-    "AdjustmentAttribution",
-    "ConvergenceReport",
-    "FlowConvergence",
-    "inspect_convergence",
-    "inspect_run",
     "format_table",
     "TransientMetrics",
     "evaluate_transient",

@@ -8,14 +8,12 @@ and receives:
   *primary flows*);
 * at the period's end the protocol combines these with buffer Ω
   values, per-virtual-link packet counts, and MAC channel-occupancy
-  snapshots into the report structures below.
+  snapshots (:func:`combine_occupancy` sums a link's two airtime
+  shares).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.classification import LinkType
 from repro.core.conditions import beta_equal
 from repro.flows.packet import Packet
 from repro.topology.network import Link
@@ -62,44 +60,6 @@ class MuTracker:
     def reset(self) -> None:
         """Forget everything (start of a new period)."""
         self._seen.clear()
-
-
-@dataclass(frozen=True)
-class VirtualLinkReport:
-    """One virtual link's state over the last period.
-
-    Attributes:
-        link: directed physical link (i, j).
-        dest: destination of the virtual network.
-        rate: data rate in packets/second (receiver-side count).
-        mu: largest piggybacked normalized rate, or None.
-        primaries: sources of the packets carrying ``mu``.
-        link_type: classification from the endpoints' buffer states.
-    """
-
-    link: Link
-    dest: int
-    rate: float
-    mu: float | None
-    primaries: frozenset[int]
-    link_type: LinkType
-
-
-@dataclass(frozen=True)
-class WirelessLinkReport:
-    """One wireless link's state, as disseminated two hops out.
-
-    Attributes:
-        link: canonical (min, max) node pair.
-        occupancy: fraction of the period the channel carried this
-            link's RTS/CTS/DATA/ACK (both endpoints' shares summed).
-        mu: largest normalized rate among the link's virtual links in
-            either direction, or None if none was observed.
-    """
-
-    link: Link
-    occupancy: float
-    mu: float | None
 
 
 def combine_occupancy(

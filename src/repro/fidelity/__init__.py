@@ -1,6 +1,6 @@
 """Paper-fidelity and run-health observability.
 
-Three instruments for trusting (or distrusting) the reproduction:
+Four instruments for trusting (or distrusting) the reproduction:
 
 * :mod:`repro.fidelity.paper` — the source paper's Tables 1–4 as
   machine-readable ground truth, with the qualitative *shape*
@@ -10,14 +10,17 @@ Three instruments for trusting (or distrusting) the reproduction:
   :class:`~repro.fidelity.harness.FidelityReport` (paper vs ours per
   cell, shape pass/fail, seed spread), gated in CI against a
   committed baseline ratchet;
-* :mod:`repro.fidelity.anomaly` / :mod:`repro.fidelity.explain` —
-  run-health detectors over telemetry series, and per-flow "why is
-  flow f at rate r" explanations.
+* :mod:`repro.fidelity.anomaly` — run-health detectors over
+  telemetry series;
+* :mod:`repro.fidelity.explain` — one per-flow record answering "why is
+  flow f at rate r": bottleneck clique, dominant local condition, gap
+  to the centralized reference, when the rate entered its band, and
+  each rate adjustment with its trigger.
 
 Command line::
 
     python -m repro fidelity --tables 1,2,3,4 --seeds 1,2,3 --json out.json
-    python -m repro explain figure3 --flow 2
+    python -m repro figure3 --explain-out explain.json
 """
 
 from repro.fidelity.anomaly import (
@@ -29,7 +32,6 @@ from repro.fidelity.explain import (
     RateExplanation,
     explain_all,
     explain_flow,
-    run_and_explain,
 )
 from repro.fidelity.harness import (
     FidelityConfig,
@@ -55,7 +57,6 @@ __all__ = [
     "RateExplanation",
     "explain_all",
     "explain_flow",
-    "run_and_explain",
     "FidelityConfig",
     "FidelityReport",
     "TableFidelity",

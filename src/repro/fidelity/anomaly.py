@@ -36,6 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.analysis.convergence import oscillation_amplitude
 from repro.scenarios.results import RunResult
 from repro.telemetry import Telemetry
 
@@ -242,7 +243,7 @@ def detect_rate_oscillation(
         mean = sum(tail) / len(tail)
         if mean <= STARVE_RATE:
             continue  # dead flows are the starvation detector's beat
-        swing = (max(tail) - min(tail)) / mean
+        swing = oscillation_amplitude(tail, tail_fraction=1.0)
         if swing > OSCILLATION_THRESHOLD:
             findings.append(
                 Finding(

@@ -820,7 +820,8 @@ def run_scenario(
             through it; the same instance (finalized) lands in
             ``extras["telemetry"]`` and, for GMP runs, the centralized
             maxmin reference rates land in ``extras["maxmin_reference"]``
-            for the convergence inspector.  Telemetry is passive — it
+            for the per-flow rate explainer
+            (:mod:`repro.fidelity.explain`).  Telemetry is passive — it
             never schedules events — so enabling it does not change
             what the simulation does.
         trace: optional :class:`~repro.sim.trace.TraceCollector`

@@ -58,7 +58,7 @@ def test_cli_rejects_unknown_scenario():
 
 def test_cli_runs_every_registered_scenario_name(capsys):
     # The CLI reads the sweep registry, so figure2w (Table 2's weights)
-    # is addressable here as it is from sweep, serve and explain.
+    # is addressable here as it is from sweep and serve.
     assert main(["figure2w", "--duration", "2"]) == 0
     assert "figure2" in capsys.readouterr().out
 
@@ -84,7 +84,7 @@ def test_cli_telemetry_flags_write_outputs(capsys, tmp_path):
     out = capsys.readouterr().out
     assert metrics.exists() and trace.exists()
     assert "telemetry summary" in out
-    assert "convergence narrative" in out
+    assert "per-flow rate narrative" in out
     assert "metrics:" in out and "trace:" in out
 
 
@@ -123,7 +123,7 @@ def test_cli_traffic_models(capsys):
         assert code == 0
 
 
-def test_cli_inspect_out_persists_the_narrative(capsys, tmp_path):
+def test_cli_explain_out_persists_the_narrative(capsys, tmp_path):
     narrative = tmp_path / "narrative.txt"
     code = main(
         [
@@ -132,20 +132,20 @@ def test_cli_inspect_out_persists_the_narrative(capsys, tmp_path):
             "fluid",
             "--duration",
             "10",
-            "--inspect-out",
+            "--explain-out",
             str(narrative),
         ]
     )
     assert code == 0
     saved = narrative.read_text(encoding="utf-8")
-    assert "convergence narrative" in saved
+    assert "per-flow rate narrative" in saved
     out = capsys.readouterr().out
-    assert "inspector narrative ->" in out
+    assert f"explanations -> {narrative}" in out
     # The printed narrative and the persisted one agree.
-    assert saved.strip().splitlines()[0] in out
+    assert saved.strip() in out
 
 
-def test_cli_inspect_out_warns_without_gmp(capsys, tmp_path):
+def test_cli_explain_out_warns_without_gmp(capsys, tmp_path):
     narrative = tmp_path / "narrative.txt"
     code = main(
         [
@@ -156,13 +156,13 @@ def test_cli_inspect_out_warns_without_gmp(capsys, tmp_path):
             "fluid",
             "--duration",
             "5",
-            "--inspect-out",
+            "--explain-out",
             str(narrative),
         ]
     )
     assert code == 0
     assert not narrative.exists()
-    assert "--inspect-out needs a GMP run" in capsys.readouterr().err
+    assert "--explain-out needs a GMP run" in capsys.readouterr().err
 
 
 def test_cli_fidelity_writes_json_and_markdown(capsys, tmp_path):
@@ -237,16 +237,7 @@ def test_cli_fidelity_rejects_unknown_table(capsys):
 def test_cli_explain_names_bottleneck_and_condition(capsys, tmp_path):
     json_out = tmp_path / "explain.json"
     code = main(
-        [
-            "explain",
-            "figure3",
-            "--flow",
-            "2",
-            "--duration",
-            "10",
-            "--json",
-            str(json_out),
-        ]
+        ["figure3", "--duration", "10", "--explain-out", str(json_out)]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -256,10 +247,17 @@ def test_cli_explain_names_bottleneck_and_condition(capsys, tmp_path):
     import json
 
     payload = json.loads(json_out.read_text(encoding="utf-8"))
-    assert payload[0]["flow_id"] == 2
+    assert [record["flow_id"] for record in payload] == [1, 2, 3]
+    for record in payload:
+        assert record["bottleneck_clique"] is not None
+        assert record["active_condition"]
+        assert "entered_at" in record and "adjustments" in record
 
 
-def test_cli_explain_rejects_unknown_scenario(capsys):
-    code = main(["explain", "figure99", "--flow", "1"])
-    assert code == 2
-    assert "unknown scenario" in capsys.readouterr().err
+def test_cli_explain_rejects_unknown_scenario(capsys, tmp_path):
+    json_out = tmp_path / "explain.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["figure99", "--explain-out", str(json_out)])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'figure99'" in capsys.readouterr().err
+    assert not json_out.exists()

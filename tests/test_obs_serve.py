@@ -407,6 +407,18 @@ def test_served_session_http_and_replay_match(tmp_path):
             assert bad.value.code == 400
             code, _ = _http("DELETE", base + "/flows/4")
             assert code == 202
+            for _ in range(200):
+                flows = _get_json(base + "/flows")
+                if any(f["flow_id"] == 4 and not f["live"] for f in flows):
+                    break
+                time.sleep(0.05)
+            else:
+                raise AssertionError("grafted flow never retired")
+            # The reference covers the live flows only: a retired flow
+            # has none, and is not desire-limited for lack of one.
+            retired = _get_json(base + "/flows/4")
+            assert retired["reference_rate"] is None
+            assert retired["desire_limited"] is False
             code, _ = _http("POST", base + "/shutdown")
             assert code == 202
         except Exception as error:  # pragma: no cover - surfaced below
