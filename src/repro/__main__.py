@@ -60,18 +60,13 @@ import json
 import sys
 from pathlib import Path
 
-from repro.churn.spec import parse_churn_spec
-from repro.core.config import GmpConfig
 from repro.errors import ReproError
-from repro.faults.spec import parse_fault_spec
-from repro.scenarios.figures import figure2
-from repro.scenarios.runner import (
-    PROTOCOLS,
-    SUBSTRATES,
+from repro.scenarios.spec import (
+    SCENARIO_FACTORIES,
+    add_run_flags,
     replay_check,
-    run_scenario,
+    spec_from_args,
 )
-from repro.scenarios.sweep import SCENARIO_FACTORIES, scenario_factory
 from repro.sim.trace import TraceCollector
 from repro.telemetry import Telemetry
 from repro.telemetry.exporters import (
@@ -79,13 +74,6 @@ from repro.telemetry.exporters import (
     write_chrome_trace,
     write_metrics_jsonl,
 )
-
-
-def _build_scenario(args: argparse.Namespace):
-    if args.scenario == "figure2":
-        weights = tuple(float(part) for part in args.weights.split(","))
-        return figure2(weights=weights)  # type: ignore[arg-type]
-    return scenario_factory(args.scenario)()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -115,40 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         return serve_main(argv[1:])
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument("scenario", choices=tuple(SCENARIO_FACTORIES))
-    parser.add_argument("--protocol", choices=PROTOCOLS, default="gmp")
-    parser.add_argument("--substrate", choices=SUBSTRATES, default="fluid")
-    parser.add_argument("--duration", type=float, default=120.0)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--period", type=float, default=2.0, help="GMP period (s)")
-    parser.add_argument("--beta", type=float, default=0.10)
-    parser.add_argument(
-        "--traffic",
-        choices=("cbr", "poisson", "onoff", "pareto-onoff"),
-        default="cbr",
-    )
-    parser.add_argument(
-        "--churn",
-        default=None,
-        help="dynamic workload, e.g. "
-        '"poisson:rate=0.3,mean_hold=6,hold=pareto" or '
-        '"adversary:burst=2,on=2,off=2"',
-    )
-    parser.add_argument(
-        "--weights",
-        default="1,1,1,1",
-        help="figure2 flow weights, comma-separated (e.g. 1,2,1,3)",
-    )
-    parser.add_argument(
-        "--faults",
-        default=None,
-        help='fault schedule, e.g. "crash:1@20;recover:1@40;ctrl:0.5@10-30"',
-    )
-    parser.add_argument(
-        "--rate-interval",
-        type=float,
-        default=None,
-        help="record per-flow rates over windows of this many seconds",
-    )
+    add_run_flags(parser)
     parser.add_argument(
         "--max-events",
         type=int,
@@ -252,6 +207,11 @@ def main(argv: list[str] | None = None) -> int:
         "PATH (implies --health)",
     )
     args = parser.parse_args(argv)
+    try:
+        spec = spec_from_args(args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     if args.alerts_out:
         args.health = True
@@ -309,34 +269,17 @@ def main(argv: list[str] | None = None) -> int:
         health = HealthMonitor(args.health_interval, deliveries=deliveries)
 
     replay_report = None
+    watchdogs = {
+        "max_events": args.max_events,
+        "stall_limit": args.stall_limit,
+        "wall_deadline": args.wall_deadline,
+    }
     try:
-        scenario = _build_scenario(args)
-        faults = parse_fault_spec(args.faults) if args.faults else None
-        churn = parse_churn_spec(args.churn) if args.churn else None
-        kwargs = dict(
-            protocol=args.protocol,
-            substrate=args.substrate,
-            duration=args.duration,
-            seed=args.seed,
-            traffic=args.traffic,
-            gmp_config=GmpConfig(period=args.period, beta=args.beta),
-            faults=faults,
-            churn=churn,
-            rate_interval=args.rate_interval,
-            max_events=args.max_events,
-            stall_limit=args.stall_limit,
-            wall_deadline=args.wall_deadline,
-        )
         if args.sanitize is not None:
-            replay_report, result, _ = replay_check(scenario, **kwargs)
+            replay_report, result, _ = replay_check(spec, **watchdogs)
         else:
-            result = run_scenario(
-                scenario,
-                telemetry=telemetry,
-                trace=trace,
-                stream=stream,
-                health=health,
-                **kwargs,
+            result = spec.run(
+                telemetry=telemetry, trace=trace, stream=stream, health=health, **watchdogs
             )
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

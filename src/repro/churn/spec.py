@@ -63,11 +63,12 @@ class ChurnSpec:
         off_periods: adversary — gap between waves in GMP periods.
         include_static: also assign holding times (drawn from the same
             law) to the scenario's static flows, so they depart too.
-        leak_departed_state: **testing hook** — skip the GMP teardown
-            on departure, deliberately planting the state-leak bug the
-            fuzz oracles exist to catch.  Used by the fuzzer's
-            self-check (``--plant-bug gmp-leak``) to validate the whole
-            oracle + shrinker pipeline; never set it in real workloads.
+        leak_departed_state: **testing hook** (text key ``leak``) —
+            skip the GMP teardown on departure, deliberately planting
+            the state-leak bug the fuzz oracles exist to catch.  Used by
+            the fuzzer's self-check (``--plant-bug gmp-leak``) to
+            validate the whole oracle + shrinker pipeline; never set it
+            in real workloads.
     """
 
     model: str = "poisson"
@@ -132,7 +133,7 @@ class ChurnSpec:
 
     def to_text(self) -> str:
         """The compact textual form; round-trips through
-        :func:`parse_churn_spec` (the testing hook is excluded)."""
+        :func:`parse_churn_spec`."""
         parts: list[str] = []
         defaults = ChurnSpec()
         for key, label in _TEXT_KEYS.items():
@@ -146,7 +147,7 @@ class ChurnSpec:
         return f"{self.model}:{body}" if body else self.model
 
 
-#: attribute -> textual key (model is the prefix, the hook is omitted).
+#: attribute -> textual key (model is the prefix).
 _TEXT_KEYS = {
     "rate": "rate",
     "mean_hold": "mean_hold",
@@ -162,10 +163,12 @@ _TEXT_KEYS = {
     "on_periods": "on",
     "off_periods": "off",
     "include_static": "static",
+    "leak_departed_state": "leak",
 }
 
 _FLOAT_KEYS = {"rate", "mean_hold", "alpha", "desired_rate", "weight", "start", "stop"}
 _INT_KEYS = {"max_flows", "burst", "on_periods", "off_periods"}
+_BOOL_KEYS = {"include_static", "leak_departed_state"}
 
 
 def parse_churn_spec(text: str) -> ChurnSpec:
@@ -200,7 +203,7 @@ def parse_churn_spec(text: str) -> ChurnSpec:
                     values[key] = int(raw)
                 except ValueError:
                     raise ChurnError(f"bad integer {raw!r} for churn key {label!r}") from None
-            elif key == "include_static":
+            elif key in _BOOL_KEYS:
                 values[key] = raw not in ("0", "false", "no")
             else:
                 values[key] = raw

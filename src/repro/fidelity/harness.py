@@ -30,7 +30,7 @@ from repro.fidelity.paper import (
     PaperTable,
     TableMeasurement,
 )
-from repro.scenarios.sweep import DEFAULT_CACHE_DIR, SweepSpec, run_sweep
+from repro.scenarios.sweep import DEFAULT_CACHE_DIR, run_sweep, sweep_grid
 
 #: Default committed ratchet file (repo root).
 DEFAULT_BASELINE_PATH = "fidelity-baseline.json"
@@ -235,9 +235,10 @@ def _measurement(
     """Assemble one seed's measured table from sweep summaries."""
     measured: TableMeasurement = {}
     for summary in summaries:
-        if summary["seed"] != seed or summary["scenario"] != table.scenario:
+        spec = summary["spec"]
+        if spec["seed"] != seed or spec["scenario"] != table.scenario:
             continue
-        protocol = summary["protocol"]
+        protocol = spec["protocol"]
         rates = {int(fid): rate for fid, rate in summary["flow_rates"].items()}
         normalized = {
             fid: rate / table.weights.get(fid, 1.0)
@@ -364,16 +365,14 @@ def run_fidelity(config: FidelityConfig | None = None) -> FidelityReport:
     )
     for table_id in config.tables:
         table = PAPER_TABLES[table_id]
-        spec = SweepSpec(
-            scenarios=(table.scenario,),
-            protocols=table.protocols,
-            substrates=(config.substrate,),
-            seeds=config.seeds,
-            durations=(config.duration,),
+        specs = sweep_grid(
+            (table.scenario,),
+            table.protocols,
+            (config.substrate,),
+            config.seeds,
+            (config.duration,),
         )
-        sweep = run_sweep(
-            spec, workers=config.workers, cache_dir=config.cache_dir
-        )
+        sweep = run_sweep(specs, workers=config.workers, cache_dir=config.cache_dir)
         report.cache_hits += sweep.cache_hits
         report.cache_misses += sweep.cache_misses
         per_seed = [

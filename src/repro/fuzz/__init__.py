@@ -8,9 +8,9 @@ flow teardown, no starvation of deliverable flows, watchdog-clean
 termination).  Failures are automatically shrunk to minimal JSON specs
 that replay bit-for-bit and can be committed as regression fixtures.
 
-* :mod:`repro.fuzz.grammar` — the seeded scenario grammar and the
-  :class:`FuzzScenario` spec (JSON round-trip, committed-fixture
-  format);
+* :mod:`repro.fuzz.grammar` — the seeded scenario grammar and
+  :class:`FuzzScenario`, a :class:`~repro.scenarios.spec.RunSpec` plus
+  its planted bug (the committed-fixture format);
 * :mod:`repro.fuzz.oracles` — the oracle battery and
   :func:`~repro.fuzz.oracles.evaluate`;
 * :mod:`repro.fuzz.shrink` — greedy delta-debugging
@@ -21,7 +21,6 @@ that replay bit-for-bit and can be committed as regression fixtures.
 from repro.fuzz.grammar import (
     FuzzScenario,
     GrammarConfig,
-    build_scenario,
     generate_scenarios,
 )
 from repro.fuzz.oracles import ORACLES, FuzzOutcome, OracleResult, evaluate
@@ -30,7 +29,6 @@ from repro.fuzz.shrink import ShrinkResult, shrink
 __all__ = [
     "FuzzScenario",
     "GrammarConfig",
-    "build_scenario",
     "generate_scenarios",
     "ORACLES",
     "FuzzOutcome",

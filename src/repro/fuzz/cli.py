@@ -65,16 +65,16 @@ def fuzz_main(argv: list[str] | None = None) -> int:
 
     if args.replay is not None:
         try:
-            spec = FuzzScenario.read(args.replay)
+            case = FuzzScenario.read(args.replay)
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        outcome = evaluate(spec)
+        outcome = evaluate(case)
         print(outcome.render())
         return 0 if outcome.ok else 1
 
     try:
-        specs = generate_scenarios(
+        cases = generate_scenarios(
             args.budget, args.seed, plant_bug=args.plant_bug
         )
     except ReproError as error:
@@ -82,22 +82,22 @@ def fuzz_main(argv: list[str] | None = None) -> int:
         return 2
 
     print(
-        f"fuzz: {len(specs)} scenario(s), seed {args.seed}"
+        f"fuzz: {len(cases)} scenario(s), seed {args.seed}"
         + (f", planted bug {args.plant_bug}" if args.plant_bug else "")
     )
     failures = 0
     written: list[Path] = []
-    for index, spec in enumerate(specs):
-        outcome = evaluate(spec)
+    for index, case in enumerate(cases):
+        outcome = evaluate(case)
         if outcome.ok:
-            print(f"  [{index}] {spec.label()}: ok")
+            print(f"  [{index}] {case.label()}: ok")
             continue
         failures += 1
         print(f"  [{index}] {outcome.render()}")
-        minimal = spec
+        minimal = case
         if not args.no_shrink:
             session = shrink(
-                spec,
+                case,
                 outcome.failed_names(),
                 max_evaluations=args.max_shrink_evals,
             )
@@ -111,7 +111,7 @@ def fuzz_main(argv: list[str] | None = None) -> int:
         print(f"  shrunk spec -> {path}")
 
     print(
-        f"fuzz: {len(specs) - failures}/{len(specs)} ok"
+        f"fuzz: {len(cases) - failures}/{len(cases)} ok"
         + (f", {failures} failing spec(s) written" if failures else "")
     )
     for path in written:

@@ -1,19 +1,17 @@
-"""The scenario grammar: generation and serialization.
+"""The scenario grammar: generation and the fixture format.
 
-A :class:`FuzzScenario` is a *complete, self-contained* description of
-one randomized run — topology seed, static flows, churn spec, fault
-schedule, run seed, duration — small enough to commit as a regression
-fixture and precise enough to replay the identical simulation.  The
-churn and fault components reuse the library's textual DSLs
-(:func:`repro.churn.spec.parse_churn_spec`,
-:func:`repro.faults.spec.parse_fault_spec`), so a spec file doubles as
-a human-readable bug report.
+A :class:`FuzzScenario` is one fuzz case: a
+:class:`~repro.scenarios.spec.RunSpec` — random topology, static
+flows, churn and fault DSL texts, run seed, duration — plus the defect
+planted in it, if any.  It is small enough to commit as a regression
+fixture (the spec's JSON with a ``plant_bug`` key) and precise enough
+to replay the identical simulation, and the DSL texts make a fixture
+double as a human-readable bug report.
 
-:func:`generate_scenarios` draws specs from a seeded grammar through a
-:class:`~repro.sim.rng.RngRegistry` — scenario ``i`` of budget ``N``
-under seed ``S`` is always the same spec, independent of how many
-other scenarios run, so a CI failure reproduces locally from just
-``(S, i)``.
+:func:`generate_scenarios` draws cases from a seeded grammar through a
+:class:`~repro.sim.rng.RngRegistry` — case ``i`` of budget ``N``
+under seed ``S`` is always the same, independent of how many other
+cases run, so a CI failure reproduces locally from just ``(S, i)``.
 """
 
 from __future__ import annotations
@@ -21,13 +19,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any
 
 from repro.churn.spec import parse_churn_spec
-from repro.errors import FuzzError
-from repro.faults.spec import parse_fault_spec
-from repro.flows.flow import Flow, FlowSet
+from repro.errors import FuzzError, ReproError
 from repro.routing.link_state import link_state_routes
-from repro.scenarios.figures import PAPER_DESIRED_RATE, Scenario
+from repro.scenarios.spec import RANDOM, RunSpec
 from repro.sim.rng import RngRegistry
 from repro.topology.builders import random_topology
 
@@ -38,153 +35,76 @@ PLANTED_BUGS = ("gmp-leak",)
 
 @dataclass(frozen=True)
 class FuzzScenario:
-    """One randomized scenario, fully replayable.
+    """One fuzz case, fully replayable.
 
     Attributes:
-        nodes: node count of the random topology.
-        topo_seed: placement seed for :func:`random_topology`.
-        seed: the run's RNG seed.
-        duration: simulated seconds.
-        flows: static (source, dest) pairs; ids are assigned 1..n in
-            order.
-        churn: churn spec in compact text form, or None.
-        faults: fault schedule in the fault DSL, or None.
+        spec: the run.
         plant_bug: name of a deliberately injected defect (see
-            :data:`PLANTED_BUGS`), or None for an honest run.  Lives in
-            the spec so a shrunk planted-bug fixture replays the bug.
+            :data:`PLANTED_BUGS`), or None for an honest run.  It rides
+            beside the spec so a shrunk planted-bug fixture replays the
+            bug, and its honest twin is the same spec without it.
     """
 
-    nodes: int
-    topo_seed: int
-    seed: int
-    duration: float
-    flows: tuple[tuple[int, int], ...]
-    churn: str | None = None
-    faults: str | None = None
+    spec: RunSpec
     plant_bug: str | None = None
 
     def __post_init__(self) -> None:
-        if self.nodes < 2:
-            raise FuzzError(f"need at least 2 nodes: {self.nodes}")
-        if self.duration <= 0:
-            raise FuzzError(f"duration must be positive: {self.duration}")
-        if not self.flows:
-            raise FuzzError("a scenario needs at least one static flow")
         if self.plant_bug is not None and self.plant_bug not in PLANTED_BUGS:
             raise FuzzError(
-                f"unknown planted bug {self.plant_bug!r}; "
-                f"known: {PLANTED_BUGS}"
+                f"unknown planted bug {self.plant_bug!r}; known: {PLANTED_BUGS}"
             )
+        if self.plant_bug == "gmp-leak" and self.spec.churn is None:
+            raise FuzzError("gmp-leak needs a churn spec to leak departures on")
 
-    # --- serialization ----------------------------------------------------------
+    def with_spec(self, **changes: Any) -> FuzzScenario:
+        """This case with the given spec fields changed."""
+        return FuzzScenario(replace(self.spec, **changes), self.plant_bug)
 
-    def to_json(self) -> dict:
-        """JSON-plain form (the committed-fixture format)."""
-        data: dict = {
-            "nodes": self.nodes,
-            "topo_seed": self.topo_seed,
-            "seed": self.seed,
-            "duration": self.duration,
-            "flows": [list(pair) for pair in self.flows],
-        }
-        if self.churn is not None:
-            data["churn"] = self.churn
-        if self.faults is not None:
-            data["faults"] = self.faults
-        if self.plant_bug is not None:
-            data["plant_bug"] = self.plant_bug
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FuzzScenario":
-        """Parse the committed-fixture format.
-
-        Raises:
-            FuzzError: on missing keys or malformed values.
-        """
-        try:
-            return cls(
-                nodes=int(data["nodes"]),
-                topo_seed=int(data["topo_seed"]),
-                seed=int(data["seed"]),
-                duration=float(data["duration"]),
-                flows=tuple(
-                    (int(pair[0]), int(pair[1])) for pair in data["flows"]
-                ),
-                churn=data.get("churn"),
-                faults=data.get("faults"),
-                plant_bug=data.get("plant_bug"),
-            )
-        except (KeyError, TypeError, ValueError, IndexError) as error:
-            raise FuzzError(f"malformed fuzz spec: {error}") from None
+    def planted(self) -> RunSpec:
+        """The spec that runs: ``gmp-leak`` turns on the churn engine's
+        ``leak`` hook, which skips the GMP teardown on departure."""
+        if self.plant_bug is None:
+            return self.spec
+        assert self.spec.churn is not None
+        churn = replace(parse_churn_spec(self.spec.churn), leak_departed_state=True)
+        return replace(self.spec, churn=churn.to_text())
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8"
-        )
+        """Write the fixture: the spec's JSON plus ``plant_bug``."""
+        data: dict[str, Any] = self.spec.to_json()
+        if self.plant_bug is not None:
+            data["plant_bug"] = self.plant_bug
+        Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
     @classmethod
-    def read(cls, path: str | Path) -> "FuzzScenario":
+    def read(cls, path: str | Path) -> FuzzScenario:
+        """Load a fixture.
+
+        Raises:
+            FuzzError: on an unreadable file, or a spec with a missing
+                or wrong-typed field or unparsable DSL text.
+        """
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as error:
             raise FuzzError(f"cannot read fuzz spec {path}: {error}") from None
-        return cls.from_json(data)
+        try:
+            plant_bug = data.pop("plant_bug", None) if isinstance(data, dict) else None
+            return cls(RunSpec.from_json(data), plant_bug)
+        except ReproError as error:
+            raise FuzzError(f"malformed fuzz spec {path}: {error}") from None
 
     def label(self) -> str:
-        """Short human identifier (scenario name in run results)."""
-        return f"fuzz-n{self.nodes}-t{self.topo_seed}-s{self.seed}"
+        """Short human identifier (names shrunk fixture files)."""
+        spec = self.spec
+        where = f"n{spec.nodes}-t{spec.topo_seed}" if spec.scenario == RANDOM else spec.scenario
+        return f"fuzz-{where}-s{spec.seed}"
 
 
-def build_scenario(spec: FuzzScenario) -> Scenario:
-    """Materialize the spec's topology and static flows.
-
-    Also validates the churn/fault texts (so a malformed committed
-    fixture fails loudly here, not mid-run).
-
-    Raises:
-        FuzzError: for flow pairs outside the topology or unroutable;
-        ChurnError / FaultError: for malformed churn/fault texts.
-    """
-    topology = random_topology(
-        spec.nodes, seed=spec.topo_seed, require_connected=True
-    )
-    routes = link_state_routes(topology)
-    flow_list: list[Flow] = []
-    for index, (source, dest) in enumerate(spec.flows, start=1):
-        if source not in topology or dest not in topology:
-            raise FuzzError(
-                f"flow pair ({source}, {dest}) outside the {spec.nodes}-node "
-                "topology"
-            )
-        if not routes.table(source).has_route(dest):
-            raise FuzzError(f"flow pair ({source}, {dest}) is unroutable")
-        flow_list.append(
-            Flow(
-                flow_id=index,
-                source=source,
-                destination=dest,
-                desired_rate=PAPER_DESIRED_RATE,
-            )
-        )
-    if spec.churn is not None:
-        parse_churn_spec(spec.churn)
-    if spec.faults is not None:
-        parse_fault_spec(spec.faults)
-    return Scenario(
-        name=spec.label(),
-        topology=topology,
-        flows=FlowSet(flow_list),
-        notes="generated by repro.fuzz",
-    )
-
-
-def is_valid(spec: FuzzScenario) -> bool:
-    """Whether the spec materializes cleanly (shrinker candidates)."""
-    from repro.errors import ReproError
-
+def is_valid(case: FuzzScenario) -> bool:
+    """Whether the case's scenario materializes (shrinker candidates)."""
     try:
-        build_scenario(spec)
+        case.spec.build_scenario()
     except ReproError:
         return False
     return True
@@ -285,13 +205,9 @@ def generate_scenarios(
     """
     if budget < 1:
         raise FuzzError(f"budget must be >= 1: {budget}")
-    if plant_bug is not None and plant_bug not in PLANTED_BUGS:
-        raise FuzzError(
-            f"unknown planted bug {plant_bug!r}; known: {PLANTED_BUGS}"
-        )
     config = config or GrammarConfig()
     registry = RngRegistry(seed)
-    specs: list[FuzzScenario] = []
+    cases: list[FuzzScenario] = []
     for index in range(budget):
         rng = registry.stream(f"fuzz.scenario.{index}")
         nodes = int(rng.integers(config.min_nodes, config.max_nodes + 1))
@@ -321,21 +237,24 @@ def generate_scenarios(
             if rng.uniform() < config.fault_probability
             else None
         )
-        spec = FuzzScenario(
-            nodes=nodes,
-            topo_seed=topo_seed,
-            seed=run_seed,
-            duration=duration,
-            flows=flows,
-            churn=churn,
-            faults=faults,
-            plant_bug=plant_bug,
+        case = FuzzScenario(
+            RunSpec(
+                scenario=RANDOM,
+                nodes=nodes,
+                topo_seed=topo_seed,
+                seed=run_seed,
+                duration=duration,
+                flows=flows,
+                churn=churn,
+                faults=faults,
+            ),
+            plant_bug,
         )
-        if not is_valid(spec):
+        if not is_valid(case):
             # e.g. the fallback pair is unroutable on this placement;
             # regenerate as a minimal fault-free variant.
-            spec = replace(spec, faults=None)
-            if not is_valid(spec):
+            case = case.with_spec(faults=None)
+            if not is_valid(case):
                 continue
-        specs.append(spec)
-    return specs
+        cases.append(case)
+    return cases

@@ -17,23 +17,21 @@ workload*:
   sustained window *inside its own lifetime* (departures are not
   starvation), via :func:`repro.fidelity.anomaly.detect_starved_flows`.
 
-:func:`evaluate` runs one spec against the whole battery and returns a
+:func:`evaluate` runs one case against the whole battery and returns a
 :class:`FuzzOutcome`; the shrinker re-evaluates candidates with it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
-from repro.churn.spec import parse_churn_spec
 from repro.errors import ReproError, SimulationError
 from repro.faults.schedule import FaultSchedule, NodeCrash, NodeRecover
 from repro.faults.spec import parse_fault_spec
 from repro.fidelity.anomaly import detect_starved_flows
-from repro.fuzz.grammar import FuzzScenario, build_scenario
+from repro.fuzz.grammar import FuzzScenario
 from repro.scenarios.results import RunResult
-from repro.scenarios.runner import replay_check
+from repro.scenarios.spec import replay_check
 
 ORACLES = ("watchdog", "replay", "conservation", "gmp_residue", "starvation")
 
@@ -80,16 +78,16 @@ class FuzzOutcome:
     """Everything one scenario evaluation produced.
 
     Attributes:
-        spec: the evaluated scenario.
+        case: the evaluated fuzz case.
         oracles: one verdict per battery member, in :data:`ORACLES`
             order.
-        error: an infrastructure error (the spec could not even be
-            materialized) — counts as a failure of its own kind.
+        error: an infrastructure error (the scenario could not even
+            be materialized) — counts as a failure of its own kind.
         result: the first run's :class:`RunResult` when the run
             completed (diagnostics; None after a watchdog trip).
     """
 
-    spec: FuzzScenario
+    case: FuzzScenario
     oracles: list[OracleResult] = field(default_factory=list)
     error: str | None = None
     result: RunResult | None = None
@@ -110,7 +108,7 @@ class FuzzOutcome:
 
     def render(self) -> str:
         verdict = "ok" if self.ok else "FAIL"
-        parts = [f"{self.spec.label()}: {verdict}"]
+        parts = [f"{self.case.label()}: {verdict}"]
         if self.error:
             parts.append(f"  harness error: {self.error}")
         for oracle in self.oracles:
@@ -122,38 +120,19 @@ class FuzzOutcome:
         return "\n".join(parts)
 
 
-def evaluate(spec: FuzzScenario) -> FuzzOutcome:
-    """Run one spec against the full oracle battery.
+def evaluate(case: FuzzScenario) -> FuzzOutcome:
+    """Run one case against the full oracle battery.
 
-    The scenario runs on the fluid substrate under GMP (the strict-
-    conservation configuration), twice via
-    :func:`~repro.scenarios.runner.replay_check` so the replay oracle
-    comes for free with the same two runs the others inspect.
+    The case's spec runs with its planted bug applied (generated specs
+    are GMP on the fluid substrate, the strict-conservation
+    configuration), twice via :func:`~repro.scenarios.spec.replay_check`
+    so the replay oracle comes for free with the same two runs the
+    others inspect.
     """
-    outcome = FuzzOutcome(spec=spec)
-    try:
-        scenario = build_scenario(spec)
-        churn = parse_churn_spec(spec.churn) if spec.churn else None
-        if spec.plant_bug == "gmp-leak":
-            if churn is None:
-                raise ReproError(
-                    "gmp-leak needs a churn spec to leak departures on"
-                )
-            churn = dataclasses.replace(churn, leak_departed_state=True)
-        faults = parse_fault_spec(spec.faults) if spec.faults else None
-    except ReproError as error:
-        outcome.error = f"{type(error).__name__}: {error}"
-        return outcome
-
+    outcome = FuzzOutcome(case=case)
     try:
         replay_report, result, _second = replay_check(
-            scenario,
-            protocol="gmp",
-            substrate="fluid",
-            duration=spec.duration,
-            seed=spec.seed,
-            churn=churn,
-            faults=faults,
+            case.planted(),
             check_invariants=False,  # audited below so all oracles report
             max_events=MAX_EVENTS,
         )
@@ -223,7 +202,8 @@ def evaluate(spec: FuzzScenario) -> FuzzOutcome:
         outcome.oracles.append(OracleResult("gmp_residue", "pass"))
 
     findings = detect_starved_flows(result, starve_window=8.0)
-    crash_windows = _crash_windows(faults)
+    faults = case.spec.faults
+    crash_windows = _crash_windows(parse_fault_spec(faults) if faults else None)
     paths = result.extras.get("flow_paths", {})
     real = []
     excused = 0

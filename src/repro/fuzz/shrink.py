@@ -1,6 +1,6 @@
-"""Scenario shrinking: reduce a failing spec to a minimal repro.
+"""Scenario shrinking: reduce a failing fuzz case to a minimal repro.
 
-Greedy delta debugging over the spec's structure: each pass proposes a
+Greedy delta debugging over the case's run spec: each pass proposes a
 simpler candidate (drop the fault schedule, drop one fault event, drop
 one static flow, simplify the churn process, halve the duration,
 shrink the topology) and keeps it iff the candidate still fails *the
@@ -22,6 +22,7 @@ from repro.churn.spec import parse_churn_spec
 from repro.errors import ReproError
 from repro.fuzz.grammar import FuzzScenario, is_valid
 from repro.fuzz.oracles import FuzzOutcome, evaluate
+from repro.scenarios.spec import RANDOM
 
 #: Runs shorter than this stop being meaningful (warmup + a few GMP
 #: periods must fit).
@@ -33,8 +34,8 @@ class ShrinkResult:
     """Outcome of one shrink session.
 
     Attributes:
-        minimal: the smallest still-failing spec found.
-        original: the spec shrinking started from.
+        minimal: the smallest still-failing case found.
+        original: the case shrinking started from.
         evaluations: candidate runs spent (each is two simulations).
         steps: human-readable log of accepted reductions.
     """
@@ -53,96 +54,85 @@ class ShrinkResult:
         return "\n".join(lines)
 
 
-def _churn_candidates(spec: FuzzScenario) -> Iterator[tuple[str, FuzzScenario]]:
+def _churn_candidates(case: FuzzScenario) -> Iterator[tuple[str, FuzzScenario]]:
     """Simplifications of the churn component, simplest-first."""
-    if spec.churn is None:
+    if case.spec.churn is None:
         return
-    if spec.plant_bug is None:
+    if case.plant_bug is None:
         # A planted GMP leak needs churn to manifest; otherwise try
         # removing the whole process first.
-        yield "drop churn", replace(spec, churn=None)
+        yield "drop churn", case.with_spec(churn=None)
     try:
-        churn = parse_churn_spec(spec.churn)
+        churn = parse_churn_spec(case.spec.churn)
     except ReproError:
         return
+
+    def simpler(**changes) -> FuzzScenario:
+        return case.with_spec(churn=replace(churn, **changes).to_text())
+
     if churn.model == "poisson":
         if churn.max_flows > 1:
-            yield (
-                "churn max_flows -> 1",
-                replace(spec, churn=replace(churn, max_flows=1).to_text()),
-            )
+            yield "churn max_flows -> 1", simpler(max_flows=1)
         if churn.rate > 0.1:
-            yield (
-                "halve churn rate",
-                replace(
-                    spec,
-                    churn=replace(churn, rate=round(churn.rate / 2, 4)).to_text(),
-                ),
-            )
+            yield "halve churn rate", simpler(rate=round(churn.rate / 2, 4))
         if churn.hold != "exp":
-            yield (
-                "churn hold -> exp",
-                replace(spec, churn=replace(churn, hold="exp").to_text()),
-            )
+            yield "churn hold -> exp", simpler(hold="exp")
         if churn.traffic != "cbr":
-            yield (
-                "churn traffic -> cbr",
-                replace(spec, churn=replace(churn, traffic="cbr").to_text()),
-            )
-    else:
-        if churn.burst > 1:
-            yield (
-                "adversary burst -> 1",
-                replace(spec, churn=replace(churn, burst=1).to_text()),
-            )
+            yield "churn traffic -> cbr", simpler(traffic="cbr")
+    elif churn.burst > 1:
+        yield "adversary burst -> 1", simpler(burst=1)
 
 
-def _fault_candidates(spec: FuzzScenario) -> Iterator[tuple[str, FuzzScenario]]:
+def _fault_candidates(case: FuzzScenario) -> Iterator[tuple[str, FuzzScenario]]:
     """Simplifications of the fault component."""
-    if spec.faults is None:
+    if case.spec.faults is None:
         return
-    yield "drop faults", replace(spec, faults=None)
-    events = [part.strip() for part in spec.faults.split(";") if part.strip()]
+    yield "drop faults", case.with_spec(faults=None)
+    events = [part.strip() for part in case.spec.faults.split(";") if part.strip()]
     if len(events) > 1:
         for index in range(len(events)):
             kept = events[:index] + events[index + 1 :]
             yield (
                 f"drop fault event {events[index]!r}",
-                replace(spec, faults=";".join(kept)),
+                case.with_spec(faults=";".join(kept)),
             )
 
 
-def _candidates(spec: FuzzScenario) -> Iterator[tuple[str, FuzzScenario]]:
+def _candidates(case: FuzzScenario) -> Iterator[tuple[str, FuzzScenario]]:
     """All one-step reductions, biggest-win-first."""
-    yield from _fault_candidates(spec)
-    yield from _churn_candidates(spec)
+    yield from _fault_candidates(case)
+    yield from _churn_candidates(case)
+    spec = case.spec
     if len(spec.flows) > 1:
         for index in range(len(spec.flows)):
             kept = spec.flows[:index] + spec.flows[index + 1 :]
             yield (
                 f"drop static flow {spec.flows[index]}",
-                replace(spec, flows=kept),
+                case.with_spec(flows=kept),
             )
-    if spec.duration / 2 >= MIN_DURATION:
+    if spec.duration / 2 >= max(MIN_DURATION, spec.rate_interval or 0.0):
         yield (
             f"halve duration to {spec.duration / 2:g}s",
-            replace(spec, duration=spec.duration / 2),
+            case.with_spec(duration=spec.duration / 2),
         )
-    if spec.nodes > 3:
-        yield (f"shrink to {spec.nodes - 1} nodes", replace(spec, nodes=spec.nodes - 1))
+    if spec.scenario == RANDOM and spec.nodes is not None and spec.nodes > 3:
+        yield (
+            f"shrink to {spec.nodes - 1} nodes",
+            case.with_spec(nodes=spec.nodes - 1),
+        )
 
 
 def shrink(
-    spec: FuzzScenario,
+    case: FuzzScenario,
     failed_names: set[str],
     *,
     max_evaluations: int = 40,
     still_fails: Callable[[FuzzScenario], FuzzOutcome] | None = None,
 ) -> ShrinkResult:
-    """Reduce ``spec`` while it keeps failing the same oracles.
+    """Reduce ``case`` while it keeps failing the same oracles.
 
     Args:
-        spec: the failing scenario.
+        case: the failing fuzz case.
         failed_names: oracle names the original failed (a candidate is
             accepted only if it fails at least one of them again —
             shrinking must not wander onto a *different* bug).
@@ -152,14 +142,14 @@ def shrink(
             :func:`repro.fuzz.oracles.evaluate`.
     """
     evaluate_spec = still_fails or evaluate
-    result = ShrinkResult(minimal=spec, original=spec)
+    result = ShrinkResult(minimal=case, original=case)
 
     def reproduces(candidate: FuzzScenario) -> bool:
         result.evaluations += 1
         outcome = evaluate_spec(candidate)
         return bool(outcome.failed_names() & failed_names)
 
-    current = spec
+    current = case
     improved = True
     while improved and result.evaluations < max_evaluations:
         improved = False

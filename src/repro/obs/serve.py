@@ -22,11 +22,14 @@ the *simulation* thread, applies each command through the run's
 :class:`~repro.scenarios.runner.Session` (flow graft/retire via
 the churn engine, faults via the injector, graceful stop), and
 journals the applied command with its tick time to ``commands.jsonl``.
+The journal opens with a ``serve_header`` record holding the run's
+:class:`~repro.scenarios.spec.RunSpec` and the command interval.
 Because tick times and application order are recorded, ``python -m
-repro serve --replay commands.jsonl`` re-runs the session headless,
-re-applies every command at the identical simulated instant, and must
-reproduce the identical replay digest and dispatched-event count — the
-journal's ``serve_close`` record carries both for self-verification.
+repro serve --replay commands.jsonl`` rebuilds that spec, re-runs the
+session headless, re-applies every command at the identical simulated
+instant, and must reproduce the identical replay digest and
+dispatched-event count — the journal's ``serve_close`` record carries
+both for self-verification.
 
 Wall-clock pacing (:meth:`Simulator.run`'s ``pace``) only ever sleeps,
 so the digest is invariant across pace settings, including the
@@ -55,10 +58,12 @@ from repro.faults.schedule import (
 from repro.obs.health import HealthMonitor, jsonl_delivery
 from repro.obs.sinks import SqliteSink
 from repro.obs.stream import StreamPublisher
+from repro.scenarios.spec import RunSpec, add_run_flags, spec_from_args
 from repro.sim.replay import ReplaySanitizer
 from repro.telemetry import Telemetry
 
-JOURNAL_VERSION = 1
+#: Version 2 journals the run as a :class:`RunSpec` under ``"spec"``.
+JOURNAL_VERSION = 2
 
 
 # --- fault command vocabulary ---------------------------------------------------
@@ -374,6 +379,11 @@ def load_journal(
                 close = record
     if header is None:
         raise ConfigError(f"{path} has no serve_header record")
+    if header.get("version") != JOURNAL_VERSION:
+        raise ConfigError(
+            f"{path} is a version {header.get('version')} journal; this "
+            f"build replays version {JOURNAL_VERSION}"
+        )
     commands.sort(key=lambda command: command.seq)
     return header, commands, close
 
@@ -383,15 +393,10 @@ def load_journal(
 
 @dataclass
 class ServeConfig:
-    """Everything one served session needs (also journaled, so a
-    replay can rebuild the identical run)."""
+    """How one served session is hosted: pacing, the command cadence,
+    the HTTP plane and what the session directory receives.  The run
+    itself is a :class:`~repro.scenarios.spec.RunSpec`."""
 
-    scenario: str = "figure3"
-    protocol: str = "gmp"
-    substrate: str = "fluid"
-    duration: float = 3600.0
-    seed: int = 1
-    traffic: str = "cbr"
     pace: float | None = None
     command_interval: float = 0.25
     host: str = "127.0.0.1"
@@ -402,31 +407,9 @@ class ServeConfig:
     health: bool = True
     health_interval: float = 1.0
 
-    def run_kwargs(self) -> dict[str, Any]:
-        """The :func:`run_scenario` kwargs that shape the event
-        sequence (everything a replay must reproduce exactly)."""
-        return {
-            "protocol": self.protocol,
-            "substrate": self.substrate,
-            "duration": self.duration,
-            "seed": self.seed,
-            "traffic": self.traffic,
-        }
-
-    def header(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "protocol": self.protocol,
-            "substrate": self.substrate,
-            "duration": self.duration,
-            "seed": self.seed,
-            "traffic": self.traffic,
-            "pace": self.pace,
-            "command_interval": self.command_interval,
-        }
-
 
 def serve_session(
+    spec: RunSpec,
     config: ServeConfig,
     *,
     ready: Callable[[int], None] | None = None,
@@ -435,9 +418,9 @@ def serve_session(
     """Run one served session to completion; returns the manifest.
 
     The HTTP plane comes up first (``ready(port)`` fires once it
-    listens — with ``port=0`` the OS picks a free one), then the
-    simulation runs on the calling thread until the scenario duration
-    elapses or a ``POST /shutdown`` command lands.  On the way out the
+    listens — with ``port=0`` the OS picks a free one), then ``spec``
+    runs on the calling thread until its duration elapses or a ``POST
+    /shutdown`` command lands.  On the way out the
     run finalizes exactly like a batch run (stream sinks flushed and
     closed, final health sweep), the journal gains its ``serve_close``
     digest record, and ``manifest.json`` summarizes the session.
@@ -445,14 +428,16 @@ def serve_session(
     import os
 
     from repro.obs.httpapi import make_server
-    from repro.scenarios.runner import run_scenario
-    from repro.scenarios.sweep import scenario_factory
 
-    scenario = scenario_factory(config.scenario)()
+    header = {
+        "spec": spec.to_json(),
+        "command_interval": config.command_interval,
+        "pace": config.pace,
+    }
     os.makedirs(config.session_dir, exist_ok=True)
     journal_path = os.path.join(config.session_dir, "commands.jsonl")
     alerts_path = os.path.join(config.session_dir, "alerts.jsonl")
-    journal = SessionJournal(journal_path, config.header())
+    journal = SessionJournal(journal_path, header)
     controller = ServeController(
         interval=config.command_interval, journal=journal.write
     )
@@ -474,7 +459,7 @@ def serve_session(
 
     server, server_thread = make_server(controller, config.host, config.port)
     port = server.server_address[1]
-    emit(f"serving {config.scenario} on http://{config.host}:{port}")
+    emit(f"serving {spec.scenario} on http://{config.host}:{port}")
     if ready is not None:
         ready(port)
 
@@ -482,15 +467,13 @@ def serve_session(
     error_text: str | None = None
     result = None
     try:
-        result = run_scenario(
-            scenario,
+        result = spec.run(
             telemetry=telemetry,
             sanitizer=sanitizer,
             stream=stream,
             health=health,
             control=controller,
             pace=config.pace,
-            **config.run_kwargs(),
         )
     except ReproError as error:
         error_text = f"{type(error).__name__}: {error}"
@@ -500,7 +483,7 @@ def serve_session(
         server.server_close()
 
     manifest: dict[str, Any] = {
-        **config.header(),
+        **header,
         "http_port": port,
         "wall_seconds": time.monotonic() - wall_start,
         "commands_applied": len(controller.applied),
@@ -552,35 +535,23 @@ def replay_session(
 ) -> dict[str, Any]:
     """Re-run a served session headless from its command journal.
 
-    Rebuilds the scenario from the journal header, applies every
+    Rebuilds the run from the journal header's spec, applies every
     journaled command at its recorded tick time, and compares the
     resulting replay digest + event count against the journal's
     ``serve_close`` record.  Returns a report dict with ``matches``
     (None when the original session never closed cleanly).
-    """
-    from repro.scenarios.runner import run_scenario
-    from repro.scenarios.sweep import scenario_factory
 
+    Raises:
+        ConfigError: on a journal of another version or a malformed
+            spec.
+    """
     header, commands, close = load_journal(journal_path)
-    config = ServeConfig(
-        scenario=str(header["scenario"]),
-        protocol=str(header["protocol"]),
-        substrate=str(header["substrate"]),
-        duration=float(header["duration"]),
-        seed=int(header["seed"]),
-        traffic=str(header.get("traffic", "cbr")),
-        command_interval=float(header.get("command_interval", 0.25)),
-    )
-    scenario = scenario_factory(config.scenario)()
     controller = ServeController(
-        interval=config.command_interval, script=commands
+        interval=float(header.get("command_interval", 0.25)), script=commands
     )
     sanitizer = ReplaySanitizer()
-    result = run_scenario(
-        scenario,
-        sanitizer=sanitizer,
-        control=controller,
-        **config.run_kwargs(),
+    result = RunSpec.from_json(header.get("spec")).run(
+        sanitizer=sanitizer, control=controller
     )
     digest = result.extras["replay_digest"]
     events = result.extras["events_processed"]
@@ -627,11 +598,11 @@ def serve_main(argv: list[str] | None = None) -> int:
         help="scenario name (figure*/scale*); omit with --replay",
     )
     parser.add_argument("--replay", metavar="JOURNAL", default=None)
-    parser.add_argument("--protocol", default="gmp")
-    parser.add_argument("--substrate", default="fluid")
-    parser.add_argument("--duration", type=float, default=3600.0)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--traffic", default="cbr")
+    add_run_flags(
+        parser,
+        ("protocol", "substrate", "duration", "seed", "traffic"),
+        duration=3600.0,
+    )
     parser.add_argument(
         "--pace",
         type=float,
@@ -658,13 +629,8 @@ def serve_main(argv: list[str] | None = None) -> int:
             return 0
         if args.scenario is None:
             parser.error("a scenario name (or --replay) is required")
+        spec = spec_from_args(args)
         config = ServeConfig(
-            scenario=args.scenario,
-            protocol=args.protocol,
-            substrate=args.substrate,
-            duration=args.duration,
-            seed=args.seed,
-            traffic=args.traffic,
             pace=args.pace,
             command_interval=args.command_interval,
             host=args.host,
@@ -673,7 +639,7 @@ def serve_main(argv: list[str] | None = None) -> int:
             stream_db=args.stream_db,
             health=not args.no_health,
         )
-        manifest = serve_session(config)
+        manifest = serve_session(spec, config)
     except ReproError as error:
         print(f"error: {error}")
         return 2

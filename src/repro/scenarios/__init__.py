@@ -1,6 +1,7 @@
-"""Scenario layer: the paper's evaluation topologies and the runner
+"""Scenario layer: the paper's evaluation topologies, the runner
 that assembles a full stack (topology → routing → buffers → MAC →
-protocol → traffic) and collects results."""
+protocol → traffic) and collects results, and :class:`RunSpec`, the
+one description of a run that the CLI, sweep, serve and fuzz share."""
 
 from repro.scenarios.figures import (
     Scenario,
@@ -11,6 +12,7 @@ from repro.scenarios.figures import (
 )
 from repro.scenarios.results import RunResult
 from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import RunSpec
 
 __all__ = [
     "Scenario",
@@ -19,5 +21,6 @@ __all__ = [
     "figure3",
     "figure4",
     "RunResult",
+    "RunSpec",
     "run_scenario",
 ]

@@ -99,7 +99,8 @@ class RunResult:
         }
 
     def point_summary(self) -> dict[str, Any]:
-        """JSON-plain summary of this run — the sweep-cache record.
+        """JSON-plain summary of this run — the sweep-cache record,
+        stored beside the run's spec.
 
         Carries everything the fidelity harness and CI consume without
         re-running the scenario: per-flow raw and normalized rates,
@@ -110,11 +111,6 @@ class RunResult:
         """
         weights = self.extras.get("flow_weights", {})
         return {
-            "scenario": self.scenario,
-            "protocol": self.protocol,
-            "substrate": self.substrate,
-            "seed": self.seed,
-            "duration": self.duration,
             "warmup": self.warmup,
             "flow_rates": {
                 str(flow_id): rate

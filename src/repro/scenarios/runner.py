@@ -64,7 +64,7 @@ from repro.routing.validate import assert_acyclic
 from repro.scenarios.figures import Scenario
 from repro.scenarios.results import RunResult
 from repro.sim.kernel import Simulator
-from repro.sim.replay import ReplayReport, ReplaySanitizer, diff_sanitizers
+from repro.sim.replay import ReplaySanitizer
 from repro.sim.trace import TraceCollector
 from repro.stack import NodeStack
 from repro.telemetry import Telemetry
@@ -198,8 +198,7 @@ class Session:
         flows = scenario.flows
         if self.dynamic:
             # The engine mutates the flow set as flows come and go; work on
-            # a copy so the Scenario object itself replays byte-identically
-            # (replay_check runs it twice).
+            # a copy so the Scenario object itself replays byte-identically.
             flows = FlowSet(list(scenario.flows))
         self.flows = flows
         self.routes = routes = ROUTING_PROTOCOLS[self.routing](topology)
@@ -830,8 +829,9 @@ def run_scenario(
             attached to the kernel.  Every dispatched event is folded
             into its rolling digest (passively — observation never
             schedules); the final digest lands in
-            ``extras["replay_digest"]``.  :func:`replay_check` runs a
-            scenario twice and diffs two sanitizers.
+            ``extras["replay_digest"]``.
+            :func:`~repro.scenarios.spec.replay_check` runs a spec
+            twice and diffs two sanitizers.
         stream: optional streaming publisher (duck-typed to avoid a
             layering cycle — :class:`repro.obs.stream.StreamPublisher`
             in practice; it must wrap the same ``telemetry`` instance).
@@ -878,41 +878,3 @@ def run_scenario(
     # Session's fields are exactly these parameters, by name.
     return Session(**locals()).run()
 
-
-def replay_check(
-    scenario: Scenario,
-    *,
-    journal_limit: int | None = None,
-    **kwargs: object,
-) -> tuple[ReplayReport, RunResult, RunResult]:
-    """Run ``scenario`` twice with identical arguments and diff the
-    replay digests.
-
-    A matched report proves the two runs dispatched the identical
-    event sequence; a mismatch names the first divergent event (index,
-    timestamp, tag) — the symptom of an unseeded draw, a wall-clock
-    read, or hash-order iteration feeding the schedule.
-
-    Args:
-        scenario: the scenario to run (twice).
-        journal_limit: per-run event journal cap (None: sanitizer
-            default).
-        **kwargs: forwarded verbatim to both :func:`run_scenario`
-            calls.  ``telemetry``/``trace`` instances accumulate per
-            run, so pass factories' products only when you know they
-            tolerate two runs; plain deterministic kwargs (protocol,
-            substrate, duration, seed, ...) are the intended use.
-
-    Returns:
-        ``(report, first_result, second_result)``.
-    """
-    if "sanitizer" in kwargs:
-        raise ConfigError("replay_check manages its own sanitizers")
-    limits = (
-        {"journal_limit": journal_limit} if journal_limit is not None else {}
-    )
-    first = ReplaySanitizer(**limits)
-    second = ReplaySanitizer(**limits)
-    result_first = run_scenario(scenario, sanitizer=first, **kwargs)  # type: ignore[arg-type]
-    result_second = run_scenario(scenario, sanitizer=second, **kwargs)  # type: ignore[arg-type]
-    return diff_sanitizers(first, second), result_first, result_second

@@ -1,0 +1,350 @@
+"""One run description: :class:`RunSpec`.
+
+A :class:`RunSpec` holds every input that shapes the dispatched event
+sequence of one run.  It validates at construction, round-trips
+through :meth:`~RunSpec.to_json` / :meth:`~RunSpec.from_json`, and has
+a :meth:`~RunSpec.digest` that is the same in every process.  The sweep
+keys its cache on that digest, a served session journals the spec as
+its header, a fuzz fixture is a spec plus a planted bug, and
+``python -m repro <scenario>`` builds one from its flags.
+
+What is not part of a run's identity — the keywords in
+:data:`OBSERVERS` — is passed to :meth:`RunSpec.run`.
+:func:`replay_check` runs a spec twice and diffs the event digests.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass, fields
+from typing import Any
+
+from repro.churn.spec import parse_churn_spec
+from repro.core.config import GmpConfig
+from repro.errors import ConfigError
+from repro.faults.spec import parse_fault_spec
+from repro.flows.flow import Flow, FlowSet
+from repro.routing.link_state import link_state_routes
+from repro.scenarios.figures import (
+    PAPER_DESIRED_RATE,
+    Scenario,
+    figure1,
+    figure2,
+    figure2_weighted,
+    figure3,
+    figure4,
+)
+from repro.scenarios.results import RunResult
+from repro.scenarios.runner import PROTOCOLS, SUBSTRATES, TRAFFIC_MODELS, run_scenario
+from repro.scenarios.scale import scale100, scale300, scale300c, scale1000
+from repro.sim.replay import ReplayReport, ReplaySanitizer, diff_sanitizers
+from repro.topology.builders import random_topology
+
+#: Scenario factories addressable by name.  ``figure2w`` is Figure 2
+#: under Table 2's weights (1, 2, 1, 3) — a separate name so weighted
+#: and unweighted runs never share sweep-cache entries.  The ``scale*``
+#: family (:mod:`repro.scenarios.scale`) provides seeded city-scale
+#: topologies; ``scale300c`` is the clustered variant.
+SCENARIO_FACTORIES = {
+    "figure1": figure1,
+    "figure2": figure2,
+    "figure2w": figure2_weighted,
+    "figure3": figure3,
+    "figure4": figure4,
+    "scale100": scale100,
+    "scale300": scale300,
+    "scale300c": scale300c,
+    "scale1000": scale1000,
+}
+
+#: The scenario name of a seeded random connected topology, described
+#: inline by ``nodes``, ``topo_seed`` and static ``flows``.
+RANDOM = "random"
+
+#: The keywords :meth:`RunSpec.run` accepts: they observe the run, pace
+#: it, bound it, audit it, or (``control``) steer it through a journal
+#: of their own, and none is part of the spec's identity.
+OBSERVERS = frozenset(
+    "telemetry trace sanitizer stream health control pace "
+    "max_events stall_limit wall_deadline check_invariants".split()
+)
+
+#: scalar field -> type, and the scalar fields that may be None.
+_SCALARS: dict[str, type] = {
+    "scenario": str, "protocol": str, "substrate": str, "traffic": str, "seed": int,
+    "duration": float, "period": float, "beta": float,
+}
+_OPTIONAL: dict[str, type] = {
+    "nodes": int, "topo_seed": int, "rate_interval": float, "churn": str, "faults": str,
+}
+
+
+def _typed(name: str, value: Any, kind: type, optional: bool = False) -> Any:
+    """``value`` as ``kind`` (an int widens to float), or ConfigError."""
+    if value is None and optional:
+        return None
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        wanted = kind.__name__ + (" or null" if optional else "")
+        raise ConfigError(f"run spec field {name!r} must be {wanted}, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunSpec:
+    """Every input that shapes one run's event sequence.
+
+    Attributes:
+        scenario: a key of :data:`SCENARIO_FACTORIES`, or :data:`RANDOM`.
+        weights: figure2's four flow weights (None: all 1).
+        nodes / topo_seed / flows: a :data:`RANDOM` scenario's node
+            count, placement seed and static (source, dest) pairs; flow
+            ids are 1..n in order.
+        protocol / substrate / seed / duration / traffic: as
+            :func:`~repro.scenarios.runner.run_scenario` takes them.
+        period / beta: the GMP period and equality tolerance (every
+            other :class:`GmpConfig` field keeps its default).
+        rate_interval: per-flow rate sampling window, or None for the
+            runner's default.
+        churn / faults: churn and fault DSL text, or None.
+
+    Raises:
+        ConfigError / ChurnError / FaultError: at construction, on a
+            wrong type, an unknown name, an out-of-range number or
+            unparsable DSL text.
+    """
+
+    scenario: str = "figure3"
+    weights: tuple[float, ...] | None = None
+    nodes: int | None = None
+    topo_seed: int | None = None
+    flows: tuple[tuple[int, int], ...] = ()
+    protocol: str = "gmp"
+    substrate: str = "fluid"
+    seed: int = 1
+    duration: float = 30.0
+    traffic: str = "cbr"
+    period: float = GmpConfig.period
+    beta: float = GmpConfig.beta
+    rate_interval: float | None = None
+    churn: str | None = None
+    faults: str | None = None
+
+    def __post_init__(self) -> None:
+        # Normalise in place (the dataclass is frozen): ints widen to
+        # floats and lists become tuples, so one run spelled two ways
+        # compares, hashes and digests equal.
+        for name, kind in (*_SCALARS.items(), *_OPTIONAL.items()):
+            value = _typed(name, getattr(self, name), kind, optional=name in _OPTIONAL)
+            object.__setattr__(self, name, value)
+        try:
+            flows = tuple((_typed("flows", s, int), _typed("flows", d, int)) for s, d in self.flows)
+            weights = self.weights and tuple(_typed("weights", w, float) for w in self.weights)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"flows must be [source, dest] pairs and weights numbers: "
+                f"{self.flows!r}, {self.weights!r}"
+            ) from None
+        object.__setattr__(self, "flows", flows)
+        object.__setattr__(self, "weights", weights)
+
+        for what, name, choices in (
+            ("scenario", self.scenario, (*SCENARIO_FACTORIES, RANDOM)),
+            ("protocol", self.protocol, PROTOCOLS),
+            ("substrate", self.substrate, SUBSTRATES),
+            ("traffic model", self.traffic, tuple(TRAFFIC_MODELS)),
+        ):
+            if name not in choices:
+                raise ConfigError(f"unknown {what} {name!r}; pick from {choices}")
+        if self.duration <= 0:
+            raise ConfigError(f"duration must be positive: {self.duration}")
+        GmpConfig(period=self.period, beta=self.beta)
+        if self.rate_interval is not None and not 0 < self.rate_interval <= self.duration:
+            raise ConfigError(
+                f"rate_interval {self.rate_interval} must lie within (0, {self.duration}]"
+            )
+        if self.churn is not None:
+            parse_churn_spec(self.churn)
+        if self.faults is not None:
+            parse_fault_spec(self.faults)
+        if self.scenario == RANDOM:
+            if self.nodes is None or self.nodes < 2 or self.topo_seed is None or not flows:
+                raise ConfigError(
+                    f"a {RANDOM!r} scenario needs 2+ nodes, a topo_seed and a flow: "
+                    f"{self.nodes}, {self.topo_seed}, {flows}"
+                )
+        elif self.nodes is not None or self.topo_seed is not None or flows:
+            raise ConfigError(f"nodes, topo_seed and flows describe a {RANDOM!r} scenario")
+        if weights is not None and (
+            self.scenario != "figure2" or len(weights) != 4 or min(weights) <= 0
+        ):
+            raise ConfigError(f"weights are figure2's four positive weights: {weights}")
+
+    def to_json(self) -> dict[str, Any]:
+        """Every field, JSON-plain."""
+        data = asdict(self)
+        data["flows"] = [list(pair) for pair in self.flows]
+        data["weights"] = self.weights and list(self.weights)
+        return data
+
+    @classmethod
+    def from_json(cls, data: Any) -> RunSpec:
+        """Rebuild a spec from :meth:`to_json` output; absent fields
+        take their defaults.
+
+        Raises:
+            ConfigError: on a non-object, an unknown field, or any
+                construction error.
+        """
+        if not isinstance(data, dict):
+            raise ConfigError(f"a run spec is a JSON object, got {data!r}")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown run spec field(s) {unknown}")
+        return cls(**data)
+
+    def digest(self) -> str:
+        """SHA-256 of the canonical JSON form: the same for the same
+        spec in every process, whatever its hash seed."""
+        text = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def build_scenario(self) -> Scenario:
+        """Materialise the topology and static flows.
+
+        Raises:
+            ConfigError: when a random scenario's flow pair lies outside
+                its topology or has no route.
+        """
+        if self.weights is not None:
+            return figure2(weights=self.weights)  # type: ignore[arg-type]
+        if self.scenario != RANDOM:
+            return SCENARIO_FACTORIES[self.scenario]()
+        topology = random_topology(self.nodes, seed=self.topo_seed, require_connected=True)
+        routes = link_state_routes(topology)
+        for source, dest in self.flows:
+            if source not in topology or dest not in topology:
+                raise ConfigError(f"flow pair ({source}, {dest}) outside the topology")
+            if not routes.table(source).has_route(dest):
+                raise ConfigError(f"flow pair ({source}, {dest}) is unroutable")
+        flows = [
+            Flow(flow_id=flow_id, source=source, destination=dest, desired_rate=PAPER_DESIRED_RATE)
+            for flow_id, (source, dest) in enumerate(self.flows, start=1)
+        ]
+        name = f"{RANDOM}-n{self.nodes}-t{self.topo_seed}"
+        return Scenario(name=name, topology=topology, flows=FlowSet(flows))
+
+    def run(self, **observers: Any) -> RunResult:
+        """Build the scenario and run it through
+        :func:`~repro.scenarios.runner.run_scenario`.
+
+        Raises:
+            ConfigError: on a keyword outside :data:`OBSERVERS` (a run
+                input belongs in the spec), plus whatever
+                ``run_scenario`` raises.
+        """
+        misplaced = sorted(set(observers) - OBSERVERS)
+        if misplaced:
+            raise ConfigError(f"{misplaced} are not observers; run inputs belong in the RunSpec")
+        return run_scenario(
+            self.build_scenario(),
+            protocol=self.protocol,
+            substrate=self.substrate,
+            duration=self.duration,
+            seed=self.seed,
+            traffic=self.traffic,
+            gmp_config=GmpConfig(period=self.period, beta=self.beta),
+            rate_interval=self.rate_interval,
+            churn=parse_churn_spec(self.churn) if self.churn is not None else None,
+            faults=parse_fault_spec(self.faults) if self.faults is not None else None,
+            **observers,
+        )
+
+
+def replay_check(
+    spec: RunSpec, *, journal_limit: int | None = None, **observers: Any
+) -> tuple[ReplayReport, RunResult, RunResult]:
+    """Run ``spec`` twice and diff the replay digests.
+
+    A matched report proves the two runs dispatched the identical
+    event sequence; a mismatch names the first divergent event (index,
+    timestamp, tag) — the symptom of an unseeded draw, a wall-clock
+    read, or hash-order iteration feeding the schedule.  ``observers``
+    go to both runs; telemetry and trace instances accumulate per run,
+    so the intended use is the watchdogs and ``check_invariants``.
+
+    Returns:
+        ``(report, first_result, second_result)``.
+    """
+    if "sanitizer" in observers:
+        raise ConfigError("replay_check manages its own sanitizers")
+    limits = {"journal_limit": journal_limit} if journal_limit is not None else {}
+    first, second = ReplaySanitizer(**limits), ReplaySanitizer(**limits)
+    result_first = spec.run(sanitizer=first, **observers)
+    result_second = spec.run(sanitizer=second, **observers)
+    return diff_sanitizers(first, second), result_first, result_second
+
+
+# --- command line ---------------------------------------------------------------
+
+
+def _weights(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad weights {text!r}") from None
+
+
+#: The run command line's flags, one per spec field (``--weights``
+#: applies to figure2 only); ``repro serve`` takes a subset.
+RUN_FLAGS: dict[str, dict[str, Any]] = {
+    "protocol": {"choices": PROTOCOLS, "default": "gmp"},
+    "substrate": {"choices": SUBSTRATES, "default": "fluid"},
+    "duration": {"type": float, "default": 120.0},
+    "seed": {"type": int, "default": 1},
+    "period": {"type": float, "default": 2.0, "help": "GMP period (s)"},
+    "beta": {"type": float, "default": 0.10},
+    "traffic": {"choices": tuple(TRAFFIC_MODELS), "default": "cbr"},
+    "churn": {
+        "default": None,
+        "help": 'dynamic workload, e.g. "poisson:rate=0.3,mean_hold=6,hold=pareto" '
+        'or "adversary:burst=2,on=2,off=2"',
+    },
+    "weights": {
+        "type": _weights,
+        "default": "1,1,1,1",
+        "help": "figure2 flow weights, comma-separated (e.g. 1,2,1,3)",
+    },
+    "faults": {
+        "default": None,
+        "help": 'fault schedule, e.g. "crash:1@20;recover:1@40;ctrl:0.5@10-30"',
+    },
+    "rate_interval": {
+        "type": float,
+        "default": None,
+        "help": "record per-flow rates over windows of this many seconds",
+    },
+}
+
+
+def add_run_flags(
+    parser: argparse.ArgumentParser, names: Iterable[str] = tuple(RUN_FLAGS), **defaults: Any
+) -> None:
+    """Add the run flags ``names`` to ``parser``; ``defaults``
+    overrides their default values."""
+    for name in names:
+        options = {**RUN_FLAGS[name], "default": defaults.get(name, RUN_FLAGS[name]["default"])}
+        parser.add_argument("--" + name.replace("_", "-"), **options)
+
+
+def spec_from_args(args: argparse.Namespace) -> RunSpec:
+    """The spec a parsed command line describes: ``args.scenario`` plus
+    whichever run flags its parser defines."""
+    values = {name: getattr(args, name) for name in RUN_FLAGS if hasattr(args, name)}
+    if args.scenario != "figure2":
+        values.pop("weights", None)
+    return RunSpec(scenario=args.scenario, **values)

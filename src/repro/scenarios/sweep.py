@@ -1,29 +1,29 @@
 # simcheck: allow-file[DET001] sweep wall-clock timing is operator-facing
-"""Parallel parameter-sweep engine with a content-addressed result cache.
+"""Parallel run engine with a content-addressed result cache.
 
-A sweep expands a parameter grid — scenario × protocol × substrate ×
-seed × duration — into :class:`SweepPoint`\\ s, runs each point through
-:func:`~repro.scenarios.runner.run_scenario`, and collects one
-JSON-serializable summary per point.  Two things make large sweeps
-cheap:
+A sweep runs a list of :class:`~repro.scenarios.spec.RunSpec`\\ s —
+typically a :func:`sweep_grid`, the cross product scenario × protocol ×
+substrate × seed × duration — and collects one JSON-serializable
+summary per spec.  Two things make large sweeps cheap:
 
-* **Sharding.**  Points are distributed over ``workers`` processes via
+* **Sharding.**  Specs are distributed over ``workers`` processes via
   a spawn-context :mod:`multiprocessing` pool.  Every run constructs
   its own kernel and RNG registry from its seed, so results are
   independent of the worker count — the same grid run with 1, 2, or 8
   workers yields byte-identical summaries.
-* **Caching.**  Each point's summary is stored on disk under a digest
-  of the point parameters *and* a fingerprint of the library source
-  (every ``src/repro/**/*.py`` file).  Re-running the same grid is
-  pure cache hits; editing any library file invalidates the whole
-  cache automatically — no stale results after a code change.
+* **Caching.**  Each summary is stored on disk under the spec's
+  :meth:`~repro.scenarios.spec.RunSpec.digest` combined with a
+  fingerprint of the library source (every ``src/repro/**/*.py``
+  file).  Re-running the same specs is pure cache hits; editing any
+  library file invalidates the whole cache automatically — no stale
+  results after a code change.
 
 Command line::
 
     python -m repro sweep --scenarios figure3,figure4 --seeds 1,2,3 \\
         --durations 30 --workers 4 --json sweep.json
 
-See docs/PERFORMANCE.md for how the cache key is built.
+See README.md ("Describing a run") for the spec and its digest.
 """
 
 from __future__ import annotations
@@ -35,117 +35,42 @@ import os
 import sys
 import tempfile
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
+from itertools import product
 from multiprocessing import get_context
 from pathlib import Path
 
 from repro.errors import ConfigError
-from repro.scenarios.figures import (
-    figure1,
-    figure2,
-    figure2_weighted,
-    figure3,
-    figure4,
-)
-from repro.scenarios.runner import PROTOCOLS, SUBSTRATES, run_scenario
-from repro.scenarios.scale import scale100, scale300, scale300c, scale1000
-
-#: Scenario factories addressable from a sweep grid.  ``figure2w`` is
-#: Figure 2 under Table 2's weights (1, 2, 1, 3) — a separate name so
-#: weighted and unweighted runs never share cache entries.  The
-#: ``scale*`` family (:mod:`repro.scenarios.scale`) provides seeded
-#: city-scale topologies; ``scale300c`` is the clustered variant.
-SCENARIO_FACTORIES = {
-    "figure1": figure1,
-    "figure2": figure2,
-    "figure2w": figure2_weighted,
-    "figure3": figure3,
-    "figure4": figure4,
-    "scale100": scale100,
-    "scale300": scale300,
-    "scale300c": scale300c,
-    "scale1000": scale1000,
-}
-
-
-def scenario_factory(name: str):
-    """The factory registered under ``name``.
-
-    Raises:
-        ConfigError: on an unknown name, listing the registered ones.
-    """
-    factory = SCENARIO_FACTORIES.get(name)
-    if factory is None:
-        raise ConfigError(
-            f"unknown scenario {name!r}; pick from {tuple(SCENARIO_FACTORIES)}"
-        )
-    return factory
+from repro.scenarios.spec import SCENARIO_FACTORIES, RunSpec
 
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".sweep-cache"
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One cell of the parameter grid."""
+def sweep_grid(
+    scenarios: Sequence[str] = ("figure3",),
+    protocols: Sequence[str] = ("gmp",),
+    substrates: Sequence[str] = ("fluid",),
+    seeds: Sequence[int] = (1,),
+    durations: Sequence[float] = (30.0,),
+) -> list[RunSpec]:
+    """The cross product of the axis values as specs, in deterministic
+    nested order (scenario, protocol, substrate, seed, duration).
 
-    scenario: str
-    protocol: str
-    substrate: str
-    seed: int
-    duration: float
-
-    def label(self) -> str:
-        return (
-            f"{self.scenario}/{self.protocol}/{self.substrate}"
-            f"/seed{self.seed}/{self.duration:g}s"
-        )
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A parameter grid.
-
-    Attributes are the axis value lists; :meth:`points` expands their
-    cross product in deterministic nested order (scenario, protocol,
-    substrate, seed, duration).
+    Raises:
+        ConfigError: on an empty axis or a value no spec accepts.
     """
-
-    scenarios: tuple[str, ...] = ("figure3",)
-    protocols: tuple[str, ...] = ("gmp",)
-    substrates: tuple[str, ...] = ("fluid",)
-    seeds: tuple[int, ...] = (1,)
-    durations: tuple[float, ...] = (30.0,)
-
-    def __post_init__(self) -> None:
-        for name in self.scenarios:
-            scenario_factory(name)
-        for name in self.protocols:
-            if name not in PROTOCOLS:
-                raise ConfigError(
-                    f"unknown protocol {name!r}; pick from {PROTOCOLS}"
-                )
-        for name in self.substrates:
-            if name not in SUBSTRATES:
-                raise ConfigError(
-                    f"unknown substrate {name!r}; pick from {SUBSTRATES}"
-                )
-        if not (self.scenarios and self.protocols and self.substrates
-                and self.seeds and self.durations):
-            raise ConfigError("every sweep axis needs at least one value")
-        if any(duration <= 0 for duration in self.durations):
-            raise ConfigError("sweep durations must be positive")
-
-    def points(self) -> list[SweepPoint]:
-        """The grid, expanded in deterministic order."""
-        return [
-            SweepPoint(scenario, protocol, substrate, seed, float(duration))
-            for scenario in self.scenarios
-            for protocol in self.protocols
-            for substrate in self.substrates
-            for seed in self.seeds
-            for duration in self.durations
-        ]
+    specs = [
+        RunSpec(scenario=scenario, protocol=protocol, substrate=substrate,
+                seed=seed, duration=duration)
+        for scenario, protocol, substrate, seed, duration in product(
+            scenarios, protocols, substrates, seeds, durations
+        )
+    ]
+    if not specs:
+        raise ConfigError("every sweep axis needs at least one value")
+    return specs
 
 
 @dataclass
@@ -189,51 +114,15 @@ def code_fingerprint(package_root: Path | None = None) -> str:
     return digest.hexdigest()
 
 
-def _point_digest(point: SweepPoint, fingerprint: str) -> str:
-    payload = json.dumps(asdict(point), sort_keys=True)
-    return hashlib.sha256(f"{payload}\0{fingerprint}".encode()).hexdigest()
-
-
-def run_point(point: SweepPoint) -> dict:
-    """Run one grid point and summarize it as plain JSON data.
+def run_point(spec: RunSpec) -> dict:
+    """Run one spec and summarize it as plain JSON data.
 
     The summary is :meth:`~repro.scenarios.results.RunResult.
     point_summary` — raw and normalized per-flow rates, hop counts,
-    weights, and the paper metrics ``U``/``I_mm``/``I_eq`` — with the
-    *grid* scenario name substituted so cache keys and summaries agree
-    (e.g. the ``figure2w`` grid name rather than the scenario's own).
+    weights, and the paper metrics ``U``/``I_mm``/``I_eq`` — plus the
+    spec itself, so every cached record says which run it summarizes.
     """
-    scenario = SCENARIO_FACTORIES[point.scenario]()
-    result = run_scenario(
-        scenario,
-        protocol=point.protocol,
-        substrate=point.substrate,
-        duration=point.duration,
-        seed=point.seed,
-    )
-    summary = result.point_summary()
-    summary["scenario"] = point.scenario
-    return summary
-
-
-def _worker(args: tuple[str, str, str, int, float]) -> dict:
-    """Top-level (hence picklable) pool worker: rebuild the point and
-    run it; the spawn context gives every run a fresh interpreter."""
-    scenario, protocol, substrate, seed, duration = args
-    return run_point(SweepPoint(scenario, protocol, substrate, seed, duration))
-
-
-def _cache_path(cache_dir: Path, digest: str) -> Path:
-    return cache_dir / f"{digest}.json"
-
-
-def _cache_load(path: Path) -> dict | None:
-    try:
-        with path.open(encoding="utf-8") as handle:
-            loaded = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
-    return loaded if isinstance(loaded, dict) else None
+    return {**spec.run().point_summary(), "spec": spec.to_json()}
 
 
 def _cache_store(path: Path, summary: dict) -> None:
@@ -257,17 +146,17 @@ def _cache_store(path: Path, summary: dict) -> None:
 
 
 def run_sweep(
-    spec: SweepSpec,
+    specs: Sequence[RunSpec],
     *,
     workers: int = 1,
     cache_dir: str | Path | None = DEFAULT_CACHE_DIR,
     fingerprint: str | None = None,
 ) -> SweepReport:
-    """Run (or recall) every point of ``spec``.
+    """Run (or recall) every spec, e.g. a :func:`sweep_grid`.
 
     Args:
-        spec: the parameter grid.
-        workers: processes to shard fresh points over; 1 runs in-process
+        specs: the runs, in report order.
+        workers: processes to shard fresh runs over; 1 runs in-process
             (no pool), which is what tests and tiny grids want.
         cache_dir: cache directory, or None to disable caching.
         fingerprint: override the library-source fingerprint (tests
@@ -279,7 +168,6 @@ def run_sweep(
     if workers < 1:
         raise ConfigError(f"sweep needs at least one worker, got {workers}")
     started = time.perf_counter()
-    points = spec.points()
     report = SweepReport(workers=workers)
     cache_base = Path(cache_dir) if cache_dir is not None else None
     if cache_base is not None:
@@ -287,38 +175,34 @@ def run_sweep(
             fingerprint if fingerprint is not None else code_fingerprint()
         )
 
-    results: list[dict | None] = [None] * len(points)
-    fresh: list[tuple[int, SweepPoint]] = []
-    digests: dict[int, str] = {}
-    for index, point in enumerate(points):
+    results: list[dict | None] = [None] * len(specs)
+    fresh: list[tuple[int, RunSpec]] = []
+    paths: dict[int, Path] = {}
+    for index, spec in enumerate(specs):
         if cache_base is not None:
-            digest = _point_digest(point, report.fingerprint)
-            digests[index] = digest
-            cached = _cache_load(_cache_path(cache_base, digest))
-            if cached is not None:
+            key = hashlib.sha256(f"{spec.digest()}\0{report.fingerprint}".encode())
+            paths[index] = cache_base / f"{key.hexdigest()}.json"
+            try:
+                cached = json.loads(paths[index].read_text(encoding="utf-8"))
+            except (OSError, json.JSONDecodeError):
+                cached = None  # absent or torn: recompute
+            if isinstance(cached, dict):
                 results[index] = cached
                 report.cache_hits += 1
                 continue
-        fresh.append((index, point))
+        fresh.append((index, spec))
 
     report.cache_misses = len(fresh)
-    if fresh:
-        if workers == 1 or len(fresh) == 1:
-            computed = [run_point(point) for _, point in fresh]
-        else:
-            args = [
-                (p.scenario, p.protocol, p.substrate, p.seed, p.duration)
-                for _, p in fresh
-            ]
-            context = get_context("spawn")
-            with context.Pool(processes=min(workers, len(fresh))) as pool:
-                computed = pool.map(_worker, args)
-        for (index, _), summary in zip(fresh, computed):
-            results[index] = summary
-            if cache_base is not None:
-                _cache_store(
-                    _cache_path(cache_base, digests[index]), summary
-                )
+    todo = [spec for _, spec in fresh]
+    if workers == 1 or len(todo) <= 1:
+        computed = [run_point(spec) for spec in todo]
+    else:
+        with get_context("spawn").Pool(processes=min(workers, len(todo))) as pool:
+            computed = pool.map(run_point, todo)
+    for (index, _), summary in zip(fresh, computed):
+        results[index] = summary
+        if cache_base is not None:
+            _cache_store(paths[index], summary)
 
     report.results = [summary for summary in results if summary is not None]
     report.wall_seconds = time.perf_counter() - started
@@ -341,7 +225,8 @@ def sweep_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--scenarios", default="figure3",
-        help="comma-separated scenario names (default figure3)",
+        help="comma-separated scenario names from "
+        f"{', '.join(SCENARIO_FACTORIES)} (default figure3)",
     )
     parser.add_argument("--protocols", default="gmp")
     parser.add_argument("--substrates", default="fluid")
@@ -363,15 +248,15 @@ def sweep_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        spec = SweepSpec(
-            scenarios=tuple(_csv(args.scenarios)),
-            protocols=tuple(_csv(args.protocols)),
-            substrates=tuple(_csv(args.substrates)),
-            seeds=tuple(int(part) for part in _csv(args.seeds)),
-            durations=tuple(float(part) for part in _csv(args.durations)),
+        specs = sweep_grid(
+            _csv(args.scenarios),
+            _csv(args.protocols),
+            _csv(args.substrates),
+            [int(part) for part in _csv(args.seeds)],
+            [float(part) for part in _csv(args.durations)],
         )
         report = run_sweep(
-            spec,
+            specs,
             workers=args.workers,
             cache_dir=None if args.no_cache else args.cache_dir,
         )

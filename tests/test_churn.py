@@ -29,7 +29,8 @@ from repro.faults import parse_fault_spec
 from repro.flows.flow import Flow, FlowSet
 from repro.routing.link_state import link_state_routes
 from repro.scenarios.figures import figure3
-from repro.scenarios.runner import replay_check, run_scenario
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import RunSpec, replay_check
 from repro.sim.rng import RngRegistry
 from repro.topology.builders import chain_topology
 
@@ -337,13 +338,13 @@ def test_churn_run_reports_and_conserves():
 
 def test_churn_run_replays_bit_for_bit():
     report, _first, _second = replay_check(
-        figure3(),
-        protocol="gmp",
-        substrate="fluid",
-        duration=20.0,
-        seed=5,
-        gmp_config=FAST,
-        churn=ChurnSpec(rate=0.3, mean_hold=5.0, hold="exp", traffic="cbr"),
+        RunSpec(
+            scenario="figure3",
+            duration=20.0,
+            seed=5,
+            period=FAST.period,
+            churn="poisson:rate=0.3,mean_hold=5,hold=exp,traffic=cbr",
+        )
     )
     assert report.matched, report.render()
 

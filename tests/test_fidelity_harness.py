@@ -23,6 +23,7 @@ from repro.fidelity.harness import (
     write_baseline,
 )
 from repro.fidelity.paper import PAPER_TABLES, MeasuredColumn
+from repro.scenarios.spec import RunSpec
 
 
 def t1_measurement(seed=1, f1=437.0, f2=219.0, f3=218.0, f4=220.0):
@@ -148,9 +149,7 @@ def test_measurement_raises_on_missing_protocol():
     table = PAPER_TABLES[3]
     summaries = [
         {
-            "seed": 1,
-            "scenario": "figure3",
-            "protocol": "gmp",
+            "spec": RunSpec(scenario="figure3", seed=1).to_json(),
             "flow_rates": {"1": 160.0, "2": 160.0, "3": 160.0},
             "effective_throughput": 480.0,
             "i_mm": 0.9,

@@ -9,13 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import FuzzError
+from repro.errors import ConfigError, FuzzError
 from repro.fuzz import (
     ORACLES,
     FuzzOutcome,
     FuzzScenario,
     OracleResult,
-    build_scenario,
     evaluate,
     generate_scenarios,
     shrink,
@@ -23,11 +22,17 @@ from repro.fuzz import (
 from repro.fuzz.cli import fuzz_main
 from repro.fuzz.grammar import is_valid
 from repro.fuzz.shrink import MIN_DURATION
+from repro.scenarios.spec import RANDOM, RunSpec
 
 FIXTURE = Path(__file__).parent / "fixtures" / "fuzz" / "gmp_leak_min.json"
 
-#: A known-good spec (the committed fixture's topology, honestly run).
-CLEAN = FuzzScenario(
+def case(plant_bug=None, **fields):
+    """A fuzz case on a random topology."""
+    return FuzzScenario(RunSpec(scenario=RANDOM, **fields), plant_bug)
+
+
+#: A known-good case (the committed fixture's topology, honestly run).
+CLEAN = case(
     nodes=5,
     topo_seed=1220474875,
     seed=1709509186,
@@ -41,7 +46,7 @@ CLEAN = FuzzScenario(
 
 
 def test_spec_round_trips_through_json(tmp_path):
-    spec = FuzzScenario(
+    spec = case(
         nodes=6,
         topo_seed=42,
         seed=7,
@@ -51,13 +56,16 @@ def test_spec_round_trips_through_json(tmp_path):
         faults="crash:1@10;recover:1@20",
         plant_bug="gmp-leak",
     )
-    assert FuzzScenario.from_json(spec.to_json()) == spec
     path = tmp_path / "spec.json"
     spec.write(path)
     assert FuzzScenario.read(path) == spec
-    # Optional fields are omitted from the committed form.
-    bare = FuzzScenario(nodes=4, topo_seed=1, seed=2, duration=20.0, flows=((0, 1),))
-    assert set(bare.to_json()) == {"nodes", "topo_seed", "seed", "duration", "flows"}
+    # The fixture is the spec's JSON plus the planted bug.
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert data.pop("plant_bug") == "gmp-leak"
+    assert RunSpec.from_json(data) == spec.spec
+    honest = dataclasses.replace(spec, plant_bug=None)
+    honest.write(path)
+    assert "plant_bug" not in json.loads(path.read_text(encoding="utf-8"))
 
 
 def test_spec_read_rejects_malformed_files(tmp_path):
@@ -68,19 +76,33 @@ def test_spec_read_rejects_malformed_files(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(FuzzError, match="cannot read"):
         FuzzScenario.read(bad)
-    partial = tmp_path / "partial.json"
-    partial.write_text(json.dumps({"nodes": 4}), encoding="utf-8")
-    with pytest.raises(FuzzError, match="malformed"):
-        FuzzScenario.read(partial)
+    base = {"scenario": "random", "nodes": 6, "topo_seed": 1, "seed": 1,
+            "duration": 2.0, "flows": [[0, 3]]}
+    for malformed in (
+        {"scenario": "random", "nodes": 4},
+        [1, 2],
+        {**base, "faults": ["crash:1@1"]},  # DSL fields are text
+        {**base, "churn": {"rate": 0.3}},
+        {**base, "faults": "crash:one@1"},  # unparsable DSL text
+        {**base, "churn": "tsunami:rate=1"},
+        {**base, "seed": "1"},
+        {**base, "flows": [[0, 3, 5]]},
+        {**base, "colour": "red"},
+        {**base, "plant_bug": "heisenbug"},
+    ):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(malformed), encoding="utf-8")
+        with pytest.raises(FuzzError, match="malformed"):
+            FuzzScenario.read(path)
 
 
 def test_spec_validates_its_fields():
-    with pytest.raises(FuzzError, match="nodes"):
-        FuzzScenario(nodes=1, topo_seed=1, seed=1, duration=10.0, flows=((0, 1),))
-    with pytest.raises(FuzzError, match="static flow"):
-        FuzzScenario(nodes=4, topo_seed=1, seed=1, duration=10.0, flows=())
+    with pytest.raises(ConfigError, match="nodes"):
+        case(nodes=1, topo_seed=1, seed=1, duration=10.0, flows=((0, 1),))
+    with pytest.raises(ConfigError, match="flow"):
+        case(nodes=4, topo_seed=1, seed=1, duration=10.0, flows=())
     with pytest.raises(FuzzError, match="planted bug"):
-        FuzzScenario(
+        case(
             nodes=4,
             topo_seed=1,
             seed=1,
@@ -88,6 +110,8 @@ def test_spec_validates_its_fields():
             flows=((0, 1),),
             plant_bug="heisenbug",
         )
+    with pytest.raises(FuzzError, match="churn"):
+        case(nodes=4, topo_seed=1, seed=1, flows=((0, 1),), plant_bug="gmp-leak")
 
 
 # --- generation ------------------------------------------------------------------
@@ -109,10 +133,14 @@ def test_generated_scenarios_materialize():
 
 
 def test_planted_bug_rides_in_the_spec():
-    specs = generate_scenarios(3, seed=9, plant_bug="gmp-leak")
-    assert all(spec.plant_bug == "gmp-leak" for spec in specs)
+    cases = generate_scenarios(3, seed=9, plant_bug="gmp-leak")
+    assert all(case.plant_bug == "gmp-leak" for case in cases)
     # The leak needs departures, so churn is forced on.
-    assert all(spec.churn is not None for spec in specs)
+    assert all(case.spec.churn is not None for case in cases)
+    # It runs as the churn engine's leak hook; the fixture's spec
+    # keeps the honest text.
+    assert all("leak=1" in case.planted().churn for case in cases)
+    assert all("leak" not in case.spec.churn for case in cases)
     with pytest.raises(FuzzError, match="planted bug"):
         generate_scenarios(2, seed=1, plant_bug="heisenbug")
     with pytest.raises(FuzzError, match="budget"):
@@ -120,9 +148,9 @@ def test_planted_bug_rides_in_the_spec():
 
 
 def test_build_scenario_rejects_bad_flow_pairs():
-    outside = dataclasses.replace(CLEAN, flows=((0, 9),))
-    with pytest.raises(FuzzError, match="outside"):
-        build_scenario(outside)
+    outside = CLEAN.with_spec(flows=((0, 9),))
+    with pytest.raises(ConfigError, match="outside"):
+        outside.spec.build_scenario()
     assert not is_valid(outside)
 
 
@@ -141,14 +169,15 @@ def test_clean_scenario_passes_the_whole_battery():
 
 
 def test_gmp_residue_oracle_skips_without_churn():
-    outcome = evaluate(dataclasses.replace(CLEAN, duration=10.0, churn=None))
+    outcome = evaluate(CLEAN.with_spec(duration=10.0, churn=None))
     statuses = {o.name: o.status for o in outcome.oracles}
     assert statuses["gmp_residue"] == "skip"
     assert outcome.ok
 
 
 def test_harness_errors_are_their_own_failure_kind():
-    broken = dataclasses.replace(CLEAN, churn="tsunami:rate=1")
+    # The spec is valid; its flow pair lies outside the topology.
+    broken = CLEAN.with_spec(flows=((0, 9),))
     outcome = evaluate(broken)
     assert not outcome.ok
     assert outcome.failed_names() == {"harness"}
@@ -160,14 +189,14 @@ def test_harness_errors_are_their_own_failure_kind():
 
 def always_fails(names):
     def stub(candidate):
-        outcome = FuzzOutcome(spec=candidate)
+        outcome = FuzzOutcome(case=candidate)
         outcome.oracles = [OracleResult(name, "fail") for name in names]
         return outcome
 
     return stub
 
 
-BIG = FuzzScenario(
+BIG = case(
     nodes=5,
     topo_seed=1220474875,
     seed=3,
@@ -182,25 +211,25 @@ def test_shrink_reduces_every_axis_with_a_stub_oracle():
     session = shrink(
         BIG, {"conservation"}, still_fails=always_fails(["conservation"]), max_evaluations=80
     )
-    minimal = session.minimal
+    minimal = session.minimal.spec
     assert minimal.faults is None
     assert minimal.churn is None
     assert len(minimal.flows) == 1
     assert minimal.duration == MIN_DURATION
-    assert minimal.nodes < BIG.nodes
-    assert is_valid(minimal)
+    assert minimal.nodes < BIG.spec.nodes
+    assert is_valid(session.minimal)
     assert session.steps and session.evaluations <= 80
     # Shrinking is deterministic: replaying it lands on the same spec.
     again = shrink(
         BIG, {"conservation"}, still_fails=always_fails(["conservation"]), max_evaluations=80
     )
-    assert again.minimal == minimal
+    assert again.minimal == session.minimal
 
 
 def test_shrink_only_accepts_the_original_failure():
     def churn_sensitive(candidate):
-        outcome = FuzzOutcome(spec=candidate)
-        if candidate.churn is not None:
+        outcome = FuzzOutcome(case=candidate)
+        if candidate.spec.churn is not None:
             outcome.oracles = [OracleResult("replay", "fail")]
         else:
             # Dropping churn exposes a *different* bug; the shrinker
@@ -209,8 +238,8 @@ def test_shrink_only_accepts_the_original_failure():
         return outcome
 
     session = shrink(BIG, {"replay"}, still_fails=churn_sensitive, max_evaluations=80)
-    assert session.minimal.churn is not None
-    assert session.minimal.faults is None
+    assert session.minimal.spec.churn is not None
+    assert session.minimal.spec.faults is None
 
 
 def test_shrink_respects_the_evaluation_budget():

@@ -30,6 +30,7 @@ from repro.obs.serve import (
     serve_session,
 )
 from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import RunSpec
 from repro.scenarios.sweep import SCENARIO_FACTORIES
 from repro.sim.replay import ReplaySanitizer
 
@@ -271,7 +272,12 @@ def test_session_snapshot_matches_result_and_shares_one_reference():
 def test_load_journal_round_trip(tmp_path):
     path = tmp_path / "commands.jsonl"
     lines = [
-        {"record": "serve_header", "version": 1, "scenario": "figure3"},
+        {
+            "record": "serve_header",
+            "version": 2,
+            "spec": RunSpec(scenario="figure3").to_json(),
+            "command_interval": 0.25,
+        },
         {
             "record": "command",
             "seq": 2,
@@ -292,7 +298,7 @@ def test_load_journal_round_trip(tmp_path):
     ]
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     header, commands, close = load_journal(str(path))
-    assert header["scenario"] == "figure3"
+    assert RunSpec.from_json(header["spec"]) == RunSpec(scenario="figure3")
     assert [c.seq for c in commands] == [1, 2]  # sorted by seq
     assert commands[0].t == 0.5
     assert close["digest"] == "ab"
@@ -309,6 +315,22 @@ def test_load_journal_requires_header(tmp_path):
     )
     with pytest.raises(ConfigError):
         load_journal(str(path))
+
+
+def test_load_journal_rejects_a_version_1_journal(tmp_path):
+    # Version 1 spelled the run out field by field in the header.
+    path = tmp_path / "v1.jsonl"
+    path.write_text(
+        json.dumps(
+            {"record": "serve_header", "version": 1, "scenario": "figure3",
+             "protocol": "gmp", "substrate": "fluid", "duration": 5.0,
+             "seed": 1, "traffic": "cbr", "command_interval": 0.25}
+        )
+        + "\n"
+    )
+    with pytest.raises(ConfigError, match="version 1"):
+        load_journal(str(path))
+    assert serve_main(["--replay", str(path)]) == 2
 
 
 # ---------------------------------------------------------------- HTTP end-to-end
@@ -341,11 +363,8 @@ def _get_json(url, retries=200):
 
 def test_served_session_http_and_replay_match(tmp_path):
     session_dir = tmp_path / "session"
+    spec = RunSpec(scenario="figure3", substrate="fluid", duration=60.0, seed=1)
     config = ServeConfig(
-        scenario="figure3",
-        substrate="fluid",
-        duration=60.0,
-        seed=1,
         pace=None,
         port=0,
         session_dir=str(session_dir),
@@ -426,7 +445,7 @@ def test_served_session_http_and_replay_match(tmp_path):
 
     thread = threading.Thread(target=driver, daemon=True)
     thread.start()
-    manifest = serve_session(config, ready=on_ready, emit=lambda _: None)
+    manifest = serve_session(spec, config, ready=on_ready, emit=lambda _: None)
     thread.join(timeout=60)
     assert not failures, failures[0]
 
@@ -452,16 +471,9 @@ def test_serve_main_replay_exit_codes(tmp_path, capsys):
     controller.submit("add_flow", {"source": 0, "destination": 3})
     # Produce a journal via a (headless) served session: no commands
     # beyond the pre-submitted graft, tiny duration, ephemeral port.
-    config = ServeConfig(
-        scenario="figure3",
-        substrate="fluid",
-        duration=5.0,
-        seed=1,
-        port=0,
-        session_dir=str(session_dir),
-        health=False,
-    )
-    serve_session(config, emit=lambda _: None)
+    spec = RunSpec(scenario="figure3", substrate="fluid", duration=5.0, seed=1)
+    config = ServeConfig(port=0, session_dir=str(session_dir), health=False)
+    serve_session(spec, config, emit=lambda _: None)
     journal = session_dir / "commands.jsonl"
 
     assert serve_main(["--replay", str(journal)]) == 0
@@ -487,3 +499,26 @@ def test_serve_main_rejects_unknown_scenario(tmp_path, capsys):
         == 2
     )
     assert "unknown scenario" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--substrate", "--traffic", "--protocol"])
+def test_serve_main_rejects_a_bogus_run_flag_before_the_session(tmp_path, flag):
+    session_dir = tmp_path / "S"
+    with pytest.raises(SystemExit) as exit_info:
+        serve_main(
+            ["figure3", flag, "bogus", "--port", "0",
+             "--session-dir", str(session_dir), "--duration", "1"]
+        )
+    assert exit_info.value.code == 2
+    assert not session_dir.exists()
+
+
+def test_serve_main_rejects_a_bad_spec_before_the_session(tmp_path, capsys):
+    session_dir = tmp_path / "S"
+    code = serve_main(
+        ["figure3", "--duration", "-1", "--port", "0",
+         "--session-dir", str(session_dir)]
+    )
+    assert code == 2
+    assert "duration" in capsys.readouterr().out
+    assert not session_dir.exists()

@@ -5,7 +5,8 @@ localization when nondeterminism is deliberately injected."""
 import numpy as np
 
 from repro.scenarios.figures import figure3
-from repro.scenarios.runner import replay_check, run_scenario
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import RunSpec, replay_check
 from repro.sim.kernel import Simulator
 from repro.sim.replay import ReplaySanitizer, describe_callback, diff_sanitizers
 from repro.telemetry import Telemetry
@@ -65,9 +66,16 @@ def test_sanitized_run_is_unperturbed():
     assert sanitized.flow_rates == bare.flow_rates
 
 
+def test_spec_run_reproduces_the_golden_digest():
+    sanitizer = ReplaySanitizer()
+    RunSpec(scenario="figure3", duration=30.0, seed=1).run(sanitizer=sanitizer)
+    assert sanitizer.events == GOLDEN_EVENTS
+    assert sanitizer.hexdigest() == GOLDEN_DIGEST
+
+
 def test_replay_check_matches_on_deterministic_scenario():
     report, first, second = replay_check(
-        figure3(), substrate="fluid", duration=10.0, seed=2
+        RunSpec(scenario="figure3", substrate="fluid", duration=10.0, seed=2)
     )
     assert report.matched
     assert report.events_first == report.events_second

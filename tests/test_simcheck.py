@@ -84,11 +84,11 @@ def test_injected_lambda_into_sweep_dispatch_is_caught(tmp_path):
     source = (
         REPO_ROOT / "src" / "repro" / "scenarios" / "sweep.py"
     ).read_text()
-    needle = "pool.map(_worker, args)"
+    needle = "pool.map(run_point, todo)"
     assert needle in source
     path = tmp_path / "sweep.py"
     path.write_text(
-        source.replace(needle, "pool.map(lambda a: _worker(a), args)")
+        source.replace(needle, "pool.map(lambda spec: run_point(spec), todo)")
     )
     assert any(f.rule == "PAR001" for f in check_file(path))
 
