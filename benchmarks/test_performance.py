@@ -33,9 +33,9 @@ def test_event_kernel_dispatch_rate(benchmark):
         def tick():
             count[0] += 1
             if count[0] < 50_000:
-                sim.call_later(1e-6, tick)
+                sim.call_later(1e-6, tick, tag="bench")
 
-        sim.call_later(0.0, tick)
+        sim.call_later(0.0, tick, tag="bench")
         sim.run()
         return count[0]
 
@@ -52,17 +52,17 @@ def test_event_kernel_dispatch_deep_heap(benchmark):
     def run():
         sim = Simulator()
         for index in range(256):
-            sim.call_at(1e6 + index, lambda: None)
+            sim.call_at(1e6 + index, lambda: None, tag="bench")
         count = [0]
 
         def tick():
             count[0] += 1
             if count[0] < 50_000:
-                sim.call_later(1e-6, tick)
+                sim.call_later(1e-6, tick, tag="bench")
             else:
                 sim.stop()
 
-        sim.call_later(0.0, tick)
+        sim.call_later(0.0, tick, tag="bench")
         sim.run()
         return count[0], sim.pending_events
 

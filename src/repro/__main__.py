@@ -160,8 +160,8 @@ def main(argv: list[str] | None = None) -> int:
         choices=("replay",),
         default=None,
         help="run the scenario twice under the replay sanitizer and "
-        "diff the event digests (exit 1 and name the first divergent "
-        "event on mismatch)",
+        "diff the L0 (events) and L1 (measurements) digests (exit 1 and "
+        "name the first divergent event on mismatch)",
     )
     parser.add_argument(
         "--stream-out",

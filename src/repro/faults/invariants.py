@@ -143,7 +143,7 @@ def audit_run(
     pending = []
     for stack in stacks.values():
         pending.extend(stack.buffer.queued_packets())
-    pending.extend(mac.packets_in_flight())
+    pending.extend(mac.packets_in_flight().values())
     for packet in pending:
         if id(packet) in seen or packet.delivered_at is not None:
             continue

@@ -8,7 +8,8 @@ workload*:
 * **watchdog** — the run terminates without tripping a kernel
   watchdog (no event-loop stall, no runaway schedule);
 * **replay** — running the identical spec twice produces identical
-  event digests (full determinism, churn and faults included);
+  L0 (event) and L1 (measurement) digests (full determinism, churn and
+  faults included);
 * **conservation** — strict per-flow packet conservation on the fluid
   substrate: injected = delivered + drops + crash losses + in-flight;
 * **gmp_residue** — every flow departure left zero protocol state

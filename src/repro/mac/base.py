@@ -142,6 +142,7 @@ class MacLayer(abc.ABC):
             "use a loss rate instead"
         )
 
-    def packets_in_flight(self) -> list[Packet]:
-        """Packets currently held inside the MAC (for end-of-run audits)."""
-        return []
+    def packets_in_flight(self) -> dict[int, Packet]:
+        """The packet each node's MAC currently holds, by node (for
+        end-of-run audits); a fluid substrate holds none between rounds."""
+        return {}

@@ -673,13 +673,13 @@ class DcfMac(MacLayer):
         """Decode-loss probability on the directed link ``sender -> receiver``."""
         self.channel.set_link_loss(sender, receiver, rate)
 
-    def packets_in_flight(self) -> list[Packet]:
-        """Packets currently owned by MAC exchanges (for audits)."""
-        return [
-            packet
-            for node in self._nodes.values()
+    def packets_in_flight(self) -> dict[int, Packet]:
+        """The packet each node's MAC exchange owns, by node (for audits)."""
+        return {
+            node_id: packet
+            for node_id, node in self._nodes.items()
             if (packet := node.held_packet()) is not None
-        ]
+        }
 
     def node_stats(self, node_id: int) -> dict[str, int]:
         """MAC counters of one node (sent/received/drops/attempts)."""

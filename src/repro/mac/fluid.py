@@ -278,10 +278,6 @@ class FluidMac(MacLayer):
             raise MacError(f"link capacity must be positive: {capacity}")
         self._fault_caps[a_link] = capacity
 
-    def packets_in_flight(self) -> list:
-        """The fluid substrate holds no packets between rounds."""
-        return []
-
     def _effective_caps(self) -> dict[Link, float]:
         if not self._fault_caps:
             return self.rate_caps

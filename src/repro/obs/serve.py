@@ -27,9 +27,9 @@ The journal opens with a ``serve_header`` record holding the run's
 Because tick times and application order are recorded, ``python -m
 repro serve --replay commands.jsonl`` rebuilds that spec, re-runs the
 session headless, re-applies every command at the identical simulated
-instant, and must reproduce the identical replay digest and
-dispatched-event count — the journal's ``serve_close`` record carries
-both for self-verification.
+instant, and must reproduce the identical event digest (L0), observable
+digest (L1) and dispatched-event count — the journal's ``serve_close``
+record carries all three for self-verification.
 
 Wall-clock pacing (:meth:`Simulator.run`'s ``pace``) only ever sleeps,
 so the digest is invariant across pace settings, including the
@@ -62,8 +62,8 @@ from repro.scenarios.spec import RunSpec, add_run_flags, spec_from_args
 from repro.sim.replay import ReplaySanitizer
 from repro.telemetry import Telemetry
 
-#: Version 2 journals the run as a :class:`RunSpec` under ``"spec"``.
-JOURNAL_VERSION = 2
+#: Version 3: the run as a :class:`RunSpec` under ``"spec"``, closed by L0 and L1.
+JOURNAL_VERSION = 3
 
 
 # --- fault command vocabulary ---------------------------------------------------
@@ -491,6 +491,7 @@ def serve_session(
     }
     if result is not None:
         digest = result.extras["replay_digest"]
+        observable = result.extras["observable_digest"]
         events = result.extras["events_processed"]
         journal.write(
             {
@@ -499,6 +500,7 @@ def serve_session(
                 else controller.ended_at,
                 "events": events,
                 "digest": digest,
+                "observable_digest": observable,
                 "commands": len(controller.applied),
             }
         )
@@ -507,6 +509,7 @@ def serve_session(
                 "ended_at": controller.ended_at,
                 "events": events,
                 "replay_digest": digest,
+                "observable_digest": observable,
                 "flows_measured": len(result.flow_rates),
                 "alerts": (
                     len(result.extras["health"].alerts())
@@ -537,7 +540,7 @@ def replay_session(
 
     Rebuilds the run from the journal header's spec, applies every
     journaled command at its recorded tick time, and compares the
-    resulting replay digest + event count against the journal's
+    resulting L0 and L1 digests + event count against the journal's
     ``serve_close`` record.  Returns a report dict with ``matches``
     (None when the original session never closed cleanly).
 
@@ -553,27 +556,27 @@ def replay_session(
     result = RunSpec.from_json(header.get("spec")).run(
         sanitizer=sanitizer, control=controller
     )
-    digest = result.extras["replay_digest"]
-    events = result.extras["events_processed"]
+    measured = {
+        "digest": result.extras["replay_digest"],
+        "observable_digest": result.extras["observable_digest"],
+        "events": result.extras["events_processed"],
+    }
     report: dict[str, Any] = {
-        "digest": digest,
-        "events": events,
+        **measured,
         "commands_applied": len(controller.applied),
         "commands_journaled": len(commands),
         "matches": None,
     }
     if close is not None:
-        report["expected_digest"] = close["digest"]
-        report["expected_events"] = close["events"]
-        report["matches"] = (
-            digest == close["digest"] and events == close["events"]
-        )
+        report.update({f"expected_{key}": close.get(key) for key in measured})
+        report["matches"] = all(close.get(key) == measured[key] for key in measured)
     status = {True: "MATCH", False: "MISMATCH", None: "no close record"}[
         report["matches"]
     ]
     emit(
         f"replay: {report['commands_applied']}/{len(commands)} commands, "
-        f"{events} events, digest {digest[:16]}... [{status}]"
+        f"{report['events']} events, L0 digest {report['digest'][:16]}..., "
+        f"L1 digest {report['observable_digest'][:16]}... [{status}]"
     )
     return report
 

@@ -38,6 +38,7 @@ from typing import Any
 
 from repro.errors import ConfigError
 from repro.obs.sinks import TelemetrySink
+from repro.sim.replay import JournalEntry
 from repro.telemetry import Telemetry
 from repro.telemetry.exporters import (
     event_record,
@@ -173,11 +174,13 @@ class StreamPublisher:
             )
         journal = getattr(self._sanitizer, "journal", None)
         if journal:
-            for entry in journal[-ABORT_JOURNAL_TAIL:]:
+            first = max(len(journal) - ABORT_JOURNAL_TAIL, 0)
+            for index, fields in enumerate(journal[first:], first):
+                entry = JournalEntry(*fields)
                 self._emit(
                     {
                         "record": "journal",
-                        "index": entry.index,
+                        "index": index,
                         "t": entry.time,
                         "tag": entry.tag,
                         "digest": entry.digest,

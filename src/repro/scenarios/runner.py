@@ -21,6 +21,7 @@ Protocols:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -419,11 +420,6 @@ class Session:
             sink = self.stacks[flow.destination]
             self._warm_counts[flow_id] = sink.delivered.get(flow_id, 0)
 
-    # The replay digest folds each handler's qualified name.  These two
-    # keep the names they were recorded under (the golden figure3 digest,
-    # served-session journals), so becoming methods changes no digest.
-    _mark_warmup.__qualname__ = "run_scenario.<locals>.snapshot"
-
     def _sample(self) -> None:
         now = self.sim.now
         emitted = len(self.interval_bounds)
@@ -445,8 +441,6 @@ class Session:
             counts[flow_id] = total
             series.append(delta / elapsed)
         self.interval_bounds.append(now)
-
-    _sample.__qualname__ = "run_scenario.<locals>.sample"
 
     # --- status reads -----------------------------------------------------------
 
@@ -637,6 +631,27 @@ class Session:
 
     # --- stage 5: collect -------------------------------------------------------
 
+    def _observables(self, rates: dict[int, float]) -> str:
+        """Digest of what the run measured (L1), read once at its end.
+        Offers a source made (``generated``, ``rejected``, ``limited``)
+        describe its tick schedule, not the run's behaviour: left out."""
+        held = {n: (p.flow_id, p.seq) for n, p in self.mac.packets_in_flight().items()}
+        flows = [
+            (flow_id, rates[flow_id], self.sources[flow_id].admitted,
+             sink.delivered.get(flow_id, 0), sink.delay_sum.get(flow_id, 0.0))
+            for flow_id, flow in sorted(self.all_flows.items())
+            for sink in (self.stacks[flow.destination],)
+        ]
+        nodes = [
+            (node_id, sorted(stack.forwards.items()),
+             sorted((p.flow_id, p.seq) for p in stack.buffer.queued_packets()),
+             held.get(node_id), stack.buffer.drops, stack.mac_drops,
+             sorted(stack.crash_losses.items()))
+            for node_id, stack in sorted(self.stacks.items())
+        ]
+        record = (flows, nodes, self.extras.get("limit_history"))
+        return hashlib.sha256(repr(record).encode()).hexdigest()
+
     def _collect(self) -> RunResult:
         sim, gmp, telemetry = self.sim, self.gmp, self.telemetry
         extras = self.extras
@@ -644,8 +659,6 @@ class Session:
             self.control.finalize(sim.now)
 
         extras["events_processed"] = sim.events_processed
-        if self.sanitizer is not None:
-            extras["replay_digest"] = self.sanitizer.hexdigest()
         if telemetry is not None and telemetry.enabled:
             telemetry.finalize(sim.now)
             # The exported run header names the run, not its sampling.
@@ -705,6 +718,11 @@ class Session:
                 gmp.scope.link_state_broadcasts + gmp.scope.notice_broadcasts
             )
             extras["control_requests_dropped"] = gmp.control_requests_dropped
+        if self.sanitizer is not None:
+            extras["replay_digest"] = self.sanitizer.hexdigest()
+            extras["observable_digest"] = self.sanitizer.observable = (
+                self._observables(flow_rates)
+            )
 
         if self.injector is not None:
             extras["faults"] = list(self.injector.fault_log)

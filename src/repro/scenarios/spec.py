@@ -10,7 +10,7 @@ its header, a fuzz fixture is a spec plus a planted bug, and
 
 What is not part of a run's identity — the keywords in
 :data:`OBSERVERS` — is passed to :meth:`RunSpec.run`.
-:func:`replay_check` runs a spec twice and diffs the event digests.
+:func:`replay_check` runs a spec twice and diffs the L0 and L1 digests.
 """
 
 from __future__ import annotations
@@ -268,12 +268,13 @@ class RunSpec:
 def replay_check(
     spec: RunSpec, *, journal_limit: int | None = None, **observers: Any
 ) -> tuple[ReplayReport, RunResult, RunResult]:
-    """Run ``spec`` twice and diff the replay digests.
+    """Run ``spec`` twice and diff the L0 and L1 digests.
 
     A matched report proves the two runs dispatched the identical
-    event sequence; a mismatch names the first divergent event (index,
-    timestamp, tag) — the symptom of an unseeded draw, a wall-clock
-    read, or hash-order iteration feeding the schedule.  ``observers``
+    event sequence and measured the same; a mismatch names the first
+    divergent event (index, timestamp, tag) — the symptom of an
+    unseeded draw, a wall-clock read, or hash-order iteration feeding
+    the schedule.  ``observers``
     go to both runs; telemetry and trace instances accumulate per run,
     so the intended use is the watchdogs and ``check_invariants``.
 

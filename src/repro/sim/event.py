@@ -49,16 +49,19 @@ class Event:
         priority: tie-breaker among simultaneous events (lower first).
         seq: insertion sequence number; makes ordering total.
         callback: zero-argument callable invoked when the event fires.
+        tag: the event's identity — what the replay digest folds, and
+            what telemetry and the stall watchdog count it under.
+            Handlers are not part of it: one tag family (digits folded,
+            ``traffic.f3`` -> ``traffic.f#``) names one kind of handler.
         cancelled: set via :meth:`cancel`; cancelled events are skipped.
-        tag: free-form label used by traces and debugging.
     """
 
     time: float
     priority: int
     seq: int
     callback: Callable[[], None] = field(compare=False)
+    tag: str = field(compare=False)
     cancelled: bool = field(default=False, compare=False)
-    tag: str = field(default="", compare=False)
     #: Owning queue, so cancellation can maintain the tombstone count.
     _queue: "EventQueue | None" = field(
         default=None, init=False, compare=False, repr=False
@@ -111,12 +114,12 @@ class EventQueue:
         time: float,
         callback: Callable[[], None],
         *,
+        tag: str,
         priority: int = DEFAULT_PRIORITY,
-        tag: str = "",
     ) -> Event:
         """Schedule ``callback`` at absolute ``time`` and return the event."""
         seq = next(self._counter)
-        event = Event(time, priority, seq, callback, False, tag)
+        event = Event(time, priority, seq, callback, tag)
         event._queue = self
         event._in_heap = True
         heapq.heappush(self._heap, (time, priority, seq, event))

@@ -109,7 +109,7 @@ class Timer:
         sim: "Simulator",
         callback: Callable[[], None],
         *,
-        tag: str = "timer",
+        tag: str,
         priority: int = DEFAULT_PRIORITY,
     ) -> None:
         self._sim = sim
@@ -149,7 +149,7 @@ class Timer:
                 return
             slot.cancel()
         self._slot = self._queue.push(
-            time, self._fire, priority=self._priority, tag=self._tag
+            time, self._callback, priority=self._priority, tag=self._tag
         )
 
     def cancel(self) -> None:
@@ -157,9 +157,6 @@ class Timer:
         slot = self._slot
         if slot is not None and not slot.cancelled:
             slot.cancel()
-
-    def _fire(self) -> None:
-        self._callback()
 
 
 class Simulator:
@@ -214,8 +211,8 @@ class Simulator:
         time: float,
         callback: Callable[[], None],
         *,
+        tag: str,
         priority: int = DEFAULT_PRIORITY,
-        tag: str = "",
     ) -> Event:
         """Schedule ``callback`` at absolute ``time``.
 
@@ -233,8 +230,8 @@ class Simulator:
         delay: float,
         callback: Callable[[], None],
         *,
+        tag: str,
         priority: int = DEFAULT_PRIORITY,
-        tag: str = "",
     ) -> Event:
         """Schedule ``callback`` after a non-negative ``delay``."""
         if delay < 0:
@@ -274,7 +271,7 @@ class Simulator:
         self,
         callback: Callable[[], None],
         *,
-        tag: str = "timer",
+        tag: str,
         priority: int = DEFAULT_PRIORITY,
     ) -> Timer:
         """Create an unarmed :class:`Timer` bound to this simulator."""
@@ -285,8 +282,8 @@ class Simulator:
         interval: float,
         callback: Callable[[], None],
         *,
+        tag: str,
         start_at: float | None = None,
-        tag: str = "periodic",
     ) -> Callable[[], None]:
         """Run ``callback`` periodically.
 
@@ -494,9 +491,8 @@ class Simulator:
                         events_at_now += 1
                         if events_at_now == 2:
                             assert first_at_now is not None
-                            stalled_tags = {first_at_now.tag or "<untagged>": 1}
-                        tag = event.tag or "<untagged>"
-                        stalled_tags[tag] = stalled_tags.get(tag, 0) + 1
+                            stalled_tags = {first_at_now.tag: 1}
+                        stalled_tags[event.tag] = stalled_tags.get(event.tag, 0) + 1
                         if events_at_now > stall_limit:
                             offenders = ", ".join(
                                 f"{tag} x{count}"
@@ -522,13 +518,11 @@ class Simulator:
                         f"{self._events_processed} events"
                     )
                 if sanitizer is not None:
-                    sanitizer.observe(
-                        event.time, event.priority, event.tag, event.callback
-                    )
+                    sanitizer.observe(event)
                 if not collect:
                     event.callback()
                 else:
-                    tag = event.tag or "<untagged>"
+                    tag = event.tag
                     tag_counts[tag] = tag_counts.get(tag, 0) + 1
                     run_events += 1
                     if profile:

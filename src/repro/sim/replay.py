@@ -1,15 +1,18 @@
-"""Runtime replay sanitizer: a rolling digest over dispatched events.
+"""The behaviour fence: an event digest (L0) and an observable digest (L1).
 
 The static pass (:mod:`repro.simcheck`) catches nondeterminism it can
 see syntactically; this module is the dynamic backstop.  A
-:class:`ReplaySanitizer` attached to the kernel observes every
-dispatched event as ``(time, priority, tag, payload)`` — the payload
-being a *stable* description of the callback (qualified name, never an
-``id()``) — folds it into a SHA-256 rolling digest, and journals a
-short per-event digest.  Running the same scenario twice and comparing
-sanitizers (:func:`diff_sanitizers`) then either proves the runs
-dispatched the identical event sequence or names the first divergent
-event with its index, timestamp, and tag.
+:class:`ReplaySanitizer` attached to the kernel folds every dispatched
+event's ``(time, priority, tag)`` into a SHA-256 rolling digest — L0,
+the event sequence; the tag is the event's identity, so renaming or
+moving a handler leaves L0 unchanged — and journals those fields as
+they are.  At the end of a run the runner hands it the digest of what
+the run measured — L1, see ``Session._observables`` — which holds
+across a change that dispatches fewer events for the same behaviour.
+Running the same scenario twice and comparing sanitizers
+(:func:`diff_sanitizers`) then either proves the runs agree on both
+digests or names the first divergent event with its index, timestamp
+and tag.
 
 The sanitizer is strictly passive: it never schedules events, touches
 the RNG registry, or reads wall clocks, so a sanitized run dispatches
@@ -18,39 +21,34 @@ exactly the same events as a bare one.
 
 from __future__ import annotations
 
-import functools
 import hashlib
+import struct
 from dataclasses import dataclass
-from typing import Callable
+from typing import NamedTuple
 
-#: Journal cap: at ~50 bytes/event this bounds memory near 25 MB while
+from repro.sim.event import Event
+
+#: Journal cap: at ~100 bytes/event this bounds memory near 50 MB while
 #: still locating divergence in any realistic scenario run.
 DEFAULT_JOURNAL_LIMIT = 500_000
 
-
-def describe_callback(callback: Callable[[], None]) -> str:
-    """A run-stable description of an event callback.
-
-    Uses qualified names (``NodeStack.admit_local``), unwrapping
-    ``functools.partial``; never identities or memory addresses, which
-    differ between two otherwise identical runs.
-    """
-    if isinstance(callback, functools.partial):
-        return f"partial({describe_callback(callback.func)})"
-    qualname = getattr(callback, "__qualname__", None)
-    if qualname is not None:
-        return str(qualname)
-    return type(callback).__name__
+#: One event's L0 bytes: little-endian float64 time and int64 priority,
+#: then the UTF-8 tag and a NUL.
+_PACK = struct.Struct("<dq").pack
 
 
-@dataclass(frozen=True)
-class JournalEntry:
-    """One observed event: enough to name a divergence point."""
+class JournalEntry(NamedTuple):
+    """A journal entry's ``(time, priority, tag)``, named."""
 
-    index: int
     time: float
+    priority: int
     tag: str
-    digest: str  # short hash of (time, priority, tag, payload)
+
+    @property
+    def digest(self) -> str:
+        """Short hash of the event's L0 bytes."""
+        blob = _PACK(self.time, self.priority) + self.tag.encode() + b"\0"
+        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ class Divergence:
         def side(entry: JournalEntry | None) -> str:
             if entry is None:
                 return "<run ended>"
-            return f"t={entry.time:.9f} tag={entry.tag or '<untagged>'}"
+            return f"t={entry.time:.9f} tag={entry.tag}"
 
         return (
             f"event #{self.index}: run A {side(self.first)} vs "
@@ -74,42 +72,35 @@ class Divergence:
 
 
 class ReplaySanitizer:
-    """Rolling digest + journal of every dispatched event."""
+    """Rolling L0 digest + journal of every dispatched event, and the
+    run's L1 digest once the runner sets :attr:`observable`."""
 
     def __init__(
         self, *, journal_limit: int | None = DEFAULT_JOURNAL_LIMIT
     ) -> None:
         self._rolling = hashlib.sha256()
+        self._update = self._rolling.update
         self.events = 0
-        self.journal: list[JournalEntry] = []
+        #: ``(time, priority, tag)`` per event, up to the limit.
+        self.journal: list[tuple[float, int, str]] = []
         self.journal_limit = journal_limit
         self.journal_dropped = 0
+        #: L1 digest of what the run measured (None until it ends).
+        self.observable: str | None = None
 
-    def observe(
-        self, time: float, priority: int, tag: str, callback: Callable[[], None]
-    ) -> None:
+    def observe(self, event: Event) -> None:
         """Fold one dispatched event into the digest (kernel hook)."""
-        entry = f"{time!r}|{priority}|{tag}|{describe_callback(callback)}"
-        blob = entry.encode("utf-8")
-        self._rolling.update(blob)
-        if (
-            self.journal_limit is None
-            or len(self.journal) < self.journal_limit
-        ):
-            self.journal.append(
-                JournalEntry(
-                    index=self.events,
-                    time=time,
-                    tag=tag,
-                    digest=hashlib.sha256(blob).hexdigest()[:16],
-                )
-            )
+        time, priority, tag = event.time, event.priority, event.tag
+        self._update(_PACK(time, priority) + tag.encode() + b"\0")
+        limit = self.journal_limit
+        if limit is None or self.events < limit:
+            self.journal.append((time, priority, tag))
         else:
             self.journal_dropped += 1
         self.events += 1
 
     def hexdigest(self) -> str:
-        """Digest of everything observed so far."""
+        """L0 digest of everything observed so far."""
         return self._rolling.hexdigest()
 
 
@@ -120,23 +111,34 @@ class ReplayReport:
     matched: bool
     digest_first: str
     digest_second: str
+    observable_first: str | None
+    observable_second: str | None
     events_first: int
     events_second: int
     divergence: Divergence | None
     journal_truncated: bool
 
     def render(self) -> str:
+        observables = self.observable_first is not None
         if self.matched:
-            return (
+            text = (
                 f"replay check passed: {self.events_first} events, "
-                f"digest {self.digest_first[:16]}…"
+                f"L0 digest {self.digest_first[:16]}…"
             )
+            if observables:
+                text += f", L1 digest {self.observable_first[:16]}…"
+            return text
         lines = [
             "replay check FAILED: runs diverged",
-            f"  digests: {self.digest_first[:16]}… vs "
+            f"  L0 digests: {self.digest_first[:16]}… vs "
             f"{self.digest_second[:16]}…",
-            f"  events:  {self.events_first} vs {self.events_second}",
         ]
+        if observables:
+            lines.append(
+                f"  L1 digests: {self.observable_first[:16]}… vs "
+                f"{(self.observable_second or '')[:16]}…"
+            )
+        lines.append(f"  events:  {self.events_first} vs {self.events_second}")
         if self.divergence is not None:
             lines.append(f"  first divergence: {self.divergence.render()}")
         elif self.journal_truncated:
@@ -150,34 +152,32 @@ class ReplayReport:
 def diff_sanitizers(
     first: ReplaySanitizer, second: ReplaySanitizer
 ) -> ReplayReport:
-    """Compare two sanitized runs; locate the first divergent event."""
-    matched = (
+    """Compare two sanitized runs on both digests; locate the first
+    divergent event."""
+    same_events = (
         first.hexdigest() == second.hexdigest()
         and first.events == second.events
     )
     divergence: Divergence | None = None
     truncated = bool(first.journal_dropped or second.journal_dropped)
-    if not matched:
-        for index in range(max(len(first.journal), len(second.journal))):
-            entry_a = (
-                first.journal[index] if index < len(first.journal) else None
-            )
-            entry_b = (
-                second.journal[index] if index < len(second.journal) else None
-            )
-            if (
-                entry_a is None
-                or entry_b is None
-                or entry_a.digest != entry_b.digest
-            ):
+    if not same_events:
+        journal_a, journal_b = first.journal, second.journal
+        for index in range(max(len(journal_a), len(journal_b))):
+            entry_a = journal_a[index] if index < len(journal_a) else None
+            entry_b = journal_b[index] if index < len(journal_b) else None
+            if entry_a != entry_b:
                 divergence = Divergence(
-                    index=index, first=entry_a, second=entry_b
+                    index=index,
+                    first=None if entry_a is None else JournalEntry(*entry_a),
+                    second=None if entry_b is None else JournalEntry(*entry_b),
                 )
                 break
     return ReplayReport(
-        matched=matched,
+        matched=same_events and first.observable == second.observable,
         digest_first=first.hexdigest(),
         digest_second=second.hexdigest(),
+        observable_first=first.observable,
+        observable_second=second.observable,
         events_first=first.events,
         events_second=second.events,
         divergence=divergence,
@@ -191,6 +191,5 @@ __all__ = [
     "JournalEntry",
     "ReplayReport",
     "ReplaySanitizer",
-    "describe_callback",
     "diff_sanitizers",
 ]

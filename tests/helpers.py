@@ -224,16 +224,14 @@ def scan_has_pending(buffer) -> bool:
 # --- Timer before it re-keyed its event in place ------------------------------
 #
 # The kernel's cancel-and-push timer as it was: every restart cancels the
-# queued event, leaving a tombstone, and schedules a new one.  It keeps the
-# name ``Timer`` so its events carry the handler name ``Timer._fire`` in a
-# dispatch log, as the kernel's do; it is the oracle of the re-keying
-# differential in tests/test_timer_rekey.py.
+# queued event, leaving a tombstone, and schedules a new one.  It is the
+# oracle of the re-keying differential in tests/test_timer_rekey.py.
 
 
-class Timer:
+class CancelAndPushTimer:
     """A restartable one-shot timer bound to a ``Simulator``."""
 
-    def __init__(self, sim, callback, *, tag="timer", priority=DEFAULT_PRIORITY):
+    def __init__(self, sim, callback, *, tag, priority=DEFAULT_PRIORITY):
         self._sim = sim
         self._callback = callback
         self._tag = tag
@@ -265,9 +263,6 @@ class Timer:
     def _fire(self) -> None:
         self._event = None
         self._callback()
-
-
-CancelAndPushTimer = Timer
 
 
 # --- PoissonSource before it drew its gaps in blocks ---------------------------

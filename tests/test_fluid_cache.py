@@ -82,7 +82,7 @@ def _run_dense(memo=None, backlog: int = 40, trickle: bool = False, until: float
                     nodes[node_id].push(_packet(0, node_id, neighbor), neighbor)
                 mac.notify_backlog(node_id)
 
-        sim.every(0.03, add_packets)
+        sim.every(0.03, add_packets, tag="test")
     sim.run(until=until)
     received = {
         node_id: [packet.flow_id for packet in node.received]

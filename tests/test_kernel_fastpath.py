@@ -27,13 +27,13 @@ def test_cancel_within_same_time_batch_skips_callback():
     # counted as dispatched.
     sim = Simulator()
     seen = []
-    later = sim.call_at(1.0, lambda: seen.append("b"), priority=1)
+    later = sim.call_at(1.0, lambda: seen.append("b"), priority=1, tag="test")
 
     def first():
         seen.append("a")
         later.cancel()
 
-    sim.call_at(1.0, first, priority=0)
+    sim.call_at(1.0, first, priority=0, tag="test")
     sim.run()
     assert seen == ["a"]
     assert sim.events_processed == 1
@@ -49,10 +49,10 @@ def test_same_time_lower_priority_event_preempts_batch():
 
     def first():
         order.append("a")
-        sim.call_at(1.0, lambda: order.append("c"), priority=1)
+        sim.call_at(1.0, lambda: order.append("c"), priority=1, tag="test")
 
-    sim.call_at(1.0, first, priority=0)
-    sim.call_at(1.0, lambda: order.append("b"), priority=5)
+    sim.call_at(1.0, first, priority=0, tag="test")
+    sim.call_at(1.0, lambda: order.append("b"), priority=5, tag="test")
     sim.run()
     assert order == ["a", "c", "b"]
 
@@ -65,9 +65,9 @@ def test_stop_mid_batch_preserves_remaining_events():
         seen.append("a")
         sim.stop()
 
-    sim.call_at(1.0, first, priority=0)
-    sim.call_at(1.0, lambda: seen.append("b"), priority=1)
-    sim.call_at(1.0, lambda: seen.append("c"), priority=2)
+    sim.call_at(1.0, first, priority=0, tag="test")
+    sim.call_at(1.0, lambda: seen.append("b"), priority=1, tag="test")
+    sim.call_at(1.0, lambda: seen.append("c"), priority=2, tag="test")
     sim.run()
     assert seen == ["a"]
     assert sim.pending_events == 2
@@ -85,9 +85,9 @@ def test_exception_mid_batch_preserves_remaining_events():
         seen.append("a")
         raise RuntimeError("handler failure")
 
-    sim.call_at(1.0, boom, priority=0)
-    sim.call_at(1.0, lambda: seen.append("b"), priority=1)
-    sim.call_at(1.0, lambda: seen.append("c"), priority=2)
+    sim.call_at(1.0, boom, priority=0, tag="test")
+    sim.call_at(1.0, lambda: seen.append("b"), priority=1, tag="test")
+    sim.call_at(1.0, lambda: seen.append("c"), priority=2, tag="test")
     with pytest.raises(RuntimeError):
         sim.run()
     assert sim.pending_events == 2
@@ -100,7 +100,7 @@ def test_paced_stop_before_head_due_leaves_it_queued(monkeypatch):
     # during the sleep must find the head still queued.
     sim = Simulator()
     seen = []
-    sim.call_at(5.0, lambda: seen.append("head"))
+    sim.call_at(5.0, lambda: seen.append("head"), tag="test")
     slept = []
 
     def sleep(seconds):
@@ -120,7 +120,7 @@ def test_paced_stop_before_head_due_leaves_it_queued(monkeypatch):
 
 def test_paced_run_does_not_wait_for_events_beyond_until(monkeypatch):
     sim = Simulator()
-    sim.call_at(50.0, lambda: None)
+    sim.call_at(50.0, lambda: None, tag="test")
     monkeypatch.setattr(
         kernel_module._time,
         "sleep",
@@ -158,17 +158,17 @@ def test_deep_heap_costs_one_pop_and_no_repush_per_event(monkeypatch):
     parked = 256
     ticks = 1_000
     for index in range(parked):
-        sim.call_at(1e6 + index, lambda: None)
+        sim.call_at(1e6 + index, lambda: None, tag="test")
     fired = [0]
 
     def tick():
         fired[0] += 1
         if fired[0] < ticks:
-            sim.call_later(1e-3, tick)
+            sim.call_later(1e-3, tick, tag="test")
         else:
             sim.stop()
 
-    sim.call_later(0.0, tick)
+    sim.call_later(0.0, tick, tag="test")
     sim.run()  # no horizon: the parked events are eligible throughout
     assert sim.events_processed == ticks
     assert ops["heappop"] == ticks
@@ -181,7 +181,7 @@ def test_cancelled_timers_never_fire_under_churn():
     sim = Simulator()
     fired = []
     events = [
-        sim.call_at(float(index + 1), (lambda n: (lambda: fired.append(n)))(index))
+        sim.call_at(float(index + 1), (lambda n: (lambda: fired.append(n)))(index), tag="test")
         for index in range(500)
     ]
     for index, event in enumerate(events):
@@ -194,19 +194,19 @@ def test_cancelled_timers_never_fire_under_churn():
 def test_every_survives_cancellation_churn_around_it():
     sim = Simulator()
     ticks = []
-    stop = sim.every(1.0, lambda: ticks.append(sim.now))
+    stop = sim.every(1.0, lambda: ticks.append(sim.now), tag="test")
     # Churn: schedule and immediately cancel many one-shots so the heap
     # compacts tombstones while the recurring slot keeps re-arming.
     for index in range(600):
-        sim.call_at(0.5 + index * 0.01, lambda: None).cancel()
-    sim.call_at(5.5, stop)
+        sim.call_at(0.5 + index * 0.01, lambda: None, tag="test").cancel()
+    sim.call_at(5.5, stop, tag="test")
     sim.run(until=10.0)
     assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_tombstones_compact_in_bulk():
     queue = EventQueue()
-    events = [queue.push(float(index), lambda: None) for index in range(1200)]
+    events = [queue.push(float(index), lambda: None, tag="test") for index in range(1200)]
     for event in events[:900]:
         event.cancel()
     # Lazy cancellation leaves tombstones in the heap until the
@@ -221,14 +221,14 @@ def test_tombstones_compact_in_bulk():
 
 def test_repush_rejects_event_still_in_heap():
     queue = EventQueue()
-    event = queue.push(1.0, lambda: None)
+    event = queue.push(1.0, lambda: None, tag="test")
     with pytest.raises(SimulationError):
         queue.repush(event, 2.0)
 
 
 def test_repush_reuses_slot_with_fresh_sequence():
     queue = EventQueue()
-    event = queue.push(1.0, lambda: None)
+    event = queue.push(1.0, lambda: None, tag="test")
     first_seq = event.seq
     assert queue.pop() is event
     queue.repush(event, 2.0)
@@ -240,7 +240,7 @@ def test_repush_reuses_slot_with_fresh_sequence():
 def test_pop_batch_respects_limit_and_horizon():
     queue = EventQueue()
     for index in range(10):
-        queue.push(float(index), lambda: None)
+        queue.push(float(index), lambda: None, tag="test")
     batch = queue.pop_batch(4, 100.0)
     assert [event.time for event in batch] == [0.0, 1.0, 2.0, 3.0]
     batch = queue.pop_batch(100, 5.5)
@@ -250,9 +250,9 @@ def test_pop_batch_respects_limit_and_horizon():
 
 def test_pop_next_skips_tombstones_and_honours_until():
     queue = EventQueue()
-    first = queue.push(1.0, lambda: None)
-    second = queue.push(2.0, lambda: None)
-    third = queue.push(3.0, lambda: None)
+    first = queue.push(1.0, lambda: None, tag="test")
+    second = queue.push(2.0, lambda: None, tag="test")
+    third = queue.push(3.0, lambda: None, tag="test")
     first.cancel()
     assert queue.pop_next(1.5) is None
     assert queue.tombstones == 0  # discarded on the way to the head
@@ -264,7 +264,7 @@ def test_pop_next_skips_tombstones_and_honours_until():
 def test_batched_run_counts_every_dispatch():
     sim = Simulator()
     for index in range(257):
-        sim.call_at(1.0 + index * 1e-6, lambda: None)
+        sim.call_at(1.0 + index * 1e-6, lambda: None, tag="test")
     sim.run()
     assert sim.events_processed == 257
 
@@ -314,10 +314,10 @@ def test_rearm_dispatches_the_call_later_sequence():
 
 def test_rearm_rejects_an_event_still_in_the_heap():
     sim = Simulator()
-    live = sim.call_later(1.0, lambda: None)
+    live = sim.call_later(1.0, lambda: None, tag="test")
     with pytest.raises(SimulationError):
         sim.rearm(live, 2.0)
-    tombstone = sim.call_later(1.0, lambda: None)
+    tombstone = sim.call_later(1.0, lambda: None, tag="test")
     tombstone.cancel()
     with pytest.raises(SimulationError):
         sim.rearm(tombstone, 2.0)
@@ -325,7 +325,7 @@ def test_rearm_rejects_an_event_still_in_the_heap():
 
 def test_rearm_rejects_a_negative_delay():
     sim = Simulator()
-    fired = sim.call_later(0.0, lambda: None)
+    fired = sim.call_later(0.0, lambda: None, tag="test")
     sim.run()
     with pytest.raises(SimulationError):
         sim.rearm(fired, -1.0)

@@ -97,7 +97,7 @@ def test_overlapping_transmissions_collide_at_receiver():
     # 0 and 2 both within interference range of 1.
     sim, channel, radios = setup([(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)])
     channel.transmit(0, data_frame(0, 1))
-    sim.call_later(0.0002, lambda: channel.transmit(2, data_frame(2, 1)))
+    sim.call_later(0.0002, lambda: channel.transmit(2, data_frame(2, 1)), tag="test")
     sim.run(until=0.01)
     assert not radios[1].received(), "both frames must be corrupted"
     assert radios[1].events.count("corrupt") == 2
@@ -107,7 +107,9 @@ def test_later_transmission_corrupts_earlier_one():
     # The second transmission starts inside the first one's airtime.
     sim, channel, radios = setup([(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)])
     channel.transmit(0, data_frame(0, 1, duration=0.002))
-    sim.call_later(0.0018, lambda: channel.transmit(2, data_frame(2, 1, duration=0.0001)))
+    sim.call_later(
+        0.0018, lambda: channel.transmit(2, data_frame(2, 1, duration=0.0001)), tag="test"
+    )
     sim.run(until=0.01)
     assert not radios[1].received()
 
@@ -128,7 +130,7 @@ def test_transmitting_node_cannot_receive():
     sim, channel, radios = setup([(0.0, 0.0), (200.0, 0.0)])
     channel.transmit(0, data_frame(0, 1, duration=0.002))
     sim.call_later(
-        0.0005, lambda: channel.transmit(1, data_frame(1, 0, duration=0.0005))
+        0.0005, lambda: channel.transmit(1, data_frame(1, 0, duration=0.0005)), tag="test"
     )
     sim.run(until=0.01)
     # Node 1 was transmitting during 0's frame: no clean reception.

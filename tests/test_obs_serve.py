@@ -274,7 +274,7 @@ def test_load_journal_round_trip(tmp_path):
     lines = [
         {
             "record": "serve_header",
-            "version": 2,
+            "version": 3,
             "spec": RunSpec(scenario="figure3").to_json(),
             "command_interval": 0.25,
         },
@@ -294,7 +294,8 @@ def test_load_journal_round_trip(tmp_path):
             "args": {"source": 0, "destination": 3},
             "result": {"flow_id": 4},
         },
-        {"record": "serve_close", "t": 8.0, "events": 10, "digest": "ab"},
+        {"record": "serve_close", "t": 8.0, "events": 10, "digest": "ab",
+         "observable_digest": "cd"},
     ]
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     header, commands, close = load_journal(str(path))
@@ -302,6 +303,7 @@ def test_load_journal_round_trip(tmp_path):
     assert [c.seq for c in commands] == [1, 2]  # sorted by seq
     assert commands[0].t == 0.5
     assert close["digest"] == "ab"
+    assert close["observable_digest"] == "cd"
 
 
 def test_load_journal_requires_header(tmp_path):
@@ -329,6 +331,22 @@ def test_load_journal_rejects_a_version_1_journal(tmp_path):
         + "\n"
     )
     with pytest.raises(ConfigError, match="version 1"):
+        load_journal(str(path))
+    assert serve_main(["--replay", str(path)]) == 2
+
+
+def test_load_journal_rejects_a_version_2_journal(tmp_path):
+    # Version 2 closed with an L0 digest that folded handler names.
+    path = tmp_path / "v2.jsonl"
+    path.write_text(
+        json.dumps(
+            {"record": "serve_header", "version": 2,
+             "spec": RunSpec(scenario="figure3").to_json(),
+             "command_interval": 0.25}
+        )
+        + "\n"
+    )
+    with pytest.raises(ConfigError, match="version 2"):
         load_journal(str(path))
     assert serve_main(["--replay", str(path)]) == 2
 
@@ -460,6 +478,7 @@ def test_served_session_http_and_replay_match(tmp_path):
     assert report["matches"] is True
     assert report["events"] == manifest["events"]
     assert report["digest"] == manifest["replay_digest"]
+    assert report["observable_digest"] == manifest["observable_digest"]
 
 
 # ---------------------------------------------------------------- CLI
@@ -478,16 +497,17 @@ def test_serve_main_replay_exit_codes(tmp_path, capsys):
 
     assert serve_main(["--replay", str(journal)]) == 0
 
-    # Corrupt the recorded digest: replay must fail with exit 1.
-    lines = journal.read_text().splitlines()
-    tampered = []
-    for line in lines:
-        record = json.loads(line)
-        if record.get("record") == "serve_close":
-            record["digest"] = "0" * 64
-        tampered.append(json.dumps(record))
-    journal.write_text("\n".join(tampered) + "\n")
-    assert serve_main(["--replay", str(journal)]) == 1
+    # Corrupt either recorded digest: replay must fail with exit 1.
+    original = journal.read_text()
+    for key in ("digest", "observable_digest"):
+        tampered = []
+        for line in original.splitlines():
+            record = json.loads(line)
+            if record.get("record") == "serve_close":
+                record[key] = "0" * 64
+            tampered.append(json.dumps(record))
+        journal.write_text("\n".join(tampered) + "\n")
+        assert serve_main(["--replay", str(journal)]) == 1, key
     capsys.readouterr()
 
 

@@ -1,107 +1,175 @@
-"""Behaviour fence for every buffer policy on both substrates.
+"""The behaviour fence: one table of runs, each pinned by two digests.
 
-The golden replay digest covers GMP on the fluid substrate only.  These
-fingerprints pin short runs of each queueing policy — GMP's
-per-destination queues, plain 802.11's shared FIFO, 2PP's per-flow
-queues and the shared backpressure queue — on the fluid and DCF
-substrates, plus scale300: dispatched events, buffer and MAC drops and
-a digest of the per-flow rates.  They were recorded before the
-per-packet path stopped building packets for refused offers, so any
-change to what a run simulates shows here.
+Every row is a :class:`RunSpec` with the events it dispatches and two
+SHA-256 prefixes:
 
-Every row also pins the L0 replay digest (every dispatched event's
-time, priority, tag and handler name).  The DCF digests were recorded
-before DCF timers re-keyed their events in place and the channel
-replayed per-sender delivery plans; the fluid ones before source ticks
-drew Poisson gaps from a block and refilled their token bucket once
-per tick.  The disrupted rows add flow churn — Poisson arrivals whose
-flows send Poisson, on/off or Pareto on/off traffic — and, on the
-``churn-faults`` rows, link loss and a crash / recover: the paths that
-pause, resume and stop sources, cancel all seven DCF timers and abort
-frames in flight.
+* **L0** — every dispatched event's ``(time, priority, tag)``.  A
+  refactor or an optimisation that keeps the event sequence holds it.
+  The tag is the event's identity, so renaming a handler cannot move it.
+* **L1** — what the run measured (``Session._observables``): per-flow
+  rates, admitted, delivered and delay sums, forwards, queued and
+  MAC-held packets, drops and crash losses, GMP's limit history.  A
+  change that dispatches fewer events for the same behaviour holds it.
+
+The rows cover every queueing policy — GMP's per-destination queues,
+plain 802.11's shared FIFO, 2PP's per-flow queues and the shared
+backpressure queue — on the fluid and DCF substrates, scale300, and the
+golden figure3 run.  The disrupted rows add flow churn — Poisson
+arrivals whose flows send Poisson, on/off or Pareto on/off traffic —
+and, on the ``churn-faults`` rows, link loss and a crash / recover: the
+paths that pause, resume and stop sources, cancel all seven DCF timers
+and abort frames in flight.
+
+A failing row prints its new values; paste them over the old ones only
+alongside a deliberate change to what the simulation does, and record
+the old and new values in CHANGES.md.
 """
 
-import hashlib
+import functools
+import re
 
 import pytest
 
-from repro.churn.spec import ChurnSpec, replace
-from repro.faults.spec import parse_fault_spec
-from repro.scenarios.runner import run_scenario
-from repro.scenarios.sweep import SCENARIO_FACTORIES
+from repro.scenarios.spec import RunSpec
 from repro.sim.replay import ReplaySanitizer
 
-CHURN = ChurnSpec(rate=1.0, mean_hold=2.0, max_flows=4)
+CHURN = "poisson:rate=1,mean_hold=2,max_flows=4"
+FAULTS = "degrade:2-3@1:loss=0.3;restore:2-3@2;crash:1@3;recover:1@4"
 
-DISRUPTIONS = {
-    None: {},
-    "churn-faults": {
-        "churn": CHURN,
-        "faults": parse_fault_spec(
-            "degrade:2-3@1:loss=0.3;restore:2-3@2;crash:1@3;recover:1@4"
-        ),
-    },
-    "churn-onoff": {"churn": replace(CHURN, traffic="onoff")},
-    "churn-pareto-onoff": {"churn": replace(CHURN, traffic="pareto-onoff")},
-}
-
-FINGERPRINTS = [
-    # scenario, protocol, substrate, seconds, disruption, events, buffer
-    # drops, MAC drops, sha256 prefix of the per-flow rates, replay
-    # digest prefix
-    ("figure3", "gmp", "fluid", 20.0, None, 31940, 0, 0, "d78be9a8849085b9", "4979c31d4f01541d"),
-    ("figure3", "gmp", "fluid", 20.0, "churn-faults", 39826, 0, 43, "d46926bc40de33a4", "6ae981973a7b3f7d"),
-    ("figure3", "gmp", "fluid", 20.0, "churn-onoff", 38710, 0, 0, "babcf5308383e26b", "4c491bfc46560fe5"),
-    ("figure3", "gmp", "fluid", 20.0, "churn-pareto-onoff", 48676, 0, 0, "5e6099b276407323", "9ad97e93a6c5b7dc"),
-    ("figure3", "gmp", "dcf", 2.0, None, 18573, 0, 0, "3574e2ccb874d3bb", "ca997a36321778d0"),
-    ("figure3", "gmp", "dcf", 5.0, "churn-faults", 43593, 0, 40, "a1af3bb1fef80f0c", "4c13e66f71bfe871"),
-    ("figure3", "802.11", "fluid", 20.0, None, 49001, 1964, 0, "9c6a62dfbb98eee5", "0a9a44c5b676fd32"),
-    ("figure3", "802.11", "dcf", 2.0, None, 21393, 782, 0, "8d63b8d96626eb14", "6b449e11c7e1d677"),
-    ("figure3", "2pp", "fluid", 20.0, None, 9748, 0, 0, "04e97b12c62acc3a", "42eb32a932888ad0"),
-    ("figure3", "2pp", "dcf", 2.0, None, 15211, 0, 0, "4021af641b14ab28", "3b5df51c6697488b"),
-    ("figure3", "backpressure-shared", "fluid", 20.0, None, 49001, 0, 0, "9c6a62dfbb98eee5", "0a9a44c5b676fd32"),
-    ("figure3", "backpressure-shared", "dcf", 2.0, None, 18572, 0, 0, "3574e2ccb874d3bb", "dd7b3dbc578cdcbf"),
-    ("scale300", "gmp", "fluid", 2.0, None, 14501, 0, 0, "2ee406f3e701d778", "30da0b02d53170f9"),
-]
+#: ``figure3 --substrate fluid --duration 30 --seed 1 --period 4``: the golden run.
+GOLDEN = RunSpec(scenario="figure3", substrate="fluid", duration=30.0, seed=1)
 
 
-@pytest.mark.parametrize(
-    "scenario, protocol, substrate, seconds, disruption, events, buffer_drops, "
-    "mac_drops, rates, replay",
-    FINGERPRINTS,
-    ids=[
-        f"{row[0]}-{row[1]}-{row[2]}" + (f"-{row[4]}" if row[4] else "")
-        for row in FINGERPRINTS
-    ],
-)
-def test_run_matches_its_fingerprint(
-    scenario,
-    protocol,
-    substrate,
-    seconds,
-    disruption,
-    events,
-    buffer_drops,
-    mac_drops,
-    rates,
-    replay,
-):
-    sanitizer = ReplaySanitizer(journal_limit=0)
-    result = run_scenario(
-        SCENARIO_FACTORIES[scenario](),
+def _fig3(protocol, substrate, seconds, **disruption):
+    return RunSpec(
+        scenario="figure3",
         protocol=protocol,
         substrate=substrate,
         duration=seconds,
         seed=1,
-        sanitizer=sanitizer,
-        **DISRUPTIONS[disruption],
+        **disruption,
     )
-    flow_rates = "|".join(f"{flow}:{rate!r}" for flow, rate in sorted(result.flow_rates.items()))
-    assert result.extras["events_processed"] == events
-    assert (result.buffer_drops, result.mac_drops) == (buffer_drops, mac_drops)
-    assert hashlib.sha256(flow_rates.encode()).hexdigest()[:16] == rates
-    assert sanitizer.hexdigest()[:16] == replay
-    if disruption:
+
+
+FENCE = [
+    # spec, events, L0 prefix, L1 prefix
+    pytest.param(
+        GOLDEN,
+        42546, "f8401c3e6cf4224e", "36a69ea2f5909da5",
+        id="figure3-gmp-fluid-golden",
+    ),
+    pytest.param(
+        _fig3("gmp", "fluid", 20.0),
+        31940, "83eeef880ef7e18a", "9f2b68488a8ff929",
+        id="figure3-gmp-fluid",
+    ),
+    pytest.param(
+        _fig3("gmp", "fluid", 20.0, churn=CHURN, faults=FAULTS),
+        39826, "b38772bb67c82bda", "6202bd53a5692416",
+        id="figure3-gmp-fluid-churn-faults",
+    ),
+    pytest.param(
+        _fig3("gmp", "fluid", 20.0, churn=CHURN + ",traffic=onoff"),
+        38710, "fe88916234482487", "5c6b7f0bcc35d547",
+        id="figure3-gmp-fluid-churn-onoff",
+    ),
+    pytest.param(
+        _fig3("gmp", "fluid", 20.0, churn=CHURN + ",traffic=pareto-onoff"),
+        48676, "37499af0f251c236", "84828c3092654319",
+        id="figure3-gmp-fluid-churn-pareto-onoff",
+    ),
+    pytest.param(
+        _fig3("gmp", "dcf", 2.0),
+        18573, "018e034c283d9d5c", "c202567d700c1d31",
+        id="figure3-gmp-dcf",
+    ),
+    pytest.param(
+        _fig3("gmp", "dcf", 5.0, churn=CHURN, faults=FAULTS),
+        43593, "e348473700570084", "a9b1254239201a76",
+        id="figure3-gmp-dcf-churn-faults",
+    ),
+    pytest.param(
+        _fig3("802.11", "fluid", 20.0),
+        49001, "ece69f5bbd49e647", "91647126ff4c2f1f",
+        id="figure3-802.11-fluid",
+    ),
+    pytest.param(
+        _fig3("802.11", "dcf", 2.0),
+        21393, "c33affdf7589adc5", "94b730f1f83aa4d7",
+        id="figure3-802.11-dcf",
+    ),
+    pytest.param(
+        _fig3("2pp", "fluid", 20.0),
+        9748, "30cdda0ded4a657b", "2e02145c5d2a3e78",
+        id="figure3-2pp-fluid",
+    ),
+    pytest.param(
+        _fig3("2pp", "dcf", 2.0),
+        15211, "9579d79c7e74a633", "b551446679f0f621",
+        id="figure3-2pp-dcf",
+    ),
+    pytest.param(
+        _fig3("backpressure-shared", "fluid", 20.0),
+        49001, "ece69f5bbd49e647", "4d8345e0c7c62663",
+        id="figure3-backpressure-shared-fluid",
+    ),
+    pytest.param(
+        _fig3("backpressure-shared", "dcf", 2.0),
+        18572, "77b9f1417f280fbc", "4d3245cb53d669d8",
+        id="figure3-backpressure-shared-dcf",
+    ),
+    pytest.param(
+        RunSpec(scenario="scale300", substrate="fluid", duration=2.0, seed=1),
+        14501, "55e42a85b83adf91", "b6b4644e2668e4e7",
+        id="scale300-gmp-fluid",
+    ),
+]
+
+
+class HandlerLog(ReplaySanitizer):
+    """A sanitizer that also records the handlers dispatched under each
+    tag family (digits folded: ``traffic.f3`` -> ``traffic.f#``)."""
+
+    def __init__(self) -> None:
+        super().__init__(journal_limit=0)
+        self.families: dict[str, str] = {}
+        self.handlers: dict[str, set[str]] = {}
+
+    def observe(self, event) -> None:
+        super().observe(event)
+        family = self.families.get(event.tag)
+        if family is None:
+            family = self.families[event.tag] = re.sub(r"\d+", "#", event.tag)
+        callback = event.callback
+        while isinstance(callback, functools.partial):
+            callback = callback.func
+        self.handlers.setdefault(family, set()).add(callback.__qualname__)
+
+
+def fence_run(spec, sanitizer=None, **observers):
+    """Run ``spec`` under a journal-less sanitizer; returns
+    ``(result, events, L0 prefix, L1 prefix)``."""
+    sanitizer = sanitizer or ReplaySanitizer(journal_limit=0)
+    result = spec.run(sanitizer=sanitizer, **observers)
+    extras = result.extras
+    return (
+        result,
+        extras["events_processed"],
+        extras["replay_digest"][:16],
+        extras["observable_digest"][:16],
+    )
+
+
+@pytest.mark.parametrize("spec, events, l0, l1", FENCE)
+def test_run_matches_its_fingerprint(spec, events, l0, l1):
+    log = HandlerLog()
+    result, *measured = fence_run(spec, log)
+    if measured != [events, l0, l1]:
+        pytest.fail(f"fence row moved; new values: {measured}")
+    # One tag, one handler: the tag alone identifies an event.
+    shared = {family: handlers for family, handlers in log.handlers.items() if len(handlers) > 1}
+    assert not shared
+    if spec.churn:
         assert result.extras["churn"].arrivals > 0
-    if disruption == "churn-faults":
+    if spec.faults:
         assert len(result.extras["faults"]) == 4

@@ -1,51 +1,51 @@
 """Replay sanitizer: passive observation, run-to-run digest equality,
-the pinned golden digest of the flagship scenario, and divergence
+what each digest of the behaviour fence holds across, and divergence
 localization when nondeterminism is deliberately injected."""
 
-import numpy as np
+from dataclasses import replace
 
+import numpy as np
+import pytest
+
+from repro.flows.traffic import TrafficSource
 from repro.scenarios.figures import figure3
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import RunSpec, replay_check
 from repro.sim.kernel import Simulator
-from repro.sim.replay import ReplaySanitizer, describe_callback, diff_sanitizers
+from repro.sim.replay import ReplaySanitizer, diff_sanitizers
 from repro.telemetry import Telemetry
 
-#: Full replay digest of `figure3 --substrate fluid --duration 30
-#: --seed 1` — every dispatched event's (time, priority, tag, callback)
-#: folded into SHA-256.  Strictly stronger than the 42546 golden event
-#: *count*: a run that dispatches the right number of events in the
-#: wrong order, at perturbed times, or with different handlers changes
-#: this digest.  Any change here means the simulation's event sequence
-#: changed — bump it only alongside a deliberate model change.
-GOLDEN_DIGEST = "947c811581b4d708bff6e41eae6f11ec3c5c7bc6d2a013a4cf76fe688ba94833"
-GOLDEN_EVENTS = 42546
+from test_policy_fingerprints import FENCE, GOLDEN, fence_run
 
-
-def _figure3(telemetry=None):
-    sanitizer = ReplaySanitizer()
-    result = run_scenario(
-        figure3(),
-        protocol="gmp",
-        substrate="fluid",
-        duration=30.0,
-        seed=1,
-        telemetry=telemetry,
-        sanitizer=sanitizer,
-    )
-    return result, sanitizer
+#: The fence's rows by id: ``(spec, events, L0 prefix, L1 prefix)``.
+ROWS = {row.id: row.values for row in FENCE}
 
 
 def test_golden_digest_plain_and_instrumented():
-    plain, plain_sanitizer = _figure3()
-    assert plain.extras["events_processed"] == GOLDEN_EVENTS
-    assert plain_sanitizer.events == GOLDEN_EVENTS
-    assert plain_sanitizer.hexdigest() == GOLDEN_DIGEST
-    assert plain.extras["replay_digest"] == GOLDEN_DIGEST
+    _spec, events, l0, l1 = ROWS["figure3-gmp-fluid-golden"]
+    _result, *instrumented = fence_run(GOLDEN, telemetry=Telemetry(profile=True))
+    assert instrumented == [events, l0, l1]
 
-    instrumented, instrumented_sanitizer = _figure3(Telemetry(profile=True))
-    assert instrumented_sanitizer.hexdigest() == GOLDEN_DIGEST
-    assert instrumented.extras["events_processed"] == GOLDEN_EVENTS
+
+def test_renaming_a_handler_leaves_l0_unchanged(monkeypatch):
+    # The tag is the event's identity: the source tick's handler name
+    # is in no digest.
+    _spec, events, l0, l1 = ROWS["figure3-gmp-fluid-golden"]
+    monkeypatch.setattr(TrafficSource._tick, "__qualname__", "Renamed.tick")
+    _result, *renamed = fence_run(GOLDEN)
+    assert renamed == [events, l0, l1]
+
+
+@pytest.mark.parametrize("row", ["figure3-gmp-fluid", "figure3-gmp-dcf"])
+def test_l1_holds_across_runs_whose_l0_differs(row):
+    # Rate sampling adds events that only read: the event sequence
+    # changes, what the run measured does not.
+    spec, events, l0, l1 = ROWS[row]
+    sampled = replace(spec, rate_interval=1.0)
+    _result, sampled_events, sampled_l0, sampled_l1 = fence_run(sampled)
+    assert sampled_events > events
+    assert sampled_l0 != l0
+    assert sampled_l1 == l1
 
 
 def test_sanitized_run_is_unperturbed():
@@ -66,13 +66,6 @@ def test_sanitized_run_is_unperturbed():
     assert sanitized.flow_rates == bare.flow_rates
 
 
-def test_spec_run_reproduces_the_golden_digest():
-    sanitizer = ReplaySanitizer()
-    RunSpec(scenario="figure3", duration=30.0, seed=1).run(sanitizer=sanitizer)
-    assert sanitizer.events == GOLDEN_EVENTS
-    assert sanitizer.hexdigest() == GOLDEN_DIGEST
-
-
 def test_replay_check_matches_on_deterministic_scenario():
     report, first, second = replay_check(
         RunSpec(scenario="figure3", substrate="fluid", duration=10.0, seed=2)
@@ -81,7 +74,8 @@ def test_replay_check_matches_on_deterministic_scenario():
     assert report.events_first == report.events_second
     assert report.divergence is None
     assert first.flow_rates == second.flow_rates
-    assert "passed" in report.render()
+    assert report.observable_first == first.extras["observable_digest"]
+    assert "passed" in report.render() and "L1 digest" in report.render()
 
 
 def _run_tagged(tags):
@@ -116,6 +110,15 @@ def test_diff_names_divergence_when_one_run_ends_early():
     assert "<run ended>" in report.render()
 
 
+def test_diff_fails_on_an_l1_mismatch_with_equal_l0():
+    first, second = _run_tagged(["boot", "tx"]), _run_tagged(["boot", "tx"])
+    first.observable, second.observable = "a" * 64, "b" * 64
+    report = diff_sanitizers(first, second)
+    assert not report.matched
+    assert report.divergence is None
+    assert "L1 digests: aaaa" in report.render()
+
+
 def _run_with_unseeded_draw():
     """A model that schedules off ambient entropy — exactly the bug
     class the sanitizer exists to catch."""
@@ -141,13 +144,3 @@ def test_injected_unseeded_draw_is_reported_with_its_tag():
     assert report.divergence is not None
     assert report.divergence.first.tag == "rogue.draw"
     assert "rogue.draw" in report.render()
-
-
-def test_describe_callback_is_identity_free():
-    class Model:
-        def handler(self) -> None:
-            pass
-
-    one, two = Model(), Model()
-    assert describe_callback(one.handler) == describe_callback(two.handler)
-    assert "0x" not in describe_callback(one.handler)

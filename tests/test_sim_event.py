@@ -9,9 +9,9 @@ from repro.sim.event import EventQueue
 def test_pop_returns_events_in_time_order():
     queue = EventQueue()
     fired = []
-    queue.push(3.0, lambda: fired.append("c"))
-    queue.push(1.0, lambda: fired.append("a"))
-    queue.push(2.0, lambda: fired.append("b"))
+    queue.push(3.0, lambda: fired.append("c"), tag="test")
+    queue.push(1.0, lambda: fired.append("a"), tag="test")
+    queue.push(2.0, lambda: fired.append("b"), tag="test")
     while queue:
         queue.pop().callback()
     assert fired == ["a", "b", "c"]
@@ -21,7 +21,7 @@ def test_simultaneous_events_fire_in_insertion_order():
     queue = EventQueue()
     fired = []
     for name in "abcd":
-        queue.push(5.0, lambda name=name: fired.append(name))
+        queue.push(5.0, lambda name=name: fired.append(name), tag="test")
     while queue:
         queue.pop().callback()
     assert fired == list("abcd")
@@ -30,8 +30,8 @@ def test_simultaneous_events_fire_in_insertion_order():
 def test_priority_breaks_ties_before_insertion_order():
     queue = EventQueue()
     fired = []
-    queue.push(5.0, lambda: fired.append("low"), priority=10)
-    queue.push(5.0, lambda: fired.append("high"), priority=-10)
+    queue.push(5.0, lambda: fired.append("low"), priority=10, tag="test")
+    queue.push(5.0, lambda: fired.append("high"), priority=-10, tag="test")
     while queue:
         queue.pop().callback()
     assert fired == ["high", "low"]
@@ -39,8 +39,8 @@ def test_priority_breaks_ties_before_insertion_order():
 
 def test_cancelled_events_are_skipped_and_uncounted():
     queue = EventQueue()
-    event = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
+    event = queue.push(1.0, lambda: None, tag="test")
+    queue.push(2.0, lambda: None, tag="test")
     event.cancel()
     assert len(queue) == 1
     popped = queue.pop()
@@ -50,7 +50,7 @@ def test_cancelled_events_are_skipped_and_uncounted():
 
 def test_cancel_is_idempotent():
     queue = EventQueue()
-    event = queue.push(1.0, lambda: None)
+    event = queue.push(1.0, lambda: None, tag="test")
     event.cancel()
     event.cancel()
     assert not event.active
@@ -58,8 +58,8 @@ def test_cancel_is_idempotent():
 
 def test_peek_time_reports_earliest_active():
     queue = EventQueue()
-    first = queue.push(1.0, lambda: None)
-    queue.push(4.0, lambda: None)
+    first = queue.push(1.0, lambda: None, tag="test")
+    queue.push(4.0, lambda: None, tag="test")
     assert queue.peek_time() == 1.0
     first.cancel()
     assert queue.peek_time() == 4.0
@@ -79,8 +79,8 @@ def test_peek_empty_raises():
 
 def test_clear_drops_everything():
     queue = EventQueue()
-    queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
+    queue.push(1.0, lambda: None, tag="test")
+    queue.push(2.0, lambda: None, tag="test")
     queue.clear()
     assert not queue
     assert len(queue) == 0

@@ -19,23 +19,23 @@ def test_run_advances_clock_to_until():
 def test_call_later_fires_at_expected_time():
     sim = Simulator()
     seen = []
-    sim.call_later(2.5, lambda: seen.append(sim.now))
+    sim.call_later(2.5, lambda: seen.append(sim.now), tag="test")
     sim.run(until=5.0)
     assert seen == [2.5]
 
 
 def test_call_at_in_past_raises():
     sim = Simulator()
-    sim.call_later(1.0, lambda: None)
+    sim.call_later(1.0, lambda: None, tag="test")
     sim.run(until=2.0)
     with pytest.raises(SimulationError):
-        sim.call_at(1.0, lambda: None)
+        sim.call_at(1.0, lambda: None, tag="test")
 
 
 def test_negative_delay_raises():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.call_later(-0.1, lambda: None)
+        sim.call_later(-0.1, lambda: None, tag="test")
 
 
 def test_events_scheduled_during_run_are_dispatched():
@@ -44,16 +44,16 @@ def test_events_scheduled_during_run_are_dispatched():
 
     def first():
         seen.append("first")
-        sim.call_later(1.0, lambda: seen.append("second"))
+        sim.call_later(1.0, lambda: seen.append("second"), tag="test")
 
-    sim.call_later(1.0, first)
+    sim.call_later(1.0, first, tag="test")
     sim.run(until=3.0)
     assert seen == ["first", "second"]
 
 
 def test_run_without_until_drains_queue():
     sim = Simulator()
-    sim.call_later(7.0, lambda: None)
+    sim.call_later(7.0, lambda: None, tag="test")
     end = sim.run()
     assert end == 7.0
 
@@ -61,8 +61,8 @@ def test_run_without_until_drains_queue():
 def test_stop_halts_run_mid_way():
     sim = Simulator()
     seen = []
-    sim.call_later(1.0, lambda: (seen.append(1), sim.stop()))
-    sim.call_later(2.0, lambda: seen.append(2))
+    sim.call_later(1.0, lambda: (seen.append(1), sim.stop()), tag="test")
+    sim.call_later(2.0, lambda: seen.append(2), tag="test")
     sim.run(until=10.0)
     assert seen == [1]
     assert sim.now == 1.0
@@ -75,7 +75,7 @@ def test_run_is_not_reentrant():
         with pytest.raises(SimulationError):
             sim.run(until=10.0)
 
-    sim.call_later(1.0, nested)
+    sim.call_later(1.0, nested, tag="test")
     sim.run(until=2.0)
 
 
@@ -83,9 +83,9 @@ def test_max_events_guard_trips():
     sim = Simulator()
 
     def loop():
-        sim.call_later(0.0, loop)
+        sim.call_later(0.0, loop, tag="test")
 
-    sim.call_later(0.0, loop)
+    sim.call_later(0.0, loop, tag="test")
     with pytest.raises(SimulationError):
         sim.run(until=1.0, max_events=100)
 
@@ -93,7 +93,7 @@ def test_max_events_guard_trips():
 def test_events_processed_counts_dispatches():
     sim = Simulator()
     for _ in range(5):
-        sim.call_later(1.0, lambda: None)
+        sim.call_later(1.0, lambda: None, tag="test")
     sim.run(until=2.0)
     assert sim.events_processed == 5
 
@@ -101,7 +101,7 @@ def test_events_processed_counts_dispatches():
 def test_timer_start_cancel_restart():
     sim = Simulator()
     fired = []
-    timer = sim.timer(lambda: fired.append(sim.now))
+    timer = sim.timer(lambda: fired.append(sim.now), tag="test")
     timer.start(5.0)
     assert timer.pending
     assert timer.expires_at == 5.0
@@ -116,7 +116,7 @@ def test_timer_start_cancel_restart():
 def test_timer_restart_replaces_previous_expiry():
     sim = Simulator()
     fired = []
-    timer = sim.timer(lambda: fired.append(sim.now))
+    timer = sim.timer(lambda: fired.append(sim.now), tag="test")
     timer.start(5.0)
     timer.start(1.0)
     sim.run(until=10.0)
@@ -126,8 +126,8 @@ def test_timer_restart_replaces_previous_expiry():
 def test_periodic_every_fires_until_stopped():
     sim = Simulator()
     times = []
-    stop = sim.every(1.0, lambda: times.append(sim.now))
-    sim.call_later(3.5, stop)
+    stop = sim.every(1.0, lambda: times.append(sim.now), tag="test")
+    sim.call_later(3.5, stop, tag="test")
     sim.run(until=10.0)
     assert times == [1.0, 2.0, 3.0]
 
@@ -135,7 +135,7 @@ def test_periodic_every_fires_until_stopped():
 def test_periodic_with_explicit_start():
     sim = Simulator()
     times = []
-    sim.every(2.0, lambda: times.append(sim.now), start_at=0.5)
+    sim.every(2.0, lambda: times.append(sim.now), start_at=0.5, tag="test")
     sim.run(until=5.0)
     assert times == [0.5, 2.5, 4.5]
 
@@ -143,7 +143,7 @@ def test_periodic_with_explicit_start():
 def test_periodic_rejects_bad_interval():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.every(0.0, lambda: None)
+        sim.every(0.0, lambda: None, tag="test")
 
 
 # --- watchdogs ---------------------------------------------------------------
@@ -169,8 +169,8 @@ def test_stall_detector_tolerates_bursts_below_limit():
     seen = []
     # 50 events at the same instant, then the clock advances: no trip.
     for _ in range(50):
-        sim.call_later(1.0, lambda: seen.append(sim.now))
-    sim.call_later(2.0, lambda: seen.append(sim.now))
+        sim.call_later(1.0, lambda: seen.append(sim.now), tag="test")
+    sim.call_later(2.0, lambda: seen.append(sim.now), tag="test")
     sim.run(until=3.0, stall_limit=100)
     assert len(seen) == 51
 
@@ -180,7 +180,7 @@ def test_stall_counter_resets_when_clock_advances():
     # 30 events at each of many distinct times; limit of 40 never trips.
     for step in range(1, 6):
         for _ in range(30):
-            sim.call_later(float(step), lambda: None)
+            sim.call_later(float(step), lambda: None, tag="test")
     assert sim.run(until=10.0, stall_limit=40) == 10.0
 
 
@@ -191,13 +191,13 @@ def test_stall_message_tallies_every_event_at_the_instant(instant):
     # run began there.
     sim = Simulator()
     sim.call_later(0.5, lambda: None, tag="before")
-    for tag in ["a", "b", "a", "", "c", "b", "a", "d", "e", "f"]:
+    for tag in ["a", "b", "a", "x", "c", "b", "a", "d", "e", "f"]:
         sim.call_later(instant, lambda: None, tag=tag)
     with pytest.raises(SimulationError) as excinfo:
         sim.run(until=2.0, stall_limit=8)
     assert str(excinfo.value) == (
         f"simulated clock stalled at t={instant:.9f}: 9 events without "
-        "advancing; offending tags: a x3, b x2, <untagged> x1, c x1, d x1"
+        "advancing; offending tags: a x3, b x2, x x1, c x1, d x1"
     )
     assert sim.now == instant and sim.events_processed == (10 if instant else 9)
 
@@ -241,9 +241,9 @@ def test_wall_deadline_trips_on_event_storm():
     sim = Simulator()
 
     def reschedule():
-        sim.call_later(1e-9, reschedule)
+        sim.call_later(1e-9, reschedule, tag="test")
 
-    sim.call_later(0.0, reschedule)
+    sim.call_later(0.0, reschedule, tag="test")
     with pytest.raises(SimulationError) as excinfo:
         sim.run(until=1e6, wall_deadline=0.05)
     assert "wall-clock deadline" in str(excinfo.value)
@@ -269,7 +269,7 @@ def test_kernel_usable_after_watchdog_trip():
     # The kernel is left in a defined state: clock at the failing
     # event's time and run() callable again.
     seen = []
-    sim.call_later(5.0, lambda: seen.append(sim.now))
+    sim.call_later(5.0, lambda: seen.append(sim.now), tag="test")
     sim.run(until=sim.now + 5.0, stall_limit=None, max_events=sim.events_processed + 60)
     assert seen == [6.0]
 
@@ -280,7 +280,7 @@ def test_kernel_usable_after_watchdog_trip():
 def test_timer_cancel_then_start_rearms_cleanly():
     sim = Simulator()
     fired = []
-    timer = sim.timer(lambda: fired.append(sim.now))
+    timer = sim.timer(lambda: fired.append(sim.now), tag="test")
     timer.start(1.0)
     timer.cancel()
     assert not timer.pending
@@ -294,7 +294,7 @@ def test_timer_cancel_then_start_rearms_cleanly():
 def test_timer_start_while_pending_replaces_expiry():
     sim = Simulator()
     fired = []
-    timer = sim.timer(lambda: fired.append(sim.now))
+    timer = sim.timer(lambda: fired.append(sim.now), tag="test")
     timer.start(1.0)
     timer.start(3.0)  # replaces, never fires at 1.0
     sim.run(until=5.0)
@@ -310,7 +310,7 @@ def test_timer_rearming_itself_from_callback():
         if len(fired) < 3:
             timer.start(1.0)
 
-    timer = sim.timer(on_fire)
+    timer = sim.timer(on_fire, tag="test")
     timer.start(1.0)
     sim.run(until=10.0)
     assert fired == [1.0, 2.0, 3.0]
@@ -323,7 +323,7 @@ def test_timer_callback_exception_leaves_kernel_defined():
     def explode():
         raise RuntimeError("boom")
 
-    timer = sim.timer(explode)
+    timer = sim.timer(explode, tag="test")
     timer.start(1.0)
     with pytest.raises(RuntimeError):
         sim.run(until=5.0)
@@ -332,7 +332,7 @@ def test_timer_callback_exception_leaves_kernel_defined():
     assert sim.now == 1.0
     assert not timer.pending
     seen = []
-    sim.call_later(1.0, lambda: seen.append(sim.now))
+    sim.call_later(1.0, lambda: seen.append(sim.now), tag="test")
     sim.run(until=5.0)
     assert seen == [2.0]
 
@@ -357,7 +357,7 @@ def test_monitor_ticks_once_per_interval_crossing():
     sim = Simulator()
     monitor = _RecordingMonitor(interval=1.0)
     sim.attach_monitor(monitor)
-    stop = sim.every(0.25, lambda: None)
+    stop = sim.every(0.25, lambda: None, tag="test")
     sim.run(until=5.0)
     stop()
     # One tick per whole-second crossing; dense events never double-fire.
@@ -369,7 +369,7 @@ def test_monitor_sparse_schedule_has_no_catchup_storm():
     monitor = _RecordingMonitor(interval=1.0)
     sim.attach_monitor(monitor)
     fired = []
-    sim.call_at(10.0, lambda: fired.append(sim.now))
+    sim.call_at(10.0, lambda: fired.append(sim.now), tag="test")
     sim.run(until=20.0)
     # The clock jumped 0 -> 10 in one dispatch: exactly one tick fires
     # at the jump, not ten catch-up ticks.
@@ -387,7 +387,7 @@ def test_watchdog_abort_notifies_monitors_before_raising():
     sim = Simulator()
     monitor = _RecordingMonitor(interval=1.0)
     sim.attach_monitor(monitor)
-    stop = sim.every(0.1, lambda: None)
+    stop = sim.every(0.1, lambda: None, tag="test")
     with pytest.raises(SimulationError):
         sim.run(until=100.0, max_events=17)
     stop()
@@ -403,7 +403,7 @@ def test_failing_abort_hook_never_masks_the_watchdog():
 
     sim = Simulator()
     sim.attach_monitor(ExplodingMonitor(interval=1.0))
-    sim.every(0.1, lambda: None)
+    sim.every(0.1, lambda: None, tag="test")
     with pytest.raises(SimulationError):
         sim.run(until=100.0, max_events=5)
 
@@ -415,7 +415,7 @@ def test_monitor_is_absent_from_the_event_sequence():
         sim = Simulator(sanitizer=ReplaySanitizer())
         if with_monitor:
             sim.attach_monitor(_RecordingMonitor(interval=0.5))
-        stop = sim.every(0.25, lambda: None)
+        stop = sim.every(0.25, lambda: None, tag="test")
         sim.run(until=5.0)
         stop()
         return sim.sanitizer.hexdigest()

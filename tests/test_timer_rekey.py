@@ -8,7 +8,7 @@ cancelled the event and pushed a new one.  ``tests/helpers.py`` keeps
 that timer as the oracle: under any mix of starts (later, earlier,
 tied, from inside a timer's own callback), cancels, plain events, run
 horizons, compaction, ``clear`` and ``pop_batch`` / ``reinject``, both
-dispatch the same ``(time, priority, tag, handler)`` sequence and agree
+dispatch the same ``(time, priority, tag)`` sequence and agree
 on every timer's state and the queue's size and head after every step.
 """
 
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.sim.event import EventQueue
 from repro.sim.kernel import Simulator, Timer
-from repro.sim.replay import describe_callback
 
 from helpers import CancelAndPushTimer
 
@@ -60,8 +59,8 @@ class _Recorder:
     def __init__(self) -> None:
         self.log: list[tuple] = []
 
-    def observe(self, time, priority, tag, callback) -> None:
-        self.log.append((time, priority, tag, describe_callback(callback)))
+    def observe(self, event) -> None:
+        self.log.append((event.time, event.priority, event.tag))
 
 
 class _Run:
@@ -153,7 +152,7 @@ def test_rekeying_timer_dispatches_like_cancel_and_push(steps, reactions):
 def test_later_restart_moves_the_queued_event_and_allocates_nothing():
     sim = Simulator()
     fired = []
-    timer = sim.timer(lambda: fired.append(sim.now))
+    timer = sim.timer(lambda: fired.append(sim.now), tag="test")
     timer.start(1.0)
     slot = timer._slot
     first_seq = slot.seq
@@ -171,10 +170,10 @@ def test_stale_entry_is_resifted_behind_what_it_passed():
     # the restart: both run first, as a freshly pushed event would let them.
     sim = Simulator()
     order = []
-    timer = sim.timer(lambda: order.append("timer"))
+    timer = sim.timer(lambda: order.append("timer"), tag="test")
     timer.start(1.0)
-    sim.call_at(1.5, lambda: order.append("passed"))
-    sim.call_at(2.0, lambda: order.append("tied"))
+    sim.call_at(1.5, lambda: order.append("passed"), tag="test")
+    sim.call_at(2.0, lambda: order.append("tied"), tag="test")
     timer.start(2.0)
     sim.run()
     assert order == ["passed", "tied", "timer"]
@@ -183,7 +182,7 @@ def test_stale_entry_is_resifted_behind_what_it_passed():
 def test_earlier_restart_takes_a_new_slot_and_leaves_a_tombstone():
     sim = Simulator()
     fired = []
-    timer = sim.timer(lambda: fired.append(sim.now))
+    timer = sim.timer(lambda: fired.append(sim.now), tag="test")
     timer.start(2.0)
     slot = timer._slot
     timer.start(1.0)
@@ -196,7 +195,7 @@ def test_earlier_restart_takes_a_new_slot_and_leaves_a_tombstone():
 def test_cancelled_timer_restarted_later_revives_its_tombstone():
     sim = Simulator()
     fired = []
-    timer = sim.timer(lambda: fired.append(sim.now))
+    timer = sim.timer(lambda: fired.append(sim.now), tag="test")
     timer.start(1.0)
     slot = timer._slot
     timer.cancel()
@@ -210,9 +209,9 @@ def test_cancelled_timer_restarted_later_revives_its_tombstone():
 
 def test_compaction_rebuilds_a_stale_entry_under_its_current_key():
     queue = EventQueue()
-    timed = queue.push(1.0, lambda: None)
+    timed = queue.push(1.0, lambda: None, tag="test")
     queue.rekey(timed, 5.0)
-    burst = [queue.push(2.0, lambda: None) for _ in range(256)]
+    burst = [queue.push(2.0, lambda: None, tag="test") for _ in range(256)]
     for event in burst:
         event.cancel()
     assert queue.tombstones == 0  # the 256th cancel compacted
@@ -222,7 +221,7 @@ def test_compaction_rebuilds_a_stale_entry_under_its_current_key():
 
 def test_rekey_rejects_an_event_off_the_heap_or_an_earlier_time():
     queue = EventQueue()
-    event = queue.push(2.0, lambda: None)
+    event = queue.push(2.0, lambda: None, tag="test")
     with pytest.raises(SimulationError):
         queue.rekey(event, 1.0)
     assert queue.pop() is event
