@@ -248,26 +248,6 @@ def main(argv: list[str] | None = None) -> int:
 
     stream = None
     health = None
-    if streaming:
-        from repro.obs import JsonlSink, SqliteSink, StreamPublisher
-
-        sinks = []
-        if args.stream_out:
-            sinks.append(JsonlSink(args.stream_out))
-        if args.stream_db:
-            sinks.append(SqliteSink(args.stream_db))
-        assert telemetry is not None
-        stream = StreamPublisher(
-            telemetry, sinks, interval=args.stream_interval
-        )
-    if args.health:
-        from repro.obs import HealthMonitor, console_delivery, jsonl_delivery
-
-        deliveries = [console_delivery()]
-        if args.alerts_out:
-            deliveries.append(jsonl_delivery(args.alerts_out))
-        health = HealthMonitor(args.health_interval, deliveries=deliveries)
-
     replay_report = None
     watchdogs = {
         "max_events": args.max_events,
@@ -275,6 +255,30 @@ def main(argv: list[str] | None = None) -> int:
         "wall_deadline": args.wall_deadline,
     }
     try:
+        if args.health:
+            from repro.obs import HealthMonitor, console_delivery, jsonl_delivery
+
+            deliveries = [console_delivery()]
+            if args.alerts_out:
+                deliveries.append(jsonl_delivery(args.alerts_out))
+            health = HealthMonitor(args.health_interval, deliveries=deliveries)
+        if streaming:
+            from repro.obs import JsonlSink, SqliteSink, StreamPublisher
+
+            sinks = []
+            if args.stream_out:
+                sinks.append(JsonlSink(args.stream_out))
+            if args.stream_db:
+                sinks.append(SqliteSink(args.stream_db))
+            assert telemetry is not None
+            try:
+                stream = StreamPublisher(
+                    telemetry, sinks, interval=args.stream_interval
+                )
+            except ReproError:
+                for sink in sinks:
+                    sink.close()
+                raise
         if args.sanitize is not None:
             replay_report, result, _ = replay_check(spec, **watchdogs)
         else:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -85,8 +86,8 @@ class GmpConfig:
     neighbor_timeout: float | None = None
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ConfigError(f"period must be positive: {self.period}")
+        if not 0 < self.period < math.inf:
+            raise ConfigError(f"period must be positive and finite: {self.period}")
         if not 0 < self.beta < 1:
             raise ConfigError(f"beta must be in (0, 1): {self.beta}")
         if not 0 < self.omega_threshold < 1:
@@ -95,16 +96,21 @@ class GmpConfig:
             )
         if self.queue_capacity < 1:
             raise ConfigError(f"queue_capacity must be >= 1: {self.queue_capacity}")
-        if self.big_gap_factor <= 1:
-            raise ConfigError(f"big_gap_factor must exceed 1: {self.big_gap_factor}")
-        if self.additive_increase <= 0:
+        if not 1 < self.big_gap_factor < math.inf:
             raise ConfigError(
-                f"additive_increase must be positive: {self.additive_increase}"
+                f"big_gap_factor must exceed 1 and be finite: {self.big_gap_factor}"
             )
-        if self.min_rate <= 0:
-            raise ConfigError(f"min_rate must be positive: {self.min_rate}")
-        if self.stale_timeout <= 0:
-            raise ConfigError(f"stale_timeout must be positive: {self.stale_timeout}")
+        if not 0 < self.additive_increase < math.inf:
+            raise ConfigError(
+                f"additive_increase must be positive and finite: "
+                f"{self.additive_increase}"
+            )
+        if not 0 < self.min_rate < math.inf:
+            raise ConfigError(f"min_rate must be positive and finite: {self.min_rate}")
+        if not 0 < self.stale_timeout < math.inf:
+            raise ConfigError(
+                f"stale_timeout must be positive and finite: {self.stale_timeout}"
+            )
         if self.removal_persistence is not None and self.removal_persistence < 1:
             raise ConfigError(
                 f"removal_persistence must be >= 1 or None: "
@@ -118,7 +124,8 @@ class GmpConfig:
             raise ConfigError(
                 f"control_delay_periods must be >= 0: {self.control_delay_periods}"
             )
-        if self.neighbor_timeout is not None and self.neighbor_timeout <= 0:
+        if self.neighbor_timeout is not None and not 0 < self.neighbor_timeout < math.inf:
             raise ConfigError(
-                f"neighbor_timeout must be positive or None: {self.neighbor_timeout}"
+                f"neighbor_timeout must be positive and finite, or None: "
+                f"{self.neighbor_timeout}"
             )

@@ -8,8 +8,8 @@ and receives:
   *primary flows*);
 * at the period's end the protocol combines these with buffer Ω
   values, per-virtual-link packet counts, and MAC channel-occupancy
-  snapshots (:func:`combine_occupancy` sums a link's two airtime
-  shares).
+  snapshots (:func:`combine_occupancy` turns a link's airtime, summed
+  over both endpoints, into a fraction of the period).
 """
 
 from __future__ import annotations
@@ -62,12 +62,10 @@ class MuTracker:
         self._seen.clear()
 
 
-def combine_occupancy(
-    sender_share: float, receiver_share: float, period: float
-) -> float:
-    """Channel occupancy fraction from the two endpoints' airtime
-    shares (§6.2: endpoints measure their own transmissions and
-    exchange them)."""
+def combine_occupancy(airtime: float, period: float) -> float:
+    """Channel occupancy fraction of a link from its airtime this
+    period, summed over both endpoints (§6.2: endpoints measure their
+    own transmissions and exchange them)."""
     if period <= 0:
         return 0.0
-    return min(1.0, (sender_share + receiver_share) / period)
+    return min(1.0, airtime / period)

@@ -550,15 +550,15 @@ class GmpProtocol:
 
     def _measure_occupancy(self, period: float) -> dict[Link, float]:
         """Channel occupancy fraction per canonical wireless link."""
-        halves: dict[Link, float] = {}
+        airtimes: dict[Link, float] = {}
         for node in self.stacks:
             for a_link, airtime in self.mac.occupancy_snapshot(node).items():
                 canon = canonical(a_link)
-                halves[canon] = halves.get(canon, 0.0) + airtime
+                airtimes[canon] = airtimes.get(canon, 0.0) + airtime
             self.mac.reset_occupancy(node)
         return {
-            a_link: combine_occupancy(total, 0.0, period)
-            for a_link, total in halves.items()
+            a_link: combine_occupancy(total, period)
+            for a_link, total in airtimes.items()
         }
 
     def _account_link_state_broadcasts(

@@ -50,26 +50,11 @@ class TokenBucket:
         self._refill(now)
         self._rate = float(rate)
 
-    def tokens(self, now: float) -> float:
-        """Token balance at time ``now``."""
-        self._refill(now)
-        return self._tokens
-
-    def try_consume(self, now: float, amount: float = 1.0) -> bool:
-        """Consume ``amount`` tokens if available; returns success."""
-        self._refill(now)
-        if self._tokens + 1e-12 >= amount:
-            self._tokens -= amount
-            return True
-        return False
-
     def take(self, now: float) -> tuple[bool, float]:
         """Consume one token if available, and say when the next one is.
 
-        Returns ``(taken, ready_at)``: exactly ``try_consume(now)``
-        followed by ``next_available(now)``, with one refill.  The
-        second call's refill at the same ``now`` adds ``0.0`` to a
-        balance already at most ``burst``, so it changes nothing.
+        Returns ``(taken, ready_at)``: ``ready_at`` is ``now`` when a
+        further token is already available.
         """
         self._refill(now)
         tokens = self._tokens
@@ -78,17 +63,6 @@ class TokenBucket:
             tokens = self._tokens = tokens - 1.0
         deficit = 1.0 - tokens
         return taken, (now + deficit / self._rate if deficit > 0 else now)
-
-    def next_available(self, now: float, amount: float = 1.0) -> float:
-        """Earliest time at which ``amount`` tokens will be available.
-
-        Returns ``now`` when they already are.
-        """
-        self._refill(now)
-        deficit = amount - self._tokens
-        if deficit <= 0:
-            return now
-        return now + deficit / self._rate
 
     def _refill(self, now: float) -> None:
         if now < self._updated_at:

@@ -39,8 +39,6 @@ class NodeServices:
             outgoing frame.
         on_packet_dropped: the MAC exhausted retries and discarded the
             packet (counted by the node stack).
-        on_broadcast_received: a broadcast control frame was decoded;
-            arguments are the payload and the sender.
     """
 
     dequeue: Callable[[], "tuple[Packet, int] | None"]
@@ -48,7 +46,6 @@ class NodeServices:
     on_overhear: Callable[[int, dict[int, bool]], None] = lambda sender, states: None
     make_piggyback: Callable[[], dict[int, bool]] = dict
     on_packet_dropped: Callable[[Packet, int], None] = lambda packet, next_hop: None
-    on_broadcast_received: Callable[[object, int], None] = lambda payload, sender: None
     # Batch accessors used only by the fluid substrate (the DCF pulls one
     # packet at a time through ``dequeue``).
     eligible_links: "Callable[[], dict[Link, int]] | None" = None
@@ -84,40 +81,19 @@ class MacLayer(abc.ABC):
         """Seconds of channel airtime attributed to each directed link
         adjacent to ``node_id`` since the last reset.
 
-        Airtime on link ``(i, j)`` includes the RTS/DATA sent by ``i``
-        and the CTS/ACK sent by ``j`` (paper §6.2, *Channel
-        Occupancy*).  Both endpoints observe the same value.
+        Airtime on link ``(i, j)`` is the RTS/DATA sent by ``i`` plus
+        the CTS/ACK sent by ``j`` (paper §6.2, *Channel Occupancy*).
+        Each endpoint holds the part it sent: on the DCF the sender's
+        snapshot carries RTS+DATA and the receiver's CTS+ACK, so a
+        link's occupancy is the sum over both ends.  A substrate that
+        does not split an exchange gives the sender all of it and the
+        receiver ``0.0``.
         """
 
     @abc.abstractmethod
     def reset_occupancy(self, node_id: int) -> None:
         """Zero the occupancy accumulators of ``node_id`` (start of a
         new measurement period)."""
-
-    @abc.abstractmethod
-    def busy_snapshot(self, node_id: int) -> float:
-        """Seconds during which ``node_id`` perceived the channel busy
-        (sensed energy or transmitted itself) since the last reset.
-
-        A diagnostic: GMP deliberately does *not* decide saturation
-        from it (DESIGN.md — clique occupancy is summed member-link
-        frame airtime, §6.2; a clique held below capacity by rate
-        limits has an idle channel yet must stay eligible)."""
-
-    @abc.abstractmethod
-    def reset_busy(self, node_id: int) -> None:
-        """Zero the busy-time accumulator of ``node_id``."""
-
-    def send_broadcast(self, node_id: int, payload: object) -> None:
-        """Queue a best-effort control broadcast from ``node_id``.
-
-        Optional: substrates that do not model control transport may
-        leave this unimplemented; the out-of-band control plane is
-        used instead.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not carry in-band broadcasts"
-        )
 
     # --- fault injection (optional; see repro.faults) ---------------------------
 

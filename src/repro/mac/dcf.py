@@ -9,9 +9,7 @@ Implements the distributed coordination function per node:
   paper's Table 3 shows for plain 802.11;
 * slotted binary exponential backoff, frozen while the medium is
   busy and resumed after a fresh DIFS;
-* RTS/CTS/DATA/ACK exchanges with retry limits and CW doubling;
-* best-effort control broadcasts (no RTS/ACK), used when in-band
-  dissemination is enabled.
+* RTS/CTS/DATA/ACK exchanges with retry limits and CW doubling.
 
 The MAC holds at most one packet; it *pulls* from the upper layer via
 ``NodeServices.dequeue`` whenever its transmitter frees up, so all
@@ -22,7 +20,6 @@ overwrite) lives above the MAC.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import MacError
@@ -34,6 +31,9 @@ from repro.mac.phy import DEFAULT_PHY, PhyProfile
 from repro.sim.kernel import Simulator
 from repro.topology.network import Link, Topology
 
+#: Extra slots added to the CTS and ACK timeouts.
+TIMEOUT_SLACK_SLOTS = 2
+
 
 @dataclass(frozen=True)
 class DcfConfig:
@@ -42,13 +42,9 @@ class DcfConfig:
     Attributes:
         use_eifs: defer EIFS after sensed-but-undecodable frames
             (standard behavior; switchable for ablation studies).
-        timeout_slack_slots: extra slots added to CTS/ACK timeouts.
-        broadcast_bytes: payload size charged for control broadcasts.
     """
 
     use_eifs: bool = True
-    timeout_slack_slots: int = 2
-    broadcast_bytes: int = 64
 
 
 class _State(enum.Enum):
@@ -61,7 +57,6 @@ class _State(enum.Enum):
     WAIT_ACK = "wait_ack"
     TX_CTS = "tx_cts"
     TX_ACK = "tx_ack"
-    TX_BCAST = "tx_bcast"
     SIFS_WAIT = "sifs_wait"
 
 
@@ -101,8 +96,6 @@ class _DcfNode:
         self._pending_state: _State | None = None
         self._response_peer: int | None = None
 
-        self._bcast_queue: deque[object] = deque()
-
         self._defer_timer = sim.timer(self._on_defer_done, tag=f"dcf.defer.{node_id}")
         self._backoff_timer = sim.timer(
             self._on_backoff_done, tag=f"dcf.backoff.{node_id}"
@@ -122,7 +115,7 @@ class _DcfNode:
         self._eifs = phy.eifs
         self._cts_duration = phy.cts_duration
         self._ack_duration = phy.ack_duration
-        slack = config.timeout_slack_slots * phy.slot_time
+        slack = TIMEOUT_SLACK_SLOTS * phy.slot_time
         self._cts_timeout = phy.sifs + phy.cts_duration + slack
         self._ack_timeout = phy.sifs + phy.ack_duration + slack
         self._nav_reset_window = (
@@ -136,8 +129,6 @@ class _DcfNode:
 
         # Measurement accumulators and statistics.
         self.occupancy: dict[Link, float] = {}
-        self.busy_accum = 0.0
-        self._busy_since: float | None = None
         self.data_sent = 0
         self.data_received = 0
         self.drops = 0
@@ -163,45 +154,17 @@ class _DcfNode:
                 self._airtime_counters[a_link] = counter
             counter.inc(duration)
 
-    def _update_busy_meter(self) -> None:
-        """Track time with perceivable channel activity (sensed energy
-        or own transmission).
-
-        Called where that activity can stop: the sensed count falling
-        to 0, an own transmission ending, a crash or recovery.  Where it
-        can only start (a busy start, :meth:`_send`) the meter is opened
-        in place; while ``_busy`` stays positive it already reads busy."""
-        busy_now = self._busy > 0 or self.channel.is_transmitting(self.node_id)
-        if busy_now and self._busy_since is None:
-            self._busy_since = self.sim.now
-        elif not busy_now and self._busy_since is not None:
-            self.busy_accum += self.sim.now - self._busy_since
-            self._busy_since = None
-
-    def busy_seconds(self) -> float:
-        """Accumulated busy time since the last reset."""
-        if self._busy_since is not None:
-            return self.busy_accum + (self.sim.now - self._busy_since)
-        return self.busy_accum
-
-    def reset_busy_meter(self) -> None:
-        """Start a new busy-time accumulation window."""
-        self.busy_accum = 0.0
-        if self._busy_since is not None:
-            self._busy_since = self.sim.now
-
     # --- channel access -------------------------------------------------------------
 
     def attempt_access(self) -> None:
         """Start contending if idle and something is ready to send."""
         if self.down or self._state is not _State.IDLE:
             return
-        if self._current is None and not self._bcast_queue:
+        if self._current is None:
             self._current = self.services.dequeue()
-            if self._current is not None:
-                self._retries = 0
-        if self._current is None and not self._bcast_queue:
-            return
+            if self._current is None:
+                return
+            self._retries = 0
         if not self._medium_idle():
             return
         ifs = self._eifs if (self._use_eifs and self.config.use_eifs) else self._difs
@@ -245,20 +208,6 @@ class _DcfNode:
                 ).inc()
 
     def _transmit_current(self) -> None:
-        if self._bcast_queue:
-            payload = self._bcast_queue.popleft()
-            frame = Frame(
-                kind=FrameKind.BROADCAST,
-                sender=self.node_id,
-                receiver=None,
-                duration=self.phy.data_duration(self.config.broadcast_bytes),
-                payload=payload,
-                piggyback=self.services.make_piggyback(),
-            )
-            self._state = _State.TX_BCAST
-            self._send(frame)
-            return
-
         assert self._current is not None
         packet, next_hop = self._current
         data_duration = self.phy.data_duration(packet.size_bytes)
@@ -278,21 +227,13 @@ class _DcfNode:
         )
         self._state = _State.TX_RTS
         self.rts_attempts += 1
-        self._send(frame)
-
-    def _send(self, frame: Frame) -> None:
-        """Put ``frame`` on the air; transmitting reads busy."""
         self.channel.transmit(self.node_id, frame)
-        if self._busy_since is None:
-            self._busy_since = self.sim.now
 
     # --- channel callbacks (Radio protocol) ------------------------------------------
 
     def on_busy_start(self) -> None:
         self._busy += 1
-        now = self._last_busy_start = self.sim.now
-        if self._busy_since is None:
-            self._busy_since = now
+        self._last_busy_start = self.sim.now
         if self._state is _State.DEFER or self._state is _State.BACKOFF:
             self._interrupt_contention()
 
@@ -301,7 +242,6 @@ class _DcfNode:
             raise MacError(f"node {self.node_id}: unbalanced busy_end")
         self._busy -= 1
         if self._busy == 0:
-            self._update_busy_meter()
             self.attempt_access()
 
     def on_frame_corrupted(self) -> None:
@@ -319,9 +259,6 @@ class _DcfNode:
         self._use_eifs = False
         self.services.on_overhear(frame.sender, frame.piggyback)
 
-        if frame.receiver is None:
-            self.services.on_broadcast_received(frame.payload, frame.sender)
-            return
         if frame.receiver != self.node_id:
             if frame.nav > 0:
                 self._set_nav(self.sim.now + frame.nav)
@@ -345,7 +282,6 @@ class _DcfNode:
     def on_tx_end(self, frame: Frame) -> None:
         if self.down:
             return  # aborted ghost frames produce no completion
-        self._update_busy_meter()
         if frame.kind is FrameKind.RTS:
             self._add_occupancy((self.node_id, frame.receiver), frame.duration)
             self._state = _State.WAIT_CTS
@@ -364,9 +300,6 @@ class _DcfNode:
             assert self._response_peer is not None
             self._add_occupancy((self._response_peer, self.node_id), frame.duration)
             self._response_peer = None
-            self._state = _State.IDLE
-            self.attempt_access()
-        elif frame.kind is FrameKind.BROADCAST:
             self._state = _State.IDLE
             self.attempt_access()
 
@@ -459,7 +392,7 @@ class _DcfNode:
         self._pending_frame = None
         self._pending_state = None
         self._state = next_state
-        self._send(frame)
+        self.channel.transmit(self.node_id, frame)
 
     # --- timeouts and completion ------------------------------------------------------
 
@@ -539,13 +472,6 @@ class _DcfNode:
             self._nav_timer.cancel()
             self.attempt_access()
 
-    # --- upper-layer API -----------------------------------------------------------
-
-    def queue_broadcast(self, payload: object) -> None:
-        """Enqueue a control broadcast (sent before data packets)."""
-        self._bcast_queue.append(payload)
-        self.attempt_access()
-
     # --- fault injection ------------------------------------------------------------
 
     def crash(self) -> list[Packet]:
@@ -576,12 +502,10 @@ class _DcfNode:
         self._pending_frame = None
         self._pending_state = None
         self._response_peer = None
-        self._bcast_queue.clear()
         self._retries = 0
         self._cw = self.phy.cw_min
         self._backoff_slots = None
         self._state = _State.IDLE
-        self._update_busy_meter()
         return lost
 
     def recover(self) -> None:
@@ -592,7 +516,6 @@ class _DcfNode:
         self._state = _State.IDLE
         self._use_eifs = False
         self._nav_until = self.sim.now
-        self._update_busy_meter()
         self.attempt_access()
 
     def held_packet(self) -> Packet | None:
@@ -642,15 +565,6 @@ class DcfMac(MacLayer):
 
     def reset_occupancy(self, node_id: int) -> None:
         self._node(node_id).occupancy.clear()
-
-    def busy_snapshot(self, node_id: int) -> float:
-        return self._node(node_id).busy_seconds()
-
-    def reset_busy(self, node_id: int) -> None:
-        self._node(node_id).reset_busy_meter()
-
-    def send_broadcast(self, node_id: int, payload: object) -> None:
-        self._node(node_id).queue_broadcast(payload)
 
     # --- fault injection hooks ----------------------------------------------------
 

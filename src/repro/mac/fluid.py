@@ -134,10 +134,6 @@ class FluidMac(MacLayer):
         self._poll_order: list[int] | None = None  # sorted; None = stale
         self._credit: dict[Link, float] = {}
         self._occupancy: dict[int, dict[Link, float]] = {}
-        # Busy time is kept per *sender* (seconds of airtime it sent);
-        # busy_snapshot folds the senders a node senses at read time.
-        self._airtime_sent: dict[int, float] = {}
-        self._busy_baseline: dict[int, float] = {}
         self._started = False
         self.packets_transferred = 0
         # Fault-injection state.
@@ -190,7 +186,6 @@ class FluidMac(MacLayer):
         self.topology.node(node_id)
         self._services[node_id] = services
         self._occupancy[node_id] = {}
-        self._busy_baseline[node_id] = 0.0
         # Its buffer state is unknown until a round has looked.
         self.notify_backlog(node_id)
 
@@ -219,23 +214,6 @@ class FluidMac(MacLayer):
             self._occupancy[node_id].clear()
         except KeyError:
             raise MacError(f"node {node_id} not attached") from None
-
-    def _airtime_sensed(self, node_id: int) -> float:
-        """Airtime of every exchange sent by ``node_id`` or by a node
-        it senses, since the MAC started.  (Carrier sense is by
-        distance, so the nodes that sense a sender are the nodes the
-        sender senses.)"""
-        if node_id not in self._services:
-            raise MacError(f"node {node_id} not attached")
-        sent = self._airtime_sent
-        senders = self.topology.sensing_nodes(node_id) | {node_id}
-        return sum(sent[sender] for sender in senders if sender in sent)
-
-    def busy_snapshot(self, node_id: int) -> float:
-        return self._airtime_sensed(node_id) - self._busy_baseline[node_id]
-
-    def reset_busy(self, node_id: int) -> None:
-        self._busy_baseline[node_id] = self._airtime_sensed(node_id)
 
     # --- fault injection hooks ----------------------------------------------------
 
@@ -482,10 +460,6 @@ class FluidMac(MacLayer):
                 # the full exchange airtime); create the key so
                 # snapshots list the link.
                 self._occupancy[receiver].setdefault(a_link, 0.0)
-            # Every node sensing the sender (or the sender itself)
-            # perceives the channel busy for the exchange's airtime;
-            # busy_snapshot attributes it.
-            self._airtime_sent[sender] = self._airtime_sent.get(sender, 0.0) + airtime
 
         if self._tm is not None:
             self._record_round(alloc, sent_per_link)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
-
 from repro.flows.packet import Packet
 
 
@@ -22,7 +20,6 @@ class FrameKind(enum.Enum):
     CTS = "cts"
     DATA = "data"
     ACK = "ack"
-    BROADCAST = "broadcast"
 
 
 @dataclass(slots=True)
@@ -32,7 +29,7 @@ class Frame:
     Attributes:
         kind: frame type.
         sender: transmitting node id.
-        receiver: addressed node id; None for broadcast frames.
+        receiver: addressed node id.
         duration: airtime in seconds (set from the PHY profile).
         nav: network-allocation-vector value — how long the medium
             stays reserved *after* this frame ends.  Decoding third
@@ -41,30 +38,21 @@ class Frame:
         piggyback: sender buffer-state map ``{destination: has_free
             _slot}`` plus any other overheard-state the upper layers
             attach.
-        payload: control payload for BROADCAST frames (dissemination
-            messages).
     """
 
     kind: FrameKind
     sender: int
-    receiver: int | None
+    receiver: int
     duration: float
     nav: float = 0.0
     packet: Packet | None = None
     piggyback: dict[int, bool] = field(default_factory=dict)
-    payload: Any = None
-
-    @property
-    def is_broadcast(self) -> bool:
-        """True for receiver-less broadcast frames."""
-        return self.receiver is None
 
     def addressed_to(self, node_id: int) -> bool:
-        """True if this unicast frame targets ``node_id``."""
+        """True if this frame targets ``node_id``."""
         return self.receiver == node_id
 
     def describe(self) -> str:
         """Short human-readable form for traces."""
-        target = "*" if self.receiver is None else str(self.receiver)
         extra = f" f{self.packet.flow_id}#{self.packet.seq}" if self.packet else ""
-        return f"{self.kind.value} {self.sender}->{target}{extra}"
+        return f"{self.kind.value} {self.sender}->{self.receiver}{extra}"

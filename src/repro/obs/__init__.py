@@ -4,7 +4,7 @@
 and watches runs from the outside:
 
 * :mod:`repro.obs.sinks` — pluggable :class:`TelemetrySink` backends
-  (JSONL append, bounded in-memory ring, SQLite) that receive telemetry
+  (JSONL append, SQLite) that receive telemetry
   records incrementally while a run is in flight;
 * :mod:`repro.obs.stream` — the :class:`StreamPublisher`, a kernel
   :class:`~repro.sim.kernel.RunMonitor` that flushes new series points
@@ -38,7 +38,6 @@ from repro.obs.health import (
     HealthMonitor,
     console_delivery,
     jsonl_delivery,
-    webhook_delivery,
 )
 from repro.obs.httpapi import ServeApi, make_server
 from repro.obs.serve import (
@@ -48,15 +47,14 @@ from repro.obs.serve import (
     replay_session,
     serve_session,
 )
-from repro.obs.sinks import JsonlSink, RingSink, SqliteSink, TelemetrySink
-from repro.obs.stream import StreamPublisher, reconstruct_jsonl
+from repro.obs.sinks import JsonlSink, SqliteSink, TelemetrySink
+from repro.obs.stream import StreamPublisher
 
 __all__ = [
     "Alert",
     "AlertLog",
     "HealthMonitor",
     "JsonlSink",
-    "RingSink",
     "ServeApi",
     "ServeConfig",
     "ServeController",
@@ -67,8 +65,6 @@ __all__ = [
     "jsonl_delivery",
     "load_journal",
     "make_server",
-    "reconstruct_jsonl",
     "replay_session",
     "serve_session",
-    "webhook_delivery",
 ]

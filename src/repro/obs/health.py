@@ -17,10 +17,9 @@ runs two kinds of check:
 Findings become :class:`Alert` records in an :class:`AlertLog`, which
 deduplicates by (probe, labels), tracks first/last-seen times and a
 repeat count, and re-delivers a persisting alert only after a cooldown.
-Delivery is pluggable: :func:`console_delivery`,
-:func:`jsonl_delivery`, and :func:`webhook_delivery` (HTTP POST with
-bounded retry and a dead-letter file) ship with the module; anything
-callable with one :class:`Alert` works.
+Delivery is pluggable: :func:`console_delivery` and
+:func:`jsonl_delivery` ship with the module; anything callable with
+one :class:`Alert` works.
 
 Everything here observes only — no events are scheduled, no randomness
 drawn — so a monitored run dispatches the identical event sequence and
@@ -30,6 +29,7 @@ replay digest as an unmonitored one.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -203,101 +203,6 @@ def jsonl_delivery(path: str) -> Delivery:
     return deliver
 
 
-class webhook_delivery:
-    """HTTP POST delivery with bounded retry and a dead-letter file.
-
-    Each alert is serialized to JSON and POSTed to ``url``.  A failed
-    attempt (non-2xx status, timeout, connection error) is retried up
-    to ``retries`` times with exponential backoff (``backoff``,
-    ``2*backoff``, ...); an alert that exhausts its attempts is
-    appended to the ``dead_letter`` JSONL file (when configured) and
-    counted in :attr:`failed` — delivery failures never propagate into
-    the run.
-
-    Every attempted payload is recorded in :attr:`sent` regardless of
-    outcome, and tests (or callers that want a custom transport) can
-    pass ``post(url, payload)`` to replace the HTTP layer entirely —
-    with ``post`` given, no network I/O happens and retry/dead-letter
-    handling wraps the callable instead.
-
-    The wall-clock sleeps between retries happen on whatever thread
-    delivers the alert; keep ``backoff`` small (or ``retries=0``) when
-    delivering from the simulation thread of a paced run.
-    """
-
-    def __init__(
-        self,
-        url: str,
-        post: Callable[[str, dict[str, Any]], None] | None = None,
-        *,
-        timeout: float = 2.0,
-        retries: int = 2,
-        backoff: float = 0.25,
-        dead_letter: str | None = None,
-    ) -> None:
-        if timeout <= 0:
-            raise ConfigError(f"webhook timeout must be positive: {timeout}")
-        if retries < 0:
-            raise ConfigError(f"webhook retries must be >= 0: {retries}")
-        if backoff < 0:
-            raise ConfigError(f"webhook backoff must be >= 0: {backoff}")
-        self.url = url
-        self.post = post
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.dead_letter = dead_letter
-        self.sent: list[tuple[str, dict[str, Any]]] = []
-        self.delivered = 0
-        self.failed = 0
-        self.attempts = 0
-
-    def _post_http(self, url: str, payload: dict[str, Any]) -> None:
-        import urllib.request
-
-        request = urllib.request.Request(
-            url,
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            status = getattr(response, "status", 200)
-            if not 200 <= status < 300:
-                raise OSError(f"webhook returned HTTP {status}")
-
-    def _dead_letter_write(self, payload: dict[str, Any], error: str) -> None:
-        if self.dead_letter is None:
-            return
-        record = {"url": self.url, "error": error, "alert": payload}
-        try:
-            with open(self.dead_letter, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        except OSError:
-            pass  # a failing dead-letter file must not take down the run
-
-    def __call__(self, alert: Alert) -> None:
-        payload = alert.to_json()
-        self.sent.append((self.url, payload))
-        post = self.post if self.post is not None else self._post_http
-        last_error = "unknown error"
-        for attempt in range(self.retries + 1):
-            if attempt and self.backoff > 0:
-                import time
-
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
-            self.attempts += 1
-            try:
-                post(self.url, payload)
-            except Exception as error:  # noqa: BLE001 - any transport
-                last_error = f"{type(error).__name__}: {error}"
-                continue  # failure is retryable
-            self.delivered += 1
-            return
-        self.failed += 1
-        self._dead_letter_write(payload, last_error)
-
-
 # --- the monitor -----------------------------------------------------------------
 
 
@@ -317,8 +222,10 @@ class HealthMonitor:
         deliveries: tuple[Delivery, ...] | list[Delivery] = (),
         log: AlertLog | None = None,
     ) -> None:
-        if interval <= 0:
-            raise ConfigError(f"health interval must be positive: {interval}")
+        if not 0 < interval < math.inf:
+            raise ConfigError(
+                f"health interval must be positive and finite: {interval}"
+            )
         self.interval = interval
         self.log = log or AlertLog(deliveries=deliveries)
         self._sim: Any = None

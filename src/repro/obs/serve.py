@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -206,8 +208,10 @@ class ServeController:
         journal: Callable[[dict[str, Any]], None] | None = None,
         script: list[AppliedCommand] | None = None,
     ) -> None:
-        if interval <= 0:
-            raise ConfigError(f"command interval must be positive: {interval}")
+        if not 0 < interval < math.inf:
+            raise ConfigError(
+                f"command interval must be positive and finite: {interval}"
+            )
         self._interval = interval
         self._journal = journal
         self._script = script
@@ -644,7 +648,7 @@ def serve_main(argv: list[str] | None = None) -> int:
         )
         manifest = serve_session(spec, config)
     except ReproError as error:
-        print(f"error: {error}")
+        print(f"error: {error}", file=sys.stderr)
         return 2
     print(
         f"session closed: {manifest.get('events', '?')} events, "

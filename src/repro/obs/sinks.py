@@ -4,13 +4,11 @@ A :class:`TelemetrySink` consumes JSON-plain *records* — the same
 dict-shaped lines :func:`repro.telemetry.exporters.write_metrics_jsonl`
 emits — incrementally while a run is still in flight, so a killed or
 wedged run leaves its telemetry on disk instead of losing it with the
-in-memory registry.  Three backends:
+in-memory registry.  Two backends:
 
 * :class:`JsonlSink` — append-mode JSONL file; every flush pushes the
   buffered lines through the OS so a SIGKILL loses at most one flush
   interval of data;
-* :class:`RingSink` — bounded in-memory ring, the test/debug backend
-  (also what powers byte-identical reconstruction tests);
 * :class:`SqliteSink` — one SQLite table, append-safe across runs: the
   same database file accumulates multiple runs, each stamped with a
   monotonically increasing run sequence number.
@@ -25,7 +23,6 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-from collections import deque
 from typing import Any
 
 from repro.errors import ConfigError
@@ -77,32 +74,6 @@ class JsonlSink(TelemetrySink):
         if not self._handle.closed:
             self._handle.flush()
             self._handle.close()
-
-
-class RingSink(TelemetrySink):
-    """Keep the newest ``capacity`` records in memory.
-
-    Overflow is observable (``dropped``), never silent — mirroring the
-    registry's series cap and the trace collector's truncation marker.
-    """
-
-    def __init__(self, capacity: int = 100_000) -> None:
-        if capacity < 1:
-            raise ConfigError(f"ring capacity must be >= 1: {capacity}")
-        self.capacity = capacity
-        self._ring: deque[dict[str, Any]] = deque(maxlen=capacity)
-        self.dropped = 0
-        self.records_written = 0
-
-    def write(self, record: dict[str, Any]) -> None:
-        if len(self._ring) == self.capacity:
-            self.dropped += 1
-        self._ring.append(record)
-        self.records_written += 1
-
-    def records(self) -> list[dict[str, Any]]:
-        """The retained records, oldest first."""
-        return list(self._ring)
 
 
 class SqliteSink(TelemetrySink):

@@ -19,8 +19,8 @@ Lifecycle:
   write the final ``run`` header and one snapshot record per
   instrument in the canonical export order, so the stream carries
   everything :func:`~repro.telemetry.exporters.write_metrics_jsonl`
-  would.  :func:`reconstruct_jsonl` reorders a closed stream back into
-  the exporter's exact byte layout.
+  would; reordered by series, a closed stream is byte-identical to
+  the exporter's layout (pinned by ``tests/test_obs_stream.py``).
 * ``on_abort(now, error)`` (kernel watchdog tripped) — same flush plus
   a ``stream_abort`` record and the tail of the replay sanitizer's
   event journal, so a wedged run leaves behind both its telemetry and
@@ -34,6 +34,7 @@ sequence and the replay digest bit-identical.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from repro.errors import ConfigError
@@ -50,9 +51,6 @@ from repro.telemetry.registry import Series, stable_instrument_key
 
 #: Replay-journal entries included in an abort dump.
 ABORT_JOURNAL_TAIL = 50
-
-#: Stream-control record kinds (not part of the exporter layout).
-CONTROL_RECORDS = ("stream_open", "stream_close", "stream_abort", "journal")
 
 
 class StreamPublisher:
@@ -73,8 +71,10 @@ class StreamPublisher:
     ) -> None:
         if not telemetry.enabled:
             raise ConfigError("streaming needs an enabled Telemetry instance")
-        if interval <= 0:
-            raise ConfigError(f"stream interval must be positive: {interval}")
+        if not 0 < interval < math.inf:
+            raise ConfigError(
+                f"stream interval must be positive and finite: {interval}"
+            )
         self.telemetry = telemetry
         self.sinks = [sinks] if isinstance(sinks, TelemetrySink) else list(sinks)
         if not self.sinks:
@@ -223,53 +223,3 @@ class StreamPublisher:
         self.closed = True
         for sink in self.sinks:
             sink.close()
-
-
-def _series_key(record: dict[str, Any]) -> tuple[str, str]:
-    return (record["name"], json.dumps(record["labels"], sort_keys=True))
-
-
-def reconstruct_jsonl(records: list[dict[str, Any]]) -> str:
-    """Reorder a closed stream into the exporter's exact byte layout.
-
-    Given the records of one cleanly closed run (e.g. from
-    :meth:`RingSink.records` or :meth:`SqliteSink.records`), produce
-    text byte-identical to what
-    :func:`~repro.telemetry.exporters.write_metrics_jsonl` writes for
-    the same run: run header, instruments in canonical order with each
-    series' samples inline, events, drop marker.  Raises
-    :class:`~repro.errors.ConfigError` on a stream with no run header
-    (i.e. never closed) or an aborted stream.
-    """
-    header: dict[str, Any] | None = None
-    snapshots: list[dict[str, Any]] = []
-    samples: dict[tuple[str, str], list[dict[str, Any]]] = {}
-    events: list[dict[str, Any]] = []
-    dropped: dict[str, Any] | None = None
-    for record in records:
-        kind = record.get("record")
-        if kind == "stream_abort":
-            raise ConfigError("cannot reconstruct an aborted stream")
-        if kind in CONTROL_RECORDS:
-            continue
-        if kind == "run":
-            header = record
-        elif kind == "sample":
-            samples.setdefault(_series_key(record), []).append(record)
-        elif kind == "event":
-            events.append(record)
-        elif kind == "events_dropped":
-            dropped = record
-        else:
-            snapshots.append(record)
-    if header is None:
-        raise ConfigError("stream has no run header (was it closed?)")
-    ordered: list[dict[str, Any]] = [header]
-    for snapshot in snapshots:
-        ordered.append(snapshot)
-        if snapshot.get("record") == "series":
-            ordered.extend(samples.get(_series_key(snapshot), []))
-    ordered.extend(events)
-    if dropped is not None:
-        ordered.append(dropped)
-    return "".join(json.dumps(record, default=str) + "\n" for record in ordered)

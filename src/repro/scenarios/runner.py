@@ -22,6 +22,7 @@ Protocols:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -125,7 +126,6 @@ class Session:
     phy: PhyProfile
     dcf_config: DcfConfig | None
     capacity_pps: float | None
-    fluid_round: float
     traffic: str
     routing: str
     faults: FaultSchedule | None
@@ -155,8 +155,8 @@ class Session:
         ):
             if name not in choices:
                 raise ConfigError(f"unknown {what} {name!r}; pick from {choices}")
-        if duration <= 0:
-            raise ConfigError(f"duration must be positive: {duration}")
+        if not 0 < duration < math.inf:
+            raise ConfigError(f"duration must be positive and finite: {duration}")
         if self.warmup is None:
             self.warmup = duration / 3.0
         if not 0 <= self.warmup < duration:
@@ -242,7 +242,6 @@ class Session:
             mac = FluidMac(
                 sim,
                 topology,
-                round_interval=self.fluid_round,
                 capacity_pps=self.capacity_pps,
                 rate_caps=scenario.rate_caps,
                 system=self.system,
@@ -764,7 +763,6 @@ def run_scenario(
     phy: PhyProfile = DEFAULT_PHY,
     dcf_config: DcfConfig | None = None,
     capacity_pps: float | None = None,
-    fluid_round: float = 0.02,
     traffic: str = "cbr",
     routing: str = "link_state",
     faults: FaultSchedule | None = None,
@@ -797,7 +795,6 @@ def run_scenario(
         dcf_config: DCF tunables (EIFS ablation etc.).
         capacity_pps: clique capacity for the fluid substrate and the
             2PP allocation; defaults to the PHY saturation estimate.
-        fluid_round: fluid substrate round interval.
         traffic: arrival process at the sources — "cbr" (the paper's
             workload), "poisson", "onoff", or "pareto-onoff"
             (heavy-tailed phase switching).

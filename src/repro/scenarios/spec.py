@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields
 from typing import Any
@@ -160,8 +161,8 @@ class RunSpec:
         ):
             if name not in choices:
                 raise ConfigError(f"unknown {what} {name!r}; pick from {choices}")
-        if self.duration <= 0:
-            raise ConfigError(f"duration must be positive: {self.duration}")
+        if not 0 < self.duration < math.inf:
+            raise ConfigError(f"duration must be positive and finite: {self.duration}")
         GmpConfig(period=self.period, beta=self.beta)
         if self.rate_interval is not None and not 0 < self.rate_interval <= self.duration:
             raise ConfigError(

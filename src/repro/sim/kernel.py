@@ -35,6 +35,7 @@ from __future__ import annotations
 # clocks deliberately; their readings never feed simulation state (see
 # docs/SIMCHECK.md).
 
+import math
 import time as _time
 from bisect import bisect_left
 from collections import Counter
@@ -417,12 +418,12 @@ class Simulator:
             raise SimulationError("Simulator.run is not re-entrant")
         if stall_limit is not None and stall_limit < 1:
             raise SimulationError(f"stall_limit must be >= 1: {stall_limit}")
-        if wall_deadline is not None and wall_deadline <= 0:
+        if wall_deadline is not None and not 0 < wall_deadline < math.inf:
             raise SimulationError(
-                f"wall_deadline must be positive: {wall_deadline}"
+                f"wall_deadline must be positive and finite: {wall_deadline}"
             )
-        if pace is not None and pace <= 0:
-            raise SimulationError(f"pace must be positive: {pace}")
+        if pace is not None and not 0 < pace < math.inf:
+            raise SimulationError(f"pace must be positive and finite: {pace}")
         self._running = True
         self._stopped = False
         wall_start = _time.monotonic() if wall_deadline is not None else 0.0

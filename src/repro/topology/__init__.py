@@ -10,11 +10,10 @@ from repro.topology.builders import (
     chain_topology,
     clustered_topology,
     grid_topology,
-    parallel_chains_topology,
     random_topology,
 )
 from repro.topology.cliques import Clique, CliqueSystem, maximal_cliques
-from repro.topology.contention import ContentionGraph, links_contend
+from repro.topology.contention import ContentionGraph
 from repro.topology.dominating import dominating_set
 from repro.topology.neighbors import one_hop_neighbors, two_hop_neighbors
 from repro.topology.network import Link, Topology, canonical, link, reverse
@@ -32,13 +31,11 @@ __all__ = [
     "chain_topology",
     "clustered_topology",
     "grid_topology",
-    "parallel_chains_topology",
     "random_topology",
     "one_hop_neighbors",
     "two_hop_neighbors",
     "dominating_set",
     "ContentionGraph",
-    "links_contend",
     "Clique",
     "CliqueSystem",
     "maximal_cliques",

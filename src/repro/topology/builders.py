@@ -77,48 +77,6 @@ def grid_topology(
     return topology
 
 
-def parallel_chains_topology(
-    num_chains: int,
-    chain_length: int,
-    *,
-    node_spacing: float = 200.0,
-    chain_spacing: float = 350.0,
-    tx_range: float = DEFAULT_TX_RANGE,
-    cs_range: float = DEFAULT_CS_RANGE,
-) -> Topology:
-    """Several vertical chains side by side.
-
-    With the defaults, nodes within one chain are linked, chains do not
-    link to each other, but adjacent chains' links mutually contend —
-    the structure behind the paper's Figure 4 (see
-    :func:`repro.scenarios.figures.figure4`).
-
-    Node ids are chain-major: chain ``k`` owns ids
-    ``k * chain_length .. (k + 1) * chain_length - 1`` ordered top to
-    bottom.
-    """
-    if num_chains < 1 or chain_length < 1:
-        raise TopologyError(
-            f"need positive dimensions, got {num_chains} chains of {chain_length}"
-        )
-    if node_spacing <= 0 or node_spacing > tx_range:
-        raise TopologyError(
-            f"node_spacing {node_spacing} must be in (0, tx_range={tx_range}]"
-        )
-    if chain_spacing <= tx_range:
-        raise TopologyError(
-            f"chain_spacing {chain_spacing} must exceed tx_range {tx_range} "
-            "to keep chains unlinked"
-        )
-    topology = Topology(tx_range=tx_range, cs_range=cs_range)
-    topology.add_nodes(
-        (chain * chain_spacing, position * node_spacing)
-        for chain in range(num_chains)
-        for position in range(chain_length)
-    )
-    return topology
-
-
 def random_topology(
     num_nodes: int,
     *,

@@ -20,20 +20,6 @@ from repro.errors import TopologyError
 from repro.topology.network import Link, Topology, canonical
 
 
-def links_contend(topology: Topology, first: Link, second: Link) -> bool:
-    """True if the two wireless links cannot be active simultaneously.
-
-    A link never contends with itself (or its own reverse).
-    """
-    a = canonical(first)
-    b = canonical(second)
-    if a == b:
-        return False
-    if set(a) & set(b):
-        return True
-    return any(topology.interferes(x, y) for x in a for y in b)
-
-
 class ContentionGraph:
     """Adjacency structure over undirected wireless links.
 
@@ -51,8 +37,8 @@ class ContentionGraph:
     so a row touches only spatially nearby links, and it is formed when
     first asked for: :meth:`contenders` / :meth:`are_adjacent` cost the
     rows they read, :meth:`contender_masks` the rows of this graph's own
-    vertex set.  The equivalence with pairwise :func:`links_contend`
-    probes is pinned by ``tests/test_topology_spatial.py``.
+    vertex set.  The equivalence with pairwise probes of the definition
+    is pinned by ``tests/test_topology_spatial.py``.
     """
 
     def __init__(self, topology: Topology, links: Iterable[Link] | None = None) -> None:

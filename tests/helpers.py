@@ -1,17 +1,31 @@
-"""Shared test fixtures: minimal upper layers for driving the MAC."""
+"""Shared test fixtures: minimal upper layers for driving the MAC, and
+the reference implementations (oracles) the tests check the product
+code against."""
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
+from typing import Any
 
+from repro.errors import ConfigError, TopologyError
 from repro.flows.flow import Flow, FlowSet
 from repro.flows.packet import Packet
+from repro.flows.rate_limiter import TokenBucket
 from repro.flows.traffic import TrafficSource
 from repro.mac.base import NodeServices
+from repro.obs.sinks import TelemetrySink
 from repro.scenarios.figures import Scenario
 from repro.sim.event import DEFAULT_PRIORITY, Event
 from repro.topology.builders import random_topology
+from repro.topology.network import (
+    DEFAULT_CS_RANGE,
+    DEFAULT_TX_RANGE,
+    Link,
+    Topology,
+    canonical,
+)
 
 
 class SaturatedSender:
@@ -30,7 +44,6 @@ class SaturatedSender:
         self.received: list[Packet] = []
         self.dropped: list[Packet] = []
         self.overheard: list[tuple[int, dict]] = []
-        self.broadcasts: list[tuple[object, int]] = []
 
     def dequeue(self):
         if self._cycle is None:
@@ -52,9 +65,6 @@ class SaturatedSender:
             on_data_received=lambda packet, sender: self.received.append(packet),
             on_overhear=lambda sender, states: self.overheard.append((sender, states)),
             on_packet_dropped=lambda packet, nh: self.dropped.append(packet),
-            on_broadcast_received=lambda payload, sender: self.broadcasts.append(
-                (payload, sender)
-            ),
         )
 
 
@@ -282,3 +292,170 @@ class PoissonSource(TrafficSource):
 
 
 ScalarPoissonSource = PoissonSource
+
+
+# --- Reference token bucket ------------------------------------------------------
+#
+# The source tick takes its token and its next-token time from one
+# ``TokenBucket.take`` refill.  The general-amount accessors below are the
+# two calls it replaces; tests/test_traffic_draws.py checks ``take``
+# against them and tests/test_flows.py checks the bucket's conformance
+# through them.
+
+
+class ReferenceTokenBucket(TokenBucket):
+    """A :class:`TokenBucket` with a balance probe, a take of any amount
+    and a next-available time, each refilling first."""
+
+    def tokens(self, now: float) -> float:
+        self._refill(now)
+        return self._tokens
+
+    def try_consume(self, now: float, amount: float = 1.0) -> bool:
+        self._refill(now)
+        if self._tokens + 1e-12 >= amount:
+            self._tokens -= amount
+            return True
+        return False
+
+    def next_available(self, now: float, amount: float = 1.0) -> float:
+        self._refill(now)
+        deficit = amount - self._tokens
+        if deficit <= 0:
+            return now
+        return now + deficit / self._rate
+
+
+# --- Pairwise contention -----------------------------------------------------------
+#
+# The definition the contention graph's bulk masks implement (paper
+# §2.1): the oracle of tests/test_topology_spatial.py.
+
+
+def links_contend(topology: Topology, first: Link, second: Link) -> bool:
+    """True if the two wireless links cannot be active simultaneously:
+    they share a node, or an endpoint of one lies within interference
+    range of an endpoint of the other.  A link never contends with
+    itself (or its own reverse)."""
+    a = canonical(first)
+    b = canonical(second)
+    if a == b:
+        return False
+    if set(a) & set(b):
+        return True
+    return any(topology.interferes(x, y) for x in a for y in b)
+
+
+def parallel_chains_topology(
+    num_chains: int,
+    chain_length: int,
+    *,
+    node_spacing: float = 200.0,
+    chain_spacing: float = 350.0,
+    tx_range: float = DEFAULT_TX_RANGE,
+    cs_range: float = DEFAULT_CS_RANGE,
+) -> Topology:
+    """Several vertical chains side by side: with the defaults, chains
+    do not link to each other but adjacent chains' links contend.
+
+    Node ids are chain-major: chain ``k`` owns ids
+    ``k * chain_length .. (k + 1) * chain_length - 1`` top to bottom.
+    """
+    if num_chains < 1 or chain_length < 1:
+        raise TopologyError(
+            f"need positive dimensions, got {num_chains} chains of {chain_length}"
+        )
+    if node_spacing <= 0 or node_spacing > tx_range:
+        raise TopologyError(
+            f"node_spacing {node_spacing} must be in (0, tx_range={tx_range}]"
+        )
+    if chain_spacing <= tx_range:
+        raise TopologyError(
+            f"chain_spacing {chain_spacing} must exceed tx_range {tx_range} "
+            "to keep chains unlinked"
+        )
+    topology = Topology(tx_range=tx_range, cs_range=cs_range)
+    topology.add_nodes(
+        (chain * chain_spacing, position * node_spacing)
+        for chain in range(num_chains)
+        for position in range(chain_length)
+    )
+    return topology
+
+
+# --- Stream round trip -------------------------------------------------------------
+#
+# An in-memory sink and the reordering that turns a closed stream back
+# into the end-of-run JSONL export: tests/test_obs_stream.py pins that
+# streaming loses nothing by comparing the two byte for byte.
+
+
+class RingSink(TelemetrySink):
+    """Keep the newest ``capacity`` records in memory; overflow is
+    counted in ``dropped``."""
+
+    def __init__(self, capacity: int = 100_000) -> None:
+        if capacity < 1:
+            raise ConfigError(f"ring capacity must be >= 1: {capacity}")
+        self.capacity = capacity
+        self._ring: deque[dict[str, Any]] = deque(maxlen=capacity)
+        self.dropped = 0
+        self.records_written = 0
+
+    def write(self, record: dict[str, Any]) -> None:
+        if len(self._ring) == self.capacity:
+            self.dropped += 1
+        self._ring.append(record)
+        self.records_written += 1
+
+    def records(self) -> list[dict[str, Any]]:
+        """The retained records, oldest first."""
+        return list(self._ring)
+
+
+#: Stream-control record kinds (not part of the exporter layout).
+CONTROL_RECORDS = ("stream_open", "stream_close", "stream_abort", "journal")
+
+
+def _series_key(record: dict[str, Any]) -> tuple[str, str]:
+    return (record["name"], json.dumps(record["labels"], sort_keys=True))
+
+
+def reconstruct_jsonl(records: list[dict[str, Any]]) -> str:
+    """Reorder the records of one cleanly closed stream into the text
+    ``write_metrics_jsonl`` writes for the same run: run header,
+    instruments in canonical order with each series' samples inline,
+    events, drop marker.  Raises ``ConfigError`` on a stream that was
+    never closed or was aborted."""
+    header: dict[str, Any] | None = None
+    snapshots: list[dict[str, Any]] = []
+    samples: dict[tuple[str, str], list[dict[str, Any]]] = {}
+    events: list[dict[str, Any]] = []
+    dropped: dict[str, Any] | None = None
+    for record in records:
+        kind = record.get("record")
+        if kind == "stream_abort":
+            raise ConfigError("cannot reconstruct an aborted stream")
+        if kind in CONTROL_RECORDS:
+            continue
+        if kind == "run":
+            header = record
+        elif kind == "sample":
+            samples.setdefault(_series_key(record), []).append(record)
+        elif kind == "event":
+            events.append(record)
+        elif kind == "events_dropped":
+            dropped = record
+        else:
+            snapshots.append(record)
+    if header is None:
+        raise ConfigError("stream has no run header (was it closed?)")
+    ordered: list[dict[str, Any]] = [header]
+    for snapshot in snapshots:
+        ordered.append(snapshot)
+        if snapshot.get("record") == "series":
+            ordered.extend(samples.get(_series_key(snapshot), []))
+    ordered.extend(events)
+    if dropped is not None:
+        ordered.append(dropped)
+    return "".join(json.dumps(record, default=str) + "\n" for record in ordered)

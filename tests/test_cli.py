@@ -261,3 +261,26 @@ def test_cli_explain_rejects_unknown_scenario(capsys, tmp_path):
     assert exit_info.value.code == 2
     assert "invalid choice: 'figure99'" in capsys.readouterr().err
     assert not json_out.exists()
+
+
+#: A numeric flag, and the flags that make it take effect.
+NUMERIC_FLAGS = {
+    "--duration": [],
+    "--period": [],
+    "--wall-deadline": [],
+    "--stream-interval": ["--stream-out", "{tmp}/stream.jsonl"],
+    "--health-interval": ["--health"],
+    "serve --pace": ["--port", "0", "--session-dir", "{tmp}/session"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("flag", list(NUMERIC_FLAGS))
+def test_cli_rejects_non_positive_or_non_finite_numbers(capsys, tmp_path, flag, value):
+    *command, option = flag.split()
+    extra = [part.format(tmp=tmp_path) for part in NUMERIC_FLAGS[flag]]
+    code = main(
+        [*command, "figure3", "--duration", "2", *extra, option, value]
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err

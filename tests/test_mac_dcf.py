@@ -180,21 +180,6 @@ def test_reset_occupancy():
     assert mac.occupancy_snapshot(0) == {}
 
 
-def test_broadcast_reaches_all_neighbors():
-    chain = chain_topology(3, spacing=200.0)
-    sim = Simulator(seed=2)
-    mac = DcfMac(sim, chain)
-    actors = {node_id: SaturatedSender(node_id, {}) for node_id in range(3)}
-    for node_id, actor in actors.items():
-        mac.attach_node(node_id, actor.services())
-    mac.start()
-    mac.send_broadcast(1, {"hello": True})
-    sim.run(until=0.1)
-    assert actors[0].broadcasts == [({"hello": True}, 1)]
-    assert actors[2].broadcasts == [({"hello": True}, 1)]
-    assert not actors[1].broadcasts
-
-
 def test_overhear_carries_piggyback():
     topology = Topology()
     topology.add_nodes([(0.0, 0.0), (200.0, 0.0), (100.0, 170.0)])

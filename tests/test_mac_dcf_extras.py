@@ -1,4 +1,4 @@
-"""DCF tests for NAV reset, busy metering, and backpressure piggyback."""
+"""DCF tests for NAV reset and backpressure piggyback."""
 
 import pytest
 
@@ -14,37 +14,6 @@ from repro.topology.builders import chain_topology
 from repro.topology.network import Topology
 
 from helpers import SaturatedSender
-
-
-def test_busy_meter_fraction_reasonable():
-    topology = Topology()
-    topology.add_nodes([(0.0, 0.0), (200.0, 0.0)])
-    sim = Simulator(seed=3)
-    mac = DcfMac(sim, topology)
-    sender = SaturatedSender(0, {1: 1})
-    sink = SaturatedSender(1, {})
-    mac.attach_node(0, sender.services())
-    mac.attach_node(1, sink.services())
-    mac.start()
-    sim.run(until=2.0)
-    # A saturated solo link keeps the channel busy most of the time.
-    busy = mac.busy_snapshot(0)
-    assert 1.2 < busy < 2.0
-    # The sink senses the same exchanges.
-    assert mac.busy_snapshot(1) == pytest.approx(busy, rel=0.1)
-    mac.reset_busy(0)
-    assert mac.busy_snapshot(0) < 0.01
-
-
-def test_busy_meter_idle_channel_zero():
-    topology = chain_topology(2)
-    sim = Simulator(seed=3)
-    mac = DcfMac(sim, topology)
-    for node_id in (0, 1):
-        mac.attach_node(node_id, SaturatedSender(node_id, {}).services())
-    mac.start()
-    sim.run(until=1.0)
-    assert mac.busy_snapshot(0) == 0.0
 
 
 def test_nav_reset_frees_third_party_after_failed_rts():

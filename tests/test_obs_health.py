@@ -14,7 +14,6 @@ from repro.obs import (
     HealthMonitor,
     console_delivery,
     jsonl_delivery,
-    webhook_delivery,
 )
 from repro.scenarios.figures import Scenario, figure3
 from repro.scenarios.runner import run_scenario
@@ -87,18 +86,6 @@ def test_jsonl_delivery_appends_durable_lines(tmp_path):
     assert payloads[0]["first_seen"] == 5.0
 
 
-def test_webhook_delivery_stub_collects_posts():
-    posted = []
-    hook = webhook_delivery("http://ops/alerts", post=lambda url, p: posted.append(url))
-    log = AlertLog(deliveries=[hook])
-    log.raise_alert(
-        5.0, "condition_flapping", "warning", {"link": "0->1"}, "flapping"
-    )
-    assert hook.sent[0][0] == "http://ops/alerts"
-    assert hook.sent[0][1]["probe"] == "condition_flapping"
-    assert posted == ["http://ops/alerts"]
-
-
 # ---------------------------------------------------------------- config
 
 
@@ -151,8 +138,8 @@ def _crash_scenario():
 def test_crash_run_alerts_mid_run_with_dedup():
     duration = 40.0
     telemetry = Telemetry()
-    hook = webhook_delivery("http://ops/alerts", post=lambda url, payload: None)
-    health = HealthMonitor(deliveries=[hook])
+    delivered = []
+    health = HealthMonitor(deliveries=[delivered.append])
     result = run_scenario(
         _crash_scenario(),
         protocol="gmp",
@@ -177,7 +164,7 @@ def test_crash_run_alerts_mid_run_with_dedup():
     raised_total = sum(alert.count for alert in alerts)
     assert raised_total > len(alerts), "persisting conditions should dedup"
     # Deliveries were cooldown-gated, not one per raise.
-    assert 0 < len(hook.sent) < raised_total
+    assert 0 < len(delivered) < raised_total
 
 
 def test_live_alerts_are_a_prefix_of_the_end_of_run_scan():
@@ -257,131 +244,3 @@ def test_watchdog_abort_raises_critical_alert():
     assert [a.probe for a in alerts] == ["watchdog_abort"]
     assert alerts[0].severity == "critical"
     assert "max_events" in alerts[0].message
-
-
-# ---------------------------------------------------------------- webhook HTTP
-
-
-class _WebhookFixture:
-    """Local HTTP endpoint that records POSTs and can be told to fail
-    the first N requests with a 500."""
-
-    def __init__(self, fail_first=0):
-        import threading
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        self.received = []
-        self.fail_remaining = fail_first
-        fixture = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, fmt, *args):
-                pass
-
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length") or 0)
-                body = self.rfile.read(length)
-                if fixture.fail_remaining > 0:
-                    fixture.fail_remaining -= 1
-                    self.send_response(500)
-                    self.end_headers()
-                    return
-                fixture.received.append(json.loads(body))
-                self.send_response(200)
-                self.end_headers()
-
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self.server.server_address[1]}/alerts"
-        self.thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True
-        )
-        self.thread.start()
-
-    def close(self):
-        self.server.shutdown()
-        self.thread.join(timeout=5)
-        self.server.server_close()
-
-
-@pytest.fixture
-def webhook_server():
-    fixture = _WebhookFixture()
-    yield fixture
-    fixture.close()
-
-
-def _raise_one(hook, probe="starved_flow"):
-    log = AlertLog(deliveries=[hook])
-    log.raise_alert(5.0, probe, "warning", {"flow": "2"}, "starved")
-    return log
-
-
-def test_webhook_posts_alert_json_over_http(webhook_server):
-    hook = webhook_delivery(webhook_server.url)
-    _raise_one(hook)
-    assert hook.delivered == 1
-    assert hook.failed == 0
-    assert hook.attempts == 1
-    assert webhook_server.received[0]["probe"] == "starved_flow"
-    assert webhook_server.received[0]["severity"] == "warning"
-
-
-def test_webhook_retries_transient_failures_then_delivers():
-    fixture = _WebhookFixture(fail_first=2)
-    try:
-        hook = webhook_delivery(fixture.url, retries=2, backoff=0.01)
-        _raise_one(hook)
-        assert hook.delivered == 1
-        assert hook.failed == 0
-        assert hook.attempts == 3
-        assert len(fixture.received) == 1
-    finally:
-        fixture.close()
-
-
-def test_webhook_exhausted_retries_hit_dead_letter(tmp_path):
-    fixture = _WebhookFixture(fail_first=99)
-    dead = tmp_path / "dead.jsonl"
-    try:
-        hook = webhook_delivery(
-            fixture.url, retries=1, backoff=0.01, dead_letter=str(dead)
-        )
-        _raise_one(hook)
-        assert hook.delivered == 0
-        assert hook.failed == 1
-        assert hook.attempts == 2
-        records = [
-            json.loads(line) for line in dead.read_text().splitlines()
-        ]
-        assert len(records) == 1
-        assert records[0]["url"] == fixture.url
-        assert "HTTP" in records[0]["error"] or "500" in records[0]["error"]
-        assert records[0]["alert"]["probe"] == "starved_flow"
-    finally:
-        fixture.close()
-
-
-def test_webhook_unreachable_host_fails_without_raising(tmp_path):
-    dead = tmp_path / "dead.jsonl"
-    # A connection refusal (nothing listens on the port) must degrade
-    # to a dead-letter record, never an exception into the run.
-    hook = webhook_delivery(
-        "http://127.0.0.1:9/alerts",
-        retries=0,
-        backoff=0.0,
-        timeout=0.5,
-        dead_letter=str(dead),
-    )
-    _raise_one(hook)
-    assert hook.delivered == 0
-    assert hook.failed == 1
-    assert dead.exists()
-
-
-def test_webhook_validates_config():
-    with pytest.raises(ConfigError):
-        webhook_delivery("http://x", timeout=0.0)
-    with pytest.raises(ConfigError):
-        webhook_delivery("http://x", retries=-1)
-    with pytest.raises(ConfigError):
-        webhook_delivery("http://x", backoff=-0.1)

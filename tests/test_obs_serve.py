@@ -518,7 +518,7 @@ def test_serve_main_rejects_unknown_scenario(tmp_path, capsys):
         )
         == 2
     )
-    assert "unknown scenario" in capsys.readouterr().out
+    assert "unknown scenario" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--substrate", "--traffic", "--protocol"])
@@ -540,5 +540,5 @@ def test_serve_main_rejects_a_bad_spec_before_the_session(tmp_path, capsys):
          "--session-dir", str(session_dir)]
     )
     assert code == 2
-    assert "duration" in capsys.readouterr().out
+    assert "duration" in capsys.readouterr().err
     assert not session_dir.exists()

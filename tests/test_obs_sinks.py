@@ -5,8 +5,10 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs import JsonlSink, RingSink, SqliteSink
+from repro.obs import JsonlSink, SqliteSink
 from repro.obs.sinks import encode_record
+
+from helpers import RingSink
 
 
 def _record(i, kind="sample"):

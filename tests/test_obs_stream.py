@@ -7,12 +7,14 @@ import json
 import pytest
 
 from repro.errors import ConfigError, SimulationError
-from repro.obs import JsonlSink, RingSink, SqliteSink, StreamPublisher, reconstruct_jsonl
+from repro.obs import JsonlSink, SqliteSink, StreamPublisher
 from repro.scenarios.figures import figure3
 from repro.scenarios.runner import run_scenario
 from repro.sim.replay import ReplaySanitizer
 from repro.telemetry import Telemetry
 from repro.telemetry.exporters import write_metrics_jsonl
+
+from helpers import RingSink, reconstruct_jsonl
 
 #: Same golden count as tests/test_telemetry_overhead.py: figure3,
 #: gmp, fluid, 30 s, seed 1, captured before telemetry existed.

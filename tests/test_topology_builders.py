@@ -6,9 +6,10 @@ from repro.errors import TopologyError
 from repro.topology.builders import (
     chain_topology,
     grid_topology,
-    parallel_chains_topology,
     random_topology,
 )
+
+from helpers import parallel_chains_topology
 
 
 def test_chain_structure():

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from repro.errors import TopologyError
 from repro.topology.builders import chain_topology, random_topology
 from repro.topology.cliques import maximal_cliques
-from repro.topology.contention import ContentionGraph, links_contend
+from repro.topology.contention import ContentionGraph
 from repro.topology.network import Topology
+
+from helpers import links_contend
 
 
 def test_links_sharing_a_node_contend():

@@ -19,9 +19,11 @@ from repro.errors import TopologyError
 from repro.scenarios.sweep import SCENARIO_FACTORIES
 from repro.topology.builders import random_topology
 from repro.topology.cliques import maximal_cliques
-from repro.topology.contention import ContentionGraph, links_contend
+from repro.topology.contention import ContentionGraph
 from repro.topology.network import Topology
 from repro.topology.spatial import SpatialIndex
+
+from helpers import links_contend
 
 # --- reference (brute force) implementations --------------------------------
 

@@ -10,18 +10,18 @@ must create its streams in the same order.
 
 A tick takes its token and its next-token time from one
 ``TokenBucket.take`` refill, where it used to call ``try_consume`` and
-then ``next_available`` at the same ``now``.
+then ``next_available`` at the same ``now``; those two calls are the
+reference bucket in ``tests/helpers.py``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flows.flow import Flow
-from repro.flows.rate_limiter import TokenBucket
 from repro.flows.traffic import GAP_BLOCK, PoissonSource
 from repro.sim.kernel import Simulator
 
-from helpers import ScalarPoissonSource
+from helpers import ReferenceTokenBucket, ScalarPoissonSource
 
 TICKS = st.sampled_from([1, 2, GAP_BLOCK - 1, GAP_BLOCK, GAP_BLOCK + 1, 3 * GAP_BLOCK])
 
@@ -124,8 +124,8 @@ def test_block_draws_cross_several_block_boundaries():
     ),
 )
 def test_one_refill_take_equals_consume_then_next_available(rate, burst, steps):
-    one = TokenBucket(rate, burst=burst)
-    two = TokenBucket(rate, burst=burst)
+    one = ReferenceTokenBucket(rate, burst=burst)
+    two = ReferenceTokenBucket(rate, burst=burst)
     now = 0.0
     for gap, new_rate in steps:
         now += gap
