@@ -33,8 +33,9 @@ Examples::
 Fault specs (``--faults``) are semicolon-separated events; see
 :mod:`repro.faults.spec` for the grammar.  ``--metrics-out`` /
 ``--trace-out`` / ``--profile`` turn on the telemetry subsystem
-(:mod:`repro.telemetry`); the trace JSON loads in Perfetto or
-``about:tracing``.  GMP runs with telemetry on also print, per flow,
+(:mod:`repro.telemetry`); ``--trace-categories channel.tx`` adds one
+event per DCF frame to its event log; the trace JSON loads in Perfetto
+or ``about:tracing``.  GMP runs with telemetry on also print, per flow,
 why it runs at its rate (:mod:`repro.fidelity.explain`): its
 bottleneck clique, dominant local condition, gap to the centralized
 maxmin reference, when it entered a ±5% band around that reference,
@@ -67,7 +68,6 @@ from repro.scenarios.spec import (
     replay_check,
     spec_from_args,
 )
-from repro.sim.trace import TraceCollector
 from repro.telemetry import Telemetry
 from repro.telemetry.exporters import (
     format_summary,
@@ -152,8 +152,10 @@ def main(argv: list[str] | None = None) -> int:
         "--trace-categories",
         default=None,
         metavar="CATS",
-        help="enable the structured trace collector for these comma-"
-        'separated categories (suffix * for prefixes, e.g. "channel.*")',
+        help="also record these comma-separated opt-in event categories "
+        '(suffix * for prefixes, e.g. "channel.*"; channel.tx is one '
+        "event per DCF frame) in the telemetry event log; implies "
+        "telemetry",
     )
     parser.add_argument(
         "--sanitize",
@@ -221,25 +223,23 @@ def main(argv: list[str] | None = None) -> int:
         or args.trace_out
         or args.profile
         or args.explain_out
+        or args.trace_categories is not None
         or streaming
         or args.health
     )
+    categories = [
+        part.strip() for part in (args.trace_categories or "").split(",") if part.strip()
+    ]
     telemetry = (
-        Telemetry(enabled=True, profile=args.profile) if telemetry_on else None
+        Telemetry(profile=args.profile, trace_categories=categories)
+        if telemetry_on
+        else None
     )
-    trace = None
-    if args.trace_categories is not None:
-        categories = [
-            part.strip() for part in args.trace_categories.split(",") if part.strip()
-        ]
-        trace = TraceCollector(
-            enabled=True, categories=categories or None, limit=200_000
-        )
 
-    if args.sanitize is not None and (telemetry is not None or trace is not None):
+    if args.sanitize is not None and telemetry is not None:
         print(
             "error: --sanitize replay runs the scenario twice and cannot "
-            "share one telemetry/trace collector across runs; drop "
+            "share one telemetry instance across runs; drop "
             "--metrics-out/--trace-out/--profile/--trace-categories/"
             "--stream-out/--stream-db/--health/--alerts-out",
             file=sys.stderr,
@@ -283,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
             replay_report, result, _ = replay_check(spec, **watchdogs)
         else:
             result = spec.run(
-                telemetry=telemetry, trace=trace, stream=stream, health=health, **watchdogs
+                telemetry=telemetry, stream=stream, health=health, **watchdogs
             )
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -327,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
             lines = write_metrics_jsonl(args.metrics_out, telemetry)
             print(f"metrics: {lines} JSONL records -> {args.metrics_out}")
         if args.trace_out:
-            events = write_chrome_trace(args.trace_out, telemetry, trace=trace)
+            events = write_chrome_trace(args.trace_out, telemetry)
             print(
                 f"trace: {events} events -> {args.trace_out} "
                 "(load in https://ui.perfetto.dev)"
@@ -361,11 +361,8 @@ def main(argv: list[str] | None = None) -> int:
                 "reference recorded); nothing written",
                 file=sys.stderr,
             )
-    if trace is not None:
-        note = f"structured trace: {len(trace)} records"
-        if trace.dropped:
-            note += f" ({trace.dropped} dropped at the limit)"
-        print(note)
+        if telemetry.events_dropped:
+            print(f"telemetry: {telemetry.events_dropped} events dropped at the cap")
     if stream is not None:
         targets = ", ".join(
             path for path in (args.stream_out, args.stream_db) if path

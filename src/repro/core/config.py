@@ -34,10 +34,6 @@ class GmpConfig:
             limit each period (rate-limit condition).
         min_rate: floor for rate limits, packets/second.
         stale_timeout: backpressure cache staleness (overhearing gate).
-        stamp_all_packets: if True every generated packet carries the
-            flow's normalized rate (default; denser sampling of the
-            same information); if False only packets in the second
-            half of each period do (the paper's literal phrasing).
         removal_persistence: consecutive periods a flow must achieve
             materially less than its rate limit before the limit is
             deemed unnecessary and removed; ``None`` (default) disables
@@ -63,12 +59,6 @@ class GmpConfig:
             instantaneous control plane (default); 1 reproduces the
             paper's separate adjustment period (requests computed from
             one measurement period take effect a full period later).
-        neighbor_timeout: seconds without hearing any packet from a
-            node before the protocol treats that node's measurements as
-            stale: its virtual nodes fall back to the *unsaturated*
-            classification and its accumulated violation/link state is
-            purged.  ``None`` (default) disables the watchdog — correct
-            for fault-free runs, where a silent node is merely idle.
     """
 
     period: float = 4.0
@@ -79,11 +69,9 @@ class GmpConfig:
     additive_increase: float = 8.0
     min_rate: float = 1.0
     stale_timeout: float = 0.1
-    stamp_all_packets: bool = True
     removal_persistence: int | None = None
     violation_persistence: int = 2
     control_delay_periods: int = 0
-    neighbor_timeout: float | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.period < math.inf:
@@ -123,9 +111,4 @@ class GmpConfig:
         if self.control_delay_periods < 0:
             raise ConfigError(
                 f"control_delay_periods must be >= 0: {self.control_delay_periods}"
-            )
-        if self.neighbor_timeout is not None and not 0 < self.neighbor_timeout < math.inf:
-            raise ConfigError(
-                f"neighbor_timeout must be positive and finite, or None: "
-                f"{self.neighbor_timeout}"
             )

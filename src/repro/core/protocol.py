@@ -74,23 +74,16 @@ class _Observer:
         self._protocol = protocol
 
     def on_forward(self, node_id: int, packet: Packet, next_hop: int) -> None:
-        protocol = self._protocol
         if packet.carried_mu is not None:
-            protocol._trackers[node_id].observe((node_id, next_hop), packet.destination, packet)
-        if node_id not in protocol._known_down:
-            protocol._last_heard[node_id] = protocol.sim.now
+            self._protocol._trackers[node_id].observe(
+                (node_id, next_hop), packet.destination, packet
+            )
 
     def on_receive(self, node_id: int, packet: Packet, from_node: int) -> None:
-        protocol = self._protocol
         if packet.carried_mu is not None:
-            protocol._trackers[node_id].observe((from_node, node_id), packet.destination, packet)
-        # Receiving proves both endpoints of the hop are alive.
-        known_down, last_heard = protocol._known_down, protocol._last_heard
-        now = protocol.sim.now
-        if node_id not in known_down:
-            last_heard[node_id] = now
-        if from_node not in known_down:
-            last_heard[from_node] = now
+            self._protocol._trackers[node_id].observe(
+                (from_node, node_id), packet.destination, packet
+            )
 
 
 class GmpProtocol:
@@ -151,8 +144,7 @@ class GmpProtocol:
         self._last_link_state: dict[Link, tuple[float, float]] = {}
         self._started = False
 
-        # Fault tolerance: per-node liveness and control-plane loss.
-        self._last_heard: dict[int, float] = {}
+        # Fault tolerance: crash-notified nodes and control-plane loss.
         self._known_down: set[int] = set()
         self._control_drop_prob = 0.0
         self._control_drop_until = float("-inf")
@@ -294,15 +286,11 @@ class GmpProtocol:
 
         The paper stamps packets during the second half of each
         measurement period, once the rate measured over the first half
-        is available; ``stamp_all_packets`` extends this to the whole
-        period (same information, denser sampling).
+        is available; this stamps every packet from then on (same
+        information, denser sampling).
         """
         state = self._sources.get(packet.flow_id)
-        if state is None or state.stamp_mu is None:
-            return
-        period = self.config.period
-        in_second_half = (self.sim.now % period) >= period / 2
-        if self.config.stamp_all_packets or in_second_half:
+        if state is not None:
             packet.carried_mu = state.stamp_mu
 
     def start(self) -> None:
@@ -314,7 +302,6 @@ class GmpProtocol:
             raise ProtocolError(f"flows without registered sources: {missing}")
         self._started = True
         period = self.config.period
-        self._last_heard = {node: self.sim.now for node in self.stacks}
         self.sim.every(period, self._on_boundary, start_at=period, tag="gmp.boundary")
         self.sim.every(
             period, self._on_midpoint, start_at=period / 2, tag="gmp.midpoint"
@@ -323,9 +310,8 @@ class GmpProtocol:
     # --- fault tolerance ----------------------------------------------------------
 
     def on_node_down(self, node: int) -> None:
-        """Explicit crash notification (fault injector): immediately
-        treat the node's measurements as stale rather than waiting for
-        ``neighbor_timeout`` to expire."""
+        """Explicit crash notification (fault injector): treat the
+        node's measurements as stale until it recovers."""
         if node not in self.stacks:
             raise ProtocolError(f"unknown node {node}")
         self._known_down.add(node)
@@ -336,7 +322,6 @@ class GmpProtocol:
         if node not in self.stacks:
             raise ProtocolError(f"unknown node {node}")
         self._known_down.discard(node)
-        self._last_heard[node] = self.sim.now
 
     def set_control_loss(self, drop_prob: float, until: float) -> None:
         """Drop each computed rate-adjustment request with probability
@@ -354,15 +339,8 @@ class GmpProtocol:
 
     def stale_nodes(self) -> set[int]:
         """Nodes whose measurements the protocol currently distrusts:
-        explicitly reported down, or silent past ``neighbor_timeout``."""
-        stale = set(self._known_down)
-        timeout = self.config.neighbor_timeout
-        if timeout is not None:
-            now = self.sim.now
-            for node, heard in self._last_heard.items():
-                if now - heard > timeout:
-                    stale.add(node)
-        return stale
+        those the fault injector reported down."""
+        return set(self._known_down)
 
     def _purge_node_state(self, node: int) -> None:
         """Forget accumulated per-link state touching ``node``: a
@@ -409,8 +387,7 @@ class GmpProtocol:
             state.mu = state.flow.normalized(state.rate)
 
         saturated = self._measure_buffer_saturation(now)
-        # Graceful degradation: a node nothing has been heard from
-        # (crashed, or silent past neighbor_timeout) contributes no
+        # Graceful degradation: a crashed node contributes no
         # saturation claims — its virtual nodes fall back to the
         # *unsaturated* classification instead of freezing the last
         # pre-failure measurement into every future decision.

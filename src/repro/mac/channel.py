@@ -99,11 +99,12 @@ class Channel:
         self._down: set[int] = set()
         self._link_loss: dict[tuple[int, int], float] = {}
         self._loss_rng = sim.rng.stream("channel.loss")
+        # One channel.tx telemetry event per frame, when the run asks.
+        self._tm = sim.telemetry if sim.telemetry.wants("channel.tx") else None
         # Statistics.
         self.frames_sent = 0
         self.frames_delivered = 0
         self.frames_corrupted = 0
-        self.frames_lost = 0  # clean decodes suppressed by injected loss
 
     # --- fault injection hooks -----------------------------------------------
 
@@ -221,8 +222,8 @@ class Channel:
         self._active.append(transmission)
         self._transmitting.add(sender)
         self.frames_sent += 1
-        if self.sim.trace.wants("channel.tx"):
-            self.sim.trace.emit(now, "channel.tx", frame=frame.describe())
+        if self._tm is not None:
+            self._tm.event(now, "channel.tx", frame=frame.describe())
 
         # Down nodes still appear in the sensing list: busy start/end
         # pairs must stay balanced even when the node crashes or
@@ -258,7 +259,6 @@ class Channel:
                 continue  # a crashed radio decodes nothing
             clean = decodable and not aborted and node_id not in corrupted_at
             if clean and self._link_loss and self._lost(sender, node_id):
-                self.frames_lost += 1
                 clean = False
             if clean:
                 self.frames_delivered += 1

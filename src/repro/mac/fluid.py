@@ -141,7 +141,6 @@ class FluidMac(MacLayer):
         self._fault_caps: dict[Link, float] = {}
         self._link_loss: dict[Link, float] = {}
         self._loss_rng = sim.rng.stream("fluid.loss")
-        self.packets_lost = 0  # packets destroyed by injected link loss
         # Telemetry: resolved once so disabled runs pay one None check
         # per round; per-link instruments are cached on first use.
         self._tm = sim.telemetry if sim.telemetry.enabled else None
@@ -434,7 +433,6 @@ class FluidMac(MacLayer):
                     # The exchange consumed airtime but the packet is
                     # destroyed; report it as a MAC drop so packet
                     # conservation still balances.
-                    self.packets_lost += 1
                     drop(packet, receiver)
                 elif deliver is not None:
                     deliver(packet, sender)

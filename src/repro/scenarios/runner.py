@@ -67,7 +67,6 @@ from repro.scenarios.figures import Scenario
 from repro.scenarios.results import RunResult
 from repro.sim.kernel import Simulator
 from repro.sim.replay import ReplaySanitizer
-from repro.sim.trace import TraceCollector
 from repro.stack import NodeStack
 from repro.telemetry import Telemetry
 from repro.topology.cliques import CliqueSystem, maximal_cliques
@@ -136,7 +135,6 @@ class Session:
     stall_limit: int | None
     wall_deadline: float | None
     telemetry: Telemetry | None
-    trace: TraceCollector | None
     sanitizer: ReplaySanitizer | None
     stream: Any
     health: Any
@@ -217,8 +215,7 @@ class Session:
         self.all_flows: dict[int, Flow] = {flow.flow_id: flow for flow in flows}
 
         self.sim = sim = Simulator(
-            seed=self.seed, trace=self.trace, telemetry=self.telemetry,
-            sanitizer=self.sanitizer,
+            seed=self.seed, telemetry=self.telemetry, sanitizer=self.sanitizer,
         )
         if self.capacity_pps is None:
             # A dynamic run may start with no flows: Flow's own default
@@ -666,8 +663,6 @@ class Session:
             telemetry.run_info.update(header)
             if gmp is not None:
                 extras.update(self._reference_extras())
-        if self.trace is not None:
-            extras["trace"] = self.trace
         if self.stream is not None:
             # After telemetry.finalize and the run_info update, so the
             # streamed header and snapshot block carry exactly what the
@@ -773,7 +768,6 @@ def run_scenario(
     stall_limit: int | None = 1_000_000,
     wall_deadline: float | None = None,
     telemetry: Telemetry | None = None,
-    trace: TraceCollector | None = None,
     sanitizer: ReplaySanitizer | None = None,
     stream: Any = None,
     health: Any = None,
@@ -835,11 +829,10 @@ def run_scenario(
             ``extras["telemetry"]`` and, for GMP runs, the centralized
             maxmin reference rates land in ``extras["maxmin_reference"]``
             for the per-flow rate explainer
-            (:mod:`repro.fidelity.explain`).  Telemetry is passive — it
-            never schedules events — so enabling it does not change
-            what the simulation does.
-        trace: optional :class:`~repro.sim.trace.TraceCollector`
-            attached to the kernel; stored in ``extras["trace"]``.
+            (:mod:`repro.fidelity.explain`).  Its ``trace_categories``
+            opt the run into per-frame ``channel.tx`` events.  Telemetry
+            is passive — it never schedules events — so enabling it
+            does not change what the simulation does.
         sanitizer: optional :class:`~repro.sim.replay.ReplaySanitizer`
             attached to the kernel.  Every dispatched event is folded
             into its rolling digest (passively — observation never

@@ -69,7 +69,7 @@ RANDOM = "random"
 #: it, bound it, audit it, or (``control``) steer it through a journal
 #: of their own, and none is part of the spec's identity.
 OBSERVERS = frozenset(
-    "telemetry trace sanitizer stream health control pace "
+    "telemetry sanitizer stream health control pace "
     "max_events stall_limit wall_deadline check_invariants".split()
 )
 
@@ -275,9 +275,9 @@ def replay_check(
     event sequence and measured the same; a mismatch names the first
     divergent event (index, timestamp, tag) — the symptom of an
     unseeded draw, a wall-clock read, or hash-order iteration feeding
-    the schedule.  ``observers``
-    go to both runs; telemetry and trace instances accumulate per run,
-    so the intended use is the watchdogs and ``check_invariants``.
+    the schedule.  ``observers`` go to both runs; a telemetry instance
+    accumulates across runs, so the intended use is the watchdogs and
+    ``check_invariants``.
 
     Returns:
         ``(report, first_result, second_result)``.

@@ -46,7 +46,6 @@ from repro.errors import SimulationError
 from repro.sim.event import DEFAULT_PRIORITY, Event, EventQueue
 from repro.sim.replay import ReplaySanitizer
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceCollector
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 #: Events between throughput samples when telemetry is collecting.
@@ -163,9 +162,9 @@ class Timer:
 class Simulator:
     """Discrete-event simulator facade.
 
-    Owns the clock, the event queue, the seeded RNG registry and the
-    trace collector.  All model components schedule through one
-    Simulator instance, so a scenario is fully described by (model,
+    Owns the clock, the event queue and the seeded RNG registry, and
+    carries the run's telemetry.  All model components schedule through
+    one Simulator instance, so a scenario is fully described by (model,
     seed) and replays identically.
     """
 
@@ -173,7 +172,6 @@ class Simulator:
         self,
         *,
         seed: int = 0,
-        trace: TraceCollector | None = None,
         telemetry: Telemetry | None = None,
         sanitizer: ReplaySanitizer | None = None,
     ) -> None:
@@ -184,7 +182,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.rng = RngRegistry(seed)
-        self.trace = trace if trace is not None else TraceCollector(enabled=False)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: Optional replay sanitizer; observes every dispatched event
         #: (passively — it never schedules) so two runs can be diffed.

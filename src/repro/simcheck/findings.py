@@ -43,9 +43,9 @@ RULES: dict[str, str] = {
         "docs/SIMCHECK.md"
     ),
     "LAY002": (
-        "telemetry imports the simulation kernel (sim.kernel/sim.rng/"
-        "sim.event); telemetry must stay passively below the kernel "
-        "(only the sim.trace data module is allowed)"
+        "telemetry imports the simulation layer (sim.kernel/sim.rng/"
+        "sim.event/sim.replay); telemetry must stay passively below the "
+        "kernel"
     ),
     "LAY003": (
         "telemetry code calls a scheduling API (call_at/call_later/every/"

@@ -2,11 +2,11 @@
 
 Each top-level module of the ``repro`` package is a layer; a module may
 import only the layers listed for it here.  Entries may name a specific
-submodule (``"sim.trace"``) to carve out a narrower allowance than the
-whole layer: ``telemetry`` may import the passive ``sim.trace`` data
-container but never the kernel, the RNG registry, or the event queue —
-that separation is what makes "telemetry cannot perturb a run" an
-architectural property instead of a testing hope.
+submodule (``"sim.rng"``) to carve out a narrower allowance than the
+whole layer.  ``telemetry`` may import no part of ``sim`` — not the
+kernel, the RNG registry, or the event queue — and that separation is
+what makes "telemetry cannot perturb a run" an architectural property
+instead of a testing hope.
 
 ``__init__`` and ``__main__`` sit above everything (they are the public
 API surface and the CLI); ``scenarios`` is the assembly layer just
@@ -25,7 +25,7 @@ ALLOWED_IMPORTS: dict[str, set[str] | None] = {
     "units": set(),
     "simcheck": {"errors"},
     "check": {"errors", "simcheck"},
-    "telemetry": {"errors", "units", "sim.trace"},
+    "telemetry": {"errors", "units"},
     "sim": {"errors", "units", "telemetry"},
     "topology": {"errors", "units", "sim.rng"},
     "routing": {"errors", "units", "topology"},
@@ -161,11 +161,6 @@ ALLOWED_IMPORTS: dict[str, set[str] | None] = {
     "__main__": None,
 }
 
-#: telemetry -> these sim submodules is the separation the replay
-#: sanitizer and the golden-digest tests rest on; it gets its own rule
-#: id (LAY002) so the finding explains itself.
-KERNEL_SUBMODULES = {"sim.kernel", "sim.rng", "sim.event", "sim.replay"}
-
 #: Scheduling attributes telemetry code may never call (LAY003).
 SCHEDULING_CALLS = {"call_at", "call_later", "every", "schedule"}
 
@@ -183,7 +178,7 @@ def import_allowed(importer_top: str, imported: str) -> bool:
         return True  # intra-layer imports are free
     if imported in allowed or imported_top in allowed:
         return True
-    # A narrower submodule allowance ("sim.trace") admits exactly that
+    # A narrower submodule allowance ("sim.rng") admits exactly that
     # subtree.
     return any(
         imported == entry or imported.startswith(entry + ".")

@@ -34,7 +34,6 @@ from repro.simcheck.callgraph import (
 )
 from repro.simcheck.findings import Finding
 from repro.simcheck.layering import (
-    KERNEL_SUBMODULES,
     SCHEDULING_CALLS,
     import_allowed,
 )
@@ -244,16 +243,10 @@ class _FileChecker(ast.NodeVisitor):
             return
         rel = imported.removeprefix("repro.")
         rel_top = rel.split(".")[0]
-        if self.in_telemetry and (
-            rel in KERNEL_SUBMODULES
-            or (rel_top == "sim" and not import_allowed("telemetry", rel))
-        ):
-            self._emit(
-                "LAY002",
-                node,
-                f"telemetry imports {imported} (only the passive "
-                "sim.trace data module is allowed)",
-            )
+        if self.in_telemetry and rel_top == "sim":
+            # telemetry -> sim is the separation the replay sanitizer and
+            # the golden-digest tests rest on; it gets its own rule id.
+            self._emit("LAY002", node, f"telemetry imports {imported}")
             return
         if not import_allowed(self.module_top, rel):
             self._emit(

@@ -7,7 +7,10 @@ The subsystem has three parts:
   node/link/flow labels (see :mod:`repro.telemetry.registry`);
 * a bounded **event log** (:meth:`Telemetry.event`) for discrete,
   structured happenings — GMP rate adjustments, link-condition
-  transitions, bandwidth violations — that analysis joins against;
+  transitions, bandwidth violations — that analysis joins against.
+  High-volume categories (``channel.tx``, one event per DCF frame) are
+  opt-in: their emitters record only when :meth:`Telemetry.wants`
+  the category, i.e. when the run named it in ``trace_categories``;
 * kernel **profiling** (events per tag, handler wall time, events/sec)
   collected by the simulator when ``profile=True``.
 
@@ -28,7 +31,7 @@ and event records, Chrome ``trace_event`` JSON for Perfetto /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.telemetry.registry import (
     Counter,
@@ -64,7 +67,11 @@ class Telemetry:
             (adds two clock reads per dispatched event, so it is a
             separate opt-in on top of ``enabled``).
         series_limit: default point cap per time series.
-        event_limit: cap on stored events.
+        event_limit: cap on stored events; the excess is counted in
+            :attr:`events_dropped`.
+        trace_categories: opt-in categories to record on top of the
+            always-on protocol events: exact names, or prefixes ending
+            in ``*`` (``"channel.*"``; ``"*"`` alone admits all).
 
     A Telemetry instance accumulates for its lifetime — hand a fresh
     one to each :func:`~repro.scenarios.runner.run_scenario` call.
@@ -77,6 +84,7 @@ class Telemetry:
         profile: bool = False,
         series_limit: int | None = None,
         event_limit: int = DEFAULT_EVENT_LIMIT,
+        trace_categories: Iterable[str] = (),
     ) -> None:
         self.enabled = enabled
         self.profile = profile and enabled
@@ -87,9 +95,19 @@ class Telemetry:
         else:
             self.registry = MetricsRegistry(enabled=enabled)
         self._event_limit = event_limit
+        self.trace_categories = tuple(trace_categories)
         self.events: list[TelemetryEvent] = []
         self.events_dropped = 0
         self.run_info: dict[str, Any] = {}
+
+    def wants(self, category: str) -> bool:
+        """True if this run asked for the opt-in ``category``.  Emitters
+        check it once, at construction, before recording events of it."""
+        return self.enabled and any(
+            category == entry
+            or (entry.endswith("*") and category.startswith(entry[:-1]))
+            for entry in self.trace_categories
+        )
 
     def event(self, time: float, category: str, **fields: Any) -> None:
         """Record one structured event (no-op when disabled)."""

@@ -7,8 +7,8 @@ Three output formats:
   time-series point, and one ``event`` line per structured event.
   Loads straight into pandas (``pd.read_json(path, lines=True)``).
 * :func:`write_chrome_trace` — Chrome ``trace_event`` JSON: series
-  become counter tracks, telemetry events and structured trace records
-  become instant events on per-subsystem threads.  Load the file in
+  become counter tracks, telemetry events (DCF ``channel.tx`` frames
+  included) become instant events on per-subsystem threads.  Load the file in
   Perfetto (https://ui.perfetto.dev) or ``about:tracing``; simulation
   seconds are mapped to trace microseconds 1:1.
 * :func:`format_summary` — plain-text run summary (kernel profile,
@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from typing import Any, TextIO
 
-from repro.sim.trace import TraceCollector
 from repro.telemetry import Telemetry
 from repro.telemetry.registry import (
     Counter,
@@ -150,7 +149,6 @@ _SUBSYSTEM_TIDS = {
     "flow": 5,
     "traffic": 5,
     "runner": 6,
-    "trace": 7,
 }
 _DEFAULT_TID = 8
 _PID = 1
@@ -164,15 +162,13 @@ def write_chrome_trace(
     path: str,
     telemetry: Telemetry,
     *,
-    trace: TraceCollector | None = None,
     run_info: dict[str, Any] | None = None,
 ) -> int:
     """Write a Chrome ``trace_event`` JSON file.
 
-    Series become counter tracks (``ph: "C"``); telemetry events and —
-    when a :class:`TraceCollector` is supplied — structured trace
-    records become instant events (``ph: "i"``) on per-subsystem
-    threads.  Returns the number of trace events written.
+    Series become counter tracks (``ph: "C"``); telemetry events become
+    instant events (``ph: "i"``) on per-subsystem threads.  Returns the
+    number of trace events written.
     """
     events: list[dict[str, Any]] = [
         {
@@ -235,28 +231,15 @@ def write_chrome_trace(
         )
         count += 1
 
-    if trace is not None:
-        for record in trace.records():
-            events.append(
-                {
-                    "name": record.category,
-                    "ph": "i",
-                    "s": "t",
-                    "ts": record.time * _TRACE_US,
-                    "pid": _PID,
-                    "tid": _tid_for(record.category),
-                    "args": _jsonable(record.fields),
-                }
-            )
-            count += 1
-
     payload: dict[str, Any] = {
         "traceEvents": events,
         "displayTimeUnit": "ms",
     }
-    if run_info or telemetry.run_info:
-        info = dict(telemetry.run_info)
-        info.update(run_info or {})
+    info = {**telemetry.run_info, **(run_info or {})}
+    if telemetry.events_dropped:
+        # A capped event log must not pass for a complete one.
+        info["events_dropped"] = telemetry.events_dropped
+    if info:
         payload["otherData"] = _jsonable(info)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, default=str)

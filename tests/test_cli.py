@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -89,6 +91,7 @@ def test_cli_telemetry_flags_write_outputs(capsys, tmp_path):
 
 
 def test_cli_trace_categories_collects_structured_trace(capsys):
+    # The flag implies telemetry, so this GMP run also explains its rates.
     code = main(
         [
             "figure3",
@@ -101,8 +104,29 @@ def test_cli_trace_categories_collects_structured_trace(capsys):
         ]
     )
     assert code == 0
-    out = capsys.readouterr().out
-    assert "structured trace:" in out
+    assert "per-flow rate narrative" in capsys.readouterr().out
+
+
+def test_cli_frame_events_reach_the_jsonl_as_they_reach_the_trace(capsys, tmp_path):
+    metrics, trace = tmp_path / "m.jsonl", tmp_path / "t.json"
+    code = main(
+        [
+            "figure3", "--substrate", "dcf", "--duration", "2",
+            "--trace-categories", "channel.tx",
+            "--metrics-out", str(metrics), "--trace-out", str(trace),
+        ]
+    )
+    assert code == 0
+    records = [json.loads(line) for line in metrics.read_text().splitlines()]
+    jsonl = [
+        r["fields"]["frame"]
+        for r in records
+        if r["record"] == "event" and r["category"] == "channel.tx"
+    ]
+    events = json.loads(trace.read_text())["traceEvents"]
+    chrome = [e["args"]["frame"] for e in events if e["name"] == "channel.tx"]
+    assert jsonl == chrome
+    assert {frame.split()[0] for frame in jsonl} == {"rts", "cts", "data", "ack"}
 
 
 def test_cli_traffic_models(capsys):

@@ -139,6 +139,26 @@ def test_crash_and_recover_on_fluid_substrate():
     assert result.extras["invariants"].ok
 
 
+def test_stale_nodes_are_exactly_the_crash_notified_set(monkeypatch):
+    from repro.core.protocol import GmpProtocol
+
+    seen = []
+    boundary = GmpProtocol._on_boundary
+
+    def recording_boundary(self):
+        seen.append((self.sim.now, self.stale_nodes()))
+        boundary(self)
+
+    monkeypatch.setattr(GmpProtocol, "_on_boundary", recording_boundary)
+    run_scenario(
+        figure3(), protocol="gmp", substrate="fluid", duration=12.0, warmup=1.0,
+        gmp_config=FAST, faults=parse_fault_spec("crash:1@4.2;recover:1@8.2"), seed=3,
+    )
+    assert len(seen) > 20
+    for now, stale in seen:
+        assert stale == ({1} if 4.2 <= now < 8.2 else set()), now
+
+
 def test_crash_loses_queued_packets_and_accounts_them():
     faults = parse_fault_spec("crash:1@4")
     result = run_scenario(

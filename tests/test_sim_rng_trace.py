@@ -1,7 +1,11 @@
-"""Unit tests for RNG streams and trace collection."""
+"""Unit tests for RNG streams and the telemetry event log's trace
+categories and bound."""
+
+import json
 
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceCollector
+from repro.telemetry import Telemetry
+from repro.telemetry.exporters import write_metrics_jsonl
 
 
 def test_same_name_same_stream_object():
@@ -45,57 +49,40 @@ def test_names_lists_created_streams():
 
 
 def test_trace_disabled_drops_records():
-    trace = TraceCollector(enabled=False)
-    trace.emit(1.0, "mac.tx", link=(0, 1))
-    assert len(trace) == 0
+    telemetry = Telemetry(enabled=False, trace_categories=["*"])
+    assert not telemetry.wants("mac.tx")
+    telemetry.event(1.0, "mac.tx", link=(0, 1))
+    assert telemetry.events == []
 
 
 def test_trace_collects_and_filters_by_category():
-    trace = TraceCollector()
-    trace.emit(1.0, "mac.tx", n=1)
-    trace.emit(2.0, "gmp.adjust", n=2)
-    assert len(trace) == 2
-    assert [record.fields["n"] for record in trace.records("mac.tx")] == [1]
+    telemetry = Telemetry()
+    telemetry.event(1.0, "mac.tx", n=1)
+    telemetry.event(2.0, "gmp.adjust", n=2)
+    assert len(telemetry.events) == 2
+    assert [event.fields["n"] for event in telemetry.events_in("mac.tx")] == [1]
 
 
 def test_trace_category_whitelist_and_prefix():
-    trace = TraceCollector(categories=["gmp.adjust", "mac.*"])
-    trace.emit(1.0, "mac.tx")
-    trace.emit(1.0, "mac.backoff")
-    trace.emit(1.0, "gmp.adjust")
-    trace.emit(1.0, "buffer.full")
-    assert {record.category for record in trace.records()} == {
-        "mac.tx",
-        "mac.backoff",
-        "gmp.adjust",
-    }
+    telemetry = Telemetry(trace_categories=["gmp.adjust", "mac.*"])
+    wanted = [
+        category
+        for category in ("mac.tx", "mac.backoff", "gmp.adjust", "buffer.full", "channel.tx")
+        if telemetry.wants(category)
+    ]
+    assert wanted == ["mac.tx", "mac.backoff", "gmp.adjust"]
+    # No categories named: no opt-in category is wanted; "*" wants all.
+    assert not Telemetry().wants("channel.tx")
+    assert Telemetry(trace_categories=["*"]).wants("channel.tx")
 
 
-def test_trace_limit_counts_drops_and_marks_truncation():
-    trace = TraceCollector(limit=3)
+def test_trace_limit_counts_drops_and_marks_truncation(tmp_path):
+    telemetry = Telemetry(event_limit=3)
     for index in range(10):
-        trace.emit(float(index), "x", i=index)
-    records = trace.records()
-    kept = [record for record in records if record.category == "x"]
-    markers = [record for record in records if record.category == "trace.truncated"]
-    assert [record.fields["i"] for record in kept] == [0, 1, 2]
-    assert trace.dropped == 7
-    assert len(markers) == 1
-    assert markers[0].fields["limit"] == 3
-
-
-def test_trace_clear_resets_dropped():
-    trace = TraceCollector(limit=1)
-    trace.emit(0.0, "x")
-    trace.emit(1.0, "x")
-    assert trace.dropped == 1
-    trace.clear()
-    assert trace.dropped == 0
-    assert len(trace) == 0
-
-
-def test_trace_clear():
-    trace = TraceCollector()
-    trace.emit(0.0, "x")
-    trace.clear()
-    assert len(trace) == 0
+        telemetry.event(float(index), "x", i=index)
+    assert [event.fields["i"] for event in telemetry.events] == [0, 1, 2]
+    assert telemetry.events_dropped == 7
+    path = tmp_path / "m.jsonl"
+    write_metrics_jsonl(str(path), telemetry)
+    last = json.loads(path.read_text().splitlines()[-1])
+    assert last == {"record": "events_dropped", "count": 7}

@@ -246,21 +246,19 @@ def test_write_metrics_jsonl_marks_dropped_events(tmp_path):
 
 
 def test_chrome_trace_truncation_marker_round_trip(tmp_path):
-    """An over-limit trace keeps its ``trace.truncated`` marker through
-    the Chrome export, so truncation stays visible in the viewer too."""
-    from repro.sim.trace import TraceCollector
-
-    trace = TraceCollector(limit=2)
+    """A capped event log carries its drop count into the Chrome trace
+    header, so truncation stays visible in the viewer too."""
+    telemetry = Telemetry(event_limit=2, trace_categories=["channel.tx"])
     for i in range(5):
-        trace.emit(float(i), "mac.tx", node=i)
-    assert trace.dropped == 3
+        telemetry.event(float(i), "channel.tx", node=i)
+    assert telemetry.events_dropped == 3
 
     path = tmp_path / "trace.json"
-    write_chrome_trace(path, Telemetry(), trace=trace)
-    events = json.loads(path.read_text())["traceEvents"]
-    truncated = [e for e in events if e["name"] == "trace.truncated"]
-    assert len(truncated) == 1
-    assert truncated[0]["args"]["limit"] == 2
+    write_chrome_trace(path, telemetry)
+    payload = json.loads(path.read_text())
+    instants = [e for e in payload["traceEvents"] if e["name"] == "channel.tx"]
+    assert [e["args"]["node"] for e in instants] == [0, 1]
+    assert payload["otherData"]["events_dropped"] == 3
 
 
 # --------------------------------------------------- sample histograms
