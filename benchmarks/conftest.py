@@ -1,13 +1,9 @@
-"""Shared helpers for the benchmark harness.
+"""Shared set-up for the benchmark harness.
 
-Each benchmark module regenerates one of the paper's tables or
-figures.  Absolute packets/second differ from the paper (the PHY
-overhead constants of the authors' simulator are unknown; see
-EXPERIMENTS.md), so assertions check the *shape*: who wins, ordering,
-and fairness-index relationships.  The paper's published numbers are
-printed alongside ours for comparison, and every comparison table is
-also appended to ``benchmarks/tables_output.txt`` so the results
-survive pytest's output capturing (run with ``-s`` to see them live).
+The paper's Tables 1-4 and Figures 2-4 are regenerated and checked by
+the fidelity harness (``python -m repro fidelity``) and
+``tests/test_scenarios.py``; the modules here bench what has no copy
+there (Figure 1's queue isolation, convergence, ablations, hot paths).
 """
 
 import pathlib
@@ -15,75 +11,12 @@ import sys
 
 import pytest
 
-from repro.analysis.report import format_table
-from repro.core.config import GmpConfig
-from repro.scenarios.runner import run_scenario
-
 # Make the shared test fixtures (tests/helpers.py) importable from any
 # CWD — conftest loads before the benchmark modules, so their plain
 # ``from helpers import ...`` resolves without per-module path hacks.
 _TESTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "tests"
 if str(_TESTS_DIR) not in sys.path:
     sys.path.insert(0, str(_TESTS_DIR))
-
-_TABLES_FILE = pathlib.Path(__file__).parent / "tables_output.txt"
-
-#: One protocol cycle in the paper is 4 s measurement + 4 s adjustment
-#: over a 400 s session (50 cycles).  Our cycles collapse adjustment
-#: into the boundary, so a 2 s period over 200 s gives 100 cycles —
-#: comparable adaptation progress at half the wall-clock cost.
-GMP_CONFIG = GmpConfig(period=2.0)
-GMP_DURATION = 200.0
-BASELINE_DURATION = 60.0
-
-
-def run_protocols(scenario, protocols, *, seed=1, substrate="dcf"):
-    """Run a scenario under several protocols with bench defaults."""
-    results = {}
-    for protocol in protocols:
-        duration = GMP_DURATION if protocol == "gmp" else BASELINE_DURATION
-        results[protocol] = run_scenario(
-            scenario,
-            protocol=protocol,
-            substrate=substrate,
-            duration=duration,
-            seed=seed,
-            gmp_config=GMP_CONFIG,
-        )
-    return results
-
-
-def print_comparison(title, scenario, results, paper_columns):
-    """Render measured columns next to the paper's published numbers."""
-    protocols = list(results)
-    flow_ids = sorted(results[protocols[0]].flow_rates)
-    headers = ["metric"]
-    for protocol in protocols:
-        headers.append(f"{protocol} (ours)")
-        if protocol in paper_columns:
-            headers.append(f"{protocol} (paper)")
-
-    def row(metric, ours_fn, paper_key):
-        cells = [metric]
-        for protocol in protocols:
-            cells.append(ours_fn(results[protocol]))
-            if protocol in paper_columns:
-                cells.append(paper_columns[protocol].get(paper_key, ""))
-        return cells
-
-    rows = []
-    for flow_id in flow_ids:
-        rows.append(
-            row(f"f{flow_id}", lambda r, f=flow_id: r.flow_rates[f], f"f{flow_id}")
-        )
-    rows.append(row("U", lambda r: r.effective_throughput, "U"))
-    rows.append(row("I_mm", lambda r: r.i_mm, "I_mm"))
-    rows.append(row("I_eq", lambda r: r.i_eq, "I_eq"))
-    text = format_table(headers, rows, title=title)
-    print()
-    print(text)
-    with _TABLES_FILE.open("a") as handle:
-        handle.write(text + "\n\n")
 
 
 @pytest.fixture

@@ -11,7 +11,8 @@ Four instruments for trusting (or distrusting) the reproduction:
   cell, shape pass/fail, seed spread), gated in CI against a
   committed baseline ratchet;
 * :mod:`repro.fidelity.anomaly` — run-health detectors over
-  telemetry series;
+  telemetry series, scanned live by
+  :class:`repro.obs.health.HealthMonitor`;
 * :mod:`repro.fidelity.explain` — one per-flow record answering "why is
   flow f at rate r": bottleneck clique, dominant local condition, gap
   to the centralized reference, when the rate entered its band, and
@@ -23,11 +24,6 @@ Command line::
     python -m repro figure3 --explain-out explain.json
 """
 
-from repro.fidelity.anomaly import (
-    AnomalyReport,
-    Finding,
-    detect_anomalies,
-)
 from repro.fidelity.explain import (
     RateExplanation,
     explain_all,
@@ -51,9 +47,6 @@ from repro.fidelity.paper import (
 )
 
 __all__ = [
-    "AnomalyReport",
-    "Finding",
-    "detect_anomalies",
     "RateExplanation",
     "explain_all",
     "explain_flow",

@@ -1,16 +1,14 @@
 """Run-health anomaly detectors over telemetry series.
 
-Four detectors scan a :class:`~repro.scenarios.results.RunResult`
+Three detectors scan a :class:`~repro.scenarios.results.RunResult`
 (its interval-rate series, and — when the run carried a
-:class:`~repro.telemetry.Telemetry` — the GMP series and events plus
-the buffer occupancy trajectories) and return structured
-:class:`Finding`\\ s with a time range and node/link/flow labels:
+:class:`~repro.telemetry.Telemetry` — the GMP events and the buffer
+occupancy trajectories) and return structured :class:`Finding`\\ s
+with a time range and node/link/flow labels:
 
 * **dead/starved flows** — a flow delivering (nearly) nothing for a
   sustained window while it demonstrably could deliver (it did
   earlier, or its maxmin reference is positive);
-* **post-convergence rate oscillation** — a flow's measured rate
-  swinging far beyond the AIMD limit cycle in the tail of the run;
 * **GMP condition flapping** — a virtual link toggling between
   saturation conditions with short dwells long after start-up
   transients should have settled;
@@ -19,24 +17,19 @@ the buffer occupancy trajectories) and return structured
   warmup (a crash, a routing change, or a control-plane wedge).
 
 Thresholds are the module constants below; they stay silent on clean
-converged GMP runs (the ≈25 % AIMD residual oscillation of
-EXPERIMENTS.md E-conv is *normal*) and flag fault-injected runs —
-both pinned by tests.
+converged GMP runs and flag fault-injected runs — both pinned by tests.
 
-Two schedules run the same detectors: :func:`detect_anomalies` at the
-end of a run, and :class:`repro.obs.health.HealthMonitor` each tick
-with ``until=now``.  The warm-up cut-off, oscillation tail and window
-grid stay anchored to ``result.duration`` (the *planned* length, also
-mid-run); only the scan stops at ``until``.
+:class:`repro.obs.health.HealthMonitor` runs the detectors each tick
+with ``until=now``; ``until=None`` scans the whole run.  The warm-up
+cut-off and window grid stay anchored to ``result.duration`` (the
+*planned* length, also mid-run); only the scan stops at ``until``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
-from repro.analysis.convergence import oscillation_amplitude
 from repro.scenarios.results import RunResult
 from repro.telemetry import Telemetry
 
@@ -50,14 +43,6 @@ WINDOW = 5.0
 STARVE_RATE = 1.0
 #: Dead windows must cover at least this long to be a finding.
 STARVE_WINDOW = 5.0
-#: Relative peak-to-peak swing of the tail treated as oscillation.
-#: GMP's AIMD limit cycle reaches ≈0.7 for aggressive 1-hop flows on
-#: the fluid substrate, so only swings wider than the mean itself count
-#: (a crash/recover transient spans 0 -> full rate and always exceeds
-#: this).
-OSCILLATION_THRESHOLD = 1.0
-#: Fraction of the run whose tail the oscillation detector scans.
-TAIL_FRACTION = 0.5
 #: Condition transitions after warmup that count as flapping ...
 FLAP_COUNT = 6
 #: ... when the mean dwell between them is below this.
@@ -79,46 +64,6 @@ class Finding:
     end: float
     labels: dict[str, str]
     message: str
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "detector": self.detector,
-            "severity": self.severity,
-            "start": self.start,
-            "end": self.end,
-            "labels": dict(self.labels),
-            "message": self.message,
-        }
-
-    def render(self) -> str:
-        tags = ",".join(f"{k}={v}" for k, v in sorted(self.labels.items()))
-        return (
-            f"[{self.severity}] {self.detector} "
-            f"t={self.start:.1f}–{self.end:.1f}s {{{tags}}}: {self.message}"
-        )
-
-
-@dataclass
-class AnomalyReport:
-    """All findings of one scan, in time order."""
-
-    findings: list[Finding] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.findings)
-
-    def by_detector(self, detector: str) -> list[Finding]:
-        return [f for f in self.findings if f.detector == detector]
-
-    def to_json(self) -> dict[str, Any]:
-        return {"findings": [finding.to_json() for finding in self.findings]}
-
-    def render(self) -> str:
-        if not self.findings:
-            return "anomaly scan: clean (no findings)"
-        lines = [f"anomaly scan: {len(self.findings)} finding(s)"]
-        lines.extend(f"  {finding.render()}" for finding in self.findings)
-        return "\n".join(lines)
 
 
 # --- detectors -------------------------------------------------------------------
@@ -206,59 +151,6 @@ def detect_starved_flows(
                 could_deliver = True
                 flush()
         flush()
-    return findings
-
-
-def detect_rate_oscillation(
-    result: RunResult, until: float | None = None
-) -> list[Finding]:
-    """Tail-of-run rate swings far beyond the AIMD limit cycle, scanned
-    up to ``until`` (default: the end of the run)."""
-    findings: list[Finding] = []
-    until = result.duration if until is None else until
-    tail_start = result.duration * (1.0 - TAIL_FRACTION)
-    series: dict[int, tuple[list[float], list[float]]] = {}
-    telemetry = result.extras.get("telemetry")
-    if isinstance(telemetry, Telemetry) and telemetry.enabled:
-        for instrument in telemetry.registry.instruments("gmp.flow_rate"):
-            flow_label = instrument.labels.get("flow")
-            if flow_label is not None:
-                series[int(flow_label)] = (
-                    list(instrument.times),
-                    list(instrument.values),
-                )
-    if not series and result.interval_bounds:
-        for flow_id, rates in result.interval_rates.items():
-            series[flow_id] = (list(result.interval_bounds), list(rates))
-    for flow_id, (times, values) in sorted(series.items()):
-        arrival, departure = result.lifetime(flow_id)
-        tail = [
-            value
-            for when, value in zip(times, values)
-            if when >= tail_start
-            and arrival < when <= min(departure, until) + 1e-9
-        ]
-        if len(tail) < 3:
-            continue
-        mean = sum(tail) / len(tail)
-        if mean <= STARVE_RATE:
-            continue  # dead flows are the starvation detector's beat
-        swing = oscillation_amplitude(tail, tail_fraction=1.0)
-        if swing > OSCILLATION_THRESHOLD:
-            findings.append(
-                Finding(
-                    detector="rate_oscillation",
-                    severity="warning",
-                    start=tail_start,
-                    end=until,
-                    labels={"flow": str(flow_id)},
-                    message=(
-                        f"flow {flow_id} swings {swing:.2f}x its mean "
-                        f"({min(tail):.1f}–{max(tail):.1f} around "
-                        f"{mean:.1f} pkt/s) after t={tail_start:.1f}s"
-                    ),
-                )
-            )
     return findings
 
 
@@ -383,16 +275,3 @@ def detect_queue_divergence(
                 )
                 break  # one finding per queue is enough
     return findings
-
-
-def detect_anomalies(result: RunResult) -> AnomalyReport:
-    """Run every detector over the whole of ``result`` (the end-of-run
-    schedule) and collect the findings."""
-    findings = (
-        detect_starved_flows(result)
-        + detect_rate_oscillation(result)
-        + detect_condition_flapping(result)
-        + detect_queue_divergence(result)
-    )
-    findings.sort(key=lambda f: (f.start, f.detector, sorted(f.labels.items())))
-    return AnomalyReport(findings=findings)

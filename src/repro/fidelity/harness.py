@@ -8,10 +8,12 @@ shape-by-shape against the EXPERIMENTS.md assertions encoded in
 renderable as JSON (for CI artifacts) and aligned markdown (for
 EXPERIMENTS.md, whose table blocks this module rewrites in place).
 
-CI gates on a committed ``fidelity-baseline.json`` ratchet: a shape
-assertion recorded as passing may never regress, and the baseline must
-list exactly the assertions the harness produces (no stale entries),
-so every perf or protocol PR is provably shape-faithful to the paper.
+CI gates on committed baseline ratchets, one per substrate
+(``fidelity-baseline.json`` for fluid, ``fidelity-baseline-dcf.json``
+for the packet-level DCF): every shape must keep its recorded status,
+and the baseline must list exactly the assertions the harness produces
+(no stale entries).  A shape recorded as ``fail`` that still fails is a
+known fidelity gap: reported, but not a regression.
 """
 
 from __future__ import annotations
@@ -68,17 +70,16 @@ class CellComparison:
 
     metric: str  # "f<id>", "U", "I_mm", or "I_eq"
     protocol: str
-    paper: float | None
+    paper: float
     ours: float
     spread: float  # max - min across seeds
-    delta: float | None = None
-    delta_pct: float | None = None
+    delta: float = field(init=False)
+    delta_pct: float | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.paper is not None:
-            self.delta = self.ours - self.paper
-            if self.paper != 0:
-                self.delta_pct = 100.0 * self.delta / self.paper
+        self.delta = self.ours - self.paper
+        if self.paper != 0:
+            self.delta_pct = 100.0 * self.delta / self.paper
 
 
 @dataclass
@@ -152,7 +153,7 @@ class TableFidelity:
             row = [metric]
             for protocol in self.protocols:
                 cell = by_key[(protocol, metric)]
-                row.append("—" if cell.paper is None else f"{cell.paper:.2f}")
+                row.append(f"{cell.paper:.2f}")
                 ours = f"{cell.ours:.2f}"
                 if cell.spread > 0:
                     ours += f" ±{cell.spread / 2:.1f}"
@@ -189,12 +190,19 @@ class FidelityReport:
     def shapes_ok(self) -> bool:
         return all(table.shapes_ok() for table in self.tables)
 
+    def shape_outcomes(self) -> dict[str, ShapeOutcome]:
+        """``"t<N>:<assertion-id>" -> outcome`` for every shape."""
+        return {
+            f"t{table.table_id}:{outcome.assertion_id}": outcome
+            for table in self.tables
+            for outcome in table.shapes
+        }
+
     def shape_statuses(self) -> dict[str, str]:
         """``"t<N>:<assertion-id>" -> pass|fail|skip`` for every shape."""
         return {
-            f"t{table.table_id}:{outcome.assertion_id}": outcome.status
-            for table in self.tables
-            for outcome in table.shapes
+            key: outcome.status
+            for key, outcome in self.shape_outcomes().items()
         }
 
     def to_json(self) -> dict:
@@ -268,10 +276,10 @@ def _cells(
 ) -> list[CellComparison]:
     cells: list[CellComparison] = []
     for protocol in table.protocols:
-        paper_column = table.paper.get(protocol)
+        paper_column = table.paper[protocol]
         columns = [measured[protocol] for measured in per_seed]
 
-        def add(metric: str, paper_value: float | None, values: list[float]) -> None:
+        def add(metric: str, paper_value: float, values: list[float]) -> None:
             mean = sum(values) / len(values)
             spread = max(values) - min(values)
             cells.append(
@@ -285,29 +293,14 @@ def _cells(
             )
 
         for flow_id in table.flow_ids():
-            paper_rate = None
-            if paper_column is not None and paper_column.rates is not None:
-                paper_rate = paper_column.rates.get(flow_id)
             add(
                 f"f{flow_id}",
-                paper_rate,
+                paper_column.rates[flow_id],
                 [column.rates[flow_id] for column in columns],
             )
-        add(
-            "U",
-            paper_column.u if paper_column else None,
-            [column.u for column in columns],
-        )
-        add(
-            "I_mm",
-            paper_column.i_mm if paper_column else None,
-            [column.i_mm for column in columns],
-        )
-        add(
-            "I_eq",
-            paper_column.i_eq if paper_column else None,
-            [column.i_eq for column in columns],
-        )
+        add("U", paper_column.u, [column.u for column in columns])
+        add("I_mm", paper_column.i_mm, [column.i_mm for column in columns])
+        add("I_eq", paper_column.i_eq, [column.i_eq for column in columns])
     return cells
 
 
@@ -401,6 +394,8 @@ def baseline_payload(report: FidelityReport) -> dict:
     """What ``fidelity-baseline.json`` records for this report."""
     return {
         "substrate": report.substrate,
+        "duration": report.duration,
+        "seeds": list(report.seeds),
         "shapes": report.shape_statuses(),
     }
 
@@ -423,23 +418,44 @@ def write_baseline(path: str | Path, report: FidelityReport) -> None:
     Path(path).write_text(payload + "\n", encoding="utf-8")
 
 
-def compare_baseline(report: FidelityReport, baseline: dict) -> list[str]:
-    """Regressions of ``report`` vs the committed ratchet.
+def compare_baseline(
+    report: FidelityReport, baseline: dict
+) -> tuple[list[str], list[str]]:
+    """``(problems, known_gaps)`` of ``report`` vs the committed ratchet.
 
-    A non-empty return fails CI: a shape that regressed from the
-    recorded ``pass``, a baseline entry the harness no longer produces
-    (stale — the baseline only ratchets down), or a new assertion not
-    yet recorded (run ``--update-baseline``).
+    A problem fails CI: a shape whose status differs from the recorded
+    one (a regression from ``pass``, or a recorded gap that now passes
+    and must be ratcheted in), a baseline entry the harness no longer
+    produces (stale), or a new assertion not yet recorded (run
+    ``--update-baseline``).  A known gap — recorded ``fail``, still
+    failing — is returned separately with its measured numbers.
+
+    Raises:
+        ConfigError: the baseline records a different substrate,
+            duration or seed list than ``report`` was run with.
     """
+    run = baseline_payload(report)
+    for key in ("substrate", "duration", "seeds"):
+        if baseline.get(key) != run[key]:
+            raise ConfigError(
+                f"fidelity baseline records {key}={baseline.get(key)!r} "
+                f"but this run has {key}={run[key]!r}"
+            )
     problems: list[str] = []
-    recorded: dict[str, str] = dict(baseline.get("shapes", {}))
-    current = report.shape_statuses()
-    for key, status in sorted(current.items()):
+    known_gaps: list[str] = []
+    recorded: dict[str, str] = dict(baseline["shapes"])
+    for key, outcome in sorted(report.shape_outcomes().items()):
+        status = outcome.status
         before = recorded.pop(key, None)
         if before is None:
             problems.append(
                 f"{key}: not in the baseline (new assertion? run "
                 f"--update-baseline)"
+            )
+        elif before == "fail" and status == "fail":
+            known_gaps.append(
+                f"{key}: known gap (recorded fail) — "
+                + "; ".join(outcome.details)
             )
         elif before == "pass" and status != "pass":
             problems.append(f"{key}: regressed from pass to {status}")
@@ -448,9 +464,11 @@ def compare_baseline(report: FidelityReport, baseline: dict) -> list[str]:
                 f"{key}: now passes but the baseline says {before} — "
                 f"ratchet it (run --update-baseline)"
             )
+        elif status != before:
+            problems.append(f"{key}: changed from {before} to {status}")
     for key in sorted(recorded):
         problems.append(f"{key}: stale baseline entry (assertion removed?)")
-    return problems
+    return problems, known_gaps
 
 
 # --- EXPERIMENTS.md rewriting ----------------------------------------------------
@@ -500,9 +518,12 @@ def _int_csv(text: str) -> tuple[int, ...]:
 def fidelity_main(argv: list[str] | None = None) -> int:
     """Entry point of ``python -m repro fidelity``.
 
-    Exit codes: 0 — every applicable shape assertion passed (and the
-    baseline, when checked, agrees); 1 — a shape failed or the
-    baseline flagged a regression; 2 — bad configuration.
+    Exit codes: 0 — every applicable shape assertion passed, or, with
+    ``--check-baseline``, every shape kept its recorded status (a
+    recorded ``fail`` that still fails is a known gap); 1 — a shape
+    failed, or the baseline flagged a change, a stale or a missing
+    entry; 2 — bad configuration, including a baseline recorded for a
+    different substrate, duration or seed list.
     """
     parser = argparse.ArgumentParser(
         prog="repro fidelity",
@@ -540,8 +561,10 @@ def fidelity_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--check-baseline", action="store_true",
-        help="fail (exit 1) when any shape regressed vs the baseline, "
-        "when the baseline is stale, or when it misses an assertion",
+        help="gate on the baseline instead of on the shapes alone: fail "
+        "(exit 1) when any shape's status differs from the recorded one, "
+        "when the baseline is stale, or when it misses an assertion; a "
+        "shape recorded as fail that still fails is a known gap",
     )
     parser.add_argument(
         "--update-baseline", action="store_true",
@@ -608,13 +631,13 @@ def fidelity_main(argv: list[str] | None = None) -> int:
         print(f"baseline written -> {args.baseline}", file=sys.stderr)
     elif args.check_baseline:
         try:
-            baseline = load_baseline(args.baseline)
+            problems, known_gaps = compare_baseline(
+                report, load_baseline(args.baseline)
+            )
         except ConfigError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        problems = compare_baseline(report, baseline)
-        for problem in problems:
-            print(f"baseline: {problem}", file=sys.stderr)
-        if problems:
-            status = 1
+        for line in known_gaps + problems:
+            print(f"baseline: {line}", file=sys.stderr)
+        status = 1 if problems else 0
     return status

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.conditions import beta_equal
-
 #: The paper's equality tolerance (§6.3); shape assertions reuse it.
 PAPER_BETA = 0.10
 
@@ -76,12 +74,12 @@ class ShapeAssertion:
 
 @dataclass(frozen=True)
 class PaperColumn:
-    """The paper's values for one protocol column (None = unreported)."""
+    """The paper's values for one protocol column."""
 
-    rates: dict[int, float] | None = None
-    u: float | None = None
-    i_mm: float | None = None
-    i_eq: float | None = None
+    rates: dict[int, float]
+    u: float
+    i_mm: float
+    i_eq: float
 
 
 @dataclass(frozen=True)
@@ -107,37 +105,45 @@ def _fmt_rates(rates: dict[int, float]) -> str:
     return ", ".join(f"f{fid}={rate:.1f}" for fid, rate in sorted(rates.items()))
 
 
-def _equal_split(
-    protocol: str, flow_ids: tuple[int, ...], tolerance: float
+def _spread_below(
+    protocol: str, ceiling: float, flow_ids: tuple[int, ...] | None = None
 ) -> ShapeCheck:
-    """All named flows' rates pairwise β-equal (at ``tolerance``)."""
+    """Relative spread ``(max - min) / max`` of the named flows'
+    normalized rates (default: every flow) stays below ``ceiling``."""
 
     def check(measured: TableMeasurement) -> tuple[bool, str]:
-        rates = {fid: measured[protocol].rates[fid] for fid in flow_ids}
-        values = list(rates.values())
-        ok = all(
-            beta_equal(a, b, tolerance)
-            for index, a in enumerate(values)
-            for b in values[index + 1 :]
+        normalized = measured[protocol].normalized
+        rates = {
+            fid: normalized[fid] for fid in (flow_ids or sorted(normalized))
+        }
+        top = max(rates.values())
+        spread = (top - min(rates.values())) / top if top > 0 else 0.0
+        return (
+            spread < ceiling,
+            f"{protocol}: normalized spread {spread:.2f} of "
+            f"{_fmt_rates(rates)} (need < {ceiling:g})",
         )
-        return ok, f"{protocol}: {_fmt_rates(rates)} (tolerance {tolerance:g})"
 
     return check
 
 
 def _rate_ratio_above(
-    protocol: str, flow_id: int, others: tuple[int, ...], factor: float
+    protocol: str,
+    flow_ids: tuple[int, ...],
+    others: tuple[int, ...],
+    factor: float,
+    against: Callable[[list[float]], float] = max,
 ) -> ShapeCheck:
-    """``rate(flow_id) >= factor * max(rate(others))``."""
+    """Each of ``flow_ids`` exceeds ``factor * against(rate(others))``."""
 
     def check(measured: TableMeasurement) -> tuple[bool, str]:
-        column = measured[protocol]
-        top = column.rates[flow_id]
-        rest = max(column.rates[fid] for fid in others)
+        rates = measured[protocol].rates
+        bar = against([rates[fid] for fid in others])
+        tops = {fid: rates[fid] for fid in flow_ids}
         return (
-            top >= factor * rest,
-            f"{protocol}: f{flow_id}={top:.1f} vs max(others)={rest:.1f} "
-            f"(need {factor:g}x)",
+            all(rate > factor * bar for rate in tops.values()),
+            f"{protocol}: {_fmt_rates(tops)} vs {against.__name__}(others)="
+            f"{bar:.1f} (need > {factor:g}x)",
         )
 
     return check
@@ -182,7 +188,8 @@ def _imm_below(protocol: str, ceiling: float) -> ShapeCheck:
 
 
 def _gmp_repairs(floor: float, margin: float) -> ShapeCheck:
-    """GMP's I_mm clears ``floor`` and beats both baselines by ``margin``."""
+    """GMP's I_mm exceeds ``floor`` and beats both baselines by more
+    than ``margin``."""
 
     def check(measured: TableMeasurement) -> tuple[bool, str]:
         gmp = measured["gmp"].i_mm
@@ -192,28 +199,12 @@ def _gmp_repairs(floor: float, margin: float) -> ShapeCheck:
             if protocol != "gmp"
         }
         best = max(baselines.values(), default=0.0)
-        ok = gmp >= floor and gmp >= best + margin
+        ok = gmp > floor and gmp > best + margin
         others = ", ".join(
             f"I_mm({protocol})={value:.3f}"
             for protocol, value in sorted(baselines.items())
         )
         return ok, f"I_mm(gmp)={gmp:.3f} vs {others} (floor {floor:g}, margin {margin:g})"
-
-    return check
-
-
-def _rate_spread_below(protocol: str, ceiling: float) -> ShapeCheck:
-    """Relative spread ``(max - min) / max`` of the column's rates."""
-
-    def check(measured: TableMeasurement) -> tuple[bool, str]:
-        rates = measured[protocol].rates
-        top = max(rates.values())
-        spread = (top - min(rates.values())) / top if top > 0 else 0.0
-        return (
-            spread <= ceiling,
-            f"{protocol}: spread {spread:.2f} of {_fmt_rates(rates)} "
-            f"(need <= {ceiling:g})",
-        )
 
     return check
 
@@ -237,18 +228,22 @@ def _group_ratio(
     numerator: tuple[int, ...],
     denominator: tuple[int, ...],
     factor: float,
+    *,
+    below: bool = False,
 ) -> ShapeCheck:
-    """Mean rate of one flow group exceeds ``factor`` × the other's."""
+    """Mean rate of one flow group exceeds ``factor`` × the other's
+    (or, with ``below``, stays under it)."""
 
     def check(measured: TableMeasurement) -> tuple[bool, str]:
         rates = measured[protocol].rates
         num = sum(rates[fid] for fid in numerator) / len(numerator)
         den = sum(rates[fid] for fid in denominator) / len(denominator)
+        ok = num < factor * den if below else num > factor * den
         return (
-            num >= factor * den,
+            ok,
             f"{protocol}: mean({','.join(f'f{f}' for f in numerator)})={num:.1f} "
             f"vs mean({','.join(f'f{f}' for f in denominator)})={den:.1f} "
-            f"(need {factor:g}x)",
+            f"(need {'<' if below else '>'} {factor:g}x)",
         )
 
     return check
@@ -257,7 +252,7 @@ def _group_ratio(
 def _fairness_floor(protocol: str, i_mm: float, i_eq: float) -> ShapeCheck:
     def check(measured: TableMeasurement) -> tuple[bool, str]:
         column = measured[protocol]
-        ok = column.i_mm >= i_mm and column.i_eq >= i_eq
+        ok = column.i_mm > i_mm and column.i_eq > i_eq
         return (
             ok,
             f"{protocol}: I_mm={column.i_mm:.3f} (floor {i_mm:g}), "
@@ -305,12 +300,17 @@ TABLE_1 = PaperTable(
         ShapeAssertion(
             "t1-equal-split",
             "f2 ≈ f3 ≈ f4: equal split of clique 1 (spread < 2β)",
-            _equal_split("gmp", (2, 3, 4), 2 * PAPER_BETA),
+            _spread_below("gmp", 2 * PAPER_BETA, (2, 3, 4)),
         ),
         ShapeAssertion(
             "t1-f1-residual",
-            "f1 rides clique 0's residual, well above the clique-1 flows",
-            _rate_ratio_above("gmp", 1, (2, 3, 4), 1.25),
+            "f1 rides clique 0's residual, > 1.3x the clique-1 flows",
+            _rate_ratio_above("gmp", (1,), (2, 3, 4), 1.3),
+        ),
+        ShapeAssertion(
+            "t1-gmp-ieq",
+            "GMP's allocation stays broadly equal (I_eq > 0.7)",
+            _fairness_floor("gmp", 0.0, 0.7),
         ),
     ),
 )
@@ -339,6 +339,12 @@ TABLE_2 = PaperTable(
             "t2-f1-opportunistic",
             "f1 holds the largest normalized rate (clique 0's residual)",
             _normalized_top("gmp", 1),
+        ),
+        ShapeAssertion(
+            "t2-normalized-split",
+            "clique-1 normalized rates within 2x of each other "
+            "(normalized spread < 0.5)",
+            _spread_below("gmp", 0.5, (2, 3, 4)),
         ),
     ),
 )
@@ -382,8 +388,13 @@ TABLE_3 = PaperTable(
         ),
         ShapeAssertion(
             "t3-gmp-repairs",
-            "GMP repairs the chain: I_mm ≥ 0.8 and ≫ both baselines",
+            "GMP repairs the chain: I_mm > 0.8 and ≫ both baselines",
             _gmp_repairs(0.8, 0.2),
+        ),
+        ShapeAssertion(
+            "t3-gmp-ieq",
+            "GMP's three rates are near-equal (I_eq > 0.97)",
+            _fairness_floor("gmp", 0.0, 0.97),
         ),
         ShapeAssertion(
             "t3-2pp-surplus-1hop",
@@ -392,11 +403,15 @@ TABLE_3 = PaperTable(
         ),
         ShapeAssertion(
             "t3-gmp-band",
-            "GMP equalizes the three flows (relative spread ≤ 0.25)",
-            _rate_spread_below("gmp", 0.25),
+            "GMP equalizes the three flows (relative spread < 0.25)",
+            _spread_below("gmp", 0.25),
         ),
     ),
 )
+
+#: Figure 4's outer and inner gadgets' flows.
+_SIDE_FLOWS = (1, 2, 7, 8)
+_MIDDLE_FLOWS = (3, 4, 5, 6)
 
 TABLE_4 = PaperTable(
     table_id=4,
@@ -423,17 +438,56 @@ TABLE_4 = PaperTable(
             i_mm=0.476,
             i_eq=0.890,
         ),
-        # The paper reports only ranges per flow group for 2PP/GMP;
-        # the indices are exact.
-        "2pp": PaperColumn(rates=None, u=None, i_mm=0.125, i_eq=0.514),
-        "gmp": PaperColumn(rates=None, u=None, i_mm=0.888, i_eq=0.998),
+        # Odd flows are 2-hop and even flows 1-hop, so every column's
+        # U is its hop-weighted rate sum, and I_mm / I_eq follow from
+        # the rates.
+        "2pp": PaperColumn(
+            rates={
+                1: 43.31,
+                2: 347.81,
+                3: 43.33,
+                4: 86.67,
+                5: 43.39,
+                6: 86.70,
+                7: 43.36,
+                8: 346.96,
+            },
+            u=1214.93,
+            i_mm=0.125,
+            i_eq=0.514,
+        ),
+        "gmp": PaperColumn(
+            rates={
+                1: 145.46,
+                2: 145.94,
+                3: 134.26,
+                4: 132.38,
+                5: 135.44,
+                6: 133.04,
+                7: 141.69,
+                8: 149.07,
+            },
+            u=1674.13,
+            i_mm=0.888,
+            i_eq=0.998,
+        ),
     },
     assertions=(
         ShapeAssertion(
             "t4-gmp-equalizes",
             "GMP approximately equalizes all eight flows "
-            "(I_mm ≥ 0.75, I_eq ≥ 0.95)",
+            "(I_mm > 0.75, I_eq > 0.95)",
             _fairness_floor("gmp", 0.75, 0.95),
+        ),
+        ShapeAssertion(
+            "t4-gmp-fairest",
+            "GMP is the fairest: I_mm > 0.6 and above both baselines",
+            _gmp_repairs(0.6, 0.0),
+        ),
+        ShapeAssertion(
+            "t4-gmp-side-middle",
+            "GMP levels the gadgets: side flows < 1.4x the middle flows",
+            _group_ratio("gmp", _SIDE_FLOWS, _MIDDLE_FLOWS, 1.4, below=True),
         ),
         ShapeAssertion(
             "t4-2pp-side-1hop",
@@ -441,10 +495,20 @@ TABLE_4 = PaperTable(
             _top_flows("2pp", frozenset({2, 8})),
         ),
         ShapeAssertion(
+            "t4-2pp-side-2x-worst",
+            "2PP's side 1-hop flows f2/f8 each get > 2x the worst flow",
+            _rate_ratio_above("2pp", (2, 8), tuple(range(1, 9)), 2.0, min),
+        ),
+        ShapeAssertion(
+            "t4-2pp-unfair",
+            "2PP is unfair (I_mm < 0.6)",
+            _imm_below("2pp", 0.6),
+        ),
+        ShapeAssertion(
             "t4-80211-side-bias",
-            "802.11 favors side gadgets ≈2:1 over middle gadgets "
+            "802.11 favors side gadgets ≈2:1 over middle gadgets, > 1.3x "
             "(media-access bias; DCF substrate only)",
-            _group_ratio("802.11", (1, 2, 7, 8), (3, 4, 5, 6), 1.3),
+            _group_ratio("802.11", _SIDE_FLOWS, _MIDDLE_FLOWS, 1.3),
             substrates=("dcf",),
         ),
         ShapeAssertion(

@@ -10,9 +10,7 @@ runs two kinds of check:
 * the :mod:`repro.fidelity.anomaly` detectors (starved flows,
   condition flapping, queue divergence) scanned up to ``now`` over a
   *partial* :class:`~repro.scenarios.results.RunResult` snapshot
-  supplied by the scenario runner — the live schedule of the same
-  detectors :func:`~repro.fidelity.anomaly.detect_anomalies` runs at
-  the end.
+  supplied by the scenario runner.
 
 Findings become :class:`Alert` records in an :class:`AlertLog`, which
 deduplicates by (probe, labels), tracks first/last-seen times and a
@@ -53,10 +51,7 @@ COOLDOWN = 10.0
 #: counts as a stall (the window is the detectors' ``WINDOW``).
 STALL_FRACTION = 0.25
 
-#: The detectors scanned each tick.  ``rate_oscillation`` runs at the
-#: end of the run only: scanned mid-run it sees convergence transients
-#: (and churn-induced reallocations) that the end-of-run scan
-#: legitimately excludes.
+#: The detectors scanned each tick.
 LIVE_DETECTORS = (
     detect_starved_flows,
     detect_condition_flapping,

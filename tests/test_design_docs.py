@@ -1,6 +1,6 @@
 """Documentation consistency: the per-experiment index in DESIGN.md
-points at benchmark files that actually exist, and EXPERIMENTS.md
-covers every table and figure."""
+and README point at bench and test files that actually exist, and
+EXPERIMENTS.md covers every table and figure."""
 
 import pathlib
 import re
@@ -10,10 +10,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 def test_design_bench_targets_exist():
     text = (ROOT / "DESIGN.md").read_text()
-    targets = set(re.findall(r"benchmarks/(test_\w+\.py)", text))
+    targets = set(re.findall(r"(?:benchmarks|tests)/test_\w+\.py", text))
     assert targets, "DESIGN.md must reference bench targets"
     for target in targets:
-        assert (ROOT / "benchmarks" / target).exists(), target
+        assert (ROOT / target).exists(), target
 
 
 def test_experiments_covers_all_tables_and_figures():
@@ -27,9 +27,8 @@ def test_experiments_covers_all_tables_and_figures():
 def test_readme_examples_exist():
     text = (ROOT / "README.md").read_text()
     for example in re.findall(r"`(\w+\.py)`", text):
-        if (ROOT / "examples" / example).exists():
-            continue
-        # Bench files are referenced with their test_ prefix.
-        assert example.startswith("test_") or (
-            ROOT / "examples" / example
-        ).exists(), example
+        # Bench and test files are referenced with their test_ prefix.
+        homes = ("benchmarks", "tests") if example.startswith("test_") else (
+            "examples",
+        )
+        assert any((ROOT / home / example).exists() for home in homes), example

@@ -1,5 +1,6 @@
-"""Anomaly detectors: synthetic unit coverage per detector plus the
-clean-vs-fault integration pins from the issue's acceptance criteria."""
+"""Anomaly detectors: synthetic unit coverage per detector plus
+clean-vs-fault integration pins over the detectors the health monitor
+runs."""
 
 import random
 
@@ -8,13 +9,12 @@ import pytest
 from repro.faults import FaultSchedule, NodeCrash, NodeRecover
 from repro.fidelity.anomaly import (
     _window_means,
-    detect_anomalies,
     detect_condition_flapping,
     detect_queue_divergence,
-    detect_rate_oscillation,
     detect_starved_flows,
 )
 from repro.flows.flow import Flow, FlowSet
+from repro.obs.health import LIVE_DETECTORS
 from repro.scenarios.figures import Scenario, figure3
 from repro.scenarios.results import RunResult
 from repro.scenarios.runner import run_scenario
@@ -116,16 +116,6 @@ def test_late_arrival_gets_its_own_settle_grace():
     assert detect_starved_flows(result) == []
 
 
-def test_oscillation_scan_is_lifetime_gated():
-    # The departure edge (full rate -> 0) must not read as oscillation.
-    rates = [100.0] * 30 + [0.0] * 10
-    result = synthetic_result(
-        interval_rates={1: rates},
-        lifetimes={1: (0.0, 30.0)},
-    )
-    assert detect_rate_oscillation(result) == []
-
-
 def test_starved_flow_ignores_short_dips():
     rates = [40.0] * 20 + [0.0] * 3 + [40.0] * 17
     result = synthetic_result(
@@ -133,25 +123,6 @@ def test_starved_flow_ignores_short_dips():
         extras={"maxmin_reference": {1: 40.0}},
     )
     assert detect_starved_flows(result) == []
-
-
-# --- rate oscillation ------------------------------------------------------------
-
-
-def test_oscillation_tolerates_the_aimd_limit_cycle():
-    # ±30% around the mean: a normal GMP limit cycle.
-    rates = [100.0 + (30.0 if t % 2 else -30.0) for t in range(40)]
-    result = synthetic_result(interval_rates={1: rates})
-    assert detect_rate_oscillation(result) == []
-
-
-def test_oscillation_flags_swings_wider_than_the_mean():
-    rates = [100.0 + (90.0 if t % 2 else -90.0) for t in range(40)]
-    result = synthetic_result(interval_rates={1: rates})
-    findings = detect_rate_oscillation(result)
-    assert len(findings) == 1
-    assert findings[0].labels == {"flow": "1"}
-    assert findings[0].start == pytest.approx(20.0)
 
 
 # --- condition flapping ----------------------------------------------------------
@@ -289,27 +260,6 @@ def test_until_truncates_queue_divergence_on_the_planned_grid():
     assert (live.start, live.end) == (20.0, 30.0)
 
 
-# --- report plumbing -------------------------------------------------------------
-
-
-def test_report_renders_and_serializes():
-    rates = [40.0] * 12 + [0.0] * 15 + [40.0] * 13
-    result = synthetic_result(
-        interval_rates={1: rates},
-        extras={"maxmin_reference": {1: 40.0}},
-    )
-    report = detect_anomalies(result)
-    # The outage starves the flow AND its 0 -> 40 tail reads as an
-    # oscillation; findings are sorted by start time.
-    assert len(report) == 2
-    assert report.by_detector("starved_flow")
-    assert report.by_detector("rate_oscillation")
-    assert "starved_flow" in report.render()
-    payload = report.to_json()
-    assert payload["findings"][0]["labels"] == {"flow": "1"}
-    assert payload["findings"][0]["detector"] == "starved_flow"
-
-
 def test_custom_config_thresholds_apply():
     rates = [40.0] * 12 + [0.0] * 15 + [40.0] * 13
     result = synthetic_result(
@@ -333,9 +283,8 @@ def test_clean_gmp_run_scans_clean():
         telemetry=telemetry,
         rate_interval=1.0,
     )
-    report = detect_anomalies(result)
-    assert report.findings == []
-    assert report.render() == "anomaly scan: clean (no findings)"
+    for detector in LIVE_DETECTORS:
+        assert detector(result) == [], detector.__name__
 
 
 def test_crash_recover_run_is_flagged():
@@ -363,13 +312,9 @@ def test_crash_recover_run_is_flagged():
             [NodeCrash(at=12.0, node=1), NodeRecover(at=27.0, node=1)]
         ),
     )
-    report = detect_anomalies(result)
-    starved = report.by_detector("starved_flow")
+    starved = detect_starved_flows(result)
     assert len(starved) == 1
     assert starved[0].labels == {"flow": "1"}
     # The outage window is bracketed by the crash/recover times.
     assert starved[0].start == pytest.approx(13.0, abs=1.5)
     assert starved[0].end == pytest.approx(27.0, abs=1.5)
-    # The partitioned flow's 0 -> full-rate transient reads as a swing
-    # wider than its mean.
-    assert report.by_detector("rate_oscillation")

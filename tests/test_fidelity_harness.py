@@ -9,6 +9,7 @@ import json
 import pytest
 
 from repro.errors import AnalysisError, ConfigError
+from repro.fidelity import harness
 from repro.fidelity.harness import (
     FidelityConfig,
     FidelityReport,
@@ -16,7 +17,9 @@ from repro.fidelity.harness import (
     _cells,
     _measurement,
     _shapes,
+    baseline_payload,
     compare_baseline,
+    fidelity_main,
     load_baseline,
     run_fidelity,
     update_experiments,
@@ -94,9 +97,10 @@ def test_cells_report_mean_spread_and_delta():
     cell = next(c for c in fidelity.cells if c.metric == "f1")
     assert cell.ours == pytest.approx(437.0)
     assert cell.spread == pytest.approx(14.0)
-    assert cell.paper == pytest.approx(563.96)
-    assert cell.delta == pytest.approx(437.0 - 563.96)
-    assert cell.delta_pct == pytest.approx(100 * (437.0 - 563.96) / 563.96)
+    paper_f1 = PAPER_TABLES[1].paper["gmp"].rates[1]
+    assert cell.paper == pytest.approx(paper_f1)
+    assert cell.delta == pytest.approx(437.0 - paper_f1)
+    assert cell.delta_pct == pytest.approx(100 * (437.0 - paper_f1) / paper_f1)
     # The metrics rows exist exactly once per protocol.
     metrics = [c.metric for c in fidelity.cells]
     assert metrics == ["f1", "f2", "f3", "f4", "U", "I_mm", "I_eq"]
@@ -167,7 +171,8 @@ def test_markdown_has_paper_ours_delta_columns_and_shape_marks():
     report = t1_report()
     text = report.markdown()
     assert "| metric | paper gmp | ours gmp | Δ% |" in text
-    assert "563.96" in text and "437.00" in text
+    assert f"{PAPER_TABLES[1].paper['gmp'].rates[1]:.2f}" in text
+    assert "437.00" in text
     assert "✓ `t1-equal-split`" in text
     assert "Generated by `python -m repro fidelity`" in text
 
@@ -189,29 +194,109 @@ def test_baseline_round_trip_and_agreement(tmp_path):
     write_baseline(path, report)
     baseline = load_baseline(path)
     assert baseline["shapes"] == report.shape_statuses()
-    assert compare_baseline(report, baseline) == []
+    assert (baseline["substrate"], baseline["duration"], baseline["seeds"]) == (
+        "fluid", 60.0, [1]
+    )
+    assert compare_baseline(report, baseline) == ([], [])
 
 
 def test_baseline_flags_regression_stale_and_new(tmp_path):
     report = t1_report()
     baseline = {
+        **baseline_payload(report),
         "shapes": {
             "t1:t1-equal-split": "pass",
+            "t1:t1-gmp-ieq": "pass",
             # t1-f1-residual missing -> "new assertion"
             "t1:t1-gone": "pass",  # stale
-        }
+        },
     }
-    problems = compare_baseline(report, baseline)
+    problems, known_gaps = compare_baseline(report, baseline)
+    assert known_gaps == []
     assert any("t1:t1-f1-residual" in p and "not in the baseline" in p
                for p in problems)
     assert any("t1:t1-gone" in p and "stale" in p for p in problems)
 
     # A recorded pass that now fails is a regression.
     failing = t1_report([t1_measurement(f2=120.0, f3=300.0)])
-    regressions = compare_baseline(
-        failing, {"shapes": t1_report().shape_statuses()}
-    )
+    regressions, _ = compare_baseline(failing, baseline_payload(t1_report()))
     assert any("regressed from pass to fail" in p for p in regressions)
+
+
+def test_baseline_known_gap_is_reported_not_a_problem():
+    failing = t1_report([t1_measurement(f2=120.0, f3=300.0)])
+    problems, known_gaps = compare_baseline(failing, baseline_payload(failing))
+    assert problems == []
+    (gap,) = known_gaps
+    assert gap.startswith("t1:t1-equal-split: known gap")
+    assert "f2=120.0" in gap  # the measured numbers travel with it
+    # The gap closing is a change the baseline must ratchet in.
+    fixed, _ = compare_baseline(t1_report(), baseline_payload(failing))
+    assert any("now passes" in p for p in fixed)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("substrate", "dcf"), ("duration", 200.0), ("seeds", [1, 2, 3])],
+)
+def test_baseline_for_another_run_is_refused(key, value):
+    report = t1_report()
+    baseline = {**baseline_payload(report), key: value}
+    with pytest.raises(ConfigError, match=key):
+        compare_baseline(report, baseline)
+    # A baseline that records no run description is refused too.
+    del baseline[key]
+    with pytest.raises(ConfigError, match=key):
+        compare_baseline(report, baseline)
+
+
+# --- command-line exit codes against the baseline --------------------------------
+
+
+PASSING = t1_report()
+FAILING = t1_report([t1_measurement(f2=120.0, f3=300.0)])
+
+
+@pytest.mark.parametrize(
+    "recorded, measured, check, expected",
+    [
+        (PASSING, PASSING, True, 0),  # agreement
+        (PASSING, FAILING, True, 1),  # pass -> fail regression
+        (FAILING, FAILING, True, 0),  # known gap
+        (FAILING, PASSING, True, 1),  # a fixed gap must be ratcheted in
+        (FAILING, FAILING, False, 1),  # ungated: any failing shape
+    ],
+    ids=["agree", "regression", "known-gap", "fixed-gap", "no-check"],
+)
+def test_fidelity_main_exit_codes(
+    tmp_path, monkeypatch, capsys, recorded, measured, check, expected
+):
+    baseline = tmp_path / "baseline.json"
+    write_baseline(baseline, recorded)
+    monkeypatch.setattr(harness, "run_fidelity", lambda config: measured)
+    argv = ["--tables", "1", "--seeds", "1", "--baseline", str(baseline)]
+    argv += ["--markdown", str(tmp_path / "out.md")]
+    if check:
+        argv.append("--check-baseline")
+    assert fidelity_main(argv) == expected
+    err = capsys.readouterr().err
+    if check and recorded is FAILING and measured is FAILING:
+        assert "baseline: t1:t1-equal-split: known gap" in err
+
+
+def test_fidelity_main_refuses_a_baseline_of_another_substrate(
+    tmp_path, monkeypatch, capsys
+):
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(
+        json.dumps({**baseline_payload(PASSING), "substrate": "dcf"}),
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(harness, "run_fidelity", lambda config: PASSING)
+    argv = ["--tables", "1", "--seeds", "1", "--baseline", str(baseline)]
+    argv += ["--markdown", str(tmp_path / "out.md"), "--check-baseline"]
+    assert fidelity_main(argv) == 2
+    assert "substrate='dcf'" in capsys.readouterr().err
 
 
 def test_load_baseline_rejects_bad_files(tmp_path):
@@ -268,6 +353,7 @@ def test_run_fidelity_table1_end_to_end(tmp_path):
     assert report.shape_statuses() == {
         "t1:t1-equal-split": "pass",
         "t1:t1-f1-residual": "pass",
+        "t1:t1-gmp-ieq": "pass",
     }
     assert report.cache_misses == 1
     # Re-running the same config is pure cache hits with equal output.

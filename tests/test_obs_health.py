@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.faults import FaultSchedule, NodeCrash, NodeRecover
-from repro.fidelity.anomaly import detect_anomalies
 from repro.flows.flow import Flow, FlowSet
 from repro.obs import (
     AlertLog,
@@ -15,6 +14,7 @@ from repro.obs import (
     console_delivery,
     jsonl_delivery,
 )
+from repro.obs.health import LIVE_DETECTORS
 from repro.scenarios.figures import Scenario, figure3
 from repro.scenarios.runner import run_scenario
 from repro.telemetry import Telemetry
@@ -168,9 +168,9 @@ def test_crash_run_alerts_mid_run_with_dedup():
 
 
 def test_live_alerts_are_a_prefix_of_the_end_of_run_scan():
-    """The live schedule scans the end-of-run windows cut at ``now``,
-    so every (detector, labels) it raised is also an end-of-run
-    finding."""
+    """The live schedule scans the whole-run windows cut at ``now``,
+    so every (detector, labels) it raised is also a finding of the
+    same detectors over the finished run (``until=None``)."""
     health = HealthMonitor(deliveries=[])
     result = run_scenario(
         _crash_scenario(),
@@ -192,7 +192,8 @@ def test_live_alerts_are_a_prefix_of_the_end_of_run_scan():
     }
     final = {
         (finding.detector, tuple(sorted(finding.labels.items())))
-        for finding in detect_anomalies(result).findings
+        for detector in LIVE_DETECTORS
+        for finding in detector(result, until=None)
     }
     assert {probe for probe, _ in live} >= {"starved_flow", "queue_divergence"}
     assert live <= final

@@ -32,7 +32,7 @@ def test_title_is_first_line_and_optional():
 def test_columns_align_across_rows():
     text = format_table(
         ["metric", "gmp"],
-        [["f1", 563.96], ["f10", 5.0]],
+        [["f1", 437.25], ["f10", 5.0]],
     )
     lines = text.splitlines()
     # Header, separator, and both rows share one width.

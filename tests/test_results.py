@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fidelity.paper import PAPER_TABLES
 from repro.flows.flow import Flow, FlowSet
 from repro.scenarios.results import RunResult
 
@@ -21,9 +22,10 @@ def make_result(rates):
 
 
 def test_indices_from_paper_gmp_column():
-    result = make_result({1: 164.75, 2: 176.04, 3: 179.21})
-    assert result.i_mm == pytest.approx(0.919, abs=0.001)
-    assert result.i_eq == pytest.approx(0.999, abs=0.001)
+    paper = PAPER_TABLES[3].paper["gmp"]
+    result = make_result(paper.rates)
+    assert result.i_mm == pytest.approx(paper.i_mm, abs=0.001)
+    assert result.i_eq == pytest.approx(paper.i_eq, abs=0.001)
 
 
 def test_normalized_rates_use_weights():

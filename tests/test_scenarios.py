@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import GmpConfig
 from repro.errors import ConfigError
+from repro.fidelity.paper import PAPER_TABLES
 from repro.routing.link_state import link_state_routes
 from repro.scenarios.figures import figure1, figure2, figure3, figure4
 from repro.scenarios.runner import run_scenario
@@ -15,9 +16,11 @@ class TestFigureTopologies:
     def test_figure2_clique_structure(self):
         scenario = figure2()
         cliques = maximal_cliques(ContentionGraph(scenario.topology))
-        clique_sets = {clique.links for clique in cliques}
-        assert frozenset({(0, 1), (1, 2)}) in clique_sets
-        assert frozenset({(1, 2), (3, 4), (4, 5)}) in clique_sets
+        # The paper's stated cliques emerge from the geometry, exactly.
+        assert {clique.links for clique in cliques} == {
+            frozenset({(0, 1), (1, 2)}),
+            frozenset({(1, 2), (3, 4), (4, 5)}),
+        }
         assert len(cliques) == 2
 
     def test_figure2_flows_single_hop(self):
@@ -48,21 +51,28 @@ class TestFigureTopologies:
         scenario = figure3()
         cliques = maximal_cliques(ContentionGraph(scenario.topology))
         assert len(cliques) == 1
-        assert len(cliques[0].links) == 3
+        assert cliques[0].links == frozenset({(0, 1), (1, 2), (2, 3)})
 
     def test_figure3_hidden_decode_asymmetry(self):
         topology = figure3().topology
         assert not topology.decodes(0, 2)
         assert topology.senses(0, 2)
+        assert topology.decodes(1, 2)
 
     def test_figure4_hop_counts_solve_table4(self):
         """Odd flows 2-hop, even flows 1-hop — the unique solution of
         the paper's reported U values (see DESIGN.md)."""
         scenario = figure4()
         routes = link_state_routes(scenario.topology)
-        for flow in scenario.flows:
-            expected = 2 if flow.flow_id % 2 == 1 else 1
-            assert routes.hop_count(flow.source, flow.destination) == expected
+        hops = {
+            flow.flow_id: routes.hop_count(flow.source, flow.destination)
+            for flow in scenario.flows
+        }
+        assert hops == {fid: 2 if fid % 2 == 1 else 1 for fid in range(1, 9)}
+        # Each column's U is its hop-weighted rate sum over these hops.
+        for column in PAPER_TABLES[4].paper.values():
+            u = sum(rate * hops[fid] for fid, rate in column.rates.items())
+            assert u == pytest.approx(column.u, abs=0.1)
 
     def test_figure4_pairs_share_source(self):
         scenario = figure4()
@@ -77,6 +87,9 @@ class TestFigureTopologies:
         assert graph.are_adjacent((0, 1), (3, 4))
         assert graph.are_adjacent((1, 2), (4, 5))
         assert not graph.are_adjacent((0, 1), (6, 7))
+        # So the cliques pair adjacent gadgets, four links each.
+        cliques = maximal_cliques(graph)
+        assert sorted(len(clique.links) for clique in cliques) == [4, 4, 4]
 
     def test_figure4_two_destinations_per_gadget(self):
         scenario = figure4()
