@@ -6,7 +6,8 @@ uses, in order of how much of the tree each one covers:
 1. **simcheck** — the in-house whole-program analyzer (determinism,
    layering, parallel-safety, hot-path complexity, unit/dimension
    rules; see ``docs/SIMCHECK.md``).  Runs in-process; no external
-   tooling needed.
+   tooling needed.  Any finding fails the step, and so does an
+   ``allow`` pragma that is malformed or suppresses nothing.
 2. **ruff** — style/bug lints, configured in ``pyproject.toml``.
 3. **mypy** — strict typing on the islands listed in
    ``pyproject.toml``.
@@ -18,7 +19,9 @@ there cannot mask a regression; locally it keeps the gate usable in a
 bare interpreter).  ``--strict-tools`` turns a missing tool into a
 failure for environments that must have the full gate.
 
-The exit code is 0 only when every step that ran passed.
+The exit code is 0 only when every step that ran passed.  To run one
+step alone, run its tool: ``python -m repro.simcheck src/``,
+``ruff check``, ``mypy``.
 """
 
 from __future__ import annotations
@@ -26,14 +29,10 @@ from __future__ import annotations
 import argparse
 import shutil
 import subprocess
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.simcheck.__main__ import main as simcheck_main
-
-#: Steps the gate runs, in order.
-STEPS = ("simcheck", "ruff", "mypy")
 
 
 @dataclass(frozen=True)
@@ -62,11 +61,6 @@ def _repo_root() -> Path:
 
 def _run_simcheck(root: Path, *, github: bool) -> StepResult:
     argv = [str(root / "src")]
-    baseline = root / "simcheck-baseline.json"
-    if baseline.is_file():
-        argv += ["--baseline", str(baseline)]
-    else:
-        argv += ["--no-baseline"]
     if github:
         argv += ["--format", "github"]
     code = simcheck_main(argv)
@@ -93,33 +87,21 @@ def run_gate(
     root: Path | None = None,
     github: bool = False,
     strict_tools: bool = False,
-    only: list[str] | None = None,
 ) -> list[StepResult]:
     """Run the consolidated gate and return one result per step."""
     root = root or _repo_root()
-    selected = set(only) if only else set(STEPS)
-    results: list[StepResult] = []
-    if "simcheck" in selected:
-        results.append(_run_simcheck(root, github=github))
-    if "ruff" in selected:
-        targets = [
-            name
-            for name in ("src", "tests", "examples", "benchmarks")
-            if (root / name).is_dir()
-        ]
-        results.append(
-            _run_tool(
-                "ruff",
-                ["ruff", "check", *targets],
-                root,
-                strict_tools=strict_tools,
-            )
-        )
-    if "mypy" in selected:
-        results.append(
-            _run_tool("mypy", ["mypy"], root, strict_tools=strict_tools)
-        )
-    return results
+    targets = [
+        name
+        for name in ("src", "tests", "examples", "benchmarks")
+        if (root / name).is_dir()
+    ]
+    return [
+        _run_simcheck(root, github=github),
+        _run_tool(
+            "ruff", ["ruff", "check", *targets], root, strict_tools=strict_tools
+        ),
+        _run_tool("mypy", ["mypy"], root, strict_tools=strict_tools),
+    ]
 
 
 def check_main(argv: list[str] | None = None) -> int:
@@ -138,18 +120,10 @@ def check_main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="treat a missing ruff/mypy binary as a failure instead of a skip",
     )
-    parser.add_argument(
-        "--only",
-        action="append",
-        choices=STEPS,
-        help="run only the named step (repeatable)",
-    )
     args = parser.parse_args(argv)
 
     results = run_gate(
-        github=args.format == "github",
-        strict_tools=args.strict_tools,
-        only=args.only,
+        github=args.format == "github", strict_tools=args.strict_tools
     )
     print("check: " + "  ".join(f"{r.name}={r.status}" for r in results))
     for result in results:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import sqlite3
-import threading
 from typing import Any
 
 from repro.errors import ConfigError
@@ -92,7 +91,6 @@ class SqliteSink(TelemetrySink):
 
     def __init__(self, path: str) -> None:
         self.path = str(path)
-        self._thread = threading.get_ident()
         self._conn = sqlite3.connect(self.path)
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS records ("
@@ -138,51 +136,3 @@ class SqliteSink(TelemetrySink):
         self.flush()
         self._conn.close()
         self._closed = True
-
-    def _read_conn(self) -> tuple[sqlite3.Connection, bool]:
-        """A connection to read from: the live one (flushed first) on
-        the writer thread, or a throwaway one when the sink is already
-        closed — inspecting a finished database must not require
-        keeping the sink open.
-
-        A call from *another* thread (the service-mode HTTP plane
-        scraping a run in flight) also gets a throwaway connection:
-        sqlite3 connections are bound to their creating thread, and a
-        fresh read-only-in-practice connection observes exactly the
-        committed rows — the periodic kernel-paced flush bounds its
-        staleness.  Cross-thread readers never flush (the pending
-        buffer belongs to the writer thread)."""
-        if self._closed or threading.get_ident() != self._thread:
-            return sqlite3.connect(self.path, timeout=5.0), True
-        self.flush()
-        return self._conn, False
-
-    def records(self, run: int | None = None) -> list[dict[str, Any]]:
-        """Decoded records (optionally of one run), in insert order."""
-        conn, temporary = self._read_conn()
-        try:
-            if run is None:
-                rows = conn.execute(
-                    "SELECT payload FROM records ORDER BY seq"
-                ).fetchall()
-            else:
-                rows = conn.execute(
-                    "SELECT payload FROM records WHERE run = ? ORDER BY seq",
-                    (run,),
-                ).fetchall()
-        finally:
-            if temporary:
-                conn.close()
-        return [json.loads(payload) for (payload,) in rows]
-
-    def runs(self) -> list[int]:
-        """Distinct run numbers present in the database."""
-        conn, temporary = self._read_conn()
-        try:
-            rows = conn.execute(
-                "SELECT DISTINCT run FROM records ORDER BY run"
-            ).fetchall()
-        finally:
-            if temporary:
-                conn.close()
-        return [run for (run,) in rows]

@@ -28,38 +28,35 @@ Rule families (see :data:`RULES` and docs/SIMCHECK.md):
 * ``UNIT0xx`` — dimension checking over seconds/bits/bits-per-second
   inferred from ``repro.units`` constants and identifier names;
 * ``PAR0xx`` — sweep-pool safety: unpicklable callables crossing the
-  worker boundary, worker-side writes to module-level state.
+  worker boundary, worker-side writes to module-level state;
+* ``PRAG001`` — suppression hygiene: an ``allow`` pragma must name
+  catalogue rules, give a reason, and suppress a finding in the run.
 
 Usage::
 
     python -m repro.simcheck src/
-    python -m repro.simcheck src/ --update-baseline
-    python -m repro.simcheck src/ --graph-out callgraph.json
+    python -m repro.simcheck src/ --format github
     python -m repro check            # simcheck + ruff + mypy, one exit code
 
-Suppressions: append ``# simcheck: allow[RULE] reason`` to the
-offending line, or put ``# simcheck: allow-file[RULE] reason`` on a
-comment line to suppress a rule for a whole file.  Grandfathered
-findings live in ``simcheck-baseline.json``; CI fails on new findings
-*and* on stale baseline entries, so the baseline only ever shrinks.
+A finding is fixed, or accepted where it stands: append
+``# simcheck: allow[RULE] reason`` to the offending line, or put
+``# simcheck: allow-file[RULE] reason`` on a comment line to accept a
+rule for a whole file.  Any finding fails the run, and so does a pragma
+that is malformed or suppresses nothing, so the set of accepted
+findings only ever shrinks.
 """
 
 from __future__ import annotations
 
-from repro.simcheck.baseline import Baseline, match_baseline
 from repro.simcheck.callgraph import Program, build_program, parse_module
 from repro.simcheck.findings import Finding, RULES
-from repro.simcheck.rules import analyze_paths, check_file, check_paths
+from repro.simcheck.rules import analyze_paths
 
 __all__ = [
-    "Baseline",
     "Finding",
     "Program",
     "RULES",
     "analyze_paths",
     "build_program",
-    "check_file",
-    "check_paths",
-    "match_baseline",
     "parse_module",
 ]

@@ -1,36 +1,30 @@
 """CLI: ``python -m repro.simcheck src/``.
 
-Exit codes: 0 — clean (no findings beyond the baseline, no stale
-baseline entries); 1 — new findings and/or stale baseline entries;
-2 — usage or parse error.
+Exit codes: 0 — no findings; 1 — at least one finding (a pragma that is
+malformed or suppresses nothing is one, PRAG001); 2 — usage or parse
+error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from repro.simcheck.baseline import Baseline, match_baseline
-from repro.simcheck.callgraph import write_graph
 from repro.simcheck.findings import Finding, RULES
 from repro.simcheck.rules import analyze_paths
 
-DEFAULT_BASELINE = "simcheck-baseline.json"
 
-
-def _github_annotation(finding: Finding, *, new: bool) -> str:
-    """One ``::error``/``::notice`` workflow command per finding; GitHub
-    renders it inline on the PR diff.  Newlines are not allowed in the
-    message, so the call-chain evidence joins on ' | '."""
-    level = "error" if new else "notice"
+def _github_annotation(finding: Finding) -> str:
+    """One ``::error`` workflow command per finding; GitHub renders it
+    inline on the PR diff.  Newlines are not allowed in the message, so
+    the call-chain evidence joins on ' | '."""
     message = finding.message
     if finding.via:
         message += f" | via {finding.via}"
     message = message.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
     return (
-        f"::{level} file={finding.path},line={finding.line},"
+        f"::error file={finding.path},line={finding.line},"
         f"col={finding.col},title={finding.rule}::{message}"
     )
 
@@ -43,34 +37,10 @@ def main(argv: list[str] | None = None) -> int:
         "paths", nargs="*", default=["src/"], help="files or directories"
     )
     parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        metavar="PATH",
-        help=f"baseline file (default: {DEFAULT_BASELINE}; a missing "
-        "file means an empty baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report every finding as new",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to exactly the current findings",
-    )
-    parser.add_argument(
         "--format",
-        choices=("text", "json", "github"),
+        choices=("text", "github"),
         default="text",
-        help="github emits ::error workflow annotations for new "
-        "findings (and ::notice for grandfathered ones)",
-    )
-    parser.add_argument(
-        "--graph-out",
-        metavar="PATH",
-        help="export the annotated call graph (DOT for .dot/.gv, "
-        "JSON otherwise)",
+        help="github emits one ::error workflow annotation per finding",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
@@ -88,104 +58,19 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     try:
-        findings, program = analyze_paths(args.paths)
+        findings = analyze_paths(args.paths)
     except SyntaxError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    if args.graph_out:
-        write_graph(program, Path(args.graph_out))
-        hot = len(program.hot_chains)
-        workers = len(program.worker_chains)
-        print(
-            f"simcheck: wrote call graph ({len(program.functions)} "
-            f"functions, {hot} hot, {workers} worker) to {args.graph_out}"
-        )
-
-    baseline_path = Path(args.baseline)
-    if args.update_baseline:
-        Baseline.from_findings(findings).write(baseline_path)
-        print(
-            f"simcheck: wrote {len(findings)} finding(s) to {baseline_path}"
-        )
-        return 0
-
-    if args.no_baseline or not baseline_path.exists():
-        baseline = Baseline()
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    match = match_baseline(findings, baseline)
-
-    if args.format == "github":
-        for finding in match.new:
-            print(_github_annotation(finding, new=True))
-        for finding in match.grandfathered:
-            print(_github_annotation(finding, new=False))
-        for rule, path, line in match.stale:
-            print(
-                f"::error file={path},title=stale-baseline::stale "
-                f"baseline entry {rule} (no longer matches: {line!r})"
-            )
-        _print_stale_hint(match.stale, args)
-        return 0 if match.clean else 1
-
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "new": [vars(f) for f in match.new],
-                    "grandfathered": [vars(f) for f in match.grandfathered],
-                    "stale": [
-                        {"rule": rule, "path": path, "line": line}
-                        for rule, path, line in match.stale
-                    ],
-                },
-                indent=2,
-            )
-        )
-    else:
-        for finding in match.new:
+    for finding in findings:
+        if args.format == "github":
+            print(_github_annotation(finding))
+        else:
             print(finding.render())
-        for rule, path, line in match.stale:
-            print(
-                f"{path}: stale baseline entry {rule} "
-                f"(no longer matches: {line!r})"
-            )
-        _print_stale_hint(match.stale, args)
-        summary = (
-            f"simcheck: {len(match.new)} new finding(s), "
-            f"{len(match.grandfathered)} grandfathered, "
-            f"{len(match.stale)} stale baseline entr(y/ies)"
-        )
-        print(summary)
-    return 0 if match.clean else 1
-
-
-def _print_stale_hint(
-    stale: list[tuple[str, str, str]], args: object
-) -> None:
-    """A fixed finding leaves its baseline entry stale; print the exact
-    command that drops the listed entries so the fix ratchets in."""
-    if not stale:
-        return
-    paths = " ".join(getattr(args, "paths", []) or [])
-    baseline = getattr(args, "baseline", DEFAULT_BASELINE)
-    command = f"python -m repro.simcheck {paths}".rstrip()
-    if baseline != DEFAULT_BASELINE:
-        command += f" --baseline {baseline}"
-    command += " --update-baseline"
-    print(
-        f"simcheck: {len(stale)} baseline entr(y/ies) no longer match "
-        "— the findings were fixed. Ratchet them out by rerunning:\n"
-        f"    {command}\n"
-        "which will drop exactly these entries:"
-    )
-    for rule, path, line in stale:
-        print(f"    - {rule} @ {path}: {line!r}")
+    if args.format == "text":
+        print(f"simcheck: {len(findings)} finding(s)")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -23,18 +23,17 @@ The builder is purely syntactic and deliberately conservative: calls
 through stored callables (e.g. ``NodeServices`` fields) and dynamic
 dispatch it cannot resolve are simply absent from the graph, so the
 classification under-approximates reachability rather than guessing.
-The annotated graph exports as JSON or DOT via
-``python -m repro.simcheck --graph-out``.
 """
 
 from __future__ import annotations
 
 import ast
-import json
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 #: Scheduling attributes whose callable arguments become hot roots.
 SCHEDULING_ATTRS = {"call_at", "call_later", "every", "schedule", "timer"}
@@ -58,36 +57,52 @@ POOL_DISPATCH_ATTRS = {
 POOL_RECEIVER_TOKENS = {"pool", "executor"}
 
 _PRAGMA_RE = re.compile(
-    r"#\s*simcheck:\s*(allow-file|allow|module)\b\s*(?:\[([^\]]*)\])?\s*(\S*)"
+    r"#\s*simcheck:\s*(allow-file|allow|module)\b\s*(?:\[([^\]]*)\])?(.*)"
 )
 
 
-def parse_pragmas(
-    lines: Sequence[str],
-) -> tuple[dict[int, set[str]], set[str], str | None]:
-    """Extract suppression pragmas and the module override.
+@dataclass(frozen=True)
+class Pragma:
+    """One ``allow``/``allow-file`` comment: it accepts findings of
+    ``rules`` on its own line (or anywhere in the file), for ``reason``."""
 
-    Returns ``(line -> allowed rules, file-wide allowed rules,
-    module override)``; the rule set ``{"*"}`` allows everything.
+    line: int
+    rules: tuple[str, ...]
+    filewide: bool
+    reason: str
+
+
+def parse_pragmas(text: str) -> tuple[list[Pragma], str | None]:
+    """Extract the suppression pragmas and the module override from the
+    comments of a source file (a pragma-shaped string is not a pragma).
+
+    Returns ``(pragmas, module override)``.  A pragma that names no rule
+    or gives no reason is returned as written; it suppresses nothing,
+    and the rule pass reports it.
     """
-    inline: dict[int, set[str]] = {}
-    filewide: set[str] = set()
+    pragmas: list[Pragma] = []
     module_override: str | None = None
-    for lineno, text in enumerate(lines, start=1):
-        match = _PRAGMA_RE.search(text)
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _PRAGMA_RE.match(token.string)
         if match is None:
             continue
         kind, rules_text, tail = match.groups()
+        tail = tail.strip()
         if kind == "module":
-            module_override = tail or None
+            module_override = tail.split()[0] if tail else None
             continue
-        rules = {part.strip() for part in (rules_text or "*").split(",")}
-        rules.discard("")
-        if kind == "allow":
-            inline.setdefault(lineno, set()).update(rules)
-        else:
-            filewide.update(rules)
-    return inline, filewide, module_override
+        rules = [part.strip() for part in (rules_text or "").split(",")]
+        pragmas.append(
+            Pragma(
+                line=token.start[0],
+                rules=tuple(rule for rule in rules if rule),
+                filewide=kind == "allow-file",
+                reason=tail,
+            )
+        )
+    return pragmas, module_override
 
 
 def module_path_for(path: Path) -> str | None:
@@ -203,13 +218,10 @@ class ModuleInfo:
     """One parsed source file."""
 
     module: str  # repro-relative dotted path
-    path: Path
     display_path: str
-    lines: list[str]
     tree: ast.Module
     aliases: AliasTable
-    inline_pragmas: dict[int, set[str]]
-    filewide_pragmas: set[str]
+    pragmas: list[Pragma]
     #: False when the module identity fell back to the file stem (no
     #: repro-relative path, no ``module <name>`` pragma) — such
     #: names are local labels, not known repro submodules.
@@ -222,7 +234,6 @@ class RootSite:
     """Where a hot/worker root was registered."""
 
     qualname: str  # the registered callable
-    registered_by: str  # qualname of the registering function
     api: str  # e.g. "every", "map"
     path: str
     lineno: int
@@ -335,9 +346,6 @@ class Program:
 
     # --- classification ----------------------------------------------------
 
-    def hot_chain(self, qualname: str) -> tuple[str, ...] | None:
-        return self.hot_chains.get(qualname)
-
     def describe_chain(self, qualname: str) -> str:
         """Human-readable hot-path evidence for a function."""
         chain = self.hot_chains.get(qualname)
@@ -375,69 +383,6 @@ class Program:
         """(Re)compute hot/worker reachability from the root sites."""
         self.hot_chains = self._propagate(self.hot_roots)
         self.worker_chains = self._propagate(self.worker_roots)
-
-    # --- export ------------------------------------------------------------
-
-    def to_json(self) -> dict[str, object]:
-        functions = []
-        for qualname in sorted(self.functions):
-            info = self.functions[qualname]
-            functions.append(
-                {
-                    "qualname": qualname,
-                    "path": info.path,
-                    "line": info.lineno,
-                    "hot": qualname in self.hot_chains,
-                    "worker": qualname in self.worker_chains,
-                    "hot_chain": list(self.hot_chains.get(qualname, ())),
-                    "calls": sorted(info.calls),
-                    "refs": sorted(info.refs),
-                }
-            )
-        return {
-            "modules": sorted(self.modules),
-            "functions": functions,
-            "hot_roots": [
-                {
-                    "qualname": root.qualname,
-                    "api": root.api,
-                    "registered_by": root.registered_by,
-                    "path": root.path,
-                    "line": root.lineno,
-                }
-                for root in self.hot_roots
-            ],
-            "worker_roots": [
-                {
-                    "qualname": root.qualname,
-                    "api": root.api,
-                    "registered_by": root.registered_by,
-                    "path": root.path,
-                    "line": root.lineno,
-                }
-                for root in self.worker_roots
-            ],
-        }
-
-    def to_dot(self) -> str:
-        """Graphviz DOT rendering: hot nodes red, worker nodes blue."""
-        lines = ["digraph callgraph {", "  rankdir=LR;", "  node [shape=box];"]
-        for qualname in sorted(self.functions):
-            attrs = []
-            if qualname in self.hot_chains:
-                attrs.append('color="red"')
-            if qualname in self.worker_chains:
-                attrs.append('style="filled" fillcolor="lightblue"')
-            suffix = f" [{', '.join(attrs)}]" if attrs else ""
-            lines.append(f'  "{qualname}"{suffix};')
-        for qualname in sorted(self.functions):
-            info = self.functions[qualname]
-            for callee in sorted(set(info.calls)):
-                lines.append(f'  "{qualname}" -> "{callee}";')
-            for callee in sorted(set(info.refs) - set(info.calls)):
-                lines.append(f'  "{qualname}" -> "{callee}" [style=dashed];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 # --- pass 1: declarations --------------------------------------------------
@@ -806,7 +751,6 @@ def _record_call(
         roots.append(
             RootSite(
                 qualname=ref,
-                registered_by=info.qualname,
                 api=api,
                 path=module.display_path,
                 lineno=node.lineno,
@@ -829,8 +773,11 @@ def parse_module(
             path, matching the per-file checker's behavior).
     """
     text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    inline, filewide, module_override = parse_pragmas(lines)
+    try:
+        tree = ast.parse(text, filename=str(path))
+    except SyntaxError as error:
+        raise SyntaxError(f"{path}: {error}") from error
+    pragmas, module_override = parse_pragmas(text)
     declared = True
     if module_override is not None:
         module = _strip_repro(module_override)
@@ -840,19 +787,12 @@ def parse_module(
             module, declared = path.stem, False
         else:
             module = derived
-    try:
-        tree = ast.parse(text, filename=str(path))
-    except SyntaxError as error:
-        raise SyntaxError(f"{path}: {error}") from error
     return ModuleInfo(
         module=module,
-        path=path,
         display_path=display_path or path.as_posix(),
-        lines=lines,
         tree=tree,
         aliases=AliasTable(),
-        inline_pragmas=inline,
-        filewide_pragmas=filewide,
+        pragmas=pragmas,
         module_declared=declared,
     )
 
@@ -875,14 +815,3 @@ def build_program(modules: Iterable[ModuleInfo]) -> Program:
         _collect_edges(program, module)
     program.classify()
     return program
-
-
-def write_graph(program: Program, path: Path) -> None:
-    """Export the annotated call graph (DOT for ``.dot``/``.gv``
-    suffixes, JSON otherwise)."""
-    if path.suffix in {".dot", ".gv"}:
-        path.write_text(program.to_dot(), encoding="utf-8")
-    else:
-        path.write_text(
-            json.dumps(program.to_json(), indent=2) + "\n", encoding="utf-8"
-        )

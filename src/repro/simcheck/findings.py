@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Sequence
 
 #: Every rule simcheck knows, with the one-line rationale shown by
 #: ``--list-rules`` (the long form lives in docs/SIMCHECK.md).
@@ -95,6 +94,11 @@ RULES: dict[str, str] = {
         "a pool worker; workers get a copy, the parent never sees the "
         "write — return results instead"
     ),
+    "PRAG001": (
+        "simcheck allow pragma that names no rule, names an unknown rule, "
+        "gives no reason, or suppresses no finding in the run; a pragma "
+        "accepts named findings for a stated reason and goes with them"
+    ),
 }
 
 
@@ -107,13 +111,7 @@ class Finding:
     line: int
     col: int
     message: str
-    source_line: str  # stripped text of the offending line
     via: str = ""  # call-chain evidence (whole-program rules only)
-
-    def key(self) -> tuple[str, str, str]:
-        """Baseline identity: stable across unrelated line-number churn
-        (and across call-chain churn — ``via`` is evidence, not identity)."""
-        return (self.rule, self.path, self.source_line)
 
     def render(self) -> str:
         text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -127,20 +125,15 @@ def finding_at(
     node: ast.AST,
     *,
     path: str,
-    lines: Sequence[str],
     message: str,
     via: str = "",
 ) -> Finding:
     """Build a Finding anchored at an AST node of a known file."""
-    lineno = getattr(node, "lineno", 1)
-    col = getattr(node, "col_offset", 0)
-    source = lines[lineno - 1].strip() if lineno <= len(lines) else ""
     return Finding(
         rule=rule,
         path=path,
-        line=lineno,
-        col=col + 1,
+        line=getattr(node, "lineno", 1),
+        col=getattr(node, "col_offset", 0) + 1,
         message=message,
-        source_line=source,
         via=via,
     )

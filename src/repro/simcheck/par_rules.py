@@ -63,7 +63,6 @@ def _emit(
             rule,
             node,
             path=module.display_path,
-            lines=module.lines,
             message=message,
             via=via,
         )

@@ -158,7 +158,6 @@ class _HotScanner:
                 rule,
                 node,
                 path=self.module.display_path,
-                lines=self.module.lines,
                 message=message,
                 via=self.via,
             )

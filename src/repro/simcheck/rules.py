@@ -17,22 +17,27 @@ that read as rates*, *calls the graph can actually resolve*.  That
 keeps the tool fast, zero-dependency, and conservative; the runtime
 replay sanitizer (:mod:`repro.sim.replay`) is the dynamic backstop
 for what a syntactic pass cannot see.
+
+A finding is accepted only by a pragma at its line or file
+(``# simcheck: allow[RULE] reason``).  PRAG001 reports a pragma that
+names no known rule, gives no reason, or accepts no finding, so the
+accepted set can only shrink.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.simcheck.callgraph import (
     AliasTable,
     ModuleInfo,
-    Program,
+    Pragma,
     build_program,
     parse_module,
 )
-from repro.simcheck.findings import Finding
+from repro.simcheck.findings import RULES, Finding, finding_at
 from repro.simcheck.layering import (
     SCHEDULING_CALLS,
     import_allowed,
@@ -142,15 +147,11 @@ def _receiver_tokens(node: ast.expr) -> set[str]:
 class _FileChecker(ast.NodeVisitor):
     def __init__(
         self,
-        path: Path,
         display_path: str,
-        lines: Sequence[str],
         module: str | None,
         known_modules: set[str],
     ) -> None:
-        self.path = path
         self.display_path = display_path
-        self.lines = lines
         self.module = module
         self.module_top = module.split(".")[0] if module else None
         self.known_modules = known_modules
@@ -163,20 +164,8 @@ class _FileChecker(ast.NodeVisitor):
     # -- plumbing ----------------------------------------------------------
 
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        source = (
-            self.lines[lineno - 1].strip() if lineno <= len(self.lines) else ""
-        )
         self.findings.append(
-            Finding(
-                rule=rule,
-                path=self.display_path,
-                line=lineno,
-                col=col + 1,
-                message=message,
-                source_line=source,
-            )
+            finding_at(rule, node, path=self.display_path, message=message)
         )
 
     # -- imports: aliases + DET002/DET003 + layering -----------------------
@@ -388,68 +377,59 @@ class _FileChecker(ast.NodeVisitor):
 
 
 def _apply_pragmas(
-    findings: Iterable[Finding], module: ModuleInfo
+    findings: Iterable[Finding],
+    module: ModuleInfo,
+    used: set[tuple[str, int, str]],
 ) -> list[Finding]:
-    """Drop findings suppressed by the module's pragmas."""
+    """Drop findings accepted by a well-formed pragma of the module, and
+    note each ``(path, pragma line, rule)`` that accepted one."""
+    pragmas = [p for p in module.pragmas if not _pragma_problem(p)]
     kept: list[Finding] = []
     for finding in findings:
-        allowed = (
-            module.inline_pragmas.get(finding.line, set())
-            | module.filewide_pragmas
-        )
-        if "*" in allowed or finding.rule in allowed:
-            continue
-        kept.append(finding)
+        for pragma in pragmas:
+            if finding.rule in pragma.rules and (
+                pragma.filewide or pragma.line == finding.line
+            ):
+                used.add((finding.path, pragma.line, finding.rule))
+                break
+        else:
+            kept.append(finding)
     return kept
 
 
-def _check_modules(
-    modules: list[ModuleInfo], extra_known: set[str] | None = None
-) -> tuple[list[Finding], Program]:
-    """Run every rule layer over the already-parsed modules."""
-    program = build_program(modules)
-    known = {m.module for m in modules if m.module_declared}
-    known |= extra_known or set()
-    findings: list[Finding] = []
-    by_path: dict[str, ModuleInfo] = {}
-    for module in modules:
-        by_path[module.display_path] = module
-        checker = _FileChecker(
-            module.path,
-            module.display_path,
-            module.lines,
-            module.module if module.module_declared else None,
-            known,
-        )
-        checker.visit(module.tree)
-        findings.extend(
-            _apply_pragmas(
-                checker.findings + check_module_units(module, program),
-                module,
-            )
-        )
-    for finding in check_program_perf(program) + check_program_par(program):
-        module = by_path.get(finding.path)
-        if module is None or _apply_pragmas([finding], module):
-            findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings, program
+def _pragma_problem(pragma: Pragma) -> str:
+    """Why a pragma accepts nothing, or "" when it is well-formed."""
+    if not pragma.rules:
+        return "names no rule"
+    unknown = [rule for rule in pragma.rules if rule not in RULES]
+    if unknown:
+        return f"names unknown rule {', '.join(unknown)}"
+    if not pragma.reason:
+        return "gives no reason"
+    return ""
 
 
-def check_file(
-    path: Path,
-    *,
-    display_path: str | None = None,
-    known_modules: set[str] | None = None,
+def _check_pragmas(
+    module: ModuleInfo, used: set[tuple[str, int, str]]
 ) -> list[Finding]:
-    """Run every rule over one file (single-module program);
-    suppressions already applied.
-
-    ``known_modules`` augments the layering pass's view of which
-    ``repro`` submodules exist (directory runs compute it themselves).
-    """
-    module = parse_module(path, display_path=display_path)
-    findings, _ = _check_modules([module], extra_known=known_modules)
+    """PRAG001: every pragma is well-formed and accepts a finding."""
+    findings: list[Finding] = []
+    for pragma in module.pragmas:
+        kind = "allow-file" if pragma.filewide else "allow"
+        problem = _pragma_problem(pragma)
+        messages = (
+            [f"{kind} pragma {problem}"]
+            if problem
+            else [
+                f"{kind}[{rule}] pragma suppresses no finding — delete it"
+                for rule in pragma.rules
+                if (module.display_path, pragma.line, rule) not in used
+            ]
+        )
+        findings.extend(
+            Finding("PRAG001", module.display_path, pragma.line, 1, message)
+            for message in messages
+        )
     return findings
 
 
@@ -464,16 +444,12 @@ def _collect_files(paths: Iterable[str | Path]) -> list[Path]:
     return files
 
 
-def analyze_paths(
-    paths: Iterable[str | Path], *, root: Path | None = None
-) -> tuple[list[Finding], Program]:
-    """Check every ``.py`` file under ``paths`` and return the findings
-    together with the annotated call-graph :class:`Program`.
-
-    ``root`` (default: CWD) anchors the repo-relative display paths so
-    baseline entries do not depend on where the tool is invoked from.
+def analyze_paths(paths: Iterable[str | Path]) -> list[Finding]:
+    """Run every rule over the ``.py`` files under ``paths``, analysed as
+    one program; pragmas are applied and checked.  Findings are sorted,
+    with paths relative to the current directory where they lie under it.
     """
-    root = (root or Path.cwd()).resolve()
+    root = Path.cwd().resolve()
     modules: list[ModuleInfo] = []
     for file in _collect_files(paths):
         resolved = file.resolve()
@@ -482,11 +458,29 @@ def analyze_paths(
         except ValueError:
             display = file.as_posix()
         modules.append(parse_module(file, display_path=display))
-    return _check_modules(modules)
-
-
-def check_paths(
-    paths: Iterable[str | Path], *, root: Path | None = None
-) -> list[Finding]:
-    """Check every ``.py`` file under ``paths`` (findings only)."""
-    return analyze_paths(paths, root=root)[0]
+    program = build_program(modules)
+    known = {m.module for m in modules if m.module_declared}
+    used: set[tuple[str, int, str]] = set()
+    findings: list[Finding] = []
+    by_path: dict[str, ModuleInfo] = {}
+    for module in modules:
+        by_path[module.display_path] = module
+        checker = _FileChecker(
+            module.display_path,
+            module.module if module.module_declared else None,
+            known,
+        )
+        checker.visit(module.tree)
+        findings.extend(
+            _apply_pragmas(
+                checker.findings + check_module_units(module, program),
+                module,
+                used,
+            )
+        )
+    for finding in check_program_perf(program) + check_program_par(program):
+        findings.extend(_apply_pragmas([finding], by_path[finding.path], used))
+    for module in modules:
+        findings.extend(_check_pragmas(module, used))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return findings

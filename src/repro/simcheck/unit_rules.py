@@ -168,7 +168,6 @@ class _UnitChecker:
                 rule,
                 node,
                 path=self.module.display_path,
-                lines=self.module.lines,
                 message=message,
             )
         )

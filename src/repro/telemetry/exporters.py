@@ -525,15 +525,3 @@ def render_metrics_prometheus(telemetry: Telemetry) -> str:
                 f"{_prom_float(by_category[category])}"
             )
     return "\n".join(out) + "\n" if out else ""
-
-
-def write_metrics_prometheus(path: str, telemetry: Telemetry) -> int:
-    """Write :func:`render_metrics_prometheus` to ``path``.
-
-    Returns:
-        The number of lines written (comments included).
-    """
-    text = render_metrics_prometheus(telemetry)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    return text.count("\n")

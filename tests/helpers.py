@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import sqlite3
 from collections import deque
+from contextlib import closing
 from typing import Any
 
 from repro.errors import ConfigError, TopologyError
@@ -411,6 +413,18 @@ class RingSink(TelemetrySink):
     def records(self) -> list[dict[str, Any]]:
         """The retained records, oldest first."""
         return list(self._ring)
+
+
+def sqlite_records(path: str, run: int | None = None) -> list[dict[str, Any]]:
+    """Decoded records of a ``SqliteSink`` database (optionally of one
+    run), in insert order; reads committed rows only."""
+    with closing(sqlite3.connect(path)) as conn:
+        rows = conn.execute("SELECT run, payload FROM records ORDER BY seq")
+        return [
+            json.loads(payload)
+            for sink_run, payload in rows
+            if run is None or sink_run == run
+        ]
 
 
 #: Stream-control record kinds (not part of the exporter layout).

@@ -1,8 +1,6 @@
-"""CLI surfaces added with the whole-program analyzer: GitHub
-annotations, the stale-baseline hint, the call-graph export, and the
+"""CLI surfaces of the static gate: GitHub annotations and the
 ``python -m repro check`` consolidated gate."""
 
-import json
 import subprocess
 from pathlib import Path
 
@@ -12,30 +10,26 @@ from repro.simcheck.__main__ import main as simcheck_main
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _write_dirty(tmp_path):
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("import random\n")
-    return dirty
+def _no_tools(monkeypatch):
+    """Neither ruff nor mypy is installed: the gate is simcheck alone."""
+    monkeypatch.setattr("repro.check.shutil.which", lambda name: None)
+
+
+def _simcheck_ok(monkeypatch):
+    monkeypatch.setattr("repro.check.simcheck_main", lambda argv: 0)
 
 
 def test_github_format_annotations(tmp_path, capsys):
-    dirty = _write_dirty(tmp_path)
-    assert simcheck_main([str(dirty), "--no-baseline", "--format", "github"]) == 1
+    dirty = tmp_path / "dirty.py"
+    dirty.write_text("import random\n")
+    assert simcheck_main([str(dirty), "--format", "github"]) == 1
     out = capsys.readouterr().out
     assert f"::error file={dirty},line=1,col=1,title=DET002::" in out
 
-    # Grandfathered findings demote to ::notice and exit 0.
-    baseline = tmp_path / "baseline.json"
-    simcheck_main([str(dirty), "--baseline", str(baseline), "--update-baseline"])
-    capsys.readouterr()
-    assert (
-        simcheck_main(
-            [str(dirty), "--baseline", str(baseline), "--format", "github"]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "::notice " in out and "::error " not in out
+    # An accepted finding prints nothing and exits 0.
+    dirty.write_text("import random  # simcheck: allow[DET002] test\n")
+    assert simcheck_main([str(dirty), "--format", "github"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_github_format_via_chain_joins_on_one_line(tmp_path, capsys):
@@ -52,87 +46,54 @@ def test_github_format_via_chain_joins_on_one_line(tmp_path, capsys):
         "            for link in self.links:\n"
         "                print(node, link)\n"
     )
-    assert simcheck_main([str(hot), "--no-baseline", "--format", "github"]) == 1
+    assert simcheck_main([str(hot), "--format", "github"]) == 1
     out = capsys.readouterr().out
     line = next(ln for ln in out.splitlines() if "PERF001" in ln)
     assert " | via every@" in line and "\n" not in line
 
 
-def test_stale_hint_names_the_exact_update_command(tmp_path, capsys):
-    dirty = _write_dirty(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    simcheck_main([str(dirty), "--baseline", str(baseline), "--update-baseline"])
-    dirty.write_text("VALUE = 1\n")
-    capsys.readouterr()
-    assert simcheck_main([str(dirty), "--baseline", str(baseline)]) == 1
+def test_check_gate_runs_simcheck_against_the_repo(monkeypatch, capsys):
+    _no_tools(monkeypatch)
+    assert check_main([]) == 0
     out = capsys.readouterr().out
-    assert (
-        f"python -m repro.simcheck {dirty} --baseline {baseline} "
-        "--update-baseline" in out
-    )
-    assert "- DET002 @" in out and "'import random'" in out
-
-
-def test_graph_out_exports_json_and_dot(tmp_path, capsys):
-    hot = tmp_path / "hot.py"
-    hot.write_text(
-        "def tick():\n"
-        "    return 0\n"
-        "\n"
-        "\n"
-        "def install(sim):\n"
-        "    sim.call_later(1.0, tick)\n"
-    )
-    graph = tmp_path / "graph.json"
-    assert (
-        simcheck_main([str(hot), "--no-baseline", "--graph-out", str(graph)])
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "wrote call graph" in out
-    data = json.loads(graph.read_text())
-    by_name = {f["qualname"]: f for f in data["functions"]}
-    assert by_name["hot.tick"]["hot"]
-    assert not by_name["hot.install"]["hot"]
-
-    dot = tmp_path / "graph.dot"
-    simcheck_main([str(hot), "--no-baseline", "--graph-out", str(dot)])
-    assert dot.read_text().startswith("digraph")
-
-
-def test_check_gate_runs_simcheck_against_the_repo(capsys):
-    assert check_main(["--only", "simcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "check: simcheck=ok" in out
+    assert "check: simcheck=ok  ruff=skipped  mypy=skipped" in out
 
 
 def test_check_gate_skips_missing_tools(monkeypatch, capsys):
-    monkeypatch.setattr("repro.check.shutil.which", lambda name: None)
-    results = run_gate(root=REPO_ROOT, only=["ruff", "mypy"])
-    assert [r.status for r in results] == ["skipped", "skipped"]
+    _no_tools(monkeypatch)
+    _simcheck_ok(monkeypatch)
+    results = run_gate(root=REPO_ROOT)
+    assert [r.status for r in results] == ["ok", "skipped", "skipped"]
     assert all(not r.failed for r in results)
     # --strict-tools turns the skip into a failure.
-    results = run_gate(root=REPO_ROOT, only=["ruff"], strict_tools=True)
-    assert [r.status for r in results] == ["fail"]
+    results = run_gate(root=REPO_ROOT, strict_tools=True)
+    assert [r.status for r in results] == ["ok", "fail", "fail"]
 
 
 def test_check_gate_propagates_tool_failure(monkeypatch):
+    _simcheck_ok(monkeypatch)
     monkeypatch.setattr("repro.check.shutil.which", lambda name: "/bin/true")
     monkeypatch.setattr(
         "repro.check.subprocess.run",
-        lambda argv, cwd: subprocess.CompletedProcess(argv, returncode=3),
+        lambda argv, cwd: subprocess.CompletedProcess(
+            argv, returncode=3 if argv[0] == "mypy" else 0
+        ),
     )
-    results = run_gate(root=REPO_ROOT, only=["mypy"])
-    assert results == [StepResult("mypy", "fail", "exit code 3")]
-    monkeypatch.setattr(
-        "repro.check.subprocess.run",
-        lambda argv, cwd: subprocess.CompletedProcess(argv, returncode=0),
+    assert run_gate(root=REPO_ROOT) == [
+        StepResult("simcheck", "ok"),
+        StepResult("ruff", "ok"),
+        StepResult("mypy", "fail", "exit code 3"),
+    ]
+    monkeypatch.setattr("repro.check.simcheck_main", lambda argv: 1)
+    assert run_gate(root=REPO_ROOT)[0] == StepResult(
+        "simcheck", "fail", "exit code 1"
     )
-    assert run_gate(root=REPO_ROOT, only=["mypy"]) == [StepResult("mypy", "ok")]
 
 
-def test_repro_main_dispatches_check(capsys):
+def test_repro_main_dispatches_check(monkeypatch, capsys):
     from repro.__main__ import main as repro_main
 
-    assert repro_main(["check", "--only", "simcheck"]) == 0
+    _no_tools(monkeypatch)
+    _simcheck_ok(monkeypatch)
+    assert repro_main(["check"]) == 0
     assert "check: simcheck=ok" in capsys.readouterr().out

@@ -8,7 +8,7 @@ from repro.errors import ConfigError
 from repro.obs import JsonlSink, SqliteSink
 from repro.obs.sinks import encode_record
 
-from helpers import RingSink
+from helpers import RingSink, sqlite_records
 
 
 def _record(i, kind="sample"):
@@ -79,7 +79,7 @@ def test_sqlite_sink_round_trips_records(tmp_path):
     for record in records:
         sink.write(record)
     sink.flush()
-    assert sink.records(run=1) == records
+    assert sqlite_records(str(path), run=1) == records
     sink.close()
 
 
@@ -96,11 +96,9 @@ def test_sqlite_sink_reopen_appends_next_run(tmp_path):
     second.write(_record(2))
     second.close()
 
-    # A closed sink still answers reads via a throwaway connection.
-    assert second.runs() == [1, 2]
-    assert [r["t"] for r in second.records(run=1)] == [0.0]
-    assert [r["t"] for r in second.records(run=2)] == [1.0, 2.0]
-    assert len(second.records()) == 3
+    assert [r["t"] for r in sqlite_records(path, run=1)] == [0.0]
+    assert [r["t"] for r in sqlite_records(path, run=2)] == [1.0, 2.0]
+    assert len(sqlite_records(path)) == 3
 
 
 def test_sqlite_sink_write_after_close_raises(tmp_path):
@@ -111,27 +109,23 @@ def test_sqlite_sink_write_after_close_raises(tmp_path):
 
 
 def test_sqlite_sink_flush_bounds_durability(tmp_path):
-    import sqlite3
-
     path = str(tmp_path / "stream.db")
     sink = SqliteSink(path)
     sink.write(_record(0))
     # Unflushed writes are pending only: a second connection sees nothing.
-    other = sqlite3.connect(path)
-    assert other.execute("SELECT COUNT(*) FROM records").fetchone()[0] == 0
+    assert sqlite_records(path) == []
     sink.flush()
-    assert other.execute("SELECT COUNT(*) FROM records").fetchone()[0] == 1
-    other.close()
+    assert [r["t"] for r in sqlite_records(path)] == [0.0]
     sink.close()
 
 
 def test_sqlite_sink_cross_thread_reader_sees_committed_rows(tmp_path):
-    """A reader on another thread (the serve HTTP plane) gets its own
-    connection and observes only committed records — no thread-affinity
-    errors, no partial batches."""
+    """A reader on another thread, on its own connection, observes only
+    committed records: whole flushed batches, in insert order."""
     import threading
 
-    sink = SqliteSink(str(tmp_path / "stream.db"))
+    path = str(tmp_path / "stream.db")
+    sink = SqliteSink(path)
     stop = threading.Event()
     seen = []
     errors = []
@@ -139,7 +133,7 @@ def test_sqlite_sink_cross_thread_reader_sees_committed_rows(tmp_path):
     def reader():
         while not stop.is_set():
             try:
-                rows = sink.records()
+                rows = sqlite_records(path)
             except Exception as error:  # pragma: no cover - the failure
                 errors.append(error)
                 return
@@ -155,10 +149,13 @@ def test_sqlite_sink_cross_thread_reader_sees_committed_rows(tmp_path):
     sink.flush()
     stop.set()
     thread.join(timeout=10)
+    assert not thread.is_alive()
     assert not errors, errors[0]
-    # Counts only grow, and the final flush is visible to a fresh read.
+    # Counts only grow, in whole batches, and the final flush is visible
+    # to a fresh read.
     assert seen == sorted(seen)
-    assert len(sink.records()) == 50
+    assert all(count % 5 == 0 for count in seen)
+    assert len(sqlite_records(path)) == 50
     sink.close()
 
 
@@ -168,5 +165,5 @@ def test_sqlite_sink_records_after_close_reads_from_disk(tmp_path):
     for i in range(3):
         sink.write(_record(i))
     sink.close()
-    # The sink object still serves reads via a fresh connection.
-    assert [r["t"] for r in sink.records()] == [0.0, 1.0, 2.0]
+    # Closing commits the pending writes.
+    assert [r["t"] for r in sqlite_records(path)] == [0.0, 1.0, 2.0]

@@ -14,7 +14,7 @@ from repro.sim.replay import ReplaySanitizer
 from repro.telemetry import Telemetry
 from repro.telemetry.exporters import write_metrics_jsonl
 
-from helpers import RingSink, reconstruct_jsonl
+from helpers import RingSink, reconstruct_jsonl, sqlite_records
 
 #: Same golden count as tests/test_telemetry_overhead.py: figure3,
 #: gmp, fluid, 30 s, seed 1, captured before telemetry existed.
@@ -89,7 +89,7 @@ def test_stream_reconstructs_byte_identical_export(tmp_path):
     exported = export_path.read_text()
 
     assert reconstruct_jsonl(ring.records()) == exported
-    assert reconstruct_jsonl(sqlite.records(run=1)) == exported
+    assert reconstruct_jsonl(sqlite_records(sqlite.path, run=1)) == exported
     streamed_lines = [
         json.loads(line)
         for line in (tmp_path / "stream.jsonl").read_text().splitlines()

@@ -1,12 +1,12 @@
 """simcheck: every rule fires on its fixture, the committed tree is
-clean against the committed baseline, and the baseline ratchet
-(new/grandfathered/stale) plus the suppression pragmas behave."""
+clean, and a pragma accepts a finding only when it names the rule and a
+reason, and goes stale (PRAG001) once the finding does."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.simcheck import Baseline, check_file, check_paths, match_baseline
+from repro.simcheck import analyze_paths
 from repro.simcheck.__main__ import main as simcheck_main
 from repro.simcheck.findings import RULES
 
@@ -34,18 +34,20 @@ EXPECTED = {
     "unit002_bare_rate_literal.py": {("UNIT002", 9), ("UNIT002", 10)},
     "par001_unpicklable_task.py": {("PAR001", 5), ("PAR001", 12)},
     "par002_worker_global_write.py": {("PAR002", 9), ("PAR002", 10)},
+    "prag001_no_rule.py": {("DET001", 7), ("PRAG001", 7)},
+    "prag001_no_reason.py": {("DET001", 7), ("PRAG001", 7)},
+    "prag001_suppresses_nothing.py": {("PRAG001", 1), ("PRAG001", 10)},
     "clean.py": set(),
 }
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_fixture_triggers_exactly_its_rule(name):
-    findings = check_file(FIXTURES / name)
+    findings = analyze_paths([FIXTURES / name])
     assert {(f.rule, f.line) for f in findings} == EXPECTED[name]
     for finding in findings:
         assert finding.rule in RULES
         assert finding.path.endswith(name)
-        assert finding.source_line  # baseline key must be non-empty
 
 
 def test_every_rule_id_is_covered_by_a_fixture():
@@ -53,12 +55,9 @@ def test_every_rule_id_is_covered_by_a_fixture():
     assert covered == set(RULES)
 
 
-def test_committed_tree_is_clean_against_committed_baseline():
-    findings = check_paths([REPO_ROOT / "src"], root=REPO_ROOT)
-    baseline = Baseline.load(REPO_ROOT / "simcheck-baseline.json")
-    match = match_baseline(findings, baseline)
-    assert match.new == [], [f.render() for f in match.new]
-    assert match.stale == []
+def test_committed_tree_is_clean():
+    findings = analyze_paths([REPO_ROOT / "src"])
+    assert findings == [], [f.render() for f in findings]
 
 
 def test_injected_nested_node_loop_in_fluid_is_caught(tmp_path):
@@ -75,7 +74,7 @@ def test_injected_nested_node_loop_in_fluid_is_caught(tmp_path):
     )
     path = tmp_path / "fluid.py"
     path.write_text(source.replace(needle, injected))
-    findings = [f for f in check_file(path) if f.rule == "PERF001"]
+    findings = [f for f in analyze_paths([path]) if f.rule == "PERF001"]
     assert findings, "injected nested collection loop was not caught"
     assert any("every@" in f.via and "_round" in f.via for f in findings)
 
@@ -90,46 +89,23 @@ def test_injected_lambda_into_sweep_dispatch_is_caught(tmp_path):
     path.write_text(
         source.replace(needle, "pool.map(lambda spec: run_point(spec), todo)")
     )
-    assert any(f.rule == "PAR001" for f in check_file(path))
-
-
-def test_baseline_ratchet_new_grandfathered_stale():
-    findings = check_file(FIXTURES / "det004_numpy_rng.py")
-    assert len(findings) == 1
-    baseline = Baseline.from_findings(findings)
-    # Same findings: grandfathered, clean.
-    match = match_baseline(findings, baseline)
-    assert match.clean and len(match.grandfathered) == 1
-    # Extra finding: new, not clean.
-    extra = check_file(FIXTURES / "det002_stdlib_random.py")
-    match = match_baseline(findings + extra, baseline)
-    assert not match.clean and len(match.new) == len(extra)
-    # Fixed finding: the baseline entry goes stale, also not clean.
-    match = match_baseline([], baseline)
-    assert not match.clean and len(match.stale) == 1
-
-
-def test_baseline_roundtrip(tmp_path):
-    findings = check_file(FIXTURES / "det001_wall_clock.py")
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(findings).write(path)
-    assert match_baseline(findings, Baseline.load(path)).clean
+    assert any(f.rule == "PAR001" for f in analyze_paths([path]))
 
 
 def test_inline_and_filewide_suppressions(tmp_path):
     offender = "import time\n\n\ndef f():\n    return time.time()\n"
     path = tmp_path / "mod.py"
     path.write_text(offender)
-    assert [f.rule for f in check_file(path)] == ["DET001"]
+    assert [f.rule for f in analyze_paths([path])] == ["DET001"]
     path.write_text(
         offender.replace(
             "return time.time()",
             "return time.time()  # simcheck: allow[DET001] test",
         )
     )
-    assert check_file(path) == []
+    assert analyze_paths([path]) == []
     path.write_text("# simcheck: allow-file[DET001] test\n" + offender)
-    assert check_file(path) == []
+    assert analyze_paths([path]) == []
 
 
 def test_unrelated_rule_suppression_does_not_hide_finding(tmp_path):
@@ -141,7 +117,8 @@ def test_unrelated_rule_suppression_does_not_hide_finding(tmp_path):
         "def f():\n"
         "    return time.time()  # simcheck: allow[DET005] wrong rule\n"
     )
-    assert [f.rule for f in check_file(path)] == ["DET001"]
+    # The finding stands, and the pragma that accepts nothing is a finding.
+    assert sorted(f.rule for f in analyze_paths([path])) == ["DET001", "PRAG001"]
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -149,26 +126,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     clean.write_text("VALUE = 1\n")
     dirty = tmp_path / "dirty.py"
     dirty.write_text("import random\n")
-    baseline = tmp_path / "baseline.json"
 
-    assert simcheck_main([str(clean), "--baseline", str(baseline)]) == 0
-    assert simcheck_main([str(dirty), "--baseline", str(baseline)]) == 1
-    assert (
-        simcheck_main(
-            [str(dirty), "--baseline", str(baseline), "--update-baseline"]
-        )
-        == 0
+    assert simcheck_main([str(clean)]) == 0
+    assert simcheck_main([str(dirty)]) == 1
+    # Accepting the finding at its line makes the run clean ...
+    dirty.write_text("import random  # simcheck: allow[DET002] test\n")
+    assert simcheck_main([str(dirty)]) == 0
+    # ... and fixing it leaves the pragma stale, which fails until removed.
+    dirty.write_text("VALUE = 2  # simcheck: allow[DET002] test\n")
+    assert simcheck_main([str(dirty)]) == 1
+    assert "PRAG001 allow[DET002] pragma suppresses no finding" in (
+        capsys.readouterr().out
     )
-    assert simcheck_main([str(dirty), "--baseline", str(baseline)]) == 0
-    # Fixing the finding leaves the entry stale -> fail until removed.
-    dirty.write_text("VALUE = 2\n")
-    assert simcheck_main([str(dirty), "--baseline", str(baseline)]) == 1
     assert simcheck_main([str(tmp_path / "missing.py")]) == 2
     capsys.readouterr()
 
 
 def test_cli_list_rules(capsys):
     assert simcheck_main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule in RULES:
-        assert rule in out
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == sorted(RULES)
+    assert "PRAG001" in listed

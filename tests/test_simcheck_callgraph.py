@@ -1,13 +1,12 @@
 """Call-graph builder: module naming, hot/worker classification,
-cycles, method resolution through bases, re-export chains (including
-the symbol-shadows-module pattern), and the graph export."""
+cycles, method resolution through bases, and re-export chains
+(including the symbol-shadows-module pattern)."""
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.simcheck.callgraph import build_program, parse_module, write_graph
+from repro.simcheck.callgraph import build_program, parse_module
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MINI = REPO_ROOT / "tests" / "fixtures" / "callgraph" / "mini"
@@ -77,19 +76,3 @@ def test_pool_dispatch_makes_the_task_a_worker(program):
     # Workers' callees are worker-reachable too.
     assert "mini.metrics.measure" in program.worker_chains
 
-
-def test_graph_export_json_and_dot(program, tmp_path):
-    json_path = tmp_path / "graph.json"
-    write_graph(program, json_path)
-    data = json.loads(json_path.read_text())
-    by_name = {f["qualname"]: f for f in data["functions"]}
-    assert by_name["mini.driver.Driver._tick"]["hot"]
-    assert by_name["mini.sweeper.simulate"]["worker"]
-    assert not by_name["mini.sweeper.run_points"]["hot"]
-    assert data["hot_roots"] and data["worker_roots"]
-
-    dot_path = tmp_path / "graph.dot"
-    write_graph(program, dot_path)
-    dot = dot_path.read_text()
-    assert dot.startswith("digraph")
-    assert '"mini.metrics.measure" -> "mini.metrics.helper"' in dot

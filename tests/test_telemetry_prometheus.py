@@ -3,10 +3,7 @@ cumulative buckets, and the stable-render guarantee ``/metrics``
 scrapes depend on."""
 
 from repro.telemetry import Telemetry
-from repro.telemetry.exporters import (
-    render_metrics_prometheus,
-    write_metrics_prometheus,
-)
+from repro.telemetry.exporters import render_metrics_prometheus
 
 
 def _telemetry():
@@ -100,13 +97,3 @@ def test_double_render_is_byte_identical():
     assert render_metrics_prometheus(telemetry) == render_metrics_prometheus(
         telemetry
     )
-
-
-def test_write_metrics_prometheus_round_trip(tmp_path):
-    telemetry = _telemetry()
-    path = tmp_path / "metrics.prom"
-    count = write_metrics_prometheus(str(path), telemetry)
-    text = path.read_text()
-    assert text == render_metrics_prometheus(telemetry)
-    assert count == len(text.splitlines())
-    assert text.endswith("\n")
