@@ -6,36 +6,33 @@
   50% separates saturated from unsaturated buffers (they chose 25%);
 * paper-literal limit removal vs the default (disabled) — removal
   causes flood/re-clamp cycles under per-destination queueing;
-* EIFS on/off on the DCF substrate — the deferral asymmetry shifts
-  MAC-level fairness on the chain;
 * fluid vs DCF substrate on the same scenario.
+
+EIFS is always on: the DCF substrate no longer switches it off.
 """
 
-import pytest
-
 from repro.analysis.report import format_table
-from repro.core.config import GmpConfig
-from repro.mac.dcf import DcfConfig
-from repro.scenarios.figures import figure3
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import RunSpec
 
 
-def run_fluid(config, duration=40.0, seed=1):
-    return run_scenario(
-        figure3(),
+def run_fluid(beta=0.1, duration=40.0, **gmp):
+    return RunSpec(
+        scenario="figure3",
         protocol="gmp",
         substrate="fluid",
         duration=duration,
-        seed=seed,
-        gmp_config=config,
+        seed=1,
+        period=0.5,
+        beta=beta,
+        gmp=gmp,
         capacity_pps=600.0,
-    )
+    ).run()
 
 
 def test_beta_sweep(once):
     def sweep():
         return {
-            beta: run_fluid(GmpConfig(period=0.5, beta=beta))
+            beta: run_fluid(beta=beta)
             for beta in (0.05, 0.10, 0.20)
         }
 
@@ -53,7 +50,7 @@ def test_beta_sweep(once):
 def test_omega_threshold_sweep(once):
     def sweep():
         return {
-            threshold: run_fluid(GmpConfig(period=0.5, omega_threshold=threshold))
+            threshold: run_fluid(omega_threshold=threshold)
             for threshold in (0.1, 0.25, 0.45)
         }
 
@@ -74,10 +71,8 @@ def test_limit_removal_ablation(once):
     """Paper-literal removal (persistence 1) vs the default (never)."""
 
     def run_pair():
-        literal = run_fluid(
-            GmpConfig(period=0.5, removal_persistence=1), duration=40.0
-        )
-        default = run_fluid(GmpConfig(period=0.5), duration=40.0)
+        literal = run_fluid(removal_persistence=1, duration=40.0)
+        default = run_fluid(duration=40.0)
         return literal, default
 
     literal, default = once(run_pair)
@@ -90,51 +85,15 @@ def test_limit_removal_ablation(once):
     assert default.i_eq >= literal.i_eq - 0.1
 
 
-def test_eifs_ablation(once):
-    """EIFS drives the chain's MAC-level asymmetry under plain 802.11."""
-
-    def run_pair():
-        with_eifs = run_scenario(
-            figure3(),
-            protocol="802.11",
-            substrate="dcf",
-            duration=30.0,
-            seed=1,
-            dcf_config=DcfConfig(use_eifs=True),
-        )
-        without = run_scenario(
-            figure3(),
-            protocol="802.11",
-            substrate="dcf",
-            duration=30.0,
-            seed=1,
-            dcf_config=DcfConfig(use_eifs=False),
-        )
-        return with_eifs, without
-
-    with_eifs, without = once(run_pair)
-    print(
-        f"\nEIFS ablation (802.11): with EIFS I_mm={with_eifs.i_mm:.3f} "
-        f"U={with_eifs.effective_throughput:.0f} | without "
-        f"I_mm={without.i_mm:.3f} U={without.effective_throughput:.0f}"
-    )
-    assert with_eifs.i_mm != pytest.approx(without.i_mm, abs=1e-6)
-
-
 def test_substrate_comparison(once):
     """GMP reaches similar fairness on both substrates; the DCF adds
     MAC noise and asymmetries the fluid model idealizes away."""
 
     def run_pair():
-        fluid = run_fluid(GmpConfig(period=0.5), duration=40.0)
-        dcf = run_scenario(
-            figure3(),
-            protocol="gmp",
-            substrate="dcf",
-            duration=60.0,
-            seed=1,
-            gmp_config=GmpConfig(period=1.0),
-        )
+        fluid = run_fluid(duration=40.0)
+        dcf = RunSpec(
+            scenario="figure3", protocol="gmp", substrate="dcf", duration=60.0, seed=1, period=1.0
+        ).run()
         return fluid, dcf
 
     fluid, dcf = once(run_pair)

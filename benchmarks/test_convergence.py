@@ -11,28 +11,28 @@ attributable to the protocol, not to MAC randomness).
 from repro.analysis.convergence import convergence_time, oscillation_amplitude
 from repro.analysis.maxmin_reference import weighted_maxmin_rates
 from repro.analysis.report import format_table
-from repro.core.config import GmpConfig
 from repro.routing.link_state import link_state_routes
-from repro.scenarios.figures import figure3
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import RunSpec
 from repro.topology.cliques import maximal_cliques
 from repro.topology.contention import ContentionGraph
 
+from helpers import FAST
+
 CAPACITY = 600.0
-CONFIG = GmpConfig(period=0.5, additive_increase=4.0)
 
 
 def run():
-    scenario = figure3()
-    result = run_scenario(
-        scenario,
+    spec = RunSpec(
+        scenario="figure3",
         protocol="gmp",
         substrate="fluid",
         duration=60.0,
         seed=1,
-        gmp_config=CONFIG,
+        **FAST,
         capacity_pps=CAPACITY,
     )
+    scenario = spec.build_scenario()
+    result = spec.run()
     routes = link_state_routes(scenario.topology)
     cliques = maximal_cliques(ContentionGraph(scenario.topology))
     reference = weighted_maxmin_rates(scenario.flows, routes, cliques, CAPACITY)
@@ -64,7 +64,7 @@ def test_convergence(once):
                 f"f{flow_id}",
                 result.flow_rates[flow_id],
                 target,
-                "-" if settle is None else settle * CONFIG.period,
+                "-" if settle is None else settle * FAST["period"],
                 amplitude,
             ]
         )

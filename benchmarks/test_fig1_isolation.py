@@ -10,21 +10,21 @@ desirable rate.
 
 from repro.analysis.report import format_table
 from repro.scenarios.figures import figure1
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import RunSpec
 
 
 def run_pair():
     scenario = figure1()
     results = {}
     for protocol in ("backpressure-shared", "backpressure-perdest"):
-        results[protocol] = run_scenario(
-            scenario,
+        results[protocol] = RunSpec(
+            scenario="figure1",
             protocol=protocol,
             substrate="fluid",
             duration=60.0,
             seed=1,
             capacity_pps=600.0,
-        )
+        ).run()
     return scenario, results
 
 

@@ -171,8 +171,7 @@ def test_fluid_round_scale300(benchmark, monkeypatch):
     system, transfers) plus the ~115 traffic/GMP events that feed it.
     Solving over every clique the active links touch (1,876 instead of
     37) makes this ~3x slower — through the 2x compare_bench gate."""
-    from repro.scenarios.runner import run_scenario
-    from repro.scenarios.scale import scale300
+    from repro.scenarios.spec import RunSpec
 
     macs = []
     start = FluidMac.start
@@ -182,7 +181,7 @@ def test_fluid_round_scale300(benchmark, monkeypatch):
         start(self)
 
     monkeypatch.setattr(FluidMac, "start", recording_start)
-    run_scenario(scale300(), protocol="gmp", substrate="fluid", duration=5.0, seed=1)
+    RunSpec(scenario="scale300", protocol="gmp", substrate="fluid", duration=5.0, seed=1).run()
     (mac,) = macs
     sim = mac.sim
     solves_before = mac.alloc_cache_misses
@@ -197,16 +196,17 @@ def test_fluid_round_scale300(benchmark, monkeypatch):
 
 def test_gmp_packet_path_figure3(benchmark):
     """Sixty simulated seconds of figure3 GMP/fluid through
-    ``run_scenario``, set-up included (~2 ms): the per-packet path the
+    ``RunSpec.run``, set-up included (~2 ms): the per-packet path the
     ``QueueNode`` tests above bypass — ``TrafficSource`` ticks, about
     two in three refused by a full source queue, ``NodeStack``,
     ``PerDestinationBuffer`` and the GMP observer: ~75 k events, nearly
     all of them source ticks."""
-    from repro.scenarios.figures import figure3
-    from repro.scenarios.runner import run_scenario
+    from repro.scenarios.spec import RunSpec
+
+    spec = RunSpec(scenario="figure3", protocol="gmp", substrate="fluid", duration=60.0, seed=1)
 
     def run():
-        return run_scenario(figure3(), protocol="gmp", substrate="fluid", duration=60.0, seed=1)
+        return spec.run()
 
     result = benchmark.pedantic(run, rounds=5, warmup_rounds=1)
     assert min(result.flow_rates.values()) > 0
@@ -215,24 +215,25 @@ def test_gmp_packet_path_figure3(benchmark):
 def test_gmp_churn_path_figure3(benchmark):
     """Thirty simulated seconds of figure3 GMP/fluid under the flow churn
     of the repo benchmark's dynamic workload (Poisson arrivals of flows
-    that send Poisson traffic), through ``run_scenario``: the source tick
+    that send Poisson traffic), through ``RunSpec.run``: the source tick
     path ``test_gmp_packet_path_figure3``'s CBR flows skip — a gap from
     the source's drawn block, one token-bucket refill under GMP's limits
     — plus churned sources starting and stopping.  ~97 k events, 18
     churned flows, nearly all events source ticks."""
-    from repro.churn.spec import ChurnSpec
     from repro.scenarios.figures import figure3
-    from repro.scenarios.runner import run_scenario
+    from repro.scenarios.spec import RunSpec
+
+    spec = RunSpec(
+        scenario="figure3",
+        protocol="gmp",
+        substrate="fluid",
+        duration=30.0,
+        seed=1,
+        churn="poisson:rate=0.5,mean_hold=8,max_flows=8",
+    )
 
     def run():
-        return run_scenario(
-            figure3(),
-            protocol="gmp",
-            substrate="fluid",
-            duration=30.0,
-            seed=1,
-            churn=ChurnSpec(rate=0.5, mean_hold=8.0, max_flows=8),
-        )
+        return spec.run()
 
     result = benchmark.pedantic(run, rounds=5, warmup_rounds=1)
     assert result.extras["churn"].arrivals > 0
@@ -240,18 +241,19 @@ def test_gmp_churn_path_figure3(benchmark):
 
 
 def test_gmp_dcf_exchange_figure3(benchmark):
-    """Ten simulated seconds of figure3 GMP/DCF through ``run_scenario``,
+    """Ten simulated seconds of figure3 GMP/DCF through ``RunSpec.run``,
     set-up included: the RTS/CTS/DATA/ACK exchange with the node stack,
     the overhearing gate fed by every decoded frame's piggyback and the
     GMP observer — the path ``test_dcf_simulated_second``'s
     ``SaturatedSender`` bypasses.  ~86 k events, ~24 k frames; every
     frame restarts timers (re-keyed in place, not re-allocated) and
     replays its sender's delivery plan."""
-    from repro.scenarios.figures import figure3
-    from repro.scenarios.runner import run_scenario
+    from repro.scenarios.spec import RunSpec
+
+    spec = RunSpec(scenario="figure3", protocol="gmp", substrate="dcf", duration=10.0, seed=1)
 
     def run():
-        return run_scenario(figure3(), protocol="gmp", substrate="dcf", duration=10.0, seed=1)
+        return spec.run()
 
     result = benchmark.pedantic(run, rounds=5, warmup_rounds=1)
     assert min(result.flow_rates.values()) > 0
@@ -269,8 +271,7 @@ def test_scale300_setup(benchmark, monkeypatch):
     compare_bench gate sees either kind of set-up work sized by the
     network creeping back: the global clique enumeration (+0.4 s) and an
     all-destinations route build (+0.17 s) alike."""
-    from repro.scenarios.runner import run_scenario
-    from repro.scenarios.scale import scale300
+    from repro.scenarios.spec import RunSpec
     from repro.sim.kernel import Simulator
 
     class AtRunEntry(Exception):
@@ -281,11 +282,11 @@ def test_scale300_setup(benchmark, monkeypatch):
 
     monkeypatch.setattr(Simulator, "run", stop_at_entry)
 
+    spec = RunSpec(scenario="scale300", protocol="gmp", substrate="fluid", duration=20.0, seed=1)
+
     def setup():
         with pytest.raises(AtRunEntry):
-            run_scenario(
-                scale300(), protocol="gmp", substrate="fluid", duration=20.0, seed=1
-            )
+            spec.run()
 
     benchmark.pedantic(setup, rounds=10, warmup_rounds=1)
 
@@ -346,19 +347,17 @@ def test_health_live_scan(benchmark):
     from types import SimpleNamespace
 
     from repro.obs import HealthMonitor
-    from repro.scenarios.figures import figure3
-    from repro.scenarios.runner import run_scenario
+    from repro.scenarios.spec import RunSpec
     from repro.telemetry import Telemetry
 
-    result = run_scenario(
-        figure3(),
+    result = RunSpec(
+        scenario="figure3",
         protocol="gmp",
         substrate="fluid",
         duration=240.0,
         seed=1,
         rate_interval=1.0,
-        telemetry=Telemetry(),
-    )
+    ).run(telemetry=Telemetry())
     health = HealthMonitor(deliveries=[])
     sim = SimpleNamespace(attach_monitor=lambda monitor: None, events_processed=0)
     health.bind(sim, lambda: result)

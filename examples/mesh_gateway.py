@@ -15,30 +15,19 @@ Usage::
 
 import argparse
 
-from repro import Flow, FlowSet, GmpConfig, run_scenario
+from repro import RunSpec
 from repro.analysis.report import format_table
 from repro.routing.link_state import link_state_routes
-from repro.scenarios.figures import Scenario
-from repro.topology.builders import grid_topology
+from repro.scenarios.spec import LITERAL
 
 GATEWAY = 0
 
-
-def build_scenario() -> Scenario:
-    topology = grid_topology(3, 3, spacing=200.0)
-    flows = FlowSet(
-        [
-            Flow(flow_id=node, source=node, destination=GATEWAY, desired_rate=800.0)
-            for node in topology.node_ids
-            if node != GATEWAY
-        ]
-    )
-    return Scenario(
-        name="mesh-gateway",
-        topology=topology,
-        flows=flows,
-        notes="3x3 mesh, all flows to the corner gateway",
-    )
+#: A 3x3 mesh, 200 m spacing (node ``3 * row + col``), every node but
+#: the corner gateway sending one flow to it (flow ``i`` from node ``i``).
+MESH = {
+    "nodes": [[200.0 * col, 200.0 * row] for row in range(3) for col in range(3)],
+    "flows": [[node, GATEWAY] for node in range(1, 9)],
+}
 
 
 def main() -> None:
@@ -47,21 +36,22 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    scenario = build_scenario()
-    routes = link_state_routes(scenario.topology)
-
     results = {}
     for protocol in ("802.11", "gmp"):
-        results[protocol] = run_scenario(
-            scenario,
+        spec = RunSpec(
+            scenario=LITERAL,
+            topology=MESH,
             protocol=protocol,
             substrate="fluid",
             duration=args.duration,
             seed=args.seed,
-            gmp_config=GmpConfig(period=1.0),
+            period=1.0,
         )
+        results[protocol] = spec.run()
         print(f"ran {protocol} for {args.duration:g}s")
 
+    scenario = spec.build_scenario()
+    routes = link_state_routes(scenario.topology)
     rows = []
     for flow in scenario.flows:
         hops = routes.hop_count(flow.source, GATEWAY)

@@ -17,36 +17,23 @@ Usage::
 
 import argparse
 
-from repro import GmpConfig, run_scenario
+from repro import RunSpec
 from repro.analysis.report import format_table
 from repro.analysis.resilience import (
     evaluate_transient,
     surviving_maxmin_reference,
 )
-from repro.faults import FaultSchedule, NodeCrash, NodeRecover
-from repro.flows.flow import Flow, FlowSet
-from repro.scenarios.figures import Scenario
-from repro.topology.builders import chain_topology
+from repro.scenarios.spec import LITERAL
 
 RELAY = 1
 DESIRED = 40.0
 CAPACITY = 400.0
 
-
-def build_scenario() -> Scenario:
-    topology = chain_topology(4)
-    flows = FlowSet(
-        [
-            Flow(flow_id=1, source=0, destination=3, desired_rate=DESIRED),
-            Flow(flow_id=2, source=2, destination=3, desired_rate=DESIRED),
-        ]
-    )
-    return Scenario(
-        name="node-failure-recovery",
-        topology=topology,
-        flows=flows,
-        notes="figure-3 chain; the middle relay crashes and recovers",
-    )
+#: The Figure-3 chain 0-1-2-3 (200 m spacing) with flows 0->3 and 2->3.
+CHAIN = {
+    "nodes": [[0.0, 0.0], [200.0, 0.0], [400.0, 0.0], [600.0, 0.0]],
+    "flows": [[0, 3, 1.0, DESIRED], [2, 3, 1.0, DESIRED]],
+}
 
 
 def main() -> None:
@@ -59,31 +46,29 @@ def main() -> None:
 
     crash_at = min(args.crash_at, args.duration * 0.3)
     recover_at = min(args.recover_at, args.duration * 0.6)
-    scenario = build_scenario()
-    print(f"Scenario: {scenario.name} — {scenario.notes}")
+    spec = RunSpec(
+        scenario=LITERAL,
+        topology=CHAIN,
+        protocol="gmp",
+        substrate="fluid",
+        duration=args.duration,
+        seed=args.seed,
+        capacity_pps=CAPACITY,
+        period=0.5,
+        gmp={"additive_increase": 4.0},
+        # repr() spells each time exactly, so the schedule holds these floats.
+        faults=f"crash:{RELAY}@{crash_at!r};recover:{RELAY}@{recover_at!r}",
+        rate_interval=1.0,
+    )
+    scenario = spec.build_scenario()
+    print("Scenario: the figure-3 chain; the middle relay crashes and recovers")
     print(
         f"relay node {RELAY} crashes at t={crash_at:g}s, "
         f"recovers at t={recover_at:g}s"
     )
     print()
 
-    result = run_scenario(
-        scenario,
-        protocol="gmp",
-        substrate="fluid",
-        duration=args.duration,
-        warmup=min(2.0, args.duration / 4),
-        seed=args.seed,
-        capacity_pps=CAPACITY,
-        gmp_config=GmpConfig(period=0.5, additive_increase=4.0),
-        faults=FaultSchedule(
-            [
-                NodeCrash(at=crash_at, node=RELAY),
-                NodeRecover(at=recover_at, node=RELAY),
-            ]
-        ),
-        rate_interval=1.0,
-    )
+    result = spec.run()
 
     header = ["t (s)"] + [
         f"flow {flow_id} (pkt/s)" for flow_id in sorted(result.interval_rates)

@@ -12,9 +12,8 @@ Usage::
 
 import argparse
 
-from repro import GmpConfig, run_scenario
+from repro import RunSpec
 from repro.analysis.report import format_table
-from repro.scenarios import figure3
 
 
 def main() -> None:
@@ -24,19 +23,20 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    scenario = figure3()
     results = {}
     for protocol in ("802.11", "2pp", "gmp"):
-        results[protocol] = run_scenario(
-            scenario,
+        spec = RunSpec(
+            scenario="figure3",
             protocol=protocol,
             substrate=args.substrate,
             duration=args.duration,
             seed=args.seed,
-            gmp_config=GmpConfig(period=2.0),
+            period=2.0,
         )
+        results[protocol] = spec.run()
         print(f"ran {protocol:7s} ({args.substrate}, {args.duration:g}s)")
 
+    scenario = spec.build_scenario()
     protocols = list(results)
     rows = []
     for flow_id in sorted(scenario.flows.destinations() and results["gmp"].flow_rates):

@@ -11,9 +11,8 @@ Usage::
 
 import argparse
 
-from repro import GmpConfig, run_scenario
+from repro import RunSpec
 from repro.analysis.report import format_table
-from repro.scenarios import figure3
 
 
 def main() -> None:
@@ -28,19 +27,20 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    scenario = figure3()
-    print(f"Scenario: {scenario.name} — {scenario.notes}")
-    print(f"Flows: {[f'{f.flow_id}:{f.source}->{f.destination}' for f in scenario.flows]}")
-    print()
-
-    result = run_scenario(
-        scenario,
+    spec = RunSpec(
+        scenario="figure3",
         protocol="gmp",
         substrate=args.substrate,
         duration=args.duration,
         seed=args.seed,
-        gmp_config=GmpConfig(period=1.0),
+        period=1.0,
     )
+    scenario = spec.build_scenario()
+    print(f"Scenario: {scenario.name} — {scenario.notes}")
+    print(f"Flows: {[f'{f.flow_id}:{f.source}->{f.destination}' for f in scenario.flows]}")
+    print()
+
+    result = spec.run()
 
     rows = [
         [f"flow {flow_id}", f"{result.hop_counts[flow_id]} hops", rate]

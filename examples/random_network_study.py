@@ -13,14 +13,19 @@ Usage::
 
 import argparse
 
-from repro import Flow, FlowSet, GmpConfig, run_scenario
+from repro import RunSpec
 from repro.analysis.report import format_table
-from repro.scenarios.figures import Scenario
+from repro.scenarios.spec import LITERAL
 from repro.topology.builders import random_topology
+from repro.topology.network import DEFAULT_TX_RANGE
 
 
-def build(seed: int, num_nodes: int, num_flows: int) -> Scenario:
+def build(seed: int, num_nodes: int, num_flows: int) -> dict:
+    """A random connected placement with flows at 400 pkt/s, as a
+    literal topology."""
     topology = random_topology(num_nodes, width=800.0, height=800.0, seed=seed)
+    if topology.tx_range != DEFAULT_TX_RANGE:
+        raise SystemExit(f"{num_nodes} nodes do not connect at the default radio range")
     ids = topology.node_ids
     flows = []
     for k in range(num_flows):
@@ -28,10 +33,9 @@ def build(seed: int, num_nodes: int, num_flows: int) -> Scenario:
         dest = ids[(seed + 5 * k + 1) % len(ids)]
         if source == dest:
             dest = ids[(ids.index(dest) + 1) % len(ids)]
-        flows.append(
-            Flow(flow_id=k + 1, source=source, destination=dest, desired_rate=400.0)
-        )
-    return Scenario(name=f"random-{seed}", topology=topology, flows=FlowSet(flows))
+        flows.append([source, dest, 1.0, 400.0])
+    nodes = [[topology.node(i).x, topology.node(i).y] for i in ids]
+    return {"nodes": nodes, "flows": flows}
 
 
 def main() -> None:
@@ -45,17 +49,18 @@ def main() -> None:
     rows = []
     gains = []
     for seed in range(args.samples):
-        scenario = build(seed, args.nodes, args.flows)
         kwargs = dict(
-            substrate="fluid", duration=args.duration, seed=seed, capacity_pps=500.0
+            scenario=LITERAL,
+            topology=build(seed, args.nodes, args.flows),
+            substrate="fluid",
+            duration=args.duration,
+            seed=seed,
+            capacity_pps=500.0,
         )
-        plain = run_scenario(scenario, protocol="802.11", **kwargs)
-        gmp = run_scenario(
-            scenario,
-            protocol="gmp",
-            gmp_config=GmpConfig(period=0.5, additive_increase=4.0),
-            **kwargs,
-        )
+        plain = RunSpec(protocol="802.11", **kwargs).run()
+        gmp = RunSpec(
+            protocol="gmp", period=0.5, gmp={"additive_increase": 4.0}, **kwargs
+        ).run()
         gains.append(gmp.i_eq - plain.i_eq)
         rows.append(
             [

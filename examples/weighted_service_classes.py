@@ -15,9 +15,8 @@ Usage::
 
 import argparse
 
-from repro import GmpConfig, run_scenario
+from repro import RunSpec
 from repro.analysis.report import format_table
-from repro.scenarios import figure2
 
 WEIGHTS = (1.0, 2.0, 1.0, 3.0)
 
@@ -29,15 +28,17 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    scenario = figure2(weights=WEIGHTS)
-    result = run_scenario(
-        scenario,
+    spec = RunSpec(
+        scenario="figure2",
+        weights=WEIGHTS,
         protocol="gmp",
         substrate=args.substrate,
         duration=args.duration,
         seed=args.seed,
-        gmp_config=GmpConfig(period=1.0),
+        period=1.0,
     )
+    scenario = spec.build_scenario()
+    result = spec.run()
 
     normalized = result.normalized_rates(scenario.flows)
     rows = [

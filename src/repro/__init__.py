@@ -6,13 +6,11 @@ depends on: a discrete-event kernel, a packet-level IEEE 802.11 DCF
 simulator, buffer-based backpressure, link classification over virtual
 networks, and the 802.11/2PP baselines used in the evaluation.
 
-Quickstart::
+Quickstart: a run is a :class:`RunSpec`::
 
-    from repro import Flow, run_scenario
-    from repro.scenarios import figure3
+    from repro import RunSpec
 
-    scenario = figure3()
-    result = run_scenario(scenario, protocol="gmp", duration=60.0, seed=1)
+    result = RunSpec(scenario="figure3", protocol="gmp", duration=60.0, seed=1).run()
     for flow_id, rate in sorted(result.flow_rates.items()):
         print(flow_id, rate)
 """
@@ -20,7 +18,7 @@ Quickstart::
 from repro.core import GmpConfig, GmpProtocol
 from repro.errors import ReproError
 from repro.flows import Flow, FlowSet
-from repro.scenarios import RunResult, run_scenario
+from repro.scenarios import RunResult, RunSpec
 from repro.topology import Topology, chain_topology, grid_topology, random_topology
 
 __version__ = "1.0.0"
@@ -32,7 +30,7 @@ __all__ = [
     "GmpConfig",
     "GmpProtocol",
     "RunResult",
-    "run_scenario",
+    "RunSpec",
     "Topology",
     "chain_topology",
     "grid_topology",

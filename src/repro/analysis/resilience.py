@@ -72,7 +72,7 @@ def _window_edges(
 
     Without explicit bounds every window is assumed ``interval`` wide —
     which overstates the final window when the run ended mid-window.
-    Runs recorded through :func:`~repro.scenarios.runner.run_scenario`
+    Runs recorded through :meth:`~repro.scenarios.spec.RunSpec.run`
     carry the true edges in ``RunResult.interval_bounds``; pass them to
     weight the partial tail correctly.
     """

@@ -21,7 +21,7 @@ package makes that a first-class workload:
   network grafting, source registration), departures tear them down
   again and audit that nothing leaked.
 
-``run_scenario(..., churn=...)`` wires all of this together; see
+``RunSpec(churn=...)`` wires all of this together; see
 ``docs/FAULTS.md`` ("Dynamic workloads & fuzzing").
 """
 

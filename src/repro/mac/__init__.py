@@ -17,7 +17,6 @@ from repro.mac.channel import Channel
 from repro.mac.dcf import DcfMac
 from repro.mac.fluid import FluidMac
 from repro.mac.frames import Frame, FrameKind
-from repro.mac.phy import PHY_80211B_LONG, PHY_80211B_SHORT, PhyProfile
 
 __all__ = [
     "MacLayer",
@@ -27,7 +26,4 @@ __all__ = [
     "FluidMac",
     "Frame",
     "FrameKind",
-    "PhyProfile",
-    "PHY_80211B_LONG",
-    "PHY_80211B_SHORT",
 ]

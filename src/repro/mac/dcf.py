@@ -20,31 +20,18 @@ overwrite) lives above the MAC.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.errors import MacError
 from repro.flows.packet import Packet
 from repro.mac.base import MacLayer, NodeServices
 from repro.mac.channel import Channel
 from repro.mac.frames import Frame, FrameKind
-from repro.mac.phy import DEFAULT_PHY, PhyProfile
+from repro.mac.phy import DEFAULT_PHY
 from repro.sim.kernel import Simulator
 from repro.topology.network import Link, Topology
 
 #: Extra slots added to the CTS and ACK timeouts.
 TIMEOUT_SLACK_SLOTS = 2
-
-
-@dataclass(frozen=True)
-class DcfConfig:
-    """Tunables of the DCF implementation.
-
-    Attributes:
-        use_eifs: defer EIFS after sensed-but-undecodable frames
-            (standard behavior; switchable for ablation studies).
-    """
-
-    use_eifs: bool = True
 
 
 class _State(enum.Enum):
@@ -68,15 +55,12 @@ class _DcfNode:
         sim: Simulator,
         node_id: int,
         channel: Channel,
-        phy: PhyProfile,
-        config: DcfConfig,
         services: NodeServices,
     ) -> None:
         self.sim = sim
         self.node_id = node_id
         self.channel = channel
-        self.phy = phy
-        self.config = config
+        self.phy = phy = DEFAULT_PHY
         self.services = services
         self._rng = sim.rng.stream(f"mac.dcf.{node_id}")
 
@@ -167,7 +151,7 @@ class _DcfNode:
             self._retries = 0
         if not self._medium_idle():
             return
-        ifs = self._eifs if (self._use_eifs and self.config.use_eifs) else self._difs
+        ifs = self._eifs if self._use_eifs else self._difs
         self._state = _State.DEFER
         self._defer_timer.start(ifs)
 
@@ -531,14 +515,9 @@ class DcfMac(MacLayer):
         self,
         sim: Simulator,
         topology: Topology,
-        *,
-        phy: PhyProfile = DEFAULT_PHY,
-        config: DcfConfig | None = None,
     ) -> None:
         self.sim = sim
         self.topology = topology
-        self.phy = phy
-        self.config = config or DcfConfig()
         self.channel = Channel(sim, topology)
         self._nodes: dict[int, _DcfNode] = {}
 
@@ -546,7 +525,7 @@ class DcfMac(MacLayer):
         if node_id in self._nodes:
             raise MacError(f"node {node_id} already attached")
         node = _DcfNode(
-            self.sim, node_id, self.channel, self.phy, self.config, services
+            self.sim, node_id, self.channel, services
         )
         self.channel.register(node_id, node)
         self._nodes[node_id] = node

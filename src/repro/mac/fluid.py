@@ -21,7 +21,7 @@ import math
 
 from repro.errors import ConfigError, MacError
 from repro.mac.base import MacLayer, NodeServices
-from repro.mac.phy import DEFAULT_PHY, PhyProfile
+from repro.mac.phy import DEFAULT_PHY
 from repro.sim.kernel import Simulator
 from repro.topology.cliques import (
     Clique,
@@ -95,9 +95,7 @@ class FluidMac(MacLayer):
         topology: the wireless network.
         round_interval: seconds between allocation/transfer rounds.
         capacity_pps: packet exchanges per second a clique serializes;
-            defaults to ``phy.clique_capacity(packet_bytes)``.
-        phy: PHY profile used for the capacity default.
-        packet_bytes: payload size for the capacity default.
+            defaults to the PHY's estimate for 1024-byte packets.
         rate_caps: optional per-directed-link rate ceilings.
         system: the run's clique system, shared with its other readers;
             a standalone MAC starts an empty one of its own.
@@ -110,8 +108,6 @@ class FluidMac(MacLayer):
         *,
         round_interval: float = 0.02,
         capacity_pps: float | None = None,
-        phy: PhyProfile = DEFAULT_PHY,
-        packet_bytes: int = 1024,
         rate_caps: dict[Link, float] | None = None,
         system: CliqueSystem | None = None,
     ) -> None:
@@ -121,7 +117,7 @@ class FluidMac(MacLayer):
         self.topology = topology
         self.round_interval = round_interval
         if capacity_pps is None:
-            capacity_pps = phy.clique_capacity(packet_bytes)
+            capacity_pps = DEFAULT_PHY.clique_capacity(1024)
         if capacity_pps <= 0:
             raise ConfigError(f"capacity must be positive: {capacity_pps}")
         self.capacity_pps = capacity_pps

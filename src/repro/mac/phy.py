@@ -1,17 +1,12 @@
 """802.11b PHY timing.
 
 All frame durations and interframe spaces are derived from a
-:class:`PhyProfile`.  Two standard profiles are provided:
-
-* :data:`PHY_80211B_LONG` — classic 11 Mbps DSSS with the long PLCP
-  preamble (192 us) and 1 Mbps control frames;
-* :data:`PHY_80211B_SHORT` — short preamble (96 us) with 2 Mbps
-  control frames (the default; its per-packet efficiency matches the
-  throughput levels the paper reports).
-
-The paper fixes the channel capacity at 11 Mbps and the data payload
-at 1024 bytes; everything else (preamble, control rate) is unstated,
-so both profiles are exposed and benchmarks record which one they use.
+:class:`PhyProfile`.  Every run uses :data:`DEFAULT_PHY`: 11 Mbps
+DSSS with the short PLCP preamble (96 us) and 2 Mbps control frames,
+whose per-packet efficiency matches the throughput levels the paper
+reports.  The paper fixes the channel capacity at 11 Mbps and the data
+payload at 1024 bytes; everything else (preamble, control rate) is
+unstated.
 """
 
 from __future__ import annotations
@@ -143,19 +138,10 @@ class PhyProfile:
         return min(window, self.cw_max)
 
 
-PHY_80211B_LONG = PhyProfile(
-    name="802.11b-long",
-    data_rate=11.0 * MBPS,
-    basic_rate=1.0 * MBPS,
-    preamble=192 * MICROSECONDS,
-)
-
-PHY_80211B_SHORT = PhyProfile(
+#: The profile every run uses.
+DEFAULT_PHY = PhyProfile(
     name="802.11b-short",
     data_rate=11.0 * MBPS,
     basic_rate=2.0 * MBPS,
     preamble=96 * MICROSECONDS,
 )
-
-#: Default profile used by scenarios unless overridden.
-DEFAULT_PHY = PHY_80211B_SHORT

@@ -1,7 +1,8 @@
 """Scenario layer: the paper's evaluation topologies, the runner
 that assembles a full stack (topology → routing → buffers → MAC →
 protocol → traffic) and collects results, and :class:`RunSpec`, the
-one description of a run that the CLI, sweep, serve and fuzz share."""
+one description of a run: the CLI, sweep, serve, fuzz, tests and
+examples all build one."""
 
 from repro.scenarios.figures import (
     Scenario,
@@ -11,7 +12,6 @@ from repro.scenarios.figures import (
     figure4,
 )
 from repro.scenarios.results import RunResult
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import RunSpec
 
 __all__ = [
@@ -22,5 +22,4 @@ __all__ = [
     "figure4",
     "RunResult",
     "RunSpec",
-    "run_scenario",
 ]

@@ -1,10 +1,11 @@
 """Scenario runner: assemble a full stack and simulate a session.
 
-``run_scenario`` is the library's main entry point.  It builds routing
-tables, the chosen MAC substrate, one node stack per node with the
-protocol's buffer policy, CBR traffic sources at the paper's desirable
-rate, and (for GMP) the protocol engine; runs the session; and returns
-a :class:`~repro.scenarios.results.RunResult` with warmup-excluded
+``run_scenario`` is the body of :meth:`~repro.scenarios.spec.RunSpec.run`,
+the library's entry point.  It builds routing tables, the chosen MAC
+substrate, one node stack per node with the protocol's buffer policy,
+CBR traffic sources at the paper's desirable rate, and (for GMP) the
+protocol engine; runs the session; and returns a
+:class:`~repro.scenarios.results.RunResult` with warmup-excluded
 end-to-end rates.
 
 Protocols:
@@ -22,7 +23,6 @@ Protocols:
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -56,9 +56,9 @@ from repro.flows.traffic import (
     PoissonSource,
     TrafficSource,
 )
-from repro.mac.dcf import DcfConfig, DcfMac
+from repro.mac.dcf import DcfMac
 from repro.mac.fluid import FluidMac
-from repro.mac.phy import DEFAULT_PHY, PhyProfile
+from repro.mac.phy import DEFAULT_PHY
 from repro.routing.distance_vector import distance_vector_routes
 from repro.routing.geographic import greedy_geographic_routes
 from repro.routing.link_state import link_state_routes
@@ -89,19 +89,20 @@ PROTOCOLS = ("gmp", "802.11", "2pp", "backpressure-shared", "backpressure-perdes
 SUBSTRATES = ("dcf", "fluid")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, kw_only=True)
 class Session:
     """One :func:`run_scenario` call as an object, built in five stages.
+    Its fields are that function's keywords, with their defaults.
 
-    *Validate* (construction) rejects bad input and resolves defaults;
-    *assemble* builds the stack; *attach* schedules the measurement
-    events and binds the stream / health / control monitors; *run*
-    drives the kernel; *collect* turns live state into the returned
-    :class:`~repro.scenarios.results.RunResult`.  What is assembled
-    once lives on the instance, so the three consumers of "rates so far
-    against the maxmin reference" — the health tick, the HTTP plane and
-    the end-of-run collection — read one measurement, one cached
-    reference and one snapshot.
+    *Validate* (construction) rejects what the observers make invalid
+    and resolves defaults; *assemble* builds the stack; *attach*
+    schedules the measurement events and binds the stream / health /
+    control monitors; *run* drives the kernel; *collect* turns live
+    state into the returned :class:`~repro.scenarios.results.RunResult`.
+    What is assembled once lives on the instance, so the three
+    consumers of "rates so far against the maxmin reference" — the
+    health tick, the HTTP plane and the end-of-run collection — read
+    one measurement, one cached reference and one snapshot.
 
     A ``control`` monitor receives the session itself via
     ``control.bind(sim, session)``.  Mutating methods
@@ -119,59 +120,40 @@ class Session:
     protocol: str
     substrate: str
     duration: float
-    warmup: float | None
     seed: int
-    gmp_config: GmpConfig | None
-    phy: PhyProfile
-    dcf_config: DcfConfig | None
-    capacity_pps: float | None
-    traffic: str
-    routing: str
-    faults: FaultSchedule | None
-    churn: ChurnSpec | None
-    rate_interval: float | None
-    check_invariants: bool | None
-    max_events: int | None
-    stall_limit: int | None
-    wall_deadline: float | None
-    telemetry: Telemetry | None
-    sanitizer: ReplaySanitizer | None
-    stream: Any
-    health: Any
-    control: Any
-    pace: float | None
+    gmp_config: GmpConfig | None = None
+    capacity_pps: float | None = None
+    traffic: str = "cbr"
+    routing: str = "link_state"
+    faults: FaultSchedule | None = None
+    churn: ChurnSpec | None = None
+    rate_interval: float | None = None
+    check_invariants: bool | None = None
+    max_events: int | None = None
+    stall_limit: int | None = 1_000_000
+    wall_deadline: float | None = None
+    telemetry: Telemetry | None = None
+    sanitizer: ReplaySanitizer | None = None
+    stream: Any = None
+    health: Any = None
+    control: Any = None
+    pace: float | None = None
 
     # --- stage 1: validate ------------------------------------------------------
 
     def __post_init__(self) -> None:
-        duration = self.duration
-        for what, name, choices in (
-            ("protocol", self.protocol, PROTOCOLS),
-            ("traffic model", self.traffic, tuple(TRAFFIC_MODELS)),
-            ("routing", self.routing, tuple(ROUTING_PROTOCOLS)),
-            ("substrate", self.substrate, SUBSTRATES),
-        ):
-            if name not in choices:
-                raise ConfigError(f"unknown {what} {name!r}; pick from {choices}")
-        if not 0 < duration < math.inf:
-            raise ConfigError(f"duration must be positive and finite: {duration}")
-        if self.warmup is None:
-            self.warmup = duration / 3.0
-        if not 0 <= self.warmup < duration:
-            raise ConfigError(f"warmup {self.warmup} must lie within [0, {duration})")
+        # The run inputs were checked by the RunSpec that describes
+        # them; what is left depends on the observers.
+        if self.control is not None and self.protocol == "2pp":
+            raise ConfigError(
+                "2pp enforces a static precomputed allocation; it cannot take live control"
+            )
+        # Rates exclude the first third of the run.
+        self.warmup = self.duration / 3.0
         # A dynamic run's flow set changes while it runs.
         self.dynamic = self.churn is not None or self.control is not None
-        if self.dynamic and self.protocol == "2pp":
-            raise ConfigError(
-                "2pp enforces a static precomputed allocation; it cannot "
-                "take a dynamic workload (churn or live control)"
-            )
         if self.rate_interval is None and (self.faults is not None or self.dynamic):
-            self.rate_interval = min(1.0, duration)
-        if self.rate_interval is not None and not 0 < self.rate_interval <= duration:
-            raise ConfigError(
-                f"rate_interval {self.rate_interval} must lie within (0, {duration}]"
-            )
+            self.rate_interval = min(1.0, self.duration)
         if self.check_invariants is None:
             self.check_invariants = self.substrate == "fluid"
         self.gmp_config = self.gmp_config or GmpConfig()
@@ -223,7 +205,7 @@ class Session:
             packet_bytes = max(
                 (flow.packet_bytes for flow in flows), default=Flow.packet_bytes
             )
-            self.capacity_pps = self.phy.clique_capacity(packet_bytes)
+            self.capacity_pps = DEFAULT_PHY.clique_capacity(packet_bytes)
         # The run's one clique system, over the routed links: read by the
         # fluid MAC, GMP and the maxmin reference; grown by flows grafted
         # over links it has not seen.
@@ -232,9 +214,7 @@ class Session:
         self._reference: tuple[tuple[int, ...], Any, Any] | None = None
 
         if self.substrate == "dcf":
-            mac = DcfMac(
-                sim, topology, phy=self.phy, config=self.dcf_config or DcfConfig()
-            )
+            mac = DcfMac(sim, topology)
         else:
             mac = FluidMac(
                 sim,
@@ -746,71 +726,34 @@ class Session:
         return result
 
 
-def run_scenario(
-    scenario: Scenario,
-    *,
-    protocol: str = "gmp",
-    substrate: str = "dcf",
-    duration: float = 60.0,
-    warmup: float | None = None,
-    seed: int = 0,
-    gmp_config: GmpConfig | None = None,
-    phy: PhyProfile = DEFAULT_PHY,
-    dcf_config: DcfConfig | None = None,
-    capacity_pps: float | None = None,
-    traffic: str = "cbr",
-    routing: str = "link_state",
-    faults: FaultSchedule | None = None,
-    churn: ChurnSpec | None = None,
-    rate_interval: float | None = None,
-    check_invariants: bool | None = None,
-    max_events: int | None = None,
-    stall_limit: int | None = 1_000_000,
-    wall_deadline: float | None = None,
-    telemetry: Telemetry | None = None,
-    sanitizer: ReplaySanitizer | None = None,
-    stream: Any = None,
-    health: Any = None,
-    control: Any = None,
-    pace: float | None = None,
-) -> RunResult:
-    """Simulate one session and measure end-to-end flow rates.
+def run_scenario(scenario: Scenario, **inputs: Any) -> RunResult:
+    """Simulate one session and measure end-to-end flow rates over its
+    last two thirds.
+
+    The body of :meth:`~repro.scenarios.spec.RunSpec.run`, which checks
+    every run input first; describe a run with a ``RunSpec`` rather
+    than calling this directly.
 
     Args:
         scenario: topology + flows (see :mod:`repro.scenarios.figures`).
-        protocol: one of :data:`PROTOCOLS`.
-        substrate: "dcf" (packet-level 802.11) or "fluid".
-        duration: simulated seconds.
-        warmup: seconds excluded from rate measurement; defaults to
-            ``duration / 3``.
-        seed: RNG seed (runs are fully deterministic given it).
+        inputs: the other fields of :class:`Session`, by name, below;
+            ``protocol``, ``substrate``, ``duration`` and ``seed`` have
+            no default.
+        protocol / substrate / duration / seed / traffic / routing /
+            capacity_pps: as the :class:`~repro.scenarios.spec.RunSpec`
+            fields of the same names.
         gmp_config: GMP parameters (default: the paper's).
-        phy: PHY profile (timing + capacity estimates).
-        dcf_config: DCF tunables (EIFS ablation etc.).
-        capacity_pps: clique capacity for the fluid substrate and the
-            2PP allocation; defaults to the PHY saturation estimate.
-        traffic: arrival process at the sources — "cbr" (the paper's
-            workload), "poisson", "onoff", or "pareto-onoff"
-            (heavy-tailed phase switching).
-        routing: how routing tables are built — "link_state" (default),
-            "distance_vector", or "geographic" (GPSR-style greedy).
-        faults: optional fault schedule (node churn, link degradation,
-            control-plane loss) armed on the assembled stack; the
-            applied-fault log lands in ``extras["faults"]``.
-        churn: optional dynamic-workload spec
-            (:class:`~repro.churn.spec.ChurnSpec`): flows arrive and
-            depart mid-run, driven by deterministic RNG streams.  The
-            scenario's static flow set is copied, not mutated, so the
-            same :class:`Scenario` object replays identically.  The
-            :class:`~repro.churn.engine.ChurnReport` lands in
-            ``extras["churn"]``; per-flow (arrival, departure) windows
-            in ``RunResult.flow_lifetimes``; per-arrival convergence
-            times in ``extras["per_arrival_convergence"]``.  Not
-            supported with the static 2PP allocation.
+        faults / churn: the parsed fault schedule and churn spec, or
+            None.  The applied-fault log lands in ``extras["faults"]``;
+            the :class:`~repro.churn.engine.ChurnReport` in
+            ``extras["churn"]``, per-flow (arrival, departure) windows
+            in ``RunResult.flow_lifetimes`` and per-arrival convergence
+            times in ``extras["per_arrival_convergence"]``.  A churn
+            run copies the scenario's flow set instead of mutating it.
         rate_interval: if set, record per-flow delivered rates over
             consecutive windows of this many seconds (the time series
-            the resilience metrics consume).  A fault or churn run
-            defaults it to 1.0 s (the whole run, when that is shorter).
+            the resilience metrics consume).  A fault, churn or control
+            run defaults it to 1.0 s (the whole run, when that is shorter).
         check_invariants: run the end-of-run packet-conservation audit
             and raise :class:`~repro.errors.InvariantError` on any
             violation.  ``None`` (default) enables the strict audit on
@@ -829,17 +772,14 @@ def run_scenario(
             ``extras["telemetry"]`` and, for GMP runs, the centralized
             maxmin reference rates land in ``extras["maxmin_reference"]``
             for the per-flow rate explainer
-            (:mod:`repro.fidelity.explain`).  Its ``trace_categories``
-            opt the run into per-frame ``channel.tx`` events.  Telemetry
-            is passive — it never schedules events — so enabling it
-            does not change what the simulation does.
+            (:mod:`repro.fidelity.explain`).  Telemetry is passive — it
+            never schedules events — so enabling it does not change what
+            the simulation does.
         sanitizer: optional :class:`~repro.sim.replay.ReplaySanitizer`
             attached to the kernel.  Every dispatched event is folded
             into its rolling digest (passively — observation never
             schedules); the final digest lands in
             ``extras["replay_digest"]``.
-            :func:`~repro.scenarios.spec.replay_check` runs a spec
-            twice and diffs two sanitizers.
         stream: optional streaming publisher (duck-typed to avoid a
             layering cycle — :class:`repro.obs.stream.StreamPublisher`
             in practice; it must wrap the same ``telemetry`` instance).
@@ -867,22 +807,18 @@ def run_scenario(
             identical command sequence applied at identical tick times
             reproduces the identical run (the replay story of
             :mod:`repro.obs.serve`).  The engine's report lands in
-            ``extras["control_report"]``; a fault or control run
-            defaults ``rate_interval`` to 1.0 s.  Not supported with
-            the static 2PP allocation.
+            ``extras["control_report"]``.
         pace: ceiling on simulated seconds per wall-clock second
             (forwarded to :meth:`~repro.sim.kernel.Simulator.run`);
             ``None`` is free-running.  Pacing only sleeps — it never
             changes what the simulation does.
 
     Raises:
-        ConfigError: on unknown protocol/substrate names, inconsistent
-            durations, or a bad ``rate_interval``.
+        ConfigError: on 2PP under ``control``.
         FaultError: if ``faults`` targets unknown nodes or needs hooks
             the substrate lacks.
         InvariantError: if the end-of-run audit fails.
         SimulationError: when a kernel watchdog trips.
     """
-    # Session's fields are exactly these parameters, by name.
-    return Session(**locals()).run()
+    return Session(scenario=scenario, **inputs).run()
 

@@ -185,7 +185,6 @@ class FunctionInfo:
     path: str  # display path of the defining file
     lineno: int
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    is_local: bool = False  # nested inside another function
     calls: list[str] = field(default_factory=list)  # resolved callees
     refs: list[str] = field(default_factory=list)  # callables passed on
     locals_defined: set[str] = field(default_factory=set)  # nested defs
@@ -433,7 +432,7 @@ def _collect_module(program: Program, module: ModuleInfo) -> None:
         if isinstance(node, ast.ClassDef):
             _collect_class(program, module, node)
         else:
-            _collect_function(program, module, node, cls=None, is_local=False)
+            _collect_function(program, module, node, cls=None)
 
 
 def _collect_class(
@@ -452,7 +451,7 @@ def _collect_class(
             info.fields.append(stmt.target.id)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             method = _collect_function(
-                program, module, stmt, cls=qualname, is_local=False
+                program, module, stmt, cls=qualname
             )
             info.methods[stmt.name] = method.qualname
     program.classes[qualname] = info
@@ -464,7 +463,6 @@ def _collect_function(
     node: ast.FunctionDef | ast.AsyncFunctionDef,
     *,
     cls: str | None,
-    is_local: bool,
     parent: str | None = None,
 ) -> FunctionInfo:
     owner = parent or cls or module.module
@@ -477,7 +475,6 @@ def _collect_function(
         path=module.display_path,
         lineno=node.lineno,
         node=node,
-        is_local=is_local,
     )
     program.functions[qualname] = info
     # Nested defs become their own (local) functions; the parent notes
@@ -493,7 +490,6 @@ def _collect_function(
                     module,
                     child,
                     cls=cls,
-                    is_local=True,
                     parent=qualname,
                 )
         elif isinstance(child, ast.ClassDef):

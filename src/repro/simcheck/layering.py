@@ -142,7 +142,7 @@ ALLOWED_IMPORTS: dict[str, set[str] | None] = {
     # Service mode earns two narrow additions: ``faults`` (the control
     # plane builds FaultEvents for the runner-owned injector to apply)
     # and ``sim.replay`` (the passive digest sanitizer it hands *into*
-    # run_scenario) — still no ``sim.kernel``.
+    # a run) — still no ``sim.kernel``.
     "obs": {
         "errors",
         "units",

@@ -74,7 +74,7 @@ class Telemetry:
             in ``*`` (``"channel.*"``; ``"*"`` alone admits all).
 
     A Telemetry instance accumulates for its lifetime — hand a fresh
-    one to each :func:`~repro.scenarios.runner.run_scenario` call.
+    one to each :meth:`~repro.scenarios.spec.RunSpec.run` call.
     """
 
     def __init__(

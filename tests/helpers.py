@@ -12,13 +12,12 @@ from contextlib import closing
 from typing import Any
 
 from repro.errors import ConfigError, TopologyError
-from repro.flows.flow import Flow, FlowSet
 from repro.flows.packet import Packet
 from repro.flows.rate_limiter import TokenBucket
 from repro.flows.traffic import TrafficSource
 from repro.mac.base import NodeServices
 from repro.obs.sinks import TelemetrySink
-from repro.scenarios.figures import Scenario
+from repro.scenarios.spec import LITERAL
 from repro.sim.event import DEFAULT_PRIORITY, Event
 from repro.topology.builders import random_topology
 from repro.topology.network import (
@@ -134,24 +133,27 @@ class NeverStores(dict):
         pass
 
 
+#: GMP at a 0.5 s period with 4 pkt/s additive increase, the setting the
+#: short test runs share, as a spec fragment: ``RunSpec(**FAST, ...)``.
+FAST = {"period": 0.5, "gmp": {"additive_increase": 4.0}}
+
+
 def random_scenario(seed, num_nodes=8, num_flows=4):
+    """The spec fields of a seeded random literal topology: ``num_nodes``
+    in 700 m x 700 m and ``num_flows`` flows at 400 pkt/s."""
     topology = random_topology(num_nodes, width=700.0, height=700.0, seed=seed)
-    rng_ids = topology.node_ids
+    assert topology.tx_range == DEFAULT_TX_RANGE, "a literal topology has the default ranges"
+    ids = topology.node_ids
     flows = []
-    flow_id = 1
     # Deterministic pseudo-random flow endpoints from the seed.
     for k in range(num_flows):
-        source = rng_ids[(seed + 3 * k) % len(rng_ids)]
-        dest = rng_ids[(seed + 5 * k + 1) % len(rng_ids)]
+        source = ids[(seed + 3 * k) % len(ids)]
+        dest = ids[(seed + 5 * k + 1) % len(ids)]
         if source == dest:
-            dest = rng_ids[(rng_ids.index(dest) + 1) % len(rng_ids)]
-        flows.append(
-            Flow(flow_id=flow_id, source=source, destination=dest, desired_rate=400.0)
-        )
-        flow_id += 1
-    return Scenario(
-        name=f"random-{seed}", topology=topology, flows=FlowSet(flows)
-    )
+            dest = ids[(ids.index(dest) + 1) % len(ids)]
+        flows.append([source, dest, 1.0, 400.0])
+    nodes = [[topology.node(i).x, topology.node(i).y] for i in ids]
+    return {"scenario": LITERAL, "topology": {"nodes": nodes, "flows": flows}}
 
 
 def count_enumerations(monkeypatch) -> list[int]:

@@ -4,8 +4,6 @@ building, the adversary's phase lock, GMP's dynamic flow lifecycle
 acceptance scenarios (conservation + replay on figure3, resilience
 under back-to-back crashes combined with churn)."""
 
-import dataclasses
-
 import pytest
 
 from repro.analysis.resilience import min_rate_dip, per_arrival_convergence
@@ -20,21 +18,18 @@ from repro.churn.adversary import (
     DEPARTURE_PHASE,
     rank_contending_pairs,
 )
-from repro.churn.spec import FlowArrival, FlowDeparture, replace
-from repro.core.config import GmpConfig
+from repro.churn.spec import FlowArrival, FlowDeparture
 from repro.core.protocol import GmpProtocol
 from repro.core.virtual import GrandVirtualNetwork
 from repro.errors import ChurnError, ConfigError, ProtocolError
-from repro.faults import parse_fault_spec
 from repro.flows.flow import Flow, FlowSet
 from repro.routing.link_state import link_state_routes
 from repro.scenarios.figures import figure3
-from repro.scenarios.runner import run_scenario
-from repro.scenarios.spec import RunSpec, replay_check
+from repro.scenarios.spec import LITERAL, RunSpec, replay_check
 from repro.sim.rng import RngRegistry
 from repro.topology.builders import chain_topology
 
-FAST = GmpConfig(period=0.5, additive_increase=4.0)
+from helpers import FAST
 
 
 def chain_routes(nodes=4, flows=None):
@@ -290,39 +285,37 @@ def test_gmp_remove_unknown_flow_raises():
 
 def churn_run(**overrides):
     kwargs = dict(
+        scenario="figure3",
         protocol="gmp",
         substrate="fluid",
         duration=40.0,
         seed=3,
-        gmp_config=FAST,
-        churn=ChurnSpec(
-            rate=0.25, mean_hold=6.0, hold="exp", max_flows=3, traffic="cbr"
-        ),
+        **FAST,
+        churn="poisson:rate=0.25,mean_hold=6,hold=exp,max_flows=3,traffic=cbr",
     )
     kwargs.update(overrides)
-    return run_scenario(figure3(), **kwargs)
+    return RunSpec(**kwargs).run()
 
 
-def test_churn_run_reports_and_conserves():
-    scenario = figure3()
-    static_count = len(scenario.flows)
-    result = run_scenario(
-        scenario,
-        protocol="gmp",
-        substrate="fluid",
-        duration=40.0,
-        seed=3,
-        gmp_config=FAST,
-        churn=ChurnSpec(
-            rate=0.25, mean_hold=6.0, hold="exp", max_flows=3, traffic="cbr"
-        ),
-    )
+def test_churn_run_reports_and_conserves(monkeypatch):
+    from repro.scenarios import spec as spec_module
+
+    scenarios = []
+    build = RunSpec.build_scenario
+
+    def keep(spec):
+        scenarios.append(build(spec))
+        return scenarios[-1]
+
+    monkeypatch.setattr(spec_module.RunSpec, "build_scenario", keep)
+    result = churn_run()
     report = result.extras["churn"]
     assert report.arrivals > 0
     assert report.clean  # honest departures leave zero GMP state behind
     assert result.extras["invariants"].violations() == []
-    # The caller's scenario object is not consumed by the churn run.
-    assert len(scenario.flows) == static_count
+    # The run's scenario object is not consumed by the churn run.
+    (scenario,) = scenarios
+    assert len(scenario.flows) == len(figure3().flows)
     # Every flow that ever existed is measured and sampled.
     for flow_id, (arrival, departure) in result.flow_lifetimes.items():
         assert flow_id in result.flow_rates
@@ -342,7 +335,7 @@ def test_churn_run_replays_bit_for_bit():
             scenario="figure3",
             duration=20.0,
             seed=5,
-            period=FAST.period,
+            period=0.5,
             churn="poisson:rate=0.3,mean_hold=5,hold=exp,traffic=cbr",
         )
     )
@@ -350,11 +343,7 @@ def test_churn_run_replays_bit_for_bit():
 
 
 def test_planted_leak_is_caught_by_the_departure_audit():
-    leaky = replace(
-        ChurnSpec(rate=0.4, mean_hold=4.0, hold="exp", traffic="cbr"),
-        leak_departed_state=True,
-    )
-    result = churn_run(churn=leaky)
+    result = churn_run(churn="poisson:rate=0.4,mean_hold=4,hold=exp,traffic=cbr,leak=1")
     report = result.extras["churn"]
     assert report.departures > 0
     assert not report.clean
@@ -368,12 +357,7 @@ def test_churn_rejects_the_2pp_baseline():
 
 
 def test_adversary_churn_runs_clean_end_to_end():
-    result = churn_run(
-        churn=ChurnSpec(
-            model="adversary", burst=2, on_periods=2, off_periods=2, traffic="cbr"
-        ),
-        duration=30.0,
-    )
+    result = churn_run(churn="adversary:burst=2,on=2,off=2,traffic=cbr", duration=30.0)
     report = result.extras["churn"]
     assert report.arrivals > 0
     assert report.clean
@@ -382,22 +366,20 @@ def test_adversary_churn_runs_clean_end_to_end():
 
 # --- a live flow set that is (or becomes) empty -----------------------------------
 
-EMPTY_START_CHURN = ChurnSpec(rate=0.2, mean_hold=1.0, max_flows=2)
-
-
-def figure3_without_flows():
-    return dataclasses.replace(figure3(), flows=FlowSet([]))
+#: The Figure-3 chain with no static flow, and churn that fills it.
+EMPTY_START = dict(
+    scenario=LITERAL,
+    topology={"nodes": [[0.0, 0.0], [200.0, 0.0], [400.0, 0.0], [600.0, 0.0]], "flows": []},
+    churn="poisson:rate=0.2,mean_hold=1,max_flows=2",
+)
 
 
 def test_dynamic_run_may_start_with_no_flows():
     """With no flow to size the default clique capacity from, the
     runner falls back to Flow's default packet size."""
-    result = run_scenario(
-        figure3_without_flows(),
-        substrate="fluid",
-        duration=5.0,
-        churn=EMPTY_START_CHURN,
-    )
+    result = RunSpec(
+        **EMPTY_START, protocol="gmp", substrate="fluid", duration=5.0, seed=0
+    ).run()
     assert result.extras["churn"].arrivals > 0
     assert any(rate > 0 for rate in result.flow_rates.values())
 
@@ -408,14 +390,10 @@ def test_reference_of_an_emptied_live_flow_set_is_empty():
     empty instead of an AnalysisError that loses the finished run."""
     from repro.telemetry import Telemetry
 
-    result = run_scenario(
-        figure3_without_flows(),
-        substrate="fluid",
-        duration=28.0,
+    result = RunSpec(
+        **EMPTY_START, protocol="gmp", substrate="fluid", duration=28.0, seed=0,
         capacity_pps=600.0,
-        churn=EMPTY_START_CHURN,
-        telemetry=Telemetry(enabled=True),
-    )
+    ).run(telemetry=Telemetry(enabled=True))  # fmt: skip
     assert result.extras["churn"].arrivals == result.extras["churn"].departures > 0
     assert result.extras["maxmin_reference"] == {}
     assert result.extras["maxmin_solution"].bottlenecks == {}
@@ -428,7 +406,7 @@ def test_back_to_back_crashes_with_churn_stay_conservative():
     """Two crash/recover cycles of relay node 2 while flows churn: the
     run must stay packet-conservative, tear every departure down
     cleanly, and still produce per-arrival convergence data."""
-    faults = parse_fault_spec("crash:2@10;recover:2@16;crash:2@24;recover:2@30")
+    faults = "crash:2@10;recover:2@16;crash:2@24;recover:2@30"
     result = churn_run(duration=48.0, faults=faults, seed=7)
     report = result.extras["churn"]
     assert result.extras["invariants"].violations() == []

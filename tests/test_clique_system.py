@@ -21,20 +21,16 @@ from hypothesis import settings
 
 from repro.analysis.maxmin_reference import weighted_maxmin_rates
 from repro.core.conditions import find_bandwidth_violation
-from repro.core.config import GmpConfig
 from repro.obs.serve import ServeController
 from repro.routing.link_state import link_state_routes
 from repro.scenarios import runner as runner_module
-from repro.scenarios.figures import figure1
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import RunSpec
 from repro.scenarios.sweep import SCENARIO_FACTORIES
 from repro.topology.builders import chain_topology
 from repro.topology.cliques import CliqueSystem, maximal_cliques
 from repro.topology.contention import ContentionGraph
 
-from helpers import count_enumerations, random_scenario
-
-FAST = GmpConfig(period=0.5, additive_increase=4.0)
+from helpers import FAST, count_enumerations, random_scenario
 
 #: CI's on-demand ``fuzz deep`` job runs under the ``explore`` Hypothesis
 #: profile (tests/conftest.py); there the sweeps below are complete
@@ -83,11 +79,12 @@ def observables(result):
     }
 
 
-def assert_gmp_runs_agree(monkeypatch, scenario, **kwargs):
+def assert_gmp_runs_agree(monkeypatch, **fields):
+    spec = RunSpec(protocol="gmp", **fields)
     with monkeypatch.context() as patch:
         patch.setattr(runner_module, "CliqueSystem", global_system)
-        oracle = run_scenario(scenario, protocol="gmp", **kwargs)
-    induced = run_scenario(scenario, protocol="gmp", **kwargs)
+        oracle = spec.run()
+    induced = spec.run()
     assert observables(induced) == observables(oracle)
     return induced
 
@@ -100,7 +97,7 @@ def assert_gmp_runs_agree(monkeypatch, scenario, **kwargs):
 def test_gmp_fluid_run_is_the_global_list_run(monkeypatch, name, duration, seed):
     assert_gmp_runs_agree(
         monkeypatch,
-        SCENARIO_FACTORIES[name](),
+        scenario=name,
         substrate="fluid",
         duration=duration,
         seed=seed,
@@ -113,11 +110,11 @@ def test_gmp_dcf_run_is_the_global_list_run(monkeypatch, name):
     # bandwidth-saturated condition reads the system here.
     assert_gmp_runs_agree(
         monkeypatch,
-        SCENARIO_FACTORIES[name](),
+        scenario=name,
         substrate="dcf",
         duration=12.0 if DEEP else 4.0,
         seed=1,
-        gmp_config=FAST,
+        **FAST,
     )
 
 
@@ -129,11 +126,11 @@ def test_gmp_run_on_random_scenario_is_the_global_list_run(monkeypatch, seed):
     nothing; the dominated projections live in the named scenarios."""
     assert_gmp_runs_agree(
         monkeypatch,
-        random_scenario(seed),
+        **random_scenario(seed),
         substrate="fluid",
         duration=15.0,
         seed=seed,
-        gmp_config=FAST,
+        **FAST,
         capacity_pps=500.0,
     )
 
@@ -257,15 +254,9 @@ def test_graft_over_unseen_links_grows_the_run_system_once(monkeypatch):
     controller = ServeController(interval=0.5)
     controller.submit("add_flow", {"source": 0, "destination": 1})
     controller.submit("add_flow", {"source": 2, "destination": 3})
-    result = run_scenario(
-        figure1(),
-        protocol="gmp",
-        substrate="fluid",
-        duration=6.0,
-        seed=1,
-        gmp_config=GmpConfig(period=0.5),
-        control=controller,
-    )
+    result = RunSpec(
+        scenario="figure1", protocol="gmp", substrate="fluid", duration=6.0, seed=1, period=0.5
+    ).run(control=controller)
     session = controller.handle
     system = session.system
     assert session.gmp.system is system and session.mac.system is system

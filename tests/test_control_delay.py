@@ -4,22 +4,20 @@ import pytest
 
 from repro.core.config import GmpConfig
 from repro.errors import ConfigError
-from repro.scenarios.figures import figure3
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import RunSpec
 
 
 def run(delay, duration=30.0):
-    return run_scenario(
-        figure3(),
+    return RunSpec(
+        scenario="figure3",
         protocol="gmp",
         substrate="fluid",
         duration=duration,
         seed=1,
-        gmp_config=GmpConfig(
-            period=0.5, additive_increase=4.0, control_delay_periods=delay
-        ),
+        period=0.5,
+        gmp={"additive_increase": 4.0, "control_delay_periods": delay},
         capacity_pps=600.0,
-    )
+    ).run()
 
 
 def test_negative_delay_rejected():

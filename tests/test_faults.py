@@ -3,7 +3,6 @@ per-layer hooks, and the invariant audit)."""
 
 import pytest
 
-from repro.core.config import GmpConfig
 from repro.errors import (
     ConfigError,
     FaultError,
@@ -23,12 +22,16 @@ from repro.faults import (
 from repro.flows.flow import Flow
 from repro.flows.traffic import CbrSource
 from repro.mac.channel import Channel
-from repro.scenarios.figures import figure3
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import RunSpec
 from repro.sim.kernel import Simulator
 from repro.topology.network import Topology
 
-FAST = GmpConfig(period=0.5, additive_increase=4.0)
+from helpers import FAST
+
+
+def figure3_run(**fields):
+    """The Figure-3 chain run ``fields`` describe."""
+    return RunSpec(scenario="figure3", **fields).run()
 
 
 # --- schedule validation ------------------------------------------------------
@@ -117,15 +120,12 @@ def test_parse_rejects_malformed_specs(spec):
 
 
 def test_crash_and_recover_on_fluid_substrate():
-    faults = parse_fault_spec("crash:1@4;recover:1@8")
-    result = run_scenario(
-        figure3(),
+    result = figure3_run(
         protocol="gmp",
         substrate="fluid",
         duration=12.0,
-        warmup=1.0,
-        gmp_config=FAST,
-        faults=faults,
+        **FAST,
+        faults="crash:1@4;recover:1@8",
         seed=3,
     )
     log = result.extras["faults"]
@@ -150,25 +150,22 @@ def test_stale_nodes_are_exactly_the_crash_notified_set(monkeypatch):
         boundary(self)
 
     monkeypatch.setattr(GmpProtocol, "_on_boundary", recording_boundary)
-    run_scenario(
-        figure3(), protocol="gmp", substrate="fluid", duration=12.0, warmup=1.0,
-        gmp_config=FAST, faults=parse_fault_spec("crash:1@4.2;recover:1@8.2"), seed=3,
-    )
+    figure3_run(
+        protocol="gmp", substrate="fluid", duration=12.0,
+        **FAST, faults="crash:1@4.2;recover:1@8.2", seed=3,
+    )  # fmt: skip
     assert len(seen) > 20
     for now, stale in seen:
         assert stale == ({1} if 4.2 <= now < 8.2 else set()), now
 
 
 def test_crash_loses_queued_packets_and_accounts_them():
-    faults = parse_fault_spec("crash:1@4")
-    result = run_scenario(
-        figure3(),
+    result = figure3_run(
         protocol="gmp",
         substrate="fluid",
         duration=6.0,
-        warmup=1.0,
-        gmp_config=FAST,
-        faults=faults,
+        **FAST,
+        faults="crash:1@4",
         seed=3,
     )
     crash_losses = result.extras["crash_losses"]
@@ -177,41 +174,35 @@ def test_crash_loses_queued_packets_and_accounts_them():
 
 
 def test_capacity_degrade_rejected_on_dcf():
-    faults = FaultSchedule([LinkDegrade(at=1.0, link=(1, 2), capacity_pps=50.0)])
     with pytest.raises(FaultError, match="capacity"):
-        run_scenario(
-            figure3(), substrate="dcf", duration=5.0, warmup=1.0, faults=faults
+        figure3_run(
+            protocol="gmp", substrate="dcf", duration=5.0, seed=0, faults="degrade:1-2@1:cap=50"
         )
 
 
 def test_control_loss_requires_gmp():
-    faults = FaultSchedule([ControlLoss(at=1.0, until=2.0, drop_prob=0.5)])
     with pytest.raises(FaultError, match="GMP"):
-        run_scenario(
-            figure3(), protocol="802.11", duration=5.0, warmup=1.0, faults=faults
+        figure3_run(
+            protocol="802.11", substrate="dcf", duration=5.0, seed=0, faults="ctrl:0.5@1-2"
         )
 
 
 def test_fault_targeting_unknown_node_rejected():
-    faults = FaultSchedule([NodeCrash(at=1.0, node=99)])
     with pytest.raises(FaultError, match="unknown node 99"):
-        run_scenario(figure3(), substrate="fluid", duration=5.0, warmup=1.0,
-                     gmp_config=FAST, faults=faults)
+        figure3_run(protocol="gmp", substrate="fluid", duration=5.0, seed=0,
+                    **FAST, faults="crash:99@1")  # fmt: skip
 
 
 def test_control_loss_drops_requests():
     # The window ends off the period grid so its clearing event cannot
     # race the final period boundary (validate_within caps it at the
     # run's end).
-    faults = FaultSchedule([ControlLoss(at=0.0, until=10.2, drop_prob=1.0)])
-    result = run_scenario(
-        figure3(),
+    result = figure3_run(
         protocol="gmp",
         substrate="fluid",
         duration=10.2,
-        warmup=1.0,
-        gmp_config=FAST,
-        faults=faults,
+        **FAST,
+        faults="ctrl:1@0-10.2",
         seed=1,
     )
     # Every computed request was lost in transit.
@@ -220,15 +211,11 @@ def test_control_loss_drops_requests():
 
 
 def test_link_loss_burst_reduces_delivery_on_fluid():
-    base = run_scenario(
-        figure3(), protocol="gmp", substrate="fluid", duration=8.0,
-        warmup=1.0, gmp_config=FAST, seed=2,
-    )
-    lossy = run_scenario(
-        figure3(), protocol="gmp", substrate="fluid", duration=8.0,
-        warmup=1.0, gmp_config=FAST, seed=2,
-        faults=parse_fault_spec("burst:2-3@1-8:loss=0.8"),
-    )
+    base = figure3_run(protocol="gmp", substrate="fluid", duration=8.0, **FAST, seed=2)
+    lossy = figure3_run(
+        protocol="gmp", substrate="fluid", duration=8.0, **FAST, seed=2,
+        faults="burst:2-3@1-8:loss=0.8",
+    )  # fmt: skip
     # The final hop carries every flow; an 80% loss must show up.
     assert sum(lossy.flow_rates.values()) < 0.7 * sum(base.flow_rates.values())
     assert lossy.extras["invariants"].ok
@@ -246,11 +233,10 @@ def test_channel_link_loss_validation():
 
 
 def test_stack_crash_guards_double_transitions():
-    faults = parse_fault_spec("crash:1@2;recover:1@3")
-    result = run_scenario(
-        figure3(), substrate="fluid", duration=4.0, warmup=1.0,
-        gmp_config=FAST, faults=faults,
-    )
+    result = figure3_run(
+        protocol="gmp", substrate="fluid", duration=4.0, seed=0,
+        **FAST, faults="crash:1@2;recover:1@3",
+    )  # fmt: skip
     assert result.extras["invariants"].ok
 
 
@@ -274,10 +260,8 @@ def test_traffic_source_pause_resume_idempotent():
 
 
 def test_stack_crash_recover_error_paths():
-    faults = FaultSchedule([NodeCrash(at=1.0, node=1)])
-    result = run_scenario(
-        figure3(), substrate="fluid", duration=2.0, warmup=0.5,
-        gmp_config=FAST, faults=faults,
+    result = figure3_run(
+        protocol="gmp", substrate="fluid", duration=2.0, seed=0, **FAST, faults="crash:1@1"
     )
     assert result.extras["invariants"].ok
 
@@ -286,10 +270,9 @@ def test_stack_crash_recover_error_paths():
 
 
 def test_invariant_audit_balances_on_clean_fluid_run():
-    result = run_scenario(
-        figure3(), protocol="gmp", substrate="fluid", duration=6.0,
-        warmup=1.0, gmp_config=FAST, check_invariants=True,
-    )
+    result = RunSpec(
+        scenario="figure3", protocol="gmp", substrate="fluid", duration=6.0, seed=0, **FAST
+    ).run(check_invariants=True)
     report = result.extras["invariants"]
     assert report.ok
     for audit in report.flows.values():
@@ -298,10 +281,7 @@ def test_invariant_audit_balances_on_clean_fluid_run():
 
 
 def test_invariant_audit_detects_imbalance():
-    result = run_scenario(
-        figure3(), protocol="gmp", substrate="fluid", duration=4.0,
-        warmup=1.0, gmp_config=FAST,
-    )
+    result = figure3_run(protocol="gmp", substrate="fluid", duration=4.0, seed=0, **FAST)
     report = result.extras["invariants"]
     assert report.ok
     # Sabotage one ledger: the report must notice and check() must raise.
@@ -313,22 +293,17 @@ def test_invariant_audit_detects_imbalance():
 
 
 def test_invariant_audit_relaxed_on_dcf():
-    result = run_scenario(
-        figure3(), protocol="802.11", substrate="dcf", duration=3.0,
-        warmup=1.0,
-    )
+    result = figure3_run(protocol="802.11", substrate="dcf", duration=3.0, seed=0)
     report = result.extras["invariants"]
     assert report.strict is False
     assert report.ok  # sign checks still apply
 
 
 def test_gmp_protocol_control_loss_validation():
-    faults = FaultSchedule([ControlLoss(at=0.0, until=1.0, drop_prob=0.5)])
     # drop_prob range is validated at the schedule layer already;
     # exercise the protocol-level guard directly.
-    result = run_scenario(
-        figure3(), substrate="fluid", duration=2.0, warmup=0.5,
-        gmp_config=FAST, faults=faults,
+    result = figure3_run(
+        protocol="gmp", substrate="fluid", duration=2.0, seed=0, **FAST, faults="ctrl:0.5@0-1"
     )
     assert result.extras["invariants"].ok
 
@@ -343,18 +318,16 @@ def test_double_crash_without_recover_is_schedule_error():
 def test_protocol_rejects_unknown_node_notifications():
     from repro.core.protocol import GmpProtocol  # noqa: F401  (API presence)
 
-    faults = FaultSchedule([NodeCrash(at=0.5, node=2), NodeRecover(at=1.0, node=2)])
-    result = run_scenario(
-        figure3(), substrate="fluid", duration=2.0, warmup=0.5,
-        gmp_config=FAST, faults=faults,
-    )
+    result = figure3_run(
+        protocol="gmp", substrate="fluid", duration=2.0, seed=0,
+        **FAST, faults="crash:2@0.5;recover:2@1",
+    )  # fmt: skip
     assert [text for _t, text in result.extras["faults"]]
 
 
 def test_interval_rates_cover_whole_run():
-    result = run_scenario(
-        figure3(), substrate="fluid", duration=6.0, warmup=1.0,
-        gmp_config=FAST, rate_interval=1.0,
+    result = figure3_run(
+        protocol="gmp", substrate="fluid", duration=6.0, seed=0, **FAST, rate_interval=1.0
     )
     assert result.rate_interval == 1.0
     for series in result.interval_rates.values():
@@ -363,17 +336,14 @@ def test_interval_rates_cover_whole_run():
 
 def test_sub_second_fault_run_defaults_rate_interval_to_its_duration():
     """The implicit 1 s sampling window shrinks to a shorter run instead
-    of failing a range check on a value the caller never set."""
-    result = run_scenario(
-        figure3(), substrate="fluid", duration=0.5, faults=FaultSchedule()
-    )
+    of failing a range check on a value the caller never set.  (The
+    fault drops nothing: an empty schedule has no DSL text.)"""
+    run = dict(protocol="gmp", substrate="fluid", duration=0.5, seed=0, faults="ctrl:0@0-0.5")
+    result = figure3_run(**run)
     assert result.rate_interval == 0.5
     assert result.interval_bounds == [0.5]
     with pytest.raises(ConfigError, match="rate_interval 1.0 must lie within"):
-        run_scenario(
-            figure3(), substrate="fluid", duration=0.5, faults=FaultSchedule(),
-            rate_interval=1.0,
-        )
+        figure3_run(**run, rate_interval=1.0)
 
 
 def test_stack_crash_twice_raises():
@@ -448,12 +418,11 @@ def test_validate_within_rejects_late_events():
 
 def test_runner_rejects_faults_past_the_run_end():
     with pytest.raises(FaultError, match="beyond the run"):
-        run_scenario(
-            figure3(),
+        figure3_run(
             protocol="gmp",
             substrate="fluid",
             duration=10.0,
             seed=1,
-            gmp_config=FAST,
-            faults=parse_fault_spec("crash:1@20;recover:1@40"),
+            **FAST,
+            faults="crash:1@20;recover:1@40",
         )

@@ -6,20 +6,16 @@ import random
 
 import pytest
 
-from repro.faults import FaultSchedule, NodeCrash, NodeRecover
 from repro.fidelity.anomaly import (
     _window_means,
     detect_condition_flapping,
     detect_queue_divergence,
     detect_starved_flows,
 )
-from repro.flows.flow import Flow, FlowSet
 from repro.obs.health import LIVE_DETECTORS
-from repro.scenarios.figures import Scenario, figure3
 from repro.scenarios.results import RunResult
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import LITERAL, RunSpec
 from repro.telemetry import Telemetry
-from repro.topology.builders import chain_topology
 
 
 def synthetic_result(duration=40.0, interval_rates=None, extras=None, lifetimes=None):
@@ -274,44 +270,34 @@ def test_custom_config_thresholds_apply():
 
 def test_clean_gmp_run_scans_clean():
     telemetry = Telemetry(enabled=True)
-    result = run_scenario(
-        figure3(),
+    result = RunSpec(
+        scenario="figure3",
         protocol="gmp",
         substrate="fluid",
         duration=40.0,
         seed=1,
-        telemetry=telemetry,
         rate_interval=1.0,
-    )
+    ).run(telemetry=telemetry)
     for detector in LIVE_DETECTORS:
         assert detector(result) == [], detector.__name__
 
 
 def test_crash_recover_run_is_flagged():
-    topology = chain_topology(4)
-    flows = FlowSet(
-        [
-            Flow(flow_id=1, source=0, destination=3, desired_rate=40.0),
-            Flow(flow_id=2, source=2, destination=3, desired_rate=40.0),
-        ]
-    )
-    scenario = Scenario(
-        name="churn", topology=topology, flows=flows, notes=""
-    )
     telemetry = Telemetry(enabled=True)
-    result = run_scenario(
-        scenario,
+    result = RunSpec(
+        scenario=LITERAL,
+        topology={
+            "nodes": [[0.0, 0.0], [200.0, 0.0], [400.0, 0.0], [600.0, 0.0]],
+            "flows": [[0, 3, 1.0, 40.0], [2, 3, 1.0, 40.0]],
+        },
         protocol="gmp",
         substrate="fluid",
         duration=40.0,
         seed=7,
         capacity_pps=400.0,
-        telemetry=telemetry,
         rate_interval=1.0,
-        faults=FaultSchedule(
-            [NodeCrash(at=12.0, node=1), NodeRecover(at=27.0, node=1)]
-        ),
-    )
+        faults="crash:1@12;recover:1@27",
+    ).run(telemetry=telemetry)
     starved = detect_starved_flows(result)
     assert len(starved) == 1
     assert starved[0].labels == {"flow": "1"}

@@ -5,40 +5,36 @@ attribution of each rate adjustment to its trigger."""
 import pytest
 
 from repro.analysis.maxmin_reference import MaxminSolution
-from repro.churn.spec import parse_churn_spec
 from repro.errors import AnalysisError
 from repro.fidelity.explain import explain_all, explain_flow
-from repro.scenarios.figures import figure3
 from repro.scenarios.results import RunResult
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import RunSpec
 from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
 def figure3_result():
     telemetry = Telemetry(enabled=True)
-    return run_scenario(
-        figure3(),
+    return RunSpec(
+        scenario="figure3",
         protocol="gmp",
         substrate="fluid",
         duration=20.0,
         seed=1,
-        telemetry=telemetry,
         rate_interval=1.0,
-    )
+    ).run(telemetry=telemetry)
 
 
 @pytest.fixture(scope="module")
 def churn_result():
-    return run_scenario(
-        figure3(),
+    return RunSpec(
+        scenario="figure3",
         protocol="gmp",
         substrate="fluid",
         duration=60.0,
         seed=1,
-        telemetry=Telemetry(enabled=True),
-        churn=parse_churn_spec("poisson:rate=0.3,mean_hold=6,max_flows=4"),
-    )
+        churn="poisson:rate=0.3,mean_hold=6,max_flows=4",
+    ).run(telemetry=Telemetry(enabled=True))
 
 
 def _synthetic_result(samples, reference=100.0, events=()):
@@ -172,9 +168,9 @@ def test_run_without_reference_cannot_be_explained():
 
 def test_run_without_telemetry_cannot_be_explained():
     # The end-of-run reference is solved only for instrumented runs.
-    result = run_scenario(
-        figure3(), protocol="gmp", substrate="fluid", duration=5.0, seed=1
-    )
+    result = RunSpec(
+        scenario="figure3", protocol="gmp", substrate="fluid", duration=5.0, seed=1
+    ).run()
     with pytest.raises(AnalysisError, match="maxmin_solution"):
         explain_flow(result, 1)
 

@@ -12,10 +12,9 @@ demand reappears.
 
 import random
 
-from repro import run_scenario
+from repro import RunSpec
 from repro.flows.packet import Packet
 from repro.mac.fluid import _ALLOC_CACHE_LIMIT, FluidMac, waterfill_links
-from repro.scenarios import figure3
 from repro.sim.kernel import Simulator
 from repro.topology.builders import random_topology
 from repro.topology.cliques import maximal_cliques
@@ -137,7 +136,7 @@ def test_alloc_cache_limit_keeps_the_figure3_working_set(monkeypatch):
         return start(mac)
 
     monkeypatch.setattr(FluidMac, "start", capture)
-    run_scenario(figure3(), protocol="gmp", substrate="fluid", duration=60.0, seed=1)
+    RunSpec(scenario="figure3", protocol="gmp", substrate="fluid", duration=60.0, seed=1).run()
     (mac,) = macs
     assert mac.alloc_cache_hits + mac.alloc_cache_misses == 2_999
     assert mac.alloc_cache_hits == 2_981

@@ -9,12 +9,8 @@ same idle verdict — through crashes, recoveries and flows grafted onto
 nodes that had gone quiet.
 """
 
-from repro.churn.spec import ChurnSpec
-from repro.faults.spec import parse_fault_spec
 from repro.mac.fluid import FluidMac
-from repro.scenarios.figures import figure3
-from repro.scenarios.runner import run_scenario
-from repro.scenarios.scale import scale300
+from repro.scenarios.spec import RunSpec
 
 
 def poll_every_node(mac: FluidMac):
@@ -74,17 +70,15 @@ def test_backlogged_polling_equals_full_polling_on_churned_faulted_figure3(
     monkeypatch,
 ):
     audit = PollAudit(monkeypatch)
-    result = run_scenario(
-        figure3(),
+    result = RunSpec(
+        scenario="figure3",
         protocol="gmp",
         substrate="fluid",
         duration=30.0,
         seed=1,
-        churn=ChurnSpec(rate=0.5, mean_hold=4.0, max_flows=4),
-        faults=parse_fault_spec(
-            "degrade:2-3@4:loss=0.3,cap=120;restore:2-3@9;crash:1@12;recover:1@18"
-        ),
-    )
+        churn="poisson:rate=0.5,mean_hold=4,max_flows=4",
+        faults="degrade:2-3@4:loss=0.3,cap=120;restore:2-3@9;crash:1@12;recover:1@18",
+    ).run()
     (mac,) = audit.macs
     assert len(audit.members) + mac.rounds_skipped == 1500
     assert result.extras["churn"].arrivals > 0
@@ -107,14 +101,14 @@ def test_backlogged_polling_equals_full_polling_on_four_seconds_of_scale300(
     monkeypatch,
 ):
     audit = PollAudit(monkeypatch)
-    run_scenario(
-        scale300(),
+    RunSpec(
+        scenario="scale300",
         protocol="gmp",
         substrate="fluid",
         duration=4.0,
         seed=1,
-        churn=ChurnSpec(rate=2.0, mean_hold=1.0, start=1.0),
-    )
+        churn="poisson:rate=2,mean_hold=1,start=1",
+    ).run()
     (mac,) = audit.macs
     # 4 sim-s of 20 ms rounds; the round due at t = 4.0 is past the end.
     assert len(audit.members) == 199 and mac.rounds_skipped == 0

@@ -388,9 +388,8 @@ def test_scale300_run_solves_every_round_exactly_on_a_tenth_of_the_cliques(
     run (memo hit or solve) equals ``waterfill_links`` over all 2,219
     cliques, while the solver itself only ever sees the cliques that
     can bind among the links that carried traffic."""
-    from repro.churn.spec import ChurnSpec
-    from repro.scenarios.runner import run_scenario
     from repro.scenarios.scale import scale300
+    from repro.scenarios.spec import RunSpec
 
     scenario = scale300()
     cliques = cliques_for(scenario.topology)
@@ -410,14 +409,14 @@ def test_scale300_run_solves_every_round_exactly_on_a_tenth_of_the_cliques(
         return alloc
 
     monkeypatch.setattr(FluidMac, "_allocate_quantized", checked)
-    result = run_scenario(
-        scenario,
+    result = RunSpec(
+        scenario="scale300",
         protocol="gmp",
         substrate="fluid",
         duration=2.0,
         seed=1,
-        churn=ChurnSpec(rate=2.0, mean_hold=8.0, start=1.0),
-    )
+        churn="poisson:rate=2,mean_hold=8,start=1",
+    ).run()
     (mac,) = macs
     assert mac.alloc_cache_misses == 99
 

@@ -4,20 +4,28 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.mac.phy import (
-    PHY_80211B_LONG,
-    PHY_80211B_SHORT,
+    DEFAULT_PHY,
     PhyProfile,
 )
-from repro.units import MICROSECONDS
+from repro.units import MBPS, MICROSECONDS
+
+#: Classic 11 Mbps DSSS with the long PLCP preamble (192 us) and 1 Mbps
+#: control frames: a second profile to check the timing arithmetic on.
+PHY_80211B_LONG = PhyProfile(
+    name="802.11b-long",
+    data_rate=11.0 * MBPS,
+    basic_rate=1.0 * MBPS,
+    preamble=192 * MICROSECONDS,
+)
 
 
 def test_difs_is_sifs_plus_two_slots():
-    phy = PHY_80211B_SHORT
+    phy = DEFAULT_PHY
     assert phy.difs == pytest.approx(phy.sifs + 2 * phy.slot_time)
 
 
 def test_eifs_exceeds_difs():
-    for phy in (PHY_80211B_SHORT, PHY_80211B_LONG):
+    for phy in (DEFAULT_PHY, PHY_80211B_LONG):
         assert phy.eifs > phy.difs
         assert phy.eifs == pytest.approx(phy.sifs + phy.ack_duration + phy.difs)
 
@@ -31,14 +39,14 @@ def test_long_preamble_durations():
 
 
 def test_short_preamble_durations():
-    phy = PHY_80211B_SHORT
+    phy = DEFAULT_PHY
     # RTS: 96 us preamble + 20 bytes at 2 Mbps = 96 + 80 us.
     assert phy.rts_duration == pytest.approx(176 * MICROSECONDS)
     assert phy.cts_duration == pytest.approx(152 * MICROSECONDS)
 
 
 def test_data_duration_scales_with_payload():
-    phy = PHY_80211B_SHORT
+    phy = DEFAULT_PHY
     small = phy.data_duration(100)
     large = phy.data_duration(1024)
     assert large > small
@@ -48,7 +56,7 @@ def test_data_duration_scales_with_payload():
 
 
 def test_exchange_duration_composition():
-    phy = PHY_80211B_SHORT
+    phy = DEFAULT_PHY
     expected = (
         phy.rts_duration
         + phy.cts_duration
@@ -62,14 +70,14 @@ def test_exchange_duration_composition():
 def test_saturation_rate_plausible_for_paper_setup():
     # The paper's clique throughput is in the hundreds of packets/s at
     # 11 Mbps with 1024-byte packets.
-    rate = PHY_80211B_SHORT.saturation_rate(1024)
+    rate = DEFAULT_PHY.saturation_rate(1024)
     assert 400 < rate < 800
     # More contenders means less average backoff per exchange.
-    assert PHY_80211B_SHORT.saturation_rate(1024, contenders=3) > rate
+    assert DEFAULT_PHY.saturation_rate(1024, contenders=3) > rate
 
 
 def test_cw_after_retries_doubles_and_caps():
-    phy = PHY_80211B_SHORT
+    phy = DEFAULT_PHY
     assert phy.cw_after_retries(0) == 31
     assert phy.cw_after_retries(1) == 63
     assert phy.cw_after_retries(2) == 127

@@ -6,8 +6,6 @@ import json
 import pytest
 
 from repro.errors import ConfigError, SimulationError
-from repro.faults import FaultSchedule, NodeCrash, NodeRecover
-from repro.flows.flow import Flow, FlowSet
 from repro.obs import (
     AlertLog,
     HealthMonitor,
@@ -15,10 +13,8 @@ from repro.obs import (
     jsonl_delivery,
 )
 from repro.obs.health import LIVE_DETECTORS
-from repro.scenarios.figures import Scenario, figure3
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import LITERAL, RunSpec
 from repro.telemetry import Telemetry
-from repro.topology.builders import chain_topology
 
 from helpers import random_scenario
 
@@ -102,16 +98,14 @@ def test_health_monitor_validates_config():
 def test_clean_run_raises_no_alerts():
     telemetry = Telemetry()
     health = HealthMonitor(deliveries=[])
-    result = run_scenario(
-        figure3(),
+    result = RunSpec(
+        scenario="figure3",
         protocol="gmp",
         substrate="fluid",
         duration=40.0,
         seed=1,
         rate_interval=1.0,
-        telemetry=telemetry,
-        health=health,
-    )
+    ).run(telemetry=telemetry, health=health)
     log = result.extras["health"]
     assert log is health.log
     assert log.alerts() == []
@@ -121,18 +115,16 @@ def test_clean_run_raises_no_alerts():
 # ---------------------------------------------------------------- fault run
 
 
-def _crash_scenario():
-    return Scenario(
-        name="crash",
-        topology=chain_topology(4),
-        flows=FlowSet(
-            [
-                Flow(flow_id=1, source=0, destination=3, desired_rate=40.0),
-                Flow(flow_id=2, source=2, destination=3, desired_rate=40.0),
-            ]
-        ),
-        notes="",
-    )
+#: The 4-node chain with flows 0->3 and 2->3 at 40 pkt/s; relay 1
+#: crashes at 12 s and recovers at 27 s.
+CRASH = dict(
+    scenario=LITERAL,
+    topology={
+        "nodes": [[0.0, 0.0], [200.0, 0.0], [400.0, 0.0], [600.0, 0.0]],
+        "flows": [[0, 3, 1.0, 40.0], [2, 3, 1.0, 40.0]],
+    },
+    faults="crash:1@12;recover:1@27",
+)
 
 
 def test_crash_run_alerts_mid_run_with_dedup():
@@ -140,20 +132,15 @@ def test_crash_run_alerts_mid_run_with_dedup():
     telemetry = Telemetry()
     delivered = []
     health = HealthMonitor(deliveries=[delivered.append])
-    result = run_scenario(
-        _crash_scenario(),
+    result = RunSpec(
+        **CRASH,
         protocol="gmp",
         substrate="fluid",
         duration=duration,
         seed=7,
         capacity_pps=400.0,
         rate_interval=1.0,
-        telemetry=telemetry,
-        health=health,
-        faults=FaultSchedule(
-            [NodeCrash(at=12.0, node=1), NodeRecover(at=27.0, node=1)]
-        ),
-    )
+    ).run(telemetry=telemetry, health=health)
     alerts = result.extras["health"].alerts()
     assert alerts, "injected crash must be flagged"
     flagged = alerts[0]
@@ -172,20 +159,15 @@ def test_live_alerts_are_a_prefix_of_the_end_of_run_scan():
     so every (detector, labels) it raised is also a finding of the
     same detectors over the finished run (``until=None``)."""
     health = HealthMonitor(deliveries=[])
-    result = run_scenario(
-        _crash_scenario(),
+    result = RunSpec(
+        **CRASH,
         protocol="gmp",
         substrate="fluid",
         duration=40.0,
         seed=7,
         capacity_pps=400.0,
         rate_interval=1.0,
-        telemetry=Telemetry(),
-        health=health,
-        faults=FaultSchedule(
-            [NodeCrash(at=12.0, node=1), NodeRecover(at=27.0, node=1)]
-        ),
-    )
+    ).run(telemetry=Telemetry(), health=health)
     live = {
         (alert.probe, tuple(sorted(alert.labels.items())))
         for alert in health.alerts()
@@ -208,15 +190,9 @@ def test_event_rate_stall_fires_when_the_run_goes_quiet(seed):
     # event rate over the last 5 s falls below a quarter of the run's
     # mean rate before that window.
     health = HealthMonitor(deliveries=[])
-    run_scenario(
-        random_scenario(seed),
-        protocol="gmp",
-        substrate="fluid",
-        duration=30.0,
-        seed=1,
-        telemetry=Telemetry(),
-        health=health,
-    )
+    RunSpec(
+        **random_scenario(seed), protocol="gmp", substrate="fluid", duration=30.0, seed=1
+    ).run(telemetry=Telemetry(), health=health)
     stalls = [a for a in health.alerts() if a.probe == "event_rate_stall"]
     assert len(stalls) == 1
     assert stalls[0].severity == "critical"
@@ -231,16 +207,9 @@ def test_watchdog_abort_raises_critical_alert():
     telemetry = Telemetry()
     health = HealthMonitor(deliveries=[])
     with pytest.raises(SimulationError):
-        run_scenario(
-            figure3(),
-            protocol="gmp",
-            substrate="fluid",
-            duration=30.0,
-            seed=1,
-            telemetry=telemetry,
-            health=health,
-            max_events=5000,
-        )
+        RunSpec(
+            scenario="figure3", protocol="gmp", substrate="fluid", duration=30.0, seed=1
+        ).run(telemetry=telemetry, health=health, max_events=5000)
     alerts = health.alerts()
     assert [a.probe for a in alerts] == ["watchdog_abort"]
     assert alerts[0].severity == "critical"

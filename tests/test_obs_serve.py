@@ -10,7 +10,6 @@ import urllib.request
 
 import pytest
 
-from repro.churn.spec import ChurnSpec
 from repro.errors import ConfigError
 from repro.faults.schedule import (
     ControlLoss,
@@ -29,9 +28,7 @@ from repro.obs.serve import (
     serve_main,
     serve_session,
 )
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import RunSpec
-from repro.scenarios.sweep import SCENARIO_FACTORIES
 from repro.sim.replay import ReplaySanitizer
 
 
@@ -106,15 +103,9 @@ def test_controller_validates_interval_and_replay_submit():
 
 
 def _run_with_controller(controller, duration=8.0):
-    return run_scenario(
-        SCENARIO_FACTORIES["figure3"](),
-        protocol="gmp",
-        substrate="fluid",
-        duration=duration,
-        seed=1,
-        sanitizer=ReplaySanitizer(),
-        control=controller,
-    )
+    return RunSpec(
+        scenario="figure3", protocol="gmp", substrate="fluid", duration=duration, seed=1
+    ).run(sanitizer=ReplaySanitizer(), control=controller)
 
 
 def test_live_commands_apply_and_replay_reproduces_digest():
@@ -228,17 +219,15 @@ def test_session_snapshot_matches_result_and_shares_one_reference():
     controller = ServeController(interval=1.0)
     recorder = _TickRecorder(controller)
     duration = 12.0
-    result = run_scenario(
-        SCENARIO_FACTORIES["figure3"](),
+    result = RunSpec(
+        scenario="figure3",
         protocol="gmp",
         substrate="fluid",
         duration=duration,
         seed=1,
-        churn=ChurnSpec(rate=0.5, mean_hold=3.0, traffic="cbr"),
+        churn="poisson:rate=0.5,mean_hold=3,traffic=cbr",
         rate_interval=1.0,
-        health=recorder,
-        control=controller,
-    )
+    ).run(health=recorder, control=controller)
     assert result.extras["churn"].arrivals > 0
 
     # The snapshot of the monitors' final tick, at t = duration, is the

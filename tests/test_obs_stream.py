@@ -8,8 +8,7 @@ import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.obs import JsonlSink, SqliteSink, StreamPublisher
-from repro.scenarios.figures import figure3
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import RunSpec
 from repro.sim.replay import ReplaySanitizer
 from repro.telemetry import Telemetry
 from repro.telemetry.exporters import write_metrics_jsonl
@@ -21,19 +20,15 @@ from helpers import RingSink, reconstruct_jsonl, sqlite_records
 GOLDEN_EVENTS = 42546
 
 
-def _run(telemetry=None, stream=None, health=None, sanitizer=None, **kwargs):
-    defaults = dict(
-        protocol="gmp", substrate="fluid", duration=30.0, seed=1
-    )
-    defaults.update(kwargs)
-    return run_scenario(
-        figure3(),
-        telemetry=telemetry,
-        stream=stream,
-        health=health,
-        sanitizer=sanitizer,
-        **defaults,
-    )
+def _run(duration=30.0, rate_interval=None, **observers):
+    return RunSpec(
+        scenario="figure3",
+        protocol="gmp",
+        substrate="fluid",
+        duration=duration,
+        seed=1,
+        rate_interval=rate_interval,
+    ).run(**observers)
 
 
 # ---------------------------------------------------------------- config

@@ -4,8 +4,11 @@ README quickstart runs as written (on the fluid substrate for speed)."""
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import repro
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_version():
@@ -18,20 +21,35 @@ def test_top_level_exports():
 
 
 def test_readme_quickstart_pattern():
-    from repro import GmpConfig, run_scenario
-    from repro.scenarios import figure3
+    from repro import RunSpec
 
-    result = run_scenario(
-        figure3(),
+    spec = RunSpec(
+        scenario="figure3",  # the paper's 3-link chain
         protocol="gmp",
         substrate="fluid",
         duration=5.0,
         seed=1,
-        gmp_config=GmpConfig(period=0.5),
+        period=0.5,
     )
+    result = spec.run()
     table = result.summary_table()
     assert "I_mm" in table
     assert 0 <= result.i_mm <= 1
+
+
+def test_every_run_is_a_run_spec():
+    """Tests, examples and benchmarks describe each run with a
+    ``RunSpec``; only the benchmark harness under ``benchmarks/e2e``
+    calls the runner itself."""
+    call = "run_scenario" + "("
+    harness = ROOT / "benchmarks" / "e2e"
+    offenders = [
+        str(path.relative_to(ROOT))
+        for folder in ("tests", "examples", "benchmarks")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if harness not in path.parents and call in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
 
 
 def test_subpackage_docstrings_exist():
@@ -91,21 +109,17 @@ def test_gmp_runs_without_scipy_and_2pp_loads_it():
         import repro.obs
         import repro.scenarios.sweep
         import repro.telemetry
-        from repro import GmpConfig, run_scenario
-        from repro.scenarios import figure3
+        from repro import RunSpec
 
-        result = run_scenario(
-            figure3(),
-            protocol="gmp",
-            substrate="fluid",
-            duration=5.0,
-            seed=1,
-            gmp_config=GmpConfig(period=0.5),
-        )
+        result = RunSpec(
+            scenario="figure3", protocol="gmp", substrate="fluid", duration=5.0, seed=1, period=0.5
+        ).run()
         assert 0 <= result.i_mm <= 1
         assert "scipy" not in sys.modules, "scipy loaded without a 2PP run"
 
-        result = run_scenario(figure3(), protocol="2pp", substrate="fluid", duration=2.0, seed=1)
+        result = RunSpec(
+            scenario="figure3", protocol="2pp", substrate="fluid", duration=2.0, seed=1
+        ).run()
         assert result.effective_throughput > 0
         assert "scipy.optimize" in sys.modules
         """

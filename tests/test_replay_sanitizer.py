@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from repro.flows.traffic import TrafficSource
-from repro.scenarios.figures import figure3
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import RunSpec, replay_check
 from repro.sim.kernel import Simulator
 from repro.sim.replay import ReplaySanitizer, diff_sanitizers
@@ -49,16 +47,11 @@ def test_l1_holds_across_runs_whose_l0_differs(row):
 
 
 def test_sanitized_run_is_unperturbed():
-    bare = run_scenario(
-        figure3(), substrate="fluid", duration=10.0, seed=3
+    spec = RunSpec(
+        scenario="figure3", protocol="gmp", substrate="fluid", duration=10.0, seed=3
     )
-    sanitized = run_scenario(
-        figure3(),
-        substrate="fluid",
-        duration=10.0,
-        seed=3,
-        sanitizer=ReplaySanitizer(),
-    )
+    bare = spec.run()
+    sanitized = spec.run(sanitizer=ReplaySanitizer())
     assert (
         sanitized.extras["events_processed"]
         == bare.extras["events_processed"]

@@ -12,13 +12,11 @@ from repro.analysis.resilience import (
     reconvergence_time,
     surviving_maxmin_reference,
 )
-from repro.core.config import GmpConfig
 from repro.errors import AnalysisError
-from repro.faults import parse_fault_spec
-from repro.flows.flow import Flow, FlowSet
-from repro.scenarios.figures import Scenario, figure3
-from repro.scenarios.runner import run_scenario
-from repro.topology.builders import chain_topology
+from repro.scenarios.figures import figure3
+from repro.scenarios.spec import LITERAL, RunSpec
+
+from helpers import FAST
 
 # --- reconvergence_time --------------------------------------------------------
 
@@ -128,10 +126,9 @@ def test_surviving_reference_rejects_unknown_nodes():
 
 
 def test_evaluate_transient_requires_series():
-    result = run_scenario(
-        figure3(), substrate="fluid", duration=3.0, warmup=1.0,
-        gmp_config=GmpConfig(period=0.5, additive_increase=4.0),
-    )
+    result = RunSpec(
+        scenario="figure3", protocol="gmp", substrate="fluid", duration=3.0, seed=0, **FAST
+    ).run()
     with pytest.raises(AnalysisError, match="rate_interval"):
         evaluate_transient(result, fault_time=1.0, reference={1: 10.0})
 
@@ -139,43 +136,29 @@ def test_evaluate_transient_requires_series():
 # --- acceptance: GMP rides out a relay crash -----------------------------------
 
 
-def _churn_scenario() -> Scenario:
+def test_gmp_reconverges_after_relay_crash_and_recovery():
     """Figure-3 chain with desire-limited flows: capacity is abundant,
     so the maxmin reference equals each flow's desired rate and GMP can
     actually reach it (saturated chains only converge to ~0.35 rel)."""
-    topology = chain_topology(4)
-    flows = FlowSet(
-        [
-            Flow(flow_id=1, source=0, destination=3, desired_rate=40.0),
-            Flow(flow_id=2, source=2, destination=3, desired_rate=40.0),
-        ]
-    )
-    return Scenario(
-        name="chain-churn",
-        topology=topology,
-        flows=flows,
-        notes="relay crash/recovery acceptance scenario",
-    )
-
-
-def test_gmp_reconverges_after_relay_crash_and_recovery():
-    scenario = _churn_scenario()
     capacity = 400.0
     fault_time, recover_time = 10.0, 20.0
-    result = run_scenario(
-        scenario,
+    spec = RunSpec(
+        scenario=LITERAL,
+        topology={
+            "nodes": [[0.0, 0.0], [200.0, 0.0], [400.0, 0.0], [600.0, 0.0]],
+            "flows": [[0, 3, 1.0, 40.0], [2, 3, 1.0, 40.0]],
+        },
         protocol="gmp",
         substrate="fluid",
         duration=35.0,
-        warmup=2.0,
         seed=7,
         capacity_pps=capacity,
-        gmp_config=GmpConfig(period=0.5, additive_increase=4.0),
-        faults=parse_fault_spec(
-            f"crash:1@{fault_time:g};recover:1@{recover_time:g}"
-        ),
+        **FAST,
+        faults=f"crash:1@{fault_time:g};recover:1@{recover_time:g}",
         rate_interval=1.0,
     )
+    scenario = spec.build_scenario()
+    result = spec.run()
 
     # The run completed (watchdogs armed by default) and the strict
     # fluid-substrate invariant audit passed.

@@ -178,9 +178,8 @@ def test_lazy_per_node_views_equal_the_eager_trees_on_all_pairs(name, build):
 
 
 def test_run_resolves_the_flow_destinations_and_nothing_else(monkeypatch):
-    from repro.churn.spec import ChurnSpec
     from repro.routing import link_state
-    from repro.scenarios.runner import run_scenario
+    from repro.scenarios.spec import RunSpec
 
     resolved = []
 
@@ -191,12 +190,12 @@ def test_run_resolves_the_flow_destinations_and_nothing_else(monkeypatch):
     monkeypatch.setattr(link_state, "_dijkstra_parents", counting)
     scenario = scale300()
     wanted = sorted({flow.destination for flow in scenario.flows})
-    run = dict(protocol="gmp", substrate="fluid", duration=0.5, seed=1)
-    run_scenario(scenario, **run)
+    run = dict(scenario="scale300", protocol="gmp", substrate="fluid", duration=0.5, seed=1)
+    RunSpec(**run).run()
     assert sorted(resolved) == wanted and len(wanted) == 8
 
     # A dynamic run may graft a flow toward any node: all of them are
     # resolved (and checked acyclic) up front, each exactly once.
     resolved.clear()
-    run_scenario(scenario, churn=ChurnSpec(rate=2.0, mean_hold=8.0), **run)
+    RunSpec(churn="poisson:rate=2,mean_hold=8", **run).run()
     assert sorted(resolved) == sorted(scenario.topology.node_ids)

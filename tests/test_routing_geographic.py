@@ -87,15 +87,14 @@ def test_greedy_paths_never_shorter_than_link_state(seed):
 
 
 def test_runner_accepts_geographic_routing():
-    from repro.scenarios.figures import figure3
-    from repro.scenarios.runner import run_scenario
+    from repro.scenarios.spec import RunSpec
 
-    result = run_scenario(
-        figure3(),
+    result = RunSpec(
+        scenario="figure3",
         protocol="802.11",
         substrate="fluid",
         duration=5.0,
         seed=1,
         routing="geographic",
-    )
+    ).run()
     assert sum(result.flow_rates.values()) > 0

@@ -3,32 +3,34 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.scenarios.figures import figure3
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import RunSpec
 
 
 def test_unknown_traffic_rejected():
     with pytest.raises(ConfigError):
-        run_scenario(figure3(), traffic="vbr")
+        RunSpec(
+            scenario="figure3", protocol="gmp", substrate="dcf", duration=60.0, seed=0,
+            traffic="vbr",
+        )  # fmt: skip
 
 
 @pytest.mark.parametrize("traffic", ["cbr", "poisson", "onoff"])
 def test_traffic_models_run_on_fluid(traffic):
-    result = run_scenario(
-        figure3(),
+    result = RunSpec(
+        scenario="figure3",
         protocol="802.11",
         substrate="fluid",
         duration=8.0,
         seed=2,
         traffic=traffic,
-    )
+    ).run()
     assert sum(result.flow_rates.values()) > 0
 
 
 def test_poisson_and_cbr_differ():
     kwargs = dict(
-        protocol="802.11", substrate="fluid", duration=8.0, seed=2
+        scenario="figure3", protocol="802.11", substrate="fluid", duration=8.0, seed=2
     )
-    cbr = run_scenario(figure3(), traffic="cbr", **kwargs)
-    poisson = run_scenario(figure3(), traffic="poisson", **kwargs)
+    cbr = RunSpec(traffic="cbr", **kwargs).run()
+    poisson = RunSpec(traffic="poisson", **kwargs).run()
     assert cbr.flow_rates != poisson.flow_rates

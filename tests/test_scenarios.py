@@ -1,13 +1,14 @@
 """Tests for the scenario layer: figures, runner, results."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.config import GmpConfig
 from repro.errors import ConfigError
 from repro.fidelity.paper import PAPER_TABLES
 from repro.routing.link_state import link_state_routes
 from repro.scenarios.figures import figure1, figure2, figure3, figure4
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import RunSpec
 from repro.topology.cliques import maximal_cliques
 from repro.topology.contention import ContentionGraph
 
@@ -107,34 +108,35 @@ class TestFigureTopologies:
             figure1(bottleneck_rate=500.0, desired_rate=100.0)
 
 
+#: Plain 802.11 on the Figure-3 chain, fluid, 10 s, seed 3.
+RUN = RunSpec(scenario="figure3", protocol="802.11", substrate="fluid", duration=10.0, seed=3)
+
+
 class TestRunner:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigError):
-            run_scenario(figure3(), protocol="tcp")
+            RunSpec(scenario="figure3", protocol="tcp", substrate="dcf", duration=60.0, seed=0)
 
     def test_unknown_substrate_rejected(self):
         with pytest.raises(ConfigError):
-            run_scenario(figure3(), substrate="ns3")
+            RunSpec(scenario="figure3", protocol="gmp", substrate="ns3", duration=60.0, seed=0)
 
     def test_bad_durations_rejected(self):
         with pytest.raises(ConfigError):
-            run_scenario(figure3(), duration=0.0)
+            RunSpec(scenario="figure3", protocol="gmp", substrate="dcf", duration=0.0, seed=0)
         with pytest.raises(ConfigError):
-            run_scenario(figure3(), duration=10.0, warmup=10.0)
+            RunSpec(
+                scenario="figure3", protocol="gmp", substrate="dcf", duration=float("inf"),
+                seed=0,
+            )  # fmt: skip
 
     def test_results_reproducible_given_seed(self):
-        first = run_scenario(
-            figure3(), protocol="802.11", substrate="fluid", duration=10.0, seed=3
-        )
-        second = run_scenario(
-            figure3(), protocol="802.11", substrate="fluid", duration=10.0, seed=3
-        )
+        first = RUN.run()
+        second = RUN.run()
         assert first.flow_rates == second.flow_rates
 
     def test_result_metrics_consistent(self):
-        result = run_scenario(
-            figure3(), protocol="802.11", substrate="fluid", duration=10.0, seed=3
-        )
+        result = RUN.run()
         assert result.scenario == "figure3"
         assert set(result.flow_rates) == {1, 2, 3}
         assert result.hop_counts == {1: 3, 2: 2, 3: 1}
@@ -146,36 +148,32 @@ class TestRunner:
         assert 0 < result.i_eq <= 1
 
     def test_2pp_sets_static_limits(self):
-        result = run_scenario(
-            figure3(), protocol="2pp", substrate="fluid", duration=10.0, seed=3
-        )
+        result = replace(RUN, protocol="2pp").run()
         allocation = result.extras["two_phase"]
         assert allocation.rates[3] > allocation.rates[1]
 
     def test_summary_table_renders(self):
-        result = run_scenario(
-            figure3(), protocol="802.11", substrate="fluid", duration=5.0, seed=3
-        )
+        result = replace(RUN, duration=5.0).run()
         text = result.summary_table()
         assert "I_mm" in text and "802.11" in text
 
     def test_gmp_dcf_short_run_smoke(self):
-        result = run_scenario(
-            figure3(),
-            protocol="gmp",
-            substrate="dcf",
-            duration=12.0,
-            seed=1,
-            gmp_config=GmpConfig(period=1.0),
-        )
+        result = RunSpec(
+            scenario="figure3", protocol="gmp", substrate="dcf", duration=12.0, seed=1, period=1.0
+        ).run()
         assert sum(result.flow_rates.values()) > 0
         assert "rate_limits" in result.extras
 
     def test_normalized_rates_in_result(self):
         scenario = figure2(weights=(1, 2, 1, 3))
-        result = run_scenario(
-            scenario, protocol="802.11", substrate="fluid", duration=5.0, seed=1
-        )
+        result = RunSpec(
+            scenario="figure2",
+            weights=(1, 2, 1, 3),
+            protocol="802.11",
+            substrate="fluid",
+            duration=5.0,
+            seed=1,
+        ).run()
         normalized = result.normalized_rates(scenario.flows)
         assert normalized[2] == pytest.approx(result.flow_rates[2] / 2.0)
 
@@ -185,14 +183,14 @@ class TestFigure1Isolation:
     bottleneck; a single shared queue does not."""
 
     def run(self, protocol):
-        return run_scenario(
-            figure1(),
+        return RunSpec(
+            scenario="figure1",
             protocol=protocol,
             substrate="fluid",
             duration=30.0,
             seed=1,
             capacity_pps=600.0,
-        )
+        ).run()
 
     def test_shared_queue_drags_f2_down(self):
         result = self.run("backpressure-shared")

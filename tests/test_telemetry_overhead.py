@@ -5,8 +5,7 @@ touches the RNG)."""
 
 import time
 
-from repro.scenarios.figures import figure3
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import RunSpec
 from repro.telemetry import Telemetry
 
 #: Dispatched-event count of `figure3 --substrate fluid --duration 30
@@ -17,14 +16,9 @@ GOLDEN_EVENTS = 42546
 
 def _figure3(telemetry=None):
     start = time.perf_counter()
-    result = run_scenario(
-        figure3(),
-        protocol="gmp",
-        substrate="fluid",
-        duration=30.0,
-        seed=1,
-        telemetry=telemetry,
-    )
+    result = RunSpec(
+        scenario="figure3", protocol="gmp", substrate="fluid", duration=30.0, seed=1
+    ).run(telemetry=telemetry)
     return result, time.perf_counter() - start
 
 

@@ -2,10 +2,8 @@
 
 import json
 
-from repro.faults.spec import parse_fault_spec
 from repro.mac.dcf import DcfMac
-from repro.scenarios.figures import figure3
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import RunSpec
 from repro.sim.kernel import Simulator
 from repro.telemetry import Telemetry
 from repro.telemetry.exporters import write_chrome_trace
@@ -50,15 +48,14 @@ def test_each_dcf_drop_is_one_chrome_trace_instant(tmp_path):
     # A lossy link forces retry-limit drops; with the mac.* categories
     # opted in as well, each drop must still export once.
     telemetry = Telemetry(trace_categories=["mac.*"])
-    run_scenario(
-        figure3(),
+    RunSpec(
+        scenario="figure3",
         protocol="802.11",
         substrate="dcf",
         duration=3.0,
         seed=1,
-        faults=parse_fault_spec("degrade:2-3@0.5:loss=1.0"),
-        telemetry=telemetry,
-    )
+        faults="degrade:2-3@0.5:loss=1.0",
+    ).run(telemetry=telemetry)
     drops = sum(c.value for c in telemetry.registry.instruments("mac.drops"))
     path = tmp_path / "trace.json"
     write_chrome_trace(str(path), telemetry)
@@ -76,10 +73,9 @@ def test_same_seed_runs_in_one_process_label_frames_alike():
     # process traces the same data-frame labels (f<flow>#<seq>).
     def frame_labels():
         telemetry = Telemetry(trace_categories=["channel.tx"])
-        run_scenario(
-            figure3(), protocol="gmp", substrate="dcf", duration=1.0, seed=1,
-            telemetry=telemetry,
-        )
+        RunSpec(
+            scenario="figure3", protocol="gmp", substrate="dcf", duration=1.0, seed=1
+        ).run(telemetry=telemetry)
         return [event.fields["frame"] for event in telemetry.events_in("channel.tx")]
 
     first = frame_labels()
