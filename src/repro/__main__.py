@@ -16,7 +16,7 @@ Examples::
     python -m repro figure3 --substrate fluid --explain-out explain.json
     python -m repro sweep --scenarios figure3,figure4 --seeds 1,2,3 \
         --workers 4 --json sweep.json
-    python -m repro fidelity --tables 1,2,3,4 --seeds 1,2,3 \
+    python -m repro fidelity --tables 1,2,3,4,fig1 --seeds 1,2,3 \
         --json FIDELITY.json --markdown FIDELITY.md
     python -m repro figure3 --substrate fluid \
         --churn "poisson:rate=0.3,mean_hold=6,hold=pareto" --duration 60
@@ -42,8 +42,8 @@ maxmin reference, when it entered a ±5% band around that reference,
 and each rate adjustment with the condition change that triggered it.
 ``--explain-out PATH`` saves that narrative, or the per-flow records
 as JSON when PATH ends in ``.json``.  ``fidelity`` regenerates the
-paper's Tables 1-4 and checks every EXPERIMENTS.md shape assertion
-(:mod:`repro.fidelity`).
+paper's Tables 1-4 and Figure 1 and checks every EXPERIMENTS.md shape
+assertion (:mod:`repro.fidelity`).
 
 ``--stream-out`` / ``--stream-db`` stream telemetry to disk *during*
 the run (:mod:`repro.obs`), so a killed or watchdog-aborted run keeps

@@ -2,7 +2,7 @@
 reference solver, effective throughput, convergence and resilience
 metrics, and text tables for the benchmark harness."""
 
-from repro.analysis.convergence import convergence_time, oscillation_amplitude
+from repro.analysis.convergence import convergence_time
 from repro.analysis.fairness import (
     equality_fairness_index,
     jain_index,
@@ -30,7 +30,6 @@ __all__ = [
     "weighted_maxmin_rates",
     "effective_network_throughput",
     "convergence_time",
-    "oscillation_amplitude",
     "format_table",
     "TransientMetrics",
     "evaluate_transient",

@@ -1,9 +1,8 @@
 """Convergence diagnostics for rate-adaptation runs.
 
 GMP converges to an AIMD-style limit cycle around the maxmin point
-(amplitude on the order of β); these helpers quantify how fast a rate
-trajectory enters a tolerance band and how wide the residual
-oscillation is.
+(amplitude on the order of β); :func:`convergence_time` finds when a
+rate trajectory enters a tolerance band and stays there.
 """
 
 from __future__ import annotations
@@ -47,23 +46,3 @@ def convergence_time(
         return start
     return None
 
-
-def oscillation_amplitude(
-    trajectory: Sequence[float], *, tail_fraction: float = 0.25
-) -> float:
-    """Relative peak-to-peak amplitude over the trajectory's tail.
-
-    Returns ``(max - min) / mean`` of the last ``tail_fraction`` of
-    samples; 0.0 for constant tails.
-
-    Raises:
-        AnalysisError: on empty trajectories.
-    """
-    if not trajectory:
-        raise AnalysisError("oscillation amplitude of an empty trajectory")
-    count = max(1, int(len(trajectory) * tail_fraction))
-    tail = list(trajectory[-count:])
-    mean = sum(tail) / len(tail)
-    if mean == 0:
-        return 0.0
-    return (max(tail) - min(tail)) / mean

@@ -2,9 +2,10 @@
 
 Four instruments for trusting (or distrusting) the reproduction:
 
-* :mod:`repro.fidelity.paper` — the source paper's Tables 1–4 as
-  machine-readable ground truth, with the qualitative *shape*
-  properties of EXPERIMENTS.md encoded as checkable predicates;
+* :mod:`repro.fidelity.paper` — the source paper's Tables 1–4 and
+  Figure 1 as machine-readable ground truth, with the qualitative
+  *shape* properties of EXPERIMENTS.md (convergence and the ablations
+  included) encoded as checkable predicates;
 * :mod:`repro.fidelity.harness` — regenerates every table through the
   cached sweep engine over multiple seeds and emits a
   :class:`~repro.fidelity.harness.FidelityReport` (paper vs ours per
@@ -20,7 +21,7 @@ Four instruments for trusting (or distrusting) the reproduction:
 
 Command line::
 
-    python -m repro fidelity --tables 1,2,3,4 --seeds 1,2,3 --json out.json
+    python -m repro fidelity --tables 1,2,3,4,fig1 --seeds 1,2,3 --json out.json
     python -m repro figure3 --explain-out explain.json
 """
 

@@ -1,9 +1,9 @@
-"""Paper-table regression harness.
+"""Paper-claim regression harness.
 
-Regenerates Tables 1–4 through the cached sweep engine over multiple
-seeds and compares them cell-by-cell against the paper's numbers and
-shape-by-shape against the EXPERIMENTS.md assertions encoded in
-:mod:`repro.fidelity.paper`.  The output is a :class:`FidelityReport`
+Regenerates Tables 1–4 and Figure 1 through the cached sweep engine
+over multiple seeds and compares them cell-by-cell against the paper's
+numbers and shape-by-shape against the EXPERIMENTS.md assertions
+encoded in :mod:`repro.fidelity.paper`.  The output is a :class:`FidelityReport`
 — paper vs ours vs Δ per cell, per-seed shape verdicts, seed spread —
 renderable as JSON (for CI artifacts) and aligned markdown (for
 EXPERIMENTS.md, whose table blocks this module rewrites in place).
@@ -32,7 +32,8 @@ from repro.fidelity.paper import (
     PaperTable,
     TableMeasurement,
 )
-from repro.scenarios.sweep import DEFAULT_CACHE_DIR, run_sweep, sweep_grid
+from repro.scenarios.spec import RunSpec
+from repro.scenarios.sweep import DEFAULT_CACHE_DIR, run_sweep
 
 #: Default committed ratchet file (repo root).
 DEFAULT_BASELINE_PATH = "fidelity-baseline.json"
@@ -46,7 +47,7 @@ _BLOCK_END = "<!-- fidelity:table{table_id}:end -->"
 class FidelityConfig:
     """What to regenerate, and how."""
 
-    tables: tuple[int, ...] = (1, 2, 3, 4)
+    tables: tuple[int | str, ...] = (1, 2, 3, 4, "fig1")
     seeds: tuple[int, ...] = (1, 2, 3)
     substrate: str = "fluid"
     duration: float = 60.0
@@ -58,7 +59,7 @@ class FidelityConfig:
         if unknown:
             raise ConfigError(
                 f"unknown paper table(s) {unknown}; pick from "
-                f"{sorted(PAPER_TABLES)}"
+                f"{list(PAPER_TABLES)}"
             )
         if not self.tables or not self.seeds:
             raise ConfigError("fidelity needs at least one table and one seed")
@@ -103,7 +104,7 @@ class ShapeOutcome:
 class TableFidelity:
     """One regenerated table."""
 
-    table_id: int
+    table_id: int | str
     title: str
     scenario: str
     substrate: str
@@ -136,7 +137,22 @@ class TableFidelity:
         }
 
     def markdown(self) -> str:
-        """The table as a markdown block (paper | ours ±spread | Δ%)."""
+        """The table as a markdown block (paper | ours ±spread | Δ%),
+        then its shape verdicts."""
+        lines: list[str] = []
+        if self.cells:
+            lines.extend(self._cell_lines())
+            lines.append("")
+        for outcome in self.shapes:
+            mark = {"pass": "✓", "fail": "✗", "skip": "·"}[outcome.status]
+            note = "" if outcome.applicable else " (skipped: substrate)"
+            lines.append(
+                f"* {mark} `{outcome.assertion_id}` — "
+                f"{outcome.description}{note}"
+            )
+        return "\n".join(lines)
+
+    def _cell_lines(self) -> list[str]:
         headers = ["metric"]
         for protocol in self.protocols:
             headers.extend(
@@ -165,15 +181,7 @@ class TableFidelity:
         lines = [f"| {' | '.join(headers)} |"]
         lines.append(f"|{'|'.join('---' for _ in headers)}|")
         lines.extend(f"| {' | '.join(row)} |" for row in rows)
-        lines.append("")
-        for outcome in self.shapes:
-            mark = {"pass": "✓", "fail": "✗", "skip": "·"}[outcome.status]
-            note = "" if outcome.applicable else " (skipped: substrate)"
-            lines.append(
-                f"* {mark} `{outcome.assertion_id}` — "
-                f"{outcome.description}{note}"
-            )
-        return "\n".join(lines)
+        return lines
 
 
 @dataclass
@@ -191,15 +199,16 @@ class FidelityReport:
         return all(table.shapes_ok() for table in self.tables)
 
     def shape_outcomes(self) -> dict[str, ShapeOutcome]:
-        """``"t<N>:<assertion-id>" -> outcome`` for every shape."""
+        """``"t<N>:<assertion-id>"`` (a table) or ``"<name>:<assertion-id>"``
+        (a figure) -> outcome, for every shape."""
         return {
-            f"t{table.table_id}:{outcome.assertion_id}": outcome
+            f"{_prefix(table.table_id)}:{outcome.assertion_id}": outcome
             for table in self.tables
             for outcome in table.shapes
         }
 
     def shape_statuses(self) -> dict[str, str]:
-        """``"t<N>:<assertion-id>" -> pass|fail|skip`` for every shape."""
+        """:meth:`shape_outcomes`' keys -> pass|fail|skip."""
         return {
             key: outcome.status
             for key, outcome in self.shape_outcomes().items()
@@ -237,36 +246,59 @@ class FidelityReport:
         )
 
 
-def _measurement(
-    table: PaperTable, summaries: list[dict], substrate: str, seed: int
-) -> TableMeasurement:
-    """Assemble one seed's measured table from sweep summaries."""
-    measured: TableMeasurement = {}
-    for summary in summaries:
-        spec = summary["spec"]
-        if spec["seed"] != seed or spec["scenario"] != table.scenario:
-            continue
-        protocol = spec["protocol"]
-        rates = {int(fid): rate for fid, rate in summary["flow_rates"].items()}
-        normalized = {
-            fid: rate / table.weights.get(fid, 1.0)
-            for fid, rate in rates.items()
-        }
-        measured[protocol] = MeasuredColumn(
-            protocol=protocol,
-            substrate=substrate,
+def _prefix(table_id: int | str) -> str:
+    """A shape key's prefix: ``t<N>`` for a table, the name otherwise."""
+    return f"t{table_id}" if isinstance(table_id, int) else table_id
+
+
+def _column_specs(
+    table: PaperTable, config: FidelityConfig, seed: int
+) -> dict[str, RunSpec]:
+    """Column name -> the run that measures it at ``seed``."""
+    return {
+        name: RunSpec(
+            scenario=table.scenario,
+            substrate=config.substrate,
             seed=seed,
-            rates=rates,
-            normalized=normalized,
-            u=summary["effective_throughput"],
-            i_mm=summary["i_mm"],
-            i_eq=summary["i_eq"],
+            duration=config.duration,
+            **column,
         )
-    missing = [p for p in table.protocols if p not in measured]
+        for name, column in table.columns.items()
+    }
+
+
+def _measurement(
+    table: PaperTable, summaries: list[dict], specs: dict[str, RunSpec]
+) -> TableMeasurement:
+    """Assemble one seed's measured table from the sweep summaries of
+    ``specs`` (see :func:`_column_specs`)."""
+    by_spec = {RunSpec.from_json(summary["spec"]): summary for summary in summaries}
+    missing = [name for name, spec in specs.items() if spec not in by_spec]
     if missing:
         raise AnalysisError(
             f"table {table.table_id}: sweep produced no summary for "
-            f"protocol(s) {missing} at seed {seed}"
+            f"column(s) {missing}"
+        )
+    measured: TableMeasurement = {}
+    for name, spec in specs.items():
+        summary = by_spec[spec]
+        rates = {int(fid): rate for fid, rate in summary["flow_rates"].items()}
+        measured[name] = MeasuredColumn(
+            protocol=spec.protocol,
+            substrate=spec.substrate,
+            seed=spec.seed,
+            rates=rates,
+            normalized={
+                fid: rate / table.weights.get(fid, 1.0)
+                for fid, rate in rates.items()
+            },
+            u=summary["effective_throughput"],
+            i_mm=summary["i_mm"],
+            i_eq=summary["i_eq"],
+            reference={
+                int(fid): rate
+                for fid, rate in summary.get("maxmin_reference", {}).items()
+            },
         )
     return measured
 
@@ -345,9 +377,9 @@ def _shapes(
 def run_fidelity(config: FidelityConfig | None = None) -> FidelityReport:
     """Regenerate the requested tables and compare against the paper.
 
-    Every (scenario, protocol, seed) cell goes through the cached
-    sweep engine, so re-running the harness on unchanged code is pure
-    cache hits, and results are independent of the worker count.
+    Every (column, seed) run goes through the cached sweep engine, so
+    re-running the harness on unchanged code is pure cache hits, and
+    results are independent of the worker count.
     """
     config = config or FidelityConfig()
     report = FidelityReport(
@@ -358,20 +390,15 @@ def run_fidelity(config: FidelityConfig | None = None) -> FidelityReport:
     )
     for table_id in config.tables:
         table = PAPER_TABLES[table_id]
-        specs = sweep_grid(
-            (table.scenario,),
-            table.protocols,
-            (config.substrate,),
-            config.seeds,
-            (config.duration,),
+        specs = [_column_specs(table, config, seed) for seed in config.seeds]
+        sweep = run_sweep(
+            [spec for columns in specs for spec in columns.values()],
+            workers=config.workers,
+            cache_dir=config.cache_dir,
         )
-        sweep = run_sweep(specs, workers=config.workers, cache_dir=config.cache_dir)
         report.cache_hits += sweep.cache_hits
         report.cache_misses += sweep.cache_misses
-        per_seed = [
-            _measurement(table, sweep.results, config.substrate, seed)
-            for seed in config.seeds
-        ]
+        per_seed = [_measurement(table, sweep.results, columns) for columns in specs]
         report.tables.append(
             TableFidelity(
                 table_id=table.table_id,
@@ -515,6 +542,12 @@ def _int_csv(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
+def _table_ids(text: str) -> tuple[int | str, ...]:
+    """Table numbers as ints; figure names (``fig1``) as they are."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    return tuple(int(part) if part.isdigit() else part for part in parts)
+
+
 def fidelity_main(argv: list[str] | None = None) -> int:
     """Entry point of ``python -m repro fidelity``.
 
@@ -527,13 +560,14 @@ def fidelity_main(argv: list[str] | None = None) -> int:
     """
     parser = argparse.ArgumentParser(
         prog="repro fidelity",
-        description="Regenerate the paper's Tables 1-4 through the "
-        "cached sweep engine and compare them cell-by-cell and "
-        "shape-by-shape against the paper.",
+        description="Regenerate the paper's Tables 1-4 and Figure 1 "
+        "through the cached sweep engine and compare them cell-by-cell "
+        "and shape-by-shape against the paper.",
     )
     parser.add_argument(
-        "--tables", default="1,2,3,4",
-        help="comma-separated paper table ids (default 1,2,3,4)",
+        "--tables", default="1,2,3,4,fig1",
+        help="comma-separated paper table numbers and figure names "
+        "(default 1,2,3,4,fig1)",
     )
     parser.add_argument("--seeds", default="1,2,3")
     parser.add_argument("--substrate", default="fluid")
@@ -579,7 +613,7 @@ def fidelity_main(argv: list[str] | None = None) -> int:
 
     try:
         config = FidelityConfig(
-            tables=_int_csv(args.tables),
+            tables=_table_ids(args.tables),
             seeds=_int_csv(args.seeds),
             substrate=args.substrate,
             duration=args.duration,

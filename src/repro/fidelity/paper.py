@@ -1,29 +1,38 @@
-"""Tables 1–4 of the paper's evaluation (§7), machine-readable.
+"""The paper's claims, machine-readable: Tables 1–4 of its evaluation
+(§7) and Figure 1's queue isolation (§5.1).
 
-Each :class:`PaperTable` binds a paper table to the scenario / protocol
-columns that regenerate it and carries two kinds of ground truth:
+Each :class:`PaperTable` binds a paper artifact to the scenario and the
+columns that regenerate it — a column is a protocol plus any other
+:class:`~repro.scenarios.spec.RunSpec` overrides — and carries two
+kinds of ground truth:
 
 * the **paper's numbers** (per-flow packets/second, effective
   throughput ``U``, the maxmin index ``I_mm``, the Chiu–Jain equality
   index ``I_eq``) for cell-by-cell paper-vs-ours deltas; and
 * the **shape assertions** from EXPERIMENTS.md — the within-table
   properties (orderings, β-band equal splits, weight-ordered rates,
-  fairness repair) that are the reproduction target, since the paper's
+  fairness repair, convergence to the maxmin reference, insensitivity
+  to β and Ω) that are the reproduction target, since the paper's
   absolute packet rates depend on unstated PHY-overhead assumptions
   (see EXPERIMENTS.md "Absolute-scale calibration").
 
 Shape assertions are plain predicates over a measured table, so they
 are unit-testable without a simulator and CI-checkable through the
 fidelity harness (:mod:`repro.fidelity.harness`).  Assertions that
-only hold on the packet-level DCF substrate (MAC-bias effects the
-fluid substrate cannot exhibit) declare their applicable substrates
-and are reported as skipped elsewhere.
+hold on one substrate only (MAC-bias effects the fluid substrate cannot
+exhibit; Figure 1's rate-capped bottleneck, which the DCF ignores)
+declare their applicable substrates and are reported as skipped
+elsewhere.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
+
+from repro.scenarios.figures import figure1
 
 #: The paper's equality tolerance (§6.3); shape assertions reuse it.
 PAPER_BETA = 0.10
@@ -31,7 +40,8 @@ PAPER_BETA = 0.10
 
 @dataclass(frozen=True)
 class MeasuredColumn:
-    """One regenerated table column: a protocol's run at one seed."""
+    """One regenerated table column: its run at one seed, and (GMP
+    runs) each flow's centralized maxmin reference rate."""
 
     protocol: str
     substrate: str
@@ -41,9 +51,10 @@ class MeasuredColumn:
     u: float
     i_mm: float
     i_eq: float
+    reference: dict[int, float] = field(default_factory=dict)
 
 
-#: A measured table: protocol name -> column, for one seed.
+#: A measured table: column name -> column, for one seed.
 TableMeasurement = dict[str, MeasuredColumn]
 
 #: A shape predicate: measured table -> (passed, detail-with-numbers).
@@ -84,18 +95,36 @@ class PaperColumn:
 
 @dataclass(frozen=True)
 class PaperTable:
-    """One evaluation table: scenario binding + ground truth + shapes."""
+    """One paper artifact: scenario binding + ground truth + shapes.
 
-    table_id: int
+    Attributes:
+        table_id: the paper's table number, or a name (``"fig1"``).
+        columns: column name -> the :class:`~repro.scenarios.spec.
+            RunSpec` fields it sets besides scenario, substrate, seed
+            and duration (always ``protocol``).  Cells are reported for
+            the columns in ``paper`` only.
+    """
+
+    table_id: int | str
     title: str
     scenario: str  # sweep-grid scenario name
-    protocols: tuple[str, ...]
+    columns: dict[str, dict[str, Any]]
     weights: dict[int, float]
     paper: dict[str, PaperColumn]
     assertions: tuple[ShapeAssertion, ...] = field(default_factory=tuple)
 
+    @property
+    def protocols(self) -> tuple[str, ...]:
+        """The columns with paper numbers, in the paper's order."""
+        return tuple(self.paper)
+
     def flow_ids(self) -> list[int]:
         return sorted(self.weights)
+
+
+def _protocols(*names: str) -> dict[str, dict[str, Any]]:
+    """Columns that are each one protocol, named after it."""
+    return {name: {"protocol": name} for name in names}
 
 
 # --- assertion helpers -----------------------------------------------------------
@@ -194,9 +223,9 @@ def _gmp_repairs(floor: float, margin: float) -> ShapeCheck:
     def check(measured: TableMeasurement) -> tuple[bool, str]:
         gmp = measured["gmp"].i_mm
         baselines = {
-            protocol: column.i_mm
-            for protocol, column in measured.items()
-            if protocol != "gmp"
+            name: column.i_mm
+            for name, column in measured.items()
+            if column.protocol != "gmp"
         }
         best = max(baselines.values(), default=0.0)
         ok = gmp > floor and gmp > best + margin
@@ -249,14 +278,17 @@ def _group_ratio(
     return check
 
 
-def _fairness_floor(protocol: str, i_mm: float, i_eq: float) -> ShapeCheck:
+def _fairness_floor(names: tuple[str, ...], i_mm: float, i_eq: float) -> ShapeCheck:
+    """``I_mm`` above ``i_mm`` and ``I_eq`` above ``i_eq`` in every one
+    of the named columns."""
+
     def check(measured: TableMeasurement) -> tuple[bool, str]:
-        column = measured[protocol]
-        ok = column.i_mm > i_mm and column.i_eq > i_eq
-        return (
-            ok,
-            f"{protocol}: I_mm={column.i_mm:.3f} (floor {i_mm:g}), "
-            f"I_eq={column.i_eq:.3f} (floor {i_eq:g})",
+        columns = {name: measured[name] for name in names}
+        ok = all(c.i_mm > i_mm and c.i_eq > i_eq for c in columns.values())
+        return ok, "; ".join(
+            f"{name}: I_mm={column.i_mm:.3f} (floor {i_mm:g}), "
+            f"I_eq={column.i_eq:.3f} (floor {i_eq:g})"
+            for name, column in columns.items()
         )
 
     return check
@@ -278,13 +310,98 @@ def _u_ordering(ordered: tuple[str, ...], slack: float) -> ShapeCheck:
     return check
 
 
+def _near_reference(protocol: str, tolerance: float) -> ShapeCheck:
+    """Every flow's rate is within ``tolerance`` (relative) of its
+    centralized maxmin reference rate."""
+
+    def check(measured: TableMeasurement) -> tuple[bool, str]:
+        column = measured[protocol]
+        if not column.reference:
+            return False, f"{protocol}: the run has no maxmin reference"
+        deviation = {
+            fid: abs(column.rates[fid] / ref - 1.0) if ref > 0 else math.inf
+            for fid, ref in column.reference.items()
+        }
+        worst = max(deviation, key=deviation.__getitem__)
+        return (
+            deviation[worst] < tolerance,
+            f"{protocol}: max |rate/reference - 1| {deviation[worst]:.2f} at "
+            f"f{worst} ({column.rates[worst]:.1f} vs "
+            f"{column.reference[worst]:.1f}; need < {tolerance:g})",
+        )
+
+    return check
+
+
+def _imm_range_below(names: tuple[str, ...], ceiling: float) -> ShapeCheck:
+    """``max - min`` of ``I_mm`` across the named columns stays below
+    ``ceiling``."""
+
+    def check(measured: TableMeasurement) -> tuple[bool, str]:
+        values = {name: measured[name].i_mm for name in names}
+        spread = max(values.values()) - min(values.values())
+        return (
+            spread < ceiling,
+            f"I_mm range {spread:.3f} over "
+            + ", ".join(f"I_mm({name})={v:.3f}" for name, v in values.items())
+            + f" (need < {ceiling:g})",
+        )
+
+    return check
+
+
+def _ieq_not_below(name: str, other: str, slack: float) -> ShapeCheck:
+    """Column ``name``'s ``I_eq`` is at least ``other``'s minus ``slack``."""
+
+    def check(measured: TableMeasurement) -> tuple[bool, str]:
+        ours, theirs = measured[name].i_eq, measured[other].i_eq
+        return (
+            ours >= theirs - slack,
+            f"I_eq({name})={ours:.3f} vs I_eq({other})={theirs:.3f} "
+            f"(need >= it - {slack:g})",
+        )
+
+    return check
+
+
+def _flow_rate(
+    names: tuple[str, ...],
+    flow_id: int,
+    compare: Callable[[float, float], bool],
+    bound: float,
+) -> ShapeCheck:
+    """``compare(rate, bound)`` holds for flow ``flow_id`` in every one
+    of the named columns."""
+    symbol = {operator.le: "<=", operator.lt: "<", operator.gt: ">"}[compare]
+
+    def check(measured: TableMeasurement) -> tuple[bool, str]:
+        rates = {name: measured[name].rates[flow_id] for name in names}
+        return (
+            all(compare(rate, bound) for rate in rates.values()),
+            ", ".join(f"f{flow_id}({name})={r:.1f}" for name, r in rates.items())
+            + f" (need {symbol} {bound:g})",
+        )
+
+    return check
+
+
+def _converges(table: int) -> ShapeAssertion:
+    """E-conv on one table: GMP ends near the maxmin point (§6)."""
+    return ShapeAssertion(
+        f"t{table}-gmp-converges",
+        "every GMP flow ends within ±35% of its centralized maxmin "
+        "reference (E-conv)",
+        _near_reference("gmp", 0.35),
+    )
+
+
 # --- the tables ------------------------------------------------------------------
 
 TABLE_1 = PaperTable(
     table_id=1,
     title="Table 1: unweighted maxmin on Figure 2",
     scenario="figure2",
-    protocols=("gmp",),
+    columns=_protocols("gmp"),
     weights={1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0},
     paper={
         "gmp": PaperColumn(
@@ -310,8 +427,9 @@ TABLE_1 = PaperTable(
         ShapeAssertion(
             "t1-gmp-ieq",
             "GMP's allocation stays broadly equal (I_eq > 0.7)",
-            _fairness_floor("gmp", 0.0, 0.7),
+            _fairness_floor(("gmp",), 0.0, 0.7),
         ),
+        _converges(1),
     ),
 )
 
@@ -319,7 +437,11 @@ TABLE_2 = PaperTable(
     table_id=2,
     title="Table 2: weighted maxmin on Figure 2 (weights 1,2,1,3)",
     scenario="figure2w",
-    protocols=("gmp",),
+    columns={
+        **_protocols("gmp"),
+        # Paper-literal limit removal (§6); the default never removes.
+        "gmp removal=1": {"protocol": "gmp", "gmp": {"removal_persistence": 1}},
+    },
     weights={1: 1.0, 2: 2.0, 3: 1.0, 4: 3.0},
     paper={
         "gmp": PaperColumn(
@@ -346,6 +468,13 @@ TABLE_2 = PaperTable(
             "(normalized spread < 0.5)",
             _spread_below("gmp", 0.5, (2, 3, 4)),
         ),
+        _converges(2),
+        ShapeAssertion(
+            "t2-removal-no-fairer",
+            "paper-literal limit removal is no fairer than the default: "
+            "I_eq(gmp) >= I_eq(removal=1) - 0.1 (E-ablation)",
+            _ieq_not_below("gmp", "gmp removal=1", 0.1),
+        ),
     ),
 )
 
@@ -353,7 +482,13 @@ TABLE_3 = PaperTable(
     table_id=3,
     title="Table 3: the three-link chain (Figure 3)",
     scenario="figure3",
-    protocols=("802.11", "2pp", "gmp"),
+    columns={
+        **_protocols("802.11", "2pp", "gmp"),
+        "gmp β=0.05": {"protocol": "gmp", "beta": 0.05},
+        "gmp β=0.20": {"protocol": "gmp", "beta": 0.20},
+        "gmp Ω=0.10": {"protocol": "gmp", "gmp": {"omega_threshold": 0.10}},
+        "gmp Ω=0.45": {"protocol": "gmp", "gmp": {"omega_threshold": 0.45}},
+    },
     weights={1: 1.0, 2: 1.0, 3: 1.0},
     paper={
         "802.11": PaperColumn(
@@ -394,7 +529,7 @@ TABLE_3 = PaperTable(
         ShapeAssertion(
             "t3-gmp-ieq",
             "GMP's three rates are near-equal (I_eq > 0.97)",
-            _fairness_floor("gmp", 0.0, 0.97),
+            _fairness_floor(("gmp",), 0.0, 0.97),
         ),
         ShapeAssertion(
             "t3-2pp-surplus-1hop",
@@ -405,6 +540,19 @@ TABLE_3 = PaperTable(
             "t3-gmp-band",
             "GMP equalizes the three flows (relative spread < 0.25)",
             _spread_below("gmp", 0.25),
+        ),
+        _converges(3),
+        ShapeAssertion(
+            "t3-beta-insensitive",
+            "β in {0.05, 0.10, 0.20} keeps GMP fair: I_mm > 0.45 in every "
+            "β column (E-ablation)",
+            _fairness_floor(("gmp β=0.05", "gmp", "gmp β=0.20"), 0.45, 0.0),
+        ),
+        ShapeAssertion(
+            "t3-omega-insensitive",
+            "the Ω threshold in {0.10, 0.25, 0.45} barely moves GMP: I_mm "
+            "range < 0.45 (E-ablation)",
+            _imm_range_below(("gmp Ω=0.10", "gmp", "gmp Ω=0.45"), 0.45),
         ),
     ),
 )
@@ -417,7 +565,7 @@ TABLE_4 = PaperTable(
     table_id=4,
     title="Table 4: the four-gadget row (Figure 4)",
     scenario="figure4",
-    protocols=("802.11", "2pp", "gmp"),
+    columns=_protocols("802.11", "2pp", "gmp"),
     weights={fid: 1.0 for fid in range(1, 9)},
     paper={
         # Per-flow 802.11 rates are fixed by the topology
@@ -477,7 +625,7 @@ TABLE_4 = PaperTable(
             "t4-gmp-equalizes",
             "GMP approximately equalizes all eight flows "
             "(I_mm > 0.75, I_eq > 0.95)",
-            _fairness_floor("gmp", 0.75, 0.95),
+            _fairness_floor(("gmp",), 0.75, 0.95),
         ),
         ShapeAssertion(
             "t4-gmp-fairest",
@@ -516,13 +664,55 @@ TABLE_4 = PaperTable(
             "U(802.11) ≥ U(GMP) ≥ U(2PP) (within 1%)",
             _u_ordering(("802.11", "gmp", "2pp"), 0.01),
         ),
+        _converges(4),
     ),
 )
 
-#: Every encoded table, keyed by paper table number.
-PAPER_TABLES: dict[int, PaperTable] = {
+#: Figure 1's scenario: f1 crosses the capped (z,t) link, f2 does not.
+_FIGURE_1 = figure1()
+_BOTTLENECK = _FIGURE_1.rate_caps[(4, 5)]
+_DESIRED = _FIGURE_1.flows.get(2).desired_rate
+_QUEUES = ("backpressure-shared", "backpressure-perdest")
+
+#: Figure 1 has no numbers to compare, only its argument.  The
+#: bottleneck is a rate cap, which only the fluid substrate honors.
+FIGURE_1 = PaperTable(
+    table_id="fig1",
+    title="Figure 1: per-destination queueing isolation (§5.1)",
+    scenario="figure1",
+    columns={name: {"protocol": name, "capacity_pps": 600.0} for name in _QUEUES},
+    weights={1: 1.0, 2: 1.0},
+    paper={},
+    assertions=(
+        ShapeAssertion(
+            "fig1-f1-bottleneck",
+            "f1 is pinned at the (z,t) bottleneck under either queueing "
+            "(<= 1.15x its cap)",
+            _flow_rate(_QUEUES, 1, operator.le, 1.15 * _BOTTLENECK),
+            substrates=("fluid",),
+        ),
+        ShapeAssertion(
+            "fig1-shared-drags-f2",
+            "one shared queue per node drags f2 below half its desirable "
+            "rate",
+            _flow_rate(_QUEUES[:1], 2, operator.lt, 0.5 * _DESIRED),
+            substrates=("fluid",),
+        ),
+        ShapeAssertion(
+            "fig1-perdest-isolates-f2",
+            "one queue per destination lets f2 reach > 0.85x its "
+            "desirable rate",
+            _flow_rate(_QUEUES[1:], 2, operator.gt, 0.85 * _DESIRED),
+            substrates=("fluid",),
+        ),
+    ),
+)
+
+#: Every encoded claim, keyed by paper table number or figure name.
+PAPER_TABLES: dict[int | str, PaperTable] = {
     1: TABLE_1,
     2: TABLE_2,
     3: TABLE_3,
     4: TABLE_4,
+    "fig1": FIGURE_1,
 }

@@ -28,7 +28,6 @@ class PhyProfile:
     """Timing parameters of an 802.11 PHY.
 
     Attributes:
-        name: human-readable profile name.
         data_rate: payload bit rate (bits/second).
         basic_rate: control-frame bit rate (bits/second).
         preamble: PLCP preamble + header duration in seconds.
@@ -41,7 +40,6 @@ class PhyProfile:
         long_retry_limit: DATA attempts before the packet is dropped.
     """
 
-    name: str
     data_rate: float
     basic_rate: float
     preamble: float
@@ -140,7 +138,6 @@ class PhyProfile:
 
 #: The profile every run uses.
 DEFAULT_PHY = PhyProfile(
-    name="802.11b-short",
     data_rate=11.0 * MBPS,
     basic_rate=2.0 * MBPS,
     preamble=96 * MICROSECONDS,

@@ -55,8 +55,10 @@ class RunResult:
             churned flow's rate is measured over its lifetime window.
         extras: protocol-specific diagnostics (e.g. GMP rate-limit
             history, 2PP allocation, fault log, invariant report, the
-            telemetry handle, the maxmin reference rates, the churn
-            report and per-arrival convergence times).
+            telemetry handle, the maxmin reference rates — or, on a
+            GMP run, ``solve_reference``, which solves them when
+            called — the churn report and per-arrival convergence
+            times).
     """
 
     scenario: str
@@ -104,13 +106,13 @@ class RunResult:
 
         Carries everything the fidelity harness and CI consume without
         re-running the scenario: per-flow raw and normalized rates,
-        hop counts, weights, and the three paper metrics (``U``,
-        ``I_mm``, ``I_eq``).  Flow ids become string keys so a freshly
-        computed summary is byte-identical to one recalled from a JSON
-        cache.
+        hop counts, weights, the three paper metrics (``U``, ``I_mm``,
+        ``I_eq``) and, on a GMP run, each flow's maxmin reference rate.
+        Flow ids become string keys so a freshly computed summary is
+        byte-identical to one recalled from a JSON cache.
         """
         weights = self.extras.get("flow_weights", {})
-        return {
+        summary = {
             "warmup": self.warmup,
             "flow_rates": {
                 str(flow_id): rate
@@ -134,6 +136,12 @@ class RunResult:
             "buffer_drops": self.buffer_drops,
             "mac_drops": self.mac_drops,
         }
+        solve = self.extras.get("solve_reference")
+        if solve is not None:
+            summary["maxmin_reference"] = {
+                str(flow_id): rate for flow_id, rate in sorted(solve().items())
+            }
+        return summary
 
     def summary_table(self) -> str:
         """Paper-style text table of this run."""

@@ -682,6 +682,8 @@ class Session:
                 )
 
         if gmp is not None:
+            # Solved only when read: the sweep summary reads it.
+            extras["solve_reference"] = lambda: self._reference_extras()["maxmin_reference"]
             extras["limit_history"] = {
                 flow_id: gmp.limit_history(flow_id)
                 for flow_id in sorted(self.all_flows)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.convergence import convergence_time, oscillation_amplitude
+from repro.analysis.convergence import convergence_time
 from repro.analysis.fairness import (
     equality_fairness_index,
     jain_index,
@@ -325,15 +325,6 @@ class TestThroughputAndConvergence:
             convergence_time([], 100.0)
         with pytest.raises(AnalysisError):
             convergence_time([1.0], 0.0)
-
-    def test_oscillation_amplitude(self):
-        trajectory = [0.0] * 10 + [90.0, 110.0, 90.0, 110.0]
-        assert oscillation_amplitude(trajectory, tail_fraction=0.25) == pytest.approx(
-            20.0 / 100.0, rel=0.2
-        )
-
-    def test_oscillation_constant_is_zero(self):
-        assert oscillation_amplitude([5.0, 5.0, 5.0]) == 0.0
 
 
 class TestReport:

@@ -15,6 +15,7 @@ from repro.fidelity.harness import (
     FidelityReport,
     TableFidelity,
     _cells,
+    _column_specs,
     _measurement,
     _shapes,
     baseline_payload,
@@ -41,6 +42,7 @@ def t1_measurement(seed=1, f1=437.0, f2=219.0, f3=218.0, f4=220.0):
             u=sum(rates.values()),
             i_mm=0.5,
             i_eq=0.89,
+            reference=dict(rates),  # converged
         )
     }
 
@@ -151,17 +153,37 @@ def test_dcf_only_shapes_are_skipped_on_fluid():
 
 def test_measurement_raises_on_missing_protocol():
     table = PAPER_TABLES[3]
+    specs = _column_specs(table, FidelityConfig(tables=(3,)), 1)
     summaries = [
         {
-            "spec": RunSpec(scenario="figure3", seed=1).to_json(),
+            "spec": specs["gmp"].to_json(),
             "flow_rates": {"1": 160.0, "2": 160.0, "3": 160.0},
             "effective_throughput": 480.0,
             "i_mm": 0.9,
             "i_eq": 0.99,
+            "maxmin_reference": {"1": 150.0, "2": 150.0, "3": 150.0},
         }
     ]
     with pytest.raises(AnalysisError, match="802.11"):
-        _measurement(table, summaries, "fluid", 1)
+        _measurement(table, summaries, specs)
+    measured = _measurement(table, summaries, {"gmp": specs["gmp"]})
+    assert measured["gmp"].reference == {1: 150.0, 2: 150.0, 3: 150.0}
+
+
+def test_a_columns_overrides_reach_its_spec_digest():
+    specs = _column_specs(PAPER_TABLES[3], FidelityConfig(tables=(3,)), 2)
+    # A protocol-named column is the same run the sweep grid names,
+    # so its cached result and baseline keys carry over.
+    assert specs["gmp"] == RunSpec(
+        scenario="figure3", protocol="gmp", substrate="fluid", seed=2, duration=60.0
+    )
+    assert specs["gmp β=0.05"].beta == 0.05
+    assert specs["gmp Ω=0.10"].gmp == {"omega_threshold": 0.10}
+    digests = {spec.digest() for spec in specs.values()}
+    assert len(digests) == len(specs)
+    removal = _column_specs(PAPER_TABLES[2], FidelityConfig(tables=(2,)), 2)
+    assert removal["gmp removal=1"].to_json()["gmp"] == {"removal_persistence": 1}
+    assert removal["gmp removal=1"].digest() != removal["gmp"].digest()
 
 
 # --- rendering -------------------------------------------------------------------
@@ -354,9 +376,27 @@ def test_run_fidelity_table1_end_to_end(tmp_path):
         "t1:t1-equal-split": "pass",
         "t1:t1-f1-residual": "pass",
         "t1:t1-gmp-ieq": "pass",
+        "t1:t1-gmp-converges": "pass",
     }
     assert report.cache_misses == 1
     # Re-running the same config is pure cache hits with equal output.
     again = run_fidelity(config)
     assert again.cache_hits == 1 and again.cache_misses == 0
     assert again.to_json()["tables"] == report.to_json()["tables"]
+
+
+def test_run_fidelity_fig1_end_to_end(tmp_path):
+    config = FidelityConfig(
+        tables=("fig1",), seeds=(1,), duration=20.0, cache_dir=tmp_path / "cache"
+    )
+    report = run_fidelity(config)
+    assert report.shape_statuses() == {
+        "fig1:fig1-f1-bottleneck": "pass",
+        "fig1:fig1-shared-drags-f2": "pass",
+        "fig1:fig1-perdest-isolates-f2": "pass",
+    }
+    assert report.cache_misses == 2
+    (table,) = report.tables
+    # Figure 1 has no paper numbers: no cells, only shape verdicts.
+    assert table.cells == [] and table.protocols == ()
+    assert table.markdown().startswith("* ✓ `fig1-f1-bottleneck`")

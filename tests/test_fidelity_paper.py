@@ -12,10 +12,13 @@ from repro.fidelity.paper import (
     PAPER_TABLES,
     MeasuredColumn,
 )
+from repro.scenarios.spec import RunSpec
 from repro.scenarios.sweep import SCENARIO_FACTORIES
 
 
-def column(protocol, rates, *, u=None, i_mm=0.5, i_eq=0.9, weights=None):
+def column(
+    protocol, rates, *, u=None, i_mm=0.5, i_eq=0.9, weights=None, reference=None
+):
     weights = weights or {}
     return MeasuredColumn(
         protocol=protocol,
@@ -28,6 +31,7 @@ def column(protocol, rates, *, u=None, i_mm=0.5, i_eq=0.9, weights=None):
         u=sum(rates.values()) if u is None else u,
         i_mm=i_mm,
         i_eq=i_eq,
+        reference=reference or {},
     )
 
 
@@ -42,17 +46,23 @@ def assertion(table_id, assertion_id):
 
 
 def test_tables_bind_to_real_scenarios_and_protocols():
-    assert sorted(PAPER_TABLES) == [1, 2, 3, 4]
+    assert list(PAPER_TABLES) == [1, 2, 3, 4, "fig1"]
     for table_id, table in PAPER_TABLES.items():
         assert table.table_id == table_id
         assert table.scenario in SCENARIO_FACTORIES
-        assert table.protocols
         assert table.flow_ids()
-        for protocol in table.protocols:
-            assert protocol in table.paper
+        for name, column in table.columns.items():
+            # Every column is a valid spec fragment.
+            assert "protocol" in column
+            RunSpec(scenario=table.scenario, **column)
+        # Paper numbers exist for protocol-named columns only.
+        assert table.protocols == tuple(table.paper)
         for protocol, paper in table.paper.items():
-            assert protocol in table.protocols
+            assert table.columns[protocol] == {"protocol": protocol}
             assert sorted(paper.rates) == table.flow_ids()
+    # Every numbered table has paper numbers; Figure 1 has none.
+    assert all(PAPER_TABLES[table_id].paper for table_id in (1, 2, 3, 4))
+    assert not PAPER_TABLES["fig1"].paper
 
 
 def test_assertion_ids_are_globally_unique():
@@ -87,8 +97,11 @@ def test_substrate_scoping():
     side_bias = assertion(4, "t4-80211-side-bias")
     assert side_bias.applies_to("dcf")
     assert not side_bias.applies_to("fluid")
-    for table in PAPER_TABLES.values():
-        for entry in table.assertions:
+    # Figure 1's bottleneck is a rate cap, which only fluid honors.
+    for entry in PAPER_TABLES["fig1"].assertions:
+        assert entry.applies_to("fluid") and not entry.applies_to("dcf")
+    for table_id in (1, 2, 3, 4):
+        for entry in PAPER_TABLES[table_id].assertions:
             if entry.assertion_id != "t4-80211-side-bias":
                 assert entry.applies_to("fluid") and entry.applies_to("dcf")
 
@@ -289,6 +302,109 @@ def test_t4_u_ordering_tolerates_equal_fluid_throughput():
     assert check(measurement(2624.0, 2624.0, 2624.0))[0]
     assert check(measurement(1976.0, 1821.0, 1693.0))[0]
     assert not check(measurement(1700.0, 1976.0, 1693.0))[0]
+
+
+@pytest.mark.parametrize("table_id", [1, 2, 3, 4])
+def test_gmp_converges_within_35_percent_of_the_reference(table_id):
+    check = assertion(table_id, f"t{table_id}-gmp-converges").check
+    flows = PAPER_TABLES[table_id].flow_ids()
+    reference = {fid: 100.0 for fid in flows}
+    near = {fid: 100.0 for fid in flows}
+    near[flows[-1]] = 134.0
+    passed, detail = check({"gmp": column("gmp", near, reference=reference)})
+    assert passed
+    assert f"0.34 at f{flows[-1]}" in detail
+    far = {**near, flows[0]: 65.0}  # 35 % under: not inside the band
+    passed, detail = check({"gmp": column("gmp", far, reference=reference)})
+    assert not passed
+    assert f"0.35 at f{flows[0]}" in detail
+    # A run that carries no reference cannot pass.
+    assert not check({"gmp": column("gmp", near)})[0]
+
+
+def t3_ablation(names, imms):
+    """Table 3's named GMP columns, with these ``I_mm`` values."""
+    flat = {1: 100.0, 2: 100.0, 3: 100.0}
+    return {name: column("gmp", flat, i_mm=imm) for name, imm in zip(names, imms)}
+
+
+def test_t3_beta_insensitive_needs_every_beta_column_fair():
+    check = assertion(3, "t3-beta-insensitive").check
+    names = ("gmp β=0.05", "gmp", "gmp β=0.20")
+    passed, detail = check(t3_ablation(names, (0.7, 0.82, 0.64)))
+    assert passed
+    assert "gmp β=0.20: I_mm=0.640" in detail
+    assert not check(t3_ablation(names, (0.7, 0.82, 0.45)))[0]
+
+
+def test_t3_omega_insensitive_bounds_the_imm_range():
+    check = assertion(3, "t3-omega-insensitive").check
+    names = ("gmp Ω=0.10", "gmp", "gmp Ω=0.45")
+    passed, detail = check(t3_ablation(names, (0.5, 0.82, 0.9)))
+    assert passed
+    assert "I_mm range 0.400" in detail
+    assert not check(t3_ablation(names, (0.4, 0.82, 0.86)))[0]
+
+
+def test_t2_removal_no_fairer_allows_a_tenth_of_slack():
+    check = assertion(2, "t2-removal-no-fairer").check
+    rates = {1: 320.0, 2: 232.0, 3: 118.0, 4: 305.0}
+
+    def measurement(default, literal):
+        return {
+            "gmp": column("gmp", rates, i_eq=default),
+            "gmp removal=1": column("gmp", rates, i_eq=literal),
+        }
+
+    passed, detail = check(measurement(0.903, 0.889))
+    assert passed
+    assert "I_eq(gmp removal=1)=0.889" in detail
+    assert check(measurement(0.80, 0.90))[0]
+    assert not check(measurement(0.79, 0.90))[0]
+
+
+def fig1_measurement(shared, perdest):
+    return {
+        "backpressure-shared": column("backpressure-shared", shared),
+        "backpressure-perdest": column("backpressure-perdest", perdest),
+    }
+
+
+def test_fig1_f1_stays_at_the_bottleneck_under_both_queueings():
+    check = assertion("fig1", "fig1-f1-bottleneck").check
+    passed, detail = check(fig1_measurement({1: 20.0, 2: 0.0}, {1: 23.0, 2: 70.0}))
+    assert passed
+    assert "need <= 23" in detail
+    assert not check(fig1_measurement({1: 20.0, 2: 0.0}, {1: 23.5, 2: 70.0}))[0]
+    assert not check(fig1_measurement({1: 24.0, 2: 0.0}, {1: 20.0, 2: 70.0}))[0]
+
+
+def test_fig1_shared_queue_drags_f2_below_half_its_desire():
+    check = assertion("fig1", "fig1-shared-drags-f2").check
+    assert check(fig1_measurement({1: 20.0, 2: 34.0}, {1: 20.0, 2: 70.0}))[0]
+    passed, detail = check(fig1_measurement({1: 20.0, 2: 35.0}, {1: 20.0, 2: 70.0}))
+    assert not passed
+    assert "f2(backpressure-shared)=35.0 (need < 35)" in detail
+
+
+def test_fig1_per_destination_queues_isolate_f2():
+    check = assertion("fig1", "fig1-perdest-isolates-f2").check
+    assert check(fig1_measurement({1: 20.0, 2: 0.0}, {1: 20.0, 2: 60.0}))[0]
+    passed, detail = check(fig1_measurement({1: 20.0, 2: 0.0}, {1: 20.0, 2: 59.5}))
+    assert not passed
+    assert "need > 59.5" in detail
+
+
+def test_gmp_repairs_ignores_gmp_ablation_columns():
+    check = assertion(3, "t3-gmp-repairs").check
+    measured = {
+        **t3_ablation(("gmp", "gmp β=0.20"), (0.9, 0.85)),
+        "802.11": column("802.11", {1: 80.0, 2: 220.0, 3: 174.0}, i_mm=0.4),
+        "2pp": column("2pp", {1: 132.0, 2: 189.0, 3: 241.0}, i_mm=0.4),
+    }
+    passed, detail = check(measured)
+    assert passed
+    assert "β" not in detail
 
 
 def test_beta_constant_matches_the_paper():

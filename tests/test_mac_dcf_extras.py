@@ -1,7 +1,5 @@
 """DCF tests for NAV reset and backpressure piggyback."""
 
-import pytest
-
 from repro.buffers.backpressure import OverhearingGate
 from repro.buffers.queues import PerDestinationBuffer
 from repro.flows.flow import Flow

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError, MacError
 from repro.flows.packet import Packet
 from repro.mac.fluid import FluidMac, waterfill_links
-from repro.scenarios.figures import figure3
 from repro.sim.kernel import Simulator
 from repro.topology.builders import chain_topology, random_topology
 from repro.topology.cliques import maximal_cliques

@@ -12,7 +12,6 @@ from repro.units import MBPS, MICROSECONDS
 #: Classic 11 Mbps DSSS with the long PLCP preamble (192 us) and 1 Mbps
 #: control frames: a second profile to check the timing arithmetic on.
 PHY_80211B_LONG = PhyProfile(
-    name="802.11b-long",
     data_rate=11.0 * MBPS,
     basic_rate=1.0 * MBPS,
     preamble=192 * MICROSECONDS,
@@ -86,8 +85,8 @@ def test_cw_after_retries_doubles_and_caps():
 
 def test_profile_validation():
     with pytest.raises(ConfigError):
-        PhyProfile(name="bad", data_rate=0.0, basic_rate=1e6, preamble=1e-4)
+        PhyProfile(data_rate=0.0, basic_rate=1e6, preamble=1e-4)
     with pytest.raises(ConfigError):
         PhyProfile(
-            name="bad", data_rate=1e6, basic_rate=1e6, preamble=1e-4, cw_min=64, cw_max=32
+            data_rate=1e6, basic_rate=1e6, preamble=1e-4, cw_min=64, cw_max=32
         )
