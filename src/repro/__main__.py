@@ -8,7 +8,7 @@ Examples::
     python -m repro figure3 --protocol gmp --substrate fluid
     python -m repro figure2 --protocol gmp --weights 1,2,1,3 --duration 200
     python -m repro figure4 --protocol 802.11 --substrate dcf
-    python -m repro figure3 --substrate fluid \
+    python -m repro figure3 --substrate fluid --duration 60 \
         --faults "crash:1@20;recover:1@40" --rate-interval 1
     python -m repro figure3 --substrate fluid --profile \
         --metrics-out m.jsonl --trace-out t.json

@@ -1,6 +1,6 @@
-"""Paper-fidelity and run-health observability.
+"""Paper-fidelity observability.
 
-Four instruments for trusting (or distrusting) the reproduction:
+Three instruments for trusting (or distrusting) the reproduction:
 
 * :mod:`repro.fidelity.paper` — the source paper's Tables 1–4 and
   Figure 1 as machine-readable ground truth, with the qualitative
@@ -11,9 +11,6 @@ Four instruments for trusting (or distrusting) the reproduction:
   :class:`~repro.fidelity.harness.FidelityReport` (paper vs ours per
   cell, shape pass/fail, seed spread), gated in CI against a
   committed baseline ratchet;
-* :mod:`repro.fidelity.anomaly` — run-health detectors over
-  telemetry series, scanned live by
-  :class:`repro.obs.health.HealthMonitor`;
 * :mod:`repro.fidelity.explain` — one per-flow record answering "why is
   flow f at rate r": bottleneck clique, dominant local condition, gap
   to the centralized reference, when the rate entered its band, and

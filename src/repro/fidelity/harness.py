@@ -379,7 +379,8 @@ def run_fidelity(config: FidelityConfig | None = None) -> FidelityReport:
 
     Every (column, seed) run goes through the cached sweep engine, so
     re-running the harness on unchanged code is pure cache hits, and
-    results are independent of the worker count.
+    results are independent of the worker count.  A table with no paper
+    cells and no shape that applies on the substrate runs nothing.
     """
     config = config or FidelityConfig()
     report = FidelityReport(
@@ -390,15 +391,19 @@ def run_fidelity(config: FidelityConfig | None = None) -> FidelityReport:
     )
     for table_id in config.tables:
         table = PAPER_TABLES[table_id]
-        specs = [_column_specs(table, config, seed) for seed in config.seeds]
-        sweep = run_sweep(
-            [spec for columns in specs for spec in columns.values()],
-            workers=config.workers,
-            cache_dir=config.cache_dir,
-        )
-        report.cache_hits += sweep.cache_hits
-        report.cache_misses += sweep.cache_misses
-        per_seed = [_measurement(table, sweep.results, columns) for columns in specs]
+        per_seed: list[TableMeasurement] = []
+        if table.protocols or any(
+            assertion.applies_to(config.substrate) for assertion in table.assertions
+        ):
+            specs = [_column_specs(table, config, seed) for seed in config.seeds]
+            sweep = run_sweep(
+                [spec for columns in specs for spec in columns.values()],
+                workers=config.workers,
+                cache_dir=config.cache_dir,
+            )
+            report.cache_hits += sweep.cache_hits
+            report.cache_misses += sweep.cache_misses
+            per_seed = [_measurement(table, sweep.results, columns) for columns in specs]
         report.tables.append(
             TableFidelity(
                 table_id=table.table_id,

@@ -16,7 +16,7 @@ workload*:
   behind (the post-departure audit found nothing);
 * **starvation** — no flow that could deliver sat at zero for a
   sustained window *inside its own lifetime* (departures are not
-  starvation), via :func:`repro.fidelity.anomaly.detect_starved_flows`.
+  starvation), via :func:`repro.obs.health.detect_starved_flows`.
 
 :func:`evaluate` runs one case against the whole battery and returns a
 :class:`FuzzOutcome`; the shrinker re-evaluates candidates with it.
@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError, SimulationError
 from repro.faults.schedule import FaultSchedule, NodeCrash, NodeRecover
 from repro.faults.spec import parse_fault_spec
-from repro.fidelity.anomaly import detect_starved_flows
 from repro.fuzz.grammar import FuzzScenario
+from repro.obs.health import detect_starved_flows
 from repro.scenarios.results import RunResult
 from repro.scenarios.spec import replay_check
 
@@ -214,7 +214,7 @@ def evaluate(case: FuzzScenario) -> FuzzOutcome:
         for i, j in paths.get(flow_id, []):
             on_path.update((i, j))
         if any(
-            node in on_path and finding.start < end and finding.end > start
+            node in on_path and finding.first_seen < end and finding.last_seen > start
             for node, start, end in crash_windows
         ):
             excused += 1  # a dead relay, not a protocol bug

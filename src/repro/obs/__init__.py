@@ -13,10 +13,10 @@ and watches runs from the outside:
   tail) when a watchdog aborts the run — so a killed or wedged run
   still leaves analyzable telemetry behind;
 * :mod:`repro.obs.health` — the in-run :class:`HealthMonitor`:
-  an event-rate stall probe plus the :mod:`repro.fidelity.anomaly`
-  detectors scanned up to the current time each tick, emitting
-  deduplicated, cooldown-gated :class:`Alert` records through
-  pluggable delivery hooks;
+  an event-rate stall probe plus three detectors (starved flows,
+  condition flapping, queue divergence) scanned up to the current
+  time each tick, emitting deduplicated, cooldown-gated
+  :class:`Alert` records through pluggable delivery hooks;
 * :mod:`repro.obs.serve` / :mod:`repro.obs.httpapi` — service mode:
   a stdlib HTTP daemon around a live (optionally wall-clock-paced)
   run.  HTTP threads only *enqueue* commands; the

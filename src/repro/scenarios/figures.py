@@ -25,8 +25,8 @@ class Scenario:
         topology: node placement and radio ranges.
         flows: the end-to-end flows.
         notes: provenance/derivation notes.
-        rate_caps: optional per-directed-link rate ceilings, honored by
-            the fluid substrate (used by the Figure-1 bottleneck).
+        rate_caps: optional per-directed-link rate ceilings (the
+            Figure-1 bottleneck); only the fluid substrate runs them.
     """
 
     name: str

@@ -148,6 +148,10 @@ class Session:
             raise ConfigError(
                 "2pp enforces a static precomputed allocation; it cannot take live control"
             )
+        if self.substrate == "dcf" and self.scenario.rate_caps:
+            raise ConfigError(
+                f"{self.scenario.name} caps link rates, which only the fluid substrate models"
+            )
         # Rates exclude the first third of the run.
         self.warmup = self.duration / 3.0
         # A dynamic run's flow set changes while it runs.
@@ -816,7 +820,8 @@ def run_scenario(scenario: Scenario, **inputs: Any) -> RunResult:
             changes what the simulation does.
 
     Raises:
-        ConfigError: on 2PP under ``control``.
+        ConfigError: on 2PP under ``control``, or a rate-capped
+            scenario on the DCF.
         FaultError: if ``faults`` targets unknown nodes or needs hooks
             the substrate lacks.
         InvariantError: if the end-of-run audit fails.

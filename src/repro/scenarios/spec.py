@@ -414,32 +414,29 @@ def _weights(text: str) -> tuple[float, ...]:
 
 
 #: The run command line's flags, one per spec field (``--weights``
-#: applies to figure2 only); ``repro serve`` takes a subset.
+#: applies to figure2 only); ``repro serve`` takes a subset.  Each
+#: defaults to its :class:`RunSpec` field.
 RUN_FLAGS: dict[str, dict[str, Any]] = {
-    "protocol": {"choices": PROTOCOLS, "default": "gmp"},
-    "substrate": {"choices": SUBSTRATES, "default": "fluid"},
-    "duration": {"type": float, "default": 120.0},
-    "seed": {"type": int, "default": 1},
-    "period": {"type": float, "default": 2.0, "help": "GMP period (s)"},
-    "beta": {"type": float, "default": 0.10},
-    "traffic": {"choices": tuple(TRAFFIC_MODELS), "default": "cbr"},
+    "protocol": {"choices": PROTOCOLS},
+    "substrate": {"choices": SUBSTRATES},
+    "duration": {"type": float},
+    "seed": {"type": int},
+    "period": {"type": float, "help": "GMP period (s)"},
+    "beta": {"type": float},
+    "traffic": {"choices": tuple(TRAFFIC_MODELS)},
     "churn": {
-        "default": None,
         "help": 'dynamic workload, e.g. "poisson:rate=0.3,mean_hold=6,hold=pareto" '
         'or "adversary:burst=2,on=2,off=2"',
     },
     "weights": {
         "type": _weights,
-        "default": "1,1,1,1",
         "help": "figure2 flow weights, comma-separated (e.g. 1,2,1,3)",
     },
     "faults": {
-        "default": None,
         "help": 'fault schedule, e.g. "crash:1@20;recover:1@40;ctrl:0.5@10-30"',
     },
     "rate_interval": {
         "type": float,
-        "default": None,
         "help": "record per-flow rates over windows of this many seconds",
     },
 }
@@ -448,11 +445,12 @@ RUN_FLAGS: dict[str, dict[str, Any]] = {
 def add_run_flags(
     parser: argparse.ArgumentParser, names: Iterable[str] = tuple(RUN_FLAGS), **defaults: Any
 ) -> None:
-    """Add the run flags ``names`` to ``parser``; ``defaults``
-    overrides their default values."""
+    """Add the run flags ``names`` to ``parser``, each defaulting to its
+    :class:`RunSpec` field unless ``defaults`` overrides it."""
+    spec_defaults = {field.name: field.default for field in fields(RunSpec)}
     for name in names:
-        options = {**RUN_FLAGS[name], "default": defaults.get(name, RUN_FLAGS[name]["default"])}
-        parser.add_argument("--" + name.replace("_", "-"), **options)
+        default = defaults.get(name, spec_defaults[name])
+        parser.add_argument("--" + name.replace("_", "-"), default=default, **RUN_FLAGS[name])
 
 
 def spec_from_args(args: argparse.Namespace) -> RunSpec:

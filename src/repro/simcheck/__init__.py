@@ -10,8 +10,8 @@ catch them at run time.
 
 Two analysis layers share one parse of the tree: a per-file AST pass,
 and a whole-program pass built on the :mod:`repro.simcheck.callgraph`
-call graph (hot-path and worker-process classification with evidence
-chains from the registration site).
+call graph (hot-path classification with evidence chains from the
+registration site).
 
 Rule families (see :data:`RULES` and docs/SIMCHECK.md):
 
@@ -27,8 +27,6 @@ Rule families (see :data:`RULES` and docs/SIMCHECK.md):
   functions reachable from a kernel scheduling registration;
 * ``UNIT0xx`` — dimension checking over seconds/bits/bits-per-second
   inferred from ``repro.units`` constants and identifier names;
-* ``PAR0xx`` — sweep-pool safety: unpicklable callables crossing the
-  worker boundary, worker-side writes to module-level state;
 * ``PRAG001`` — suppression hygiene: an ``allow`` pragma must name
   catalogue rules, give a reason, and suppress a finding in the run.
 

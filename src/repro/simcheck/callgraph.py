@@ -1,23 +1,17 @@
 """Whole-program call-graph construction over the ``repro`` package.
 
 The per-file AST pass (:mod:`repro.simcheck.rules`) can reject local
-hazards — a wall-clock read, a set iteration — but the properties the
-scale work depends on are *global*: "this nested loop runs on the hot
-path", "this function executes inside a sweep-pool worker".  This
-module parses every source file once, indexes functions, classes and
-import aliases, resolves intra-package calls (including one level of
-attribute-type inference for ``self.attr.method()`` and re-export
-chains through ``__init__`` modules), and classifies each function:
-
-* **hot** — transitively reachable from a callback registered with the
-  kernel's scheduling API (``call_at``/``call_later``/``every``/
-  ``timer``/``schedule``), i.e. code the event loop dispatches.  The
-  PERF rules only fire here, and every finding carries the evidence
-  chain back to the registration site.
-* **worker** — transitively reachable from a callable handed to a
-  process-pool dispatch (``pool.map``/``imap``/``apply_async``/
-  ``executor.submit``).  The PAR rules use this to flag module-level
-  mutable state written inside a worker.
+hazards — a wall-clock read, a set iteration — but the property the
+scale work depends on is *global*: "this nested loop runs on the hot
+path".  This module parses every source file once, indexes functions,
+classes and import aliases, resolves intra-package calls (including one
+level of attribute-type inference for ``self.attr.method()`` and
+re-export chains through ``__init__`` modules), and classifies each
+function as **hot** when it is transitively reachable from a callback
+registered with the kernel's scheduling API (``call_at``/``call_later``/
+``every``/``timer``/``schedule``), i.e. code the event loop dispatches.
+The PERF rules only fire there, and every finding carries the evidence
+chain back to the registration site.
 
 The builder is purely syntactic and deliberately conservative: calls
 through stored callables (e.g. ``NodeServices`` fields) and dynamic
@@ -37,24 +31,6 @@ from typing import Iterable, Iterator
 
 #: Scheduling attributes whose callable arguments become hot roots.
 SCHEDULING_ATTRS = {"call_at", "call_later", "every", "schedule", "timer"}
-
-#: Pool-dispatch attributes whose callable arguments become worker
-#: roots (the receiver must look like a pool/executor, see
-#: :func:`_receiver_tokens`).
-POOL_DISPATCH_ATTRS = {
-    "map",
-    "imap",
-    "imap_unordered",
-    "starmap",
-    "starmap_async",
-    "apply",
-    "apply_async",
-    "map_async",
-    "submit",
-}
-
-#: Receiver-name tokens that mark a dispatch receiver as a pool.
-POOL_RECEIVER_TOKENS = {"pool", "executor"}
 
 _PRAGMA_RE = re.compile(
     r"#\s*simcheck:\s*(allow-file|allow|module)\b\s*(?:\[([^\]]*)\])?(.*)"
@@ -163,17 +139,6 @@ class AliasTable:
         return ".".join(reversed(chain))
 
 
-def _receiver_tokens(node: ast.expr) -> set[str]:
-    """Identifiers appearing anywhere in a call-receiver chain."""
-    tokens: set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            tokens.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            tokens.add(sub.attr)
-    return tokens
-
-
 @dataclass
 class FunctionInfo:
     """One function or method in the program."""
@@ -225,28 +190,16 @@ class ModuleInfo:
     #: repro-relative path, no ``module <name>`` pragma) — such
     #: names are local labels, not known repro submodules.
     module_declared: bool = True
-    mutable_globals: set[str] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
 class RootSite:
-    """Where a hot/worker root was registered."""
+    """Where a hot root was registered."""
 
     qualname: str  # the registered callable
     api: str  # e.g. "every", "map"
     path: str
     lineno: int
-
-
-_MUTABLE_FACTORIES = {
-    "dict",
-    "list",
-    "set",
-    "collections.defaultdict",
-    "collections.deque",
-    "collections.Counter",
-    "collections.OrderedDict",
-}
 
 
 def _strip_repro(dotted: str) -> str:
@@ -255,7 +208,7 @@ def _strip_repro(dotted: str) -> str:
 
 class Program:
     """The indexed whole program: modules, functions, classes, edges,
-    and the hot/worker classification with evidence chains."""
+    and the hot classification with evidence chains."""
 
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
@@ -264,9 +217,7 @@ class Program:
         #: qualname -> chain of qualnames from a registration site
         #: (first element describes the root registration).
         self.hot_chains: dict[str, tuple[str, ...]] = {}
-        self.worker_chains: dict[str, tuple[str, ...]] = {}
         self.hot_roots: list[RootSite] = []
-        self.worker_roots: list[RootSite] = []
 
     # --- symbol resolution -------------------------------------------------
 
@@ -352,12 +303,11 @@ class Program:
             return ""
         return " -> ".join(chain)
 
-    def _propagate(
-        self, roots: list[RootSite]
-    ) -> dict[str, tuple[str, ...]]:
+    def classify(self) -> None:
+        """(Re)compute hot reachability from the root sites."""
         chains: dict[str, tuple[str, ...]] = {}
         frontier: list[str] = []
-        for root in roots:
+        for root in self.hot_roots:
             if root.qualname in chains:
                 continue
             chains[root.qualname] = (
@@ -376,12 +326,7 @@ class Program:
                     continue
                 chains[callee] = base + (callee,)
                 frontier.append(callee)
-        return chains
-
-    def classify(self) -> None:
-        """(Re)compute hot/worker reachability from the root sites."""
-        self.hot_chains = self._propagate(self.hot_roots)
-        self.worker_chains = self._propagate(self.worker_roots)
+        self.hot_chains = chains
 
 
 # --- pass 1: declarations --------------------------------------------------
@@ -395,39 +340,13 @@ def _iter_defs(
             yield stmt
 
 
-def _is_mutable_literal(node: ast.expr, aliases: AliasTable) -> bool:
-    if isinstance(
-        node,
-        (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp),
-    ):
-        return True
-    if isinstance(node, ast.Call):
-        resolved = aliases.resolve(node.func)
-        return resolved in _MUTABLE_FACTORIES
-    return False
-
-
 def _collect_module(program: Program, module: ModuleInfo) -> None:
-    """Index the module's functions, classes and mutable globals."""
-    mod = module.module
+    """Index the module's imports, functions and classes."""
     for stmt in module.tree.body:
         if isinstance(stmt, ast.Import):
             module.aliases.visit_import(stmt)
         elif isinstance(stmt, ast.ImportFrom):
-            module.aliases.visit_import_from(stmt, mod)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name) and _is_mutable_literal(
-                    stmt.value, module.aliases
-                ):
-                    module.mutable_globals.add(target.id)
-        elif isinstance(stmt, ast.AnnAssign):
-            if (
-                isinstance(stmt.target, ast.Name)
-                and stmt.value is not None
-                and _is_mutable_literal(stmt.value, module.aliases)
-            ):
-                module.mutable_globals.add(stmt.target.id)
+            module.aliases.visit_import_from(stmt, module.module)
     for node in _iter_defs(module.tree.body):
         if isinstance(node, ast.ClassDef):
             _collect_class(program, module, node)
@@ -478,7 +397,7 @@ def _collect_function(
     )
     program.functions[qualname] = info
     # Nested defs become their own (local) functions; the parent notes
-    # their names so references resolve and PAR001 can spot them.
+    # their names so references to them resolve.
     for child in ast.walk(node):
         if child is node:
             continue
@@ -727,24 +646,15 @@ def _record_call(
             info.add_ref(ref)
     if not arg_refs:
         return
-    # Scheduling registration => hot roots; pool dispatch => worker roots.
-    api: str | None = None
-    kind: str | None = None
-    if isinstance(node.func, ast.Attribute):
-        attr = node.func.attr
-        if attr in SCHEDULING_ATTRS:
-            api, kind = attr, "hot"
-        elif attr in POOL_DISPATCH_ATTRS and (
-            _receiver_tokens(node.func.value) & POOL_RECEIVER_TOKENS
-        ):
-            api, kind = attr, "worker"
+    # A scheduling registration makes its callable arguments hot roots.
+    if isinstance(node.func, ast.Attribute) and node.func.attr in SCHEDULING_ATTRS:
+        api = node.func.attr
     elif isinstance(node.func, ast.Name) and node.func.id == "Timer":
-        api, kind = "Timer", "hot"
-    if api is None:
+        api = "Timer"
+    else:
         return
-    roots = program.hot_roots if kind == "hot" else program.worker_roots
     for ref in arg_refs:
-        roots.append(
+        program.hot_roots.append(
             RootSite(
                 qualname=ref,
                 api=api,
@@ -794,7 +704,7 @@ def parse_module(
 
 
 def build_program(modules: Iterable[ModuleInfo]) -> Program:
-    """Index modules, resolve edges, and classify hot/worker."""
+    """Index modules, resolve edges, and classify hot functions."""
     program = Program()
     ordered = list(modules)
     for module in ordered:

@@ -84,16 +84,6 @@ RULES: dict[str, str] = {
         "spell it with a units constant (e.g. 11 * MBPS) so the "
         "magnitude is auditable"
     ),
-    "PAR001": (
-        "lambda or locally-defined callable handed to a process-pool "
-        "dispatch; it cannot be pickled across the worker boundary — "
-        "use a module-level function"
-    ),
-    "PAR002": (
-        "write to module-level mutable state from code reachable inside "
-        "a pool worker; workers get a copy, the parent never sees the "
-        "write — return results instead"
-    ),
     "PRAG001": (
         "simcheck allow pragma that names no rule, names an unknown rule, "
         "gives no reason, or suppresses no finding in the run; a pragma "

@@ -10,8 +10,8 @@ instead of a testing hope.
 
 ``__init__`` and ``__main__`` sit above everything (they are the public
 API surface and the CLI); ``scenarios`` is the assembly layer just
-below them, and ``fidelity`` (the paper-table harness and run-health
-detectors) consumes finished runs on top of it.  ``simcheck`` itself
+below them, and ``fidelity`` (the paper-table harness) consumes
+finished runs on top of it.  ``simcheck`` itself
 depends on nothing but ``errors`` so it can never be contaminated by
 the code it audits.
 """
@@ -132,7 +132,9 @@ ALLOWED_IMPORTS: dict[str, set[str] | None] = {
         "churn",
         "analysis",
         "scenarios",
-        "fidelity",
+        # The starvation oracle is the health monitor's starved-flow
+        # detector: one narrow import, not the service plane.
+        "obs.health",
     },
     # The observability plane consumes finished and *in-flight* runs
     # from above scenarios/fidelity, but — like telemetry — it may

@@ -3,12 +3,12 @@
 Two layers share one parse of the tree:
 
 * a **per-file** AST walk (determinism, layering, passivity — the
-  PR 3 rules; see :data:`repro.simcheck.findings.RULES` and
+  DET/LAY/PAS families; see :data:`repro.simcheck.findings.RULES` and
   docs/SIMCHECK.md), and
 * a **whole-program** pass over the call graph built by
-  :mod:`repro.simcheck.callgraph` (hot-path complexity, unit/dimension
-  mixing, pool-worker safety — the PERF/UNIT/PAR families in
-  :mod:`repro.simcheck.perf_rules` / ``unit_rules`` / ``par_rules``).
+  :mod:`repro.simcheck.callgraph` (hot-path complexity and
+  unit/dimension mixing — the PERF/UNIT families in
+  :mod:`repro.simcheck.perf_rules` / ``unit_rules``).
 
 Both layers are purely syntactic — import aliases are resolved
 (``import time as _time`` still trips DET001) but there is no real
@@ -42,7 +42,6 @@ from repro.simcheck.layering import (
     SCHEDULING_CALLS,
     import_allowed,
 )
-from repro.simcheck.par_rules import check_program_par
 from repro.simcheck.perf_rules import check_program_perf
 from repro.simcheck.unit_rules import check_module_units
 
@@ -478,7 +477,7 @@ def analyze_paths(paths: Iterable[str | Path]) -> list[Finding]:
                 used,
             )
         )
-    for finding in check_program_perf(program) + check_program_par(program):
+    for finding in check_program_perf(program):
         findings.extend(_apply_pragmas([finding], by_path[finding.path], used))
     for module in modules:
         findings.extend(_check_pragmas(module, used))

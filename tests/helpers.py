@@ -17,6 +17,7 @@ from repro.flows.rate_limiter import TokenBucket
 from repro.flows.traffic import TrafficSource
 from repro.mac.base import NodeServices
 from repro.obs.sinks import TelemetrySink
+from repro.scenarios.figures import figure1
 from repro.scenarios.spec import LITERAL
 from repro.sim.event import DEFAULT_PRIORITY, Event
 from repro.topology.builders import random_topology
@@ -153,6 +154,19 @@ def random_scenario(seed, num_nodes=8, num_flows=4):
             dest = ids[(ids.index(dest) + 1) % len(ids)]
         flows.append([source, dest, 1.0, 400.0])
     nodes = [[topology.node(i).x, topology.node(i).y] for i in ids]
+    return {"scenario": LITERAL, "topology": {"nodes": nodes, "flows": flows}}
+
+
+def uncapped(scenario: str) -> dict[str, Any]:
+    """The spec fields of a named scenario that a DCF run accepts:
+    figure1 becomes its nodes and flows as a literal topology without
+    its rate cap (the DCF refuses caps); any other name stays as is."""
+    if scenario != "figure1":
+        return {"scenario": scenario}
+    figure = figure1()
+    assert figure.topology.tx_range == DEFAULT_TX_RANGE, "a literal topology has the default ranges"
+    nodes = [[node.x, node.y] for node in figure.topology]
+    flows = [[f.source, f.destination, f.weight, f.desired_rate] for f in figure.flows]
     return {"scenario": LITERAL, "topology": {"nodes": nodes, "flows": flows}}
 
 

@@ -30,7 +30,7 @@ from repro.topology.builders import chain_topology
 from repro.topology.cliques import CliqueSystem, maximal_cliques
 from repro.topology.contention import ContentionGraph
 
-from helpers import FAST, count_enumerations, random_scenario
+from helpers import FAST, count_enumerations, random_scenario, uncapped
 
 #: CI's on-demand ``fuzz deep`` job runs under the ``explore`` Hypothesis
 #: profile (tests/conftest.py); there the sweeps below are complete
@@ -107,10 +107,11 @@ def test_gmp_fluid_run_is_the_global_list_run(monkeypatch, name, duration, seed)
 @pytest.mark.parametrize("name", ["figure1", "figure2", "figure2w", "figure4"])
 def test_gmp_dcf_run_is_the_global_list_run(monkeypatch, name):
     # DCF needs no clique constraints to share the channel: only GMP's
-    # bandwidth-saturated condition reads the system here.
+    # bandwidth-saturated condition reads the system here.  figure1 runs
+    # without its rate cap, which the DCF refuses.
     assert_gmp_runs_agree(
         monkeypatch,
-        scenario=name,
+        **uncapped(name),
         substrate="dcf",
         duration=12.0 if DEEP else 4.0,
         seed=1,

@@ -1,18 +1,18 @@
-"""Anomaly detectors: synthetic unit coverage per detector plus
-clean-vs-fault integration pins over the detectors the health monitor
-runs."""
+"""The health monitor's detectors (:mod:`repro.obs.health`; the file
+keeps the name of their former module): synthetic unit coverage per
+detector plus clean-vs-fault integration pins."""
 
 import random
 
 import pytest
 
-from repro.fidelity.anomaly import (
+from repro.obs.health import (
+    LIVE_DETECTORS,
     _window_means,
     detect_condition_flapping,
     detect_queue_divergence,
     detect_starved_flows,
 )
-from repro.obs.health import LIVE_DETECTORS
 from repro.scenarios.results import RunResult
 from repro.scenarios.spec import LITERAL, RunSpec
 from repro.telemetry import Telemetry
@@ -53,8 +53,8 @@ def test_starved_flow_flags_sustained_zero_delivery():
     finding = findings[0]
     assert finding.labels == {"flow": "1"}
     assert finding.severity == "critical"
-    assert finding.start == pytest.approx(12.0)
-    assert finding.end == pytest.approx(27.0)
+    assert finding.first_seen == pytest.approx(12.0)
+    assert finding.last_seen == pytest.approx(27.0)
 
 
 def test_starved_flow_ignores_flows_that_never_could_deliver():
@@ -95,8 +95,8 @@ def test_starved_flow_still_flagged_inside_its_lifetime():
     )
     findings = detect_starved_flows(result)
     assert len(findings) == 1
-    assert findings[0].start == pytest.approx(14.0)
-    assert findings[0].end == pytest.approx(26.0)
+    assert findings[0].first_seen == pytest.approx(14.0)
+    assert findings[0].last_seen == pytest.approx(26.0)
 
 
 def test_late_arrival_gets_its_own_settle_grace():
@@ -174,7 +174,7 @@ def test_queue_divergence_flags_occupancy_jumps():
     findings = detect_queue_divergence(result)
     assert len(findings) == 1
     assert findings[0].labels == {"node": "0", "dest": "3"}
-    assert findings[0].start >= 10.0  # post-warmup windows only
+    assert findings[0].first_seen >= 10.0  # post-warmup windows only
 
 
 def _window_means_reference(times, values, start, end, width):
@@ -239,7 +239,7 @@ def test_until_truncates_starved_flow_scan():
     # the stretch ends where the scan does.
     assert detect_starved_flows(result, until=16.0) == []
     (finding,) = detect_starved_flows(result, until=20.0)
-    assert (finding.start, finding.end) == (12.0, 20.0)
+    assert (finding.first_seen, finding.last_seen) == (12.0, 20.0)
 
 
 def test_until_truncates_queue_divergence_on_the_planned_grid():
@@ -253,7 +253,7 @@ def test_until_truncates_queue_divergence_on_the_planned_grid():
     (live,) = detect_queue_divergence(result, until=30.0)
     (full,) = detect_queue_divergence(result)
     assert live == full
-    assert (live.start, live.end) == (20.0, 30.0)
+    assert (live.first_seen, live.last_seen) == (20.0, 30.0)
 
 
 def test_custom_config_thresholds_apply():
@@ -302,5 +302,5 @@ def test_crash_recover_run_is_flagged():
     assert len(starved) == 1
     assert starved[0].labels == {"flow": "1"}
     # The outage window is bracketed by the crash/recover times.
-    assert starved[0].start == pytest.approx(13.0, abs=1.5)
-    assert starved[0].end == pytest.approx(27.0, abs=1.5)
+    assert starved[0].first_seen == pytest.approx(13.0, abs=1.5)
+    assert starved[0].last_seen == pytest.approx(27.0, abs=1.5)

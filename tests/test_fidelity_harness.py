@@ -400,3 +400,14 @@ def test_run_fidelity_fig1_end_to_end(tmp_path):
     # Figure 1 has no paper numbers: no cells, only shape verdicts.
     assert table.cells == [] and table.protocols == ()
     assert table.markdown().startswith("* ✓ `fig1-f1-bottleneck`")
+
+
+def test_run_fidelity_skips_a_table_it_cannot_judge(tmp_path):
+    # Figure 1 has no paper cells and only fluid shapes: on the DCF it
+    # makes no sweep point and reports every shape skipped.
+    config = FidelityConfig(
+        tables=("fig1",), seeds=(1,), substrate="dcf", cache_dir=tmp_path / "cache"
+    )
+    report = run_fidelity(config)
+    assert report.cache_hits == report.cache_misses == 0
+    assert set(report.shape_statuses().values()) == {"skip"}

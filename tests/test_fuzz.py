@@ -175,6 +175,17 @@ def test_gmp_residue_oracle_skips_without_churn():
     assert outcome.ok
 
 
+def test_starvation_oracle_reports_a_starved_flow():
+    # A link that loses every frame from t=10 starves every flow over it;
+    # a degraded link is no crash window, so nothing excuses it.
+    spec = RunSpec(
+        scenario="figure3", duration=40.0, rate_interval=1.0, faults="degrade:2-3@10:loss=1.0"
+    )
+    (starvation,) = [o for o in evaluate(FuzzScenario(spec)).oracles if o.name == "starvation"]
+    assert starvation.status == "fail"
+    assert starvation.detail.startswith("[critical] starved_flow t=10.0s {flow=1}")
+
+
 def test_harness_errors_are_their_own_failure_kind():
     # The spec is valid; its flow pair lies outside the topology.
     broken = CLEAN.with_spec(flows=((0, 9),))

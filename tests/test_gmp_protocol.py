@@ -19,7 +19,7 @@ from repro.topology.builders import chain_topology
 from repro.topology.cliques import maximal_cliques
 from repro.topology.contention import ContentionGraph
 
-from helpers import FAST, count_enumerations
+from helpers import FAST, count_enumerations, uncapped
 
 
 def run_fluid(duration, **scenario):
@@ -185,8 +185,10 @@ def test_run_scenario_builds_contention_and_cliques_once(monkeypatch, substrate)
 
     monkeypatch.setattr(CliqueSystem, "__init__", counting_init)
     scenario = figure1()
+    # The DCF refuses figure1's rate cap: there it runs uncapped.
+    where = uncapped("figure1") if substrate == "dcf" else {"scenario": "figure1"}
     result = RunSpec(
-        scenario="figure1", protocol="gmp", substrate=substrate, duration=1.0, seed=0, **FAST
+        **where, protocol="gmp", substrate=substrate, duration=1.0, seed=0, **FAST
     ).run(telemetry=Telemetry(enabled=True))  # the reference is solved too
     (system,) = systems
     assert system.generation == 1

@@ -173,9 +173,9 @@ def test_live_alerts_are_a_prefix_of_the_end_of_run_scan():
         for alert in health.alerts()
     }
     final = {
-        (finding.detector, tuple(sorted(finding.labels.items())))
+        (alert.probe, tuple(sorted(alert.labels.items())))
         for detector in LIVE_DETECTORS
-        for finding in detector(result, until=None)
+        for alert in detector(result, until=None)
     }
     assert {probe for probe, _ in live} >= {"starved_flow", "queue_divergence"}
     assert live <= final

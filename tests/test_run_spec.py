@@ -3,6 +3,7 @@ round trip, a digest independent of the hash seed, every field in the
 digest, the digests older specs always had), it validates at
 construction, and it runs with observers as the only keywords."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -18,7 +19,14 @@ from repro.errors import ChurnError, ConfigError, FaultError
 from repro.obs.serve import SessionJournal, load_journal
 from repro.scenarios.figures import figure2
 from repro.scenarios.runner import PROTOCOLS, ROUTING_PROTOCOLS, SUBSTRATES, TRAFFIC_MODELS
-from repro.scenarios.spec import LITERAL, RANDOM, SCENARIO_FACTORIES, RunSpec
+from repro.scenarios.spec import (
+    LITERAL,
+    RANDOM,
+    SCENARIO_FACTORIES,
+    RunSpec,
+    add_run_flags,
+    spec_from_args,
+)
 from repro.sim.replay import ReplaySanitizer
 
 from test_policy_fingerprints import GOLDEN
@@ -346,3 +354,11 @@ def test_random_scenario_materialises_its_flows():
     ]
     with pytest.raises(ConfigError, match="outside"):
         dataclasses.replace(spec, flows=((0, 9),)).build_scenario()
+
+
+@pytest.mark.parametrize("scenario", ["figure2", "figure3"])
+def test_run_flags_default_to_the_spec_fields(scenario):
+    parser = argparse.ArgumentParser()
+    parser.add_argument("scenario")
+    add_run_flags(parser)
+    assert spec_from_args(parser.parse_args([scenario])) == RunSpec(scenario=scenario)

@@ -206,3 +206,10 @@ class TestFigure1Isolation:
         for protocol in ("backpressure-shared", "backpressure-perdest"):
             result = self.run(protocol)
             assert result.flow_rates[1] <= 23.0
+
+    def test_dcf_refuses_the_rate_cap(self):
+        # The DCF has no per-link cap: run uncapped, f1 = f2 = 70 pkt/s
+        # and the bottleneck would not exist.
+        spec = RunSpec(scenario="figure1", substrate="dcf", duration=1.0, seed=1)
+        with pytest.raises(ConfigError, match="only the fluid substrate"):
+            spec.run()

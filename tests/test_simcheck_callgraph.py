@@ -1,4 +1,4 @@
-"""Call-graph builder: module naming, hot/worker classification,
+"""Call-graph builder: module naming, hot-path classification,
 cycles, method resolution through bases, and re-export chains
 (including the symbol-shadows-module pattern)."""
 
@@ -24,7 +24,6 @@ def test_modules_named_by_pragma(program):
         "mini.driver",
         "mini.metrics",
         "mini.shrink",
-        "mini.sweeper",
     }
     assert all(m.module_declared for m in program.modules.values())
 
@@ -34,9 +33,8 @@ def test_scheduling_registration_makes_the_callee_hot(program):
     chain = program.hot_chains["mini.driver.Driver._tick"]
     assert chain[0].startswith("every@")
     assert chain[-1] == "mini.driver.Driver._tick"
-    # The registrar itself is not hot; neither is the sweep dispatcher.
+    # The registrar itself is not hot.
     assert "mini.driver.Driver.__init__" not in program.hot_chains
-    assert "mini.sweeper.run_points" not in program.hot_chains
 
 
 def test_hotness_propagates_across_modules_and_cycles(program):
@@ -68,11 +66,3 @@ def test_symbol_shadowing_its_module_terminates(program):
     # the candidate string.
     assert program.resolve_symbol("mini.shrink") == "mini.shrink.shrink"
     assert program.resolve_symbol("mini.shrink.shrink.shrink.shrink") is None
-
-
-def test_pool_dispatch_makes_the_task_a_worker(program):
-    assert "mini.sweeper.simulate" in program.worker_chains
-    assert program.worker_chains["mini.sweeper.simulate"][0].startswith("map@")
-    # Workers' callees are worker-reachable too.
-    assert "mini.metrics.measure" in program.worker_chains
-
