@@ -21,8 +21,6 @@ Examples::
     python -m repro figure3 --substrate fluid \
         --churn "poisson:rate=0.3,mean_hold=6,hold=pareto" --duration 60
     python -m repro fuzz --budget 60 --seed 1
-    python -m repro figure3 --substrate fluid \
-        --stream-out live.jsonl --stream-db live.db
     python -m repro figure3 --substrate fluid --duration 60 \
         --churn "poisson:rate=0.3,mean_hold=6" \
         --health --alerts-out alerts.jsonl
@@ -33,25 +31,26 @@ Examples::
 Fault specs (``--faults``) are semicolon-separated events; see
 :mod:`repro.faults.spec` for the grammar.  ``--metrics-out`` /
 ``--trace-out`` / ``--profile`` turn on the telemetry subsystem
-(:mod:`repro.telemetry`); ``--trace-categories channel.tx`` adds one
-event per DCF frame to its event log; the trace JSON loads in Perfetto
-or ``about:tracing``.  GMP runs with telemetry on also print, per flow,
-why it runs at its rate (:mod:`repro.fidelity.explain`): its
-bottleneck clique, dominant local condition, gap to the centralized
-maxmin reference, when it entered a ±5% band around that reference,
-and each rate adjustment with the condition change that triggered it.
-``--explain-out PATH`` saves that narrative, or the per-flow records
-as JSON when PATH ends in ``.json``.  ``fidelity`` regenerates the
-paper's Tables 1-4 and Figure 1 and checks every EXPERIMENTS.md shape
-assertion (:mod:`repro.fidelity`).
+(:mod:`repro.telemetry`); ``--metrics-out`` streams its JSONL records
+to disk *during* the run (:mod:`repro.obs.stream`), so a killed or
+watchdog-aborted run keeps its metrics; ``--trace-categories
+channel.tx`` adds one event per DCF frame to its event log; the trace
+JSON loads in Perfetto or ``about:tracing``.  GMP runs with telemetry
+on also print, per flow, why it runs at its rate
+(:mod:`repro.fidelity.explain`): its bottleneck clique, dominant local
+condition, gap to the centralized maxmin reference, when it entered a
+±5% band around that reference, and each rate adjustment with the
+condition change that triggered it.  ``--explain-out PATH`` saves that
+narrative, or the per-flow records as JSON when PATH ends in
+``.json``.  ``fidelity`` regenerates the paper's Tables 1-4 and
+Figure 1 and checks every EXPERIMENTS.md shape assertion
+(:mod:`repro.fidelity`).
 
-``--stream-out`` / ``--stream-db`` stream telemetry to disk *during*
-the run (:mod:`repro.obs`), so a killed or watchdog-aborted run keeps
-its metrics; ``--health`` arms the in-run health monitor whose alerts
-print as they fire (``--alerts-out`` also appends them as JSON lines);
-``serve`` hosts a paced run behind a live HTTP observability and
-control plane (:mod:`repro.obs.serve`) and replays a served session's
-command journal.
+``--health`` arms the in-run health monitor (:mod:`repro.obs`) whose
+alerts print as they fire (``--alerts-out`` also appends them as JSON
+lines); ``serve`` hosts a paced run behind a live HTTP observability
+and control plane (:mod:`repro.obs.serve`) and replays a served
+session's command journal.
 """
 
 from __future__ import annotations
@@ -69,11 +68,7 @@ from repro.scenarios.spec import (
     spec_from_args,
 )
 from repro.telemetry import Telemetry
-from repro.telemetry.exporters import (
-    format_summary,
-    write_chrome_trace,
-    write_metrics_jsonl,
-)
+from repro.telemetry.exporters import format_summary, write_chrome_trace
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -126,7 +121,9 @@ def main(argv: list[str] | None = None) -> int:
         "--metrics-out",
         default=None,
         metavar="PATH",
-        help="write telemetry metrics + events as JSONL to PATH",
+        help="stream telemetry metrics + events as JSONL to PATH while "
+        "the run is in flight; a killed or aborted run keeps everything "
+        "flushed so far",
     )
     parser.add_argument(
         "--trace-out",
@@ -166,40 +163,11 @@ def main(argv: list[str] | None = None) -> int:
         "name the first divergent event on mismatch)",
     )
     parser.add_argument(
-        "--stream-out",
-        default=None,
-        metavar="PATH",
-        help="stream telemetry records to a JSONL file *while the run "
-        "is in flight* (implies telemetry); a killed run keeps "
-        "everything flushed so far",
-    )
-    parser.add_argument(
-        "--stream-db",
-        default=None,
-        metavar="PATH",
-        help="stream telemetry records into a SQLite database "
-        "(append-safe across runs; implies telemetry)",
-    )
-    parser.add_argument(
-        "--stream-interval",
-        type=float,
-        default=1.0,
-        help="simulated seconds between streaming flushes "
-        "(default %(default)s)",
-    )
-    parser.add_argument(
         "--health",
         action="store_true",
         help="arm the in-run health monitor: an event-rate stall probe "
         "plus the anomaly detectors scanned up to the current time, "
         "alerts printed as they fire (implies telemetry)",
-    )
-    parser.add_argument(
-        "--health-interval",
-        type=float,
-        default=1.0,
-        help="simulated seconds between health evaluations "
-        "(default %(default)s)",
     )
     parser.add_argument(
         "--alerts-out",
@@ -217,14 +185,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.alerts_out:
         args.health = True
-    streaming = bool(args.stream_out or args.stream_db)
     telemetry_on = bool(
         args.metrics_out
         or args.trace_out
         or args.profile
         or args.explain_out
         or args.trace_categories is not None
-        or streaming
         or args.health
     )
     categories = [
@@ -241,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
             "error: --sanitize replay runs the scenario twice and cannot "
             "share one telemetry instance across runs; drop "
             "--metrics-out/--trace-out/--profile/--trace-categories/"
-            "--stream-out/--stream-db/--health/--alerts-out",
+            "--explain-out/--health/--alerts-out",
             file=sys.stderr,
         )
         return 2
@@ -261,24 +227,12 @@ def main(argv: list[str] | None = None) -> int:
             deliveries = [console_delivery()]
             if args.alerts_out:
                 deliveries.append(jsonl_delivery(args.alerts_out))
-            health = HealthMonitor(args.health_interval, deliveries=deliveries)
-        if streaming:
-            from repro.obs import JsonlSink, SqliteSink, StreamPublisher
+            health = HealthMonitor(deliveries=deliveries)
+        if args.metrics_out:
+            from repro.obs import StreamPublisher
 
-            sinks = []
-            if args.stream_out:
-                sinks.append(JsonlSink(args.stream_out))
-            if args.stream_db:
-                sinks.append(SqliteSink(args.stream_db))
             assert telemetry is not None
-            try:
-                stream = StreamPublisher(
-                    telemetry, sinks, interval=args.stream_interval
-                )
-            except ReproError:
-                for sink in sinks:
-                    sink.close()
-                raise
+            stream = StreamPublisher(telemetry, args.metrics_out)
         if args.sanitize is not None:
             replay_report, result, _ = replay_check(spec, **watchdogs)
         else:
@@ -289,8 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         if stream is not None and stream.aborted:
             print(
-                "partial telemetry flushed to the streaming sink(s) "
-                "before the abort",
+                f"partial telemetry flushed to {args.metrics_out} before the abort",
                 file=sys.stderr,
             )
         return 2
@@ -323,9 +276,11 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     if telemetry is not None:
-        if args.metrics_out:
-            lines = write_metrics_jsonl(args.metrics_out, telemetry)
-            print(f"metrics: {lines} JSONL records -> {args.metrics_out}")
+        if stream is not None:
+            print(
+                f"metrics: {stream.records_streamed} JSONL records in "
+                f"{stream.flushes} flushes -> {args.metrics_out}"
+            )
         if args.trace_out:
             events = write_chrome_trace(args.trace_out, telemetry)
             print(
@@ -363,14 +318,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         if telemetry.events_dropped:
             print(f"telemetry: {telemetry.events_dropped} events dropped at the cap")
-    if stream is not None:
-        targets = ", ".join(
-            path for path in (args.stream_out, args.stream_db) if path
-        )
-        print(
-            f"stream: {stream.records_streamed} records in "
-            f"{stream.flushes} flushes -> {targets}"
-        )
     if health is not None:
         print(health.log.render())
         if args.alerts_out and health.alerts():

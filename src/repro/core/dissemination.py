@@ -78,15 +78,6 @@ class DisseminationScope:
         i, j = canonical(a_link)
         return self._within2[i] | self._within2[j] | self._contending_nodes(a_link)
 
-    def audience_of_node(self, node: int) -> frozenset[int]:
-        """Nodes within two hops of ``node`` (inclusive) — the audience
-        of a bandwidth-violation notice."""
-        return self._within2[node]
-
-    def link_visible(self, node: int, a_link: Link) -> bool:
-        """May ``node`` consult the state of ``a_link``?"""
-        return node in self.audience_of_link(a_link)
-
     def record_link_state_change(self, a_link: Link) -> None:
         """Account the broadcasts the in-band scheme would send: both
         endpoints broadcast, and their dominating-set members

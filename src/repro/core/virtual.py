@@ -150,10 +150,6 @@ class GrandVirtualNetwork:
                 if not self._served[node]:
                     del self._served[node]
 
-    def knows_flow(self, flow_id: int) -> bool:
-        """True while the flow's path is part of the structure."""
-        return flow_id in self._flow_links
-
     def flow_residue(self, flow_id: int) -> list[str]:
         """Any structure still referencing a supposedly removed flow.
 
@@ -215,10 +211,6 @@ class GrandVirtualNetwork:
         """Flow ids sourced at ``node`` destined for ``dest``."""
         return list(self._local_flows.get((node, dest), ()))
 
-    def flows_on(self, a_link: Link, dest: int) -> frozenset[int]:
-        """Flows whose path traverses the virtual link."""
-        return frozenset(self._flows_on_vlink.get((a_link, dest), ()))
-
     def flow_links(self, flow_id: int) -> list[Link]:
         """Directed links on a flow's routing path.
 
@@ -229,8 +221,3 @@ class GrandVirtualNetwork:
             return list(self._flow_links[flow_id])
         except KeyError:
             raise ProtocolError(f"unknown flow {flow_id}") from None
-
-    def nodes_on_path(self, flow_id: int) -> list[int]:
-        """Node ids on the flow's path, source through destination."""
-        links = self.flow_links(flow_id)
-        return [links[0][0]] + [j for (_i, j) in links]

@@ -206,19 +206,3 @@ class FaultSchedule:
     def in_order(self) -> list[FaultEvent]:
         """Events sorted by time (stable on ties)."""
         return sorted(self._events, key=lambda event: event.at)
-
-    def crashed_nodes(self) -> set[int]:
-        """Nodes the schedule ever crashes (recovered or not)."""
-        return {
-            event.node for event in self._events if isinstance(event, NodeCrash)
-        }
-
-    def nodes_down_at_end(self) -> set[int]:
-        """Nodes still down once every event has fired."""
-        down: set[int] = set()
-        for event in self.in_order():
-            if isinstance(event, NodeCrash):
-                down.add(event.node)
-            elif isinstance(event, NodeRecover):
-                down.discard(event.node)
-        return down

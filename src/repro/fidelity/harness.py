@@ -423,12 +423,13 @@ def run_fidelity(config: FidelityConfig | None = None) -> FidelityReport:
 
 
 def baseline_payload(report: FidelityReport) -> dict:
-    """What ``fidelity-baseline.json`` records for this report."""
+    """What ``fidelity-baseline.json`` records for this report: every
+    shape judged on its substrate (a skipped shape is not recorded)."""
     return {
         "substrate": report.substrate,
         "duration": report.duration,
         "seeds": list(report.seeds),
-        "shapes": report.shape_statuses(),
+        "shapes": {k: s for k, s in report.shape_statuses().items() if s != "skip"},
     }
 
 
@@ -459,7 +460,9 @@ def compare_baseline(
     one (a regression from ``pass``, or a recorded gap that now passes
     and must be ratcheted in), a baseline entry the harness no longer
     produces (stale), or a new assertion not yet recorded (run
-    ``--update-baseline``).  A known gap — recorded ``fail``, still
+    ``--update-baseline``).  A skipped shape is neither recorded nor
+    demanded: one that starts to apply is new, and a recorded one that
+    starts to skip is stale.  A known gap — recorded ``fail``, still
     failing — is returned separately with its measured numbers.
 
     Raises:
@@ -478,6 +481,8 @@ def compare_baseline(
     recorded: dict[str, str] = dict(baseline["shapes"])
     for key, outcome in sorted(report.shape_outcomes().items()):
         status = outcome.status
+        if status == "skip":
+            continue
         before = recorded.pop(key, None)
         if before is None:
             problems.append(

@@ -105,14 +105,6 @@ class FlowSet:
         except KeyError:
             raise FlowError(f"unknown flow id {flow_id}") from None
 
-    def sourced_at(self, node_id: int) -> list[Flow]:
-        """Flows whose source is ``node_id`` (the node's *local flows*)."""
-        return [flow for flow in self if flow.source == node_id]
-
-    def destined_to(self, node_id: int) -> list[Flow]:
-        """Flows whose destination is ``node_id``."""
-        return [flow for flow in self if flow.destination == node_id]
-
     def destinations(self) -> list[int]:
         """Distinct destinations, sorted."""
         return sorted({flow.destination for flow in self})

@@ -48,10 +48,6 @@ class Frame:
     packet: Packet | None = None
     piggyback: dict[int, bool] = field(default_factory=dict)
 
-    def addressed_to(self, node_id: int) -> bool:
-        """True if this frame targets ``node_id``."""
-        return self.receiver == node_id
-
     def describe(self) -> str:
         """Short human-readable form for traces."""
         extra = f" f{self.packet.flow_id}#{self.packet.seq}" if self.packet else ""

@@ -1,21 +1,19 @@
-"""Live observability plane: streaming sinks, in-run health, serving.
+"""Live observability plane: streaming, in-run health, serving.
 
 ``repro.obs`` sits *above* the simulation stack (scenarios, fidelity)
 and watches runs from the outside:
 
-* :mod:`repro.obs.sinks` — pluggable :class:`TelemetrySink` backends
-  (JSONL append, SQLite) that receive telemetry
-  records incrementally while a run is in flight;
 * :mod:`repro.obs.stream` — the :class:`StreamPublisher`, a kernel
-  :class:`~repro.sim.kernel.RunMonitor` that flushes new series points
-  and events to the sinks on a simulated-clock cadence, snapshots
-  everything on close, and dumps partial state (plus the replay-journal
+  :class:`~repro.sim.kernel.RunMonitor` that writes a run's telemetry
+  records to its ``--metrics-out`` JSONL file while the run is in
+  flight: new series points and events once per simulated second,
+  every snapshot on close, and partial state (plus the replay-journal
   tail) when a watchdog aborts the run — so a killed or wedged run
   still leaves analyzable telemetry behind;
 * :mod:`repro.obs.health` — the in-run :class:`HealthMonitor`:
   an event-rate stall probe plus three detectors (starved flows,
   condition flapping, queue divergence) scanned up to the current
-  time each tick, emitting deduplicated, cooldown-gated
+  time each simulated second, emitting deduplicated, cooldown-gated
   :class:`Alert` records through pluggable delivery hooks;
 * :mod:`repro.obs.serve` / :mod:`repro.obs.httpapi` — service mode:
   a stdlib HTTP daemon around a live (optionally wall-clock-paced)
@@ -47,20 +45,16 @@ from repro.obs.serve import (
     replay_session,
     serve_session,
 )
-from repro.obs.sinks import JsonlSink, SqliteSink, TelemetrySink
 from repro.obs.stream import StreamPublisher
 
 __all__ = [
     "Alert",
     "AlertLog",
     "HealthMonitor",
-    "JsonlSink",
     "ServeApi",
     "ServeConfig",
     "ServeController",
-    "SqliteSink",
     "StreamPublisher",
-    "TelemetrySink",
     "console_delivery",
     "jsonl_delivery",
     "load_journal",

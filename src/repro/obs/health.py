@@ -47,12 +47,10 @@ replay digest as an unmonitored one.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import ConfigError
 from repro.scenarios.results import RunResult
 from repro.telemetry import Telemetry
 
@@ -78,6 +76,8 @@ QUEUE_JUMP_REL = 0.5
 
 # Monitor constants (simulated seconds).
 
+#: Between two evaluations.
+HEALTH_INTERVAL = 1.0
 #: No checks before this time: start-up is legitimately weird.
 GRACE = 10.0
 #: Minimum gap before a persisting alert is re-delivered.
@@ -143,9 +143,6 @@ class AlertLog:
         self._alerts: dict[AlertKey, Alert] = {}
         self._last_delivered: dict[AlertKey, float] = {}
 
-    def __len__(self) -> int:
-        return len(self._alerts)
-
     def raise_alert(
         self,
         now: float,
@@ -189,9 +186,6 @@ class AlertLog:
         return sorted(
             self._alerts.values(), key=lambda a: (a.first_seen, a.probe)
         )
-
-    def to_json(self) -> dict[str, Any]:
-        return {"alerts": [alert.to_json() for alert in self.alerts()]}
 
     def render(self) -> str:
         alerts = self.alerts()
@@ -261,7 +255,11 @@ def detect_starved_flows(
         return alerts
     until = result.duration if until is None else until
     warmup_end = result.duration * WARMUP_FRACTION
-    reference = result.extras.get("maxmin_reference", {})
+    reference = result.extras.get("maxmin_reference")
+    if reference is None:
+        # A GMP run without telemetry carries the reference unsolved.
+        solve = result.extras.get("solve_reference")
+        reference = solve() if solve is not None else {}
     edges = _interval_edges(result)
     for flow_id, rates in sorted(result.interval_rates.items()):
         arrival, departure = result.lifetime(flow_id)
@@ -451,27 +449,19 @@ LIVE_DETECTORS = (
 
 
 class HealthMonitor:
-    """Periodic in-run health evaluator (a kernel run monitor).
+    """Periodic in-run health evaluator (a kernel run monitor), ticked
+    every :data:`HEALTH_INTERVAL` simulated seconds.
 
     Args:
-        interval: simulated seconds between evaluations.
         deliveries: alert delivery hooks.
-        log: an existing :class:`AlertLog` to share (default: fresh).
     """
 
+    interval = HEALTH_INTERVAL
+
     def __init__(
-        self,
-        interval: float = 1.0,
-        *,
-        deliveries: tuple[Delivery, ...] | list[Delivery] = (),
-        log: AlertLog | None = None,
+        self, *, deliveries: tuple[Delivery, ...] | list[Delivery] = ()
     ) -> None:
-        if not 0 < interval < math.inf:
-            raise ConfigError(
-                f"health interval must be positive and finite: {interval}"
-            )
-        self.interval = interval
-        self.log = log or AlertLog(deliveries=deliveries)
+        self.log = AlertLog(deliveries=deliveries)
         self._sim: Any = None
         self._snapshot: Callable[[], RunResult] | None = None
         # (sim time, kernel events processed) history for the stall probe.

@@ -58,7 +58,6 @@ from repro.faults.schedule import (
     PacketLossBurst,
 )
 from repro.obs.health import HealthMonitor, jsonl_delivery
-from repro.obs.sinks import SqliteSink
 from repro.obs.stream import StreamPublisher
 from repro.scenarios.spec import RunSpec, add_run_flags, spec_from_args
 from repro.sim.replay import ReplaySanitizer
@@ -212,7 +211,7 @@ class ServeController:
             raise ConfigError(
                 f"command interval must be positive and finite: {interval}"
             )
-        self._interval = interval
+        self.interval = interval
         self._journal = journal
         self._script = script
         self._script_index = 0
@@ -227,10 +226,6 @@ class ServeController:
         self._wall_last = 0.0
         self._events_last = 0
         self.events_per_sec = 0.0
-
-    @property
-    def interval(self) -> float:
-        return self._interval
 
     def bind(self, sim: Any, handle: Any) -> None:
         """Called by the runner with its ``Session`` as ``handle``."""
@@ -338,8 +333,7 @@ class SessionJournal:
     command)."""
 
     def __init__(self, path: str, header: dict[str, Any]) -> None:
-        self.path = str(path)
-        self._handle = open(self.path, "w", encoding="utf-8")
+        self._handle = open(path, "w", encoding="utf-8")
         self.write(
             {"record": "serve_header", "version": JOURNAL_VERSION, **header}
         )
@@ -406,10 +400,8 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0
     session_dir: str = "serve-session"
-    stream_db: bool = False
-    stream_interval: float = 1.0
+    metrics_out: str | None = None
     health: bool = True
-    health_interval: float = 1.0
 
 
 def serve_session(
@@ -425,7 +417,7 @@ def serve_session(
     listens — with ``port=0`` the OS picks a free one), then ``spec``
     runs on the calling thread until its duration elapses or a ``POST
     /shutdown`` command lands.  On the way out the
-    run finalizes exactly like a batch run (stream sinks flushed and
+    run finalizes exactly like a batch run (the ``metrics_out`` stream
     closed, final health sweep), the journal gains its ``serve_close``
     digest record, and ``manifest.json`` summarizes the session.
     """
@@ -449,17 +441,11 @@ def serve_session(
     telemetry = Telemetry(enabled=True)
     sanitizer = ReplaySanitizer()
     stream = None
-    sink = None
-    if config.stream_db:
-        sink = SqliteSink(os.path.join(config.session_dir, "stream.db"))
-        stream = StreamPublisher(
-            telemetry, [sink], interval=config.stream_interval
-        )
+    if config.metrics_out is not None:
+        stream = StreamPublisher(telemetry, config.metrics_out)
     health = None
     if config.health:
-        health = HealthMonitor(
-            config.health_interval, deliveries=[jsonl_delivery(alerts_path)]
-        )
+        health = HealthMonitor(deliveries=[jsonl_delivery(alerts_path)])
 
     server, server_thread = make_server(controller, config.host, config.port)
     port = server.server_address[1]
@@ -525,8 +511,6 @@ def serve_session(
     else:
         manifest["error"] = error_text
     journal.close()
-    if sink is not None:
-        sink.close()
     manifest_path = os.path.join(config.session_dir, "manifest.json")
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -621,9 +605,11 @@ def serve_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--port", type=int, default=8787)
     parser.add_argument("--session-dir", default="serve-session")
     parser.add_argument(
-        "--stream-db",
-        action="store_true",
-        help="stream telemetry into <session-dir>/stream.db",
+        "--metrics-out",
+        default=None,
+        metavar="PATH",
+        help="stream telemetry metrics + events as JSONL to PATH while "
+        "the session runs",
     )
     parser.add_argument("--no-health", action="store_true")
     args = parser.parse_args(argv)
@@ -643,7 +629,7 @@ def serve_main(argv: list[str] | None = None) -> int:
             host=args.host,
             port=args.port,
             session_dir=args.session_dir,
-            stream_db=args.stream_db,
+            metrics_out=args.metrics_out,
             health=not args.no_health,
         )
         manifest = serve_session(spec, config)

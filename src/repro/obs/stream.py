@@ -1,30 +1,27 @@
-"""Streaming telemetry publisher.
+"""Streaming telemetry publisher: the one writer of a run's JSONL file.
 
-The :class:`StreamPublisher` bridges a run's in-memory
-:class:`~repro.telemetry.Telemetry` to durable
-:class:`~repro.obs.sinks.TelemetrySink` backends *while the run is in
-flight*.  It implements the kernel's
+The :class:`StreamPublisher` writes a run's in-memory
+:class:`~repro.telemetry.Telemetry` to a JSONL file *while the run is
+in flight* (``--metrics-out PATH``).  It implements the kernel's
 :class:`~repro.sim.kernel.RunMonitor` protocol: the simulator ticks it
-between event dispatches each time the simulated clock crosses its
-``interval``, and on each tick it emits every series point and
-telemetry event recorded since the previous tick, then flushes the
-sinks.  Records are built by the exact same constructors the JSONL
-exporter uses (:mod:`repro.telemetry.exporters`), so a streamed line
-is byte-identical to the line the end-of-run export would have
-written.
+between event dispatches each time the simulated clock crosses
+:data:`STREAM_INTERVAL`, and on each tick it writes every series point
+and telemetry event recorded since the previous tick, then flushes the
+file.  Records are built by the constructors in
+:mod:`repro.telemetry.exporters` and encoded once each.
 
 Lifecycle:
 
-* ``close(now)`` (clean end of run) — flush the incremental tail, then
-  write the final ``run`` header and one snapshot record per
-  instrument in the canonical export order, so the stream carries
-  everything :func:`~repro.telemetry.exporters.write_metrics_jsonl`
-  would; reordered by series, a closed stream is byte-identical to
-  the exporter's layout (pinned by ``tests/test_obs_stream.py``).
-* ``on_abort(now, error)`` (kernel watchdog tripped) — same flush plus
-  a ``stream_abort`` record and the tail of the replay sanitizer's
-  event journal, so a wedged run leaves behind both its telemetry and
-  the last events it dispatched before dying.
+* open — the file is truncated and gets a ``stream_open`` record;
+* ``close(now)`` (clean end of run) — write the incremental tail, the
+  final ``run`` header and one snapshot record per instrument in the
+  canonical order, then ``stream_close``.  Reordered by series, a
+  closed stream is the canonical record layout byte for byte (pinned
+  by ``tests/test_obs_stream.py``).
+* ``on_abort(now, error)`` (kernel watchdog tripped) — the same tail
+  plus a ``stream_abort`` record, partial snapshots and the tail of the
+  replay sanitizer's event journal, so a wedged run leaves behind both
+  its telemetry and the last events it dispatched before dying.
 
 The publisher only ever *reads* simulator state; it schedules nothing
 and draws no randomness, so streaming leaves the dispatched event
@@ -34,11 +31,9 @@ sequence and the replay digest bit-identical.
 from __future__ import annotations
 
 import json
-import math
 from typing import Any
 
 from repro.errors import ConfigError
-from repro.obs.sinks import TelemetrySink
 from repro.sim.replay import JournalEntry
 from repro.telemetry import Telemetry
 from repro.telemetry.exporters import (
@@ -49,37 +44,33 @@ from repro.telemetry.exporters import (
 )
 from repro.telemetry.registry import Series, stable_instrument_key
 
+#: Simulated seconds between flushes.
+STREAM_INTERVAL = 1.0
 #: Replay-journal entries included in an abort dump.
 ABORT_JOURNAL_TAIL = 50
 
+#: ``json.dumps(record, default=str)`` without building an encoder per call.
+_encode = json.JSONEncoder(default=str).encode
+
 
 class StreamPublisher:
-    """Incrementally publish one run's telemetry to sinks.
+    """Stream one run's telemetry to a JSONL file.
 
     Args:
         telemetry: the run's (enabled) telemetry instance.
-        sinks: one or more sinks; every record goes to all of them.
-        interval: simulated seconds between flushes.
+        path: the JSONL file; truncated at open.
     """
 
-    def __init__(
-        self,
-        telemetry: Telemetry,
-        sinks: list[TelemetrySink] | TelemetrySink,
-        *,
-        interval: float = 1.0,
-    ) -> None:
+    interval = STREAM_INTERVAL
+
+    def __init__(self, telemetry: Telemetry, path: str) -> None:
         if not telemetry.enabled:
             raise ConfigError("streaming needs an enabled Telemetry instance")
-        if not 0 < interval < math.inf:
-            raise ConfigError(
-                f"stream interval must be positive and finite: {interval}"
-            )
+        try:
+            self._handle = open(path, "w", encoding="utf-8")
+        except OSError as error:
+            raise ConfigError(f"cannot write telemetry to {path}: {error}") from None
         self.telemetry = telemetry
-        self.sinks = [sinks] if isinstance(sinks, TelemetrySink) else list(sinks)
-        if not self.sinks:
-            raise ConfigError("streaming needs at least one sink")
-        self.interval = float(interval)
         self._series_cursors: dict[Any, int] = {}
         self._event_cursor = 0
         self._sanitizer: Any = None
@@ -89,11 +80,8 @@ class StreamPublisher:
         self.aborted = False
         self._emit({"record": "stream_open", "interval": self.interval})
 
-    # --- plumbing ---------------------------------------------------------
-
     def _emit(self, record: dict[str, Any]) -> None:
-        for sink in self.sinks:
-            sink.write(record)
+        self._handle.write(_encode(record) + "\n")
         self.records_streamed += 1
 
     def bind(self, sim: Any) -> None:
@@ -101,70 +89,24 @@ class StreamPublisher:
         sim.attach_monitor(self)
         self._sanitizer = getattr(sim, "sanitizer", None)
 
-    # --- incremental flushing ---------------------------------------------
-
-    def _flush_increments(self) -> int:
-        """Emit every series point and event recorded since the last
-        flush; returns the number of records emitted."""
-        emitted = 0
+    def _flush_increments(self) -> None:
+        """Write every series point and event recorded since the last
+        flush."""
         for instrument in self.telemetry.registry.instruments():
             if not isinstance(instrument, Series):
                 continue
             key = stable_instrument_key(instrument)
-            cursor = self._series_cursors.get(key, 0)
-            for index in range(cursor, len(instrument.times)):
-                self._emit(
-                    sample_record(
-                        instrument,
-                        instrument.times[index],
-                        instrument.values[index],
-                    )
-                )
-                emitted += 1
-            self._series_cursors[key] = len(instrument.times)
+            times, values = instrument.times, instrument.values
+            for index in range(self._series_cursors.get(key, 0), len(times)):
+                self._emit(sample_record(instrument, times[index], values[index]))
+            self._series_cursors[key] = len(times)
         events = self.telemetry.events
         for index in range(self._event_cursor, len(events)):
             self._emit(event_record(events[index]))
-            emitted += 1
         self._event_cursor = len(events)
-        return emitted
 
-    # --- RunMonitor hooks --------------------------------------------------
-
-    def on_tick(self, now: float) -> None:
-        """Kernel hook: stream the increments, make them durable."""
-        if self.closed:
-            return
-        self._flush_increments()
-        self.flushes += 1
-        for sink in self.sinks:
-            sink.flush()
-
-    def on_abort(self, now: float, error: BaseException) -> None:
-        """Kernel hook: a watchdog tripped — dump everything we have.
-
-        Emits the incremental tail, an ``stream_abort`` marker, the
-        final partial snapshots, and the tail of the replay journal
-        (when a sanitizer is attached), then closes the sinks.  The
-        stream cannot be reconstructed into a clean export — the run
-        never finished — but every byte recorded up to the abort is on
-        disk when the watchdog error propagates.
-        """
-        if self.closed:
-            return
-        self._flush_increments()
-        self._emit(
-            {
-                "record": "stream_abort",
-                "t": now,
-                "error": str(error),
-            }
-        )
-        # Close open dwell intervals so histogram snapshots are honest
-        # about the time actually covered.
-        self.telemetry.finalize(now)
-        info = dict(self.telemetry.run_info)
-        info["aborted"] = True
+    def _snapshots(self, info: dict[str, Any]) -> None:
+        """The ``run`` header and one snapshot per instrument."""
         self._emit(run_record(info))
         for instrument in self.telemetry.registry.instruments():
             self._emit(instrument_record(instrument))
@@ -172,6 +114,35 @@ class StreamPublisher:
             self._emit(
                 {"record": "events_dropped", "count": self.telemetry.events_dropped}
             )
+
+    # --- RunMonitor hooks --------------------------------------------------
+
+    def on_tick(self, now: float) -> None:
+        """Kernel hook: write the increments, make them durable."""
+        if self.closed:
+            return
+        self._flush_increments()
+        self.flushes += 1
+        self._handle.flush()
+
+    def on_abort(self, now: float, error: BaseException) -> None:
+        """Kernel hook: a watchdog tripped — dump everything we have.
+
+        Writes the incremental tail, a ``stream_abort`` marker, the
+        final partial snapshots, and the tail of the replay journal
+        (when a sanitizer is attached), then closes the file.  The
+        stream cannot be reconstructed into a clean run's layout — the
+        run never finished — but every record up to the abort is on
+        disk when the watchdog error propagates.
+        """
+        if self.closed:
+            return
+        self._flush_increments()
+        self._emit({"record": "stream_abort", "t": now, "error": str(error)})
+        # Close open dwell intervals so histogram snapshots are honest
+        # about the time actually covered.
+        self.telemetry.finalize(now)
+        self._snapshots({**self.telemetry.run_info, "aborted": True})
         journal = getattr(self._sanitizer, "journal", None)
         if journal:
             first = max(len(journal) - ABORT_JOURNAL_TAIL, 0)
@@ -189,26 +160,17 @@ class StreamPublisher:
         self.aborted = True
         self._finish()
 
-    # --- clean shutdown ----------------------------------------------------
-
     def close(self, now: float) -> None:
-        """End of a clean run: flush the tail, write the final header
-        and snapshot block, close the sinks.
+        """End of a clean run: write the tail, the final header and
+        snapshot block, and ``stream_close``; close the file.
 
         Call *after* ``telemetry.finalize`` and after ``run_info`` has
-        its final fields, so the streamed header and snapshots carry
-        exactly what the end-of-run export would.
+        its final fields, so the header and snapshots are final.
         """
         if self.closed:
             return
         self._flush_increments()
-        self._emit(run_record(dict(self.telemetry.run_info)))
-        for instrument in self.telemetry.registry.instruments():
-            self._emit(instrument_record(instrument))
-        if self.telemetry.events_dropped:
-            self._emit(
-                {"record": "events_dropped", "count": self.telemetry.events_dropped}
-            )
+        self._snapshots(dict(self.telemetry.run_info))
         self._emit(
             {
                 "record": "stream_close",
@@ -221,5 +183,4 @@ class StreamPublisher:
 
     def _finish(self) -> None:
         self.closed = True
-        for sink in self.sinks:
-            sink.close()
+        self._handle.close()

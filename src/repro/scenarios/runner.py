@@ -791,7 +791,7 @@ def run_scenario(scenario: Scenario, **inputs: Any) -> RunResult:
             in practice; it must wrap the same ``telemetry`` instance).
             Bound to the kernel as a passive run monitor before the
             run and closed after telemetry is finalized, so killed or
-            wedged runs leave their telemetry in the stream's sinks.
+            wedged runs leave their telemetry in the stream's file.
         health: optional in-run health monitor (duck-typed —
             :class:`repro.obs.health.HealthMonitor` in practice).
             Ticked by the kernel on its own cadence, it runs an

@@ -21,7 +21,7 @@ behalf of telemetry, so an instrumented run dispatches exactly the
 same events as a bare one.
 
 Monitors: :meth:`Simulator.attach_monitor` accepts passive
-:class:`RunMonitor` observers (streaming telemetry sinks, the in-run
+:class:`RunMonitor` observers (the telemetry stream, the in-run
 health monitor) whose ticks are paced by the simulated clock but fire
 *between* event dispatches — they appear nowhere in the event queue,
 so the replay digest of a monitored run is byte-identical to a bare
@@ -73,8 +73,8 @@ class RunMonitor(Protocol):
     Optional hooks (looked up by name, so plain objects qualify):
 
     * ``on_abort(now, error)`` — called when a kernel watchdog
-      (stall/budget/deadline) is about to abort the run, so streaming
-      sinks can flush diagnostics that would otherwise die with the
+      (stall/budget/deadline) is about to abort the run, so the
+      telemetry stream can flush diagnostics that would otherwise die with the
       process.
     """
 

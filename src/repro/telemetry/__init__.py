@@ -23,9 +23,9 @@ bookkeeping entirely, so an un-instrumented run costs nothing and
 dispatches exactly the same events as before the subsystem existed —
 telemetry never schedules simulation events, even when enabled.
 
-Exporters live in :mod:`repro.telemetry.exporters`: JSONL for metric
-and event records, Chrome ``trace_event`` JSON for Perfetto /
-``about:tracing`` timelines, and a plain-text summary.
+Exporters live in :mod:`repro.telemetry.exporters`: the JSONL records
+that :mod:`repro.obs.stream` writes, Chrome ``trace_event`` JSON for
+Perfetto / ``about:tracing`` timelines, and a plain-text summary.
 """
 
 from __future__ import annotations

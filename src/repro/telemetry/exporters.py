@@ -1,11 +1,13 @@
 """Telemetry exporters.
 
-Three output formats:
-
-* :func:`write_metrics_jsonl` — one JSON object per line: a ``run``
-  header, counter/gauge/histogram snapshots, one ``sample`` line per
+* JSONL record builders — :func:`run_record`, :func:`instrument_record`,
+  :func:`sample_record` and :func:`event_record` build the dict-shaped
+  lines of a ``--metrics-out`` file: a ``run`` header,
+  counter/gauge/histogram snapshots, one ``sample`` line per
   time-series point, and one ``event`` line per structured event.
-  Loads straight into pandas (``pd.read_json(path, lines=True)``).
+  :class:`repro.obs.stream.StreamPublisher` writes them while the run
+  is in flight; the file loads straight into pandas
+  (``pd.read_json(path, lines=True)``).
 * :func:`write_chrome_trace` — Chrome ``trace_event`` JSON: series
   become counter tracks, telemetry events (DCF ``channel.tx`` frames
   included) become instant events on per-subsystem threads.  Load the file in
@@ -18,7 +20,7 @@ Three output formats:
 from __future__ import annotations
 
 import json
-from typing import Any, TextIO
+from typing import Any
 
 from repro.telemetry import Telemetry
 from repro.telemetry.registry import (
@@ -51,20 +53,6 @@ def _jsonable(fields: dict[str, Any]) -> dict[str, Any]:
 
 
 # --- JSONL ---------------------------------------------------------------------
-
-
-def write_metrics_jsonl(
-    path: str, telemetry: Telemetry, *, run_info: dict[str, Any] | None = None
-) -> int:
-    """Write every metric snapshot, series point, and event as JSONL.
-
-    Returns the number of lines written.
-    """
-    info = dict(telemetry.run_info)
-    if run_info:
-        info.update(run_info)
-    with open(path, "w", encoding="utf-8") as handle:
-        return _write_jsonl(handle, telemetry, info)
 
 
 def run_record(info: dict[str, Any]) -> dict[str, Any]:
@@ -108,33 +96,6 @@ def event_record(event: Any) -> dict[str, Any]:
         "category": event.category,
         "fields": _jsonable(event.fields),
     }
-
-
-def iter_metric_records(telemetry: Telemetry, info: dict[str, Any]):
-    """Every JSONL record of a run, in the canonical export order:
-    run header, instruments (each series followed by its samples),
-    events, drop marker.  Both :func:`write_metrics_jsonl` and the
-    streaming publisher (:mod:`repro.obs.stream`) are built on this,
-    which is what makes a streamed run reconstructible byte-for-byte.
-    """
-    yield run_record(info)
-    for instrument in telemetry.registry.instruments():
-        yield instrument_record(instrument)
-        if isinstance(instrument, Series):
-            for t, v in zip(instrument.times, instrument.values):
-                yield sample_record(instrument, t, v)
-    for event in telemetry.events:
-        yield event_record(event)
-    if telemetry.events_dropped:
-        yield {"record": "events_dropped", "count": telemetry.events_dropped}
-
-
-def _write_jsonl(handle: TextIO, telemetry: Telemetry, info: dict[str, Any]) -> int:
-    lines = 0
-    for record in iter_metric_records(telemetry, info):
-        handle.write(json.dumps(record, default=str) + "\n")
-        lines += 1
-    return lines
 
 
 # --- Chrome trace_event --------------------------------------------------------

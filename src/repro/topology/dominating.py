@@ -53,8 +53,3 @@ def dominating_set(topology: Topology, node_id: int) -> frozenset[int]:
         chosen.add(best)
         uncovered -= gained
     return frozenset(chosen)
-
-
-def dominating_sets(topology: Topology) -> dict[int, frozenset[int]]:
-    """The dominating set of every node in the topology."""
-    return {node_id: dominating_set(topology, node_id) for node_id in topology.node_ids}

@@ -45,8 +45,3 @@ def packets_per_second(rate_bps: float, packet_bytes: float) -> float:
     if packet_bytes <= 0:
         raise ValueError(f"packet size must be positive, got {packet_bytes}")
     return rate_bps / bits(packet_bytes)
-
-
-def pps_to_bps(pps: float, packet_bytes: float) -> float:
-    """Convert packets/second to bits/second for a fixed packet size."""
-    return pps * bits(packet_bytes)

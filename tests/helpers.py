@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import sqlite3
 from collections import deque
-from contextlib import closing
+from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigError, TopologyError
@@ -16,10 +15,18 @@ from repro.flows.packet import Packet
 from repro.flows.rate_limiter import TokenBucket
 from repro.flows.traffic import TrafficSource
 from repro.mac.base import NodeServices
-from repro.obs.sinks import TelemetrySink
+from repro.obs.stream import StreamPublisher
 from repro.scenarios.figures import figure1
 from repro.scenarios.spec import LITERAL
 from repro.sim.event import DEFAULT_PRIORITY, Event
+from repro.telemetry import Telemetry
+from repro.telemetry.exporters import (
+    event_record,
+    instrument_record,
+    run_record,
+    sample_record,
+)
+from repro.telemetry.registry import Series
 from repro.topology.builders import random_topology
 from repro.topology.network import (
     DEFAULT_CS_RANGE,
@@ -403,47 +410,40 @@ def parallel_chains_topology(
 
 # --- Stream round trip -------------------------------------------------------------
 #
-# An in-memory sink and the reordering that turns a closed stream back
-# into the end-of-run JSONL export: tests/test_obs_stream.py pins that
-# streaming loses nothing by comparing the two byte for byte.
+# The canonical record layout of a run's telemetry, and the reordering
+# that turns a closed stream back into it: tests/test_obs_stream.py pins
+# that streaming loses nothing by comparing the two byte for byte.
 
 
-class RingSink(TelemetrySink):
-    """Keep the newest ``capacity`` records in memory; overflow is
-    counted in ``dropped``."""
-
-    def __init__(self, capacity: int = 100_000) -> None:
-        if capacity < 1:
-            raise ConfigError(f"ring capacity must be >= 1: {capacity}")
-        self.capacity = capacity
-        self._ring: deque[dict[str, Any]] = deque(maxlen=capacity)
-        self.dropped = 0
-        self.records_written = 0
-
-    def write(self, record: dict[str, Any]) -> None:
-        if len(self._ring) == self.capacity:
-            self.dropped += 1
-        self._ring.append(record)
-        self.records_written += 1
-
-    def records(self) -> list[dict[str, Any]]:
-        """The retained records, oldest first."""
-        return list(self._ring)
+def iter_metric_records(telemetry: Telemetry):
+    """Every JSONL record of a run, in the canonical layout: run
+    header, instruments (each series followed by its samples), events,
+    drop marker."""
+    yield run_record(dict(telemetry.run_info))
+    for instrument in telemetry.registry.instruments():
+        yield instrument_record(instrument)
+        if isinstance(instrument, Series):
+            for t, v in zip(instrument.times, instrument.values):
+                yield sample_record(instrument, t, v)
+    for event in telemetry.events:
+        yield event_record(event)
+    if telemetry.events_dropped:
+        yield {"record": "events_dropped", "count": telemetry.events_dropped}
 
 
-def sqlite_records(path: str, run: int | None = None) -> list[dict[str, Any]]:
-    """Decoded records of a ``SqliteSink`` database (optionally of one
-    run), in insert order; reads committed rows only."""
-    with closing(sqlite3.connect(path)) as conn:
-        rows = conn.execute("SELECT run, payload FROM records ORDER BY seq")
-        return [
-            json.loads(payload)
-            for sink_run, payload in rows
-            if run is None or sink_run == run
-        ]
+def jsonl_text(records) -> str:
+    """``records`` as the JSONL text the stream encodes them to."""
+    return "".join(json.dumps(record, default=str) + "\n" for record in records)
 
 
-#: Stream-control record kinds (not part of the exporter layout).
+def stream_file(path: Path, telemetry: Telemetry, now: float = 0.0) -> list[dict[str, Any]]:
+    """Stream ``telemetry`` as it stands to ``path`` (opened, then
+    closed at ``now``) and return the file's records."""
+    StreamPublisher(telemetry, str(path)).close(now)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+#: Stream-control record kinds (not part of the canonical layout).
 CONTROL_RECORDS = ("stream_open", "stream_close", "stream_abort", "journal")
 
 
@@ -452,11 +452,10 @@ def _series_key(record: dict[str, Any]) -> tuple[str, str]:
 
 
 def reconstruct_jsonl(records: list[dict[str, Any]]) -> str:
-    """Reorder the records of one cleanly closed stream into the text
-    ``write_metrics_jsonl`` writes for the same run: run header,
-    instruments in canonical order with each series' samples inline,
-    events, drop marker.  Raises ``ConfigError`` on a stream that was
-    never closed or was aborted."""
+    """Reorder the records of one cleanly closed stream into the
+    canonical layout of :func:`iter_metric_records`, as JSONL text.
+    Raises ``ConfigError`` on a stream that was never closed or was
+    aborted."""
     header: dict[str, Any] | None = None
     snapshots: list[dict[str, Any]] = []
     samples: dict[tuple[str, str], list[dict[str, Any]]] = {}
@@ -488,4 +487,4 @@ def reconstruct_jsonl(records: list[dict[str, Any]]) -> str:
     ordered.extend(events)
     if dropped is not None:
         ordered.append(dropped)
-    return "".join(json.dumps(record, default=str) + "\n" for record in ordered)
+    return jsonl_text(ordered)

@@ -221,10 +221,11 @@ def test_gvn_add_and_remove_flow_is_clean():
     gvn = GrandVirtualNetwork(routes, flows)
     late = Flow(flow_id=2, source=2, destination=4)
     gvn.add_flow(late)
-    assert gvn.knows_flow(2)
+    assert gvn.flow_links(2) == [(2, 3), (3, 4)]
     assert 2 in gvn.local_flows(2, 4)
     gvn.remove_flow(late)
-    assert not gvn.knows_flow(2)
+    with pytest.raises(ProtocolError):
+        gvn.flow_links(2)
     assert gvn.flow_residue(2) == []
     # Flow 1's structure survives the removal untouched.
     assert gvn.virtual_links(4) == [(0, 1), (1, 2), (2, 3), (3, 4)]

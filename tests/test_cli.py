@@ -292,8 +292,6 @@ NUMERIC_FLAGS = {
     "--duration": [],
     "--period": [],
     "--wall-deadline": [],
-    "--stream-interval": ["--stream-out", "{tmp}/stream.jsonl"],
-    "--health-interval": ["--health"],
     "serve --pace": ["--port", "0", "--session-dir", "{tmp}/session"],
 }
 

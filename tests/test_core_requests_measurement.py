@@ -141,15 +141,17 @@ class TestDisseminationScope:
         assert not ({2, 3} & scope.audience_of_link((0, 1)))
 
     def test_node_audience(self):
+        # A link's audience is the two-hop audience of each endpoint,
+        # itself included: {0, 1, 2} for node 0, {0, 1, 2, 3} for node 1.
         chain = chain_topology(6)
         scope = DisseminationScope(chain)
-        assert scope.audience_of_node(0) == frozenset({0, 1, 2})
+        assert scope.audience_of_link((0, 1)) == frozenset({0, 1, 2, 3})
 
     def test_link_visibility(self):
         chain = chain_topology(8)
         scope = DisseminationScope(chain)
-        assert scope.link_visible(2, (0, 1))
-        assert not scope.link_visible(7, (0, 1))
+        assert 2 in scope.audience_of_link((0, 1))
+        assert 7 not in scope.audience_of_link((0, 1))
 
     def test_overhead_accounting(self):
         chain = chain_topology(6)

@@ -62,16 +62,17 @@ def test_local_flows():
 
 
 def test_flows_on_virtual_link():
-    gvn, _ = build_gvn()
-    assert gvn.flows_on((1, 2), 4) == frozenset({1})
-    assert gvn.flows_on((2, 3), 4) == frozenset({1, 2})
-    assert gvn.flows_on((3, 4), 4) == frozenset({1, 2})
+    # Flow 1 alone uses (0, 1) and (1, 2); flows 1 and 2 share (2, 3)
+    # and (3, 4), so those outlive flow 1's departure.
+    gvn, flows = build_gvn()
+    assert gvn.remove_flow(flows.get(1)) == [((0, 1), 4), ((1, 2), 4)]
+    assert gvn.virtual_links(4) == [(2, 3), (3, 4)]
 
 
 def test_flow_links_and_nodes_on_path():
     gvn, _ = build_gvn()
     assert gvn.flow_links(2) == [(2, 3), (3, 4)]
-    assert gvn.nodes_on_path(1) == [0, 1, 2, 3, 4]
+    assert gvn.flow_links(1) == [(0, 1), (1, 2), (2, 3), (3, 4)]
     with pytest.raises(ProtocolError):
         gvn.flow_links(42)
 

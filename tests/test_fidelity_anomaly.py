@@ -66,6 +66,18 @@ def test_starved_flow_ignores_flows_that_never_could_deliver():
     assert detect_starved_flows(result) == []
 
 
+def test_starved_flow_reads_the_lazy_reference_of_a_run_without_telemetry():
+    # A flow stuck at zero from t=0 never showed it could deliver; only
+    # the reference (here the unsolved one a GMP run carries) says so.
+    result = synthetic_result(
+        interval_rates={1: [0.0] * 40},
+        extras={"solve_reference": lambda: {1: 40.0}},
+    )
+    (alert,) = detect_starved_flows(result)
+    assert alert.probe == "starved_flow"
+    assert alert.labels == {"flow": "1"}
+
+
 def test_starved_flow_not_flagged_after_legitimate_departure():
     # Flow delivers, then departs at t=20: the zero tail is a
     # departure, not starvation.

@@ -257,6 +257,21 @@ def test_baseline_known_gap_is_reported_not_a_problem():
     assert any("now passes" in p for p in fixed)
 
 
+def test_baseline_neither_records_nor_demands_a_skipped_shape():
+    judged = t1_report()
+    skipping = t1_report()
+    skipping.tables[0].shapes[0].applicable = False
+    key = f"t1:{skipping.tables[0].shapes[0].assertion_id}"
+    assert key not in baseline_payload(skipping)["shapes"]
+    assert compare_baseline(skipping, baseline_payload(skipping)) == ([], [])
+    # A skipped shape that starts to apply is new; a judged one that
+    # starts to skip leaves its entry stale.
+    (new,) = compare_baseline(judged, baseline_payload(skipping))[0]
+    assert new.startswith(f"{key}: not in the baseline")
+    (stale,) = compare_baseline(skipping, baseline_payload(judged))[0]
+    assert stale.startswith(f"{key}: stale baseline entry")
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("substrate", "dcf"), ("duration", 200.0), ("seeds", [1, 2, 3])],

@@ -61,8 +61,7 @@ def setup(positions, tx_range=250.0, cs_range=550.0):
 
 def test_frame_helpers():
     frame = data_frame(1, 2)
-    assert frame.addressed_to(2)
-    assert not frame.addressed_to(3)
+    assert (frame.sender, frame.receiver) == (1, 2)
     assert "data 1->2" in frame.describe()
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.obs import (
     AlertLog,
     HealthMonitor,
@@ -30,8 +30,7 @@ def test_alert_log_dedups_and_gates_redelivery_on_cooldown():
     log.raise_alert(12.0, "starved_flow", "warning", {"flow": "1"}, "m2")
     log.raise_alert(21.0, "starved_flow", "warning", {"flow": "1"}, "m3")
 
-    assert len(log) == 1
-    alert = log.alerts()[0]
+    (alert,) = log.alerts()
     assert alert.count == 3
     assert alert.first_seen == 10.0 and alert.last_seen == 21.0
     assert alert.message == "m3"
@@ -45,7 +44,7 @@ def test_alert_log_separates_label_sets_and_escalates_severity():
     log = AlertLog()
     log.raise_alert(10.0, "queue_divergence", "warning", {"node": "1"}, "a")
     log.raise_alert(10.0, "queue_divergence", "warning", {"node": "2"}, "b")
-    assert len(log) == 2
+    assert len(log.alerts()) == 2
 
     log.raise_alert(11.0, "queue_divergence", "critical", {"node": "1"}, "worse")
     log.raise_alert(12.0, "queue_divergence", "warning", {"node": "1"}, "calmer")
@@ -80,16 +79,6 @@ def test_jsonl_delivery_appends_durable_lines(tmp_path):
     payloads = [json.loads(line) for line in path.read_text().splitlines()]
     assert [p["probe"] for p in payloads] == ["starved_flow", "queue_divergence"]
     assert payloads[0]["first_seen"] == 5.0
-
-
-# ---------------------------------------------------------------- config
-
-
-def test_health_monitor_validates_config():
-    for interval in (0.0, -1.0):
-        with pytest.raises(ConfigError):
-            HealthMonitor(interval)
-    assert HealthMonitor(0.5).interval == 0.5
 
 
 # ---------------------------------------------------------------- clean run

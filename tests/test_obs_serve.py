@@ -375,6 +375,7 @@ def test_served_session_http_and_replay_match(tmp_path):
         pace=None,
         port=0,
         session_dir=str(session_dir),
+        metrics_out=str(session_dir / "metrics.jsonl"),
         health=True,
     )
     ready = threading.Event()
@@ -460,6 +461,8 @@ def test_served_session_http_and_replay_match(tmp_path):
     assert manifest["events"] > 0
     assert manifest["replay_digest"]
     assert (session_dir / "manifest.json").exists()
+    streamed = (session_dir / "metrics.jsonl").read_text().splitlines()
+    assert json.loads(streamed[-1])["record"] == "stream_close"
 
     report = replay_session(
         str(session_dir / "commands.jsonl"), emit=lambda _: None

@@ -1,23 +1,26 @@
 """Streaming must be passive and lossless: an instrumented run keeps
 the golden dispatched-event count and replay digest, and a closed
-stream reconstructs byte-for-byte into the end-of-run JSONL export."""
+stream reconstructs byte-for-byte into the canonical record layout."""
 
 import json
 
 import pytest
 
 from repro.errors import ConfigError, SimulationError
-from repro.obs import JsonlSink, SqliteSink, StreamPublisher
+from repro.obs import StreamPublisher
 from repro.scenarios.spec import RunSpec
 from repro.sim.replay import ReplaySanitizer
 from repro.telemetry import Telemetry
-from repro.telemetry.exporters import write_metrics_jsonl
 
-from helpers import RingSink, reconstruct_jsonl, sqlite_records
+from helpers import iter_metric_records, jsonl_text, reconstruct_jsonl
 
 #: Same golden count as tests/test_telemetry_overhead.py: figure3,
 #: gmp, fluid, 30 s, seed 1, captured before telemetry existed.
 GOLDEN_EVENTS = 42546
+
+
+def _records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 def _run(duration=30.0, rate_interval=None, **observers):
@@ -34,29 +37,39 @@ def _run(duration=30.0, rate_interval=None, **observers):
 # ---------------------------------------------------------------- config
 
 
-def test_stream_requires_enabled_telemetry():
+def test_stream_requires_enabled_telemetry(tmp_path):
     with pytest.raises(ConfigError):
-        StreamPublisher(Telemetry(enabled=False), RingSink())
+        StreamPublisher(Telemetry(enabled=False), str(tmp_path / "m.jsonl"))
 
 
-def test_stream_requires_a_sink_and_positive_interval():
-    with pytest.raises(ConfigError):
-        StreamPublisher(Telemetry(), [])
-    with pytest.raises(ConfigError):
-        StreamPublisher(Telemetry(), RingSink(), interval=0.0)
+def test_stream_requires_a_writable_path(tmp_path):
+    with pytest.raises(ConfigError, match="cannot write telemetry"):
+        StreamPublisher(Telemetry(), str(tmp_path / "missing" / "m.jsonl"))
+
+
+def test_stream_truncates_at_open_and_closes_once(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text("an earlier run\n")
+    telemetry = Telemetry()
+    telemetry.run_info = {"scenario": "empty"}
+    publisher = StreamPublisher(telemetry, str(path))
+    publisher.close(1.0)
+    publisher.close(2.0)  # a second close writes nothing and does not raise
+    kinds = [record["record"] for record in _records(path)]
+    assert kinds == ["stream_open", "run", "stream_close"]
 
 
 # ---------------------------------------------------------------- passivity
 
 
-def test_streaming_and_health_preserve_golden_run():
+def test_streaming_and_health_preserve_golden_run(tmp_path):
     from repro.obs import HealthMonitor
 
     plain = _run(sanitizer=ReplaySanitizer())
     telemetry = Telemetry()
     instrumented = _run(
         telemetry=telemetry,
-        stream=StreamPublisher(telemetry, RingSink()),
+        stream=StreamPublisher(telemetry, str(tmp_path / "m.jsonl")),
         health=HealthMonitor(deliveries=[]),
         sanitizer=ReplaySanitizer(),
     )
@@ -71,25 +84,18 @@ def test_streaming_and_health_preserve_golden_run():
 
 def test_stream_reconstructs_byte_identical_export(tmp_path):
     telemetry = Telemetry()
-    ring = RingSink()
-    sqlite = SqliteSink(str(tmp_path / "stream.db"))
-    jsonl = JsonlSink(str(tmp_path / "stream.jsonl"))
-    publisher = StreamPublisher(telemetry, [ring, sqlite, jsonl])
+    path = tmp_path / "m.jsonl"
+    publisher = StreamPublisher(telemetry, str(path))
     _run(telemetry=telemetry, stream=publisher, duration=10.0, rate_interval=1.0)
     assert publisher.closed and not publisher.aborted
     assert publisher.flushes >= 9  # one per simulated second
 
-    export_path = tmp_path / "export.jsonl"
-    write_metrics_jsonl(str(export_path), telemetry)
-    exported = export_path.read_text()
-
-    assert reconstruct_jsonl(ring.records()) == exported
-    assert reconstruct_jsonl(sqlite_records(sqlite.path, run=1)) == exported
-    streamed_lines = [
-        json.loads(line)
-        for line in (tmp_path / "stream.jsonl").read_text().splitlines()
-    ]
-    assert reconstruct_jsonl(streamed_lines) == exported
+    streamed = _records(path)
+    assert [streamed[0]["record"], streamed[-1]["record"]] == ["stream_open", "stream_close"]
+    assert streamed[-1]["records"] == len(streamed) == publisher.records_streamed
+    # Every line is its record's one canonical encoding.
+    assert jsonl_text(streamed) == path.read_text()
+    assert reconstruct_jsonl(streamed) == jsonl_text(iter_metric_records(telemetry))
 
 
 # ---------------------------------------------------------------- abort path
@@ -97,8 +103,8 @@ def test_stream_reconstructs_byte_identical_export(tmp_path):
 
 def test_watchdog_abort_flushes_partial_stream_and_journal(tmp_path):
     telemetry = Telemetry()
-    ring = RingSink()
-    publisher = StreamPublisher(telemetry, ring)
+    path = tmp_path / "m.jsonl"
+    publisher = StreamPublisher(telemetry, str(path))
     with pytest.raises(SimulationError):
         _run(
             telemetry=telemetry,
@@ -109,7 +115,7 @@ def test_watchdog_abort_flushes_partial_stream_and_journal(tmp_path):
         )
     assert publisher.aborted and publisher.closed
 
-    records = ring.records()
+    records = _records(path)
     kinds = [r.get("record") for r in records]
     assert "stream_abort" in kinds
     abort = next(r for r in records if r.get("record") == "stream_abort")

@@ -1,11 +1,10 @@
 """Unit tests for RNG streams and the telemetry event log's trace
 categories and bound."""
 
-import json
-
 from repro.sim.rng import RngRegistry
 from repro.telemetry import Telemetry
-from repro.telemetry.exporters import write_metrics_jsonl
+
+from helpers import stream_file
 
 
 def test_same_name_same_stream_object():
@@ -82,7 +81,5 @@ def test_trace_limit_counts_drops_and_marks_truncation(tmp_path):
         telemetry.event(float(index), "x", i=index)
     assert [event.fields["i"] for event in telemetry.events] == [0, 1, 2]
     assert telemetry.events_dropped == 7
-    path = tmp_path / "m.jsonl"
-    write_metrics_jsonl(str(path), telemetry)
-    last = json.loads(path.read_text().splitlines()[-1])
-    assert last == {"record": "events_dropped", "count": 7}
+    records = stream_file(tmp_path / "m.jsonl", telemetry)
+    assert records[-2] == {"record": "events_dropped", "count": 7}

@@ -12,17 +12,15 @@ from repro.telemetry import (
     MetricsRegistry,
     Telemetry,
 )
-from repro.telemetry.exporters import (
-    format_summary,
-    write_chrome_trace,
-    write_metrics_jsonl,
-)
+from repro.telemetry.exporters import format_summary, write_chrome_trace
 from repro.telemetry.registry import (
     NULL_COUNTER,
     NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_SERIES,
 )
+
+from helpers import stream_file
 
 
 # ---------------------------------------------------------------- registry
@@ -182,10 +180,8 @@ def _populated_telemetry():
 
 
 def test_write_metrics_jsonl(tmp_path):
-    path = tmp_path / "m.jsonl"
-    count = write_metrics_jsonl(path, _populated_telemetry())
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(lines) == count
+    lines = stream_file(tmp_path / "m.jsonl", _populated_telemetry(), now=4.0)
+    assert lines[-1]["records"] == len(lines)
     kinds = {line["record"] for line in lines}
     assert {"run", "counter", "gauge", "histogram", "series", "sample", "event"} <= kinds
     counter = next(l for l in lines if l["record"] == "counter")
@@ -224,25 +220,21 @@ def test_format_summary_mentions_key_sections():
 
 
 def test_write_metrics_jsonl_empty_registry(tmp_path):
-    """A run that recorded nothing still exports a valid header-only file."""
-    path = tmp_path / "empty.jsonl"
+    """A run that recorded nothing still writes a valid header-only
+    file between the stream's open and close records."""
     telemetry = Telemetry()
     telemetry.run_info = {"scenario": "empty", "seed": 1}
-    count = write_metrics_jsonl(path, telemetry)
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert count == len(lines) == 1
-    assert lines[0]["record"] == "run"
-    assert lines[0]["scenario"] == "empty"
+    lines = stream_file(tmp_path / "empty.jsonl", telemetry)
+    assert [line["record"] for line in lines] == ["stream_open", "run", "stream_close"]
+    assert lines[1]["scenario"] == "empty"
 
 
 def test_write_metrics_jsonl_marks_dropped_events(tmp_path):
     telemetry = Telemetry(event_limit=2)
     for i in range(5):
         telemetry.event(float(i), "gmp.adjust", flow=1)
-    path = tmp_path / "dropped.jsonl"
-    write_metrics_jsonl(path, telemetry)
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert lines[-1] == {"record": "events_dropped", "count": 3}
+    lines = stream_file(tmp_path / "dropped.jsonl", telemetry)
+    assert lines[-2] == {"record": "events_dropped", "count": 3}
 
 
 def test_chrome_trace_truncation_marker_round_trip(tmp_path):

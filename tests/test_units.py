@@ -8,7 +8,6 @@ from repro.units import (
     MILLISECONDS,
     bits,
     packets_per_second,
-    pps_to_bps,
     transmission_time,
 )
 
@@ -31,7 +30,7 @@ def test_transmission_time():
 
 
 def test_packets_per_second_roundtrip():
-    rate_bps = pps_to_bps(800, 1024)
+    rate_bps = 800 * bits(1024)
     assert rate_bps == pytest.approx(800 * 8192)
     assert packets_per_second(rate_bps, 1024) == pytest.approx(800)
     with pytest.raises(ValueError):
