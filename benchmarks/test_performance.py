@@ -359,8 +359,7 @@ def test_health_live_scan(benchmark):
         rate_interval=1.0,
     ).run(telemetry=Telemetry())
     health = HealthMonitor(deliveries=[])
-    sim = SimpleNamespace(attach_monitor=lambda monitor: None, events_processed=0)
-    health.bind(sim, lambda: result)
+    health.bind(SimpleNamespace(events_processed=0, partial_result=lambda: result))
 
     benchmark.pedantic(lambda: health.on_tick(result.duration), rounds=20)
     assert health.ticks >= 1 and health.alerts() == []

@@ -214,6 +214,7 @@ def main(argv: list[str] | None = None) -> int:
 
     stream = None
     health = None
+    monitors = []
     replay_report = None
     watchdogs = {
         "max_events": args.max_events,
@@ -221,6 +222,12 @@ def main(argv: list[str] | None = None) -> int:
         "wall_deadline": args.wall_deadline,
     }
     try:
+        if args.metrics_out:
+            from repro.obs import StreamPublisher
+
+            assert telemetry is not None
+            stream = StreamPublisher(telemetry, args.metrics_out)
+            monitors.append(stream)
         if args.health:
             from repro.obs import HealthMonitor, console_delivery, jsonl_delivery
 
@@ -228,17 +235,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.alerts_out:
                 deliveries.append(jsonl_delivery(args.alerts_out))
             health = HealthMonitor(deliveries=deliveries)
-        if args.metrics_out:
-            from repro.obs import StreamPublisher
-
-            assert telemetry is not None
-            stream = StreamPublisher(telemetry, args.metrics_out)
+            monitors.append(health)
         if args.sanitize is not None:
             replay_report, result, _ = replay_check(spec, **watchdogs)
         else:
-            result = spec.run(
-                telemetry=telemetry, stream=stream, health=health, **watchdogs
-            )
+            result = spec.run(telemetry=telemetry, monitors=monitors, **watchdogs)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         if stream is not None and stream.aborted:

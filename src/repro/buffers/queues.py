@@ -60,12 +60,12 @@ class BufferPolicy(abc.ABC):
     # --- admission ---------------------------------------------------------
 
     @abc.abstractmethod
-    def admit_local(self, packet: Packet) -> bool:
-        """Offer a locally generated packet; False refuses it (the
-        source then simply does not generate it)."""
+    def admit_local_at(self, packet: Packet, now: float) -> bool:
+        """Offer a locally generated packet at ``now``; False refuses
+        it (the source then simply does not generate it)."""
 
     @abc.abstractmethod
-    def admit_forwarded(self, packet: Packet) -> bool:
+    def admit_forwarded_at(self, packet: Packet, now: float) -> bool:
         """Offer a packet received from upstream for forwarding."""
 
     @abc.abstractmethod
@@ -128,7 +128,8 @@ class SharedFifoBuffer(BufferPolicy):
 
     The plain-802.11 baseline policy (paper §7.2): "when a packet
     arrives at a node whose buffer is full, it will overwrite the
-    packet at the tail of the queue".
+    packet at the tail of the queue".  The default capacity is the
+    paper's shared buffer of 300 packets (§7).
     """
 
     def __init__(
@@ -140,7 +141,7 @@ class SharedFifoBuffer(BufferPolicy):
         self.capacity = capacity
         self._queue: deque[Packet] = deque()
 
-    def admit_local(self, packet: Packet) -> bool:
+    def admit_local_at(self, packet: Packet, now: float) -> bool:
         # A source generates new packets only while its buffer has
         # room ("the flow source will generate new packets at a
         # smaller rate if the network cannot deliver its desirable
@@ -153,7 +154,7 @@ class SharedFifoBuffer(BufferPolicy):
     def local_room(self, flow_id: int, dest: int) -> bool:
         return len(self._queue) < self.capacity
 
-    def admit_forwarded(self, packet: Packet) -> bool:
+    def admit_forwarded_at(self, packet: Packet, now: float) -> bool:
         # In-flight arrivals cannot be refused; when full they
         # overwrite the packet at the tail of the queue (§7.2).
         if len(self._queue) >= self.capacity:
@@ -220,12 +221,12 @@ class PerFlowBuffer(BufferPolicy):
         queue.append(packet)
         return True
 
-    def admit_local(self, packet: Packet) -> bool:
+    def admit_local_at(self, packet: Packet, now: float) -> bool:
         # A refused local packet is backpressure, not loss: the source
         # never generates it, so it must not enter the drop ledger.
         return self._admit(packet, count_drop=False)
 
-    def admit_forwarded(self, packet: Packet) -> bool:
+    def admit_forwarded_at(self, packet: Packet, now: float) -> bool:
         return self._admit(packet, count_drop=True)
 
     def local_room(self, flow_id: int, dest: int) -> bool:
@@ -300,7 +301,6 @@ class SharedBackpressureBuffer(BufferPolicy):
         gate: BackpressureGate,
         *,
         capacity: int = 10,
-        start_time: float = 0.0,
     ) -> None:
         super().__init__(node_id, next_hop)
         if capacity < 1:
@@ -308,13 +308,12 @@ class SharedBackpressureBuffer(BufferPolicy):
         self.gate = gate
         self.capacity = capacity
         self._queue: deque[Packet] = deque()
-        self.meter = FullnessMeter(start_time=start_time)
 
     def has_free(self, dest: int) -> bool:
         """Single shared bit: any free slot at all (``dest`` ignored)."""
         return len(self._queue) < self.capacity
 
-    def admit_local(self, packet: Packet) -> bool:
+    def admit_local_at(self, packet: Packet, now: float) -> bool:
         if len(self._queue) >= self.capacity:
             return False
         self._queue.append(packet)
@@ -323,7 +322,7 @@ class SharedBackpressureBuffer(BufferPolicy):
     def local_room(self, flow_id: int, dest: int) -> bool:
         return self.has_free(SHARED_QUEUE_KEY)
 
-    def admit_forwarded(self, packet: Packet) -> bool:
+    def admit_forwarded_at(self, packet: Packet, now: float) -> bool:
         if len(self._queue) >= self.capacity:
             self.overshoot += 1
         self._queue.append(packet)
@@ -417,7 +416,6 @@ class PerDestinationBuffer(BufferPolicy):
         gate: BackpressureGate,
         *,
         per_dest_capacity: int = 10,
-        start_time: float = 0.0,
         telemetry=None,
     ) -> None:
         super().__init__(node_id, next_hop)
@@ -434,7 +432,6 @@ class PerDestinationBuffer(BufferPolicy):
         self._dests_via: dict[int, list[int]] = {}  # next hop -> sorted dests
         self._link_backlog: dict[Link, int] = {}  # queued packets per link
         self._backlog = 0
-        self._start_time = start_time
         self._tm = telemetry if telemetry is not None and telemetry.enabled else None
         self._len_series: dict[int, object] = {}
         self._full_hists: dict[int, object] = {}
@@ -450,7 +447,7 @@ class PerDestinationBuffer(BufferPolicy):
             insort(self._dests, dest)
             insort(self._dests_via.setdefault(hop, []), dest)
             queue = self._queues[dest] = deque()
-            self._meters[dest] = FullnessMeter(start_time=self._start_time)
+            self._meters[dest] = FullnessMeter()
         return queue
 
     def _enqueue(self, queue: deque[Packet], packet: Packet, now: float) -> None:
@@ -510,10 +507,9 @@ class PerDestinationBuffer(BufferPolicy):
             self._update_meter(dest, now)
             meter.reset(now)
 
-    # --- admission; `now` is carried on the packet path via stack wrappers -----
+    # --- admission -------------------------------------------------------------
 
     def admit_local_at(self, packet: Packet, now: float) -> bool:
-        """Admission for local packets with explicit time (preferred)."""
         queue = self._queue_for(packet.destination)
         if len(queue) >= self.per_dest_capacity:
             return False
@@ -526,24 +522,11 @@ class PerDestinationBuffer(BufferPolicy):
         return queue is None or len(queue) < self.per_dest_capacity
 
     def admit_forwarded_at(self, packet: Packet, now: float) -> bool:
-        """Admission for forwarded packets with explicit time."""
         queue = self._queue_for(packet.destination)
         if len(queue) >= self.per_dest_capacity:
             self.overshoot += 1
         self._enqueue(queue, packet, now)
         return True
-
-    def admit_local(self, packet: Packet) -> bool:
-        raise BufferError_(
-            "PerDestinationBuffer needs admit_local_at(packet, now); "
-            "use the node stack wrappers"
-        )
-
-    def admit_forwarded(self, packet: Packet) -> bool:
-        raise BufferError_(
-            "PerDestinationBuffer needs admit_forwarded_at(packet, now); "
-            "use the node stack wrappers"
-        )
 
     # --- service -------------------------------------------------------------------
 

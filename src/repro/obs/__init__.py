@@ -3,12 +3,12 @@
 ``repro.obs`` sits *above* the simulation stack (scenarios, fidelity)
 and watches runs from the outside:
 
-* :mod:`repro.obs.stream` — the :class:`StreamPublisher`, a kernel
-  :class:`~repro.sim.kernel.RunMonitor` that writes a run's telemetry
+* :mod:`repro.obs.stream` — the :class:`StreamPublisher`, a
+  :class:`~repro.scenarios.runner.RunMonitor` that writes a run's telemetry
   records to its ``--metrics-out`` JSONL file while the run is in
   flight: new series points and events once per simulated second,
   every snapshot on close, and partial state (plus the replay-journal
-  tail) when a watchdog aborts the run — so a killed or wedged run
+  tail) when the run raises — so a killed or wedged run
   still leaves analyzable telemetry behind;
 * :mod:`repro.obs.health` — the in-run :class:`HealthMonitor`:
   an event-rate stall probe plus three detectors (starved flows,
@@ -22,10 +22,11 @@ and watches runs from the outside:
   monitor ticks and journals each one, so ``repro serve --replay``
   reproduces the exact run, digest and all.
 
-Everything here is strictly passive: monitors are ticked by the kernel
-*between* event dispatches, never via scheduled events, so enabling
-the full observability plane leaves the dispatched event sequence —
-and the replay digest — bit-identical.
+The stream and the health monitor are strictly passive: monitors are
+ticked by the kernel *between* event dispatches, never via scheduled
+events, so enabling them leaves the dispatched event sequence — and
+the replay digest — bit-identical.  The controller steers, but only
+from tick context and journaled.
 """
 
 from __future__ import annotations

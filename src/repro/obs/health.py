@@ -1,15 +1,15 @@
 """In-run health monitoring with deduplicated, cooldown-gated alerts.
 
-The :class:`HealthMonitor` is a kernel
-:class:`~repro.sim.kernel.RunMonitor`: the simulator ticks it between
+The :class:`HealthMonitor` is a
+:class:`~repro.scenarios.runner.RunMonitor`: the kernel ticks it between
 event dispatches on a simulated-clock cadence, and on each tick it
 runs two kinds of check:
 
 * one **liveness probe**, ``event_rate_stall``, over the kernel's own
   event counter: the run went quiet relative to its own history;
 * three **detectors** scanned up to ``now`` over a *partial*
-  :class:`~repro.scenarios.results.RunResult` snapshot supplied by the
-  scenario runner (its interval-rate series, and, when the run carried
+  :class:`~repro.scenarios.results.RunResult` snapshot of the bound
+  Session (its interval-rate series, and, when the run carried
   a :class:`~repro.telemetry.Telemetry`, the GMP events and the buffer
   occupancy trajectories):
 
@@ -449,8 +449,10 @@ LIVE_DETECTORS = (
 
 
 class HealthMonitor:
-    """Periodic in-run health evaluator (a kernel run monitor), ticked
-    every :data:`HEALTH_INTERVAL` simulated seconds.
+    """Periodic in-run health evaluator (a
+    :class:`~repro.scenarios.runner.RunMonitor`), ticked every
+    :data:`HEALTH_INTERVAL` simulated seconds.  The caller holds the
+    monitor and reads :meth:`alerts` after the run.
 
     Args:
         deliveries: alert delivery hooks.
@@ -462,44 +464,41 @@ class HealthMonitor:
         self, *, deliveries: tuple[Delivery, ...] | list[Delivery] = ()
     ) -> None:
         self.log = AlertLog(deliveries=deliveries)
-        self._sim: Any = None
-        self._snapshot: Callable[[], RunResult] | None = None
+        self._session: Any = None
         # (sim time, kernel events processed) history for the stall probe.
         self._event_history: list[tuple[float, int]] = []
         self.ticks = 0
-
-    def bind(self, sim: Any, snapshot: Callable[[], RunResult]) -> None:
-        """Attach to a simulator; ``snapshot`` builds the partial
-        :class:`RunResult` the detectors scan mid-flight."""
-        self._sim = sim
-        self._snapshot = snapshot
-        sim.attach_monitor(self)
 
     def alerts(self) -> list[Alert]:
         return self.log.alerts()
 
     # --- RunMonitor hooks --------------------------------------------------
 
+    def bind(self, session: Any) -> None:
+        """Watch ``session``: its event count feeds the stall probe and
+        its ``partial_result()`` is what the detectors scan mid-flight
+        (plain live state — no RNG, no scheduling — so a scan cannot
+        perturb the run)."""
+        self._session = session
+
     def on_tick(self, now: float) -> None:
         self.ticks += 1
-        if self._sim is not None:
-            self._event_history.append((now, self._sim.events_processed))
+        self._event_history.append((now, self._session.events_processed))
         if now < GRACE:
             return
         self._probe_event_rate(now)
         self._run_detectors(now)
 
     def on_abort(self, now: float, error: BaseException) -> None:
-        """A kernel watchdog tripped: record it as a critical alert so
-        every delivery hook sees the death certificate."""
+        """The run raised: record it as a critical alert so every
+        delivery hook sees the death certificate."""
         self.log.raise_alert(
             now, "watchdog_abort", "critical", {}, f"run aborted: {error}"
         )
 
-    def finalize(self, now: float) -> AlertLog:
-        """One last evaluation at the end of the run; returns the log."""
-        self.on_tick(now)
-        return self.log
+    def close(self, session: Any) -> None:
+        """One last evaluation at the end of the run."""
+        self.on_tick(session.now)
 
     # --- checks ------------------------------------------------------------
 
@@ -521,7 +520,7 @@ class HealthMonitor:
         baseline = anchor_events / anchor_time
         if baseline <= 0:
             return
-        current = self._sim.events_processed if self._sim is not None else 0
+        current = self._session.events_processed
         span = now - anchor_time
         if span <= 0:
             return
@@ -543,9 +542,7 @@ class HealthMonitor:
         cut-off and window grid to the planned duration, so each scan
         sees the windows the end-of-run scan will, cut at ``now``; none
         runs before one full window past warm-up has elapsed."""
-        if self._snapshot is None:
-            return
-        result = self._snapshot()
+        result = self._session.partial_result()
         if now <= result.duration * WARMUP_FRACTION + WINDOW:
             return
         for detector in LIVE_DETECTORS:

@@ -63,10 +63,13 @@ def _with_retries(read: Callable[[], Any]) -> Any:
 
 class ServeApi:
     """Route table + handlers, separated from the socket machinery so
-    tests can drive it without a listening server."""
+    tests can drive it without a listening server.  ``health`` and
+    ``stream`` are the session's monitors (None when it runs without)."""
 
-    def __init__(self, controller: Any) -> None:
+    def __init__(self, controller: Any, *, health: Any = None, stream: Any = None) -> None:
         self.controller = controller
+        self.health_monitor = health
+        self.stream = stream
 
     # --- helpers ---------------------------------------------------------------
 
@@ -81,7 +84,6 @@ class ServeApi:
     def status(self) -> dict[str, Any]:
         controller = self.controller
         handle = self._handle()
-        stream = handle.stream
         payload = {
             **handle.run_info(),
             "t": handle.now,
@@ -93,10 +95,10 @@ class ServeApi:
             "controller_ticks": controller.ticks,
             "last_tick": controller.last_tick,
         }
-        if stream is not None:
+        if self.stream is not None:
             payload["stream"] = {
-                "flushes": stream.flushes,
-                "records_streamed": stream.records_streamed,
+                "flushes": self.stream.flushes,
+                "records_streamed": self.stream.records_streamed,
             }
         return payload
 
@@ -109,7 +111,7 @@ class ServeApi:
         return _with_retries(lambda: render_metrics_prometheus(telemetry))
 
     def health(self) -> dict[str, Any]:
-        health = self._handle().health
+        health = self.health_monitor
         if health is None:
             return {"enabled": False}
         alerts = _with_retries(health.alerts)
@@ -123,7 +125,7 @@ class ServeApi:
         }
 
     def alerts(self) -> list[dict[str, Any]]:
-        health = self._handle().health
+        health = self.health_monitor
         if health is None:
             return []
         return _with_retries(
@@ -276,13 +278,13 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def make_server(
-    controller: Any, host: str, port: int
+    controller: Any, host: str, port: int, *, health: Any = None, stream: Any = None
 ) -> tuple[ThreadingHTTPServer, threading.Thread]:
     """Start the HTTP plane on a daemon thread; returns the live
     server (``server.server_address[1]`` is the bound port — pass
     ``port=0`` to let the OS pick) and its thread.  Call
     ``server.shutdown()`` then join the thread to stop it."""
-    api = ServeApi(controller)
+    api = ServeApi(controller, health=health, stream=stream)
     handler = type("BoundHandler", (_Handler,), {"api": api})
     server = ThreadingHTTPServer((host, port), handler)
     server.daemon_threads = True

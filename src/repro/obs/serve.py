@@ -15,8 +15,8 @@ endpoints (``/status``, ``/metrics``, ``/health``, ``/alerts``,
 **Determinism by construction.**  HTTP threads never touch simulation
 state: a control request only enqueues a command on the
 :class:`ServeController`'s thread-safe queue and returns ``202`` with
-the command's sequence number.  The controller is a kernel
-:class:`~repro.sim.kernel.RunMonitor`; at each monitor tick — a
+the command's sequence number.  The controller is the run's
+``control`` :class:`~repro.scenarios.runner.RunMonitor`; at each tick — a
 deterministic function of the simulated clock — it drains the queue on
 the *simulation* thread, applies each command through the run's
 :class:`~repro.scenarios.runner.Session` (flow graft/retire via
@@ -31,9 +31,9 @@ instant, and must reproduce the identical event digest (L0), observable
 digest (L1) and dispatched-event count — the journal's ``serve_close``
 record carries all three for self-verification.
 
-Wall-clock pacing (:meth:`Simulator.run`'s ``pace``) only ever sleeps,
-so the digest is invariant across pace settings, including the
-free-running replay.
+The controller also paces the run to the wall clock, at command-tick
+granularity; it only ever sleeps, so the digest is invariant across
+pace settings, including the free-running replay.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ class CommandQueue:
             return len(self._items)
 
 
-# --- the controller (a kernel run monitor) --------------------------------------
+# --- the controller (the run's control monitor) ---------------------------------
 
 
 @dataclass
@@ -182,7 +182,8 @@ class AppliedCommand:
 
 
 class ServeController:
-    """Applies queued control commands at kernel monitor ticks.
+    """Applies queued control commands at monitor ticks, and paces the
+    run to the wall clock.
 
     Live mode (``script=None``): commands arrive via :meth:`submit`
     from any thread; each tick drains the queue, applies the commands
@@ -198,12 +199,18 @@ class ServeController:
     times are deterministic functions of the event sequence, so the
     replayed commands land at the identical simulated instants and the
     run reproduces the live session's digest.
+
+    Pacing (``pace`` simulated seconds per wall second, None to run
+    free): each tick, once its commands are applied, sleeps until the
+    wall time since :meth:`bind` reaches ``now / pace``.  It only
+    sleeps, so the run is the same at every pace.
     """
 
     def __init__(
         self,
         *,
         interval: float = 0.25,
+        pace: float | None = None,
         journal: Callable[[dict[str, Any]], None] | None = None,
         script: list[AppliedCommand] | None = None,
     ) -> None:
@@ -211,28 +218,25 @@ class ServeController:
             raise ConfigError(
                 f"command interval must be positive and finite: {interval}"
             )
+        if pace is not None and not 0 < pace < math.inf:
+            raise ConfigError(f"pace must be positive and finite: {pace}")
         self.interval = interval
+        self.pace = pace
         self._journal = journal
         self._script = script
         self._script_index = 0
         self.queue = CommandQueue()
         self.applied: list[AppliedCommand] = []
-        self.sim: Any = None
         self.handle: Any = None
         self.ticks = 0
         self.last_tick = 0.0
         self.ended_at: float | None = None
         self.aborted: str | None = None
+        self._stopped = False
+        self._wall_origin = 0.0  # when the run, bound at t=0, starts
         self._wall_last = 0.0
         self._events_last = 0
         self.events_per_sec = 0.0
-
-    def bind(self, sim: Any, handle: Any) -> None:
-        """Called by the runner with its ``Session`` as ``handle``."""
-        self.sim = sim
-        self.handle = handle
-        self._wall_last = time.monotonic()
-        sim.attach_monitor(self)
 
     def submit(self, op: str, args: dict[str, Any]) -> int:
         """Enqueue a command from any thread; returns its sequence
@@ -241,14 +245,19 @@ class ServeController:
             raise ConfigError("replay controller does not accept live commands")
         return self.queue.submit(op, args)
 
-    # --- tick-context application ---------------------------------------------
+    # --- RunMonitor hooks -------------------------------------------------------
+
+    def bind(self, session: Any) -> None:
+        """Steer ``session`` (a :class:`~repro.scenarios.runner.Session`)."""
+        self.handle = session
+        self._wall_origin = self._wall_last = time.monotonic()
 
     def on_tick(self, now: float) -> None:
         self.ticks += 1
         self.last_tick = now
         wall = time.monotonic()
         if wall > self._wall_last:
-            events = self.sim.events_processed
+            events = self.handle.events_processed
             self.events_per_sec = (events - self._events_last) / (
                 wall - self._wall_last
             )
@@ -261,9 +270,13 @@ class ServeController:
                     break
                 self._script_index += 1
                 self._apply(command.seq, now, command.op, command.args)
-            return
-        for seq, op, args in self.queue.drain():
-            self._apply(seq, now, op, args)
+        else:
+            for seq, op, args in self.queue.drain():
+                self._apply(seq, now, op, args)
+        if self.pace is not None and not self._stopped:
+            lag = self._wall_origin + now / self.pace - time.monotonic()
+            if lag > 0:
+                time.sleep(lag)
 
     def on_abort(self, now: float, error: BaseException) -> None:
         self.aborted = f"{type(error).__name__}: {error}"
@@ -272,9 +285,10 @@ class ServeController:
                 {"record": "serve_abort", "t": now, "error": self.aborted}
             )
 
-    def finalize(self, now: float) -> None:
-        """Called by the runner after ``sim.run`` returns."""
-        self.ended_at = now
+    def close(self, session: Any) -> None:
+        self.ended_at = session.now
+
+    # --- tick-context application ---------------------------------------------
 
     def _apply(
         self, seq: int, now: float, op: str, args: dict[str, Any]
@@ -320,6 +334,7 @@ class ServeController:
             return {"applied": handle.inject_fault(event)}
         if op == "shutdown":
             handle.stop()
+            self._stopped = True
             return {"stopped_at": now}
         raise ConfigError(f"unknown control op {op!r}")
 
@@ -435,7 +450,7 @@ def serve_session(
     alerts_path = os.path.join(config.session_dir, "alerts.jsonl")
     journal = SessionJournal(journal_path, header)
     controller = ServeController(
-        interval=config.command_interval, journal=journal.write
+        interval=config.command_interval, pace=config.pace, journal=journal.write
     )
 
     telemetry = Telemetry(enabled=True)
@@ -446,8 +461,11 @@ def serve_session(
     health = None
     if config.health:
         health = HealthMonitor(deliveries=[jsonl_delivery(alerts_path)])
+    monitors = [monitor for monitor in (stream, health) if monitor is not None]
 
-    server, server_thread = make_server(controller, config.host, config.port)
+    server, server_thread = make_server(
+        controller, config.host, config.port, health=health, stream=stream
+    )
     port = server.server_address[1]
     emit(f"serving {spec.scenario} on http://{config.host}:{port}")
     if ready is not None:
@@ -460,10 +478,8 @@ def serve_session(
         result = spec.run(
             telemetry=telemetry,
             sanitizer=sanitizer,
-            stream=stream,
-            health=health,
+            monitors=monitors,
             control=controller,
-            pace=config.pace,
         )
     except ReproError as error:
         error_text = f"{type(error).__name__}: {error}"
@@ -501,11 +517,7 @@ def serve_session(
                 "replay_digest": digest,
                 "observable_digest": observable,
                 "flows_measured": len(result.flow_rates),
-                "alerts": (
-                    len(result.extras["health"].alerts())
-                    if "health" in result.extras
-                    else 0
-                ),
+                "alerts": len(health.alerts()) if health is not None else 0,
             }
         )
     else:

@@ -2,8 +2,8 @@
 
 The :class:`StreamPublisher` writes a run's in-memory
 :class:`~repro.telemetry.Telemetry` to a JSONL file *while the run is
-in flight* (``--metrics-out PATH``).  It implements the kernel's
-:class:`~repro.sim.kernel.RunMonitor` protocol: the simulator ticks it
+in flight* (``--metrics-out PATH``).  It is a
+:class:`~repro.scenarios.runner.RunMonitor`: the kernel ticks it
 between event dispatches each time the simulated clock crosses
 :data:`STREAM_INTERVAL`, and on each tick it writes every series point
 and telemetry event recorded since the previous tick, then flushes the
@@ -12,16 +12,19 @@ file.  Records are built by the constructors in
 
 Lifecycle:
 
-* open — the file is truncated and gets a ``stream_open`` record;
-* ``close(now)`` (clean end of run) — write the incremental tail, the
-  final ``run`` header and one snapshot record per instrument in the
-  canonical order, then ``stream_close``.  Reordered by series, a
+* ``bind(session)`` — the file is truncated and gets a ``stream_open``
+  record.  The Session binds its monitors only once the run is
+  validated and assembled, so a refused run writes no file;
+* ``close(session)`` (clean end of run) — write the incremental tail,
+  the final ``run`` header and one snapshot record per instrument in
+  the canonical order, then ``stream_close``.  Reordered by series, a
   closed stream is the canonical record layout byte for byte (pinned
   by ``tests/test_obs_stream.py``).
-* ``on_abort(now, error)`` (kernel watchdog tripped) — the same tail
-  plus a ``stream_abort`` record, partial snapshots and the tail of the
-  replay sanitizer's event journal, so a wedged run leaves behind both
-  its telemetry and the last events it dispatched before dying.
+* ``on_abort(now, error)`` (the run raised: a kernel watchdog, say) —
+  the same tail plus a ``stream_abort`` record, partial snapshots and
+  the tail of the replay sanitizer's event journal, so a wedged run
+  leaves behind both its telemetry and the last events it dispatched
+  before dying.
 
 The publisher only ever *reads* simulator state; it schedules nothing
 and draws no randomness, so streaming leaves the dispatched event
@@ -58,7 +61,7 @@ class StreamPublisher:
 
     Args:
         telemetry: the run's (enabled) telemetry instance.
-        path: the JSONL file; truncated at open.
+        path: the JSONL file; truncated when the run binds the stream.
     """
 
     interval = STREAM_INTERVAL
@@ -66,11 +69,9 @@ class StreamPublisher:
     def __init__(self, telemetry: Telemetry, path: str) -> None:
         if not telemetry.enabled:
             raise ConfigError("streaming needs an enabled Telemetry instance")
-        try:
-            self._handle = open(path, "w", encoding="utf-8")
-        except OSError as error:
-            raise ConfigError(f"cannot write telemetry to {path}: {error}") from None
         self.telemetry = telemetry
+        self.path = path
+        self._handle: Any = None
         self._series_cursors: dict[Any, int] = {}
         self._event_cursor = 0
         self._sanitizer: Any = None
@@ -78,16 +79,10 @@ class StreamPublisher:
         self.records_streamed = 0
         self.closed = False
         self.aborted = False
-        self._emit({"record": "stream_open", "interval": self.interval})
 
     def _emit(self, record: dict[str, Any]) -> None:
         self._handle.write(_encode(record) + "\n")
         self.records_streamed += 1
-
-    def bind(self, sim: Any) -> None:
-        """Attach to a simulator as a passive run monitor."""
-        sim.attach_monitor(self)
-        self._sanitizer = getattr(sim, "sanitizer", None)
 
     def _flush_increments(self) -> None:
         """Write every series point and event recorded since the last
@@ -117,8 +112,21 @@ class StreamPublisher:
 
     # --- RunMonitor hooks --------------------------------------------------
 
+    def bind(self, session: Any) -> None:
+        """Open the file and write ``stream_open``.
+
+        Raises:
+            ConfigError: if the file cannot be written.
+        """
+        try:
+            self._handle = open(self.path, "w", encoding="utf-8")
+        except OSError as error:
+            raise ConfigError(f"cannot write telemetry to {self.path}: {error}") from None
+        self._sanitizer = session.sanitizer
+        self._emit({"record": "stream_open", "interval": self.interval})
+
     def on_tick(self, now: float) -> None:
-        """Kernel hook: write the increments, make them durable."""
+        """Write the increments, make them durable."""
         if self.closed:
             return
         self._flush_increments()
@@ -126,14 +134,14 @@ class StreamPublisher:
         self._handle.flush()
 
     def on_abort(self, now: float, error: BaseException) -> None:
-        """Kernel hook: a watchdog tripped — dump everything we have.
+        """The run raised — dump everything we have.
 
         Writes the incremental tail, a ``stream_abort`` marker, the
         final partial snapshots, and the tail of the replay journal
         (when a sanitizer is attached), then closes the file.  The
         stream cannot be reconstructed into a clean run's layout — the
         run never finished — but every record up to the abort is on
-        disk when the watchdog error propagates.
+        disk when the run's error propagates.
         """
         if self.closed:
             return
@@ -160,11 +168,12 @@ class StreamPublisher:
         self.aborted = True
         self._finish()
 
-    def close(self, now: float) -> None:
+    def close(self, session: Any) -> None:
         """End of a clean run: write the tail, the final header and
-        snapshot block, and ``stream_close``; close the file.
+        snapshot block, and ``stream_close`` at ``session.now``; close
+        the file.
 
-        Call *after* ``telemetry.finalize`` and after ``run_info`` has
+        Called *after* ``telemetry.finalize`` and after ``run_info`` has
         its final fields, so the header and snapshots are final.
         """
         if self.closed:
@@ -174,7 +183,7 @@ class StreamPublisher:
         self._emit(
             {
                 "record": "stream_close",
-                "t": now,
+                "t": session.now,
                 "flushes": self.flushes,
                 "records": self.records_streamed + 1,
             }

@@ -26,12 +26,11 @@ import hashlib
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Any
+from typing import Any, Protocol
 
 from repro.analysis.maxmin_reference import MaxminSolution, weighted_maxmin_rates
 from repro.analysis.resilience import per_arrival_convergence
 from repro.analysis.throughput import effective_network_throughput
-from repro.baselines.dcf_plain import plain_dcf_buffer
 from repro.baselines.two_phase import two_phase_rates
 from repro.buffers.backpressure import BufferOracleGate, OverhearingGate
 from repro.buffers.queues import (
@@ -39,6 +38,7 @@ from repro.buffers.queues import (
     PerDestinationBuffer,
     PerFlowBuffer,
     SharedBackpressureBuffer,
+    SharedFifoBuffer,
 )
 from repro.churn.engine import ChurnEngine
 from repro.churn.spec import ChurnSpec
@@ -89,6 +89,39 @@ PROTOCOLS = ("gmp", "802.11", "2pp", "backpressure-shared", "backpressure-perdes
 SUBSTRATES = ("dcf", "fluid")
 
 
+class RunMonitor(Protocol):
+    """What watches or steers one run: the telemetry stream, the health
+    monitor, a served session's controller.
+
+    The :class:`Session` drives every monitor the same way: ``bind``
+    after the stack is assembled, then attached to the kernel, which
+    calls ``on_tick`` *between* event dispatches each time the
+    simulated clock crosses the next multiple of ``interval``;
+    ``on_abort`` when the run raises (the error is re-raised after
+    every monitor has seen it); ``close`` after a clean run, once
+    telemetry is finalized.  A tick is not an event, so a passive
+    monitor (stream, health) never schedules, never draws randomness
+    and never mutates model state: the dispatched event sequence is
+    the same with it or without it.  The controller steers the run,
+    but only from tick context and journaled, so an identical command
+    journal replays the identical run.
+    """
+
+    interval: float
+
+    def bind(self, session: Session) -> None:
+        """The run is assembled; nothing has been dispatched yet."""
+
+    def on_tick(self, now: float) -> None:
+        """The simulated clock reached the monitor's next due time."""
+
+    def on_abort(self, now: float, error: BaseException) -> None:
+        """The run raised ``error`` at ``now``."""
+
+    def close(self, session: Session) -> None:
+        """The run ended cleanly; telemetry is final."""
+
+
 @dataclass(eq=False, kw_only=True)
 class Session:
     """One :func:`run_scenario` call as an object, built in five stages.
@@ -96,24 +129,23 @@ class Session:
 
     *Validate* (construction) rejects what the observers make invalid
     and resolves defaults; *assemble* builds the stack; *attach*
-    schedules the measurement events and binds the stream / health /
-    control monitors; *run* drives the kernel; *collect* turns live
-    state into the returned :class:`~repro.scenarios.results.RunResult`.
-    What is assembled once lives on the instance, so the three
-    consumers of "rates so far against the maxmin reference" — the
-    health tick, the HTTP plane and the end-of-run collection — read
-    one measurement, one cached reference and one snapshot.
+    schedules the measurement events and binds every
+    :class:`RunMonitor` (``monitors``, then ``control``); *run* drives
+    the kernel; *collect* turns live state into the returned
+    :class:`~repro.scenarios.results.RunResult` and closes the
+    monitors.  What is assembled once lives on the instance, so the
+    three consumers of "rates so far against the maxmin reference" —
+    the health tick, the HTTP plane and the end-of-run collection —
+    read one measurement, one cached reference and one snapshot.
 
-    A ``control`` monitor receives the session itself via
-    ``control.bind(sim, session)``.  Mutating methods
-    (:meth:`add_flow`, :meth:`remove_flow`, :meth:`inject_fault`,
-    :meth:`stop`) steer the simulation and must only be called from
-    kernel context — a callback or a monitor tick on the simulation
-    thread; the service layer guarantees that by queueing commands and
-    applying them at ticks.  Read methods are safe to call from other
-    threads (they only read live state), with the usual monitoring
-    caveat that a concurrent mutation can surface as a transient
-    ``RuntimeError`` the reader should retry.
+    Mutating methods (:meth:`add_flow`, :meth:`remove_flow`,
+    :meth:`inject_fault`, :meth:`stop`) steer the simulation and must
+    only be called from kernel context — a callback or a monitor tick
+    on the simulation thread; the service layer guarantees that by
+    queueing commands and applying them at ticks.  Read methods are
+    safe to call from other threads (they only read live state), with
+    the usual monitoring caveat that a concurrent mutation can surface
+    as a transient ``RuntimeError`` the reader should retry.
     """
 
     scenario: Scenario
@@ -134,10 +166,8 @@ class Session:
     wall_deadline: float | None = None
     telemetry: Telemetry | None = None
     sanitizer: ReplaySanitizer | None = None
-    stream: Any = None
-    health: Any = None
-    control: Any = None
-    pace: float | None = None
+    monitors: tuple[RunMonitor, ...] = ()
+    control: RunMonitor | None = None
 
     # --- stage 1: validate ------------------------------------------------------
 
@@ -161,18 +191,31 @@ class Session:
         if self.check_invariants is None:
             self.check_invariants = self.substrate == "fluid"
         self.gmp_config = self.gmp_config or GmpConfig()
+        # Bound, ticked, told of an error and closed in this order.
+        control = () if self.control is None else (self.control,)
+        self._monitors = (*self.monitors, *control)
 
     def run(self) -> RunResult:
-        """Assemble, attach instrumentation, run the kernel, collect."""
+        """Assemble, attach instrumentation, run the kernel, collect.
+        If the run raises, every monitor's ``on_abort`` sees the error
+        first; a hook that raises in turn never masks it."""
         self._assemble()
         self._attach()
-        self.sim.run(
-            until=self.duration,
-            max_events=self.max_events,
-            stall_limit=self.stall_limit,
-            wall_deadline=self.wall_deadline,
-            pace=self.pace,
-        )
+        sim = self.sim
+        try:
+            sim.run(
+                until=self.duration,
+                max_events=self.max_events,
+                stall_limit=self.stall_limit,
+                wall_deadline=self.wall_deadline,
+            )
+        except Exception as error:
+            for monitor in self._monitors:
+                try:
+                    monitor.on_abort(sim.now, error)
+                except Exception:  # noqa: BLE001 - a failing hook must
+                    pass  # never mask the run's own error
+            raise
         return self._collect()
 
     # --- stage 2: assemble ------------------------------------------------------
@@ -343,7 +386,7 @@ class Session:
             return routes.next_hop(node_id, dest)
 
         if self.protocol == "802.11":
-            return plain_dcf_buffer(node_id, next_hop)
+            return SharedFifoBuffer(node_id, next_hop)
         if self.protocol == "2pp":
             return PerFlowBuffer(node_id, next_hop, per_flow_capacity=10)
         if self.protocol == "backpressure-shared":
@@ -385,15 +428,9 @@ class Session:
                 index += 1
             sim.call_at(duration, self._sample, tag="runner.sample")
 
-        if self.stream is not None:
-            self.stream.bind(sim)
-        if self.health is not None:
-            # The monitor scans a *partial* result each tick.  Everything
-            # the snapshot touches is plain live state — no RNG, no event
-            # scheduling — so health checks cannot perturb the run.
-            self.health.bind(sim, self.partial_result)
-        if self.control is not None:
-            self.control.bind(sim, self)
+        for monitor in self._monitors:
+            monitor.bind(self)
+            sim.attach_monitor(monitor)
 
     def _mark_warmup(self) -> None:
         for flow_id, flow in self.all_flows.items():
@@ -635,9 +672,6 @@ class Session:
     def _collect(self) -> RunResult:
         sim, gmp, telemetry = self.sim, self.gmp, self.telemetry
         extras = self.extras
-        if self.control is not None:
-            self.control.finalize(sim.now)
-
         extras["events_processed"] = sim.events_processed
         if telemetry is not None and telemetry.enabled:
             telemetry.finalize(sim.now)
@@ -647,13 +681,10 @@ class Session:
             telemetry.run_info.update(header)
             if gmp is not None:
                 extras.update(self._reference_extras())
-        if self.stream is not None:
-            # After telemetry.finalize and the run_info update, so the
-            # streamed header and snapshot block carry exactly what the
-            # end-of-run JSONL export would.
-            self.stream.close(sim.now)
-        if self.health is not None:
-            extras["health"] = self.health.finalize(sim.now)
+        # After telemetry.finalize and the run_info update, so a
+        # stream's header and snapshot block are final.
+        for monitor in self._monitors:
+            monitor.close(self)
 
         result = self._measure(extras)
         flow_rates = result.flow_rates
@@ -786,38 +817,23 @@ def run_scenario(scenario: Scenario, **inputs: Any) -> RunResult:
             into its rolling digest (passively — observation never
             schedules); the final digest lands in
             ``extras["replay_digest"]``.
-        stream: optional streaming publisher (duck-typed to avoid a
-            layering cycle — :class:`repro.obs.stream.StreamPublisher`
-            in practice; it must wrap the same ``telemetry`` instance).
-            Bound to the kernel as a passive run monitor before the
-            run and closed after telemetry is finalized, so killed or
-            wedged runs leave their telemetry in the stream's file.
-        health: optional in-run health monitor (duck-typed —
-            :class:`repro.obs.health.HealthMonitor` in practice).
-            Ticked by the kernel on its own cadence, it runs an
-            event-rate stall probe and the anomaly detectors up to the
-            current time over a partial result snapshot; the final
-            :class:`~repro.obs.health.AlertLog` lands in
-            ``extras["health"]``.  Neither hook schedules events or
-            draws randomness: the dispatched event sequence (and the
-            replay digest) is identical with or without them.
-        control: optional service-mode controller (duck-typed —
-            :class:`repro.obs.serve.ServeController` in practice).  The
-            runner assembles a command-driven churn engine and a live
-            fault injector, which (plus live measurement and the
-            explainer inputs) the run's :class:`Session` exposes, and calls
-            ``control.bind(sim, session)`` before the run.  The
-            controller is a kernel run monitor: commands it applies at
-            monitor ticks (flow arrivals/departures, faults, stop) *do*
-            steer the simulation — but only from tick context, so an
-            identical command sequence applied at identical tick times
-            reproduces the identical run (the replay story of
-            :mod:`repro.obs.serve`).  The engine's report lands in
-            ``extras["control_report"]``.
-        pace: ceiling on simulated seconds per wall-clock second
-            (forwarded to :meth:`~repro.sim.kernel.Simulator.run`);
-            ``None`` is free-running.  Pacing only sleeps — it never
-            changes what the simulation does.
+        monitors / control: the run's :class:`RunMonitor` observers,
+            in order — in practice a
+            :class:`repro.obs.stream.StreamPublisher` (the
+            ``--metrics-out`` file, written while the run is in flight)
+            and a :class:`repro.obs.health.HealthMonitor` (whose alerts
+            the caller reads) — and the one that steers it, a
+            :class:`repro.obs.serve.ServeController`.  Each is bound
+            after assembly, ticked by the kernel between dispatches,
+            told of an error the run raises, and closed after telemetry
+            is finalized; ``control`` comes last.  Observers neither
+            schedule events nor draw randomness, so the event sequence
+            (and the replay digest) is the same with or without them.
+            ``control`` changes assembly (a command-driven churn engine
+            and a live fault injector; its report lands in
+            ``extras["control_report"]``) and steers only from tick
+            context, so the same command journal replays the same run
+            (:mod:`repro.obs.serve`).
 
     Raises:
         ConfigError: on 2PP under ``control``, or a rate-capped
@@ -826,6 +842,8 @@ def run_scenario(scenario: Scenario, **inputs: Any) -> RunResult:
             the substrate lacks.
         InvariantError: if the end-of-run audit fails.
         SimulationError: when a kernel watchdog trips.
+        Whatever a monitor's ``bind`` raises: a stream whose file
+            cannot be written raises ConfigError before the first event.
     """
     return Session(scenario=scenario, **inputs).run()
 

@@ -78,11 +78,12 @@ RANDOM = "random"
 #: defaults to 1 and desired rate to the paper's 800 pkt/s.
 LITERAL = "literal"
 
-#: The keywords :meth:`RunSpec.run` accepts: they observe the run, pace
-#: it, bound it, audit it, or (``control``) steer it through a journal
-#: of their own, and none is part of the spec's identity.
+#: The keywords :meth:`RunSpec.run` accepts: they observe the run
+#: (``monitors`` among them), bound it, audit it, or (``control``) steer
+#: it through a journal of their own, and none is part of the spec's
+#: identity.
 OBSERVERS = frozenset(
-    "telemetry sanitizer stream health control pace "
+    "telemetry sanitizer monitors control "
     "max_events stall_limit wall_deadline check_invariants".split()
 )
 

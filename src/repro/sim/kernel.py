@@ -20,13 +20,13 @@ Collection is strictly passive: the kernel never schedules events on
 behalf of telemetry, so an instrumented run dispatches exactly the
 same events as a bare one.
 
-Monitors: :meth:`Simulator.attach_monitor` accepts passive
-:class:`RunMonitor` observers (the telemetry stream, the in-run
-health monitor) whose ticks are paced by the simulated clock but fire
-*between* event dispatches — they appear nowhere in the event queue,
-so the replay digest of a monitored run is byte-identical to a bare
-one.  Watchdog aborts call each monitor's ``on_abort`` hook first, so
-diagnostics are flushed instead of dying with the process.
+Monitors: :meth:`Simulator.attach_monitor` takes the run's monitors
+(:class:`repro.scenarios.runner.RunMonitor`; the Session attaches
+them), whose ticks follow the simulated clock but fire *between*
+event dispatches — they appear nowhere in the event queue, so the
+replay digest of a monitored run is byte-identical to a bare one.
+The kernel only ticks them: binding, abort notification and closing
+are the Session's.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import time as _time
 from bisect import bisect_left
 from collections import Counter
 from heapq import heappush
-from typing import Callable, Protocol
+from typing import Any, Callable
 
 from repro.errors import SimulationError
 from repro.sim.event import DEFAULT_PRIORITY, Event, EventQueue
@@ -56,36 +56,6 @@ _THROUGHPUT_WINDOW = 4096
 #: (plus overflow); p50/p95/p99 are interpolated inside a bucket, so
 #: the estimate error is bounded by one doubling.
 WALL_TIME_BOUNDS: tuple[float, ...] = tuple(1e-7 * (2**i) for i in range(26))
-
-
-class RunMonitor(Protocol):
-    """Passive observer paced by the simulated clock.
-
-    Attached via :meth:`Simulator.attach_monitor`, a monitor's
-    :meth:`on_tick` is invoked *between* event dispatches whenever the
-    simulated clock first reaches its next due time — the kernel never
-    schedules events on a monitor's behalf, so attaching one cannot
-    change the dispatched event sequence (the replay digest is pinned
-    byte-identical by tests).  Monitors must honor the same contract as
-    telemetry: never schedule, never touch the RNG registry, never
-    mutate model state.
-
-    Optional hooks (looked up by name, so plain objects qualify):
-
-    * ``on_abort(now, error)`` — called when a kernel watchdog
-      (stall/budget/deadline) is about to abort the run, so the
-      telemetry stream can flush diagnostics that would otherwise die with the
-      process.
-    """
-
-    @property
-    def interval(self) -> float:
-        """Simulated seconds between :meth:`on_tick` invocations."""
-        ...
-
-    def on_tick(self, now: float) -> None:
-        """The clock reached the monitor's next due time."""
-        ...
 
 
 class Timer:
@@ -187,7 +157,7 @@ class Simulator:
         #: (passively — it never schedules) so two runs can be diffed.
         self.sanitizer = sanitizer
         self._events_processed = 0
-        self._monitors: list[RunMonitor] = []
+        self._monitors: list[Any] = []
         self._monitor_due: list[float] = []
 
     # --- clock ------------------------------------------------------------
@@ -316,8 +286,9 @@ class Simulator:
 
     # --- monitors -----------------------------------------------------------
 
-    def attach_monitor(self, monitor: RunMonitor) -> None:
-        """Attach a passive :class:`RunMonitor`.
+    def attach_monitor(self, monitor: Any) -> None:
+        """Tick ``monitor`` (anything with a positive ``interval`` and
+        an ``on_tick(now)``) on the simulated clock.
 
         The monitor's first tick is one ``interval`` from now; ticks
         fire from inside the dispatch loop (between callbacks) when the
@@ -351,20 +322,6 @@ class Simulator:
             monitor.on_tick(now)
         return min(self._monitor_due)
 
-    def _watchdog_abort(self, message: str) -> SimulationError:
-        """Build the watchdog error and give every monitor a chance to
-        flush diagnostics before the run dies with it."""
-        error = SimulationError(message)
-        for monitor in self._monitors:
-            hook = getattr(monitor, "on_abort", None)
-            if hook is None:
-                continue
-            try:
-                hook(self.now, error)
-            except Exception:  # noqa: BLE001 - a failing flush must
-                pass  # never mask the watchdog diagnosis itself
-        return error
-
     # --- run control --------------------------------------------------------
 
     def stop(self) -> None:
@@ -379,7 +336,6 @@ class Simulator:
         max_events: int | None = None,
         stall_limit: int | None = None,
         wall_deadline: float | None = None,
-        pace: float | None = None,
     ) -> float:
         """Dispatch events in time order.
 
@@ -395,12 +351,6 @@ class Simulator:
             wall_deadline: real-time budget in seconds; checked every
                 512 events, so overshoot is bounded by that many
                 handlers, not one.
-            pace: ceiling on simulated seconds advanced per wall-clock
-                second (``pace=20`` runs at most 20x real time; ``None``
-                is free-running).  Pacing only ever *sleeps* before an
-                event — it never feeds wall time into the model — so the
-                dispatched event sequence, and hence the replay digest,
-                are identical at every pace.
 
         Returns:
             The simulation time when the run stopped.
@@ -419,8 +369,6 @@ class Simulator:
             raise SimulationError(
                 f"wall_deadline must be positive and finite: {wall_deadline}"
             )
-        if pace is not None and not 0 < pace < math.inf:
-            raise SimulationError(f"pace must be positive and finite: {pace}")
         self._running = True
         self._stopped = False
         wall_start = _time.monotonic() if wall_deadline is not None else 0.0
@@ -452,28 +400,8 @@ class Simulator:
         monitor_due = (
             min(self._monitor_due) if self._monitors else float("inf")
         )
-        pace_origin = self.now
-        pace_start = _time.monotonic() if pace is not None else 0.0
         try:
             while not self._stopped:
-                if pace is not None:
-                    # Throttle before the pop: the head event must not
-                    # run before its wall due time.  Sleeps are chunked
-                    # so an external stop() is honored promptly and
-                    # leaves the head queued.
-                    if not queue:
-                        break
-                    head = queue.peek_time()
-                    if until is not None and head > until:
-                        break
-                    target = (head - pace_origin) / pace
-                    while not self._stopped:
-                        lag = target - (_time.monotonic() - pace_start)
-                        if lag <= 0:
-                            break
-                        _time.sleep(min(lag, 0.2))
-                    if self._stopped:
-                        break
                 event = pop(until)
                 if event is None:
                     break
@@ -496,13 +424,13 @@ class Simulator:
                                 f"{tag} x{count}"
                                 for tag, count in Counter(stalled_tags).most_common(5)
                             )
-                            raise self._watchdog_abort(
+                            raise SimulationError(
                                 f"simulated clock stalled at t={self.now:.9f}: "
                                 f"{events_at_now} events without advancing; "
                                 f"offending tags: {offenders}"
                             )
                 if max_events is not None and processed > max_events:
-                    raise self._watchdog_abort(
+                    raise SimulationError(
                         f"exceeded max_events={max_events}; runaway model?"
                     )
                 if (
@@ -510,7 +438,7 @@ class Simulator:
                     and processed % 512 == 0
                     and _time.monotonic() - wall_start > wall_deadline
                 ):
-                    raise self._watchdog_abort(
+                    raise SimulationError(
                         f"wall-clock deadline of {wall_deadline:g}s "
                         f"exceeded at t={self.now:.6f} after "
                         f"{self._events_processed} events"
@@ -544,10 +472,10 @@ class Simulator:
                             )
                         window_start = wall_now
                 if at >= monitor_due:
-                    # Paced by the simulated clock but invoked between
-                    # callbacks: monitors observe, never schedule, so
-                    # the event sequence — and the replay digest — are
-                    # untouched.
+                    # Due by the simulated clock but invoked between
+                    # callbacks: a tick is not an event, so a passive
+                    # monitor leaves the event sequence — and the
+                    # replay digest — untouched.
                     monitor_due = self._tick_monitors()
             if until is not None and not self._stopped and self.now < until:
                 self.now = until

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.buffers.queues import BufferPolicy, PerDestinationBuffer
+from repro.buffers.queues import BufferPolicy
 from repro.errors import ProtocolError
 from repro.flows.packet import Packet
 from repro.mac.base import MacLayer, NodeServices
@@ -64,16 +64,9 @@ class NodeStack:
         self.buffer = buffer_policy
         self.mac = mac
         self.observer = observer
-        # Admission, bound once: the per-destination policy takes the
-        # clock with each packet, the others do not.
-        if isinstance(buffer_policy, PerDestinationBuffer):
-            self._admit_local_at = buffer_policy.admit_local_at
-            self._admit_forwarded_at = buffer_policy.admit_forwarded_at
-        else:
-            local, forwarded = buffer_policy.admit_local, buffer_policy.admit_forwarded
-            self._admit_local_at = lambda packet, _now: local(packet)
-            self._admit_forwarded_at = lambda packet, _now: forwarded(packet)
-        # The MACs' pulls and the overhearing gate, bound once too.
+        # Admission, the MACs' pulls and the overhearing gate, bound once.
+        self._admit_local_at = buffer_policy.admit_local_at
+        self._admit_forwarded_at = buffer_policy.admit_forwarded_at
         self._pull = buffer_policy.dequeue
         self._pull_for = buffer_policy.dequeue_for
         self._has_pending = buffer_policy.has_pending

@@ -8,6 +8,7 @@ import itertools
 import json
 from collections import deque
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any
 
 from repro.errors import ConfigError, TopologyError
@@ -436,10 +437,18 @@ def jsonl_text(records) -> str:
     return "".join(json.dumps(record, default=str) + "\n" for record in records)
 
 
+def bare_session(now: float = 0.0) -> SimpleNamespace:
+    """What a monitor reads of a Session to bind and close outside a
+    run: no sanitizer, the clock at ``now``."""
+    return SimpleNamespace(sanitizer=None, now=now)
+
+
 def stream_file(path: Path, telemetry: Telemetry, now: float = 0.0) -> list[dict[str, Any]]:
     """Stream ``telemetry`` as it stands to ``path`` (opened, then
     closed at ``now``) and return the file's records."""
-    StreamPublisher(telemetry, str(path)).close(now)
+    publisher = StreamPublisher(telemetry, str(path))
+    publisher.bind(bare_session())
+    publisher.close(bare_session(now))
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.baselines.dcf_plain import PLAIN_BUFFER_CAPACITY, plain_dcf_buffer
 from repro.baselines.lp import maximize_total_extra
 from repro.baselines.two_phase import two_phase_rates
+from repro.buffers.queues import SharedFifoBuffer
 from repro.errors import AnalysisError
 from repro.flows.flow import FlowSet
 from repro.routing.link_state import link_state_routes
@@ -15,8 +15,10 @@ from repro.topology.contention import ContentionGraph
 
 
 def test_plain_buffer_configuration():
-    buffer = plain_dcf_buffer(3, lambda dest: 4)
-    assert buffer.capacity == PLAIN_BUFFER_CAPACITY == 300
+    # The plain-802.11 baseline's buffer is a shared FIFO of the
+    # paper's 300 packets (§7): the default the runner builds.
+    buffer = SharedFifoBuffer(3, lambda dest: 4)
+    assert buffer.capacity == 300
     assert buffer.node_id == 3
 
 

@@ -28,8 +28,8 @@ class TestSharedFifo:
     def test_fifo_order(self):
         buf = SharedFifoBuffer(0, next_hop_via_5, capacity=10)
         first, second = make_packet(flow_id=1), make_packet(flow_id=2)
-        buf.admit_local(first)
-        buf.admit_local(second)
+        buf.admit_local_at(first, 0.0)
+        buf.admit_local_at(second, 0.0)
         packet, hop = buf.dequeue(0.0)
         assert packet is first and hop == 5
         assert buf.dequeue(0.0)[0] is second
@@ -37,9 +37,9 @@ class TestSharedFifo:
 
     def test_local_refused_when_full(self):
         buf = SharedFifoBuffer(0, next_hop_via_5, capacity=2)
-        assert buf.admit_local(make_packet())
-        assert buf.admit_local(make_packet())
-        assert not buf.admit_local(make_packet())
+        assert buf.admit_local_at(make_packet(), 0.0)
+        assert buf.admit_local_at(make_packet(), 0.0)
+        assert not buf.admit_local_at(make_packet(), 0.0)
         assert buf.backlog() == 2
 
     def test_forwarded_overwrites_tail_when_full(self):
@@ -47,9 +47,9 @@ class TestSharedFifo:
         keep = make_packet(flow_id=1)
         victim = make_packet(flow_id=2)
         arrival = make_packet(flow_id=3)
-        buf.admit_local(keep)
-        buf.admit_local(victim)
-        assert buf.admit_forwarded(arrival)
+        buf.admit_local_at(keep, 0.0)
+        buf.admit_local_at(victim, 0.0)
+        assert buf.admit_forwarded_at(arrival, 0.0)
         assert buf.drops == 1
         assert buf.dequeue(0.0)[0] is keep
         assert buf.dequeue(0.0)[0] is arrival
@@ -59,8 +59,8 @@ class TestSharedFifo:
         buf = SharedFifoBuffer(0, lambda dest: hops[dest], capacity=10)
         a = make_packet(flow_id=1, dest=1)
         b = make_packet(flow_id=2, dest=2)
-        buf.admit_local(a)
-        buf.admit_local(b)
+        buf.admit_local_at(a, 0.0)
+        buf.admit_local_at(b, 0.0)
         assert buf.dequeue_for(20, 0.0) is b
         assert buf.dequeue_for(20, 0.0) is None
         assert buf.eligible_links(0.0) == {(0, 10): 1}
@@ -74,23 +74,23 @@ class TestPerFlow:
     def test_round_robin_service(self):
         buf = PerFlowBuffer(0, next_hop_via_5, per_flow_capacity=10)
         for flow_id in (1, 2, 1, 2, 1):
-            buf.admit_local(make_packet(flow_id=flow_id))
+            buf.admit_local_at(make_packet(flow_id=flow_id), 0.0)
         served = [buf.dequeue(0.0)[0].flow_id for _ in range(5)]
         assert served == [1, 2, 1, 2, 1]
 
     def test_per_flow_cap_drops(self):
         buf = PerFlowBuffer(0, next_hop_via_5, per_flow_capacity=2)
-        assert buf.admit_local(make_packet(flow_id=1))
-        assert buf.admit_local(make_packet(flow_id=1))
-        assert not buf.admit_forwarded(make_packet(flow_id=1))
+        assert buf.admit_local_at(make_packet(flow_id=1), 0.0)
+        assert buf.admit_local_at(make_packet(flow_id=1), 0.0)
+        assert not buf.admit_forwarded_at(make_packet(flow_id=1), 0.0)
         assert buf.drops == 1
         # Other flows unaffected.
-        assert buf.admit_local(make_packet(flow_id=2))
+        assert buf.admit_local_at(make_packet(flow_id=2), 0.0)
 
     def test_backlog_counts_all_queues(self):
         buf = PerFlowBuffer(0, next_hop_via_5)
-        buf.admit_local(make_packet(flow_id=1))
-        buf.admit_local(make_packet(flow_id=2))
+        buf.admit_local_at(make_packet(flow_id=1), 0.0)
+        buf.admit_local_at(make_packet(flow_id=2), 0.0)
         assert buf.backlog() == 2
         assert buf.has_pending()
 
@@ -116,13 +116,6 @@ class TestPerDestination:
         buf.admit_forwarded_at(make_packet(dest=1), 0.0)
         assert buf.overshoot == 1
         assert buf.queue_length(1) == 2
-
-    def test_legacy_admit_raises(self):
-        buf = self.make()
-        with pytest.raises(BufferError_):
-            buf.admit_local(make_packet())
-        with pytest.raises(BufferError_):
-            buf.admit_forwarded(make_packet())
 
     def test_gate_blocks_dequeue(self):
         allow = {"value": False}
@@ -222,8 +215,8 @@ class TestSharedBackpressure:
         gate = OracleGate(lambda neighbor, dest: allow[neighbor])
         hops = {1: 10, 2: 20}
         buf = SharedBackpressureBuffer(0, lambda dest: hops[dest], gate, capacity=5)
-        buf.admit_local(make_packet(dest=1))  # head, blocked next hop
-        buf.admit_local(make_packet(dest=2))  # would be sendable
+        buf.admit_local_at(make_packet(dest=1), 0.0)  # head, blocked next hop
+        buf.admit_local_at(make_packet(dest=2), 0.0)  # would be sendable
         assert buf.dequeue(0.0) is None, "head of line must block strictly"
         allow[10] = True
         assert buf.dequeue(0.0)[1] == 10
@@ -231,14 +224,14 @@ class TestSharedBackpressure:
     def test_local_refused_when_full(self):
         gate = OracleGate(lambda neighbor, dest: True)
         buf = SharedBackpressureBuffer(0, next_hop_via_5, gate, capacity=1)
-        assert buf.admit_local(make_packet())
-        assert not buf.admit_local(make_packet())
-        buf.admit_forwarded(make_packet())
+        assert buf.admit_local_at(make_packet(), 0.0)
+        assert not buf.admit_local_at(make_packet(), 0.0)
+        buf.admit_forwarded_at(make_packet(), 0.0)
         assert buf.overshoot == 1
 
     def test_piggyback_single_shared_bit(self):
         gate = OracleGate(lambda neighbor, dest: True)
         buf = SharedBackpressureBuffer(0, next_hop_via_5, gate, capacity=1)
         assert buf.piggyback_states() == {SHARED_QUEUE_KEY: True}
-        buf.admit_local(make_packet())
+        buf.admit_local_at(make_packet(), 0.0)
         assert buf.piggyback_states() == {SHARED_QUEUE_KEY: False}

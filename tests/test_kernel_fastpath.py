@@ -17,7 +17,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import event as event_module
-from repro.sim import kernel as kernel_module
 from repro.sim.event import EventQueue
 from repro.sim.kernel import Simulator
 
@@ -93,41 +92,6 @@ def test_exception_mid_batch_preserves_remaining_events():
     assert sim.pending_events == 2
     sim.run()
     assert seen == ["a", "b", "c"]
-
-
-def test_paced_stop_before_head_due_leaves_it_queued(monkeypatch):
-    # Pacing peeks the head, sleeps, then pops: a stop() that lands
-    # during the sleep must find the head still queued.
-    sim = Simulator()
-    seen = []
-    sim.call_at(5.0, lambda: seen.append("head"), tag="test")
-    slept = []
-
-    def sleep(seconds):
-        slept.append(seconds)
-        sim.stop()
-
-    monkeypatch.setattr(kernel_module._time, "sleep", sleep)
-    sim.run(pace=1.0)
-    assert slept and seen == []
-    assert sim.pending_events == 1
-    assert sim.now == 0.0
-    monkeypatch.undo()
-    sim.run(pace=1e9)
-    assert seen == ["head"]
-    assert sim.now == 5.0
-
-
-def test_paced_run_does_not_wait_for_events_beyond_until(monkeypatch):
-    sim = Simulator()
-    sim.call_at(50.0, lambda: None, tag="test")
-    monkeypatch.setattr(
-        kernel_module._time,
-        "sleep",
-        lambda seconds: pytest.fail("slept for an event beyond until"),
-    )
-    assert sim.run(until=1.0, pace=1.0) == 1.0
-    assert sim.pending_events == 1
 
 
 def test_deep_heap_costs_one_pop_and_no_repush_per_event(monkeypatch):

@@ -48,7 +48,6 @@ class ProbeMatchesAdmission(RuleBasedStateMachine):
         self.buffer = self.make_buffer(
             OracleGate(lambda hop, key: (hop, key) not in self.blocked)
         )
-        self.timed = isinstance(self.buffer, PerDestinationBuffer)
         self.now = 0.0
         self.serial = 0
 
@@ -79,10 +78,7 @@ class ProbeMatchesAdmission(RuleBasedStateMachine):
         packet = self.packet(flow)
         room = self.buffer.local_room(flow, DEST_OF[flow])
         before = self.state()
-        if self.timed:
-            accepted = self.buffer.admit_local_at(packet, self.now)
-        else:
-            accepted = self.buffer.admit_local(packet)
+        accepted = self.buffer.admit_local_at(packet, self.now)
         assert accepted == room
         if not accepted:
             assert self.state() == before
@@ -90,10 +86,7 @@ class ProbeMatchesAdmission(RuleBasedStateMachine):
     @rule(flow=FLOWS)
     def admit_forwarded(self, flow):
         packet = self.packet(flow)
-        if self.timed:
-            self.buffer.admit_forwarded_at(packet, self.now)
-        else:
-            self.buffer.admit_forwarded(packet)
+        self.buffer.admit_forwarded_at(packet, self.now)
 
     @rule()
     def dequeue(self):

@@ -94,10 +94,9 @@ def test_clean_run_raises_no_alerts():
         duration=40.0,
         seed=1,
         rate_interval=1.0,
-    ).run(telemetry=telemetry, health=health)
-    log = result.extras["health"]
-    assert log is health.log
-    assert log.alerts() == []
+    ).run(telemetry=telemetry, monitors=[health])
+    assert "health" not in result.extras  # the caller holds the monitor
+    assert health.alerts() == []
     assert health.ticks > 30  # ticked throughout, not just at the end
 
 
@@ -121,7 +120,7 @@ def test_crash_run_alerts_mid_run_with_dedup():
     telemetry = Telemetry()
     delivered = []
     health = HealthMonitor(deliveries=[delivered.append])
-    result = RunSpec(
+    RunSpec(
         **CRASH,
         protocol="gmp",
         substrate="fluid",
@@ -129,8 +128,8 @@ def test_crash_run_alerts_mid_run_with_dedup():
         seed=7,
         capacity_pps=400.0,
         rate_interval=1.0,
-    ).run(telemetry=telemetry, health=health)
-    alerts = result.extras["health"].alerts()
+    ).run(telemetry=telemetry, monitors=[health])
+    alerts = health.alerts()
     assert alerts, "injected crash must be flagged"
     flagged = alerts[0]
     # Raised mid-run (timestamped well before the run ended), and the
@@ -156,7 +155,7 @@ def test_live_alerts_are_a_prefix_of_the_end_of_run_scan():
         seed=7,
         capacity_pps=400.0,
         rate_interval=1.0,
-    ).run(telemetry=Telemetry(), health=health)
+    ).run(telemetry=Telemetry(), monitors=[health])
     live = {
         (alert.probe, tuple(sorted(alert.labels.items())))
         for alert in health.alerts()
@@ -181,7 +180,7 @@ def test_event_rate_stall_fires_when_the_run_goes_quiet(seed):
     health = HealthMonitor(deliveries=[])
     RunSpec(
         **random_scenario(seed), protocol="gmp", substrate="fluid", duration=30.0, seed=1
-    ).run(telemetry=Telemetry(), health=health)
+    ).run(telemetry=Telemetry(), monitors=[health])
     stalls = [a for a in health.alerts() if a.probe == "event_rate_stall"]
     assert len(stalls) == 1
     assert stalls[0].severity == "critical"
@@ -198,7 +197,7 @@ def test_watchdog_abort_raises_critical_alert():
     with pytest.raises(SimulationError):
         RunSpec(
             scenario="figure3", protocol="gmp", substrate="fluid", duration=30.0, seed=1
-        ).run(telemetry=telemetry, health=health, max_events=5000)
+        ).run(telemetry=telemetry, monitors=[health], max_events=5000)
     alerts = health.alerts()
     assert [a.probe for a in alerts] == ["watchdog_abort"]
     assert alerts[0].severity == "critical"

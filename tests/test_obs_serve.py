@@ -190,9 +190,9 @@ def test_idle_controller_runs_are_deterministic():
 
 
 class _TickRecorder:
-    """A health-monitor stand-in: keeps the snapshot callable the runner
-    binds and, at every monitor tick, takes one snapshot through it and
-    one through the control plane's view of the same session."""
+    """A health-monitor stand-in: keeps the session it is bound to and,
+    at every monitor tick, takes one snapshot through it and one
+    through the control plane's view of the same session."""
 
     interval = 1.0
 
@@ -200,17 +200,19 @@ class _TickRecorder:
         self.controller = controller
         self.ticks = []
 
-    def bind(self, sim, snapshot):
-        self.snapshot = snapshot
-        sim.attach_monitor(self)
+    def bind(self, session):
+        self.session = session
 
     def on_tick(self, now):
         session = self.controller.handle
         live = tuple(sorted(flow.flow_id for flow in session.flows))
-        self.ticks.append((now, live, self.snapshot(), session.partial_result()))
+        self.ticks.append((now, live, self.session.partial_result(), session.partial_result()))
 
-    def finalize(self, now):
-        return None
+    def on_abort(self, now, error):
+        pass
+
+    def close(self, session):
+        pass
 
 
 def test_session_snapshot_matches_result_and_shares_one_reference():
@@ -227,7 +229,7 @@ def test_session_snapshot_matches_result_and_shares_one_reference():
         seed=1,
         churn="poisson:rate=0.5,mean_hold=3,traffic=cbr",
         rate_interval=1.0,
-    ).run(health=recorder, control=controller)
+    ).run(monitors=[recorder], control=controller)
     assert result.extras["churn"].arrivals > 0
 
     # The snapshot of the monitors' final tick, at t = duration, is the
@@ -471,6 +473,30 @@ def test_served_session_http_and_replay_match(tmp_path):
     assert report["events"] == manifest["events"]
     assert report["digest"] == manifest["replay_digest"]
     assert report["observable_digest"] == manifest["observable_digest"]
+
+
+def test_controller_validates_pace():
+    for pace in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="pace"):
+            ServeController(pace=pace)
+
+
+def test_paced_session_bounds_wall_time_and_keeps_the_run(tmp_path):
+    """The controller paces at command-tick granularity: a run of D
+    sim-s at pace P takes at least (D - command_interval) / P wall
+    seconds, and dispatches exactly what the free-running session does."""
+    duration, pace = 2.0, 4.0
+    spec = RunSpec(scenario="figure3", substrate="fluid", duration=duration, seed=1)
+    manifests = {}
+    for name, paced in (("free", None), ("paced", pace)):
+        config = ServeConfig(
+            pace=paced, port=0, session_dir=str(tmp_path / name), health=False
+        )
+        manifests[name] = serve_session(spec, config, emit=lambda _: None)
+    paced_run = manifests["paced"]
+    assert paced_run["wall_seconds"] >= (duration - ServeConfig.command_interval) / pace
+    for key in ("replay_digest", "observable_digest", "events"):
+        assert paced_run[key] == manifests["free"][key], key
 
 
 # ---------------------------------------------------------------- CLI

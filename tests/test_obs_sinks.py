@@ -12,6 +12,8 @@ from repro.telemetry.exporters import (
     sample_record,
 )
 
+from helpers import bare_session
+
 
 def _telemetry():
     telemetry = Telemetry()
@@ -27,8 +29,9 @@ def test_jsonl_sink_writes_canonical_lines(tmp_path):
     path = tmp_path / "stream.jsonl"
     telemetry, series = _telemetry()
     publisher = StreamPublisher(telemetry, str(path))
+    publisher.bind(bare_session())
     publisher.on_tick(2.0)
-    publisher.close(3.0)
+    publisher.close(bare_session(3.0))
 
     event = telemetry.events[0]
     records = [
@@ -48,8 +51,9 @@ def test_jsonl_sink_writes_canonical_lines(tmp_path):
 def test_jsonl_sink_close_is_idempotent(tmp_path):
     path = tmp_path / "s.jsonl"
     publisher = StreamPublisher(_telemetry()[0], str(path))
-    publisher.close(1.0)
+    publisher.bind(bare_session())
+    publisher.close(bare_session(1.0))
     written = path.read_text()
-    publisher.close(2.0)  # second close must not raise
+    publisher.close(bare_session(2.0))  # second close must not raise
     assert path.read_text() == written
     assert publisher.closed

@@ -12,7 +12,7 @@ from repro.scenarios.spec import RunSpec
 from repro.sim.replay import ReplaySanitizer
 from repro.telemetry import Telemetry
 
-from helpers import iter_metric_records, jsonl_text, reconstruct_jsonl
+from helpers import bare_session, iter_metric_records, jsonl_text, reconstruct_jsonl
 
 #: Same golden count as tests/test_telemetry_overhead.py: figure3,
 #: gmp, fluid, 30 s, seed 1, captured before telemetry existed.
@@ -43,8 +43,29 @@ def test_stream_requires_enabled_telemetry(tmp_path):
 
 
 def test_stream_requires_a_writable_path(tmp_path):
+    publisher = StreamPublisher(Telemetry(), str(tmp_path / "missing" / "m.jsonl"))
     with pytest.raises(ConfigError, match="cannot write telemetry"):
-        StreamPublisher(Telemetry(), str(tmp_path / "missing" / "m.jsonl"))
+        publisher.bind(bare_session())
+    # Through a run: refused at bind, before the first event.
+    telemetry = Telemetry()
+    with pytest.raises(ConfigError, match="cannot write telemetry"):
+        _run(
+            telemetry=telemetry,
+            monitors=[StreamPublisher(telemetry, str(tmp_path / "missing" / "m.jsonl"))],
+        )
+    assert list(telemetry.registry.instruments("kernel.events_by_tag")) == []
+
+
+def test_a_refused_run_writes_no_stream_file(tmp_path):
+    # figure1 caps link rates, which the DCF substrate refuses: the
+    # Session rejects the run before it binds the stream.
+    path = tmp_path / "x.jsonl"
+    telemetry = Telemetry()
+    with pytest.raises(ConfigError, match="caps link rates"):
+        RunSpec(scenario="figure1", substrate="dcf").run(
+            telemetry=telemetry, monitors=[StreamPublisher(telemetry, str(path))]
+        )
+    assert not path.exists()
 
 
 def test_stream_truncates_at_open_and_closes_once(tmp_path):
@@ -53,8 +74,9 @@ def test_stream_truncates_at_open_and_closes_once(tmp_path):
     telemetry = Telemetry()
     telemetry.run_info = {"scenario": "empty"}
     publisher = StreamPublisher(telemetry, str(path))
-    publisher.close(1.0)
-    publisher.close(2.0)  # a second close writes nothing and does not raise
+    publisher.bind(bare_session())
+    publisher.close(bare_session(1.0))
+    publisher.close(bare_session(2.0))  # a second close writes nothing and does not raise
     kinds = [record["record"] for record in _records(path)]
     assert kinds == ["stream_open", "run", "stream_close"]
 
@@ -69,8 +91,10 @@ def test_streaming_and_health_preserve_golden_run(tmp_path):
     telemetry = Telemetry()
     instrumented = _run(
         telemetry=telemetry,
-        stream=StreamPublisher(telemetry, str(tmp_path / "m.jsonl")),
-        health=HealthMonitor(deliveries=[]),
+        monitors=[
+            StreamPublisher(telemetry, str(tmp_path / "m.jsonl")),
+            HealthMonitor(deliveries=[]),
+        ],
         sanitizer=ReplaySanitizer(),
     )
     assert plain.extras["events_processed"] == GOLDEN_EVENTS
@@ -86,7 +110,7 @@ def test_stream_reconstructs_byte_identical_export(tmp_path):
     telemetry = Telemetry()
     path = tmp_path / "m.jsonl"
     publisher = StreamPublisher(telemetry, str(path))
-    _run(telemetry=telemetry, stream=publisher, duration=10.0, rate_interval=1.0)
+    _run(telemetry=telemetry, monitors=[publisher], duration=10.0, rate_interval=1.0)
     assert publisher.closed and not publisher.aborted
     assert publisher.flushes >= 9  # one per simulated second
 
@@ -108,7 +132,7 @@ def test_watchdog_abort_flushes_partial_stream_and_journal(tmp_path):
     with pytest.raises(SimulationError):
         _run(
             telemetry=telemetry,
-            stream=publisher,
+            monitors=[publisher],
             sanitizer=ReplaySanitizer(),
             rate_interval=1.0,
             max_events=5000,

@@ -344,13 +344,9 @@ class _RecordingMonitor:
     def __init__(self, interval=1.0):
         self.interval = interval
         self.ticks = []
-        self.aborts = []
 
     def on_tick(self, now):
         self.ticks.append(now)
-
-    def on_abort(self, now, error):
-        self.aborts.append((now, str(error)))
 
 
 def test_monitor_ticks_once_per_interval_crossing():
@@ -381,31 +377,6 @@ def test_monitor_rejects_nonpositive_interval():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.attach_monitor(_RecordingMonitor(interval=0.0))
-
-
-def test_watchdog_abort_notifies_monitors_before_raising():
-    sim = Simulator()
-    monitor = _RecordingMonitor(interval=1.0)
-    sim.attach_monitor(monitor)
-    stop = sim.every(0.1, lambda: None, tag="test")
-    with pytest.raises(SimulationError):
-        sim.run(until=100.0, max_events=17)
-    stop()
-    assert len(monitor.aborts) == 1
-    _, message = monitor.aborts[0]
-    assert "max_events" in message
-
-
-def test_failing_abort_hook_never_masks_the_watchdog():
-    class ExplodingMonitor(_RecordingMonitor):
-        def on_abort(self, now, error):
-            raise RuntimeError("flush failed")
-
-    sim = Simulator()
-    sim.attach_monitor(ExplodingMonitor(interval=1.0))
-    sim.every(0.1, lambda: None, tag="test")
-    with pytest.raises(SimulationError):
-        sim.run(until=100.0, max_events=5)
 
 
 def test_monitor_is_absent_from_the_event_sequence():
