@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 from bisect import bisect_right, insort
 from collections import deque
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.buffers.backpressure import BackpressureGate
 from repro.buffers.occupancy import FullnessMeter
@@ -114,15 +114,6 @@ class BufferPolicy(abc.ABC):
         return self.backlog() > 0
 
 
-def _rr_order(keys: Iterable[int], last: int | None) -> list[int]:
-    """Round-robin ordering: keys after ``last`` first, then wrap."""
-    ordered = sorted(keys)
-    if last is None or last not in ordered:
-        return ordered
-    pivot = ordered.index(last) + 1
-    return ordered[pivot:] + ordered[:pivot]
-
-
 class SharedFifoBuffer(BufferPolicy):
     """One FIFO shared by all flows; tail overwrite when full.
 
@@ -193,85 +184,6 @@ class SharedFifoBuffer(BufferPolicy):
         self._queue.clear()
         return lost
 
-
-class PerFlowBuffer(BufferPolicy):
-    """One bounded FIFO per flow, served round-robin (2PP's per-flow
-    fair queueing).  Arrivals to a full flow queue are dropped."""
-
-    def __init__(
-        self,
-        node_id: int,
-        next_hop: Callable[[int], int],
-        *,
-        per_flow_capacity: int = 10,
-    ) -> None:
-        super().__init__(node_id, next_hop)
-        if per_flow_capacity < 1:
-            raise BufferError_(f"per-flow capacity must be >= 1: {per_flow_capacity}")
-        self.per_flow_capacity = per_flow_capacity
-        self._queues: dict[int, deque[Packet]] = {}
-        self._last_flow: int | None = None
-
-    def _admit(self, packet: Packet, *, count_drop: bool) -> bool:
-        queue = self._queues.setdefault(packet.flow_id, deque())
-        if len(queue) >= self.per_flow_capacity:
-            if count_drop:
-                self._count_drop(packet)
-            return False
-        queue.append(packet)
-        return True
-
-    def admit_local_at(self, packet: Packet, now: float) -> bool:
-        # A refused local packet is backpressure, not loss: the source
-        # never generates it, so it must not enter the drop ledger.
-        return self._admit(packet, count_drop=False)
-
-    def admit_forwarded_at(self, packet: Packet, now: float) -> bool:
-        return self._admit(packet, count_drop=True)
-
-    def local_room(self, flow_id: int, dest: int) -> bool:
-        queue = self._queues.get(flow_id)
-        return queue is None or len(queue) < self.per_flow_capacity
-
-    def dequeue(self, now: float) -> tuple[Packet, int] | None:
-        for flow_id in _rr_order(self._queues, self._last_flow):
-            queue = self._queues[flow_id]
-            if queue:
-                self._last_flow = flow_id
-                packet = queue.popleft()
-                return packet, self.next_hop(packet.destination)
-        return None
-
-    def dequeue_for(self, next_hop: int, now: float) -> Packet | None:
-        for flow_id in _rr_order(self._queues, self._last_flow):
-            queue = self._queues[flow_id]
-            if queue and self.next_hop(queue[0].destination) == next_hop:
-                self._last_flow = flow_id
-                return queue.popleft()
-        return None
-
-    def eligible_links(self, now: float) -> dict[Link, int]:
-        counts: dict[Link, int] = {}
-        for queue in self._queues.values():
-            for packet in queue:
-                a_link = (self.node_id, self.next_hop(packet.destination))
-                counts[a_link] = counts.get(a_link, 0) + 1
-        return counts
-
-    def backlog(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())
-
-    def queued_packets(self) -> list[Packet]:
-        return [
-            packet
-            for flow_id in sorted(self._queues)
-            for packet in self._queues[flow_id]
-        ]
-
-    def drain(self, now: float) -> list[Packet]:
-        lost = self.queued_packets()
-        self._queues.clear()
-        return lost
 
 
 #: Piggyback key used by the shared-queue backpressure policy: the
@@ -379,198 +291,175 @@ class SharedBackpressureBuffer(BufferPolicy):
         return {SHARED_QUEUE_KEY: self.has_free(SHARED_QUEUE_KEY)}
 
 
-class PerDestinationBuffer(BufferPolicy):
-    """GMP's policy: one bounded queue per served destination, each a
-    virtual-node queue, with backpressure gating.
+class VirtualLinkBuffer(BufferPolicy):
+    """One bounded FIFO per class key, served round-robin: each queue is
+    a virtual link (node, next hop, class) of the grand virtual network
+    (paper §3-4).  The key is the destination or the flow.
 
-    * local packets are *refused* when their destination queue is full
-      (backpressure reaches the source, which generates more slowly);
-    * forwarded packets are always accepted — the upstream gate should
-      have prevented them when full; in-flight races may overshoot the
-      nominal capacity, which is counted, not dropped (the paper's
-      scheme avoids forwarding drops by construction);
-    * a queue's head may be sent only when the gate believes the
-      downstream queue for that destination has free space.
+    A queue's next hop is fixed when it is created, so queues are
+    indexed by next hop: serving a link walks only the keys routed over
+    it, and the per-link and total backlogs are counted on every
+    admission and departure.  The round-robin pointer is one per *node*:
+    ``dequeue_for`` serves its link's keys in the order the node-wide
+    rotation would reach them.  A drain empties the queues but keeps
+    them, the index and the pointer.
 
-    Queues are indexed by next hop (a queue's next hop is fixed when
-    it is created): serving a link walks only the destinations routed
-    over it, and the per-link and total backlog counts are maintained
-    on every admission and departure instead of recounted.  The
-    round-robin pointer stays one per *node* — ``dequeue_for`` serves
-    its link's destinations in the order the node-wide rotation would
-    reach them.
+    A full queue refuses a local packet (backpressure reaches the
+    source); each subclass decides what it does to a forwarded one.
+    Each queue owns a :class:`FullnessMeter`, moved only when the queue
+    reaches or leaves capacity.  With telemetry, those moves also record
+    the queue's length (``buffer.queue_len``) and full-time
+    (``buffer.fullness``), so no extra events are scheduled.
 
-    Each queue owns a :class:`FullnessMeter`; GMP reads Ω from it.
-
-    When a :class:`~repro.telemetry.Telemetry` instance is supplied,
-    each queue additionally records its length trajectory
-    (``buffer.queue_len``) and full/not-full dwell time
-    (``buffer.fullness``); both piggyback on the meter updates the
-    policy already performs, so no extra events are scheduled.
+    Args:
+        by_flow: key the queues by flow id (else by destination).
+        capacity: nominal packets per queue.
+        allows: ``allows(next_hop, key, now)``, asked before a queue's
+            head is served: the backpressure gate (None: ungated).
     """
 
     def __init__(
-        self,
-        node_id: int,
-        next_hop: Callable[[int], int],
-        gate: BackpressureGate,
-        *,
-        per_dest_capacity: int = 10,
-        telemetry=None,
+        self, node_id: int, next_hop: Callable[[int], int], *, by_flow: bool, capacity: int,
+        allows: Callable[[int, int, float], bool] | None = None, telemetry=None,
     ) -> None:
         super().__init__(node_id, next_hop)
-        if per_dest_capacity < 1:
-            raise BufferError_(f"per-dest capacity must be >= 1: {per_dest_capacity}")
-        self.gate = gate
-        self._allows = gate.allows  # asked for every packet served
-        self.per_dest_capacity = per_dest_capacity
+        if capacity < 1:
+            kind = "flow" if by_flow else "dest"
+            raise BufferError_(f"per-{kind} capacity must be >= 1: {capacity}")
+        self.capacity = capacity
+        self._by_flow = by_flow
+        self._allows = allows  # asked for every packet served
         self._queues: dict[int, deque[Packet]] = {}
         self._meters: dict[int, FullnessMeter] = {}
-        self._last_dest: int | None = None
-        self._dests: list[int] = []  # every queue's destination, sorted
-        self._link_of: dict[int, Link] = {}  # dest -> (node, next hop)
-        self._dests_via: dict[int, list[int]] = {}  # next hop -> sorted dests
+        self._last_key: int | None = None
+        self._keys: list[int] = []  # every queue's key, sorted
+        self._link_of: dict[int, Link] = {}  # key -> (node, next hop)
+        self._keys_via: dict[int, list[int]] = {}  # next hop -> sorted keys
         self._link_backlog: dict[Link, int] = {}  # queued packets per link
         self._backlog = 0
         self._tm = telemetry if telemetry is not None and telemetry.enabled else None
-        self._len_series: dict[int, object] = {}
-        self._full_hists: dict[int, object] = {}
+        self._instruments: dict[int, tuple] = {}  # key -> (length series, full histogram)
 
     # --- queue bookkeeping -------------------------------------------------------
 
-    def _queue_for(self, dest: int) -> deque[Packet]:
-        queue = self._queues.get(dest)
+    def _queue_for(self, key: int, dest: int) -> deque[Packet]:
+        queue = self._queues.get(key)
         if queue is None:
             hop = self.next_hop(dest)
-            a_link = self._link_of[dest] = (self.node_id, hop)
+            a_link = self._link_of[key] = (self.node_id, hop)
             self._link_backlog.setdefault(a_link, 0)
-            insort(self._dests, dest)
-            insort(self._dests_via.setdefault(hop, []), dest)
-            queue = self._queues[dest] = deque()
-            self._meters[dest] = FullnessMeter()
+            insort(self._keys, key)
+            insort(self._keys_via.setdefault(hop, []), key)
+            queue = self._queues[key] = deque()
+            self._meters[key] = FullnessMeter()
         return queue
 
-    def _enqueue(self, queue: deque[Packet], packet: Packet, now: float) -> None:
+    def _enqueue(self, key: int, queue: deque[Packet], packet: Packet, now: float) -> None:
         queue.append(packet)
-        dest = packet.destination
-        self._link_backlog[self._link_of[dest]] += 1
+        self._link_backlog[self._link_of[key]] += 1
         self._backlog += 1
         # The meter reads full exactly while len >= capacity, so only
         # the append that reaches capacity can move it.
         if self._tm is not None:
-            self._update_meter(dest, now)
-        elif len(queue) == self.per_dest_capacity:
-            self._meters[dest].set_full(now, True)
+            self._update_meter(key, now)
+        elif len(queue) == self.capacity:
+            self._meters[key].set_full(now, True)
 
-    def _update_meter(self, dest: int, now: float) -> None:
-        length = len(self._queues[dest])
-        full = length >= self.per_dest_capacity
-        self._meters[dest].set_full(now, full)
+    def _update_meter(self, key: int, now: float) -> None:
+        length = len(self._queues[key])
+        full = length >= self.capacity
+        self._meters[key].set_full(now, full)
         if self._tm is not None:
-            series = self._len_series.get(dest)
-            if series is None:
-                series = self._tm.registry.series(
-                    "buffer.queue_len", node=self.node_id, dest=dest
+            instruments = self._instruments.get(key)
+            if instruments is None:
+                registry, labels = self._tm.registry, {"node": self.node_id, "dest": key}
+                instruments = self._instruments[key] = (
+                    registry.series("buffer.queue_len", **labels),
+                    registry.histogram("buffer.fullness", (0.5,), **labels),
                 )
-                self._len_series[dest] = series
-                self._full_hists[dest] = self._tm.registry.histogram(
-                    "buffer.fullness", (0.5,), node=self.node_id, dest=dest
-                )
-            series.record_changed(now, length)
-            self._full_hists[dest].update(now, 1.0 if full else 0.0)
+            instruments[0].record_changed(now, length)
+            instruments[1].update(now, 1.0 if full else 0.0)
 
-    def served_destinations(self) -> list[int]:
-        """Destinations with an instantiated queue, sorted."""
-        return sorted(self._queues)
-
-    def queue_length(self, dest: int) -> int:
-        """Current length of the queue for ``dest`` (0 if absent)."""
-        queue = self._queues.get(dest)
+    def queue_length(self, key: int) -> int:
+        """Current length of the queue for ``key`` (0 if absent)."""
+        queue = self._queues.get(key)
         return len(queue) if queue is not None else 0
 
-    def has_free(self, dest: int) -> bool:
-        """True if the queue for ``dest`` has a free nominal slot."""
-        queue = self._queues.get(dest)
-        return queue is None or len(queue) < self.per_dest_capacity
+    def has_free(self, key: int) -> bool:
+        """True if the queue for ``key`` has a free nominal slot."""
+        queue = self._queues.get(key)
+        return queue is None or len(queue) < self.capacity
 
-    def fullness(self, dest: int, now: float) -> float:
-        """Ω of the queue for ``dest`` over the current window."""
-        meter = self._meters.get(dest)
+    def fullness(self, key: int, now: float) -> float:
+        """Ω of the queue for ``key`` over the current window."""
+        meter = self._meters.get(key)
         if meter is None:
             return 0.0
-        self._update_meter(dest, now)
+        self._update_meter(key, now)
         return meter.fraction_full(now)
 
     def reset_meters(self, now: float) -> None:
         """Start a new measurement window on every queue."""
-        for dest, meter in self._meters.items():
-            self._update_meter(dest, now)
+        for key, meter in self._meters.items():
+            self._update_meter(key, now)
             meter.reset(now)
 
     # --- admission -------------------------------------------------------------
 
     def admit_local_at(self, packet: Packet, now: float) -> bool:
-        queue = self._queue_for(packet.destination)
-        if len(queue) >= self.per_dest_capacity:
+        key = packet.flow_id if self._by_flow else packet.destination
+        queue = self._queue_for(key, packet.destination)
+        if len(queue) >= self.capacity:
             return False
-        self._enqueue(queue, packet, now)
+        self._enqueue(key, queue, packet, now)
         return True
 
     def local_room(self, flow_id: int, dest: int) -> bool:
-        # has_free(dest), inlined: asked on every offer a source makes.
-        queue = self._queues.get(dest)
-        return queue is None or len(queue) < self.per_dest_capacity
-
-    def admit_forwarded_at(self, packet: Packet, now: float) -> bool:
-        queue = self._queue_for(packet.destination)
-        if len(queue) >= self.per_dest_capacity:
-            self.overshoot += 1
-        self._enqueue(queue, packet, now)
-        return True
+        # has_free, inlined: asked on every offer a source makes.
+        queue = self._queues.get(flow_id if self._by_flow else dest)
+        return queue is None or len(queue) < self.capacity
 
     # --- service -------------------------------------------------------------------
 
-    def _serve(self, dests: list[int], now: float) -> Packet | None:
-        """Pop the head of the first eligible queue among ``dests``
+    def _serve(self, keys: list[int], now: float) -> Packet | None:
+        """Pop the head of the first eligible queue among ``keys``
         (sorted), visiting them round-robin after the node-wide
-        pointer: destinations above ``_last_dest`` first, then wrap."""
-        last = self._last_dest
-        pivot = bisect_right(dests, last) if last is not None else 0
+        pointer: keys above ``_last_key`` first, then wrap."""
+        last = self._last_key
+        pivot = bisect_right(keys, last) if last is not None else 0
         queues, link_of, allows = self._queues, self._link_of, self._allows
-        for dest in (dests[pivot:] + dests[:pivot]) if pivot else dests:
-            queue = queues[dest]
-            if queue and allows(link_of[dest][1], dest, now):
-                self._last_dest = dest
+        for key in (keys[pivot:] + keys[:pivot]) if pivot else keys:
+            queue = queues[key]
+            if queue and (allows is None or allows(link_of[key][1], key, now)):
+                self._last_key = key
                 packet = queue.popleft()
-                self._link_backlog[link_of[dest]] -= 1
+                self._link_backlog[link_of[key]] -= 1
                 self._backlog -= 1
                 if self._tm is not None:
-                    self._update_meter(dest, now)
-                elif len(queue) == self.per_dest_capacity - 1:
-                    self._meters[dest].set_full(now, False)
+                    self._update_meter(key, now)
+                elif len(queue) == self.capacity - 1:
+                    self._meters[key].set_full(now, False)
                 return packet
         return None
 
     def dequeue(self, now: float) -> tuple[Packet, int] | None:
         if not self._backlog:
             return None
-        packet = self._serve(self._dests, now)
+        packet = self._serve(self._keys, now)
         if packet is None:
             return None
-        return packet, self._link_of[packet.destination][1]
+        return packet, self._link_of[self._last_key][1]
 
     def dequeue_for(self, next_hop: int, now: float) -> Packet | None:
         if not self._link_backlog.get((self.node_id, next_hop)):
             return None
-        return self._serve(self._dests_via[next_hop], now)
+        return self._serve(self._keys_via[next_hop], now)
 
     def eligible_links(self, now: float) -> dict[Link, int]:
-        # Raw backlog per link: the gate is applied per packet at
-        # dequeue time, so a currently blocked queue still registers
-        # demand (it may unblock when the downstream queue drains
-        # within the same fluid round).  This is the live count map —
-        # read-only for callers; a link whose queues drained stays
-        # listed with a zero.
+        # Raw backlog per link, gated queues included (the gate is
+        # asked per packet at dequeue time, and a downstream queue may
+        # drain within the same fluid round).  The live count map: a
+        # link whose queues drained stays listed with a zero.
         return self._link_backlog
 
     def backlog(self) -> int:
@@ -580,21 +469,65 @@ class PerDestinationBuffer(BufferPolicy):
         return self._backlog > 0
 
     def queued_packets(self) -> list[Packet]:
-        return [
-            packet
-            for dest in sorted(self._queues)
-            for packet in self._queues[dest]
-        ]
+        return [packet for key in self._keys for packet in self._queues[key]]
 
     def drain(self, now: float) -> list[Packet]:
         lost = self.queued_packets()
-        for dest, queue in self._queues.items():
+        for key, queue in self._queues.items():
             queue.clear()
-            self._update_meter(dest, now)
+            self._update_meter(key, now)
         for a_link in self._link_backlog:
             self._link_backlog[a_link] = 0
         self._backlog = 0
         return lost
 
+
+class PerFlowBuffer(VirtualLinkBuffer):
+    """2PP's per-flow fair queueing: one bounded, ungated queue per
+    flow.  A forwarded packet that meets a full queue is dropped."""
+
+    def __init__(
+        self, node_id: int, next_hop: Callable[[int], int], *, per_flow_capacity: int = 10
+    ) -> None:
+        super().__init__(node_id, next_hop, by_flow=True, capacity=per_flow_capacity)
+
+    def admit_forwarded_at(self, packet: Packet, now: float) -> bool:
+        if self.admit_local_at(packet, now):
+            return True
+        self._count_drop(packet)
+        return False
+
+
+class PerDestinationBuffer(VirtualLinkBuffer):
+    """GMP's policy: one queue per served destination, gated by
+    backpressure.  A forwarded packet is always accepted: the upstream
+    gate should have held it, so a full queue counts an ``overshoot``."""
+
+    def __init__(
+        self, node_id: int, next_hop: Callable[[int], int], gate: BackpressureGate,
+        *, per_dest_capacity: int = 10, telemetry=None,
+    ) -> None:
+        super().__init__(
+            node_id, next_hop, by_flow=False, capacity=per_dest_capacity,
+            allows=gate.allows, telemetry=telemetry,
+        )
+        self.gate = gate
+
+    def admit_forwarded_at(self, packet: Packet, now: float) -> bool:
+        dest = packet.destination
+        queue = self._queue_for(dest, dest)
+        if len(queue) >= self.capacity:
+            self.overshoot += 1
+        self._enqueue(dest, queue, packet, now)
+        return True
+
     def piggyback_states(self) -> dict[int, bool]:
         return {dest: self.has_free(dest) for dest in self._queues}
+
+    # benchmarks/e2e traces the buffer operations in this class's own
+    # namespace; these bindings go once it follows the MRO (ROADMAP item 2).
+    admit_local_at = VirtualLinkBuffer.admit_local_at
+    dequeue = VirtualLinkBuffer.dequeue
+    dequeue_for = VirtualLinkBuffer.dequeue_for
+    eligible_links = VirtualLinkBuffer.eligible_links
+    has_free = VirtualLinkBuffer.has_free

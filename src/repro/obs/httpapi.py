@@ -288,8 +288,13 @@ def make_server(
     handler = type("BoundHandler", (_Handler,), {"api": api})
     server = ThreadingHTTPServer((host, port), handler)
     server.daemon_threads = True
+    # A short poll interval lets ``server.shutdown()`` return promptly
+    # once a session ends (the default waits up to half a second).
     thread = threading.Thread(
-        target=server.serve_forever, name="repro-serve-http", daemon=True
+        target=server.serve_forever,
+        kwargs={"poll_interval": 0.05},
+        name="repro-serve-http",
+        daemon=True,
     )
     thread.start()
     return server, thread

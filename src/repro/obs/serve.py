@@ -222,7 +222,7 @@ class ServeController:
             raise ConfigError(f"pace must be positive and finite: {pace}")
         self.interval = interval
         self.pace = pace
-        self._journal = journal
+        self.journal = journal
         self._script = script
         self._script_index = 0
         self.queue = CommandQueue()
@@ -280,8 +280,8 @@ class ServeController:
 
     def on_abort(self, now: float, error: BaseException) -> None:
         self.aborted = f"{type(error).__name__}: {error}"
-        if self._journal is not None:
-            self._journal(
+        if self.journal is not None:
+            self.journal(
                 {"record": "serve_abort", "t": now, "error": self.aborted}
             )
 
@@ -302,8 +302,8 @@ class ServeController:
             seq=seq, t=now, op=op, args=canonical, result=result
         )
         self.applied.append(applied)
-        if self._journal is not None:
-            self._journal(applied.to_json())
+        if self.journal is not None:
+            self.journal(applied.to_json())
 
     def _dispatch(
         self, op: str, args: dict[str, Any], now: float
@@ -445,13 +445,14 @@ def serve_session(
         "command_interval": config.command_interval,
         "pace": config.pace,
     }
+    # The controller validates the pacing flags: a bad one leaves no
+    # session directory behind.
+    controller = ServeController(interval=config.command_interval, pace=config.pace)
     os.makedirs(config.session_dir, exist_ok=True)
     journal_path = os.path.join(config.session_dir, "commands.jsonl")
     alerts_path = os.path.join(config.session_dir, "alerts.jsonl")
     journal = SessionJournal(journal_path, header)
-    controller = ServeController(
-        interval=config.command_interval, pace=config.pace, journal=journal.write
-    )
+    controller.journal = journal.write
 
     telemetry = Telemetry(enabled=True)
     sanitizer = ReplaySanitizer()
@@ -484,6 +485,7 @@ def serve_session(
     except ReproError as error:
         error_text = f"{type(error).__name__}: {error}"
     finally:
+        wall_seconds = time.monotonic() - wall_start
         server.shutdown()
         server_thread.join(timeout=5.0)
         server.server_close()
@@ -491,7 +493,7 @@ def serve_session(
     manifest: dict[str, Any] = {
         **header,
         "http_port": port,
-        "wall_seconds": time.monotonic() - wall_start,
+        "wall_seconds": wall_seconds,
         "commands_applied": len(controller.applied),
         "journal": journal_path,
     }

@@ -6,12 +6,16 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_right, insort
 from collections import deque
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any
+from typing import Any, Callable, Iterable
 
-from repro.errors import ConfigError, TopologyError
+from repro.buffers.backpressure import BackpressureGate
+from repro.buffers.occupancy import FullnessMeter
+from repro.buffers.queues import BufferPolicy
+from repro.errors import BufferError_, ConfigError, TopologyError
 from repro.flows.packet import Packet
 from repro.flows.rate_limiter import TokenBucket
 from repro.flows.traffic import TrafficSource
@@ -197,64 +201,387 @@ def count_enumerations(monkeypatch) -> list[int]:
     return sizes
 
 
-# --- PerDestinationBuffer before it was indexed by next hop ---------------------
+# --- The keyed buffers before they shared one virtual-link queue core ----------
 #
-# The service order, per-link demand and pending probe exactly as the
-# buffer computed them by scanning every queue, kept as the oracle for
-# the indexed implementation.  They read a buffer's state without
-# changing it: `scan_*` say what a call *would* do.
+# The per-flow and per-destination policies as two classes, the per-flow
+# one served by its own scan-and-sort round-robin: the oracle of the
+# differential in tests/test_virtual_link_core.py.  Copied as they were,
+# with one change: the per-flow drain now keeps its (emptied) queues, as
+# the core does, where it used to forget them and so restart the
+# round-robin from the lowest flow after a crash.
 
 
-def _rr_scan(buffer) -> list[int]:
-    """Every served destination, sorted, rotated to start after the
-    node-wide round-robin pointer."""
-    ordered = buffer.served_destinations()
-    last = buffer._last_dest
+def _rr_order(keys: Iterable[int], last: int | None) -> list[int]:
+    """Round-robin ordering: keys after ``last`` first, then wrap."""
+    ordered = sorted(keys)
     if last is None or last not in ordered:
         return ordered
     pivot = ordered.index(last) + 1
     return ordered[pivot:] + ordered[:pivot]
 
 
-def _scan_eligible(buffer, dest: int, now: float) -> bool:
-    return buffer.queue_length(dest) > 0 and buffer.gate.allows(
-        buffer.next_hop(dest), dest, now
-    )
+class PerFlowBuffer(BufferPolicy):
+    """One bounded FIFO per flow, served round-robin (2PP's per-flow
+    fair queueing).  Arrivals to a full flow queue are dropped."""
+
+    def __init__(
+        self,
+        node_id: int,
+        next_hop: Callable[[int], int],
+        *,
+        per_flow_capacity: int = 10,
+    ) -> None:
+        super().__init__(node_id, next_hop)
+        if per_flow_capacity < 1:
+            raise BufferError_(f"per-flow capacity must be >= 1: {per_flow_capacity}")
+        self.per_flow_capacity = per_flow_capacity
+        self._queues: dict[int, deque[Packet]] = {}
+        self._last_flow: int | None = None
+
+    def _admit(self, packet: Packet, *, count_drop: bool) -> bool:
+        queue = self._queues.setdefault(packet.flow_id, deque())
+        if len(queue) >= self.per_flow_capacity:
+            if count_drop:
+                self._count_drop(packet)
+            return False
+        queue.append(packet)
+        return True
+
+    def admit_local_at(self, packet: Packet, now: float) -> bool:
+        # A refused local packet is backpressure, not loss: the source
+        # never generates it, so it must not enter the drop ledger.
+        return self._admit(packet, count_drop=False)
+
+    def admit_forwarded_at(self, packet: Packet, now: float) -> bool:
+        return self._admit(packet, count_drop=True)
+
+    def local_room(self, flow_id: int, dest: int) -> bool:
+        queue = self._queues.get(flow_id)
+        return queue is None or len(queue) < self.per_flow_capacity
+
+    def dequeue(self, now: float) -> tuple[Packet, int] | None:
+        for flow_id in _rr_order(self._queues, self._last_flow):
+            queue = self._queues[flow_id]
+            if queue:
+                self._last_flow = flow_id
+                packet = queue.popleft()
+                return packet, self.next_hop(packet.destination)
+        return None
+
+    def dequeue_for(self, next_hop: int, now: float) -> Packet | None:
+        for flow_id in _rr_order(self._queues, self._last_flow):
+            queue = self._queues[flow_id]
+            if queue and self.next_hop(queue[0].destination) == next_hop:
+                self._last_flow = flow_id
+                return queue.popleft()
+        return None
+
+    def eligible_links(self, now: float) -> dict[Link, int]:
+        counts: dict[Link, int] = {}
+        for queue in self._queues.values():
+            for packet in queue:
+                a_link = (self.node_id, self.next_hop(packet.destination))
+                counts[a_link] = counts.get(a_link, 0) + 1
+        return counts
+
+    def backlog(self) -> int:
+        return sum(len(queue) for queue in self._queues.values())
+
+    def queued_packets(self) -> list[Packet]:
+        return [
+            packet
+            for flow_id in sorted(self._queues)
+            for packet in self._queues[flow_id]
+        ]
+
+    def drain(self, now: float) -> list[Packet]:
+        lost = self.queued_packets()
+        self._queues = {flow_id: deque() for flow_id in self._queues}
+        return lost
 
 
-def _head(buffer, dest: int) -> Packet:
-    return next(p for p in buffer.queued_packets() if p.destination == dest)
+class PerDestinationBuffer(BufferPolicy):
+    """GMP's policy: one bounded queue per served destination, each a
+    virtual-node queue, with backpressure gating.
+
+    * local packets are *refused* when their destination queue is full
+      (backpressure reaches the source, which generates more slowly);
+    * forwarded packets are always accepted — the upstream gate should
+      have prevented them when full; in-flight races may overshoot the
+      nominal capacity, which is counted, not dropped (the paper's
+      scheme avoids forwarding drops by construction);
+    * a queue's head may be sent only when the gate believes the
+      downstream queue for that destination has free space.
+
+    Queues are indexed by next hop (a queue's next hop is fixed when
+    it is created): serving a link walks only the destinations routed
+    over it, and the per-link and total backlog counts are maintained
+    on every admission and departure instead of recounted.  The
+    round-robin pointer stays one per *node* — ``dequeue_for`` serves
+    its link's destinations in the order the node-wide rotation would
+    reach them.
+
+    Each queue owns a :class:`FullnessMeter`; GMP reads Ω from it.
+
+    When a :class:`~repro.telemetry.Telemetry` instance is supplied,
+    each queue additionally records its length trajectory
+    (``buffer.queue_len``) and full/not-full dwell time
+    (``buffer.fullness``); both piggyback on the meter updates the
+    policy already performs, so no extra events are scheduled.
+    """
+
+    def __init__(
+        self,
+        node_id: int,
+        next_hop: Callable[[int], int],
+        gate: BackpressureGate,
+        *,
+        per_dest_capacity: int = 10,
+        telemetry=None,
+    ) -> None:
+        super().__init__(node_id, next_hop)
+        if per_dest_capacity < 1:
+            raise BufferError_(f"per-dest capacity must be >= 1: {per_dest_capacity}")
+        self.gate = gate
+        self._allows = gate.allows  # asked for every packet served
+        self.per_dest_capacity = per_dest_capacity
+        self._queues: dict[int, deque[Packet]] = {}
+        self._meters: dict[int, FullnessMeter] = {}
+        self._last_dest: int | None = None
+        self._dests: list[int] = []  # every queue's destination, sorted
+        self._link_of: dict[int, Link] = {}  # dest -> (node, next hop)
+        self._dests_via: dict[int, list[int]] = {}  # next hop -> sorted dests
+        self._link_backlog: dict[Link, int] = {}  # queued packets per link
+        self._backlog = 0
+        self._tm = telemetry if telemetry is not None and telemetry.enabled else None
+        self._len_series: dict[int, object] = {}
+        self._full_hists: dict[int, object] = {}
+
+    # --- queue bookkeeping -------------------------------------------------------
+
+    def _queue_for(self, dest: int) -> deque[Packet]:
+        queue = self._queues.get(dest)
+        if queue is None:
+            hop = self.next_hop(dest)
+            a_link = self._link_of[dest] = (self.node_id, hop)
+            self._link_backlog.setdefault(a_link, 0)
+            insort(self._dests, dest)
+            insort(self._dests_via.setdefault(hop, []), dest)
+            queue = self._queues[dest] = deque()
+            self._meters[dest] = FullnessMeter()
+        return queue
+
+    def _enqueue(self, queue: deque[Packet], packet: Packet, now: float) -> None:
+        queue.append(packet)
+        dest = packet.destination
+        self._link_backlog[self._link_of[dest]] += 1
+        self._backlog += 1
+        # The meter reads full exactly while len >= capacity, so only
+        # the append that reaches capacity can move it.
+        if self._tm is not None:
+            self._update_meter(dest, now)
+        elif len(queue) == self.per_dest_capacity:
+            self._meters[dest].set_full(now, True)
+
+    def _update_meter(self, dest: int, now: float) -> None:
+        length = len(self._queues[dest])
+        full = length >= self.per_dest_capacity
+        self._meters[dest].set_full(now, full)
+        if self._tm is not None:
+            series = self._len_series.get(dest)
+            if series is None:
+                series = self._tm.registry.series(
+                    "buffer.queue_len", node=self.node_id, dest=dest
+                )
+                self._len_series[dest] = series
+                self._full_hists[dest] = self._tm.registry.histogram(
+                    "buffer.fullness", (0.5,), node=self.node_id, dest=dest
+                )
+            series.record_changed(now, length)
+            self._full_hists[dest].update(now, 1.0 if full else 0.0)
+
+    def served_destinations(self) -> list[int]:
+        """Destinations with an instantiated queue, sorted."""
+        return sorted(self._queues)
+
+    def queue_length(self, dest: int) -> int:
+        """Current length of the queue for ``dest`` (0 if absent)."""
+        queue = self._queues.get(dest)
+        return len(queue) if queue is not None else 0
+
+    def has_free(self, dest: int) -> bool:
+        """True if the queue for ``dest`` has a free nominal slot."""
+        queue = self._queues.get(dest)
+        return queue is None or len(queue) < self.per_dest_capacity
+
+    def fullness(self, dest: int, now: float) -> float:
+        """Ω of the queue for ``dest`` over the current window."""
+        meter = self._meters.get(dest)
+        if meter is None:
+            return 0.0
+        self._update_meter(dest, now)
+        return meter.fraction_full(now)
+
+    def reset_meters(self, now: float) -> None:
+        """Start a new measurement window on every queue."""
+        for dest, meter in self._meters.items():
+            self._update_meter(dest, now)
+            meter.reset(now)
+
+    # --- admission -------------------------------------------------------------
+
+    def admit_local_at(self, packet: Packet, now: float) -> bool:
+        queue = self._queue_for(packet.destination)
+        if len(queue) >= self.per_dest_capacity:
+            return False
+        self._enqueue(queue, packet, now)
+        return True
+
+    def local_room(self, flow_id: int, dest: int) -> bool:
+        # has_free(dest), inlined: asked on every offer a source makes.
+        queue = self._queues.get(dest)
+        return queue is None or len(queue) < self.per_dest_capacity
+
+    def admit_forwarded_at(self, packet: Packet, now: float) -> bool:
+        queue = self._queue_for(packet.destination)
+        if len(queue) >= self.per_dest_capacity:
+            self.overshoot += 1
+        self._enqueue(queue, packet, now)
+        return True
+
+    # --- service -------------------------------------------------------------------
+
+    def _serve(self, dests: list[int], now: float) -> Packet | None:
+        """Pop the head of the first eligible queue among ``dests``
+        (sorted), visiting them round-robin after the node-wide
+        pointer: destinations above ``_last_dest`` first, then wrap."""
+        last = self._last_dest
+        pivot = bisect_right(dests, last) if last is not None else 0
+        queues, link_of, allows = self._queues, self._link_of, self._allows
+        for dest in (dests[pivot:] + dests[:pivot]) if pivot else dests:
+            queue = queues[dest]
+            if queue and allows(link_of[dest][1], dest, now):
+                self._last_dest = dest
+                packet = queue.popleft()
+                self._link_backlog[link_of[dest]] -= 1
+                self._backlog -= 1
+                if self._tm is not None:
+                    self._update_meter(dest, now)
+                elif len(queue) == self.per_dest_capacity - 1:
+                    self._meters[dest].set_full(now, False)
+                return packet
+        return None
+
+    def dequeue(self, now: float) -> tuple[Packet, int] | None:
+        if not self._backlog:
+            return None
+        packet = self._serve(self._dests, now)
+        if packet is None:
+            return None
+        return packet, self._link_of[packet.destination][1]
+
+    def dequeue_for(self, next_hop: int, now: float) -> Packet | None:
+        if not self._link_backlog.get((self.node_id, next_hop)):
+            return None
+        return self._serve(self._dests_via[next_hop], now)
+
+    def eligible_links(self, now: float) -> dict[Link, int]:
+        # Raw backlog per link: the gate is applied per packet at
+        # dequeue time, so a currently blocked queue still registers
+        # demand (it may unblock when the downstream queue drains
+        # within the same fluid round).  This is the live count map —
+        # read-only for callers; a link whose queues drained stays
+        # listed with a zero.
+        return self._link_backlog
+
+    def backlog(self) -> int:
+        return self._backlog
+
+    def has_pending(self) -> bool:
+        return self._backlog > 0
+
+    def queued_packets(self) -> list[Packet]:
+        return [
+            packet
+            for dest in sorted(self._queues)
+            for packet in self._queues[dest]
+        ]
+
+    def drain(self, now: float) -> list[Packet]:
+        lost = self.queued_packets()
+        for dest, queue in self._queues.items():
+            queue.clear()
+            self._update_meter(dest, now)
+        for a_link in self._link_backlog:
+            self._link_backlog[a_link] = 0
+        self._backlog = 0
+        return lost
+
+    def piggyback_states(self) -> dict[int, bool]:
+        return {dest: self.has_free(dest) for dest in self._queues}
+
+
+OraclePerFlowBuffer = PerFlowBuffer
+OraclePerDestinationBuffer = PerDestinationBuffer
+
+
+# --- The virtual-link queue core before it was indexed by next hop --------------
+#
+# The service order, per-link demand and pending probe exactly as a keyed
+# buffer computed them by scanning every queue, kept as the oracle for
+# the core's next-hop index.  They read a buffer's state without
+# changing it: `scan_*` say what a call *would* do.
+
+
+def _rr_scan(buffer) -> list[int]:
+    """Every queue's key, sorted, rotated to start after the node-wide
+    round-robin pointer."""
+    return _rr_order(buffer._queues, buffer._last_key)
+
+
+def _scan_head(buffer, key: int, next_hop: int | None, now: float) -> Packet | None:
+    """The head of the queue for ``key`` if it is routed via ``next_hop``
+    (None: any) and may be served now."""
+    queue = buffer._queues[key]
+    if not queue:
+        return None
+    hop = buffer.next_hop(queue[0].destination)
+    if next_hop not in (None, hop):
+        return None
+    if buffer._allows is not None and not buffer._allows(hop, key, now):
+        return None
+    return queue[0]
 
 
 def scan_dequeue(buffer, now: float):
     """The ``(packet, next_hop)`` a full-scan ``dequeue`` serves."""
-    for dest in _rr_scan(buffer):
-        if _scan_eligible(buffer, dest, now):
-            return _head(buffer, dest), buffer.next_hop(dest)
+    for key in _rr_scan(buffer):
+        head = _scan_head(buffer, key, None, now)
+        if head is not None:
+            return head, buffer.next_hop(head.destination)
     return None
 
 
 def scan_dequeue_for(buffer, next_hop: int, now: float):
     """The packet a full-scan ``dequeue_for(next_hop)`` serves."""
-    for dest in _rr_scan(buffer):
-        if buffer.next_hop(dest) == next_hop and _scan_eligible(buffer, dest, now):
-            return _head(buffer, dest)
+    for key in _rr_scan(buffer):
+        head = _scan_head(buffer, key, next_hop, now)
+        if head is not None:
+            return head
     return None
 
 
 def scan_eligible_links(buffer) -> dict:
-    """Raw backlog per outgoing link, recounted from the queues."""
+    """Raw backlog per outgoing link, recounted from the queued packets."""
     counts: dict = {}
-    for dest in buffer.served_destinations():
-        length = buffer.queue_length(dest)
-        if length:
-            a_link = (buffer.node_id, buffer.next_hop(dest))
-            counts[a_link] = counts.get(a_link, 0) + length
+    for packet in buffer.queued_packets():
+        a_link = (buffer.node_id, buffer.next_hop(packet.destination))
+        counts[a_link] = counts.get(a_link, 0) + 1
     return counts
 
 
 def scan_has_pending(buffer) -> bool:
-    return any(buffer.queue_length(dest) for dest in buffer.served_destinations())
+    return any(buffer._queues.values())
 
 
 # --- Timer before it re-keyed its event in place ------------------------------

@@ -1,12 +1,12 @@
-"""Differential test of PerDestinationBuffer's next-hop index.
+"""Differential test of the virtual-link queue core's next-hop index.
 
-The buffer serves a link by walking only the destinations routed over
-it and reports maintained backlog counts; before, it sorted and scanned
+A keyed buffer serves a link by walking only the keys routed over it
+and reports maintained backlog counts; before, it sorted and scanned
 every queue on every call.  The scan survives in ``tests/helpers.py``
 as the oracle: under any interleaving of admissions, services, drains
-and gate flips the indexed buffer must hand out the same packet, move
-the node-wide round-robin pointer the same way and report the same
-counts.
+and gate flips, the per-destination and the per-flow buffer must each
+hand out the same packet as the scan, move the node-wide round-robin
+pointer the same way and report the same counts.
 """
 
 from pathlib import Path
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.buffers.backpressure import OracleGate
-from repro.buffers.queues import PerDestinationBuffer
+from repro.buffers.queues import PerDestinationBuffer, PerFlowBuffer
 from repro.flows.packet import Packet
 
 from helpers import (
@@ -29,42 +29,50 @@ NODE = 0
 #: Five destinations over three next hops, interleaved so that neither
 #: a hop's destinations nor the rotation after the pointer is contiguous.
 NEXT_HOP = {1: 10, 2: 11, 3: 10, 4: 12, 5: 11}
-DESTS = st.sampled_from(sorted(NEXT_HOP))
+#: flow -> destination: seven flows, two pairs sharing a destination.
+DEST_OF = {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 1, 7: 5}
+FLOWS = st.sampled_from(sorted(DEST_OF))
 HOPS = st.sampled_from(sorted(set(NEXT_HOP.values())) + [13])  # 13: no queue ever
 
 
 class IndexedBufferMatchesTheScan(RuleBasedStateMachine):
+    """Per-destination queues; the per-flow subclass below re-keys them."""
+
+    def make_buffer(self, gate):
+        return PerDestinationBuffer(NODE, NEXT_HOP.__getitem__, gate, per_dest_capacity=3)
+
+    def key(self, packet: Packet) -> int:
+        return packet.destination
+
     def __init__(self):
         super().__init__()
-        self.blocked: set[tuple[int, int]] = set()  # (next hop, dest) gated shut
-        self.buffer = PerDestinationBuffer(
-            NODE,
-            NEXT_HOP.__getitem__,
-            OracleGate(lambda hop, dest: (hop, dest) not in self.blocked),
-            per_dest_capacity=3,
+        self.blocked: set[tuple[int, int]] = set()  # (next hop, key) gated shut
+        self.buffer = self.make_buffer(
+            OracleGate(lambda hop, key: (hop, key) not in self.blocked)
         )
         self.now = 0.0
         self.serial = 0
 
-    def packet(self, dest: int) -> Packet:
+    def packet(self, flow: int) -> Packet:
         self.serial += 1
         self.now += 0.001
-        return Packet(
-            flow_id=self.serial,  # unique: identifies the packet object
-            source=NODE,
-            destination=dest,
-            size_bytes=1024,
-            created_at=self.now,
-        )
+        return Packet(flow, NODE, DEST_OF[flow], 1024, self.now, self.serial)
 
-    @rule(dest=DESTS)
-    def admit_local(self, dest):
-        room = self.buffer.queue_length(dest) < self.buffer.per_dest_capacity
-        assert self.buffer.admit_local_at(self.packet(dest), self.now) == room
+    def room(self, packet: Packet) -> bool:
+        return self.buffer.queue_length(self.key(packet)) < self.buffer.capacity
 
-    @rule(dest=DESTS)
-    def admit_forwarded(self, dest):
-        assert self.buffer.admit_forwarded_at(self.packet(dest), self.now)
+    @rule(flow=FLOWS)
+    def admit_local(self, flow):
+        packet = self.packet(flow)
+        room = self.room(packet)
+        assert self.buffer.admit_local_at(packet, self.now) == room
+
+    @rule(flow=FLOWS)
+    def admit_forwarded(self, flow):
+        packet = self.packet(flow)
+        room = self.room(packet)
+        accepted = self.buffer.admit_forwarded_at(packet, self.now)
+        assert accepted == (room or isinstance(self.buffer, PerDestinationBuffer))
 
     @rule()
     def dequeue(self):
@@ -75,17 +83,15 @@ class IndexedBufferMatchesTheScan(RuleBasedStateMachine):
         else:
             assert served is not None
             assert served[0] is expected[0] and served[1] == expected[1]
-            assert self.buffer._last_dest == served[0].destination
+            assert self.buffer._last_key == self.key(served[0])
 
     @rule(hop=HOPS)
     def dequeue_for(self, hop):
-        pointer = self.buffer._last_dest
+        pointer = self.buffer._last_key
         expected = scan_dequeue_for(self.buffer, hop, self.now)
         served = self.buffer.dequeue_for(hop, self.now)
         assert served is expected
-        assert self.buffer._last_dest == (
-            pointer if served is None else served.destination
-        )
+        assert self.buffer._last_key == (pointer if served is None else self.key(served))
 
     @rule()
     def drain(self):
@@ -93,8 +99,9 @@ class IndexedBufferMatchesTheScan(RuleBasedStateMachine):
         assert self.buffer.drain(self.now) == queued
         assert not self.buffer.has_pending()
 
-    @rule(dest=DESTS)
-    def flip_gate(self, dest):
+    @rule(flow=FLOWS)
+    def flip_gate(self, flow):
+        dest = DEST_OF[flow]
         self.blocked ^= {(NEXT_HOP[dest], dest)}
 
     @invariant()
@@ -106,7 +113,18 @@ class IndexedBufferMatchesTheScan(RuleBasedStateMachine):
         assert self.buffer.backlog() == len(self.buffer.queued_packets())
 
 
+class IndexedPerFlowBufferMatchesTheScan(IndexedBufferMatchesTheScan):
+    """Per-flow queues: ungated, and a full queue drops a forwarded packet."""
+
+    def make_buffer(self, gate):
+        return PerFlowBuffer(NODE, NEXT_HOP.__getitem__, per_flow_capacity=2)
+
+    def key(self, packet: Packet) -> int:
+        return packet.flow_id
+
+
 TestIndexedBufferMatchesTheScan = IndexedBufferMatchesTheScan.TestCase
+TestIndexedPerFlowBufferMatchesTheScan = IndexedPerFlowBufferMatchesTheScan.TestCase
 
 
 def test_seed_375_is_still_the_one_strict_xfail():

@@ -94,6 +94,20 @@ class TestPerFlow:
         assert buf.backlog() == 2
         assert buf.has_pending()
 
+    def test_drain_keeps_the_queues_and_the_round_robin_pointer(self):
+        # A crash empties every flow queue but keeps the queues, so the
+        # rotation resumes after the last flow served (flow 2), not from
+        # the lowest flow as when a drain forgot the queues.
+        buf = PerFlowBuffer(0, next_hop_via_5)
+        for flow_id in (1, 2, 3):
+            buf.admit_local_at(make_packet(flow_id=flow_id), 0.0)
+        assert [buf.dequeue(0.0)[0].flow_id for _ in range(2)] == [1, 2]
+        assert len(buf.drain(0.0)) == 1
+        assert buf.eligible_links(0.0) == {(0, 5): 0}
+        for flow_id in (1, 2, 3):
+            buf.admit_local_at(make_packet(flow_id=flow_id), 0.0)
+        assert [buf.dequeue(0.0)[0].flow_id for _ in range(3)] == [3, 1, 2]
+
 
 class TestPerDestination:
     def make(self, allow=True, capacity=3):
@@ -203,10 +217,12 @@ class TestPerDestination:
         assert buf.fullness(1, 10.0) == pytest.approx(0.5)
 
     def test_served_destinations(self):
+        # A queue, and so a piggybacked bit, exists per destination served.
         buf = self.make()
         buf.admit_local_at(make_packet(dest=3), 0.0)
         buf.admit_local_at(make_packet(dest=1), 0.0)
-        assert buf.served_destinations() == [1, 3]
+        assert buf.queued_packets()[0].destination == 1
+        assert buf.piggyback_states() == {3: True, 1: True}
 
 
 class TestSharedBackpressure:

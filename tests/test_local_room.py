@@ -110,7 +110,7 @@ class ProbeMatchesAdmission(RuleBasedStateMachine):
         buffer = self.buffer
         if isinstance(buffer, PerDestinationBuffer):
             for dest, meter in buffer._meters.items():
-                full = buffer.queue_length(dest) >= buffer.per_dest_capacity
+                full = buffer.queue_length(dest) >= buffer.capacity
                 assert (meter._full_since is not None) == full
 
 

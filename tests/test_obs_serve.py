@@ -499,6 +499,25 @@ def test_paced_session_bounds_wall_time_and_keeps_the_run(tmp_path):
         assert paced_run[key] == manifests["free"][key], key
 
 
+def test_wall_seconds_stop_when_the_run_returns(tmp_path, monkeypatch):
+    """The manifest times the run, not the HTTP plane's shutdown."""
+    from http.server import ThreadingHTTPServer
+
+    shutdown = ThreadingHTTPServer.shutdown
+
+    def slow_shutdown(server):
+        time.sleep(1.0)
+        shutdown(server)
+
+    monkeypatch.setattr(ThreadingHTTPServer, "shutdown", slow_shutdown)
+    spec = RunSpec(scenario="figure3", substrate="fluid", duration=1.0, seed=1)
+    config = ServeConfig(port=0, session_dir=str(tmp_path / "s"), health=False)
+    started = time.monotonic()
+    manifest = serve_session(spec, config, emit=lambda _: None)
+    assert time.monotonic() - started >= 1.0  # the slow shutdown did run
+    assert manifest["wall_seconds"] < 1.0
+
+
 # ---------------------------------------------------------------- CLI
 
 
@@ -559,4 +578,13 @@ def test_serve_main_rejects_a_bad_spec_before_the_session(tmp_path, capsys):
     )
     assert code == 2
     assert "duration" in capsys.readouterr().err
+    assert not session_dir.exists()
+
+
+@pytest.mark.parametrize("flag", ["--pace", "--command-interval"])
+def test_serve_main_rejects_a_bad_pacing_flag_before_the_session(tmp_path, capsys, flag):
+    session_dir = tmp_path / "p0"
+    code = serve_main(["figure3", flag, "0", "--port", "0", "--session-dir", str(session_dir)])
+    assert code == 2
+    assert "must be positive" in capsys.readouterr().err
     assert not session_dir.exists()

@@ -1,14 +1,15 @@
-"""Round-robin ordering helper and waterfill edge cases."""
+"""The per-flow oracle's round-robin ordering and waterfill edge cases."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.buffers.queues import _rr_order
 from repro.mac.fluid import waterfill_links
 from repro.topology.builders import chain_topology
 from repro.topology.cliques import maximal_cliques
 from repro.topology.contention import ContentionGraph
+
+from helpers import _rr_order
 
 
 class TestRrOrder:
