@@ -61,6 +61,7 @@ import sys
 from pathlib import Path
 
 from repro.errors import ReproError
+from repro.scenarios.runner import Session
 from repro.scenarios.spec import (
     SCENARIO_FACTORIES,
     add_run_flags,
@@ -99,22 +100,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument("scenario", choices=tuple(SCENARIO_FACTORIES))
     add_run_flags(parser)
+    # The watchdog flags default to the Session fields they set.
     parser.add_argument(
         "--max-events",
         type=int,
-        default=None,
+        default=Session.max_events,
         help="kernel watchdog: hard budget on dispatched events",
     )
     parser.add_argument(
         "--stall-limit",
         type=int,
-        default=1_000_000,
+        default=Session.stall_limit,
         help="kernel watchdog: max events without simulated time advancing",
     )
     parser.add_argument(
         "--wall-deadline",
         type=float,
-        default=None,
+        default=Session.wall_deadline,
         help="kernel watchdog: real seconds the run may take",
     )
     parser.add_argument(

@@ -54,8 +54,6 @@ class OverhearingGate(BackpressureGate):
             raise ConfigError(f"stale_timeout must be positive: {stale_timeout}")
         self.stale_timeout = stale_timeout
         self._cache: dict[tuple[int, int], tuple[bool, float]] = {}
-        self.blocked_checks = 0
-        self.allowed_checks = 0
 
     def update(self, neighbor: int, states: dict[int, bool], now: float) -> None:
         for dest, has_free in states.items():
@@ -64,14 +62,9 @@ class OverhearingGate(BackpressureGate):
     def allows(self, neighbor: int, dest: int, now: float) -> bool:
         entry = self._cache.get((neighbor, dest))
         if entry is None:
-            self.allowed_checks += 1
             return True
         has_free, heard_at = entry
-        if has_free or now - heard_at > self.stale_timeout:
-            self.allowed_checks += 1
-            return True
-        self.blocked_checks += 1
-        return False
+        return has_free or now - heard_at > self.stale_timeout
 
     def known_state(self, neighbor: int, dest: int) -> bool | None:
         """Last overheard state, or None if never heard."""

@@ -337,7 +337,7 @@ class VirtualLinkBuffer(BufferPolicy):
         self._keys_via: dict[int, list[int]] = {}  # next hop -> sorted keys
         self._link_backlog: dict[Link, int] = {}  # queued packets per link
         self._backlog = 0
-        self._tm = telemetry if telemetry is not None and telemetry.enabled else None
+        self._tm = telemetry
         self._instruments: dict[int, tuple] = {}  # key -> (length series, full histogram)
 
     # --- queue bookkeeping -------------------------------------------------------

@@ -19,6 +19,10 @@ from repro.core.classification import LinkType
 from repro.core.requests import RateRequest, RequestKind
 from repro.topology.network import Link
 
+#: When L1 exceeds this multiple of S1, the source and buffer-saturated
+#: conditions halve/double rates instead of stepping by β (§6.3).
+BIG_GAP_FACTOR = 3.0
+
 
 def beta_equal(a: float, b: float, beta: float) -> bool:
     """True when ``a`` and ``b`` differ by less than ``beta`` of the larger."""
@@ -68,7 +72,7 @@ class VirtualNodeView:
 
 
 def evaluate_source_and_buffer_conditions(
-    view: VirtualNodeView, *, beta: float, big_gap_factor: float = 3.0
+    view: VirtualNodeView, *, beta: float
 ) -> list[RateRequest]:
     """Test the source and buffer-saturated conditions at one
     saturated virtual node; return the adjustment requests of §6.3.
@@ -78,7 +82,7 @@ def evaluate_source_and_buffer_conditions(
     upstream links.  When S1 is β-smaller than L1, flows at L1 are
     asked down and flows at S1 (on buffer-saturated links, or local
     flows with a limit) are asked up; the step is halving/doubling when
-    ``L1 > big_gap_factor * S1`` and ±β otherwise.
+    ``L1 > BIG_GAP_FACTOR * S1`` and ±β otherwise.
     """
     upstream_mus = [u.mu for u in view.upstream if u.mu is not None]
     candidates_l1 = upstream_mus + list(view.local_flow_mus.values())
@@ -98,7 +102,7 @@ def evaluate_source_and_buffer_conditions(
     if not beta_less(s1, l1, beta):
         return []  # conditions satisfied
 
-    big_gap = l1 > big_gap_factor * s1
+    big_gap = l1 > BIG_GAP_FACTOR * s1
     down = 0.5 if big_gap else 1.0 - beta
     up = 2.0 if big_gap else 1.0 + beta
 

@@ -28,8 +28,6 @@ class GmpConfig:
         omega_threshold: buffer is *saturated* when it was full for
             more than this fraction of the period.
         queue_capacity: per-destination queue capacity in packets.
-        big_gap_factor: when L1 > factor * S1, requests halve/double
-            rather than stepping by β (§6.3).
         additive_increase: packets/second added to an uncontested rate
             limit each period (rate-limit condition).
         min_rate: floor for rate limits, packets/second.
@@ -47,31 +45,16 @@ class GmpConfig:
             still probes upward, so removal is an optimization, not a
             correctness requirement — see EXPERIMENTS.md for the
             ablation.
-        violation_persistence: consecutive periods a bandwidth
-            violation must persist on the same wireless link before
-            rate adjustments are issued for it.  One-period dips are
-            measurement noise; reacting to them repeatedly drags down
-            high-rate flows that legitimately ride above the victim
-            (multiplicative decrease vs. additive recovery makes even
-            rare spurious hits pin them).
-        control_delay_periods: extra periods between computing rate
-            adjustments and applying them at the sources.  0 models an
-            instantaneous control plane (default); 1 reproduces the
-            paper's separate adjustment period (requests computed from
-            one measurement period take effect a full period later).
     """
 
     period: float = 4.0
     beta: float = 0.10
     omega_threshold: float = 0.25
     queue_capacity: int = 10
-    big_gap_factor: float = 3.0
     additive_increase: float = 8.0
     min_rate: float = 1.0
     stale_timeout: float = 0.1
     removal_persistence: int | None = None
-    violation_persistence: int = 2
-    control_delay_periods: int = 0
 
     def __post_init__(self) -> None:
         if not 0 < self.period < math.inf:
@@ -84,10 +67,6 @@ class GmpConfig:
             )
         if self.queue_capacity < 1:
             raise ConfigError(f"queue_capacity must be >= 1: {self.queue_capacity}")
-        if not 1 < self.big_gap_factor < math.inf:
-            raise ConfigError(
-                f"big_gap_factor must exceed 1 and be finite: {self.big_gap_factor}"
-            )
         if not 0 < self.additive_increase < math.inf:
             raise ConfigError(
                 f"additive_increase must be positive and finite: "
@@ -103,12 +82,4 @@ class GmpConfig:
             raise ConfigError(
                 f"removal_persistence must be >= 1 or None: "
                 f"{self.removal_persistence}"
-            )
-        if self.violation_persistence < 1:
-            raise ConfigError(
-                f"violation_persistence must be >= 1: {self.violation_persistence}"
-            )
-        if self.control_delay_periods < 0:
-            raise ConfigError(
-                f"control_delay_periods must be >= 0: {self.control_delay_periods}"
             )

@@ -1,12 +1,11 @@
-"""Dissemination scope and overhead accounting (§6.2).
+"""Dissemination scope (§6.2).
 
 Wireless-link state must reach every node with a link contending with
 it — all nodes within two hops of either endpoint.  The paper uses
-per-node dominating sets to rebroadcast efficiently; our default
-control plane is out-of-band (state exchange is instantaneous at
-period boundaries), but the *scope* rules are enforced so that no node
-ever consults state it could not have received, and the rebroadcast
-cost that the in-band scheme would incur is accounted for.
+per-node dominating sets to rebroadcast efficiently; our control plane
+is out-of-band (state exchange is instantaneous at period boundaries),
+but the *scope* rules are enforced so that no node ever consults state
+it could not have received.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Callable
 
 from repro.errors import TopologyError
 from repro.topology.contention import ContentionGraph
-from repro.topology.dominating import dominating_set
 from repro.topology.neighbors import within_two_hops
 from repro.topology.network import Link, Topology, canonical
 
@@ -52,14 +50,10 @@ class DisseminationScope:
         self.topology = topology
         self.contention = contention
         # Resolved per node on first use: only the audiences of violating
-        # links and the broadcast accounting ever read them.
+        # links ever read them.
         self._within2 = _PerNode(
             lambda node: within_two_hops(topology, node) | {node}
         )
-        self.dominating = _PerNode(lambda node: dominating_set(topology, node))
-        # Overhead accounting for the in-band scheme this models.
-        self.link_state_broadcasts = 0
-        self.notice_broadcasts = 0
 
     def _contending_nodes(self, a_link: Link) -> frozenset[int]:
         if self.contention is None:
@@ -77,17 +71,3 @@ class DisseminationScope:
         endpoints of every contending link."""
         i, j = canonical(a_link)
         return self._within2[i] | self._within2[j] | self._contending_nodes(a_link)
-
-    def record_link_state_change(self, a_link: Link) -> None:
-        """Account the broadcasts the in-band scheme would send: both
-        endpoints broadcast, and their dominating-set members
-        rebroadcast."""
-        i, j = canonical(a_link)
-        self.link_state_broadcasts += 2
-        self.link_state_broadcasts += len(self.dominating[i]) + len(
-            self.dominating[j]
-        )
-
-    def record_notice(self, origin: int) -> None:
-        """Account one violation-notice dissemination from ``origin``."""
-        self.notice_broadcasts += 1 + len(self.dominating[origin])

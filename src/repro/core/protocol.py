@@ -16,8 +16,9 @@ Locality discipline: every decision consults only the deciding node's
 own measurements plus state that the two-hop dissemination scope
 entitles it to.  The control plane itself is out-of-band (instant
 delivery at the boundary), standing in for the paper's piggybacked
-bits, dominating-set rebroadcasts, and per-flow control packets whose
-cost is accounted in :class:`~repro.core.dissemination.DisseminationScope`.
+bits, dominating-set rebroadcasts, and per-flow control packets;
+:class:`~repro.core.dissemination.DisseminationScope` bounds who may
+read what, and no transport cost is modelled.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from repro.core.conditions import (
     BandwidthViolation,
     UpstreamView,
     VirtualNodeView,
-    beta_equal,
     evaluate_source_and_buffer_conditions,
     find_bandwidth_violation,
     respond_to_bandwidth_violation,
@@ -52,6 +52,14 @@ from repro.stack import NodeStack
 from repro.topology.cliques import CliqueSystem
 from repro.topology.contention import ContentionGraph
 from repro.topology.network import Link, Topology, canonical
+
+#: Consecutive periods a bandwidth violation must persist on the same
+#: wireless link before rate adjustments are issued for it.  One-period
+#: dips are measurement noise; reacting to them repeatedly drags down
+#: high-rate flows that legitimately ride above the victim
+#: (multiplicative decrease vs. additive recovery makes even rare
+#: spurious hits pin them).
+VIOLATION_PERSISTENCE = 2
 
 
 @dataclass
@@ -140,8 +148,6 @@ class GmpProtocol:
         self._departed: dict[int, _SourceState] = {}
         self._observer = _Observer(self)
         self._violation_streak: dict[Link, int] = {}
-        self._pending_adjustments: list[dict[int, list[RateRequest]]] = []
-        self._last_link_state: dict[Link, tuple[float, float]] = {}
         self._started = False
 
         # Fault tolerance: crash-notified nodes and control-plane loss.
@@ -151,14 +157,12 @@ class GmpProtocol:
         self._control_rng = None
 
         # Introspection / statistics.
-        self.periods_completed = 0
         self.requests_issued: list[RateRequest] = []
         self.violations_found = 0
         self.control_requests_dropped = 0
-        self.stale_overrides = 0  # (node, dest) saturations vetoed for staleness
 
-        # Telemetry (None when the subsystem is disabled).
-        self._tm = sim.telemetry if sim.telemetry.enabled else None
+        # Telemetry (None in a run without it).
+        self._tm = sim.telemetry
         self._last_condition: dict[tuple[Link, int], LinkType] = {}
 
     # --- wiring ------------------------------------------------------------------
@@ -211,8 +215,7 @@ class GmpProtocol:
         Releases the source registration and its rate limit, removes
         the flow from the :class:`FlowSet` and the grand virtual
         network, and garbage-collects per-virtual-link decision state
-        (condition memory, violation streaks) plus any in-flight
-        control requests addressed to the flow — a departed flow must
+        (condition memory, violation streaks) — a departed flow must
         not influence surviving flows.  The state is archived so
         :meth:`limit_history` keeps answering for it.
 
@@ -234,10 +237,6 @@ class GmpProtocol:
             a_link for a_link in self._violation_streak if a_link not in live_links
         ]:
             del self._violation_streak[a_link]
-        # Control packets still in flight toward the departed source
-        # (control_delay_periods > 0) die with it.
-        for pending in self._pending_adjustments:
-            pending.pop(flow_id, None)
         if self._tm is not None:
             self._tm.event(self.sim.now, "gmp.flow_departed", flow=flow_id)
 
@@ -255,12 +254,6 @@ class GmpProtocol:
         if flow_id in self.flows:
             residue.append(f"flow {flow_id}: still present in the flow set")
         residue.extend(self.gvn.flow_residue(flow_id))
-        for index, pending in enumerate(self._pending_adjustments):
-            if flow_id in pending:
-                residue.append(
-                    f"flow {flow_id}: pending rate adjustment retained "
-                    f"(slot {index})"
-                )
         state = self._departed.get(flow_id)
         if state is not None and state.traffic.rate_limit is not None:
             residue.append(
@@ -349,10 +342,6 @@ class GmpProtocol:
             a_link for a_link in self._violation_streak if node in a_link
         ]:
             del self._violation_streak[a_link]
-        for a_link in [
-            a_link for a_link in self._last_link_state if node in a_link
-        ]:
-            del self._last_link_state[a_link]
         self._trackers[node] = MuTracker()
 
     def _control_request_lost(self) -> bool:
@@ -396,7 +385,6 @@ class GmpProtocol:
             for key, value in saturated.items():
                 if value and key[0] in stale:
                     saturated[key] = False
-                    self.stale_overrides += 1
             for a_link in [
                 a_link
                 for a_link in self._violation_streak
@@ -408,7 +396,6 @@ class GmpProtocol:
         mu_by_vlink, primaries_by_vlink = self._summarize_mus()
         types_by_vlink = self._classify_vlinks(saturated, vlink_rates, mu_by_vlink)
         wlink_mu = self._wireless_link_mus(mu_by_vlink)
-        self._account_link_state_broadcasts(occupancy, wlink_mu)
 
         requests: dict[int, list[RateRequest]] = {}
 
@@ -425,11 +412,7 @@ class GmpProtocol:
         if self._tm is not None:
             self._record_boundary(now, period, types_by_vlink, requests)
 
-        # Control-plane latency: requests computed this period take
-        # effect `control_delay_periods` boundaries later (0 = now).
-        self._pending_adjustments.append(requests)
-        if len(self._pending_adjustments) > self.config.control_delay_periods:
-            self._apply_adjustments(self._pending_adjustments.pop(0))
+        self._apply_adjustments(requests)
 
         for tracker in self._trackers.values():
             tracker.reset()
@@ -437,7 +420,6 @@ class GmpProtocol:
             state.admitted_snapshot = state.traffic.admitted
             state.admitted_snapshot_mid = state.traffic.admitted
             state.limit_history.append(state.traffic.rate_limit)
-        self.periods_completed += 1
 
     # --- telemetry ---------------------------------------------------------------------
 
@@ -448,7 +430,7 @@ class GmpProtocol:
         types_by_vlink: dict[tuple[Link, int], LinkType],
         requests: dict[int, list[RateRequest]],
     ) -> None:
-        """Record per-period telemetry (enabled runs only): flow rate /
+        """Record per-period telemetry (instrumented runs only): flow rate /
         μ / limit trajectories, link-condition dwell and transitions,
         and the requests computed this period."""
         assert self._tm is not None
@@ -537,26 +519,6 @@ class GmpProtocol:
             a_link: combine_occupancy(total, period)
             for a_link, total in airtimes.items()
         }
-
-    def _account_link_state_broadcasts(
-        self, occupancy: dict[Link, float], wlink_mu: dict[Link, float]
-    ) -> None:
-        """Charge the in-band dissemination cost for every wireless
-        link whose state changed since the last period (§6.2: only
-        changed states are re-broadcast, through dominating sets).
-        State comparisons use the protocol's β-equality so jitter below
-        the decision resolution does not count as a change."""
-        beta = self.config.beta
-        for a_link in sorted(set(occupancy) | set(wlink_mu)):
-            state = (occupancy.get(a_link, 0.0), wlink_mu.get(a_link, 0.0))
-            previous = self._last_link_state.get(a_link)
-            changed = previous is None or not (
-                beta_equal(previous[0], state[0], beta)
-                and beta_equal(previous[1], state[1], beta)
-            )
-            if changed:
-                self.scope.record_link_state_change(a_link)
-                self._last_link_state[a_link] = state
 
     def _summarize_mus(
         self,
@@ -672,11 +634,7 @@ class GmpProtocol:
                 upstream=tuple(upstream_views),
             )
             requests.extend(
-                evaluate_source_and_buffer_conditions(
-                    view,
-                    beta=self.config.beta,
-                    big_gap_factor=self.config.big_gap_factor,
-                )
+                evaluate_source_and_buffer_conditions(view, beta=self.config.beta)
             )
         return requests
 
@@ -743,10 +701,9 @@ class GmpProtocol:
                 continue
             streak = self._violation_streak.get(a_link, 0) + 1
             self._violation_streak[a_link] = streak
-            if streak >= self.config.violation_persistence:
+            if streak >= VIOLATION_PERSISTENCE:
                 violations.append(violation)
                 self.violations_found += 1
-                self.scope.record_notice(a_link[0])
                 if self._tm is not None:
                     self._tm.event(
                         self.sim.now,

@@ -16,7 +16,7 @@
   joined to the link-condition transition or bandwidth violation that
   likely triggered it.
 
-A GMP run made with an enabled :class:`~repro.telemetry.Telemetry`
+A GMP run made with a :class:`~repro.telemetry.Telemetry`
 carries everything needed in ``RunResult.extras``.  ``python -m repro
 <scenario>`` prints every flow's :meth:`~RateExplanation.narrative`
 and ``--explain-out`` saves it (or the :meth:`~RateExplanation.to_json`
@@ -252,7 +252,7 @@ def explain_flow(
     Raises:
         AnalysisError: when ``flow_id`` is unknown, ``band`` is outside
             (0, 1), ``hold`` is below 1, or the run lacks the reference
-            solution (non-GMP protocol, telemetry disabled).
+            solution (non-GMP protocol, no telemetry).
     """
     if not 0 < band < 1:
         raise AnalysisError(f"band must be in (0, 1): {band}")
@@ -268,7 +268,7 @@ def explain_flow(
     weights = result.extras.get("flow_weights", {})
     capacity = result.extras.get("capacity_pps")
     telemetry = result.extras.get("telemetry")
-    if not isinstance(telemetry, Telemetry) or not telemetry.enabled:
+    if not isinstance(telemetry, Telemetry):
         telemetry = None
 
     measured = result.flow_rates[flow_id]

@@ -46,13 +46,13 @@ class NodeServices:
     on_overhear: Callable[[int, dict[int, bool]], None] = lambda sender, states: None
     make_piggyback: Callable[[], dict[int, bool]] = dict
     on_packet_dropped: Callable[[Packet, int], None] = lambda packet, next_hop: None
-    # Batch accessors used only by the fluid substrate (the DCF pulls one
+    # Batch accessors required by the fluid substrate (the DCF pulls one
     # packet at a time through ``dequeue``).
     eligible_links: "Callable[[], dict[Link, int]] | None" = None
     dequeue_for: "Callable[[int], Packet | None] | None" = None
-    # True while any packet is queued at the node, eligible or not.
-    # Optional; when every node supplies it, the fluid substrate can
-    # prove the network quiescent and skip whole allocation rounds.
+    # True while any packet is queued at the node, eligible or not: the
+    # fluid substrate stops polling a node it proves empty, and skips
+    # whole allocation rounds once none is left.
     has_pending: "Callable[[], bool] | None" = None
 
 

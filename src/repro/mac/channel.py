@@ -100,7 +100,8 @@ class Channel:
         self._link_loss: dict[tuple[int, int], float] = {}
         self._loss_rng = sim.rng.stream("channel.loss")
         # One channel.tx telemetry event per frame, when the run asks.
-        self._tm = sim.telemetry if sim.telemetry.wants("channel.tx") else None
+        tm = sim.telemetry
+        self._tm = tm if tm is not None and tm.wants("channel.tx") else None
         # Statistics.
         self.frames_sent = 0
         self.frames_delivered = 0

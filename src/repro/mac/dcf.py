@@ -107,8 +107,8 @@ class _DcfNode:
         )
 
         # Telemetry: resolved once at construction so the hot paths pay
-        # a single None check when the subsystem is disabled.
-        self._tm = sim.telemetry if sim.telemetry.enabled else None
+        # a single None check in a run without it.
+        self._tm = sim.telemetry
         self._airtime_counters: dict[Link, object] = {}
 
         # Measurement accumulators and statistics.

@@ -131,15 +131,14 @@ class FluidMac(MacLayer):
         self._credit: dict[Link, float] = {}
         self._occupancy: dict[int, dict[Link, float]] = {}
         self._started = False
-        self.packets_transferred = 0
         # Fault-injection state.
         self._down: set[int] = set()
         self._fault_caps: dict[Link, float] = {}
         self._link_loss: dict[Link, float] = {}
         self._loss_rng = sim.rng.stream("fluid.loss")
-        # Telemetry: resolved once so disabled runs pay one None check
+        # Telemetry: resolved once so a run without it pays one None check
         # per round; per-link instruments are cached on first use.
-        self._tm = sim.telemetry if sim.telemetry.enabled else None
+        self._tm = sim.telemetry
         self._rate_series: dict[Link, object] = {}
         self._active_links: set[Link] = set()
         # Incremental allocation machinery: the clique system the solver
@@ -173,10 +172,14 @@ class FluidMac(MacLayer):
     def attach_node(self, node_id: int, services: NodeServices) -> None:
         if node_id in self._services:
             raise MacError(f"node {node_id} already attached")
-        if services.eligible_links is None or services.dequeue_for is None:
+        if (
+            services.eligible_links is None
+            or services.dequeue_for is None
+            or services.has_pending is None
+        ):
             raise MacError(
-                "FluidMac requires NodeServices.eligible_links and "
-                "dequeue_for (batch accessors)"
+                "FluidMac requires NodeServices.eligible_links, dequeue_for "
+                "and has_pending (batch accessors)"
             )
         self.topology.node(node_id)
         self._services[node_id] = services
@@ -359,10 +362,8 @@ class FluidMac(MacLayer):
                 # Offered nothing: drop it once its buffer is proven
                 # empty (eligible or not — gates and backpressure cannot
                 # conjure demand out of an empty buffer, and every way a
-                # packet enters one calls notify_backlog).  A node
-                # without the probe is polled forever.
-                has_pending = services.has_pending
-                if has_pending is not None and not has_pending():
+                # packet enters one calls notify_backlog).
+                if not services.has_pending():
                     backlogged.discard(node_id)
                     self._poll_order = None
 
@@ -444,7 +445,6 @@ class FluidMac(MacLayer):
                 # Unused whole-packet budget is discarded (airtime
                 # cannot be banked across a blocked round).
                 continue
-            self.packets_transferred += sent
             airtime = sent / self.capacity_pps
             sender, receiver = a_link
             node_occ = self._occupancy[sender]
@@ -461,7 +461,7 @@ class FluidMac(MacLayer):
     def _record_round(
         self, alloc: dict[Link, float], sent_per_link: dict[Link, int]
     ) -> None:
-        """Record per-link telemetry after a round (enabled runs only)."""
+        """Record per-link telemetry after a round (instrumented runs only)."""
         assert self._tm is not None
         now = self.sim.now
         registry = self._tm.registry

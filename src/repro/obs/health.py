@@ -321,7 +321,7 @@ def detect_condition_flapping(
     up to ``until`` (default: the end of the run)."""
     alerts: list[Alert] = []
     telemetry = result.extras.get("telemetry")
-    if not isinstance(telemetry, Telemetry) or not telemetry.enabled:
+    if not isinstance(telemetry, Telemetry):
         return alerts
     until = result.duration if until is None else until
     warmup_end = result.duration * WARMUP_FRACTION
@@ -398,7 +398,7 @@ def detect_queue_divergence(
     windows, scanned up to ``until`` (default: the end of the run)."""
     alerts: list[Alert] = []
     telemetry = result.extras.get("telemetry")
-    if not isinstance(telemetry, Telemetry) or not telemetry.enabled:
+    if not isinstance(telemetry, Telemetry):
         return alerts
     until = result.duration if until is None else until
     warmup_end = result.duration * WARMUP_FRACTION

@@ -106,8 +106,8 @@ class ServeApi:
         from repro.telemetry.exporters import render_metrics_prometheus
 
         telemetry = self._handle().telemetry
-        if telemetry is None or not telemetry.enabled:
-            raise Unavailable("telemetry is not enabled for this session")
+        if telemetry is None:
+            raise Unavailable("this session has no telemetry")
         return _with_retries(lambda: render_metrics_prometheus(telemetry))
 
     def health(self) -> dict[str, Any]:

@@ -454,7 +454,7 @@ def serve_session(
     journal = SessionJournal(journal_path, header)
     controller.journal = journal.write
 
-    telemetry = Telemetry(enabled=True)
+    telemetry = Telemetry()
     sanitizer = ReplaySanitizer()
     stream = None
     if config.metrics_out is not None:

@@ -60,15 +60,15 @@ class StreamPublisher:
     """Stream one run's telemetry to a JSONL file.
 
     Args:
-        telemetry: the run's (enabled) telemetry instance.
+        telemetry: the run's telemetry instance.
         path: the JSONL file; truncated when the run binds the stream.
     """
 
     interval = STREAM_INTERVAL
 
     def __init__(self, telemetry: Telemetry, path: str) -> None:
-        if not telemetry.enabled:
-            raise ConfigError("streaming needs an enabled Telemetry instance")
+        if telemetry is None:
+            raise ConfigError("streaming needs a Telemetry instance")
         self.telemetry = telemetry
         self.path = path
         self._handle: Any = None

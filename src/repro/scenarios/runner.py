@@ -584,7 +584,7 @@ class Session:
 
     def _measure(self, extras: dict[str, Any]) -> RunResult:
         flows = sorted(self.all_flows.items())
-        if self.telemetry is not None and self.telemetry.enabled:
+        if self.telemetry is not None:
             extras["telemetry"] = self.telemetry
         extras["flow_paths"] = {
             flow_id: list(self.routes.path_links(flow.source, flow.destination))
@@ -673,7 +673,7 @@ class Session:
         sim, gmp, telemetry = self.sim, self.gmp, self.telemetry
         extras = self.extras
         extras["events_processed"] = sim.events_processed
-        if telemetry is not None and telemetry.enabled:
+        if telemetry is not None:
             telemetry.finalize(sim.now)
             # The exported run header names the run, not its sampling.
             header = self.run_info()
@@ -688,14 +688,6 @@ class Session:
 
         result = self._measure(extras)
         flow_rates = result.flow_rates
-        flow_delays: dict[int, float] = {}
-        for flow_id, flow in sorted(self.all_flows.items()):
-            sink = self.stacks[flow.destination]
-            total = sink.delivered.get(flow_id, 0)
-            flow_delays[flow_id] = (
-                sink.delay_sum.get(flow_id, 0.0) / total if total else float("nan")
-            )
-        extras["flow_delays"] = flow_delays
         if self.engine is not None:
             churn_report = self.engine.finalize()
             key = "churn" if self.churn is not None else "control_report"
@@ -725,9 +717,6 @@ class Session:
             }
             extras["requests_issued"] = len(gmp.requests_issued)
             extras["violations_found"] = gmp.violations_found
-            extras["control_broadcast_cost"] = (
-                gmp.scope.link_state_broadcasts + gmp.scope.notice_broadcasts
-            )
             extras["control_requests_dropped"] = gmp.control_requests_dropped
         if self.sanitizer is not None:
             extras["replay_digest"] = self.sanitizer.hexdigest()
@@ -804,7 +793,7 @@ def run_scenario(scenario: Scenario, **inputs: Any) -> RunResult:
             None disables).
         wall_deadline: kernel watchdog — real seconds the run may take.
         telemetry: optional :class:`~repro.telemetry.Telemetry`
-            instance.  When enabled, the whole stack instruments itself
+            instance.  When given, the whole stack instruments itself
             through it; the same instance (finalized) lands in
             ``extras["telemetry"]`` and, for GMP runs, the centralized
             maxmin reference rates land in ``extras["maxmin_reference"]``

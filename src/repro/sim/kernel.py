@@ -46,7 +46,7 @@ from repro.errors import SimulationError
 from repro.sim.event import DEFAULT_PRIORITY, Event, EventQueue
 from repro.sim.replay import ReplaySanitizer
 from repro.sim.rng import RngRegistry
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 
 #: Events between throughput samples when telemetry is collecting.
 _THROUGHPUT_WINDOW = 4096
@@ -152,7 +152,7 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.rng = RngRegistry(seed)
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = telemetry
         #: Optional replay sanitizer; observes every dispatched event
         #: (passively — it never schedules) so two runs can be diffed.
         self.sanitizer = sanitizer
@@ -380,8 +380,8 @@ class Simulator:
         stalled_tags: dict[str, int] = {}
         telemetry = self.telemetry
         sanitizer = self.sanitizer
-        collect = telemetry.enabled
-        profile = telemetry.profile
+        collect = telemetry is not None
+        profile = telemetry is not None and telemetry.profile
         tag_counts: dict[str, int] = {}
         tag_wall: dict[str, float] = {}
         tag_wall_buckets: dict[str, list[int]] = {}
@@ -392,7 +392,7 @@ class Simulator:
         window_start = run_start
         throughput = (
             telemetry.registry.series("kernel.events_per_sec_window")
-            if collect
+            if telemetry is not None
             else None
         )
         queue = self._queue
@@ -482,7 +482,7 @@ class Simulator:
             return self.now
         finally:
             self._running = False
-            if collect:
+            if telemetry is not None:
                 registry = telemetry.registry
                 for tag, count in tag_counts.items():
                     registry.counter("kernel.events_by_tag", tag=tag).inc(count)

@@ -86,8 +86,8 @@ class NodeStack:
         self.crash_losses: dict[int, int] = {}  # flow_id -> packets lost to crashes
         self.alive = True
 
-        # Telemetry (None when disabled); per-flow counters cached.
-        self._tm = sim.telemetry if sim.telemetry.enabled else None
+        # Telemetry (None in a run without it); per-flow counters cached.
+        self._tm = sim.telemetry
         self._delivered_counters: dict[int, object] = {}
 
     # --- wiring ---------------------------------------------------------------

@@ -16,12 +16,12 @@ The subsystem has three parts:
 
 A :class:`Telemetry` instance is attached to the
 :class:`~repro.sim.kernel.Simulator` (``sim.telemetry``); every model
-component instruments itself through it.  The default is the shared
-:data:`NULL_TELEMETRY`, which is disabled: instrumented components
-cache ``telemetry.enabled`` at construction and skip their hot-path
-bookkeeping entirely, so an un-instrumented run costs nothing and
-dispatches exactly the same events as before the subsystem existed —
-telemetry never schedules simulation events, even when enabled.
+component instruments itself through it.  No telemetry is spelled
+``None``: instrumented components cache ``sim.telemetry`` at
+construction and skip their hot-path bookkeeping entirely when it is
+``None``, so an un-instrumented run costs nothing and dispatches
+exactly the same events as an instrumented one — telemetry never
+schedules simulation events.
 
 Exporters live in :mod:`repro.telemetry.exporters`: the JSONL records
 that :mod:`repro.obs.stream` writes, Chrome ``trace_event`` JSON for
@@ -62,10 +62,9 @@ class Telemetry:
     profiling switches for one run.
 
     Args:
-        enabled: master switch; a disabled instance stores nothing.
         profile: also measure per-event-tag wall time in the kernel
             (adds two clock reads per dispatched event, so it is a
-            separate opt-in on top of ``enabled``).
+            separate opt-in).
         series_limit: default point cap per time series.
         event_limit: cap on stored events; the excess is counted in
             :attr:`events_dropped`.
@@ -80,20 +79,16 @@ class Telemetry:
     def __init__(
         self,
         *,
-        enabled: bool = True,
         profile: bool = False,
         series_limit: int | None = None,
         event_limit: int = DEFAULT_EVENT_LIMIT,
         trace_categories: Iterable[str] = (),
     ) -> None:
-        self.enabled = enabled
-        self.profile = profile and enabled
+        self.profile = profile
         if series_limit is not None:
-            self.registry = MetricsRegistry(
-                enabled=enabled, series_limit=series_limit
-            )
+            self.registry = MetricsRegistry(series_limit=series_limit)
         else:
-            self.registry = MetricsRegistry(enabled=enabled)
+            self.registry = MetricsRegistry()
         self._event_limit = event_limit
         self.trace_categories = tuple(trace_categories)
         self.events: list[TelemetryEvent] = []
@@ -103,16 +98,14 @@ class Telemetry:
     def wants(self, category: str) -> bool:
         """True if this run asked for the opt-in ``category``.  Emitters
         check it once, at construction, before recording events of it."""
-        return self.enabled and any(
+        return any(
             category == entry
             or (entry.endswith("*") and category.startswith(entry[:-1]))
             for entry in self.trace_categories
         )
 
     def event(self, time: float, category: str, **fields: Any) -> None:
-        """Record one structured event (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Record one structured event."""
         if len(self.events) >= self._event_limit:
             self.events_dropped += 1
             return
@@ -127,15 +120,11 @@ class Telemetry:
         self.registry.finalize(now)
 
 
-#: Shared disabled instance used wherever no telemetry was requested.
-NULL_TELEMETRY = Telemetry(enabled=False)
-
 __all__ = [
     "Counter",
     "Gauge",
     "Instrument",
     "MetricsRegistry",
-    "NULL_TELEMETRY",
     "SampleHistogram",
     "Series",
     "Telemetry",

@@ -3,10 +3,10 @@ and time-series probes, keyed by name + labels.
 
 Design goals, in order:
 
-1. **Near-zero cost when disabled.**  A disabled registry hands out
-   shared null instruments whose mutators are no-ops; instrumented
-   components additionally cache ``registry.enabled`` at construction
-   so their hot paths skip even the no-op call.
+1. **Zero cost when absent.**  A run without telemetry has no
+   registry at all: instrumented components cache ``sim.telemetry``
+   at construction and their hot paths skip every instrument call
+   when it is ``None``.
 2. **Deterministic.**  Instruments never touch wall clocks or RNGs;
    every timestamp is supplied by the caller (simulation time), so an
    instrumented run replays identically.
@@ -313,73 +313,18 @@ class SampleHistogram(Instrument):
         }
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram(TimeWeightedHistogram):
-    __slots__ = ()
-
-    def update(self, now: float, value: float) -> None:
-        pass
-
-    def finalize(self, now: float) -> None:
-        pass
-
-
-class _NullSeries(Series):
-    __slots__ = ()
-
-    def record(self, now: float, value: float) -> None:
-        pass
-
-    def record_changed(self, now: float, value: float) -> None:
-        pass
-
-
-class _NullSampleHistogram(SampleHistogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def merge_counts(self, bucket_counts: list[int], total: float) -> None:
-        pass
-
-
-NULL_COUNTER = _NullCounter("null", {})
-NULL_GAUGE = _NullGauge("null", {})
-NULL_HISTOGRAM = _NullHistogram("null", {}, (0.0,))
-NULL_SERIES = _NullSeries("null", {}, limit=0)
-NULL_SAMPLE_HISTOGRAM = _NullSampleHistogram("null", {}, (0.0,))
-
-
 class MetricsRegistry:
     """Factory and store for instruments.
 
     Args:
-        enabled: master switch.  A disabled registry stores nothing and
-            every accessor returns a shared null instrument.
         series_limit: default point cap for :class:`Series` probes.
     """
 
     def __init__(
         self,
         *,
-        enabled: bool = True,
         series_limit: int | None = DEFAULT_SERIES_LIMIT,
     ) -> None:
-        self.enabled = enabled
         self.series_limit = series_limit
         self._instruments: dict[tuple[str, str, LabelKey], Instrument] = {}
 
@@ -401,20 +346,14 @@ class MetricsRegistry:
         return instrument
 
     def counter(self, name: str, **labels: Any) -> Counter:
-        if not self.enabled:
-            return NULL_COUNTER
         return self._get("counter", name, labels, lambda: Counter(name, labels))
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
-        if not self.enabled:
-            return NULL_GAUGE
         return self._get("gauge", name, labels, lambda: Gauge(name, labels))
 
     def histogram(
         self, name: str, bounds: tuple[float, ...], **labels: Any
     ) -> TimeWeightedHistogram:
-        if not self.enabled:
-            return NULL_HISTOGRAM
         return self._get(
             "histogram",
             name,
@@ -425,8 +364,6 @@ class MetricsRegistry:
     def sample_histogram(
         self, name: str, bounds: tuple[float, ...], **labels: Any
     ) -> SampleHistogram:
-        if not self.enabled:
-            return NULL_SAMPLE_HISTOGRAM
         return self._get(
             "sample_histogram",
             name,
@@ -437,8 +374,6 @@ class MetricsRegistry:
     def series(
         self, name: str, *, limit: int | None = None, **labels: Any
     ) -> Series:
-        if not self.enabled:
-            return NULL_SERIES
         cap = self.series_limit if limit is None else limit
         return self._get(
             "series", name, labels, lambda: Series(name, labels, cap)

@@ -1,9 +1,8 @@
 """Wireless topology substrate.
 
 Models a static multihop wireless network: node placement, range-based
-link derivation, one/two-hop neighborhoods, greedy minimum dominating
-sets (used by GMP's dissemination), the link contention graph, and
-maximal ("proper") contention cliques.
+link derivation, one/two-hop neighborhoods, the link contention graph,
+and maximal ("proper") contention cliques.
 """
 
 from repro.topology.builders import (
@@ -14,7 +13,6 @@ from repro.topology.builders import (
 )
 from repro.topology.cliques import Clique, CliqueSystem, maximal_cliques
 from repro.topology.contention import ContentionGraph
-from repro.topology.dominating import dominating_set
 from repro.topology.neighbors import one_hop_neighbors, two_hop_neighbors
 from repro.topology.network import Link, Topology, canonical, link, reverse
 from repro.topology.node import Node
@@ -34,7 +32,6 @@ __all__ = [
     "random_topology",
     "one_hop_neighbors",
     "two_hop_neighbors",
-    "dominating_set",
     "ContentionGraph",
     "Clique",
     "CliqueSystem",

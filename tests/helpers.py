@@ -353,7 +353,7 @@ class PerDestinationBuffer(BufferPolicy):
         self._dests_via: dict[int, list[int]] = {}  # next hop -> sorted dests
         self._link_backlog: dict[Link, int] = {}  # queued packets per link
         self._backlog = 0
-        self._tm = telemetry if telemetry is not None and telemetry.enabled else None
+        self._tm = telemetry
         self._len_series: dict[int, object] = {}
         self._full_hists: dict[int, object] = {}
 

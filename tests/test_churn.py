@@ -394,7 +394,7 @@ def test_reference_of_an_emptied_live_flow_set_is_empty():
     result = RunSpec(
         **EMPTY_START, protocol="gmp", substrate="fluid", duration=28.0, seed=0,
         capacity_pps=600.0,
-    ).run(telemetry=Telemetry(enabled=True))  # fmt: skip
+    ).run(telemetry=Telemetry())  # fmt: skip
     assert result.extras["churn"].arrivals == result.extras["churn"].departures > 0
     assert result.extras["maxmin_reference"] == {}
     assert result.extras["maxmin_solution"].bottlenecks == {}

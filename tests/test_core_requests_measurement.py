@@ -152,11 +152,3 @@ class TestDisseminationScope:
         scope = DisseminationScope(chain)
         assert 2 in scope.audience_of_link((0, 1))
         assert 7 not in scope.audience_of_link((0, 1))
-
-    def test_overhead_accounting(self):
-        chain = chain_topology(6)
-        scope = DisseminationScope(chain)
-        scope.record_link_state_change((2, 3))
-        scope.record_notice(2)
-        assert scope.link_state_broadcasts > 0
-        assert scope.notice_broadcasts > 0

@@ -137,7 +137,7 @@ def test_starved_flow_ignores_short_dips():
 
 
 def flap_telemetry(times, link="1->2", dest=3):
-    telemetry = Telemetry(enabled=True)
+    telemetry = Telemetry()
     for when in times:
         telemetry.event(
             when, "gmp.condition_change",
@@ -172,7 +172,7 @@ def test_condition_flapping_ignores_warmup_transients():
 
 
 def queue_telemetry(samples, node=0, dest=3):
-    telemetry = Telemetry(enabled=True)
+    telemetry = Telemetry()
     series = telemetry.registry.series("buffer.queue_len", node=node, dest=dest)
     for when, value in samples:
         series.record(when, value)
@@ -281,7 +281,7 @@ def test_custom_config_thresholds_apply():
 
 
 def test_clean_gmp_run_scans_clean():
-    telemetry = Telemetry(enabled=True)
+    telemetry = Telemetry()
     result = RunSpec(
         scenario="figure3",
         protocol="gmp",
@@ -295,7 +295,7 @@ def test_clean_gmp_run_scans_clean():
 
 
 def test_crash_recover_run_is_flagged():
-    telemetry = Telemetry(enabled=True)
+    telemetry = Telemetry()
     result = RunSpec(
         scenario=LITERAL,
         topology={

@@ -14,7 +14,7 @@ from repro.telemetry import Telemetry
 
 @pytest.fixture(scope="module")
 def figure3_result():
-    telemetry = Telemetry(enabled=True)
+    telemetry = Telemetry()
     return RunSpec(
         scenario="figure3",
         protocol="gmp",
@@ -34,7 +34,7 @@ def churn_result():
         duration=60.0,
         seed=1,
         churn="poisson:rate=0.3,mean_hold=6,max_flows=4",
-    ).run(telemetry=Telemetry(enabled=True))
+    ).run(telemetry=Telemetry())
 
 
 def _synthetic_result(samples, reference=100.0, events=()):

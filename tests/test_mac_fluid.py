@@ -239,6 +239,18 @@ def test_fluid_requires_batch_accessors():
                 dequeue=lambda: None, on_data_received=lambda packet, sender: None
             ),
         )
+    # Each of the three batch accessors is required on its own.
+    complete = dict(
+        dequeue=lambda: None,
+        on_data_received=lambda packet, sender: None,
+        eligible_links=dict,
+        dequeue_for=lambda next_hop: None,
+        has_pending=lambda: False,
+    )
+    for missing in ("eligible_links", "dequeue_for", "has_pending"):
+        with pytest.raises(MacError, match=missing):
+            mac.attach_node(0, NodeServices(**{**complete, missing: None}))
+    mac.attach_node(0, NodeServices(**complete))
 
 
 def test_fluid_config_validation():

@@ -39,7 +39,7 @@ def _run(duration=30.0, rate_interval=None, **observers):
 
 def test_stream_requires_enabled_telemetry(tmp_path):
     with pytest.raises(ConfigError):
-        StreamPublisher(Telemetry(enabled=False), str(tmp_path / "m.jsonl"))
+        StreamPublisher(None, str(tmp_path / "m.jsonl"))
 
 
 def test_stream_requires_a_writable_path(tmp_path):

@@ -68,6 +68,31 @@ def test_gmp_keeps_every_flow_alive_on_random_scenario_375():
     assert gmp.flow_rates[4] > 0
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known GMP starvation deadlock (ROADMAP item 1), minimal case: "
+    "flow 1 (0->3) delivers 0.0 pkt/s while a per-next-hop round-robin "
+    "pointer gives it 108.2; the fix must remove this mark",
+)
+def test_gmp_keeps_every_flow_alive_on_a_four_node_chain():
+    """Four nodes 200 m apart, flows 0->3, 1->0 and 1->2.  Node 1 queues
+    flow 1 and its own flow 3 for next hop 2 and flow 2 for next hop 0;
+    with one round-robin pointer shared across its next hops, flow 1's
+    queue is starved."""
+    gmp = RunSpec(
+        scenario="literal",
+        topology={
+            "nodes": [[0, 0], [200, 0], [400, 0], [600, 0]],
+            "flows": [[0, 3], [1, 0], [1, 2]],
+        },
+        protocol="gmp",
+        substrate="fluid",
+        duration=60.0,
+        seed=1,
+    ).run()
+    assert gmp.flow_rates[1] > 0
+
+
 def test_random_network_run_is_deterministic():
     kwargs = dict(
         protocol="gmp",

@@ -362,3 +362,20 @@ def test_run_flags_default_to_the_spec_fields(scenario):
     parser.add_argument("scenario")
     add_run_flags(parser)
     assert spec_from_args(parser.parse_args([scenario])) == RunSpec(scenario=scenario)
+
+
+def test_watchdog_flags_default_to_the_session_fields(monkeypatch):
+    from repro.__main__ import main
+    from repro.scenarios.runner import Session
+
+    seen = {}
+
+    def record(spec, **observers):
+        seen.update(observers)
+        raise ConfigError("recorded")
+
+    monkeypatch.setattr(RunSpec, "run", record)
+    assert main(["figure3"]) == 2
+    defaults = {field.name: field.default for field in dataclasses.fields(Session)}
+    for name in ("max_events", "stall_limit", "wall_deadline"):
+        assert seen[name] == defaults[name], name

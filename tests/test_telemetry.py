@@ -7,18 +7,9 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.sim.kernel import Simulator
-from repro.telemetry import (
-    NULL_TELEMETRY,
-    MetricsRegistry,
-    Telemetry,
-)
+from repro import RunSpec
+from repro.telemetry import MetricsRegistry, Telemetry
 from repro.telemetry.exporters import format_summary, write_chrome_trace
-from repro.telemetry.registry import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_SERIES,
-)
 
 from helpers import stream_file
 
@@ -84,21 +75,6 @@ def test_series_change_compression_and_limit():
     assert series.dropped == 1
 
 
-def test_disabled_registry_hands_out_null_singletons():
-    registry = MetricsRegistry(enabled=False)
-    assert registry.counter("x") is NULL_COUNTER
-    assert registry.gauge("x") is NULL_GAUGE
-    assert registry.histogram("x", (1.0,)) is NULL_HISTOGRAM
-    assert registry.series("x") is NULL_SERIES
-    registry.counter("x").inc(5.0)
-    registry.gauge("x").set(1.0)
-    registry.series("x").record(0.0, 1.0)
-    assert NULL_COUNTER.value == 0.0
-    assert NULL_GAUGE.value is None
-    assert len(NULL_SERIES) == 0
-    assert len(registry) == 0
-
-
 def test_instruments_filter_and_deterministic_order():
     registry = MetricsRegistry()
     registry.counter("b.two", node=2)
@@ -124,10 +100,10 @@ def test_event_log_caps_and_counts_drops():
 
 
 def test_disabled_telemetry_records_nothing():
-    assert not NULL_TELEMETRY.enabled
-    NULL_TELEMETRY.event(0.0, "x")
-    assert NULL_TELEMETRY.events == []
-    assert Telemetry(enabled=False, profile=True).profile is False
+    # No telemetry is spelled None: the run carries no instance and
+    # its result no telemetry extra.
+    result = RunSpec(scenario="figure3", substrate="fluid", duration=2.0).run()
+    assert "telemetry" not in result.extras
 
 
 # ----------------------------------------------------------------- kernel
@@ -157,9 +133,10 @@ def test_kernel_profile_measures_handler_wall_time():
     assert any(c.labels["tag"] == "test.tick" and c.value >= 0 for c in walls)
 
 
-def test_kernel_default_telemetry_is_shared_null():
+def test_kernel_default_telemetry_is_none():
     sim = Simulator(seed=1)
-    assert sim.telemetry is NULL_TELEMETRY
+    assert sim.telemetry is None
+    _run_ticks(None)  # a bare run touches no telemetry
 
 
 # -------------------------------------------------------------- exporters
@@ -286,17 +263,12 @@ def test_sample_histogram_merge_counts():
         hist.merge_counts([1, 2], total=1.0)  # width mismatch
 
 
-def test_registry_interns_sample_histograms_and_nulls_when_disabled():
+def test_registry_interns_sample_histograms():
     registry = MetricsRegistry()
     a = registry.sample_histogram("kernel.wall", (1.0, 2.0), tag="x")
     assert a is registry.sample_histogram("kernel.wall", (1.0, 2.0), tag="x")
     snapshot = a.snapshot()
     assert {"p50", "p95", "p99", "bucket_counts"} <= set(snapshot)
-
-    disabled = MetricsRegistry(enabled=False)
-    null = disabled.sample_histogram("kernel.wall", (1.0,))
-    null.observe(5.0)  # must be a silent no-op
-    assert null.count == 0
 
 
 def test_profiled_kernel_buckets_handler_wall_time():

@@ -7,7 +7,7 @@ from repro.telemetry.exporters import render_metrics_prometheus
 
 
 def _telemetry():
-    telemetry = Telemetry(enabled=True)
+    telemetry = Telemetry()
     registry = telemetry.registry
     registry.counter("mac.retries", node=1).inc(3)
     registry.counter("mac.retries", node=2).inc(5)
@@ -42,7 +42,7 @@ def test_gauge_and_series_rendering():
 
 
 def test_unset_gauge_and_empty_series_are_skipped():
-    telemetry = Telemetry(enabled=True)
+    telemetry = Telemetry()
     telemetry.registry.gauge("never.set")
     telemetry.registry.series("never.recorded")
     assert "never" not in render_metrics_prometheus(telemetry)
@@ -71,7 +71,7 @@ def test_time_weighted_histogram_renders_seconds():
 
 
 def test_label_ordering_and_escaping():
-    telemetry = Telemetry(enabled=True)
+    telemetry = Telemetry()
     telemetry.registry.counter(
         "odd.metric", zeta="z", alpha='say "hi"\nnow', mid="back\\slash"
     ).inc()
@@ -83,7 +83,7 @@ def test_label_ordering_and_escaping():
 
 
 def test_event_counts_rendered_as_counter():
-    telemetry = Telemetry(enabled=True)
+    telemetry = Telemetry()
     telemetry.event(1.0, "fault.crash", node=1)
     telemetry.event(2.0, "fault.crash", node=2)
     lines = render_metrics_prometheus(telemetry).splitlines()
