@@ -186,12 +186,17 @@ def test_fluid_round_scale300(benchmark, monkeypatch):
     sim = mac.sim
     solves_before = mac.alloc_cache_misses
 
+    rounds = []
+
     def run():
+        rounds.append(sim.now)
         sim.run(until=sim.now + mac.round_interval)
 
     benchmark.pedantic(run, rounds=200, warmup_rounds=10)
     # The memo almost never hits at this scale: the rounds really solved.
-    assert mac.alloc_cache_misses - solves_before >= 200
+    # Counted against the rounds that ran, since ``--benchmark-disable``
+    # makes pedantic call ``run`` once.
+    assert mac.alloc_cache_misses - solves_before >= 0.95 * len(rounds)
 
 
 def test_gmp_packet_path_figure3(benchmark):

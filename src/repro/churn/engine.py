@@ -1,7 +1,7 @@
 """The churn engine: drive a trace against a live scenario.
 
 The engine is armed by the scenario runner after the full stack is
-assembled (sources, fault injector, protocol).  It expands the spec
+assembled (sources, fault schedule, protocol).  It expands the spec
 into a trace and schedules one kernel event per arrival/departure:
 
 * **arrival** — build the traffic source (through a runner-supplied
@@ -9,8 +9,8 @@ into a trace and schedules one kernel event per arrival/departure:
   static ones), register the flow with GMP (grand-virtual-network
   graft + source registration) or plainly with the flow set, and start
   offering packets.  A flow arriving at a crashed node starts paused;
-  the fault injector resumes it on recovery because it shares the
-  engine's ``sources`` dict.
+  the node's recover fault resumes it because it reads the run's
+  ``sources`` dict, which the engine shares.
 * **departure** — permanently stop the source, tear the flow out of
   GMP, and run the post-departure state audit.  Any residue the audit
   reports is collected into the :class:`ChurnReport` — the
@@ -81,7 +81,7 @@ class ChurnEngine:
             leave the live set.
         stacks: node stacks by id (crash-awareness at arrival).
         sources: the run's traffic sources by flow id — the same dict
-            the fault injector holds, so recovery resumes churned
+            a recover fault reads, so recovery resumes churned
             sources too.  The engine only ever adds entries.
         make_source: factory building a started-but-unstarted source
             for a churned flow with the run's admit/on-generate wiring.
@@ -189,8 +189,8 @@ class ChurnEngine:
         jitter = self.sim.rng.stream("churn.start_jitter")
         source.start(offset=float(jitter.uniform(0.0, 1.0 / flow.desired_rate)))
         if not self.stacks[flow.source].alive:
-            # Born on a crashed node: wait for recovery (the injector
-            # resumes every paused source at the node).
+            # Born on a crashed node: wait for recovery (the recover
+            # fault resumes every paused source at the node).
             source.pause()
 
     def inject_departure(self, flow_id: int) -> None:

@@ -303,7 +303,7 @@ class GmpProtocol:
     # --- fault tolerance ----------------------------------------------------------
 
     def on_node_down(self, node: int) -> None:
-        """Explicit crash notification (fault injector): treat the
+        """Explicit crash notification (a crash fault): treat the
         node's measurements as stale until it recovers."""
         if node not in self.stacks:
             raise ProtocolError(f"unknown node {node}")
@@ -332,7 +332,7 @@ class GmpProtocol:
 
     def stale_nodes(self) -> set[int]:
         """Nodes whose measurements the protocol currently distrusts:
-        those the fault injector reported down."""
+        those a crash fault reported down."""
         return set(self._known_down)
 
     def _purge_node_state(self, node: int) -> None:

@@ -1,17 +1,19 @@
 """Declarative fault injection for scenario runs.
 
-A :class:`FaultSchedule` is a list of timed fault events — node
-crashes and recoveries, link degradation (loss rate or capacity),
-control-plane loss windows, and packet-loss bursts.  The
-:class:`FaultInjector` arms the schedule on a simulator and translates
-each event into the corresponding hooks on the MAC substrate, the node
-stacks, the traffic sources, and the GMP engine.
+Each fault kind — node crashes and recoveries, link degradation (loss
+rate or capacity) and its restore, control-plane loss windows, and
+packet-loss bursts — is one frozen event class in
+``repro.faults.schedule`` that holds its spellings, its checks and its
+effect on the MAC substrate, the node stacks, the traffic sources and
+the GMP engine.  A :class:`FaultSchedule` is a validated list of timed
+events; a run applies each one, scheduled or live, through
+``Session.inject_fault``.
 
-``repro.faults.invariants`` provides the end-of-run packet-conservation
-audit; ``repro.faults.spec`` parses the compact CLI fault syntax.
+``repro.faults.spec`` reads the compact text syntax and the JSON body
+of ``POST /faults``; ``repro.faults.invariants`` provides the
+end-of-run packet-conservation audit.
 """
 
-from repro.faults.injector import FaultInjector
 from repro.faults.invariants import FlowAudit, InvariantReport, audit_run
 from repro.faults.schedule import (
     ControlLoss,
@@ -28,7 +30,6 @@ from repro.faults.spec import parse_fault_spec
 __all__ = [
     "ControlLoss",
     "FaultEvent",
-    "FaultInjector",
     "FaultSchedule",
     "FlowAudit",
     "InvariantReport",

@@ -1,6 +1,7 @@
-"""Compact textual fault syntax for the command line.
+"""The two spellings of a fault: compact text and a JSON body.
 
-A spec is a semicolon-separated list of events::
+A text spec (``--faults``, ``RunSpec.faults``) is a semicolon-separated
+list of entries ``kind:TARGET@WHEN[:name=value,...]``::
 
     crash:NODE@T          node crash at time T
     recover:NODE@T        node recovery
@@ -12,135 +13,67 @@ A spec is a semicolon-separated list of events::
 Example::
 
     crash:1@20;recover:1@40;degrade:2-3@10:loss=0.5,cap=120;ctrl:0.5@10-30
+
+A ``POST /faults`` body names the same fields as keys, anchored at the
+moment it is applied: ``{"kind": "degrade", "link": [2, 3], "loss":
+0.5}``; a windowed kind gives ``for`` seconds in place of ``T1-T2``.
+Both reach :func:`~repro.faults.schedule.build_fault`, so they accept
+and refuse the same events.
 """
 
 from __future__ import annotations
 
-from repro.errors import FaultError
-from repro.faults.schedule import (
-    ControlLoss,
-    FaultEvent,
-    FaultSchedule,
-    LinkDegrade,
-    LinkRestore,
-    NodeCrash,
-    NodeRecover,
-    PacketLossBurst,
-)
+from typing import Any
+
+from repro.errors import ConfigError, FaultError
+from repro.faults.schedule import KINDS, FaultEvent, FaultSchedule, build_fault, kind_named
 
 
-def _number(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise FaultError(f"bad {what} {text!r} in fault spec") from None
+def fault_from_text(entry: str) -> FaultEvent:
+    """The event one text entry spells.
 
-
-def _node(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise FaultError(f"bad node id {text!r} in fault spec") from None
-
-
-def _link(text: str) -> tuple[int, int]:
-    i, sep, j = text.partition("-")
-    if not sep:
-        raise FaultError(f"bad link {text!r} in fault spec (expected I-J)")
-    return (_node(i), _node(j))
-
-
-def _window(text: str) -> tuple[float, float]:
-    start, sep, end = text.partition("-")
-    if not sep:
-        raise FaultError(f"bad window {text!r} in fault spec (expected T1-T2)")
-    return (_number(start, "window start"), _number(end, "window end"))
-
-
-def _params(text: str) -> dict[str, float]:
-    values: dict[str, float] = {}
-    for item in text.split(","):
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise FaultError(f"bad parameter {item!r} in fault spec")
-        values[key.strip()] = _number(value, key.strip())
-    return values
-
-
-def _parse_one(entry: str) -> FaultEvent:
-    kind, sep, rest = entry.partition(":")
-    if not sep:
-        raise FaultError(f"bad fault entry {entry!r} (expected kind:...)")
-    kind = kind.strip()
-    if kind in ("crash", "recover"):
-        target, sep, when = rest.partition("@")
-        if not sep:
-            raise FaultError(f"bad fault entry {entry!r} (expected node@T)")
-        node = _node(target)
-        at = _number(when, "time")
-        return NodeCrash(at=at, node=node) if kind == "crash" else NodeRecover(
-            at=at, node=node
+    Raises:
+        FaultError: on any syntax or field error.
+    """
+    kind, _, rest = entry.partition(":")
+    event_type = kind_named(kind.strip())
+    target, at_sign, tail = rest.partition("@")
+    when, _, params = tail.partition(":")
+    if not at_sign or (event_type.windowed and "-" not in when):
+        raise FaultError(
+            f"bad fault entry {entry!r} (expected kind:TARGET@T, or @T1-T2 "
+            "for a window, then :name=value,...)"
         )
-    if kind == "restore":
-        target, sep, when = rest.partition("@")
-        if not sep:
-            raise FaultError(f"bad fault entry {entry!r} (expected I-J@T)")
-        return LinkRestore(at=_number(when, "time"), link=_link(target))
-    if kind == "degrade":
-        target, sep, tail = rest.partition("@")
-        if not sep:
-            raise FaultError(
-                f"bad fault entry {entry!r} (expected I-J@T:loss=P)"
-            )
-        when, sep, params = tail.partition(":")
-        if not sep:
-            raise FaultError(
-                f"bad fault entry {entry!r}: degrade needs :loss= and/or :cap="
-            )
-        values = _params(params)
-        unknown = set(values) - {"loss", "cap"}
-        if unknown:
-            raise FaultError(
-                f"unknown degrade parameters {sorted(unknown)} in {entry!r}"
-            )
-        return LinkDegrade(
-            at=_number(when, "time"),
-            link=_link(target),
-            loss_rate=values.get("loss"),
-            capacity_pps=values.get("cap"),
-        )
-    if kind == "ctrl":
-        prob_text, sep, window_text = rest.partition("@")
-        if not sep:
-            raise FaultError(f"bad fault entry {entry!r} (expected P@T1-T2)")
-        start, end = _window(window_text)
-        return ControlLoss(
-            at=start, until=end, drop_prob=_number(prob_text, "probability")
-        )
-    if kind == "burst":
-        target, sep, tail = rest.partition("@")
-        if not sep:
-            raise FaultError(
-                f"bad fault entry {entry!r} (expected I-J@T1-T2:loss=P)"
-            )
-        window_text, sep, params = tail.partition(":")
-        if not sep:
-            raise FaultError(f"bad fault entry {entry!r}: burst needs :loss=")
-        values = _params(params)
-        if set(values) != {"loss"}:
-            raise FaultError(f"burst takes exactly loss=P, got {params!r}")
-        start, end = _window(window_text)
-        return PacketLossBurst(
-            at=start, until=end, link=_link(target), loss_rate=values["loss"]
-        )
-    raise FaultError(
-        f"unknown fault kind {kind!r} (expected crash, recover, degrade, "
-        "restore, ctrl, or burst)"
-    )
+    values: dict[str, Any] = {event_type.spelling[0]: target, "at": when}
+    if event_type.windowed:
+        values["at"], _, values["until"] = when.partition("-")
+    for item in params.split(",") if params else ():
+        name, equals, value = item.partition("=")
+        name = name.strip()
+        if not equals or name not in event_type.spelling[1:]:
+            raise FaultError(f"bad parameter {item!r} in fault entry {entry!r}")
+        values[name] = value
+    return build_fault(event_type.kind, values)
+
+
+def fault_from_json(args: dict[str, Any], now: float) -> FaultEvent:
+    """The event a ``POST /faults`` body describes, at simulated time
+    ``now``.  A windowed kind's ``for`` is measured from ``now``, the
+    journaled tick time, so a replayed window is identical.
+
+    Raises:
+        ConfigError: on an unknown kind, as on an unknown command.
+        FaultError: on a missing, ill-typed or out-of-range field.
+    """
+    kind = args.get("kind")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ConfigError(f"unknown fault kind {kind!r}; pick from {'/'.join(KINDS)}")
+    names = (*KINDS[kind].spelling, "for")
+    return build_fault(kind, {"at": now, **{name: args.get(name) for name in names}})
 
 
 def parse_fault_spec(spec: str) -> FaultSchedule:
-    """Parse the CLI fault syntax into a validated schedule.
+    """Parse the text fault syntax into a validated schedule.
 
     Raises:
         FaultError: on any syntax or validation error.
@@ -148,4 +81,4 @@ def parse_fault_spec(spec: str) -> FaultSchedule:
     entries = [entry.strip() for entry in spec.split(";") if entry.strip()]
     if not entries:
         raise FaultError("empty fault spec")
-    return FaultSchedule([_parse_one(entry) for entry in entries])
+    return FaultSchedule([fault_from_text(entry) for entry in entries])

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError, SimulationError
-from repro.faults.schedule import FaultSchedule, NodeCrash, NodeRecover
+from repro.faults.schedule import FaultSchedule
 from repro.faults.spec import parse_fault_spec
 from repro.fuzz.grammar import FuzzScenario
 from repro.obs.health import detect_starved_flows
@@ -51,18 +51,7 @@ def _crash_windows(faults: FaultSchedule | None) -> list[tuple[int, float, float
     the reconvergence grace) legitimately silences flows through it."""
     if faults is None:
         return []
-    windows: list[tuple[int, float, float]] = []
-    down_since: dict[int, float] = {}
-    for event in faults.in_order():
-        if isinstance(event, NodeCrash):
-            down_since[event.node] = event.at
-        elif isinstance(event, NodeRecover) and event.node in down_since:
-            windows.append(
-                (event.node, down_since.pop(event.node), event.at + RECOVERY_GRACE)
-            )
-    for node, since in down_since.items():
-        windows.append((node, since, float("inf")))
-    return windows
+    return [(node, start, end + RECOVERY_GRACE) for node, start, end in faults.crash_windows]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ the command's sequence number.  The controller is the run's
 deterministic function of the simulated clock — it drains the queue on
 the *simulation* thread, applies each command through the run's
 :class:`~repro.scenarios.runner.Session` (flow graft/retire via
-the churn engine, faults via the injector, graceful stop), and
+the churn engine, faults via its ``inject_fault``, graceful stop), and
 journals the applied command with its tick time to ``commands.jsonl``.
 The journal opens with a ``serve_header`` record holding the run's
 :class:`~repro.scenarios.spec.RunSpec` and the command interval.
@@ -44,19 +44,11 @@ import math
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 from repro.errors import ConfigError, ReproError
-from repro.faults.schedule import (
-    ControlLoss,
-    FaultEvent,
-    LinkDegrade,
-    LinkRestore,
-    NodeCrash,
-    NodeRecover,
-    PacketLossBurst,
-)
+from repro.faults.spec import fault_from_json
 from repro.obs.health import HealthMonitor, jsonl_delivery
 from repro.obs.stream import StreamPublisher
 from repro.scenarios.spec import RunSpec, add_run_flags, spec_from_args
@@ -65,63 +57,6 @@ from repro.telemetry import Telemetry
 
 #: Version 3: the run as a :class:`RunSpec` under ``"spec"``, closed by L0 and L1.
 JOURNAL_VERSION = 3
-
-
-# --- fault command vocabulary ---------------------------------------------------
-
-
-def fault_event_from_args(args: dict[str, Any], now: float) -> FaultEvent:
-    """Build the :class:`FaultEvent` a ``POST /faults`` body describes,
-    anchored at simulated time ``now``.
-
-    Kinds: ``crash``/``recover`` (``node``), ``degrade`` (``link``,
-    ``loss`` and/or ``cap``), ``restore`` (``link``), ``ctrl``
-    (``drop``, ``for`` seconds), ``burst`` (``link``, ``loss``,
-    ``for`` seconds).  Windowed kinds measure ``for`` from the moment
-    of application, which is the journaled tick time — so a replayed
-    window is identical.
-    """
-
-    def link_of(value: Any) -> tuple[int, int]:
-        if not isinstance(value, (list, tuple)) or len(value) != 2:
-            raise ConfigError(f"fault link must be [i, j]: {value!r}")
-        return (int(value[0]), int(value[1]))
-
-    kind = args.get("kind")
-    if kind == "crash":
-        return NodeCrash(at=now, node=int(args["node"]))
-    if kind == "recover":
-        return NodeRecover(at=now, node=int(args["node"]))
-    if kind == "degrade":
-        loss = args.get("loss")
-        cap = args.get("cap")
-        if loss is None and cap is None:
-            raise ConfigError("degrade needs 'loss' and/or 'cap'")
-        return LinkDegrade(
-            at=now,
-            link=link_of(args["link"]),
-            loss_rate=float(loss) if loss is not None else None,
-            capacity_pps=float(cap) if cap is not None else None,
-        )
-    if kind == "restore":
-        return LinkRestore(at=now, link=link_of(args["link"]))
-    if kind == "ctrl":
-        return ControlLoss(
-            at=now,
-            drop_prob=float(args["drop"]),
-            until=now + float(args["for"]),
-        )
-    if kind == "burst":
-        return PacketLossBurst(
-            at=now,
-            link=link_of(args["link"]),
-            loss_rate=float(args["loss"]),
-            until=now + float(args["for"]),
-        )
-    raise ConfigError(
-        f"unknown fault kind {kind!r}; pick from "
-        "crash/recover/degrade/restore/ctrl/burst"
-    )
 
 
 # --- the command queue ----------------------------------------------------------
@@ -171,14 +106,7 @@ class AppliedCommand:
     result: dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "record": "command",
-            "seq": self.seq,
-            "t": self.t,
-            "op": self.op,
-            "args": self.args,
-            "result": self.result,
-        }
+        return {"record": "command", **asdict(self)}
 
 
 class ServeController:
@@ -189,9 +117,11 @@ class ServeController:
     from any thread; each tick drains the queue, applies the commands
     in submission order through the bound
     :class:`~repro.scenarios.runner.Session`, and appends one
-    journal line per command.  A command that fails (unknown flow,
-    invalid fault, ...) journals its error string instead of raising —
-    a bad request must not kill the session.
+    journal line per command.  A command that fails (a malformed
+    body, an unknown flow, a fault the run refuses, ...) journals its
+    error string instead of raising — a bad request must not kill the
+    session.  An error that is not a :class:`~repro.errors.ReproError`
+    is a fault of the program, not of the request, and propagates.
 
     Replay mode (``script`` = the journal's command records): no queue,
     no journal writes; each tick applies every scripted command whose
@@ -215,9 +145,7 @@ class ServeController:
         script: list[AppliedCommand] | None = None,
     ) -> None:
         if not 0 < interval < math.inf:
-            raise ConfigError(
-                f"command interval must be positive and finite: {interval}"
-            )
+            raise ConfigError(f"command interval must be positive and finite: {interval}")
         if pace is not None and not 0 < pace < math.inf:
             raise ConfigError(f"pace must be positive and finite: {pace}")
         self.interval = interval
@@ -258,9 +186,7 @@ class ServeController:
         wall = time.monotonic()
         if wall > self._wall_last:
             events = self.handle.events_processed
-            self.events_per_sec = (events - self._events_last) / (
-                wall - self._wall_last
-            )
+            self.events_per_sec = (events - self._events_last) / (wall - self._wall_last)
             self._events_last = events
             self._wall_last = wall
         if self._script is not None:
@@ -281,62 +207,72 @@ class ServeController:
     def on_abort(self, now: float, error: BaseException) -> None:
         self.aborted = f"{type(error).__name__}: {error}"
         if self.journal is not None:
-            self.journal(
-                {"record": "serve_abort", "t": now, "error": self.aborted}
-            )
+            self.journal({"record": "serve_abort", "t": now, "error": self.aborted})
 
     def close(self, session: Any) -> None:
         self.ended_at = session.now
 
     # --- tick-context application ---------------------------------------------
 
-    def _apply(
-        self, seq: int, now: float, op: str, args: dict[str, Any]
-    ) -> None:
+    def _apply(self, seq: int, now: float, op: str, args: dict[str, Any]) -> None:
         canonical = dict(args)
         try:
             result = self._dispatch(op, canonical, now)
         except ReproError as error:
             result = {"error": f"{type(error).__name__}: {error}"}
-        applied = AppliedCommand(
-            seq=seq, t=now, op=op, args=canonical, result=result
-        )
+        applied = AppliedCommand(seq=seq, t=now, op=op, args=canonical, result=result)
         self.applied.append(applied)
         if self.journal is not None:
             self.journal(applied.to_json())
 
-    def _dispatch(
-        self, op: str, args: dict[str, Any], now: float
-    ) -> dict[str, Any]:
+    def _dispatch(self, op: str, args: dict[str, Any], now: float) -> dict[str, Any]:
         handle = self.handle
         if op == "add_flow":
-            flow = handle.add_flow(
-                int(args["source"]),
-                int(args["destination"]),
-                flow_id=(
-                    int(args["flow_id"]) if args.get("flow_id") is not None
-                    else None
-                ),
-                weight=float(args.get("weight", 1.0)),
-                desired_rate=float(args.get("desired_rate", 800.0)),
-                packet_bytes=int(args.get("packet_bytes", 1024)),
-            )
+            fields = _flow_fields(args, "source", "destination")
+            flow = handle.add_flow(fields.pop("source"), fields.pop("destination"), **fields)
             # Canonicalize the assigned id into the journaled args so a
             # replay grafts the identical flow even though its id was
             # chosen at apply time.
             args["flow_id"] = flow.flow_id
             return {"flow_id": flow.flow_id}
         if op == "remove_flow":
-            handle.remove_flow(int(args["flow_id"]))
-            return {"removed": int(args["flow_id"])}
+            flow_id = _flow_fields(args, "flow_id")["flow_id"]
+            handle.remove_flow(flow_id)
+            return {"removed": flow_id}
         if op == "fault":
-            event = fault_event_from_args(args, now)
-            return {"applied": handle.inject_fault(event)}
+            return {"applied": handle.inject_fault(fault_from_json(args, now))}
         if op == "shutdown":
             handle.stop()
             self._stopped = True
             return {"stopped_at": now}
         raise ConfigError(f"unknown control op {op!r}")
+
+
+#: The fields of a ``POST /flows`` body and their types; a field left
+#: out takes :class:`~repro.flows.flow.Flow`'s default.
+_FLOW_FIELDS: dict[str, Callable[[Any], Any]] = {
+    "source": int,
+    "destination": int,
+    "flow_id": int,
+    "weight": float,
+    "desired_rate": float,
+    "packet_bytes": int,
+}
+
+
+def _flow_fields(args: dict[str, Any], *required: str) -> dict[str, Any]:
+    """The typed flow fields ``args`` gives; ConfigError on a missing
+    ``required`` one or an ill-typed one."""
+    fields = {}
+    for name, convert in _FLOW_FIELDS.items():
+        if args.get(name) is not None:
+            try:
+                fields[name] = convert(args[name])
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"bad {name} {args[name]!r}") from None
+        elif name in required:
+            raise ConfigError(f"flow command needs {name!r}")
+    return fields
 
 
 # --- the session journal --------------------------------------------------------
@@ -349,9 +285,7 @@ class SessionJournal:
 
     def __init__(self, path: str, header: dict[str, Any]) -> None:
         self._handle = open(path, "w", encoding="utf-8")
-        self.write(
-            {"record": "serve_header", "version": JOURNAL_VERSION, **header}
-        )
+        self.write({"record": "serve_header", "version": JOURNAL_VERSION, **header})
 
     def write(self, record: dict[str, Any]) -> None:
         self._handle.write(json.dumps(record, sort_keys=True) + "\n")
@@ -361,9 +295,7 @@ class SessionJournal:
         self._handle.close()
 
 
-def load_journal(
-    path: str,
-) -> tuple[dict[str, Any], list[AppliedCommand], dict[str, Any] | None]:
+def load_journal(path: str) -> tuple[dict[str, Any], list[AppliedCommand], dict[str, Any] | None]:
     """Read a ``commands.jsonl`` back: (header, commands, close record
     or None when the session died before closing)."""
     header: dict[str, Any] | None = None
@@ -379,24 +311,15 @@ def load_journal(
             if kind == "serve_header":
                 header = record
             elif kind == "command":
-                commands.append(
-                    AppliedCommand(
-                        seq=int(record["seq"]),
-                        t=float(record["t"]),
-                        op=str(record["op"]),
-                        args=dict(record["args"]),
-                        result=dict(record.get("result", {})),
-                    )
-                )
+                fields = (record["seq"], record["t"], record["op"], record["args"])
+                commands.append(AppliedCommand(*fields, record.get("result", {})))
             elif kind == "serve_close":
                 close = record
     if header is None:
         raise ConfigError(f"{path} has no serve_header record")
     if header.get("version") != JOURNAL_VERSION:
-        raise ConfigError(
-            f"{path} is a version {header.get('version')} journal; this "
-            f"build replays version {JOURNAL_VERSION}"
-        )
+        raise ConfigError(f"{path} is a version {header.get('version')} journal; this "
+                          f"build replays version {JOURNAL_VERSION}")
     commands.sort(key=lambda command: command.seq)
     return header, commands, close
 
@@ -464,9 +387,8 @@ def serve_session(
         health = HealthMonitor(deliveries=[jsonl_delivery(alerts_path)])
     monitors = [monitor for monitor in (stream, health) if monitor is not None]
 
-    server, server_thread = make_server(
-        controller, config.host, config.port, health=health, stream=stream
-    )
+    server, server_thread = make_server(controller, config.host, config.port, health=health,
+                                        stream=stream)
     port = server.server_address[1]
     emit(f"serving {spec.scenario} on http://{config.host}:{port}")
     if ready is not None:
@@ -477,10 +399,7 @@ def serve_session(
     result = None
     try:
         result = spec.run(
-            telemetry=telemetry,
-            sanitizer=sanitizer,
-            monitors=monitors,
-            control=controller,
+            telemetry=telemetry, sanitizer=sanitizer, monitors=monitors, control=controller
         )
     except ReproError as error:
         error_text = f"{type(error).__name__}: {error}"
@@ -501,27 +420,22 @@ def serve_session(
         digest = result.extras["replay_digest"]
         observable = result.extras["observable_digest"]
         events = result.extras["events_processed"]
-        journal.write(
-            {
-                "record": "serve_close",
-                "t": result.duration if controller.ended_at is None
-                else controller.ended_at,
-                "events": events,
-                "digest": digest,
-                "observable_digest": observable,
-                "commands": len(controller.applied),
-            }
-        )
-        manifest.update(
-            {
-                "ended_at": controller.ended_at,
-                "events": events,
-                "replay_digest": digest,
-                "observable_digest": observable,
-                "flows_measured": len(result.flow_rates),
-                "alerts": len(health.alerts()) if health is not None else 0,
-            }
-        )
+        journal.write({
+            "record": "serve_close",
+            "t": result.duration if controller.ended_at is None else controller.ended_at,
+            "events": events,
+            "digest": digest,
+            "observable_digest": observable,
+            "commands": len(controller.applied),
+        })
+        manifest.update({
+            "ended_at": controller.ended_at,
+            "events": events,
+            "replay_digest": digest,
+            "observable_digest": observable,
+            "flows_measured": len(result.flow_rates),
+            "alerts": len(health.alerts()) if health is not None else 0,
+        })
     else:
         manifest["error"] = error_text
     journal.close()
@@ -535,9 +449,7 @@ def serve_session(
     return manifest
 
 
-def replay_session(
-    journal_path: str, *, emit: Callable[[str], None] = print
-) -> dict[str, Any]:
+def replay_session(journal_path: str, *, emit: Callable[[str], None] = print) -> dict[str, Any]:
     """Re-run a served session headless from its command journal.
 
     Rebuilds the run from the journal header's spec, applies every

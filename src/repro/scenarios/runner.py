@@ -45,9 +45,8 @@ from repro.churn.spec import ChurnSpec
 from repro.core.config import GmpConfig
 from repro.core.protocol import GmpProtocol
 from repro.errors import ConfigError
-from repro.faults.injector import FaultInjector
 from repro.faults.invariants import audit_run
-from repro.faults.schedule import FaultSchedule
+from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.flows.flow import Flow, FlowSet
 from repro.flows.traffic import (
     CbrSource,
@@ -316,18 +315,15 @@ class Session:
                 sources[flow_id].set_rate_limit(max(rate, 1.0))
             self.extras["two_phase"] = allocation
 
-        self.injector: FaultInjector | None = None
+        # Every applied fault, as ``(time, text)``; a fault run and a
+        # controlled run report it.
+        self.fault_log: list[tuple[float, str]] = []
         faults = self.faults
-        if faults is not None or self.control is not None:
-            # A controlled run gets an injector even with no schedule (an
-            # empty one arms nothing): the control plane applies faults
-            # live through it.
-            schedule = faults if faults is not None else FaultSchedule()
-            schedule.validate_within(duration)
-            self.injector = FaultInjector(
-                sim, schedule, mac=mac, stacks=stacks, sources=sources, gmp=gmp
-            )
-            self.injector.arm()
+        if faults is not None:
+            faults.validate_within(duration)
+            for event in faults:
+                event.check(self)
+                sim.call_at(event.at, partial(self.inject_fault, event), tag=event.tag)
 
         # Live-control flow arrivals/departures go through the same engine
         # machinery as trace churn; with no churn spec the engine is
@@ -638,9 +634,15 @@ class Session:
         """Retire a live flow right now."""
         self.engine.inject_departure(flow_id)
 
-    def inject_fault(self, event: Any) -> str:
-        """Apply one :class:`~repro.faults.schedule.FaultEvent` now."""
-        return self.injector.inject(event)
+    def inject_fault(self, event: FaultEvent) -> str:
+        """Apply one fault now, scheduled or live; returns its log line.
+        Its checks against this run come first, so a refused fault
+        raises :class:`~repro.errors.FaultError` before any layer
+        changes."""
+        event.check(self)
+        text = event.apply(self)
+        self.fault_log.append((self.sim.now, text))
+        return text
 
     def stop(self) -> None:
         """Stop the run after the in-flight event (graceful shutdown)."""
@@ -724,8 +726,8 @@ class Session:
                 self._observables(flow_rates)
             )
 
-        if self.injector is not None:
-            extras["faults"] = list(self.injector.fault_log)
+        if self.faults is not None or self.control is not None:
+            extras["faults"] = list(self.fault_log)
             extras["crash_losses"] = {
                 node_id: dict(stack.crash_losses)
                 for node_id, stack in self.stacks.items()
@@ -818,17 +820,17 @@ def run_scenario(scenario: Scenario, **inputs: Any) -> RunResult:
             is finalized; ``control`` comes last.  Observers neither
             schedule events nor draw randomness, so the event sequence
             (and the replay digest) is the same with or without them.
-            ``control`` changes assembly (a command-driven churn engine
-            and a live fault injector; its report lands in
-            ``extras["control_report"]``) and steers only from tick
-            context, so the same command journal replays the same run
-            (:mod:`repro.obs.serve`).
+            ``control`` changes assembly (a command-driven churn engine,
+            whose report lands in ``extras["control_report"]``; the
+            faults it applies live join ``extras["faults"]``) and steers
+            only from tick context, so the same command journal replays
+            the same run (:mod:`repro.obs.serve`).
 
     Raises:
         ConfigError: on 2PP under ``control``, or a rate-capped
             scenario on the DCF.
         FaultError: if ``faults`` targets unknown nodes or needs hooks
-            the substrate lacks.
+            the substrate or protocol lacks.
         InvariantError: if the end-of-run audit fails.
         SimulationError: when a kernel watchdog trips.
         Whatever a monitor's ``bind`` raises: a stream whose file

@@ -142,7 +142,8 @@ ALLOWED_IMPORTS: dict[str, set[str] | None] = {
     # the duck-typed monitor handle the runner passes it, which is
     # what keeps "observing a run cannot perturb it" architectural.
     # Service mode earns two narrow additions: ``faults`` (the control
-    # plane builds FaultEvents for the runner-owned injector to apply)
+    # plane decodes a ``POST /faults`` body into a FaultEvent, which the
+    # Session applies through ``inject_fault``, as it does a scheduled one)
     # and ``sim.replay`` (the passive digest sanitizer it hands *into*
     # a run) — still no ``sim.kernel``.
     "obs": {

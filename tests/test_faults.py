@@ -1,4 +1,4 @@
-"""Tests for the fault-injection subsystem (schedule, spec, injector,
+"""Tests for the fault-injection subsystem (schedule, spec, fault kinds,
 per-layer hooks, and the invariant audit)."""
 
 import pytest
@@ -114,7 +114,7 @@ def test_parse_rejects_malformed_specs(spec):
         parse_fault_spec(spec)
 
 
-# --- injector + per-layer behavior ---------------------------------------------
+# --- fault effects + per-layer behavior ---------------------------------------
 
 
 def test_crash_and_recover_on_fluid_substrate():

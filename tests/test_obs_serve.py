@@ -10,19 +10,21 @@ import urllib.request
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, FaultError
 from repro.faults.schedule import (
     ControlLoss,
     LinkDegrade,
+    LinkRestore,
     NodeCrash,
+    NodeRecover,
     PacketLossBurst,
 )
+from repro.faults.spec import fault_from_json, fault_from_text
 from repro.obs.serve import (
     AppliedCommand,
     CommandQueue,
     ServeConfig,
     ServeController,
-    fault_event_from_args,
     load_journal,
     replay_session,
     serve_main,
@@ -62,30 +64,88 @@ def test_command_queue_copies_args():
 # ---------------------------------------------------------------- fault vocabulary
 
 
+#: Each kind's text entry and ``POST /faults`` body, the body applied
+#: at t=2: a window's ``for`` is its ``until`` minus 2.
+SPELLINGS = [
+    ("crash:3@2", {"kind": "crash", "node": 3}, NodeCrash(at=2.0, node=3)),
+    ("recover:3@2", {"kind": "recover", "node": 3}, NodeRecover(at=2.0, node=3)),
+    (
+        "degrade:1-2@2:loss=0.2,cap=120",
+        {"kind": "degrade", "link": [1, 2], "loss": 0.2, "cap": 120},
+        LinkDegrade(at=2.0, link=(1, 2), loss_rate=0.2, capacity_pps=120.0),
+    ),
+    (
+        "degrade:1-2@2:cap=50",
+        {"kind": "degrade", "link": [1, 2], "cap": 50},
+        LinkDegrade(at=2.0, link=(1, 2), capacity_pps=50.0),
+    ),
+    ("restore:1-2@2", {"kind": "restore", "link": [1, 2]}, LinkRestore(at=2.0, link=(1, 2))),
+    (
+        "ctrl:0.5@2-5",
+        {"kind": "ctrl", "drop": 0.5, "for": 3.0},
+        ControlLoss(at=2.0, until=5.0, drop_prob=0.5),
+    ),
+    (
+        "burst:0-1@2-6:loss=1",
+        {"kind": "burst", "link": [0, 1], "loss": 1.0, "for": 4},
+        PacketLossBurst(at=2.0, until=6.0, link=(0, 1), loss_rate=1.0),
+    ),
+]
+
+#: Entries and bodies the one builder refuses on both paths: per kind,
+#: an ill-typed, a missing and an out-of-range field (the body at t=2).
+REFUSED = [
+    ("crash:x@2", {"kind": "crash", "node": "x"}),
+    ("crash:1.5@2", {"kind": "crash", "node": 1.5}),
+    ("crash:@2", {"kind": "crash"}),
+    ("recover:[1]@2", {"kind": "recover", "node": [1]}),
+    ("recover:@2", {"kind": "recover", "node": None}),
+    ("degrade:1-2@2:loss=abc", {"kind": "degrade", "link": [1, 2], "loss": "abc"}),
+    ("degrade:1@2:loss=0.1", {"kind": "degrade", "link": [1], "loss": 0.1}),
+    ("degrade:1-2@2", {"kind": "degrade", "link": [1, 2]}),
+    ("degrade:1-2@2:loss=5", {"kind": "degrade", "link": [1, 2], "loss": 5.0}),
+    ("degrade:1-2@2:cap=0", {"kind": "degrade", "link": [1, 2], "cap": 0}),
+    ("restore:a-b@2", {"kind": "restore", "link": ["a", "b"]}),
+    ("restore:@2", {"kind": "restore"}),
+    ("ctrl:x@2-5", {"kind": "ctrl", "drop": "x", "for": 3}),
+    ("ctrl:0.5@2", {"kind": "ctrl", "drop": 0.5}),
+    ("ctrl:@2-5", {"kind": "ctrl", "for": 3}),
+    ("ctrl:2@2-5", {"kind": "ctrl", "drop": 2.0, "for": 3}),
+    ("ctrl:0.5@2-2", {"kind": "ctrl", "drop": 0.5, "for": 0}),
+    ("burst:0-1@2-x:loss=0.5", {"kind": "burst", "link": [0, 1], "loss": 0.5, "for": "x"}),
+    ("burst:0-1@2-6", {"kind": "burst", "link": [0, 1], "for": 4}),
+    ("burst:0-1@2-6:loss=1.5", {"kind": "burst", "link": [0, 1], "loss": 1.5, "for": 4}),
+]
+
+
 def test_fault_event_from_args_kinds():
-    crash = fault_event_from_args({"kind": "crash", "node": 3}, 5.0)
-    assert isinstance(crash, NodeCrash) and crash.node == 3 and crash.at == 5.0
-    degrade = fault_event_from_args(
-        {"kind": "degrade", "link": [1, 2], "loss": 0.2}, 1.0
-    )
-    assert isinstance(degrade, LinkDegrade)
-    assert degrade.link == (1, 2) and degrade.loss_rate == 0.2
-    assert degrade.capacity_pps is None
-    ctrl = fault_event_from_args({"kind": "ctrl", "drop": 0.5, "for": 3.0}, 2.0)
-    assert isinstance(ctrl, ControlLoss) and ctrl.until == 5.0
-    burst = fault_event_from_args(
-        {"kind": "burst", "link": [0, 1], "loss": 1.0, "for": 2.0}, 4.0
-    )
-    assert isinstance(burst, PacketLossBurst) and burst.until == 6.0
+    """The text entry and the body of each kind build one equal event,
+    under the kind's own kernel tag."""
+    assert {text.partition(":")[0] for text, _body, _event in SPELLINGS} == {
+        "crash", "recover", "degrade", "restore", "ctrl", "burst",
+    }  # fmt: skip
+    for text, body, event in SPELLINGS:
+        assert fault_from_text(text) == event, text
+        assert fault_from_json(body, 2.0) == event, body
+        assert event.tag == f"fault.{body['kind']}"
 
 
 def test_fault_event_from_args_rejects_garbage():
+    assert {text.partition(":")[0] for text, _body in REFUSED} == {
+        "crash", "recover", "degrade", "restore", "ctrl", "burst",
+    }  # fmt: skip
+    for text, body in REFUSED:
+        with pytest.raises(FaultError):
+            fault_from_text(text)
+        with pytest.raises(FaultError):
+            fault_from_json(body, 2.0)
+    # An unknown kind is a bad command, like an unknown op.
     with pytest.raises(ConfigError):
-        fault_event_from_args({"kind": "meteor"}, 0.0)
+        fault_from_json({"kind": "meteor"}, 0.0)
     with pytest.raises(ConfigError):
-        fault_event_from_args({"kind": "degrade", "link": [1, 2]}, 0.0)
-    with pytest.raises(ConfigError):
-        fault_event_from_args({"kind": "restore", "link": [1]}, 0.0)
+        fault_from_json({"kind": ["crash"]}, 0.0)
+    with pytest.raises(FaultError):
+        fault_from_text("meteor:1@2")
 
 
 # ---------------------------------------------------------------- controller
@@ -158,6 +218,134 @@ def test_failed_command_journals_error_and_run_survives():
     assert "ChurnError" in errors[0]
     assert "ChurnError" in errors[1]
     assert "ConfigError" in errors[2]
+
+
+def _fault_state(session):
+    """What a fault acts on: the MAC's impairments and radios, each
+    stack's liveness, queue and crash ledger, each source's pause and
+    GMP's distrust and control-loss window."""
+    mac = session.mac
+    hooks = getattr(mac, "channel", mac)
+    radios = {node_id: (node.down, node._state) for node_id, node in getattr(mac, "_nodes", {}).items()}
+    gmp = session.gmp
+    return (
+        sorted(hooks._down), dict(hooks._link_loss), dict(getattr(mac, "_fault_caps", {})), radios,
+        {node_id: (stack.alive, stack.buffer.backlog(), dict(stack.crash_losses))
+         for node_id, stack in session.stacks.items()},
+        {flow_id: source.paused for flow_id, source in session.sources.items()},
+        None if gmp is None
+        else (gmp.stale_nodes(), gmp._control_drop_prob, gmp._control_drop_until),
+    )  # fmt: skip
+
+
+class _StateProbe(ServeController):
+    """Records, per command, whether the state a fault acts on moved
+    while the command was applied."""
+
+    def __init__(self, **fields):
+        super().__init__(**fields)
+        self.moved = []
+
+    def _apply(self, seq, now, op, args):
+        before = _fault_state(self.handle)
+        super()._apply(seq, now, op, args)
+        self.moved.append(_fault_state(self.handle) != before)
+
+
+@pytest.mark.parametrize(
+    "protocol, substrate, refused",
+    [
+        (
+            "gmp", "fluid",
+            [{"kind": "crash", "node": 1},  # a second crash
+             {"kind": "recover", "node": 2},  # a live node
+             {"kind": "degrade", "link": [0, 1], "loss": 5.0}],
+        ),
+        (
+            "802.11", "dcf",
+            [{"kind": "crash", "node": 1},
+             {"kind": "degrade", "link": [1, 2], "cap": 50},  # DCF caps nothing
+             {"kind": "ctrl", "drop": 0.5, "for": 1.0}],  # no GMP
+        ),
+    ],
+)  # fmt: skip
+def test_a_live_fault_the_schedule_would_refuse_changes_nothing(protocol, substrate, refused):
+    """A live fault meets the checks a scheduled one meets: each
+    refusal is a journaled FaultError, raised before any layer moved."""
+    controller = _StateProbe(interval=0.5)
+    controller.submit("fault", {"kind": "crash", "node": 1})
+    for body in refused:
+        controller.submit("fault", body)
+    RunSpec(
+        scenario="figure3", protocol=protocol, substrate=substrate, duration=2.0, seed=1
+    ).run(control=controller)
+    results = [command.result for command in controller.applied]
+    assert results[0]["applied"].startswith("crash node 1")
+    for body, result in zip(refused, results[1:]):
+        assert result.get("error", "").startswith("FaultError"), (body, result)
+    assert controller.moved == [True] + [False] * len(refused)
+
+
+#: Bodies that must be refused as commands, not abort the run.
+MALFORMED = [
+    ("/faults", {"kind": "crash"}),
+    ("/faults", {"kind": "crash", "node": "x"}),
+    ("/faults", {"kind": "degrade", "link": [0, 1], "loss": "abc"}),
+    ("/flows", {"source": 0}),
+]
+
+
+def test_malformed_commands_are_journaled_and_the_session_replays(tmp_path):
+    session_dir = tmp_path / "session"
+    spec = RunSpec(scenario="figure3", substrate="fluid", duration=600.0, seed=1)
+    config = ServeConfig(pace=50.0, port=0, session_dir=str(session_dir), health=False)
+    ready = threading.Event()
+    port_box = {}
+    failures = []
+
+    def on_ready(port):
+        port_box["port"] = port
+        ready.set()
+
+    def driver():
+        try:
+            assert ready.wait(30)
+            base = f"http://127.0.0.1:{port_box['port']}"
+            for path, body in MALFORMED:
+                assert _http("POST", base + path, body)[0] == 202
+            assert _http("POST", base + "/shutdown")[0] == 202
+        except Exception as error:  # pragma: no cover - surfaced below
+            failures.append(error)
+
+    thread = threading.Thread(target=driver, daemon=True)
+    thread.start()
+    manifest = serve_session(spec, config, ready=on_ready, emit=lambda _: None)
+    thread.join(timeout=60)
+    assert not failures, failures[0]
+
+    _header, commands, close = load_journal(str(session_dir / "commands.jsonl"))
+    assert close is not None and manifest["events"] == close["events"]
+    errors = [command.result["error"] for command in commands if command.op != "shutdown"]
+    assert len(errors) == len(MALFORMED)
+    assert all(error.startswith(("ConfigError", "FaultError")) for error in errors), errors
+    report = replay_session(str(session_dir / "commands.jsonl"), emit=lambda _: None)
+    assert report["matches"] is True
+    assert report["events"] == manifest["events"]
+    assert report["digest"] == manifest["replay_digest"]
+    assert report["observable_digest"] == manifest["observable_digest"]
+
+
+def test_flow_commands_pass_only_the_given_fields():
+    """A graft takes Flow's defaults for every field it leaves out."""
+    from repro.flows.flow import Flow
+
+    controller = ServeController(interval=0.5)
+    controller.submit("add_flow", {"source": 0, "destination": 3, "weight": 2.0})
+    _run_with_controller(controller, duration=2.0)
+    flow = controller.handle.all_flows[4]
+    assert (flow.weight, flow.desired_rate, flow.packet_bytes) == (
+        2.0, Flow.desired_rate, Flow.packet_bytes,
+    )  # fmt: skip
 
 
 def test_shutdown_command_stops_early():
