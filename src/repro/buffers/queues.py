@@ -525,7 +525,7 @@ class PerDestinationBuffer(VirtualLinkBuffer):
         return {dest: self.has_free(dest) for dest in self._queues}
 
     # benchmarks/e2e traces the buffer operations in this class's own
-    # namespace; these bindings go once it follows the MRO (ROADMAP item 2).
+    # namespace; these bindings go once it follows the MRO (ROADMAP item 20(c)).
     admit_local_at = VirtualLinkBuffer.admit_local_at
     dequeue = VirtualLinkBuffer.dequeue
     dequeue_for = VirtualLinkBuffer.dequeue_for

@@ -3,9 +3,9 @@
 One command, one exit code.  Runs every static check the repository
 uses, in order of how much of the tree each one covers:
 
-1. **simcheck** — the in-house whole-program analyzer (determinism,
-   layering, parallel-safety, hot-path complexity, unit/dimension
-   rules; see ``docs/SIMCHECK.md``).  Runs in-process; no external
+1. **simcheck** — the in-house per-file analyzer (determinism and
+   layering rules, and the hygiene of its own pragmas; see
+   ``docs/SIMCHECK.md``).  Runs in-process; no external
    tooling needed.  Any finding fails the step, and so does an
    ``allow`` pragma that is malformed or suppresses nothing.
 2. **ruff** — style/bug lints, configured in ``pyproject.toml``.

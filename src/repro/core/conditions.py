@@ -6,9 +6,9 @@ return the rate-adjustment requests to issue.  Everything here is
 side-effect free so the protocol rules are unit-testable without a
 simulator.
 
-β-semantics (§6.3): two quantities are *equal* when they differ by
-less than β of the larger; one is *smaller* only when it is smaller by
-at least that margin.
+β-semantics (§6.3): two quantities are *equal* when they differ by at
+most β of the larger; one is *smaller* only when it is smaller by more
+than that margin.  At β = 0 these are exact equality and exact order.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ BIG_GAP_FACTOR = 3.0
 
 
 def beta_equal(a: float, b: float, beta: float) -> bool:
-    """True when ``a`` and ``b`` differ by less than ``beta`` of the larger."""
+    """True when ``a`` and ``b`` differ by at most ``beta`` of the larger
+    (at ``beta`` = 0: exactly equal)."""
     scale = max(abs(a), abs(b))
     if scale == 0:
         return True
@@ -33,7 +34,7 @@ def beta_equal(a: float, b: float, beta: float) -> bool:
 
 
 def beta_less(a: float, b: float, beta: float) -> bool:
-    """True when ``a`` is smaller than ``b`` by at least the β margin."""
+    """True when ``a`` is smaller than ``b`` by more than the β margin."""
     return a < b and not beta_equal(a, b, beta)
 
 

@@ -10,7 +10,8 @@ stacks, the traffic sources and GMP.  Both spellings
 A run applies every fault, scheduled or live, through
 ``Session.inject_fault``.  A :class:`FaultSchedule` adds the
 cross-event checks (crash/recover pairing, overlapping windows) before
-the simulation starts.
+the simulation starts; ``inject_fault`` runs them again on each live
+fault, against the run's other faults.
 """
 
 from __future__ import annotations

@@ -318,10 +318,14 @@ class Session:
         # Every applied fault, as ``(time, text)``; a fault run and a
         # controlled run report it.
         self.fault_log: list[tuple[float, str]] = []
+        # The run's faults, scheduled and live; a live fault joins them
+        # only if together they still make one valid schedule.
+        self._fault_plan: list[FaultEvent] = []
         faults = self.faults
         if faults is not None:
             faults.validate_within(duration)
-            for event in faults:
+            self._fault_plan = faults.in_order()
+            for event in self._fault_plan:
                 event.check(self)
                 sim.call_at(event.at, partial(self.inject_fault, event), tag=event.tag)
 
@@ -638,9 +642,17 @@ class Session:
         """Apply one fault now, scheduled or live; returns its log line.
         Its checks against this run come first, so a refused fault
         raises :class:`~repro.errors.FaultError` before any layer
-        changes."""
+        changes.  A live fault also meets the schedule's cross-event
+        checks against the run's other faults, applied or still to
+        come: crash/recover pairing and overlapping windows."""
         event.check(self)
+        # A scheduled fault is one of the plan's own events.
+        live = all(event is not planned for planned in self._fault_plan)
+        if live:
+            FaultSchedule([*self._fault_plan, event])
         text = event.apply(self)
+        if live:
+            self._fault_plan.append(event)
         self.fault_log.append((self.sim.now, text))
         return text
 

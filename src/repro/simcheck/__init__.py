@@ -1,17 +1,11 @@
-"""simcheck: determinism, layering, and passivity static analysis.
+"""simcheck: determinism and layering static analysis.
 
 The repo's core guarantees — runs replay identically given a seed,
 telemetry is strictly passive, modules respect the dependency DAG —
 are cheap to break silently: one ``random.random()``, one iteration
 over a ``set`` in an event handler, one telemetry import of the
 kernel.  ``simcheck`` walks the AST of every source file and flags
-exactly those hazards at review time, before a golden test has to
-catch them at run time.
-
-Two analysis layers share one parse of the tree: a per-file AST pass,
-and a whole-program pass built on the :mod:`repro.simcheck.callgraph`
-call graph (hot-path classification with evidence chains from the
-registration site).
+exactly those hazards at review time, one file at a time.
 
 Rule families (see :data:`RULES` and docs/SIMCHECK.md):
 
@@ -20,15 +14,13 @@ Rule families (see :data:`RULES` and docs/SIMCHECK.md):
   sorting, float accumulation over unordered collections;
 * ``LAY0xx`` — layering: the module dependency DAG, with the
   telemetry/kernel separation called out specially;
-* ``PAS0xx`` — passivity: telemetry instrument call sites must be
-  side-effect-free expressions;
-* ``PERF0xx`` — hot-path complexity: latent O(n^2) collection rescans,
-  loop-invariant recomputation, per-event container churn — only on
-  functions reachable from a kernel scheduling registration;
-* ``UNIT0xx`` — dimension checking over seconds/bits/bits-per-second
-  inferred from ``repro.units`` constants and identifier names;
 * ``PRAG001`` — suppression hygiene: an ``allow`` pragma must name
   catalogue rules, give a reason, and suppress a finding in the run.
+
+What a parse cannot see is checked by running, in tier-1: the behaviour
+fence under two more hash seeds, an instrumented run against the bare
+one on each substrate, and a count of per-link clique rescans
+(docs/SIMCHECK.md, "Checked by running").
 
 Usage::
 
@@ -46,15 +38,11 @@ findings only ever shrinks.
 
 from __future__ import annotations
 
-from repro.simcheck.callgraph import Program, build_program, parse_module
 from repro.simcheck.findings import Finding, RULES
 from repro.simcheck.rules import analyze_paths
 
 __all__ = [
     "Finding",
-    "Program",
     "RULES",
     "analyze_paths",
-    "build_program",
-    "parse_module",
 ]

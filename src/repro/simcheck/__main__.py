@@ -17,12 +17,8 @@ from repro.simcheck.rules import analyze_paths
 
 def _github_annotation(finding: Finding) -> str:
     """One ``::error`` workflow command per finding; GitHub renders it
-    inline on the PR diff.  Newlines are not allowed in the message, so
-    the call-chain evidence joins on ' | '."""
-    message = finding.message
-    if finding.via:
-        message += f" | via {finding.via}"
-    message = message.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
+    inline on the PR diff."""
+    message = finding.message.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
     return (
         f"::error file={finding.path},line={finding.line},"
         f"col={finding.col},title={finding.rule}::{message}"

@@ -50,40 +50,6 @@ RULES: dict[str, str] = {
         "telemetry code calls a scheduling API (call_at/call_later/every/"
         "schedule); telemetry may never schedule simulation events"
     ),
-    "PAS001": (
-        "assignment expression (walrus) inside a telemetry instrument "
-        "call; instrument arguments must be side-effect-free"
-    ),
-    "PAS002": (
-        "mutating method call inside a telemetry instrument argument; "
-        "disabling telemetry must not change program state"
-    ),
-    "PERF001": (
-        "nested iteration over node/link/flow/clique collections on a "
-        "hot-path function where the inner iterable is independent of "
-        "the outer loop — latent O(n^2); precompute an index "
-        "(e.g. topology.cliques.clique_index_positions)"
-    ),
-    "PERF002": (
-        "loop-invariant recomputation on a hot path: a derive/build/"
-        "cliques-style call inside a loop whose arguments do not depend "
-        "on the loop — hoist it out or maintain it incrementally"
-    ),
-    "PERF003": (
-        "list/dict/set allocation inside nested collection loops on a "
-        "hot-path function; the container is rebuilt per element per "
-        "event — hoist or reuse it"
-    ),
-    "UNIT001": (
-        "arithmetic mixes dimensions (seconds vs bits vs bits/second) "
-        "inferred from repro.units constructors and parameter names; "
-        "convert explicitly before combining"
-    ),
-    "UNIT002": (
-        "bare numeric literal passed to a rate-dimensioned parameter; "
-        "spell it with a units constant (e.g. 11 * MBPS) so the "
-        "magnitude is auditable"
-    ),
     "PRAG001": (
         "simcheck allow pragma that names no rule, names an unknown rule, "
         "gives no reason, or suppresses no finding in the run; a pragma "
@@ -101,13 +67,9 @@ class Finding:
     line: int
     col: int
     message: str
-    via: str = ""  # call-chain evidence (whole-program rules only)
 
     def render(self) -> str:
-        text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-        if self.via:
-            text += f"\n    via {self.via}"
-        return text
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
 def finding_at(
@@ -116,7 +78,6 @@ def finding_at(
     *,
     path: str,
     message: str,
-    via: str = "",
 ) -> Finding:
     """Build a Finding anchored at an AST node of a known file."""
     return Finding(
@@ -125,5 +86,4 @@ def finding_at(
         line=getattr(node, "lineno", 1),
         col=getattr(node, "col_offset", 0) + 1,
         message=message,
-        via=via,
     )

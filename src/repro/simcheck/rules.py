@@ -1,22 +1,15 @@
-"""The analysis passes behind ``python -m repro.simcheck``.
+"""The analysis pass behind ``python -m repro.simcheck``.
 
-Two layers share one parse of the tree:
-
-* a **per-file** AST walk (determinism, layering, passivity — the
-  DET/LAY/PAS families; see :data:`repro.simcheck.findings.RULES` and
-  docs/SIMCHECK.md), and
-* a **whole-program** pass over the call graph built by
-  :mod:`repro.simcheck.callgraph` (hot-path complexity and
-  unit/dimension mixing — the PERF/UNIT families in
-  :mod:`repro.simcheck.perf_rules` / ``unit_rules``).
-
-Both layers are purely syntactic — import aliases are resolved
-(``import time as _time`` still trips DET001) but there is no real
-type inference, so rules flag *expressions that are sets*, *names
-that read as rates*, *calls the graph can actually resolve*.  That
-keeps the tool fast, zero-dependency, and conservative; the runtime
-replay sanitizer (:mod:`repro.sim.replay`) is the dynamic backstop
-for what a syntactic pass cannot see.
+One AST walk per file checks determinism and layering (the DET and LAY
+families; see :data:`repro.simcheck.findings.RULES` and
+docs/SIMCHECK.md).  The walk is purely syntactic: import aliases are
+resolved (``import time as _time`` still trips DET001), but there is no
+type inference, so the rules flag *expressions that are sets*, not
+values that happen to be.  That keeps the tool fast, zero-dependency
+and conservative.  What a syntactic pass cannot see, tier-1 checks by
+running: the behaviour fence under two hash seeds, an instrumented run
+against a bare one on each substrate (docs/SIMCHECK.md, "Checked by
+running").
 
 A finding is accepted only by a pragma at its line or file
 (``# simcheck: allow[RULE] reason``).  PRAG001 reports a pragma that
@@ -30,20 +23,9 @@ import ast
 from pathlib import Path
 from typing import Iterable
 
-from repro.simcheck.callgraph import (
-    AliasTable,
-    ModuleInfo,
-    Pragma,
-    build_program,
-    parse_module,
-)
 from repro.simcheck.findings import RULES, Finding, finding_at
-from repro.simcheck.layering import (
-    SCHEDULING_CALLS,
-    import_allowed,
-)
-from repro.simcheck.perf_rules import check_program_perf
-from repro.simcheck.unit_rules import check_module_units
+from repro.simcheck.layering import SCHEDULING_CALLS, import_allowed
+from repro.simcheck.source import AliasTable, ModuleInfo, Pragma, parse_module
 
 #: Wall-clock reads (dotted, alias-resolved) flagged by DET001.
 _WALL_CLOCK_CALLS = {
@@ -73,48 +55,6 @@ _ENTROPY_MODULES = {"secrets"}
 #: Identity/repr sort keys (DET006).
 _UNSTABLE_SORT_KEYS = {"id", "repr"}
 
-#: Methods that mutate their receiver (PAS002).
-_MUTATORS = {
-    "add",
-    "append",
-    "appendleft",
-    "clear",
-    "discard",
-    "extend",
-    "insert",
-    "pop",
-    "popitem",
-    "popleft",
-    "remove",
-    "reverse",
-    "setdefault",
-    "sort",
-    "update",
-    "write",
-}
-
-#: Attribute names that mark a call as a telemetry instrument mutation.
-#: ``inc``/``record``/``record_changed`` are distinctive enough on any
-#: receiver; the generic names additionally require a telemetry-ish
-#: token somewhere in the receiver chain.
-_INSTRUMENT_ATTRS_ALWAYS = {"inc", "record", "record_changed"}
-_INSTRUMENT_ATTRS_TOKENED = {"set", "update", "emit", "event", "observe"}
-_TELEMETRY_TOKENS = {
-    "telemetry",
-    "registry",
-    "metrics",
-    "counter",
-    "gauge",
-    "series",
-    "histogram",
-    "hist",
-    "instrument",
-    "trace",
-    "tracer",
-    "_tm",
-    "tm",
-    "sanitizer",
-}
 
 def _is_set_expr(node: ast.expr, aliases: AliasTable) -> bool:
     """Is this expression syntactically a set?"""
@@ -130,17 +70,6 @@ def _is_set_expr(node: ast.expr, aliases: AliasTable) -> bool:
             node.right, aliases
         )
     return False
-
-
-def _receiver_tokens(node: ast.expr) -> set[str]:
-    """Identifiers appearing anywhere in a call-receiver chain."""
-    tokens: set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            tokens.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            tokens.add(sub.attr)
-    return tokens
 
 
 class _FileChecker(ast.NodeVisitor):
@@ -243,7 +172,7 @@ class _FileChecker(ast.NodeVisitor):
                 f"layer '{self.module_top}' may not import repro.{rel}",
             )
 
-    # -- calls: DET001/003/004/006, LAY003, PAS001/002 ---------------------
+    # -- calls: DET001-004/006/007, LAY003 ----------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         resolved = self.aliases.resolve(node.func)
@@ -287,7 +216,6 @@ class _FileChecker(ast.NodeVisitor):
                     node,
                     f"telemetry calls scheduling API .{node.func.attr}()",
                 )
-            self._check_instrument_args(node)
         self.generic_visit(node)
 
     def _check_sort_key(self, node: ast.Call) -> None:
@@ -304,36 +232,6 @@ class _FileChecker(ast.NodeVisitor):
                     node,
                     f"sort keyed on {value.id}() is not stable across runs",
                 )
-
-    def _check_instrument_args(self, node: ast.Call) -> None:
-        assert isinstance(node.func, ast.Attribute)
-        attr = node.func.attr
-        if attr in _INSTRUMENT_ATTRS_ALWAYS:
-            pass
-        elif attr in _INSTRUMENT_ATTRS_TOKENED:
-            if not (_receiver_tokens(node.func.value) & _TELEMETRY_TOKENS):
-                return
-        else:
-            return
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            for sub in ast.walk(arg):
-                if isinstance(sub, ast.NamedExpr):
-                    self._emit(
-                        "PAS001",
-                        sub,
-                        f"walrus assignment inside .{attr}() argument",
-                    )
-                elif (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in _MUTATORS
-                ):
-                    self._emit(
-                        "PAS002",
-                        sub,
-                        f".{sub.func.attr}() mutation inside .{attr}() "
-                        "argument",
-                    )
 
     # -- iteration: DET005 -------------------------------------------------
 
@@ -444,9 +342,9 @@ def _collect_files(paths: Iterable[str | Path]) -> list[Path]:
 
 
 def analyze_paths(paths: Iterable[str | Path]) -> list[Finding]:
-    """Run every rule over the ``.py`` files under ``paths``, analysed as
-    one program; pragmas are applied and checked.  Findings are sorted,
-    with paths relative to the current directory where they lie under it.
+    """Run every rule over the ``.py`` files under ``paths``; pragmas
+    are applied and checked.  Findings are sorted, with paths relative
+    to the current directory where they lie under it.
     """
     root = Path.cwd().resolve()
     modules: list[ModuleInfo] = []
@@ -457,29 +355,17 @@ def analyze_paths(paths: Iterable[str | Path]) -> list[Finding]:
         except ValueError:
             display = file.as_posix()
         modules.append(parse_module(file, display_path=display))
-    program = build_program(modules)
     known = {m.module for m in modules if m.module_declared}
     used: set[tuple[str, int, str]] = set()
     findings: list[Finding] = []
-    by_path: dict[str, ModuleInfo] = {}
     for module in modules:
-        by_path[module.display_path] = module
         checker = _FileChecker(
             module.display_path,
             module.module if module.module_declared else None,
             known,
         )
         checker.visit(module.tree)
-        findings.extend(
-            _apply_pragmas(
-                checker.findings + check_module_units(module, program),
-                module,
-                used,
-            )
-        )
-    for finding in check_program_perf(program):
-        findings.extend(_apply_pragmas([finding], by_path[finding.path], used))
-    for module in modules:
+        findings.extend(_apply_pragmas(checker.findings, module, used))
         findings.extend(_check_pragmas(module, used))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

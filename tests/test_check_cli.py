@@ -32,26 +32,6 @@ def test_github_format_annotations(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_github_format_via_chain_joins_on_one_line(tmp_path, capsys):
-    hot = tmp_path / "hot.py"
-    hot.write_text(
-        "class Monitor:\n"
-        "    def __init__(self, sim, nodes, links):\n"
-        "        self.nodes = nodes\n"
-        "        self.links = links\n"
-        "        sim.every(1.0, self._round)\n"
-        "\n"
-        "    def _round(self):\n"
-        "        for node in self.nodes:\n"
-        "            for link in self.links:\n"
-        "                print(node, link)\n"
-    )
-    assert simcheck_main([str(hot), "--format", "github"]) == 1
-    out = capsys.readouterr().out
-    line = next(ln for ln in out.splitlines() if "PERF001" in ln)
-    assert " | via every@" in line and "\n" not in line
-
-
 def test_check_gate_runs_simcheck_against_the_repo(monkeypatch, capsys):
     _no_tools(monkeypatch)
     assert check_main([]) == 0

@@ -29,6 +29,15 @@ class TestBetaSemantics:
     def test_zero_values_equal(self):
         assert beta_equal(0.0, 0.0, beta=0.10)
 
+    def test_zero_beta_is_exact_equality(self):
+        # The paper's conditions with beta = 0 compare exactly: a rate
+        # equals itself, and is not smaller than itself.
+        for a in (1.0, 113.1, 1e6):
+            assert beta_equal(a, a, 0.0)
+            assert not beta_less(a, a, 0.0)
+            assert not beta_equal(a, a + a * 1e-9, 0.0)
+            assert beta_less(a, a + a * 1e-9, 0.0)
+
     def test_less_requires_margin(self):
         assert beta_less(80.0, 100.0, beta=0.10)
         assert not beta_less(95.0, 100.0, beta=0.10)

@@ -458,3 +458,33 @@ def test_scale300_run_solves_every_round_exactly_on_a_tenth_of_the_cliques(
     checked(mac, [(OFF_TOPOLOGY_LINK, 5.0)])
     assert system.memberships[OFF_TOPOLOGY_LINK] == () and system.generation == 4
     assert_reduced_system_is_exact(system, cliques)
+
+
+@pytest.mark.parametrize(
+    "scenario, churn",
+    [("scale300", None), ("figure3", "poisson:rate=1,mean_hold=2,max_flows=4")],
+)
+def test_no_run_rescans_the_cliques_per_link(monkeypatch, scenario, churn):
+    """Clique memberships come from one link -> positions index built
+    per enumeration; a solve that tested each link against every clique
+    would be O(links x cliques) per round, and shows here as membership
+    tests."""
+    from repro.mac import fluid
+    from repro.scenarios.spec import RunSpec
+    from repro.topology.cliques import Clique
+
+    def counting(calls, function):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    tests, solves = [], []
+    monkeypatch.setattr(Clique, "__contains__", counting(tests, Clique.__contains__))
+    monkeypatch.setattr(fluid, "progressive_fill", counting(solves, fluid.progressive_fill))
+    RunSpec(
+        scenario=scenario, substrate="fluid", duration=2.0 if churn is None else 20.0,
+        seed=1, churn=churn,
+    ).run()
+    assert solves and not tests

@@ -286,6 +286,63 @@ def test_a_live_fault_the_schedule_would_refuse_changes_nothing(protocol, substr
     assert controller.moved == [True] + [False] * len(refused)
 
 
+def _script(*commands):
+    """A replay script: ``(tick time, op, args)`` per command."""
+    return [
+        AppliedCommand(seq=seq, t=t, op=op, args=args)
+        for seq, (t, op, args) in enumerate(commands, start=1)
+    ]
+
+
+BURST_1_2 = {"kind": "burst", "link": [1, 2], "loss": 0.5, "for": 2.0}
+#: On the same link as BURST_1_2, spelled the other way round: its
+#: window [1, 4) overlaps [0.5, 2.5), whose restore would clear it.
+BURST_2_1 = {"kind": "burst", "link": [2, 1], "loss": 0.5, "for": 3.0}
+
+
+OVERLAP = "FaultError: overlapping loss-burst (1-2) windows: [0.5, 2.5) and [1, 4)"
+BURST_LOG = ["degrade link 1-2 (loss=0.5)", "restore link 1-2"]
+
+
+@pytest.mark.parametrize(
+    "faults, commands, error, log",
+    [
+        ("burst:1-2@0.5-2.5:loss=0.5", [(1.0, "fault", BURST_2_1)], OVERLAP, BURST_LOG),
+        (None, [(0.5, "fault", BURST_1_2), (1.0, "fault", BURST_2_1)], OVERLAP, BURST_LOG),
+        (
+            "crash:1@1;recover:1@2",
+            [(0.5, "fault", {"kind": "crash", "node": 1})],
+            "FaultError: node 1 crashes at t=1 while already down",
+            ["crash node 1 (0 in-flight packets lost)", "recover node 1"],
+        ),
+    ],
+    ids=["live-after-scheduled", "live-after-live", "live-before-scheduled-crash"],
+)  # fmt: skip
+def test_a_live_fault_conflicting_with_another_fault_is_refused(faults, commands, error, log):
+    """A live fault meets the schedule's cross-event checks (windows
+    overlapping on one target, crash/recover pairing) against the run's
+    other faults, scheduled or live; the refusal is journaled, and the
+    session replays from its journal to the same digests."""
+    spec = RunSpec(
+        scenario="figure3", protocol="gmp", substrate="fluid", duration=5.0, seed=1,
+        faults=faults,
+    )
+    controller = ServeController(interval=0.5, script=_script(*commands))
+    result = spec.run(sanitizer=ReplaySanitizer(), control=controller)
+    *accepted, refused = controller.applied
+    assert all("applied" in command.result for command in accepted)
+    assert refused.result["error"].startswith(error)
+    assert [text for _, text in result.extras["faults"]] == log
+
+    replayer = ServeController(interval=0.5, script=list(controller.applied))
+    replayed = spec.run(sanitizer=ReplaySanitizer(), control=replayer)
+    for digest in ("replay_digest", "observable_digest"):
+        assert replayed.extras[digest] == result.extras[digest]
+    assert [command.result for command in replayer.applied] == [
+        command.result for command in controller.applied
+    ]
+
+
 #: Bodies that must be refused as commands, not abort the run.
 MALFORMED = [
     ("/faults", {"kind": "crash"}),

@@ -23,10 +23,20 @@ and abort frames in flight.
 A failing row prints its new values; paste them over the old ones only
 alongside a deliberate change to what the simulation does, and record
 the old and new values in CHANGES.md.
+
+The whole table also runs under two fixed ``PYTHONHASHSEED`` values in
+child processes: hash order that reaches the event sequence or a
+measurement (a ``set`` of ``str`` iterated where order matters) moves a
+row under one seed or the other.
 """
 
 import functools
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +183,41 @@ def test_run_matches_its_fingerprint(spec, events, l0, l1):
         assert result.extras["churn"].arrivals > 0
     if spec.faults:
         assert len(result.extras["faults"]) == 4
+
+
+#: Runs every fence row in a child process and prints ``[events, L0, L1]``
+#: per row, one JSON line each.
+_FENCE_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_policy_fingerprints import FENCE, fence_run
+for row in FENCE:
+    print(json.dumps(fence_run(row.values[0])[1:]))
+"""
+
+
+def test_fence_holds_under_other_hash_seeds():
+    # The two children run at once: the table costs one child's time.
+    tests = Path(__file__).resolve().parent
+    src = tests.parent / "src"
+    children = {
+        hash_seed: subprocess.Popen(
+            [sys.executable, "-c", _FENCE_SCRIPT, str(tests)],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src)),
+        )
+        for hash_seed in ("1", "12345")
+    }
+    expected = {row.id: list(row.values[1:]) for row in FENCE}
+    try:
+        for hash_seed, child in children.items():
+            out, _ = child.communicate(timeout=300)
+            assert child.returncode == 0, hash_seed
+            measured = dict(zip(expected, map(json.loads, out.splitlines()), strict=True))
+            moved = {row: values for row, values in measured.items() if values != expected[row]}
+            assert not moved, f"PYTHONHASHSEED={hash_seed} moved fence rows: {moved}"
+    finally:
+        for child in children.values():
+            child.kill()
+            child.wait()

@@ -19,10 +19,21 @@ from test_policy_fingerprints import FENCE, GOLDEN, fence_run
 ROWS = {row.id: row.values for row in FENCE}
 
 
+#: figure4 on the DCF, 20 s, seed 1, run bare: ``(spec, events, L0, L1)``.
+#: The DCF's airtime counters see every frame, and on this run a side
+#: effect hidden in one of their arguments moves flow 1's rate.
+DCF_FIGURE4 = (
+    RunSpec(scenario="figure4", protocol="gmp", substrate="dcf", duration=20.0, seed=1),
+    363690, "1b12e65b9444abab", "bf16ed3107528d81",
+)
+
+
 def test_golden_digest_plain_and_instrumented():
-    _spec, events, l0, l1 = ROWS["figure3-gmp-fluid-golden"]
-    _result, *instrumented = fence_run(GOLDEN, telemetry=Telemetry(profile=True))
-    assert instrumented == [events, l0, l1]
+    # Telemetry is passive: a fully instrumented run keeps the bare
+    # run's event sequence and measurements, on both substrates.
+    for spec, events, l0, l1 in (ROWS["figure3-gmp-fluid-golden"], DCF_FIGURE4):
+        _result, *instrumented = fence_run(spec, telemetry=Telemetry(profile=True))
+        assert instrumented == [events, l0, l1], spec.scenario
 
 
 def test_renaming_a_handler_leaves_l0_unchanged(monkeypatch):

@@ -25,13 +25,6 @@ EXPECTED = {
     "lay001_dag_violation.py": {("LAY001", 4)},
     "lay002_telemetry_kernel.py": {("LAY002", 4)},
     "lay003_telemetry_schedule.py": {("LAY003", 6)},
-    "pas001_walrus.py": {("PAS001", 5)},
-    "pas002_mutation.py": {("PAS002", 5)},
-    "perf001_nested_scan.py": {("PERF001", 14)},
-    "perf002_loop_invariant.py": {("PERF002", 18)},
-    "perf003_alloc_in_loop.py": {("PERF003", 14)},
-    "unit001_dimension_mix.py": {("UNIT001", 9)},
-    "unit002_bare_rate_literal.py": {("UNIT002", 9), ("UNIT002", 10)},
     "prag001_no_rule.py": {("DET001", 7), ("PRAG001", 7)},
     "prag001_no_reason.py": {("DET001", 7), ("PRAG001", 7)},
     "prag001_suppresses_nothing.py": {("PRAG001", 1), ("PRAG001", 10)},
@@ -56,42 +49,6 @@ def test_every_rule_id_is_covered_by_a_fixture():
 def test_committed_tree_is_clean():
     findings = analyze_paths([REPO_ROOT / "src"])
     assert findings == [], [f.render() for f in findings]
-
-
-def test_injected_nested_node_loop_in_fluid_is_caught(tmp_path):
-    """Regression guard for the whole-program pass: planting a latent
-    O(n^2) scan inside FluidMac's scheduled round must raise PERF001
-    with the call chain from the ``sim.every`` registration."""
-    source = (REPO_ROOT / "src" / "repro" / "mac" / "fluid.py").read_text()
-    needle = "    def _round(self) -> None:\n"
-    assert needle in source
-    injected = needle + (
-        "        for node in self.nodes:\n"
-        "            for link in self.links:\n"
-        "                _ = (node, link)\n"
-    )
-    path = tmp_path / "fluid.py"
-    path.write_text(source.replace(needle, injected))
-    findings = [f for f in analyze_paths([path]) if f.rule == "PERF001"]
-    assert findings, "injected nested collection loop was not caught"
-    assert any("every@" in f.via and "_round" in f.via for f in findings)
-
-
-def test_injected_side_effect_in_dcf_airtime_counter_is_caught(tmp_path):
-    """PAS002's evidence: popping the DCF's occupancy inside the airtime
-    counter's argument changes figure2 and figure4 on the DCF only when
-    telemetry is on, and no fence row or dynamic test sees it."""
-    source = (REPO_ROOT / "src" / "repro" / "mac" / "dcf.py").read_text()
-    needle = "counter.inc(duration)"
-    assert source.count(needle) == 1
-    path = tmp_path / "dcf.py"
-    path.write_text(
-        source.replace(
-            needle,
-            "counter.inc(duration + 0.0 * self.occupancy.pop(a_link, 0.0))",
-        )
-    )
-    assert [f.rule for f in analyze_paths([path])] == ["PAS002"]
 
 
 def test_inline_and_filewide_suppressions(tmp_path):
@@ -148,4 +105,6 @@ def test_cli_list_rules(capsys):
     assert simcheck_main(["--list-rules"]) == 0
     listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert listed == sorted(RULES)
-    assert "PRAG001" in listed
+    assert listed == [f"DET00{n}" for n in range(1, 8)] + [
+        "LAY001", "LAY002", "LAY003", "PRAG001",
+    ]
